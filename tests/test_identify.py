@@ -1,5 +1,6 @@
 """Constant recognition: rational sieve, multiplier dictionary, LLL, min-poly."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -163,6 +164,40 @@ class TestLll:
             done += 1
             self.gram_schmidt_checks(out)
             assert self.unimodular_transform(basis, out)
+
+    # SHA-256 of repr(outputs) over pinned_bases(), recorded from the
+    # rational Gram-Schmidt LLL; any change to the reduction's arithmetic
+    # or control flow that alters a single output entry changes it
+    PINNED_DIGEST = "9b1c91329418e0f4f7a0f72f71bae65df2a29d8872fa424cd3257282dcc96d47"
+
+    @staticmethod
+    def pinned_bases():
+        rng = random.Random(2026)
+        for i in range(100):
+            k = 2 + i % 4
+            delta = Fraction(3, 4) if i % 2 else Fraction(99, 100)
+            basis = [[rng.randint(-10**6, 10**6) for _ in range(k)] for _ in range(k)]
+            yield basis, delta
+        # the min_poly lattice shape: identity block plus scaled powers
+        for i in range(100):
+            d = 1 + i % 6
+            x = Fraction(rng.randrange(10**40, 2 * 10**40), 10**40)
+            rows = []
+            for e in range(d + 1):
+                row = [0] * (d + 1) + [round(10**40 * x**e)]
+                row[e] = 1
+                rows.append(row)
+            yield rows, Fraction(3, 4)
+
+    def test_outputs_pinned(self):
+        outputs = []
+        for basis, delta in self.pinned_bases():
+            try:
+                outputs.append(lll_reduce(basis, delta))
+            except RankDeficient:
+                outputs.append("RankDeficient")
+        digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+        assert digest == self.PINNED_DIGEST
 
     @staticmethod
     def unimodular_transform(basis, out):
