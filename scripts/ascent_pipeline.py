@@ -129,6 +129,7 @@ def main() -> int:
             + (poly_a_sq.format("B") if poly_a_sq is not None else "not found"),
         ],
     )
+    args.report.parent.mkdir(parents=True, exist_ok=True)
     args.report.write_text(report.to_json(), encoding="utf-8")
     print(f"report: {args.report}")
     return 0

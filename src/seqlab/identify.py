@@ -10,9 +10,9 @@ and the input actually share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import mpmath
 
@@ -141,54 +141,58 @@ def identify_with_multipliers(
 # exact LLL reduction and minimal polynomials
 # ---------------------------------------------------------------------------
 
-def _gram_schmidt(b: list[list[int]]):
-    """Exact Gram-Schmidt data: orthogonal vectors, coefficients mu, norms."""
-    n = len(b)
-    star: list[list[Fraction]] = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms: list[Fraction] = []
-    for i in range(n):
-        v = [Fraction(c) for c in b[i]]
-        for j in range(i):
-            if norms[j] == 0:
-                raise RankDeficient("basis rows are linearly dependent")
-            mu[i][j] = Fraction(
-                sum(Fraction(b[i][k]) * star[j][k] for k in range(len(v)))
-            ) / norms[j]
-            v = [a - mu[i][j] * c for a, c in zip(v, star[j])]
-        star.append(v)
-        norms.append(sum(c * c for c in v))
-    if norms and norms[-1] == 0:
-        raise RankDeficient("basis rows are linearly dependent")
-    return star, mu, norms
-
-
 def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
     """LLL-reduce integer basis rows with parameter delta, exactly.
 
-    Size-reduction and the Lovasz condition are enforced in rational
-    arithmetic, so the output provably satisfies them; raises RankDeficient
-    on linearly dependent input rows.
+    The integral LLL of de Weger (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7): d[i] is the Gram determinant of the first i
+    rows (the product of their squared Gram-Schmidt norms, d[0] = 1) and
+    lam[i][j] = d[j + 1] * mu[i][j].  Both are integers, computed once by
+    exact division and updated in O(n) per swap, so size-reduction and the
+    Lovasz condition are decided exactly and the output provably satisfies
+    them; raises RankDeficient on linearly dependent input rows.
     """
     b = [list(map(int, row)) for row in basis]
     if not b or len({len(r) for r in b}) != 1:
         raise ValueError("basis must be a non-empty rectangular integer matrix")
     n = len(b)
-    _, mu, norms = _gram_schmidt(b)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for m in range(j):
+                u = (d[m + 1] * u - lam[i][m] * lam[j][m]) // d[m]
+            if j < i:
+                lam[i][j] = u
+            elif u == 0:
+                raise RankDeficient("basis rows are linearly dependent")
+            else:
+                d[i + 1] = u
+    delta = Fraction(delta)
+    num, den = delta.numerator, delta.denominator
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                q = round(mu[k][j])
+            if 2 * abs(lam[k][j]) > d[j + 1]:
+                q = round(Fraction(lam[k][j], d[j + 1]))
                 b[k] = [a - q * c for a, c in zip(b[k], b[j])]
-                for l in range(j):
-                    mu[k][l] -= q * mu[j][l]
-                mu[k][j] -= q
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                for m in range(j):
+                    lam[k][m] -= q * lam[j][m]
+                lam[k][j] -= q * d[j + 1]
+        lk = lam[k][k - 1]
+        if den * d[k + 1] * d[k - 1] >= num * d[k] ** 2 - den * lk**2:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            _, mu, norms = _gram_schmidt(b)
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            dk = (d[k - 1] * d[k + 1] + lk**2) // d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (dk * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = dk
             k = max(k - 1, 1)
     return b
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import re
+import tempfile
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -129,7 +130,13 @@ def fetch_oeis(
         raise CacheMiss(f"{a_id} not cached under {cache} and offline mode is on")
     text = (fetcher or _urllib_fetcher)(bfile_url(a_id))
     cache.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    # a unique temp name, so concurrent fetches of one A-number never share it
+    fd, tmp = tempfile.mkstemp(dir=cache, prefix=f"{a_id}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
     return BFile(a_id, text)

@@ -1,11 +1,14 @@
 """Constant recognition: rational sieve, multiplier dictionary, LLL, min-poly."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqlab import (
     MultiplierDictionary,
@@ -143,6 +146,13 @@ class TestLll:
         # over all integer combinations with coefficients up to 60
         assert sum(c * c for c in out[0]) == 1025
 
+    def test_ties_round_half_to_even(self):
+        # mu = 5/2 and mu = 3/2 are ties; round() takes 2 in both cases
+        assert lll_reduce([[2, 0], [5, 1]]) == [[1, 1], [1, -1]]
+        assert lll_reduce([[2, 0, 0], [1, 2, 0], [3, 5, 2]]) == [
+            [2, 0, 0], [1, 2, 0], [1, 1, 2]
+        ]
+
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
             lll_reduce([[1, 2], [2, 4]])
@@ -198,6 +208,23 @@ class TestLll:
                 outputs.append("RankDeficient")
         digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
         assert digest == self.PINNED_DIGEST
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_rectangular_bases_property(self, data):
+        k = data.draw(st.integers(1, 7))
+        m = data.draw(st.integers(k, 8))
+        entry = st.integers(-3, 3) | st.integers(-10**6, 10**6)
+        row = st.lists(entry, min_size=m, max_size=m)
+        basis = data.draw(st.lists(row, min_size=k, max_size=k))
+        gram_det = _det(_gram(basis))
+        if gram_det == 0:
+            with pytest.raises(RankDeficient):
+                lll_reduce(basis)
+            return
+        out = lll_reduce(basis)
+        self.gram_schmidt_checks(out)
+        assert _det(_gram(out)) == gram_det
 
     @staticmethod
     def unimodular_transform(basis, out):
@@ -255,6 +282,10 @@ def _solve(mat, rhs):
                 f = a[r][col]
                 a[r] = [c - f * d for c, d in zip(a[r], a[col])]
     return [a[r][k] for r in range(k)]
+
+
+def _gram(rows):
+    return [[sum(a * c for a, c in zip(r, s)) for s in rows] for r in rows]
 
 
 def _det(rows):
@@ -317,6 +348,12 @@ class TestMinPoly:
         with pytest.raises(PrecisionTooLow):
             min_poly(mp(1.5), maxdeg=4, digits=40)
 
+    def test_cbrt2_plus_sqrt3_at_250_digits(self):
+        with mpmath.workdps(270):
+            x = mpmath.cbrt(2) + mpmath.sqrt(3)
+            p = min_poly(x, maxdeg=6, digits=250)
+        assert p == Poly([-23, -36, 27, -4, -9, 0, 1])
+
     def test_prime_roots_each_degree(self):
         for d, c in ((1, 7), (2, 5), (3, 3), (4, 2), (5, 2)):
             digits = 10 * (d + 1) + 40
@@ -325,6 +362,45 @@ class TestMinPoly:
                 p = min_poly(x, maxdeg=5, digits=digits)
             expect = [-c] + [0] * (d - 1) + [1]
             assert p == Poly(expect), (d, c)
+
+
+def _squarefree(n):
+    return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))
+
+
+def _normalised(coeffs):
+    """Ascending integer coefficients with content 1, leading one positive."""
+    coeffs = [int(c) for c in coeffs]
+    g = math.gcd(*coeffs) if coeffs[-1] > 0 else -math.gcd(*coeffs)
+    return [c // g for c in coeffs]
+
+
+class TestMinPolyVsFindpoly:
+    """min_poly agrees with mpmath.findpoly (PSLQ) on planted algebraics."""
+
+    @staticmethod
+    def planted():
+        # a^(1/d) and sqrt(a) + sqrt(b) with squarefree a != b, whose
+        # degrees are exactly d and 4; each is moved by an integer into [1, 2)
+        rng = random.Random(909)
+        draws = [n for n in range(2, 100) if _squarefree(n)]
+        for d in range(2, 7):
+            for a in rng.sample(draws, 3):
+                yield d, mpmath.root(a, d)
+        for _ in range(4):
+            a, b = rng.sample(draws, 2)
+            yield 4, mpmath.sqrt(a) + mpmath.sqrt(b)
+
+    def test_same_polynomial(self):
+        with mpmath.workdps(120):
+            for deg, r in self.planted():
+                x = r + 1 - mpmath.floor(r)
+                p = min_poly(x, maxdeg=6, digits=100)
+                # PSLQ's default 100 steps miss some of the sextics
+                ref = mpmath.findpoly(x, 6, maxcoeff=10**6, maxsteps=10**4)
+                assert p is not None and ref is not None, (deg, x)
+                assert p.degree == deg
+                assert _normalised(p.int_coeffs()) == _normalised(ref[::-1]), (deg, x)
 
 
 class TestRandomPlantedConstants:

@@ -152,6 +152,24 @@ class TestFetchOeis:
         fetch_oeis("A000042", fetcher=double)
         assert (tmp_path / "A000042.bfile").exists()
 
+    def test_fixed_temp_name_neither_blocks_nor_is_touched(self, tmp_path):
+        # another process's in-flight download under the old fixed name
+        stale = tmp_path / "A000042.tmp"
+        stale.write_text("0 partial\n")
+        bf = fetch_oeis("A000042", cache_dir=tmp_path,
+                        fetcher=FetchDouble(payload=self.TEXT))
+        assert bf.text == self.TEXT
+        assert (tmp_path / "A000042.bfile").read_text() == self.TEXT
+        assert stale.read_text() == "0 partial\n"
+        assert list(tmp_path.glob("*.tmp")) == [stale]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        # a lone surrogate cannot be encoded, so the cache write fails
+        double = FetchDouble(payload="0 1\n\ud800\n")
+        with pytest.raises(UnicodeEncodeError):
+            fetch_oeis("A000042", cache_dir=tmp_path, fetcher=double)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDecimalStr:
     def test_ints_and_fractions(self):
