@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate
+from math import comb, factorial
 from typing import Callable, Optional, Union
 
 import mpmath
@@ -31,7 +32,7 @@ from .errors import (
     SingularSystem,
     TableauBlowup,
 )
-from .series import Poly
+from .series import Poly, int_horner, primitive_int
 
 HpReal = mpmath.mpf
 Real = Union[HpReal, Fraction, int]
@@ -99,10 +100,6 @@ class HpSeq:
     def from_sequence(seq, ctx: HpContext = HpContext()) -> "HpSeq":
         with ctx.work():
             return HpSeq(seq.offset, tuple(mpmath.mpf(t) for t in seq.terms), ctx)
-
-    @staticmethod
-    def from_values(offset: int, values, ctx: HpContext = HpContext()) -> "HpSeq":
-        return HpSeq(offset, tuple(values), ctx)
 
 
 @dataclass(frozen=True)
@@ -433,10 +430,24 @@ class AmplitudeFit:
     window_end: int
 
 
-def _norm1(mat) -> HpReal:
-    return max(
-        sum(abs(mat[i, j]) for i in range(mat.rows)) for j in range(mat.cols)
-    )
+def vandermonde_inverse(ns: list[int]) -> list[list[Fraction]]:
+    """Exact inverse of the fit matrix V[r][k] = ns[r]^(-k), row-major.
+
+    V interpolates at the nodes 1/n, so column r of the inverse holds the
+    ascending coefficients of the Lagrange basis polynomial L_r(x): the
+    integer quotient of prod_j (n_j x - 1) by (n_r x - 1), divided by its
+    value at 1/n_r.  The nodes must be distinct nonzero integers.
+    """
+    master = [1]
+    for n in ns:
+        master = [n * a - b for a, b in zip([0] + master, master + [0])]
+    cols = []
+    for n in ns:
+        quot = list(accumulate(master[:-1], lambda q, m: n * q - m, initial=0))[1:]
+        top = n ** (len(ns) - 1)
+        scale = int_horner(reversed(quot), n)  # = top * quot(1/n)
+        cols.append([Fraction(q * top, scale) for q in quot])
+    return [list(row) for row in zip(*cols)]
 
 
 def amplitude_fit(s, mu: Real, g, K: int, ctx: HpContext) -> AmplitudeFit:
@@ -444,79 +455,61 @@ def amplitude_fit(s, mu: Real, g, K: int, ctx: HpContext) -> AmplitudeFit:
 
     `s` is an exact integer Sequence; `g` is the normalizing power (the
     fitted model for s_n itself has exponent -g).  The (K+1)-point linear
-    system is solved at full context precision; the fit is repeated on
-    windows ending 1..9 indices earlier and the spread of C across windows
-    is reported, along with a 1-norm condition estimate of the fit matrix.
-    Raises IllConditioned when the matrix is singular to working precision.
+    system is solved by its exact inverse at full context precision; C is
+    refitted on windows ending 1..9 indices earlier through the Lagrange
+    weights L_r(0) = (-1)^(K-r) binom(K, r) n_r^K / K!, and the spread of C
+    across windows is reported, along with the exact 1-norm condition
+    number of the fit matrix.  Raises IllConditioned when that condition
+    number leaves no correct digits at working precision.
     """
     if K < 0:
         raise ValueError("need K >= 0")
     if len(s) < K + 1:
         raise InsufficientTerms(f"need at least K+1 = {K + 1} terms")
-    shifts = min(10, len(s) - (K + 1) + 1)
+    last = s.last_index
+    shifts = min(10, len(s) - K, last - K - max(s.offset, 1) + 1)
+    if shifts < 1:
+        raise InsufficientTerms(f"need K+1 = {K + 1} terms at indices n >= 1")
+    first = last - K - shifts + 1
     with ctx.work():
         mu_ = ctx.mpf(mu)
         g_ = ctx.mpf(Fraction(g) if not isinstance(g, (int, Fraction)) else g)
         log_mu = mpmath.log(mu_)
-
-        def scaled(n: int) -> HpReal:
-            return (
-                mpmath.mpf(s.term(n))
-                * mpmath.exp(g_ * mpmath.log(n) - n * log_mu)
+        ys = [
+            mpmath.mpf(s.term(n)) * mpmath.exp(g_ * mpmath.log(n) - n * log_mu)
+            for n in range(first, last + 1)
+        ]
+        inv = vandermonde_inverse(list(range(last - K, last + 1)))
+        # ||V||_1 = K + 1: the column of n^0 dominates
+        cond = (K + 1) * ctx.mpf(max(sum(map(abs, col)) for col in zip(*inv)))
+        if cond > mpmath.mpf(10) ** (ctx.digits - 5):
+            raise IllConditioned(
+                f"condition estimate 10^{mpmath.nstr(mpmath.log10(cond), 4)} "
+                f"leaves no correct digits at {ctx.digits} digits",
+                cond_estimate=cond,
             )
-
-        c_values = []
-        cond = None
-        sol0 = None
-        for shift in range(shifts):
-            end = s.last_index - shift
-            ns = list(range(end - K, end + 1))
-            if ns[0] < max(s.offset, 1):
-                break
-            mat = mpmath.matrix(
-                [[mpmath.power(n, -k) for k in range(K + 1)] for n in ns]
-            )
-            rhs = mpmath.matrix([scaled(n) for n in ns])
-            try:
-                sol = mpmath.lu_solve(mat, rhs)
-            except ZeroDivisionError as exc:
-                raise IllConditioned("fit matrix is singular to working precision") from exc
-            if shift == 0:
-                sol0 = sol
-                try:
-                    cond = _norm1(mat) * _norm1(mpmath.inverse(mat))
-                except ZeroDivisionError as exc:
-                    raise IllConditioned(
-                        "fit matrix is singular to working precision"
-                    ) from exc
-                if cond > mpmath.mpf(10) ** (ctx.digits - 5):
-                    raise IllConditioned(
-                        f"condition estimate 10^{mpmath.nstr(mpmath.log10(cond), 4)} "
-                        f"leaves no correct digits at {ctx.digits} digits",
-                        cond_estimate=cond,
-                    )
-            c_values.append(sol[0])
-        c0 = c_values[0]
+        sol0 = [mpmath.fdot(map(ctx.mpf, row), ys[-K - 1:]) for row in inv]
+        c0 = sol0[0]
+        c_values = [c0] + [
+            mpmath.fdot(
+                ((-1) ** (K - r) * comb(K, r) * (end - K + r) ** K for r in range(K + 1)),
+                ys[end - K - first : end + 1 - first],
+            ) / factorial(K)
+            for end in range(first + K, last)
+        ]
         spread = max(abs(c - c0) for c in c_values)
         corrections = tuple(sol0[k] / c0 for k in range(1, K + 1))
     return AmplitudeFit(
         model=PowerLawModel(mu=mu_, g=-g_, C=c0, corrections=corrections),
         c_spread=spread,
         cond_estimate=cond,
-        window_end=s.last_index,
+        window_end=last,
     )
 
 
 # ---------------------------------------------------------------------------
 # exact root isolation
 # ---------------------------------------------------------------------------
-
-def _int_poly(p: Poly) -> list[int]:
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in p.coeffs]
-
 
 def _poly_div_frac(a: list[Fraction], b: list[Fraction]):
     """Polynomial division over Q: returns (quotient, remainder)."""
@@ -576,7 +569,7 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
     """
     if p.is_zero() or p.degree < 1:
         raise NoPositiveRoot("polynomial has no positive real root")
-    ints = _int_poly(p)
+    ints = primitive_int(p.coeffs)
     # strip roots at the origin; positive roots are unaffected
     first = next(i for i, c in enumerate(ints) if c)
     ints = ints[first:]
@@ -586,7 +579,7 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
     # square-free part = p / gcd(p, p'); the gcd is the last nonzero chain entry
     if len(chain[-1]) > 1:
         sf, _ = _poly_div_frac([Fraction(c) for c in ints], chain[-1])
-        ints = _primitive_from_frac(sf)
+        ints = primitive_int(sf)
         chain = _sturm_chain(ints)
     sf_poly = chain[0]
 
@@ -631,17 +624,6 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
     root = exact if exact is not None else (lo + hi) / 2
     with mpmath.workdps(digits + 10):
         return mpmath.mpf(root.numerator) / root.denominator
-
-
-def _primitive_from_frac(fr: list[Fraction]) -> list[int]:
-    den = 1
-    for c in fr:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in fr]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return [c // max(g, 1) for c in ints]
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,11 @@ import click
 import mpmath
 
 from .asympt import (
-    BstResult,
     HpContext,
     HpSeq,
     amplitude_fit,
     bst_extrapolate,
     elim_power,
-    hp_eval_builtin,
     loglog_gradient,
     poly_smallest_positive_root,
     powerlaw_pipeline,
@@ -155,7 +153,7 @@ def _resolve_mu(state: CliState, mu: Optional[str], mu_from_poly: Optional[str])
         if mu is not None:
             return mpmath.mpf(mu), {"mu": mu}
         coeffs = _int_list(mu_from_poly)
-        root = poly_smallest_positive_root(Poly.from_ints(coeffs), digits=state.precision + 10)
+        root = poly_smallest_positive_root(Poly(coeffs), digits=state.precision + 10)
         return 1 / root, {"mu_from_poly": coeffs}
 
 
@@ -406,8 +404,8 @@ def expand_algeq_cmd(state, source, n_terms, dxmax, dymax, margin):
 @pass_state
 def expand_rational_cmd(state, num, den, n_terms):
     """Taylor/Laurent coefficients of a rational function num/den."""
-    num_p = Poly.from_ints(_int_list(num))
-    den_p = Poly.from_ints(_int_list(den))
+    num_p = Poly(_int_list(num))
+    den_p = Poly(_int_list(den))
     try:
         laurent = expand_rational(num_p, den_p, n_terms)
     except SeqLabError as exc:

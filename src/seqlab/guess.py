@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Sequence as SeqABC
 
 from .errors import InconsistentInit, InsufficientTerms
-from .series import Poly, TruncSeries, int_horner
+from .series import Poly, int_horner, primitive_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sequences import Sequence
@@ -211,20 +211,6 @@ def _rank_mod(rows: list[list[int]], ncols: int, p: int = _RANK_PRIME) -> int:
     return rank
 
 
-def _primitive_int(vec: SeqABC[Fraction]) -> list[int]:
-    den = 1
-    for x in vec:
-        den = lcm(den, Fraction(x).denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for e in ints:
-        g = gcd(g, abs(e))
-    if g > 1:
-        ints = [e // g for e in ints]
-    lead = next((e for e in ints if e), 0)
-    return [-e for e in ints] if lead < 0 else ints
-
-
 def integer_nullspace(rows: SeqABC[SeqABC[int]], ncols: int) -> list[list[int]]:
     """Primitive integer basis of the right nullspace of an integer matrix.
 
@@ -277,7 +263,7 @@ def integer_nullspace(rows: SeqABC[SeqABC[int]], ncols: int) -> list[list[int]]:
             pc = piv_cols[i]
             s = sum((m[i][j] * v[j] for j in range(pc + 1, ncols) if v[j]), Fraction(0))
             v[pc] = -s / m[i][pc]
-        basis.append(_primitive_int(v))
+        basis.append(primitive_int(v))
     return basis
 
 
@@ -288,7 +274,7 @@ def _combine(basis: list[list[int]], weights: list[int]) -> list[int]:
         if w:
             for t in range(n):
                 out[t] += w * vec[t]
-    return _primitive_int([Fraction(e) for e in out])
+    return primitive_int([Fraction(e) for e in out])
 
 
 def _bit_cost(polys: SeqABC[Poly]) -> int:
@@ -492,15 +478,15 @@ def ode_residual(ode: LinODE, terms: "Sequence") -> Optional[int]:
             f"need at least order + degree + 1 = {m + ode.degree + 1} terms"
         )
     out_order = big_l - m
-    f = TruncSeries([Fraction(t) for t in terms.terms])
-    acc = TruncSeries((Fraction(0),) * out_order)
-    g = f
-    for i, q in enumerate(ode.coeffs):
+    acc = [0] * out_order
+    g = list(terms.terms)
+    for i, q in enumerate(ode.coeff_lists()):
         if i:
-            g = g.derivative()
-        if not q.is_zero():
-            acc = acc + g.mul_poly(q).truncate(out_order)
-    return next((i for i, c in enumerate(acc.coeffs) if c), None)
+            g = [j * c for j, c in enumerate(g)][1:]
+        for e, c in enumerate(q[:out_order]):
+            if c:
+                acc[e:] = [a + c * b for a, b in zip(acc[e:], g)]
+    return next((i for i, c in enumerate(acc) if c), None)
 
 
 # ---------------------------------------------------------------------------

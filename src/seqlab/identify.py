@@ -175,7 +175,10 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
     while k < n:
         for j in range(k - 1, -1, -1):
             if 2 * abs(lam[k][j]) > d[j + 1]:
-                q = round(Fraction(lam[k][j], d[j + 1]))
+                # nearest integer to lam / d (d > 0), ties to even
+                q, r = divmod(lam[k][j], d[j + 1])
+                if 2 * r > d[j + 1] or (2 * r == d[j + 1] and q & 1):
+                    q += 1
                 b[k] = [a - q * c for a, c in zip(b[k], b[j])]
                 for m in range(j):
                     lam[k][m] -= q * lam[j][m]
@@ -233,7 +236,7 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
                 coeffs = vec[: deg + 1]
                 if not any(coeffs[1:]):
                     continue
-                p = Poly.from_ints(coeffs).primitive()
+                p = Poly(coeffs).primitive()
                 if p.coeffs[-1] < 0:
                     p = -p
                 norm = max(abs(int(c)) for c in p.coeffs)

@@ -25,6 +25,7 @@ from .errors import (
     NonContiguousIndex,
     SequenceNotFound,
 )
+from .report import unlimited_int_digits
 from .sequences import Sequence
 
 CACHE_ENV_VAR = "SEQLAB_CACHE_DIR"
@@ -47,24 +48,25 @@ def parse_bfile(text: str) -> Sequence:
     offset: Optional[int] = None
     expected = 0
     terms: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise MalformedLine(lineno, raw)
-        try:
-            idx, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedLine(lineno, raw) from None
-        if offset is None:
-            offset = idx
-            expected = idx
-        if idx != expected:
-            raise NonContiguousIndex(lineno, expected, idx)
-        terms.append(value)
-        expected += 1
+    with unlimited_int_digits():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise MalformedLine(lineno, raw)
+            try:
+                idx, value = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise MalformedLine(lineno, raw) from None
+            if offset is None:
+                offset = idx
+                expected = idx
+            if idx != expected:
+                raise NonContiguousIndex(lineno, expected, idx)
+            terms.append(value)
+            expected += 1
     if offset is None:
         raise MalformedLine(0, "<no data lines>")
     return Sequence(offset, tuple(terms))
@@ -72,7 +74,8 @@ def parse_bfile(text: str) -> Sequence:
 
 def render_bfile(seq: Sequence) -> str:
     """Render a Sequence as b-file text; parse_bfile inverts this exactly."""
-    return "".join(f"{n} {seq.term(n)}\n" for n in seq.indices())
+    with unlimited_int_digits():
+        return "".join(f"{n} {seq.term(n)}\n" for n in seq.indices())
 
 
 def canonical_a_number(a_number: str) -> str:

@@ -13,11 +13,29 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
 import mpmath
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift CPython's 4300-digit limit on int <-> str conversion for the
+    block, then restore it: b-files and reports carry exact terms whole."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters that predate the limit
+        yield
+        return
+    old = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def decimal_str(value, digits: Optional[int] = None) -> str:
@@ -44,10 +62,11 @@ def scalar_entry(value, digits: int, spread=None) -> dict:
 
 
 def sequence_entry(offset: int, values, digits: Optional[int] = None) -> dict:
-    return {
-        "offset": offset,
-        "values": [decimal_str(v, digits) for v in values],
-    }
+    with unlimited_int_digits():
+        return {
+            "offset": offset,
+            "values": [decimal_str(v, digits) for v in values],
+        }
 
 
 def identification_entry(kind: str, payload_str: str, certified_digits: int) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .errors import (
     BranchAmbiguous,
@@ -29,7 +29,7 @@ from .errors import (
     NotARoot,
 )
 from .guess import AlgEq, PRecurrence
-from .series import Poly, TruncSeries
+from .series import Poly, TruncSeries, int_horner
 
 
 @dataclass(frozen=True)
@@ -468,13 +468,6 @@ def enum_ascent_avoiding(
 # expanders driven by recurrences / algebraic equations
 # ---------------------------------------------------------------------------
 
-def _eval_int_poly(coeffs: tuple[int, ...], n: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * n + c
-    return acc
-
-
 def expand_prec(rec: PRecurrence, init: Sequence, n_terms: int) -> Sequence:
     """Extend `init` to n_terms terms using the recurrence.
 
@@ -492,18 +485,18 @@ def expand_prec(rec: PRecurrence, init: Sequence, n_terms: int) -> Sequence:
     terms = list(init.terms)
     for n in range(init.offset, init.offset + len(terms) - r):
         acc = sum(
-            _eval_int_poly(ints[j], n) * terms[n - init.offset + j]
+            int_horner(ints[j], n) * terms[n - init.offset + j]
             for j in range(r + 1)
         )
         if acc != 0:
             raise InconsistentInit(f"initial terms violate the recurrence at n={n}")
     while len(terms) < n_terms:
         n = init.offset + len(terms) - r
-        lead = _eval_int_poly(ints[r], n)
+        lead = int_horner(ints[r], n)
         if lead == 0:
             raise LeadingCoeffVanishes(n)
         acc = sum(
-            _eval_int_poly(ints[j], n) * terms[n - init.offset + j]
+            int_horner(ints[j], n) * terms[n - init.offset + j]
             for j in range(r)
         )
         q, rem = divmod(-acc, lead)

@@ -16,7 +16,7 @@ All operations are pure; nothing here mutates its inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence as Seq, Union
 
 from .errors import ZeroConstantTerm
@@ -133,10 +133,6 @@ class Poly:
         g = self.content()
         return self if g in (0, 1) else Poly([c / g for c in self.coeffs])
 
-    @staticmethod
-    def from_ints(cs: Iterable[int]) -> "Poly":
-        return Poly(list(cs))
-
     def format(self, var: str = "x") -> str:
         """Human-readable form, highest power first, e.g. '2*n^2 + 31*n + 120'."""
         if self.is_zero():
@@ -165,6 +161,22 @@ def int_horner(coeffs: Iterable[int], n: int) -> int:
     for c in reversed(tuple(coeffs)):
         acc = acc * n + c
     return acc
+
+
+def primitive_int(vec: Seq[Scalar]) -> list[int]:
+    """Integer multiple of a rational vector with content 1 and its first
+    nonzero entry positive (all zeros stay zero)."""
+    den = 1
+    for x in vec:
+        den = lcm(den, Fraction(x).denominator)
+    ints = [int(x * den) for x in vec]
+    g = 0
+    for e in ints:
+        g = gcd(g, abs(e))
+    if g > 1:
+        ints = [e // g for e in ints]
+    lead = next((e for e in ints if e), 0)
+    return [-e for e in ints] if lead < 0 else ints
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 from fractions import Fraction
 
+import random
+
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqlab import (
     HpContext,
@@ -24,6 +28,7 @@ from seqlab import (
     stretched_triple_fit,
     summarize_stretched,
 )
+from seqlab.asympt import vandermonde_inverse
 from seqlab.errors import (
     DomainError,
     IllConditioned,
@@ -293,10 +298,90 @@ class TestAmplitudeFit:
         with pytest.raises(InsufficientTerms):
             amplitude_fit(Sequence(1, (1, 2, 3)), 2, 0, 5, CTX50)
 
+    def test_needs_terms_at_positive_indices(self):
+        # the fit nodes are 1/n, so index 0 cannot enter a window
+        with pytest.raises(InsufficientTerms):
+            amplitude_fit(Sequence(0, (1, 2, 3)), 2, 0, 2, CTX50)
+        fit = amplitude_fit(Sequence(0, (1, 2, 4, 8)), 2, 0, 2, CTX50)
+        assert abs(fit.model.C - 1) < mpmath.mpf(10) ** -45
+
     def test_ill_conditioned_at_low_precision(self, b202062):
         mu = 1 / poly_smallest_positive_root(Poly([1, -8, 5, 1]), digits=40)
         with pytest.raises(IllConditioned):
             amplitude_fit(b202062, mu, Fraction(9, 2), 20, HpContext(30))
+
+
+class TestVandermondeInverse:
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(min_value=0, max_value=20),
+           st.integers(min_value=1, max_value=10 ** 4))
+    def test_exact_inverse(self, k, start):
+        ns = list(range(start, start + k + 1))
+        inv = vandermonde_inverse(ns)
+        ident = [[int(r == c) for c in range(k + 1)] for r in range(k + 1)]
+        # V[r][j] = ns[r]^(-j); both products must be the identity exactly
+        assert [
+            [sum(Fraction(inv[j][c], n ** j) for j in range(k + 1)) for c in range(k + 1)]
+            for n in ns
+        ] == ident
+        assert [
+            [sum(row[r] / Fraction(n ** j) for r, n in enumerate(ns)) for j in range(k + 1)]
+            for row in inv
+        ] == ident
+
+
+class TestAmplitudeFitVsLu:
+    """The exact-inverse fit against mpmath's LU solve at twice the precision."""
+
+    @staticmethod
+    def _lu_reference(s, mu, g, K, digits):
+        """C, corrections, C spread over 10 windows and 1-norm condition."""
+        with mpmath.workdps(2 * digits):
+            def solve(end):
+                ns = range(end - K, end + 1)
+                mat = mpmath.matrix([[mpmath.mpf(n) ** -k for k in range(K + 1)] for n in ns])
+                rhs = mpmath.matrix([
+                    mpmath.mpf(s.term(n)) * mpmath.mpf(n) ** g / mpmath.mpf(mu) ** n
+                    for n in ns
+                ])
+                return mat, mpmath.lu_solve(mat, rhs)
+
+            def norm1(m):
+                return max(sum(abs(m[i, j]) for i in range(m.rows)) for j in range(m.cols))
+
+            mat, sol = solve(s.last_index)
+            c_values = [solve(s.last_index - t)[1][0] for t in range(10)]
+            return (
+                sol[0],
+                [sol[k] / sol[0] for k in range(1, K + 1)],
+                max(abs(c - sol[0]) for c in c_values),
+                norm1(mat) * norm1(mpmath.inverse(mat)),
+            )
+
+    @pytest.mark.parametrize("K,digits", [(5, 50), (12, 120), (20, 200)])
+    def test_planted_model_matches_lu(self, K, digits):
+        # s_n = mu^n n^h (C + sum_k p_k / n^k) with h = K + 3 > K, so the
+        # fit truncates the model and the solve is a genuine least-data fit
+        rng = random.Random(K)
+        mu, h = 3, K + 3
+        poly = [rng.randint(1, 10 ** 6)] + [rng.randint(-10 ** 6, 10 ** 6) for _ in range(h)]
+        terms = tuple(
+            mu ** n * sum(p * n ** (h - k) for k, p in enumerate(poly))
+            for n in range(1, 2001)
+        )
+        s = Sequence(1, terms)
+        fit = amplitude_fit(s, mu, -h, K, HpContext(digits))
+        c_ref, corr_ref, spread_ref, cond_ref = self._lu_reference(s, mu, -h, K, digits)
+        with mpmath.workdps(2 * digits):
+            # digits left after the condition number, less a safety margin
+            tol = cond_ref * mpmath.mpf(10) ** (2 - digits)
+            assert tol < 1e-10
+            assert abs(fit.model.C / c_ref - 1) < tol
+            assert len(fit.model.corrections) == K
+            for got, want in zip(fit.model.corrections, corr_ref):
+                assert abs(got - want) < tol * max(1, abs(want))
+            assert abs(fit.c_spread - spread_ref) < tol * abs(c_ref)
+            assert abs(fit.cond_estimate / cond_ref - 1) < mpmath.mpf(10) ** -digits
 
 
 class TestPolyRoot:

@@ -91,6 +91,19 @@ class TestGuessAndExpand:
                                   "--rmax", "5", "--dmax", "2"])
             assert res.stdout.splitlines()[-28:] == text.splitlines()
 
+    def test_expand_rec_past_str_limit(self, runner):
+        # terms past n = 5690 have more than 4300 digits
+        with runner.isolated_filesystem():
+            res = invoke(runner, ["expand", "rec", str(DATA_DIR / "b202062.txt"),
+                                  "--n", "6000"])
+            lines = res.stdout.splitlines()
+            assert len(lines) == 6000
+            assert lines[-1].startswith("5999 ")
+            assert len(lines[-1]) > 4300
+            values = read_report()["sequences"]["extended"]["values"]
+            assert len(values) == 6000
+            assert values[-1] == lines[-1].split()[1]
+
     def test_expand_rational(self, runner):
         with runner.isolated_filesystem():
             res = invoke(runner, [

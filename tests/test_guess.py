@@ -1,6 +1,7 @@
 """Exact guessing: integer nullspaces, recurrences, ODEs, algebraic equations."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from seqlab import (
     Poly,
     PRecurrence,
     Sequence,
+    TruncSeries,
     algeq_residual,
     expand_algebraic,
     expand_prec,
@@ -221,6 +223,30 @@ class TestPrecToOde:
         ode = prec_to_ode(rec, Sequence(0, (1, 1)))
         s = Sequence(0, tuple(_factorials(30)))
         assert ode_residual(ode, s) is None
+
+
+    @pytest.mark.parametrize("pos", [0, 1, 57, 300, 596, 597, 598, 599])
+    def test_matches_fraction_oracle(self, ascent_ode, u2000, pos):
+        terms = list(u2000.terms[:600])
+        terms[pos] += 1
+        s = Sequence(0, terms)
+        want = _fraction_ode_residual(ascent_ode, s)
+        assert ode_residual(ascent_ode, s) == want
+        # the residual is checkable through x^596; Q_3 = x^2 * ... first
+        # sees term 598 at x^597, so the last two terms go unseen
+        assert (want is None) == (pos >= 598)
+
+
+def _fraction_ode_residual(ode, terms):
+    """First nonzero index of sum_i Q_i f^(i) over exact rational series."""
+    out_order = len(terms) - ode.order
+    f = TruncSeries([Fraction(t) for t in terms.terms])
+    acc = TruncSeries((Fraction(0),) * out_order)
+    for i, q in enumerate(ode.coeffs):
+        if i:
+            f = f.derivative()
+        acc = acc + f.mul_poly(q).truncate(out_order)
+    return next((i for i, c in enumerate(acc.coeffs) if c), None)
 
 
 def _factorials(n):

@@ -1,6 +1,7 @@
 """b-file parsing/rendering, cached fetching, and deterministic reports."""
 
 import json
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +17,7 @@ from seqlab import (
     canonical_a_number,
     decimal_str,
     emit_csv,
+    expand_prec,
     fetch_oeis,
     parse_bfile,
     render_bfile,
@@ -23,6 +25,7 @@ from seqlab import (
     sequence_entry,
     text_digest,
 )
+from conftest import ASCENT_INIT
 from seqlab.errors import (
     CacheMiss,
     MalformedLine,
@@ -74,6 +77,29 @@ class TestParseBFile:
     def test_round_trip(self, offset, terms):
         s = Sequence(offset, tuple(terms))
         assert parse_bfile(render_bfile(s)) == s
+
+
+class TestTermsPastStrLimit:
+    """The ascent counts pass CPython's 4300-digit int <-> str limit near
+    n = 5690; b-files and reports carry them whole and restore the limit."""
+
+    @pytest.fixture(scope="class")
+    def u6000(self, ascent_rec):
+        return expand_prec(ascent_rec, Sequence(0, ASCENT_INIT), 6000)
+
+    def test_bfile_round_trip(self, u6000):
+        limit = sys.get_int_max_str_digits()
+        assert u6000.terms[-1] > 10 ** 4300
+        text = render_bfile(u6000)
+        assert parse_bfile(text) == u6000
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_sequence_entry(self, u6000):
+        # the report writes each term as its b-file line does
+        limit = sys.get_int_max_str_digits()
+        values = sequence_entry(0, u6000.terms)["values"]
+        assert render_bfile(Sequence(5999, (u6000.terms[-1],))) == f"5999 {values[-1]}\n"
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestANumbers:
