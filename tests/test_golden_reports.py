@@ -1,0 +1,163 @@
+"""Golden report digests for every CLI command and both study scripts.
+
+Each run happens in-process in a fresh working directory, with relative
+paths only and `sys.argv` set to the same arguments, so the command echo
+inside the digest carries no temporary path.  The pinned values were
+recorded from the code as it stood before the stage layer moved into
+`seqlab.pipeline`; a change of any digest is a change of behaviour.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from conftest import CATALAN, DATA_DIR
+from seqlab import gen_lconvex_area, render_bfile
+from seqlab.cli import main
+from test_scripts import load_script
+
+BFILE = "b202062.txt"
+GROWTH = "1,-8,5,1"
+
+COMMANDS = {
+    "gen lconvex-area": ["gen", "lconvex-area", "--n", "40"],
+    "gen lconvex-perimeter": ["gen", "lconvex-perimeter", "--n", "20"],
+    "gen stack": ["gen", "stack", "--n", "40"],
+    "gen ascent": ["gen", "ascent", "--pattern", "201", "--n", "7"],
+    "oracle lconvex": ["oracle", "lconvex", "--n", "8"],
+    "oracle stack": ["oracle", "stack", "--n", "12"],
+    "oracle ascent": ["oracle", "ascent", "--pattern", "201", "--n", "7"],
+    "guess rec": ["guess", "rec", BFILE, "--rmax", "5", "--dmax", "2"],
+    "guess algeq": ["guess", "algeq", "catalan.txt", "--dxmax", "2", "--dymax", "2"],
+    "expand rec": ["expand", "rec", BFILE, "--n", "80"],
+    "expand algeq": ["expand", "algeq", "catalan.txt", "--n", "40",
+                     "--dxmax", "2", "--dymax", "2"],
+    "expand rational": ["expand", "rational", "--num", "0,1", "--den", "1,-1,-1",
+                        "--n", "25"],
+    "analyze ratios": ["--precision", "40", "analyze", "ratios", "lconvex.txt"],
+    "analyze stretched": ["--precision", "40", "analyze", "stretched", "lconvex.txt"],
+    "analyze square": ["--precision", "40", "analyze", "square", "lconvex.txt"],
+    "analyze powerlaw": ["--precision", "40", "analyze", "powerlaw", BFILE,
+                         "--mu-from-poly", GROWTH],
+    "extrapolate bst": ["--precision", "40", "extrapolate", "bst", "lconvex.txt",
+                        "--square"],
+    "fit amplitude": ["--precision", "50", "fit", "amplitude", BFILE,
+                      "--mu-from-poly", GROWTH, "--g", "9/2", "--K", "6"],
+    "identify rational": ["identify", "rational", "--value", "0.142857142857142857"],
+    "identify mult": ["identify", "mult", "--value",
+                      "0.0239385108214195776489869185088"],
+    "identify minpoly": ["identify", "minpoly", "--maxdeg", "2", "--value",
+                         "1.41421356237309504880168872420969807856967187537694"],
+    "fetch": ["--offline", "--cache-dir", "cache", "fetch", "A000108"],
+}
+
+GOLDEN = {
+    "analyze powerlaw":
+        "b43a96e692fbc262f6be8d7f4c738b8d91a64a53d03ca867f9b1791eea479c51",
+    "analyze ratios":
+        "c1340bb6e38f64af9f53f1fd130cbee5c167e6f5d224a616055b5501402eaae4",
+    "analyze square":
+        "bb115e7a4e54d95aa8ce23a089f261a806cbcb6b236e428231bdb89631631285",
+    "analyze stretched":
+        "049871d7f1963ed00639caffc592d081759e2e11e27ecec2f3cf821e0a350e5f",
+    "expand algeq":
+        "4daf2f070821a4edbdfdacebba5558a3d406a7c8a6ff415170d10b8351c85799",
+    "expand rational":
+        "50a2b6aca0622d927d284b13e114f2b02816f67d8b682c241d199879d3bf9f57",
+    "expand rec":
+        "b368b48bd7e776e6d5f556fd9c3e5a2a4a4487779f0dbb6ab72a973f73433831",
+    "extrapolate bst":
+        "e500d6a244dc8996a56e4d48882aec4a430f9f1bb78a8d8f5f2fc507d21884c3",
+    "fetch":
+        "b3685343134d6e47f1d33eef74556b69c9a0543b8fdeff5d4e16f3fbcd1f280e",
+    "fit amplitude":
+        "53236933c2e698e5b29b461dedfdc8980f3612200dd89e065b0cf5624172faa3",
+    "gen ascent":
+        "9233648436b681413786c3d12a95698de32050d1ac46ae18b53de9b3b871506a",
+    "gen lconvex-area":
+        "b3dd5c4cc0685f138cb152c6d2a7f891681d82b330ece662681d324b947aed1f",
+    "gen lconvex-perimeter":
+        "96de10ae14977b144ff473a885b2183bd21a7d809493e9bed1b049e63e08a01a",
+    "gen stack":
+        "4dada3baf7a243216503109bcbafbebf5143ea981088087c18ea005207500a77",
+    "guess algeq":
+        "d8656df40e429bf7f7d15904298ba3e454e77b151a262611c04fa7b0ccab591c",
+    "guess rec":
+        "cd7bc41ab8ecfaaecd91a5baf0b299012f8c87c772c02b67420379c30b2935a9",
+    "identify minpoly":
+        "01173798969b3b445579ee8cd0e51711d4da364ca8476159844c4dda6e87e424",
+    "identify mult":
+        "93838fbcaf2f0f85375e5ac5a24e499498fdb5df77f738fa131523e697e71141",
+    "identify rational":
+        "12c9c65f3f53d9d31fd207b5279ccc123a376c85663d0795c1c8db1b203cb0f4",
+    "oracle ascent":
+        "6be77ee8a463cf63bf46946366891056585a53e6fb43e271afda107962eba2e7",
+    "oracle lconvex":
+        "9a1eb925e953a20d2decd4bcb8536d62efb3b6c5638db6d3d0b3f9c195265124",
+    "oracle stack":
+        "301c67f7742ec79ac5b26447f4d9db8c97cc165df6f2fe1a53ed028619ee9ad3",
+}
+
+LCONVEX_ARGS = ["--terms", "400", "--digits", "60", "--squares", "15",
+                "--report", "out/lconvex.json"]
+ASCENT_ARGS = ["--terms", "600", "--digits", "60", "--corrections", "6",
+               "--report", "out/ascent.json"]
+LCONVEX_DIGEST = "ee83fbc1697c0413487b45a5f6c4d4fc11e906fb7cf1c36252707216de87fc5a"
+ASCENT_DIGEST = "85154ccd5d97991f2eaaedc8c8419c08d749c8588d67341a9e6e6ed4c9d6790e"
+LCONVEX_CSV_SHA256 = {
+    "e1": "143219c65b2d44424c1ad394110b1a3947a6f6cf3f3d6e55e60d76311e165120",
+    "e2": "c51c982d088656aaf51ed6a4bffcb3c2c29278dc308d1cdfbfe31204b69a2a76",
+    "g2_n": "5aafc1437d1c4c26988776aedd45cc2ab75b922e82b879f9a7c7b7e382487402",
+    "g_n": "b2c97899e030e13a22925883bb69ad8fa32936b0e975f9760cca20c065ffa297",
+    "intercepts": "07f3f0585836e4fe6e801ca95dc17e0e4256b6221157db9a44e0af6771db1a54",
+    "r_sq": "9de04f25fb95f1514ef91c80db386df65fee775a0ef363af4eb2a891f972c7f0",
+    "t_n": "4c65ba72d9268d5c9d75e0083bb861934271abbd92ac2d816833d5ee9cefbdb5",
+}
+
+
+@pytest.fixture()
+def workdir(tmp_path, monkeypatch):
+    """A working directory holding the fixture inputs under relative names."""
+    monkeypatch.chdir(tmp_path)
+    Path(BFILE).write_text((DATA_DIR / BFILE).read_text())
+    catalan = "".join(f"{n} {t}\n" for n, t in enumerate(CATALAN))
+    Path("catalan.txt").write_text(catalan)
+    Path("lconvex.txt").write_text(render_bfile(gen_lconvex_area(121)))
+    Path("cache").mkdir()
+    (Path("cache") / "A000108.bfile").write_text(catalan)
+    return tmp_path
+
+
+def report_digest(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))["report_digest"]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_report_digest(name, workdir, monkeypatch):
+    args = COMMANDS[name]
+    monkeypatch.setattr(sys, "argv", ["seqlab", *args])
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert report_digest("report.json") == GOLDEN[name]
+
+
+def run_script(name, args, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
+    assert load_script(name).main() == 0
+
+
+def test_lconvex_script_digest_and_csvs(workdir, monkeypatch):
+    run_script("lconvex_pipeline", LCONVEX_ARGS, monkeypatch)
+    assert report_digest("out/lconvex.json") == LCONVEX_DIGEST
+    csvs = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in Path("out").glob("*.csv")}
+    assert csvs == LCONVEX_CSV_SHA256
+
+
+def test_ascent_script_digest(workdir, monkeypatch):
+    run_script("ascent_pipeline", ASCENT_ARGS, monkeypatch)
+    assert report_digest("out/ascent.json") == ASCENT_DIGEST
