@@ -27,11 +27,12 @@ from seqlab import (
     min_poly,
     ode_residual,
     parse_bfile,
-    poly_smallest_positive_root,
     prec_to_ode,
     scalar_entry,
     text_digest,
 )
+from seqlab.pipeline import growth_rate
+from seqlab.report import write_report
 
 DEFAULT_BFILE = Path(__file__).resolve().parents[1] / "tests" / "data" / "b202062.txt"
 
@@ -70,10 +71,9 @@ def main() -> int:
           f"residual on 2000 terms: {'all zero' if residual is None else residual}")
 
     ctx = HpContext(args.digits)
+    rho, mu = growth_rate(SINGULARITY_CUBIC, ctx)
     with ctx.work():
-        rho = poly_smallest_positive_root(SINGULARITY_CUBIC, digits=args.digits + 10)
         lead_at_root = abs(ode.coeffs[-1](rho))
-        mu = 1 / rho
         closed_mu = (
             mpmath.mpf(14) / 3 * mpmath.cos(mpmath.acos(mpmath.mpf(13) / 14) / 3)
             + mpmath.mpf(8) / 3
@@ -129,8 +129,7 @@ def main() -> int:
             + (poly_a_sq.format("B") if poly_a_sq is not None else "not found"),
         ],
     )
-    args.report.parent.mkdir(parents=True, exist_ok=True)
-    args.report.write_text(report.to_json(), encoding="utf-8")
+    write_report(args.report, report)
     print(f"report: {args.report}")
     return 0
 

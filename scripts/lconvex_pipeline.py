@@ -22,23 +22,16 @@ from seqlab import (
     AnalysisReport,
     HpContext,
     HpSeq,
-    bst_extrapolate,
-    elim_power,
-    emit_csv,
     gen_lconvex_area,
     gen_stack_area,
     identification_entry,
     identify_with_multipliers,
-    powerlaw_pipeline,
-    ratios,
     scalar_entry,
-    square_subsample,
     stretched_amplitude_seq,
-    stretched_lambda,
-    stretched_triple_fit,
-    summarize_stretched,
     text_digest,
 )
+from seqlab.pipeline import power_law, square_bst, square_ratios, stretched_fit
+from seqlab.report import write_report
 
 
 def main() -> int:
@@ -56,31 +49,25 @@ def main() -> int:
     ctx = HpContext(args.digits)
     hs = HpSeq.from_sequence(counts, ctx).slice_from(1)
 
-    lam = stretched_lambda(hs, Fraction(1, 2))
-    e1, e2, e3 = stretched_triple_fit(lam)
-    model, spreads = summarize_stretched(e1, e2, e3)
+    fit = stretched_fit(hs)
+    e1, e2, e3 = (e.values[-1] for e in (fit.e1, fit.e2, fit.e3))
     with ctx.work():
-        e1_sq = e1.values[-1] ** 2
         print(f"triple fit at n = {hs.last_index}:")
-        print(f"  e1   = {mpmath.nstr(e1.values[-1], 12)}  "
-              f"(e1^2 = {mpmath.nstr(e1_sq, 12)}, expect 13/6 = 2.1666...)")
-        print(f"  e2   = {mpmath.nstr(e2.values[-1], 10)}  (expect -3/2)")
-        print(f"  e3   = {mpmath.nstr(e3.values[-1], 10)}")
+        print(f"  e1   = {mpmath.nstr(e1, 12)}  "
+              f"(e1^2 = {mpmath.nstr(fit.a_squared, 12)}, expect 13/6 = 2.1666...)")
+        print(f"  e2   = {mpmath.nstr(e2, 10)}  (expect -3/2)")
+        print(f"  e3   = {mpmath.nstr(e3, 10)}")
         print(f"  tail spreads: " + ", ".join(
-            f"{k} {mpmath.nstr(v, 3)}" for k, v in spreads.items()))
+            f"{k} {mpmath.nstr(v, 3)}" for k, v in fit.spreads.items()))
 
-    subsampled = square_subsample(hs)
-    ratio_seq = ratios(subsampled)
-    intercept_1 = elim_power(ratio_seq, 1)
-    intercept_2 = elim_power(intercept_1, 2)
+    sq = square_ratios(hs)
     with ctx.work():
         target = mpmath.exp(mpmath.pi * mpmath.sqrt(mpmath.mpf(13) / 6))
-        intercept = ctx.mpf(intercept_2.values[-1])
-        print(f"square-subsequence ratio intercept = {mpmath.nstr(intercept, 12)}")
+        print(f"square-subsequence ratio intercept = {mpmath.nstr(sq.intercept, 12)}")
         print(f"  vs exp(pi sqrt(13/6)) = {mpmath.nstr(target, 12)}  "
-              f"(diff {mpmath.nstr(abs(intercept - target), 3)})")
+              f"(diff {mpmath.nstr(abs(sq.intercept - target), 3)})")
 
-    diagnostics = powerlaw_pipeline(subsampled, target)
+    diagnostics, power_csvs = power_law(sq.squares, target)
     with ctx.work():
         print(f"power-law exponent on squares = "
               f"{mpmath.nstr(diagnostics.g_estimate, 8)}  (expect -3, i.e. delta = 3/2)")
@@ -88,10 +75,7 @@ def main() -> int:
     with ctx.work():
         a_true = mpmath.sqrt(mpmath.mpf(13) / 6)
     amplitudes = stretched_amplitude_seq(hs, a_true, Fraction(1, 2), Fraction(3, 2))
-    at_squares = square_subsample(amplitudes)
-    bst = bst_extrapolate(
-        HpSeq(1, at_squares.values[: args.squares], ctx), Fraction(1, 2)
-    )
+    bst = square_bst(amplitudes, Fraction(1, 2), args.squares)
     identified = identify_with_multipliers(bst.value, digits=12)
     with ctx.work():
         exact = 13 * mpmath.sqrt(2) / 768
@@ -120,41 +104,7 @@ def main() -> int:
               f"ratio {mpmath.nstr(r_quarter, 8)} at n={quarter}, "
               f"{mpmath.nstr(r_last, 8)} at n={stacks.last_index}")
 
-    with ctx.work():
-        csvs = {
-            "r_sq": emit_csv(
-                ((k, v) for k, v in zip(ratio_seq.indices(), ratio_seq.values)),
-                ("k", "ratio"),
-            ),
-            "intercepts": emit_csv(
-                ((mpmath.mpf(1) / k, v)
-                 for k, v in zip(intercept_1.indices(), intercept_1.values)),
-                ("inv_k", "intercept"),
-            ),
-            "t_n": emit_csv(
-                ((mpmath.mpf(1) / k, v)
-                 for k, v in zip(intercept_2.indices(), intercept_2.values)),
-                ("inv_k", "t"),
-            ),
-            "e1": emit_csv(
-                ((mpmath.mpf(1) / n, v) for n, v in zip(e1.indices(), e1.values)),
-                ("inv_n", "e1"),
-            ),
-            "e2": emit_csv(
-                ((mpmath.mpf(1) / n, v) for n, v in zip(e2.indices(), e2.values)),
-                ("inv_n", "e2"),
-            ),
-            "g_n": emit_csv(
-                ((mpmath.mpf(1) / n, v)
-                 for n, v in zip(diagnostics.g_seq.indices(), diagnostics.g_seq.values)),
-                ("inv_n", "g"),
-            ),
-            "g2_n": emit_csv(
-                ((mpmath.mpf(1) / n, v)
-                 for n, v in zip(diagnostics.g2_seq.indices(), diagnostics.g2_seq.values)),
-                ("inv_n", "g2"),
-            ),
-        }
+    csvs = {**sq.csvs, **fit.csvs, **power_csvs}
 
     report = AnalysisReport(
         command="scripts/lconvex_pipeline.py " + " ".join(sys.argv[1:]),
@@ -165,11 +115,11 @@ def main() -> int:
             "squares": args.squares,
         },
         scalars={
-            "e1": scalar_entry(e1.values[-1], 12, spread=spreads["a"]),
-            "e1_squared": scalar_entry(e1_sq, 12),
-            "e2": scalar_entry(e2.values[-1], 12, spread=spreads["delta"]),
-            "e3": scalar_entry(e3.values[-1], 12, spread=spreads["log_c"]),
-            "ratio_intercept": scalar_entry(intercept, 12),
+            "e1": scalar_entry(e1, 12, spread=fit.spreads["a"]),
+            "e1_squared": scalar_entry(fit.a_squared, 12),
+            "e2": scalar_entry(e2, 12, spread=fit.spreads["delta"]),
+            "e3": scalar_entry(e3, 12, spread=fit.spreads["log_c"]),
+            "ratio_intercept": scalar_entry(sq.intercept, 12),
             "g_estimate": scalar_entry(
                 diagnostics.g_estimate, 10, spread=diagnostics.g_spread
             ),
@@ -190,10 +140,7 @@ def main() -> int:
             "amplitude constant extrapolated on the square subsequence",
         ],
     )
-    args.report.parent.mkdir(parents=True, exist_ok=True)
-    args.report.write_text(report.to_json(), encoding="utf-8")
-    for key, textval in csvs.items():
-        (args.report.parent / f"{key}.csv").write_text(textval, encoding="utf-8")
+    write_report(args.report, report, csvs)
     print(f"report: {args.report} (+ {len(csvs)} CSV files)")
     return 0
 

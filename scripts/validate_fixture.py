@@ -15,9 +15,6 @@ import sys
 from pathlib import Path
 
 from seqlab import (
-    Poly,
-    Sequence,
-    TruncSeries,
     algeq_residual,
     enum_ascent_avoiding,
     expand_prec,
@@ -28,24 +25,9 @@ from seqlab import (
     prec_residual,
     prec_to_ode,
 )
+from seqlab.pipeline import branch_series
 
 DEFAULT_BFILE = Path(__file__).resolve().parents[1] / "tests" / "data" / "b202062.txt"
-
-# Numerator of the rational shift R(x) = (1+18x-45x^2+26x^3+x^4)/(x-1) that
-# makes w(x) = 12 x^3 U(x) - R(x) an algebraic (cubic) series branch.
-BRANCH_SHIFT_NUM = Poly([1, 18, -45, 26, 1])
-
-
-def branch_series(u: Sequence, order: int) -> Sequence:
-    series = TruncSeries(u.terms[:order])
-    w = (
-        series.shift(3).truncate(order) * 12
-        - TruncSeries.from_poly(BRANCH_SHIFT_NUM, order)
-        * TruncSeries.from_poly(Poly([-1, 1]), order).inverse()
-    )
-    if not w.is_integral():
-        raise AssertionError("branch series is not integral")
-    return Sequence(0, tuple(int(c) for c in w.coeffs))
 
 
 def main() -> int:

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Sequence as SeqABC
 
 from .errors import InconsistentInit, InsufficientTerms
-from .series import Poly, int_horner, primitive_int
+from .series import Poly, alg_eval, int_horner, mul_trunc, primitive_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sequences import Sequence
@@ -493,16 +493,6 @@ def ode_residual(ode: LinODE, terms: "Sequence") -> Optional[int]:
 # algebraic equation guessing
 # ---------------------------------------------------------------------------
 
-def _convolve_trunc(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * order
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(min(len(b), order - i)):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
-
-
 def algeq_residual(eq: AlgEq, terms: "Sequence") -> Optional[int]:
     """Exponent of the first nonzero coefficient of P(x, y(x)), or None.
 
@@ -512,22 +502,8 @@ def algeq_residual(eq: AlgEq, terms: "Sequence") -> Optional[int]:
     """
     if terms.offset != 0:
         raise ValueError("algebraic residual needs an offset-0 sequence")
-    big_l = len(terms)
-    u = [int(t) for t in terms.terms]
-    powers = [[1] + [0] * (big_l - 1)]
-    for _ in range(eq.degree_y):
-        powers.append(_convolve_trunc(powers[-1], u, big_l))
-    grid = [p.int_coeffs() for p in eq.coeffs]
-    for m in range(big_l):
-        s = 0
-        for j, cs in enumerate(grid):
-            pj = powers[j]
-            for i, c in enumerate(cs):
-                if c and i <= m:
-                    s += c * pj[m - i]
-        if s:
-            return m
-    return None
+    residual = alg_eval(eq.grid(), [int(t) for t in terms.terms], len(terms))
+    return next((m for m, c in enumerate(residual) if c), None)
 
 
 def _vec_to_algeq(vec: list[int], dx: int, dy: int) -> Optional[AlgEq]:
@@ -561,7 +537,7 @@ def guess_algeq(
     big_l = len(u)
     powers = [[1] + [0] * (big_l - 1)]
     for _ in range(dymax):
-        powers.append(_convolve_trunc(powers[-1], u, big_l))
+        powers.append(mul_trunc(powers[-1], u, big_l))
     attempted = False
     shapes = sorted(
         ((dx, dy) for dx in range(0, dxmax + 1) for dy in range(1, dymax + 1)),

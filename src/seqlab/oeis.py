@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     CacheMiss,
@@ -25,7 +24,7 @@ from .errors import (
     NonContiguousIndex,
     SequenceNotFound,
 )
-from .report import unlimited_int_digits
+from .report import unlimited_int_digits, write_atomic
 from .sequences import Sequence
 
 CACHE_ENV_VAR = "SEQLAB_CACHE_DIR"
@@ -72,10 +71,16 @@ def parse_bfile(text: str) -> Sequence:
     return Sequence(offset, tuple(terms))
 
 
+def bfile_text(offset: int, values: Iterable) -> str:
+    """b-file lines ``index value`` for values (or their decimal strings)
+    indexed consecutively from `offset`."""
+    return "".join(f"{n} {v}\n" for n, v in enumerate(values, offset))
+
+
 def render_bfile(seq: Sequence) -> str:
     """Render a Sequence as b-file text; parse_bfile inverts this exactly."""
     with unlimited_int_digits():
-        return "".join(f"{n} {seq.term(n)}\n" for n in seq.indices())
+        return bfile_text(seq.offset, seq.terms)
 
 
 def canonical_a_number(a_number: str) -> str:
@@ -132,14 +137,5 @@ def fetch_oeis(
     if offline:
         raise CacheMiss(f"{a_id} not cached under {cache} and offline mode is on")
     text = (fetcher or _urllib_fetcher)(bfile_url(a_id))
-    cache.mkdir(parents=True, exist_ok=True)
-    # a unique temp name, so concurrent fetches of one A-number never share it
-    fd, tmp = tempfile.mkstemp(dir=cache, prefix=f"{a_id}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+    write_atomic(path, [text])
     return BFile(a_id, text)

@@ -13,11 +13,13 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from pathlib import Path
+from typing import Iterable, Iterator, Optional
 
 import mpmath
 
@@ -81,6 +83,10 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_INDENTED = json.JSONEncoder(sort_keys=True, indent=2)
+
+
 @dataclass
 class AnalysisReport:
     command: str
@@ -106,15 +112,52 @@ class AnalysisReport:
         }
 
     def digest(self) -> str:
-        """Digest of everything except timestamps (rerun-stable)."""
-        body = json.dumps(self._canonical_body(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()
+        """Digest of everything except timestamps (rerun-stable): SHA-256 of
+        the compact sorted-key JSON of the body, hashed as it is encoded."""
+        h = hashlib.sha256()
+        for chunk in _COMPACT.iterencode(self._canonical_body()):
+            h.update(chunk.encode("utf-8"))
+        return h.hexdigest()
 
-    def to_json(self) -> str:
+    def json_chunks(self) -> Iterator[str]:
+        """The report as indented sorted-key JSON plus a final newline, in
+        pieces, so a large report is written without one string of it all."""
         doc = dict(self._canonical_body())
         doc["created_at"] = self.created_at
         doc["report_digest"] = self.digest()
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        yield from _INDENTED.iterencode(doc)
+        yield "\n"
+
+    def to_json(self) -> str:
+        return "".join(self.json_chunks())
+
+
+def write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text pieces `chunks` to `path` through a unique temp file
+    in the same directory and `os.replace`, creating the directory first;
+    readers see the old file or the new one, never a partial one, and a
+    failed write leaves no temp file behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # a unique name opened exclusively, so concurrent writers never share it;
+    # unlike mkstemp it keeps the umask's permissions for the final file
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_report(path: Path, report: AnalysisReport, csvs: Optional[dict] = None) -> None:
+    """Write the figure CSVs as `<key>.csv` beside `path`, then the JSON
+    report, each atomically; the report goes last, so a run that fails to
+    write never replaces the previous report."""
+    for key, text in (csvs or {}).items():
+        write_atomic(path.parent / f"{key}.csv", [text])
+    write_atomic(path, report.json_chunks())
 
 
 def emit_csv(points: Iterable[tuple], header: tuple[str, str] = ("x", "y")) -> str:

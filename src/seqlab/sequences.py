@@ -29,7 +29,7 @@ from .errors import (
     NotARoot,
 )
 from .guess import AlgEq, PRecurrence
-from .series import Poly, TruncSeries, int_horner
+from .series import Poly, TruncSeries, alg_eval, int_horner
 
 
 @dataclass(frozen=True)
@@ -506,32 +506,6 @@ def expand_prec(rec: PRecurrence, init: Sequence, n_terms: int) -> Sequence:
     return Sequence(init.offset, tuple(terms))
 
 
-def _alg_eval(eq: AlgEq, y: TruncSeries) -> TruncSeries:
-    """P(x, y(x)) as a truncated series."""
-    n = y.order
-    acc = TruncSeries((0,) * n)
-    yp = TruncSeries.one(n)
-    for j, cj in enumerate(eq.coeffs):
-        if j:
-            yp = yp * y
-        if not cj.is_zero():
-            acc = acc + yp.mul_poly(cj)
-    return acc
-
-
-def _alg_eval_dy(eq: AlgEq, y: TruncSeries) -> TruncSeries:
-    n = y.order
-    acc = TruncSeries((0,) * n)
-    yp = TruncSeries.one(n)
-    for j in range(1, len(eq.coeffs)):
-        if j > 1:
-            yp = yp * y
-        cj = eq.coeffs[j]
-        if not cj.is_zero():
-            acc = acc + yp.mul_poly(cj * j)
-    return acc
-
-
 def expand_algebraic_series(eq: AlgEq, seed: Iterable, n_terms: int) -> TruncSeries:
     """Newton-lift the power series root of P(x, y) = 0 pinned by `seed`.
 
@@ -544,18 +518,20 @@ def expand_algebraic_series(eq: AlgEq, seed: Iterable, n_terms: int) -> TruncSer
     seed_coeffs = [Fraction(c) for c in seed]
     if not seed_coeffs:
         raise NotARoot("empty seed")
+    grid = eq.grid()
+    dgrid = [[j * c for c in cj] for j, cj in enumerate(grid)][1:]
     y = TruncSeries(seed_coeffs)
-    if any(c != 0 for c in _alg_eval(eq, y).coeffs):
+    if any(alg_eval(grid, y.coeffs, y.order)):
         raise NotARoot("seed does not satisfy the equation to its own order")
-    if _alg_eval_dy(eq, y)[0] == 0:
+    if alg_eval(dgrid, y.coeffs, 1)[0] == 0:
         raise BranchAmbiguous("dP/dy vanishes at x=0 on this seed")
     while y.order < n_terms:
         new_order = min(2 * y.order, n_terms)
         y = TruncSeries(y.coeffs + (Fraction(0),) * (new_order - y.order))
-        num = _alg_eval(eq, y)
-        den = _alg_eval_dy(eq, y)
+        num = TruncSeries(alg_eval(grid, y.coeffs, new_order))
+        den = TruncSeries(alg_eval(dgrid, y.coeffs, new_order))
         y = y - num * den.inverse()
-    if any(c != 0 for c in _alg_eval(eq, y).coeffs):
+    if any(alg_eval(grid, y.coeffs, y.order)):
         raise NotARoot("Newton lifting failed to converge")  # pragma: no cover
     return y
 

@@ -86,12 +86,8 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        a, b = self.coeffs, other.coeffs
+        return Poly(mul_trunc(a, b, max(len(a) + len(b) - 1, 0)))
 
     __rmul__ = __mul__
 
@@ -153,6 +149,35 @@ class Poly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def mul_trunc(a: Seq[Scalar], b: Seq[Scalar], order: int) -> list:
+    """Coefficients 0..order-1 of the product of two ascending coefficient
+    lists.  The one product kernel of this package: ints stay ints, so the
+    guessers' integer series never pay for Fractions."""
+    out = [0] * order
+    for i, ai in enumerate(a[:order]):
+        if ai:
+            for j, bj in enumerate(b[: order - i], i):
+                if bj:
+                    out[j] += ai * bj
+    return out
+
+
+def alg_eval(grid: Seq[Seq[Scalar]], y: Seq[Scalar], order: int) -> list:
+    """Coefficients 0..order-1 of P(x, y(x)) = sum_j grid[j](x) * y(x)^j,
+    with each grid[j] and y given as ascending coefficient lists.
+
+    dP/dy is the same evaluation on the grid [j * grid[j] for j >= 1].
+    """
+    acc = [0] * order
+    y_pow = [1] + [0] * (order - 1)
+    for j, cj in enumerate(grid):
+        if j:
+            y_pow = mul_trunc(y_pow, y, order)
+        if any(cj):
+            acc = [s + t for s, t in zip(acc, mul_trunc(cj, y_pow, order))]
+    return acc
 
 
 def int_horner(coeffs: Iterable[int], n: int) -> int:
@@ -241,15 +266,9 @@ class TruncSeries:
     def __mul__(self, other) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):
             return TruncSeries([c * other for c in self.coeffs])
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a:
-                for j in range(n - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncSeries(out)
+        return TruncSeries(
+            mul_trunc(self.coeffs, other.coeffs, min(self.order, other.order))
+        )
 
     __rmul__ = __mul__
 
@@ -292,15 +311,7 @@ class TruncSeries:
 
     def mul_poly(self, p: Poly) -> "TruncSeries":
         """Multiply by a polynomial without losing truncation order."""
-        n = self.order
-        out = [Fraction(0)] * n
-        for i, a in enumerate(p.coeffs):
-            if a and i < n:
-                for j in range(n - i):
-                    b = self.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncSeries(out)
+        return TruncSeries(mul_trunc(p.coeffs, self.coeffs, self.order))
 
     def pow(self, e: int) -> "TruncSeries":
         if e < 0:
@@ -322,19 +333,6 @@ class TruncSeries:
         cs = list(p.coeffs[:order])
         cs += [Fraction(0)] * (order - len(cs))
         return TruncSeries(cs)
-
-
-# Functional aliases: some call sites read better with explicit names.
-def ps_add(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a + b
-
-
-def ps_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b
-
-
-def ps_inv(a: TruncSeries) -> TruncSeries:
-    return a.inverse()
 
 
 def q_pochhammer(n: int, order: int) -> TruncSeries:

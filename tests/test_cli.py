@@ -3,6 +3,7 @@
 import datetime
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import seqlab
 from seqlab.cli import main
 from seqlab.report import text_digest
 from conftest import DATA_DIR
+from test_scripts import load_script
 
 
 @pytest.fixture()
@@ -328,3 +330,76 @@ class TestReportDeterminism:
                     if k not in ("created_at", "report_digest")}
             canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
             assert text_digest(canonical) == doc["report_digest"]
+
+
+class TestErrorBoundaryAndEcho:
+    """Every failure of a command ends as `Error: ...` with exit status 1,
+    and the report echoes the arguments `main` received, not the host's
+    sys.argv."""
+
+    B = "b202062.txt"
+
+    @pytest.mark.parametrize("args, error", [
+        (["guess", "rec", "bad.txt"], "malformed b-file line 2"),
+        (["--offline", "--cache-dir", "cache", "guess", "rec", "A000108"],
+         "not cached"),
+        (["gen", "lconvex-area", "--n", "-3"], "n_terms >= 1"),
+        (["gen", "stack", "--n", "0"], "n_terms >= 1"),
+        (["expand", "rational", "--num", "1", "--den", "0", "--n", "5"],
+         "zero denominator"),
+        (["identify", "rational", "--value", "abc"], "'abc'"),
+        (["identify", "mult", "--value", "abc"], "'abc'"),
+        (["fit", "amplitude", B, "--mu", "abc", "--g", "9/2", "--K", "3"], "'abc'"),
+        (["--report", f"{B}/report.json", "gen", "stack", "--n", "3"], B),
+        (["gen", "stack", "--n", "3"], None),
+        (["--precision", "30", "analyze", "ratios", B], None),
+    ])
+    def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["pytest", "-q", "elsewhere"])
+        Path(self.B).write_text((DATA_DIR / self.B).read_text())
+        Path("bad.txt").write_text("0 1\n1 x\n")
+        Path("cache").mkdir()
+        res = CliRunner().invoke(main, args)
+        if error is None:
+            assert res.exit_code == 0, res.output
+            assert read_report()["command"] == "seqlab " + " ".join(args)
+        else:
+            assert isinstance(res.exception, SystemExit), res.exception
+            assert res.exit_code == 1
+            assert res.stderr.startswith("Error: ") and error in res.stderr
+
+
+class TestOutputsPinned:
+    def test_expand_rec_1000_terms(self, runner, monkeypatch):
+        """stdout and report of a 1000-term expansion, byte for byte; the
+        hashes were recorded from the code that converted every term to
+        decimal twice."""
+        args = ["expand", "rec", "b202062.txt", "--n", "1000"]
+        monkeypatch.setattr(sys, "argv", ["seqlab", *args])
+        with runner.isolated_filesystem():
+            Path("b202062.txt").write_text((DATA_DIR / "b202062.txt").read_text())
+            res = invoke(runner, args)
+            report = re.sub(r'"created_at": "[^"]*"', '"created_at": ""',
+                            Path("report.json").read_text(encoding="utf-8"))
+        assert text_digest(res.stdout) == (
+            "8ed2e1e6e945a41f73f91771beee5ffd2ea140afe6423ef77f26fe58dc20474a")
+        assert text_digest(report) == (
+            "8913832fd7250e40074d1e3674b22c2e5c3fb5ef5aeed4b1a4cb9f5060af2c88")
+
+    def test_square_csvs_match_lconvex_script(self, runner, monkeypatch):
+        """The CLI writes its figure CSVs at the run's precision, so they
+        equal the study script's at the same size and digits."""
+        with runner.isolated_filesystem():
+            res = invoke(runner, ["gen", "lconvex-area", "--n", "401"])
+            Path("l.txt").write_text(res.stdout)
+            invoke(runner, ["--precision", "60", "--report", "cli/report.json",
+                            "analyze", "square", "l.txt"])
+            monkeypatch.setattr(sys, "argv", [
+                "lconvex_pipeline.py", "--terms", "400", "--digits", "60",
+                "--report", "script/report.json"])
+            assert load_script("lconvex_pipeline").main() == 0
+            for key in ("r_sq", "intercepts", "t_n"):
+                cli = Path("cli", f"{key}.csv").read_bytes()
+                assert cli == Path("script", f"{key}.csv").read_bytes(), key
+            assert Path("cli/r_sq.csv").read_text().splitlines()[1].startswith("2,")

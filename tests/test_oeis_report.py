@@ -26,6 +26,7 @@ from seqlab import (
     text_digest,
 )
 from conftest import ASCENT_INIT
+from seqlab.report import write_report
 from seqlab.errors import (
     CacheMiss,
     MalformedLine,
@@ -277,3 +278,32 @@ class TestEmitCsv:
         with mpmath.workdps(30):
             out = emit_csv([(1, mpmath.mpf("0.25"))])
         assert out == "x,y\n1,0.25\n"
+
+
+class TestWriteReport:
+    def report(self, note):
+        return AnalysisReport(command="seqlab test", input_digest="0", notes=[note])
+
+    def test_writes_report_and_csvs_into_new_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "report.json"
+        write_report(path, self.report("one"), {"fig": "x,y\n1,2\n"})
+        assert json.loads(path.read_text())["notes"] == ["one"]
+        assert (path.parent / "fig.csv").read_text() == "x,y\n1,2\n"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["fig.csv", "report.json"]
+
+    @pytest.mark.parametrize("failure", ["csv", "replace"])
+    def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "report.json"
+        write_report(path, self.report("old"))
+        before = path.read_text()
+        csvs = {}
+        if failure == "csv":
+            csvs["fig"] = "\ud800"  # a lone surrogate cannot be encoded
+        else:
+            def refuse(src, dst):
+                raise OSError("disk full")
+            monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises((UnicodeEncodeError, OSError)):
+            write_report(path, self.report("new"), csvs)
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -1,0 +1,36 @@
+"""Stage chains in seqlab.pipeline, against independent references."""
+
+from fractions import Fraction
+
+import mpmath
+
+from seqlab import HpContext, HpSeq, expand_prec, guess_prec
+from seqlab.pipeline import branch_series, growth_rate, square_bst
+from test_acceptance import _branch_series
+from conftest import GROWTH_POLY
+
+
+def test_branch_series_matches_acceptance_reference(b202062):
+    head = b202062.head(24)
+    u = expand_prec(guess_prec(head), head, 200)
+    assert branch_series(u, 200) == _branch_series(u, 200)
+
+
+def test_growth_rate_is_reciprocal_root():
+    ctx = HpContext(40)
+    rho, mu = growth_rate(GROWTH_POLY, ctx)
+    with ctx.work():
+        assert abs(GROWTH_POLY(rho)) < 10 ** -45
+        assert abs(mu * rho - 1) < 10 ** -45
+
+
+def test_square_bst_limits_to_first_squares():
+    # s_n = 2 + 1/sqrt(n) is 2 + 1/k at n = k^2; the tableau with w = 1
+    # extrapolates 1/k exactly
+    ctx = HpContext(30)
+    with ctx.work():
+        s = HpSeq(1, tuple(2 + 1 / mpmath.sqrt(n) for n in range(1, 101)), ctx)
+    res = square_bst(s, Fraction(1), 6)
+    assert res.depth == 5
+    with ctx.work():
+        assert abs(res.value - 2) < 10 ** -25

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from seqlab import Poly, TruncSeries, q_pochhammer
 from seqlab.errors import ZeroConstantTerm
-from seqlab.series import int_horner, ps_add, ps_inv, ps_mul
+from seqlab.series import int_horner
 
 small_ints = st.integers(min_value=-9, max_value=9)
 polys = st.lists(small_ints, min_size=0, max_size=6).map(Poly)
@@ -141,12 +141,6 @@ class TestTruncSeries:
     def test_geometric_series(self):
         one_minus_x = TruncSeries.from_poly(Poly([1, -1]), 6)
         assert one_minus_x.inverse() == series([1] * 6)
-
-    def test_functional_aliases(self):
-        a, b = series([1, 2]), series([3, 4])
-        assert ps_add(a, b) == a + b
-        assert ps_mul(a, b) == a * b
-        assert ps_inv(a) == a.inverse()
 
 
 class TestQPochhammer:
