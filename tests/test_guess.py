@@ -1,5 +1,6 @@
 """Exact guessing: integer nullspaces, recurrences, ODEs, algebraic equations."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from seqlab import (
     algeq_residual,
     expand_algebraic,
     expand_prec,
+    expand_rational,
     guess_algeq,
     guess_prec,
     integer_nullspace,
@@ -25,6 +27,7 @@ from seqlab import (
     prec_to_ode,
 )
 from seqlab.errors import InsufficientTerms
+from seqlab.pipeline import branch_series
 from conftest import ASCENT_INIT, ASCENT_REC_LISTS, CATALAN
 
 from math import gcd
@@ -307,3 +310,78 @@ class TestGuessAlgEq:
     def test_insufficient(self):
         with pytest.raises(InsufficientTerms):
             guess_algeq(Sequence(0, (1, 1)), dxmax=5, dymax=3)
+
+
+class TestGuessersPinned:
+    """Every outcome of both guessers over a fixed grid of inputs, hashed.
+
+    A change of any returned model, of the None/InsufficientTerms outcome
+    or of an error message changes the digest.
+    """
+
+    PINNED_DIGEST = "5e46864f5b936039f3cba7c41d6b8d53ce210987b377c1f67d21548ca0b6daeb"
+
+    @staticmethod
+    def outcome(guess, terms, **grid) -> str:
+        try:
+            model = guess(terms, **grid)
+        except (InsufficientTerms, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+        if model is None:
+            return "None"
+        return f"{model} {[list(p.int_coeffs()) for p in model.coeffs]}"
+
+    @staticmethod
+    def cases(b202062, ascent_rec):
+        u = expand_prec(ascent_rec, Sequence(0, ASCENT_INIT), 64)
+        branch = branch_series(u, 64)
+        fib = expand_rational(Poly([1]), Poly([1, -1, -1]), 30).to_sequence()
+        motzkin = expand_algebraic(AlgEq.from_grid([[1], [-1, 1], [0, 0, 1]]),
+                                   (1,), 30)
+        central = expand_algebraic(AlgEq.from_grid([[1], [], [-1, 4]]), (1,), 24)
+        factorials = Sequence(1, tuple(_factorials(14)[1:]))
+        zeros = Sequence(0, (0,) * 14)
+        rng = random.Random(20261018)
+        noise = [Sequence(0, tuple(rng.randrange(1, 10 ** 4) for _ in range(size)))
+                 for size in (10, 14, 18)]
+        # degenerate inputs on which several candidates survive, so the
+        # smallest-coefficient pick decides
+        several = [Sequence(0, t) for t in (
+            (1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0),
+            (1, 0, 1, 1, 0, 0, 0, 0), (0, 1, 1, 1, 0, 0, 0),
+            (0, 2, 2, 2, 0, 2, 0, 2), (-1, 1, 0, -1, 0, 0, 0, 1),
+            (0, 1, 1, 1, 1, 1, 1, 1, 0, 0), (1, 1, 0, 0, 0, 0, 1, 0),
+        )]
+        for margin in range(5):
+            for size in (6, 10, 14, 18, 24, 28):
+                yield guess_prec, b202062.head(size), dict(margin=margin)
+            yield guess_prec, b202062.head(20), dict(rmax=5, dmax=2, margin=margin)
+            yield guess_prec, Sequence(0, CATALAN), dict(rmax=3, dmax=2, margin=margin)
+            yield guess_prec, fib, dict(rmax=3, dmax=1, margin=margin)
+            yield guess_prec, motzkin, dict(rmax=3, dmax=2, margin=margin)
+            yield guess_prec, central, dict(rmax=2, dmax=2, margin=margin)
+            yield guess_prec, factorials, dict(rmax=2, dmax=1, margin=margin)
+            yield guess_prec, zeros, dict(rmax=2, dmax=1, margin=margin)
+            yield guess_prec, Sequence(0, (1, 2, 3)), dict(rmax=5, dmax=4, margin=margin)
+            yield guess_algeq, branch, dict(dxmax=12, dymax=3, margin=margin)
+            yield guess_algeq, branch.head(40), dict(dxmax=12, dymax=3, margin=margin)
+            yield guess_algeq, Sequence(0, CATALAN), dict(dxmax=2, dymax=2, margin=margin)
+            yield guess_algeq, fib, dict(dxmax=3, dymax=2, margin=margin)
+            yield guess_algeq, motzkin, dict(dxmax=3, dymax=2, margin=margin)
+            yield guess_algeq, central, dict(dxmax=2, dymax=2, margin=margin)
+            yield guess_algeq, b202062.head(20), dict(dxmax=3, dymax=2, margin=margin)
+            yield guess_algeq, zeros, dict(dxmax=2, dymax=2, margin=margin)
+            yield guess_algeq, Sequence(0, (1, 1)), dict(dxmax=5, dymax=3, margin=margin)
+            yield guess_algeq, factorials, dict(dxmax=2, dymax=2, margin=margin)
+            for s in noise:
+                yield guess_prec, s, dict(rmax=3, dmax=1, margin=margin)
+                yield guess_algeq, s, dict(dxmax=3, dymax=2, margin=margin)
+            for s in several:
+                yield guess_prec, s, dict(rmax=3, dmax=1, margin=margin)
+                yield guess_algeq, s, dict(dxmax=2, dymax=2, margin=margin)
+
+    def test_outputs_pinned(self, b202062, ascent_rec):
+        outcomes = [self.outcome(guess, terms, **grid)
+                    for guess, terms, grid in self.cases(b202062, ascent_rec)]
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        assert digest == self.PINNED_DIGEST
