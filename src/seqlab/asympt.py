@@ -543,17 +543,10 @@ def _sturm_chain(p: list[int]) -> list[list[Fraction]]:
     return chain
 
 
-def _eval_frac(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def _sign_changes(chain, x: Fraction) -> int:
     signs = []
     for p in chain:
-        v = _eval_frac(p, x)
+        v = int_horner(p, x)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -596,7 +589,7 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
     exact = None
     while True:
         if count(lo, hi) == 1:
-            if _eval_frac(sf_poly, hi) == 0:
+            if int_horner(sf_poly, hi) == 0:
                 exact = hi
                 break
             break
@@ -606,14 +599,14 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
         else:
             lo = mid
     if exact is None:
-        flo = _eval_frac(sf_poly, lo)
+        flo = int_horner(sf_poly, lo)
         steps = int((digits + 6) * 3.33) + bound.numerator.bit_length()
         width = Fraction(1, 10 ** (digits + 5))
         for _ in range(steps):
             if hi - lo < width:
                 break
             mid = (lo + hi) / 2
-            fmid = _eval_frac(sf_poly, mid)
+            fmid = int_horner(sf_poly, mid)
             if fmid == 0:
                 lo = hi = mid
                 break

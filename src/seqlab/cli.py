@@ -119,8 +119,8 @@ def run(body):
     its report, prints, and fails.  The body receives the CliState, the
     loaded `Source` in place of a SOURCE argument, and its options.  It
     returns the AnalysisReport fields (`input_digest` defaults to the
-    digest of SOURCE), plus its figure `csvs` and its `stdout`, as text or
-    as a function that renders the text once the report is written.  A
+    digest of SOURCE), plus its figure `csvs` and its `stdout`: text, or
+    text blocks rendered one by one once the report is written.  A
     library error, bad input or failed file access while loading, computing
     or writing ends as ``Error: <message>`` with exit status 1.
     """
@@ -139,12 +139,11 @@ def run(body):
                 command="seqlab " + " ".join(ctx.meta["seqlab.argv"]), **fields
             )
             write_report(state.report_path, report, csvs)
-            if callable(stdout):
-                stdout = stdout()
         except (SeqLabError, ValueError, ArithmeticError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
         click.echo(f"report: {state.report_path}", err=True)
-        click.echo(stdout, nl=False)
+        for block in [stdout] if isinstance(stdout, str) else stdout:
+            click.echo(block, nl=False)
     return callback
 
 
@@ -180,11 +179,11 @@ def _resolve_mu(state: CliState, mu: Optional[str], mu_from_poly: Optional[str])
 def _sequence_fields(name: str, seq: Sequence, **fields) -> dict:
     """Fields of a run whose output is one sequence.  stdout renders the
     report's own decimal strings as a b-file, so each term is converted
-    to decimal once; it is rendered after the report is written, so the
-    b-file text and the report's JSON text are never held at once."""
+    to decimal once; it is rendered block by block after the report is
+    written, so it is never held whole, nor next to the report's JSON."""
     entry = sequence_entry(seq.offset, seq.terms)
     return dict(fields, sequences={name: entry},
-                stdout=functools.partial(bfile_text, seq.offset, entry["values"]))
+                stdout=bfile_text(seq.offset, entry["values"]))
 
 
 def _generated(name: str, seq: Sequence, params: dict) -> dict:

@@ -15,10 +15,6 @@ class ZeroConstantTerm(SeqLabError):
     """Inversion of a power series whose constant term is zero."""
 
 
-class DivisionByZeroSeries(SeqLabError):
-    """Division by the zero series."""
-
-
 # -- sequence generation ---------------------------------------------------
 
 class BudgetExceeded(SeqLabError):

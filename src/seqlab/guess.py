@@ -7,19 +7,19 @@ Given the first terms of an integer sequence, search for
   (``guess_algeq``),
 
 by exact integer nullspace computation (fraction-free Gaussian
-elimination).  Fitting never touches the trailing terms: candidates must
-also annihilate a held-out block of windows, and finally every supplied
-term, before they are returned.  ``prec_to_ode`` converts a recurrence
-into a homogeneous linear ODE for the generating function; the
-``*_residual`` functions re-check any structure against longer
-expansions.
+elimination).  Both run one shape search; only the equations that each
+shape contributes differ.  Fitting never touches the last `margin`
+equations: candidates must also annihilate that held-out block (there is
+none when margin is 0), and finally every supplied term, before they are
+returned.  ``prec_to_ode`` converts a recurrence into a homogeneous
+linear ODE for the generating function; the ``*_residual`` functions
+re-check any structure against longer expansions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Sequence as SeqABC
 
 from .errors import InconsistentInit, InsufficientTerms
@@ -33,46 +33,26 @@ if TYPE_CHECKING:  # pragma: no cover
 # domain types (auto-normalized: integer coefficients, content 1, fixed sign)
 # ---------------------------------------------------------------------------
 
-def _normalize_polys(polys: SeqABC[Poly], what: str) -> tuple[Poly, ...]:
-    """Clear denominators, divide out content, make the top poly's leading
-    coefficient positive.  The top poly must be nonzero."""
-    polys = tuple(polys)
-    if not polys or polys[-1].is_zero():
-        raise ValueError(f"{what}: leading polynomial must be nonzero")
-    den = 1
-    for p in polys:
-        for c in p.coeffs:
-            den = lcm(den, c.denominator)
-    g = 0
-    for p in polys:
-        for c in p.coeffs:
-            g = gcd(g, abs(int(c * den)))
-    scale = Fraction(den, g)
-    if polys[-1].coeffs[-1] < 0:
-        scale = -scale
-    return tuple(p * scale for p in polys)
-
-
 @dataclass(frozen=True)
-class PRecurrence:
-    """Linear recurrence sum_j coeffs[j](n) * u(n + j) = 0.
-
-    Normal form (applied on construction): integer coefficients of overall
-    content 1, leading coefficient of the top polynomial positive.
-    """
+class _PolyModel:
+    """A tuple of polynomials in one normal form, applied on construction:
+    integer coefficients of overall content 1, the top polynomial nonzero
+    with a positive leading coefficient.  Subclasses run their own checks
+    first and name the variable and the unknown of each term."""
 
     coeffs: tuple[Poly, ...]
 
-    def __post_init__(self):
-        if len(self.coeffs) < 2:
-            raise ValueError("recurrence must have order >= 1")
-        object.__setattr__(
-            self, "coeffs", _normalize_polys(self.coeffs, "PRecurrence")
-        )
+    _var = "x"
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def __post_init__(self):
+        polys = tuple(self.coeffs)
+        if not polys or polys[-1].is_zero():
+            raise ValueError(f"{type(self).__name__}: leading polynomial must be nonzero")
+        flat = primitive_int([c for p in polys for c in p.coeffs])
+        ints = iter(flat if flat[-1] > 0 else [-c for c in flat])
+        object.__setattr__(self, "coeffs", tuple(
+            Poly([next(ints) for _ in p.coeffs]) for p in polys
+        ))
 
     @property
     def degree(self) -> int:
@@ -81,13 +61,13 @@ class PRecurrence:
     def coeff_lists(self) -> list[list[int]]:
         return [list(p.int_coeffs()) for p in self.coeffs]
 
-    @staticmethod
-    def from_lists(lists: SeqABC[SeqABC[int]]) -> "PRecurrence":
-        return PRecurrence(tuple(Poly(list(cs)) for cs in lists))
+    @classmethod
+    def from_lists(cls, lists: SeqABC[SeqABC[int]]):
+        return cls(tuple(Poly(list(cs)) for cs in lists))
 
     def __str__(self) -> str:
         parts = [
-            f"({p.format('n')})*u(n{f'+{j}' if j else ''})"
+            f"({p.format(self._var)}){self._unknown(j)}"
             for j, p in enumerate(self.coeffs)
             if not p.is_zero()
         ]
@@ -95,23 +75,41 @@ class PRecurrence:
 
 
 @dataclass(frozen=True)
-class AlgEq:
+class PRecurrence(_PolyModel):
+    """Linear recurrence sum_j coeffs[j](n) * u(n + j) = 0, in the normal
+    form of its base: integer coefficients of overall content 1, leading
+    coefficient of the top polynomial positive."""
+
+    _var = "n"
+
+    def __post_init__(self):
+        if len(self.coeffs) < 2:
+            raise ValueError("recurrence must have order >= 1")
+        super().__post_init__()
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    @staticmethod
+    def _unknown(j: int) -> str:
+        return f"*u(n{f'+{j}' if j else ''})"
+
+
+@dataclass(frozen=True)
+class AlgEq(_PolyModel):
     """Algebraic equation P(x, y) = sum_j coeffs[j](x) * y^j = 0.
 
     Must actually involve y (degree >= 1) and must not be divisible by y.
     Same normal form as PRecurrence, sign fixed on the top y-coefficient.
     """
 
-    coeffs: tuple[Poly, ...]
-
     def __post_init__(self):
         if len(self.coeffs) < 2:
             raise ValueError("equation must have y-degree >= 1")
         if self.coeffs[0].is_zero():
             raise ValueError("equation is divisible by y")
-        object.__setattr__(
-            self, "coeffs", _normalize_polys(self.coeffs, "AlgEq")
-        )
+        super().__post_init__()
 
     @property
     def degree_y(self) -> int:
@@ -119,66 +117,38 @@ class AlgEq:
 
     @property
     def degree_x(self) -> int:
-        return max(p.degree for p in self.coeffs)
+        return self.degree
 
     def grid(self) -> list[list[int]]:
         """Coefficient grid: grid()[j][i] multiplies x^i y^j."""
-        dx = self.degree_x
-        return [
-            list(p.int_coeffs()) + [0] * (dx - p.degree) for p in self.coeffs
-        ]
+        dx = self.degree
+        return [cs + [0] * (dx + 1 - len(cs)) for cs in self.coeff_lists()]
+
+    @classmethod
+    def from_grid(cls, grid: SeqABC[SeqABC[int]]) -> "AlgEq":
+        return cls.from_lists(grid)
 
     @staticmethod
-    def from_grid(grid: SeqABC[SeqABC[int]]) -> "AlgEq":
-        return AlgEq(tuple(Poly(list(cs)) for cs in grid))
-
-    def __str__(self) -> str:
-        parts = [
-            f"({p.format('x')})" + ("" if j == 0 else f"*y^{j}" if j > 1 else "*y")
-            for j, p in enumerate(self.coeffs)
-            if not p.is_zero()
-        ]
-        return " + ".join(parts) + " = 0"
+    def _unknown(j: int) -> str:
+        return "" if j == 0 else f"*y^{j}" if j > 1 else "*y"
 
 
 @dataclass(frozen=True)
-class LinODE:
+class LinODE(_PolyModel):
     """Linear ODE sum_i coeffs[i](x) * f^(i)(x) = 0, same normal form."""
-
-    coeffs: tuple[Poly, ...]
 
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("ODE needs at least one coefficient")
-        object.__setattr__(
-            self, "coeffs", _normalize_polys(self.coeffs, "LinODE")
-        )
+        super().__post_init__()
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def degree(self) -> int:
-        return max(p.degree for p in self.coeffs)
-
-    def coeff_lists(self) -> list[list[int]]:
-        return [list(p.int_coeffs()) for p in self.coeffs]
-
     @staticmethod
-    def from_lists(lists: SeqABC[SeqABC[int]]) -> "LinODE":
-        return LinODE(tuple(Poly(list(cs)) for cs in lists))
-
-    def __str__(self) -> str:
-        def deriv(i: int) -> str:
-            return "f" if i == 0 else "f" + "'" * i if i <= 3 else f"f^({i})"
-
-        parts = [
-            f"({p.format('x')})*{deriv(i)}"
-            for i, p in enumerate(self.coeffs)
-            if not p.is_zero()
-        ]
-        return " + ".join(parts) + " = 0"
+    def _unknown(i: int) -> str:
+        return "*f" + ("'" * i if i <= 3 else f"^({i})")
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +189,8 @@ def integer_nullspace(rows: SeqABC[SeqABC[int]], ncols: int) -> list[list[int]]:
     common full-column-rank case.
     """
     m = [list(r) for r in rows if any(r)]
-    if not m:
-        basis = []
-        for c in range(ncols):
-            v = [0] * ncols
-            v[c] = 1
-            basis.append(v)
-        return basis
+    if not m:  # every vector: the identity basis
+        return [[int(i == c) for i in range(ncols)] for c in range(ncols)]
     if len(m) >= ncols and _rank_mod(m, ncols) == ncols:
         return []
     nrows = len(m)
@@ -281,6 +246,45 @@ def _bit_cost(polys: SeqABC[Poly]) -> int:
     return sum(abs(int(c)).bit_length() for p in polys for c in p.coeffs)
 
 
+def _search(shapes, system, model, accept, too_few: str):
+    """The one shape search behind both guessers.
+
+    ``system(*shape)`` gives ``(width, rows, n_fit)``, or None when the
+    shape is not attempted.  Rows past `n_fit` are held out of the exact
+    fit; each nullspace combination that annihilates them is split into
+    polynomials of `width` coefficients and becomes ``model(polys)``
+    (skipped on ValueError), then must pass ``accept``.  The first shape
+    with survivors returns the smallest one.
+    """
+    attempted = False
+    for shape in shapes:
+        built = system(*shape)
+        if built is None:
+            continue
+        attempted = True
+        width, rows, n_fit = built
+        k = len(rows[0])
+        basis = integer_nullspace(rows[:n_fit], k)
+        if not basis:
+            continue
+        held = [[sum(h[t] * v[t] for t in range(k)) for v in basis]
+                for h in rows[n_fit:]]
+        found = []
+        for weights in integer_nullspace(held, len(basis)):
+            vec = _combine(basis, weights)
+            try:
+                cand = model(tuple(Poly(vec[i : i + width]) for i in range(0, k, width)))
+            except ValueError:
+                continue
+            if accept(cand):
+                found.append(cand)
+        if found:
+            return min(found, key=lambda m: _bit_cost(m.coeffs))
+    if not attempted:
+        raise InsufficientTerms(too_few)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # P-recurrence guessing
 # ---------------------------------------------------------------------------
@@ -309,13 +313,6 @@ def _full_windows(rec: PRecurrence, terms: "Sequence") -> bool:
     return prec_residual(rec, terms) == max(len(terms) - rec.order, 0)
 
 
-def _vec_to_prec(vec: list[int], r: int, d: int) -> Optional[PRecurrence]:
-    polys = [Poly(vec[j * (d + 1) : (j + 1) * (d + 1)]) for j in range(r + 1)]
-    if polys[-1].is_zero():
-        return None
-    return PRecurrence(tuple(polys))
-
-
 def guess_prec(
     terms: "Sequence",
     rmax: int = 8,
@@ -327,25 +324,21 @@ def guess_prec(
     Shapes (order r, coefficient degree d) are visited in increasing r + d,
     then increasing r.  For each shape, the window equations that avoid the
     last `margin` terms are solved exactly; surviving coefficient vectors
-    must then annihilate the held-out windows and finally every window.
-    Among several survivors the smallest total coefficient size wins.
+    must then annihilate the `margin` held-out windows (none when margin is
+    0) and finally every window.  Among several survivors the smallest
+    total coefficient size wins.  A shape is attempted only when its
+    windows outnumber both the unknowns less one and `margin`.
 
     Returns None when the whole grid fails; raises InsufficientTerms when
     no shape in the grid had enough terms to be attempted at all.
     """
     seq_terms = terms.terms
     big_l = len(seq_terms)
-    attempted = False
-    shapes = sorted(
-        ((r, d) for r in range(1, rmax + 1) for d in range(0, dmax + 1)),
-        key=lambda rd: (rd[0] + rd[1], rd[0]),
-    )
-    for r, d in shapes:
-        k = (r + 1) * (d + 1)
+
+    def system(r: int, d: int):
         n_win = big_l - r
-        if n_win < max(k - 1, margin + 1):
-            continue
-        attempted = True
+        if n_win < max((r + 1) * (d + 1) - 1, margin + 1):
+            return None
         rows = []
         for w in range(n_win):
             n = terms.offset + w
@@ -356,32 +349,17 @@ def guess_prec(
                     row.append(e)
                     e *= n
             rows.append(row)
-        n_hold = min(margin, n_win - 1)
-        basis = integer_nullspace(rows[: n_win - n_hold], k)
-        if not basis:
-            continue
-        if n_hold:
-            held = [[sum(h[t] * v[t] for t in range(k)) for v in basis]
-                    for h in rows[n_win - n_hold :]]
-            weight_basis = integer_nullspace(held, len(basis))
-            if not weight_basis:
-                continue
-            cands = [_combine(basis, w) for w in weight_basis]
-        else:
-            cands = basis
-        found = []
-        for vec in cands:
-            rec = _vec_to_prec(vec, r, d)
-            if rec is not None and _full_windows(rec, terms):
-                found.append(rec)
-        if found:
-            return min(found, key=lambda rc: _bit_cost(rc.coeffs))
-    if not attempted:
-        raise InsufficientTerms(
-            f"{big_l} terms are too few for every recurrence shape with "
-            f"order <= {rmax}, degree <= {dmax}, margin {margin}"
-        )
-    return None
+        return d + 1, rows, n_win - margin
+
+    shapes = sorted(
+        ((r, d) for r in range(1, rmax + 1) for d in range(0, dmax + 1)),
+        key=lambda rd: (rd[0] + rd[1], rd[0]),
+    )
+    return _search(
+        shapes, system, PRecurrence, lambda rec: _full_windows(rec, terms),
+        f"{big_l} terms are too few for every recurrence shape with "
+        f"order <= {rmax}, degree <= {dmax}, margin {margin}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +484,6 @@ def algeq_residual(eq: AlgEq, terms: "Sequence") -> Optional[int]:
     return next((m for m, c in enumerate(residual) if c), None)
 
 
-def _vec_to_algeq(vec: list[int], dx: int, dy: int) -> Optional[AlgEq]:
-    polys = [Poly(vec[j * (dx + 1) : (j + 1) * (dx + 1)]) for j in range(dy + 1)]
-    if polys[-1].is_zero() or polys[0].is_zero():
-        return None
-    return AlgEq(tuple(polys))
-
-
 def guess_algeq(
     terms: "Sequence",
     dxmax: int = 12,
@@ -526,7 +497,8 @@ def guess_algeq(
     A shape is attempted only when the coefficient equations overdetermine
     the unknowns by at least `margin`; the last `margin` equations are held
     out of the fit and must be satisfied as well, then the candidate is
-    re-verified against every supplied term.
+    re-verified against every supplied term.  The search is that of
+    ``guess_prec``; only the equations differ.
 
     Returns None when the grid fails; raises InsufficientTerms when no
     shape could be attempted.
@@ -538,16 +510,10 @@ def guess_algeq(
     powers = [[1] + [0] * (big_l - 1)]
     for _ in range(dymax):
         powers.append(mul_trunc(powers[-1], u, big_l))
-    attempted = False
-    shapes = sorted(
-        ((dx, dy) for dx in range(0, dxmax + 1) for dy in range(1, dymax + 1)),
-        key=lambda dd: (dd[0] + dd[1], dd[1]),
-    )
-    for dx, dy in shapes:
-        k = (dx + 1) * (dy + 1)
-        if big_l < k - 1 + margin:
-            continue
-        attempted = True
+
+    def system(dx: int, dy: int):
+        if big_l < (dx + 1) * (dy + 1) - 1 + margin:
+            return None
         rows = []
         for m in range(big_l):
             row = []
@@ -557,24 +523,14 @@ def guess_algeq(
                     pj[m - i] if i <= m else 0 for i in range(dx + 1)
                 )
             rows.append(row)
-        basis = integer_nullspace(rows[: big_l - margin], k)
-        if not basis:
-            continue
-        held = [[sum(h[t] * v[t] for t in range(k)) for v in basis]
-                for h in rows[big_l - margin :]]
-        weight_basis = integer_nullspace(held, len(basis))
-        if not weight_basis:
-            continue
-        found = []
-        for w in weight_basis:
-            eq = _vec_to_algeq(_combine(basis, w), dx, dy)
-            if eq is not None and algeq_residual(eq, terms) is None:
-                found.append(eq)
-        if found:
-            return min(found, key=lambda e: _bit_cost(e.coeffs))
-    if not attempted:
-        raise InsufficientTerms(
-            f"{big_l} terms are too few for every equation shape with "
-            f"x-degree <= {dxmax}, y-degree <= {dymax}, margin {margin}"
-        )
-    return None
+        return dx + 1, rows, big_l - margin
+
+    shapes = sorted(
+        ((dx, dy) for dx in range(0, dxmax + 1) for dy in range(1, dymax + 1)),
+        key=lambda dd: (dd[0] + dd[1], dd[1]),
+    )
+    return _search(
+        shapes, system, AlgEq, lambda eq: algeq_residual(eq, terms) is None,
+        f"{big_l} terms are too few for every equation shape with "
+        f"x-degree <= {dxmax}, y-degree <= {dymax}, margin {margin}",
+    )

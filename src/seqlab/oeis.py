@@ -14,8 +14,9 @@ import re
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
     CacheMiss,
@@ -71,16 +72,23 @@ def parse_bfile(text: str) -> Sequence:
     return Sequence(offset, tuple(terms))
 
 
-def bfile_text(offset: int, values: Iterable) -> str:
+# Lines per block: 64 lines of 2000-digit terms are about 128 KiB.
+_BFILE_BLOCK = 64
+
+
+def bfile_text(offset: int, values: Iterable) -> Iterator[str]:
     """b-file lines ``index value`` for values (or their decimal strings)
-    indexed consecutively from `offset`."""
-    return "".join(f"{n} {v}\n" for n, v in enumerate(values, offset))
+    indexed consecutively from `offset`, yielded as text blocks of a fixed
+    number of lines, so that a long b-file is never held whole."""
+    lines = (f"{n} {v}\n" for n, v in enumerate(values, offset))
+    while block := "".join(islice(lines, _BFILE_BLOCK)):
+        yield block
 
 
 def render_bfile(seq: Sequence) -> str:
     """Render a Sequence as b-file text; parse_bfile inverts this exactly."""
     with unlimited_int_digits():
-        return bfile_text(seq.offset, seq.terms)
+        return "".join(bfile_text(seq.offset, seq.terms))
 
 
 def canonical_a_number(a_number: str) -> str:

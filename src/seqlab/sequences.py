@@ -28,7 +28,7 @@ from .errors import (
     NonIntegral,
     NotARoot,
 )
-from .guess import AlgEq, PRecurrence
+from .guess import AlgEq, PRecurrence, prec_residual
 from .series import Poly, TruncSeries, alg_eval, int_horner
 
 
@@ -482,14 +482,12 @@ def expand_prec(rec: PRecurrence, init: Sequence, n_terms: int) -> Sequence:
     if n_terms < len(init):
         return init.head(n_terms)
     ints = [p.int_coeffs() for p in rec.coeffs]
-    terms = list(init.terms)
-    for n in range(init.offset, init.offset + len(terms) - r):
-        acc = sum(
-            int_horner(ints[j], n) * terms[n - init.offset + j]
-            for j in range(r + 1)
+    good = prec_residual(rec, init)
+    if good < len(init) - r:
+        raise InconsistentInit(
+            f"initial terms violate the recurrence at n={init.offset + good}"
         )
-        if acc != 0:
-            raise InconsistentInit(f"initial terms violate the recurrence at n={n}")
+    terms = list(init.terms)
     while len(terms) < n_terms:
         n = init.offset + len(terms) - r
         lead = int_horner(ints[r], n)

@@ -180,8 +180,8 @@ def alg_eval(grid: Seq[Seq[Scalar]], y: Seq[Scalar], order: int) -> list:
     return acc
 
 
-def int_horner(coeffs: Iterable[int], n: int) -> int:
-    """Evaluate an integer coefficient list (ascending powers) at integer n."""
+def int_horner(coeffs: Iterable[Scalar], n: Scalar) -> Scalar:
+    """Evaluate ascending coefficients at n; any exact numbers (int, Fraction)."""
     acc = 0
     for c in reversed(tuple(coeffs)):
         acc = acc * n + c

@@ -30,7 +30,7 @@ from seqlab.errors import InsufficientTerms
 from seqlab.pipeline import branch_series
 from conftest import ASCENT_INIT, ASCENT_REC_LISTS, CATALAN
 
-from math import gcd
+from math import gcd, lcm
 
 
 class TestIntegerNullspace:
@@ -125,6 +125,49 @@ class TestPRecurrenceNormalForm:
     def test_too_short(self):
         with pytest.raises(ValueError):
             PRecurrence((Poly([1]),))
+
+
+def _reference_normal_form(polys):
+    """The normal form as first written for the three model types: clear
+    denominators, divide out the content, make the top polynomial's leading
+    coefficient positive."""
+    den = 1
+    for p in polys:
+        for c in p.coeffs:
+            den = lcm(den, c.denominator)
+    g = 0
+    for p in polys:
+        for c in p.coeffs:
+            g = gcd(g, abs(int(c * den)))
+    scale = Fraction(den, g)
+    if polys[-1].coeffs[-1] < 0:
+        scale = -scale
+    return tuple(p * scale for p in polys)
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_polys = st.lists(_rationals, max_size=4).map(Poly)
+
+
+class TestNormalForm:
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(_polys, max_size=4), _polys.filter(bool))
+    def test_matches_reference(self, lower, top):
+        polys = (*lower, top)
+        want = _reference_normal_form(polys)
+        assert LinODE(polys).coeffs == want
+        if len(polys) >= 2:
+            assert PRecurrence(polys).coeffs == want
+            if polys[0]:
+                assert AlgEq(polys).coeffs == want
+            else:
+                with pytest.raises(ValueError):
+                    AlgEq(polys)
+
+    def test_zero_top_rejected(self):
+        for model in (PRecurrence, AlgEq, LinODE):
+            with pytest.raises(ValueError, match="leading polynomial must be nonzero"):
+                model((Poly([1]), Poly([])))
 
 
 class TestGuessPRec:

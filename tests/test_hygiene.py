@@ -1,0 +1,107 @@
+"""Dead-code guard: no unused imports and no unused module-private names.
+
+Each module of the package (except ``__init__.py``, which only re-exports)
+and each script is parsed with ``ast``.  An imported name must be referenced
+somewhere in its module, counting names inside string annotations such as
+``"Sequence"``; a module-level ``_private`` function, class or constant must
+be referenced in its module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    p for p in [*(ROOT / "src" / "seqlab").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    if p.name != "__init__.py"
+)
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names inside the string constants of an annotation."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                parsed = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Every name the module loads, including those in string annotations
+    and in a literal ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if ann is not None:
+                names |= _annotation_names(ann)
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            names |= {e.value for e in ast.walk(node.value)
+                      if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    return names
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def _module_private(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+class TestNoDeadNames:
+    def test_imports_used(self, path):
+        tree = ast.parse(path.read_text())
+        used = _referenced(tree)
+        assert [n for n in _imported(tree) if n not in used] == []
+
+    def test_private_names_used(self, path):
+        tree = ast.parse(path.read_text())
+        used = _referenced(tree)
+        assert [n for n in _module_private(tree) if n not in used] == []
+
+
+def test_guard_catches_dead_names():
+    tree = ast.parse(
+        "from math import gcd, lcm\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from .sequences import Sequence\n"
+        "_LIMIT = 3\n"
+        "def _unused(): pass\n"
+        "def f(x: 'Sequence') -> int:\n"
+        "    return gcd(x, _LIMIT) if TYPE_CHECKING else 0\n"
+    )
+    used = _referenced(tree)
+    assert [n for n in _imported(tree) if n not in used] == ["lcm"]
+    assert [n for n in _module_private(tree) if n not in used] == ["_unused"]

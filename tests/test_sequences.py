@@ -163,8 +163,11 @@ class TestExpandPRec:
     def test_inconsistent_init(self):
         rec = PRecurrence.from_lists([[-2], [1]])
         # six supplied terms; the sixth violates the recurrence
-        with pytest.raises(InconsistentInit):
+        with pytest.raises(InconsistentInit, match=r"at n=4$"):
             expand_prec(rec, Sequence(0, (1, 2, 4, 8, 16, 33)), 10)
+        # the message names the first violating index, counted from the offset
+        with pytest.raises(InconsistentInit, match=r"at n=5$"):
+            expand_prec(rec, Sequence(3, (1, 2, 4, 9, 18, 36)), 10)
 
     def test_init_shorter_than_order(self):
         rec = PRecurrence.from_lists([[1], [0, 1], [1, 1]])
