@@ -28,7 +28,7 @@ from seqlab import (
     stretched_triple_fit,
     summarize_stretched,
 )
-from seqlab.asympt import vandermonde_inverse
+from seqlab.asympt import _poly_div_frac, vandermonde_inverse
 from seqlab.errors import (
     DomainError,
     IllConditioned,
@@ -382,6 +382,21 @@ class TestAmplitudeFitVsLu:
                 assert abs(got - want) < tol * max(1, abs(want))
             assert abs(fit.c_spread - spread_ref) < tol * abs(c_ref)
             assert abs(fit.cond_estimate / cond_ref - 1) < mpmath.mpf(10) ** -digits
+
+
+_div_coeffs = st.one_of(
+    st.lists(st.integers(-40, 40), max_size=7),
+    st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=9), max_size=7),
+)
+
+
+class TestPolyDiv:
+    @settings(deadline=None, max_examples=200)
+    @given(_div_coeffs, _div_coeffs.filter(lambda b: b and b[-1]))
+    def test_exact_division(self, a, b):
+        q, r = _poly_div_frac(a, b)
+        assert Poly(q) * Poly(b) + Poly(r) == Poly(a)
+        assert len(r) < len(b) and (not r or r[-1] != 0)
 
 
 class TestPolyRoot:

@@ -270,6 +270,37 @@ class TestPrecToOde:
         s = Sequence(0, tuple(_factorials(30)))
         assert ode_residual(ode, s) is None
 
+    # sha256 of repr([(str(ode), ode.coeff_lists()), ...]) over the cases
+    # below, recorded before prec_to_ode moved to integer accumulators
+    PINNED_DIGEST = "65975435649097adc7db50436ffde3c4bb3cbc3325b7e633631743578d388702"
+
+    @staticmethod
+    def cases(b202062, ascent_rec):
+        fib = expand_rational(Poly([1]), Poly([1, -1, -1]), 30).to_sequence()
+        motzkin = expand_algebraic(AlgEq.from_grid([[1], [-1, 1], [0, 0, 1]]),
+                                   (1,), 30)
+        central = expand_algebraic(AlgEq.from_grid([[1], [], [-1, 4]]), (1,), 24)
+        factorials = Sequence(0, tuple(_factorials(14)))
+        rec = PRecurrence.from_lists
+        yield ascent_rec, b202062.head(24)
+        yield ascent_rec, b202062.head(5)
+        yield rec([[-1], [-1], [1]]), fib
+        yield rec([[-1], [-1], [1]]), Sequence(0, (0, 0, 0, 0))  # R(x) = 0
+        yield rec([[-2, -4], [2, 1]]), Sequence(0, CATALAN)
+        yield rec([[-3, -3], [-5, -2], [4, 1]]), motzkin
+        yield rec([[-2, -4], [1, 1]]), central
+        yield rec([[1, 1], [-1]]), factorials
+        yield rec([[-2], [1]]), Sequence(0, (1, 2, 4, 8))
+        yield rec([[-1], [1, 1]]), Sequence(0, (1,))  # exp(x): R(x) = 0
+        yield rec([[0, 1, 2], [-3, 0, 1], [5, -1]]), Sequence(0, (2, 7))
+
+    def test_outputs_pinned(self, b202062, ascent_rec):
+        outcomes = []
+        for rec, init in self.cases(b202062, ascent_rec):
+            ode = prec_to_ode(rec, init)
+            outcomes.append((str(ode), ode.coeff_lists()))
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        assert digest == self.PINNED_DIGEST
 
     @pytest.mark.parametrize("pos", [0, 1, 57, 300, 596, 597, 598, 599])
     def test_matches_fraction_oracle(self, ascent_ode, u2000, pos):
