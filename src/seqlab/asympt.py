@@ -511,30 +511,24 @@ def amplitude_fit(s, mu: Real, g, K: int, ctx: HpContext) -> AmplitudeFit:
 # exact root isolation
 # ---------------------------------------------------------------------------
 
-def _poly_div_frac(a: list[Fraction], b: list[Fraction]):
-    """Polynomial division over Q: returns (quotient, remainder)."""
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, bc in enumerate(b):
-            a[shift + i] -= f * bc
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
+def _poly_div_frac(a: list, b: list):
+    """Polynomial division over Q of ascending int or Fraction coefficient
+    lists, b with a nonzero top coefficient: returns (quotient, remainder)
+    with the remainder free of trailing zeros."""
+    rem = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        f = q[shift] = Fraction(rem[shift + len(b) - 1]) / b[-1]
+        for i, bc in enumerate(b[:-1]):
+            rem[shift + i] -= f * bc
+    rem = rem[: len(b) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return q, rem
 
 
-def _sturm_chain(p: list[int]) -> list[list[Fraction]]:
-    p0 = [Fraction(c) for c in p]
-    p1 = [Fraction(i * c) for i, c in enumerate(p)][1:]
-    chain = [p0, p1]
+def _sturm_chain(p: list[int]) -> list[list]:
+    chain = [list(p), [i * c for i, c in enumerate(p)][1:]]
     while chain[-1]:
         _, rem = _poly_div_frac(chain[-2], chain[-1])
         if not rem:
@@ -571,10 +565,9 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
     chain = _sturm_chain(ints)
     # square-free part = p / gcd(p, p'); the gcd is the last nonzero chain entry
     if len(chain[-1]) > 1:
-        sf, _ = _poly_div_frac([Fraction(c) for c in ints], chain[-1])
+        sf, _ = _poly_div_frac(ints, chain[-1])
         ints = primitive_int(sf)
         chain = _sturm_chain(ints)
-    sf_poly = chain[0]
 
     bound = Fraction(1) + max(abs(Fraction(c)) for c in ints[:-1]) / abs(ints[-1])
 
@@ -586,35 +579,30 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
     # shrink (lo, hi] until it brackets exactly the smallest positive root;
     # invariant: no root <= lo, at least one root in (lo, hi]
     lo, hi = Fraction(0), bound
-    exact = None
-    while True:
-        if count(lo, hi) == 1:
-            if int_horner(sf_poly, hi) == 0:
-                exact = hi
-                break
-            break
+    while count(lo, hi) > 1:
         mid = (lo + hi) / 2
         if count(lo, mid) >= 1:
             hi = mid
         else:
             lo = mid
-    if exact is None:
-        flo = int_horner(sf_poly, lo)
-        steps = int((digits + 6) * 3.33) + bound.numerator.bit_length()
-        width = Fraction(1, 10 ** (digits + 5))
-        for _ in range(steps):
-            if hi - lo < width:
-                break
-            mid = (lo + hi) / 2
-            fmid = int_horner(sf_poly, mid)
-            if fmid == 0:
-                lo = hi = mid
-                break
-            if (fmid > 0) == (flo > 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-    root = exact if exact is not None else (lo + hi) / 2
+    if int_horner(ints, hi) == 0:
+        lo = hi  # the bracket's end is the root itself
+    flo = int_horner(ints, lo)
+    steps = int((digits + 6) * 3.33) + bound.numerator.bit_length()
+    width = Fraction(1, 10 ** (digits + 5))
+    for _ in range(steps):
+        if hi - lo < width:
+            break
+        mid = (lo + hi) / 2
+        fmid = int_horner(ints, mid)
+        if fmid == 0:
+            lo = hi = mid
+            break
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    root = (lo + hi) / 2
     with mpmath.workdps(digits + 10):
         return mpmath.mpf(root.numerator) / root.denominator
 

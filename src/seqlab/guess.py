@@ -239,7 +239,7 @@ def _combine(basis: list[list[int]], weights: list[int]) -> list[int]:
         if w:
             for t in range(n):
                 out[t] += w * vec[t]
-    return primitive_int([Fraction(e) for e in out])
+    return primitive_int(out)
 
 
 def _bit_cost(polys: SeqABC[Poly]) -> int:
@@ -296,7 +296,7 @@ def prec_residual(rec: PRecurrence, terms: "Sequence") -> int:
     annihilates every checkable window.
     """
     r = rec.order
-    coeff_ints = [p.int_coeffs() for p in rec.coeffs]
+    coeff_ints = rec.coeff_lists()
     count = 0
     for w in range(len(terms) - r):
         n = terms.offset + w
@@ -402,33 +402,18 @@ def prec_to_ode(rec: PRecurrence, init: "Sequence") -> LinODE:
     s2 = _stirling2(d)
     # operator part: x^r * sum_j x^{-j} p_j(theta - j), collected as
     # sum_i Q_i(x) D^i with theta^t = sum_i S2(t, i) x^i D^i
-    q_acc: list[dict[int, Fraction]] = [dict() for _ in range(d + 1)]
+    q_acc = [[0] * (r + d + 1) for _ in range(d + 1)]
     for j, p in enumerate(rec.coeffs):
-        shifted = p.compose_linear(-j)
-        for t, a_t in enumerate(shifted.coeffs):
-            if not a_t:
-                continue
+        for t, a_t in enumerate(p.compose_linear(-j).int_coeffs()):
             for i in range(t + 1):
-                c = a_t * s2[t][i]
-                if c:
-                    e = r - j + i
-                    q_acc[i][e] = q_acc[i].get(e, Fraction(0)) + c
-    def build(acc: dict[int, Fraction]) -> Poly:
-        if not acc:
-            return Poly([])
-        top = max(acc)
-        return Poly([acc.get(e, Fraction(0)) for e in range(top + 1)])
-
-    q_ops = [build(acc) for acc in q_acc]
+                q_acc[i][r - j + i] += a_t * s2[t][i]
+    q_ops = [Poly(acc) for acc in q_acc]
     # constant part from initial terms: sum_j sum_{m<j} p_j(m-j) u(m) x^{r-j+m}
-    r_acc: dict[int, Fraction] = {}
-    for j, p in enumerate(rec.coeffs):
-        for m in range(min(j, len(init))):
-            c = p(Fraction(m - j)) * init.terms[m]
-            if c:
-                e = r - j + m
-                r_acc[e] = r_acc.get(e, Fraction(0)) + c
-    r_poly = build(r_acc)
+    r_acc = [0] * r
+    for j, cs in enumerate(rec.coeff_lists()):
+        for m in range(j):
+            r_acc[r - j + m] += int_horner(cs, m - j) * init.terms[m]
+    r_poly = Poly(r_acc)
     if r_poly.is_zero():
         return LinODE(tuple(q_ops))
     r_deriv = r_poly.derivative()

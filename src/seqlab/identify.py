@@ -17,7 +17,7 @@ from typing import Optional, Union
 import mpmath
 
 from .errors import PrecisionTooLow, RankDeficient
-from .series import Poly
+from .series import Poly, primitive_int
 
 Payload = Union[Fraction, tuple, Poly]
 
@@ -236,7 +236,7 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
                 coeffs = vec[: deg + 1]
                 if not any(coeffs[1:]):
                     continue
-                p = Poly(coeffs).primitive()
+                p = Poly(primitive_int(coeffs))
                 if p.coeffs[-1] < 0:
                     p = -p
                 norm = max(abs(int(c)) for c in p.coeffs)

@@ -31,7 +31,6 @@ from .asympt import (
     stretched_triple_fit,
     summarize_stretched,
 )
-from .errors import NonIntegral
 from .report import emit_csv
 from .sequences import Sequence
 from .series import Poly, TruncSeries
@@ -160,6 +159,4 @@ def branch_series(u: Sequence, order: int) -> Sequence:
         - TruncSeries.from_poly(BRANCH_SHIFT_NUM, order)
         * TruncSeries.from_poly(Poly([-1, 1]), order).inverse()
     )
-    if not w.is_integral():
-        raise NonIntegral("branch series is not integral")
-    return Sequence(0, tuple(int(c) for c in w.coeffs))
+    return Sequence(0, w.coeffs)

@@ -29,18 +29,33 @@ from .errors import (
     NotARoot,
 )
 from .guess import AlgEq, PRecurrence, prec_residual
-from .series import Poly, TruncSeries, alg_eval, int_horner
+from .series import (
+    Poly,
+    TruncSeries,
+    alg_eval,
+    div_one_minus_qm,
+    int_horner,
+    mul_one_minus_qm,
+)
 
 
 @dataclass(frozen=True)
 class Sequence:
-    """Exact integer terms for consecutive indices offset, offset+1, ..."""
+    """Exact integer terms for consecutive indices offset, offset+1, ...;
+    a term neither equal to an integer nor an integer string raises
+    NonIntegral."""
 
     offset: int
     terms: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(int(t) for t in self.terms))
+        given = tuple(self.terms)
+        ints = tuple(int(t) for t in given)
+        if ints != given:
+            for n, (t, i) in enumerate(zip(given, ints), self.offset):
+                if t != i and not isinstance(t, str):
+                    raise NonIntegral(f"non-integer term at index {n}")
+        object.__setattr__(self, "terms", ints)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -95,22 +110,6 @@ class Pattern:
 
 
 # ---------------------------------------------------------------------------
-# in-place binomial multiply/divide on int coefficient arrays
-# ---------------------------------------------------------------------------
-
-def _mul_one_minus_qm(a: list[int], m: int) -> None:
-    """a *= (1 - q^m), truncated to len(a)."""
-    for i in range(len(a) - 1, m - 1, -1):
-        a[i] -= a[i - m]
-
-
-def _div_one_minus_qm(a: list[int], m: int) -> None:
-    """a /= (1 - q^m), truncated to len(a) (stride-m prefix sums)."""
-    for i in range(m, len(a)):
-        a[i] += a[i - m]
-
-
-# ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
@@ -143,22 +142,15 @@ def gen_lconvex_area(n_terms: int) -> Sequence:
             f_k = [1, 2, -1] + [0] * (big_n - 3) if big_n >= 3 else [1, 2][:big_n]
             f_k += [0] * (big_n - len(f_k))
         else:
-            # f_k = 2 f_(k-1) - (1 - 2 q^k + q^(2k)) f_(k-2)
-            f_k = [2 * c for c in f_prev1]
-            for i in range(big_n):
-                c = f_prev2[i]
-                if c:
-                    f_k[i] -= c
-                    if i + k < big_n:
-                        f_k[i + k] += 2 * c
-                    if i + 2 * k < big_n:
-                        f_k[i + 2 * k] -= c
-        # bring num over the denominator for summand k, then add q^(k+1) f_k
-        if k == 0:
-            _mul_one_minus_qm(num, 1)  # D_0 = (1 - q); num is still zero here
-        else:
-            _mul_one_minus_qm(num, k)
-            _mul_one_minus_qm(num, k + 1)
+            # f_k = 2 f_(k-1) - (1 - q^k)^2 f_(k-2); f_(k-2) is not needed again
+            mul_one_minus_qm(f_prev2, k)
+            mul_one_minus_qm(f_prev2, k)
+            f_k = [2 * a - b for a, b in zip(f_prev1, f_prev2)]
+        # bring num over the denominator for summand k, then add q^(k+1) f_k;
+        # D_0 = 1 - q would multiply a numerator that is still zero
+        if k:
+            mul_one_minus_qm(num, k)
+            mul_one_minus_qm(num, k + 1)
         for i in range(big_n - k - 1):
             c = f_k[i]
             if c:
@@ -166,10 +158,10 @@ def gen_lconvex_area(n_terms: int) -> Sequence:
         f_prev2, f_prev1 = f_prev1, f_k
     # divide by D_(k_max) = prod_{j<=k_max} (1-q^j)^2 * (1-q^(k_max+1))
     for j in range(1, k_max + 1):
-        _div_one_minus_qm(num, j)
-        _div_one_minus_qm(num, j)
+        div_one_minus_qm(num, j)
+        div_one_minus_qm(num, j)
     if k_max + 1 >= 1:
-        _div_one_minus_qm(num, k_max + 1)
+        div_one_minus_qm(num, k_max + 1)
     num[0] += 1
     return Sequence(0, tuple(num))
 
@@ -185,16 +177,14 @@ def gen_stack_area(n_terms: int) -> Sequence:
     size = n_terms + 1
     num = [0] * size
     for n in range(1, n_terms + 1):
-        if n == 1:
-            _mul_one_minus_qm(num, 1)  # D_1 = (1 - q); num is still zero here
-        else:
-            _mul_one_minus_qm(num, n - 1)
-            _mul_one_minus_qm(num, n)
+        if n > 1:  # D_1 = 1 - q would multiply a numerator that is still zero
+            mul_one_minus_qm(num, n - 1)
+            mul_one_minus_qm(num, n)
         num[n] += 1
     for j in range(1, n_terms):
-        _div_one_minus_qm(num, j)
-        _div_one_minus_qm(num, j)
-    _div_one_minus_qm(num, n_terms)
+        div_one_minus_qm(num, j)
+        div_one_minus_qm(num, j)
+    div_one_minus_qm(num, n_terms)
     return Sequence(1, tuple(num[1:]))
 
 
@@ -206,9 +196,7 @@ class LaurentSeries:
     coeffs: tuple[Fraction, ...]
 
     def to_sequence(self) -> Sequence:
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise NonIntegral("expansion has non-integer coefficients")
-        return Sequence(self.offset, tuple(int(c) for c in self.coeffs))
+        return Sequence(self.offset, self.coeffs)
 
 
 def expand_rational(num: Poly, den: Poly, n_terms: int) -> LaurentSeries:
@@ -285,6 +273,8 @@ def enum_lconvex_bruteforce(n_max: int, budget: int = 5_000_000) -> Sequence:
     column 0 as the translation normal form, and then filtered by the
     one-turn path test.  Intended for small n_max (about 10).
     """
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
     counts = [0] * (n_max + 1)
     nodes = 0
 
@@ -316,6 +306,8 @@ def enum_stack_bruteforce(n_max: int, budget: int = 5_000_000) -> Sequence:
     Each composition is generated once: the rising phase is the maximal
     weakly rising prefix.
     """
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
     counts = [0] * (n_max + 1)
     nodes = 0
 
@@ -362,6 +354,8 @@ def enum_ascent_avoiding(
     p = pattern.letters
     if len(p) > 3:
         raise ValueError("patterns longer than 3 are not supported")
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
     counts = [0] * (n_max + 1)
     counts[0] = 1
     if n_max == 0:
@@ -479,14 +473,14 @@ def expand_prec(rec: PRecurrence, init: Sequence, n_terms: int) -> Sequence:
     r = rec.order
     if len(init) < r:
         raise InconsistentInit(f"need at least {r} initial terms, got {len(init)}")
-    if n_terms < len(init):
-        return init.head(n_terms)
-    ints = [p.int_coeffs() for p in rec.coeffs]
     good = prec_residual(rec, init)
     if good < len(init) - r:
         raise InconsistentInit(
             f"initial terms violate the recurrence at n={init.offset + good}"
         )
+    if n_terms < len(init):
+        return init.head(n_terms)
+    ints = rec.coeff_lists()
     terms = list(init.terms)
     while len(terms) < n_terms:
         n = init.offset + len(terms) - r
@@ -536,7 +530,4 @@ def expand_algebraic_series(eq: AlgEq, seed: Iterable, n_terms: int) -> TruncSer
 
 def expand_algebraic(eq: AlgEq, seed: Iterable, n_terms: int) -> Sequence:
     """Integer-sequence wrapper around expand_algebraic_series (offset 0)."""
-    y = expand_algebraic_series(eq, seed, n_terms)
-    if not y.is_integral():
-        raise NonIntegral("branch has non-integer coefficients")
-    return Sequence(0, tuple(int(c) for c in y.coeffs))
+    return Sequence(0, expand_algebraic_series(eq, seed, n_terms).coeffs)

@@ -50,7 +50,7 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        """Degree, with the convention deg 0 = -1."""
+        """Degree; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
@@ -93,10 +93,7 @@ class Poly:
 
     def __call__(self, x):
         """Evaluate by Horner's rule; works for Fraction, int, or mpf input."""
-        acc = 0 * x if self.coeffs else 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return int_horner(self.coeffs, x)
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -116,18 +113,6 @@ class Poly:
         if not self.is_integral():
             raise ValueError("polynomial has non-integer coefficients")
         return tuple(int(c) for c in self.coeffs)
-
-    def content(self) -> int:
-        """gcd of the integer coefficients (polynomial must be integral)."""
-        g = 0
-        for c in self.int_coeffs():
-            g = gcd(g, abs(c))
-        return g
-
-    def primitive(self) -> "Poly":
-        """Divide out the content; sign is left untouched."""
-        g = self.content()
-        return self if g in (0, 1) else Poly([c / g for c in self.coeffs])
 
     def format(self, var: str = "x") -> str:
         """Human-readable form, highest power first, e.g. '2*n^2 + 31*n + 120'."""
@@ -181,11 +166,24 @@ def alg_eval(grid: Seq[Seq[Scalar]], y: Seq[Scalar], order: int) -> list:
 
 
 def int_horner(coeffs: Iterable[Scalar], n: Scalar) -> Scalar:
-    """Evaluate ascending coefficients at n; any exact numbers (int, Fraction)."""
+    """Evaluate ascending coefficients at n by Horner's rule; the one
+    scalar Horner loop of this package, for int, Fraction or mpf n."""
     acc = 0
     for c in reversed(tuple(coeffs)):
         acc = acc * n + c
     return acc
+
+
+def mul_one_minus_qm(a: list, m: int) -> None:
+    """a *= (1 - q^m) in place, truncated to len(a)."""
+    for i in range(len(a) - 1, m - 1, -1):
+        a[i] -= a[i - m]
+
+
+def div_one_minus_qm(a: list, m: int) -> None:
+    """a /= (1 - q^m) in place, truncated to len(a) (stride-m prefix sums)."""
+    for i in range(m, len(a)):
+        a[i] += a[i - m]
 
 
 def primitive_int(vec: Seq[Scalar]) -> list[int]:
@@ -341,10 +339,6 @@ def q_pochhammer(n: int, order: int) -> TruncSeries:
         raise ValueError("q-Pochhammer needs n >= 0")
     out = [0] * order
     out[0] = 1
-    for k in range(1, n + 1):
-        if k >= order:
-            break
-        # multiply in place by (1 - q^k), highest coefficient first
-        for i in range(order - 1, k - 1, -1):
-            out[i] -= out[i - k]
+    for k in range(1, min(n, order - 1) + 1):
+        mul_one_minus_qm(out, k)
     return TruncSeries(out)

@@ -353,6 +353,9 @@ class TestErrorBoundaryAndEcho:
         (["--report", f"{B}/report.json", "gen", "stack", "--n", "3"], B),
         (["gen", "stack", "--n", "3"], None),
         (["--precision", "30", "analyze", "ratios", B], None),
+        (["gen", "ascent", "--pattern", "201", "--n", "-1"], "n_max >= 0"),
+        (["oracle", "lconvex", "--n", "-2"], "n_max >= 1"),
+        (["oracle", "stack", "--n", "-2"], "n_max >= 1"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -147,6 +147,14 @@ class TestExpandRational:
         lau = expand_rational(Poly([1]), Poly([2]), 3)
         with pytest.raises(NonIntegral):
             lau.to_sequence()
+        # 2y - 2 - x = 0 has the branch y = 1 + x/2
+        with pytest.raises(NonIntegral, match="index 1$"):
+            expand_algebraic(AlgEq.from_grid([[-2, -1], [2]]), (1,), 4)
+        with pytest.raises(NonIntegral, match="index 1$"):
+            Sequence(0, (1, Fraction(1, 2)))
+        with pytest.raises(NonIntegral, match="index 4$"):
+            Sequence(3, (1, 2.5))
+        assert Sequence(0, (1, "2", Fraction(6, 2))).terms == (1, 2, 3)
 
 
 class TestExpandPRec:
@@ -165,6 +173,9 @@ class TestExpandPRec:
         # six supplied terms; the sixth violates the recurrence
         with pytest.raises(InconsistentInit, match=r"at n=4$"):
             expand_prec(rec, Sequence(0, (1, 2, 4, 8, 16, 33)), 10)
+        # also when fewer terms than supplied are asked for
+        with pytest.raises(InconsistentInit, match=r"at n=4$"):
+            expand_prec(rec, Sequence(0, (1, 2, 4, 8, 16, 33)), 3)
         # the message names the first violating index, counted from the offset
         with pytest.raises(InconsistentInit, match=r"at n=5$"):
             expand_prec(rec, Sequence(3, (1, 2, 4, 9, 18, 36)), 10)

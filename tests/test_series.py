@@ -56,12 +56,6 @@ class TestPoly:
     def test_compose_linear(self, p, b, x):
         assert p.compose_linear(b)(x) == p(x + b)
 
-    def test_content_primitive(self):
-        p = Poly([6, -9, 12])
-        assert p.content() == 3
-        assert p.primitive() == Poly([2, -3, 4])
-        assert Poly([]).primitive().is_zero()
-
     def test_int_coeffs(self):
         assert Poly([1, Fraction(2), 3]).int_coeffs() == (1, 2, 3)
         assert Poly([Fraction(1, 2)]).is_integral() is False
