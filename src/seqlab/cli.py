@@ -500,6 +500,8 @@ def extrapolate_bst_cmd(state, source, w, square):
     w_frac = _fraction(w)
     s = _hpseq(state, source.seq)
     res = pipeline.square_bst(s, w_frac) if square else bst_extrapolate(s, w_frac)
+    if res.spread >= abs(res.value):
+        click.echo("note: spread >= |limit|, so the terms do not fix the limit", err=True)
     return dict(
         parameters={"source": source.label, "precision": state.precision,
                     "w": str(w_frac), "square": square, "depth": res.depth},

@@ -7,8 +7,9 @@ Given the first terms of an integer sequence, search for
   (``guess_algeq``),
 
 by exact integer nullspace computation (fraction-free Gaussian
-elimination).  Both run one shape search; only the equations that each
-shape contributes differ.  Fitting never touches the last `margin`
+elimination) on the shapes that are rank deficient modulo a 61-bit prime.
+Both run one shape search; only the equations that each shape
+contributes differ.  Fitting never touches the last `margin`
 equations: candidates must also annihilate that held-out block (there is
 none when margin is 0), and finally every supplied term, before they are
 returned.  ``prec_to_ode`` converts a recurrence into a homogeneous
@@ -158,41 +159,40 @@ class LinODE(_PolyModel):
 _RANK_PRIME = (1 << 61) - 1
 
 
-def _rank_mod(rows: list[list[int]], ncols: int, p: int = _RANK_PRIME) -> int:
-    work = [[e % p for e in row] for row in rows]
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        inv = pow(prow[c], p - 2, p)
-        for i in range(rank + 1, len(work)):
-            f = work[i][c]
+class _ModSpan:
+    """The span, modulo a prime p, of the columns added so far.
+
+    Each independent column is reduced by the earlier ones, so it vanishes
+    at their pivot rows, and scaled to 1 at its own pivot; ``len(basis)``
+    is the rank mod p of every column in `seen`.
+    """
+
+    def __init__(self, p: int):
+        self.p, self.basis, self.seen = p, [], set()
+
+    def add(self, key, col: SeqABC[int]) -> None:
+        p = self.p
+        self.seen.add(key)
+        v = [e % p for e in col]
+        for piv, b in self.basis:
+            f = v[piv]
             if f:
-                f = f * inv % p
-                row = work[i]
-                for j in range(c, ncols):
-                    row[j] = (row[j] - f * prow[j]) % p
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        piv = next((i for i, e in enumerate(v) if e), None)
+        if piv is not None:
+            inv = pow(v[piv], -1, p)
+            self.basis.append((piv, [e * inv % p for e in v]))
 
 
 def integer_nullspace(rows: SeqABC[SeqABC[int]], ncols: int) -> list[list[int]]:
     """Primitive integer basis of the right nullspace of an integer matrix.
 
     Exact: fraction-free (Bareiss) elimination, then rational back
-    substitution per free column.  A modular rank check short-circuits the
-    common full-column-rank case.
+    substitution per free column.
     """
     m = [list(r) for r in rows if any(r)]
     if not m:  # every vector: the identity basis
         return [[int(i == c) for i in range(ncols)] for c in range(ncols)]
-    if len(m) >= ncols and _rank_mod(m, ncols) == ncols:
-        return []
     nrows = len(m)
     piv_cols: list[int] = []
     rank = 0
@@ -249,21 +249,40 @@ def _bit_cost(polys: SeqABC[Poly]) -> int:
 def _search(shapes, system, model, accept, too_few: str):
     """The one shape search behind both guessers.
 
-    ``system(*shape)`` gives ``(width, rows, n_fit)``, or None when the
-    shape is not attempted.  Rows past `n_fit` are held out of the exact
-    fit; each nullspace combination that annihilates them is split into
-    polynomials of `width` coefficients and becomes ``model(polys)``
-    (skipped on ValueError), then must pass ``accept``.  The first shape
-    with survivors returns the smallest one.
+    ``system(*shape)`` gives ``(family, width, n_fit, cols, column)``, or
+    None when the shape is not attempted: `cols` keys the unknowns in row
+    order and ``column(key)`` builds one column of the equations.  Rows
+    past `n_fit` are held out of the exact fit; each nullspace combination
+    that annihilates them is split into polynomials of `width`
+    coefficients and becomes ``model(polys)`` (skipped on ValueError), then
+    must pass ``accept``.  The first shape with survivors returns the
+    smallest one.
+
+    The shapes of a family share their rows, and each holds the columns of
+    the family's earlier shapes, so one span mod _RANK_PRIME per family
+    reduces each column once.  A shape whose rank mod p equals its column
+    count is skipped before its rows are built.  Rank mod p is at most the
+    exact rank, so the skip fires only when the exact fit has full column
+    rank and no solution: a true shape is never dropped.  A false modular
+    positive (p divides a minor) costs the exact solve of that shape, and
+    of its family's later shapes, and nothing else.
     """
     attempted = False
+    spans: dict = {}
     for shape in shapes:
         built = system(*shape)
         if built is None:
             continue
         attempted = True
-        width, rows, n_fit = built
-        k = len(rows[0])
+        family, width, n_fit, cols, column = built
+        span = spans.setdefault(family, _ModSpan(_RANK_PRIME))
+        for key in cols:
+            if key not in span.seen:
+                span.add(key, column(key)[:n_fit])
+        if len(span.basis) == len(cols):
+            continue
+        rows = list(zip(*map(column, cols)))
+        k = len(cols)
         basis = integer_nullspace(rows[:n_fit], k)
         if not basis:
             continue
@@ -339,17 +358,13 @@ def guess_prec(
         n_win = big_l - r
         if n_win < max((r + 1) * (d + 1) - 1, margin + 1):
             return None
-        rows = []
-        for w in range(n_win):
-            n = terms.offset + w
-            row = []
-            for j in range(r + 1):
-                e = seq_terms[w + j]
-                for _t in range(d + 1):
-                    row.append(e)
-                    e *= n
-            rows.append(row)
-        return d + 1, rows, n_win - margin
+
+        def column(key):  # u(n + j) * n^t on the windows n = offset + w
+            j, t = key
+            return [seq_terms[w + j] * (terms.offset + w) ** t for w in range(n_win)]
+
+        cols = [(j, t) for j in range(r + 1) for t in range(d + 1)]
+        return r, d + 1, n_win - margin, cols, column
 
     shapes = sorted(
         ((r, d) for r in range(1, rmax + 1) for d in range(0, dmax + 1)),
@@ -499,16 +514,12 @@ def guess_algeq(
     def system(dx: int, dy: int):
         if big_l < (dx + 1) * (dy + 1) - 1 + margin:
             return None
-        rows = []
-        for m in range(big_l):
-            row = []
-            for j in range(dy + 1):
-                pj = powers[j]
-                row.extend(
-                    pj[m - i] if i <= m else 0 for i in range(dx + 1)
-                )
-            rows.append(row)
-        return dx + 1, rows, big_l - margin
+        cols = [(j, i) for j in range(dy + 1) for i in range(dx + 1)]
+        return dy, dx + 1, big_l - margin, cols, column
+
+    def column(key):  # x^i y^j: powers[j] shifted up by i
+        j, i = key
+        return ([0] * i + powers[j])[:big_l]
 
     shapes = sorted(
         ((dx, dy) for dx in range(0, dxmax + 1) for dy in range(1, dymax + 1)),

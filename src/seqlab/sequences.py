@@ -207,7 +207,7 @@ def expand_rational(num: Poly, den: Poly, n_terms: int) -> LaurentSeries:
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
-        return LaurentSeries(0, (Fraction(0),) * n_terms)
+        return LaurentSeries(0, TruncSeries.from_poly(num, n_terms).coeffs)
     v_num = next(i for i, c in enumerate(num.coeffs) if c)
     v_den = next(i for i, c in enumerate(den.coeffs) if c)
     num_s = TruncSeries.from_poly(Poly(num.coeffs[v_num:]), n_terms)

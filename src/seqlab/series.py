@@ -337,6 +337,8 @@ def q_pochhammer(n: int, order: int) -> TruncSeries:
     """(q;q)_n = prod_{k=1..n} (1 - q^k), truncated to `order` coefficients."""
     if n < 0:
         raise ValueError("q-Pochhammer needs n >= 0")
+    if order < 1:
+        raise ValueError("q-Pochhammer needs order >= 1")
     out = [0] * order
     out[0] = 1
     for k in range(1, min(n, order - 1) + 1):

@@ -206,6 +206,19 @@ class TestExtrapolateAndFit:
             assert "limit: 7.0" in res.stdout
             rep = read_report()
             assert rep["scalars"]["limit"]["spread"] == "0.0"
+            assert "note:" not in res.stderr
+
+    def test_bst_notes_spread_beyond_limit(self, runner):
+        """Growing terms have no limit: the spread exceeds |limit| and a
+        note on stderr says so; stdout keeps its one line."""
+        with runner.isolated_filesystem():
+            Path("l.txt").write_text(seqlab.render_bfile(seqlab.gen_lconvex_area(121)))
+            res = invoke(runner, ["--precision", "40", "extrapolate", "bst",
+                                  "l.txt", "--square"])
+            assert res.stdout.startswith("limit: -203315.9")
+            assert res.stdout.count("\n") == 1 and "spread: 3.9495e+7" in res.stdout
+            assert res.stderr.count("\n") == 2
+            assert "note: spread >= |limit|" in res.stderr
 
     def test_fit_amplitude_planted(self, runner):
         with runner.isolated_filesystem():
@@ -356,6 +369,8 @@ class TestErrorBoundaryAndEcho:
         (["gen", "ascent", "--pattern", "201", "--n", "-1"], "n_max >= 0"),
         (["oracle", "lconvex", "--n", "-2"], "n_max >= 1"),
         (["oracle", "stack", "--n", "-2"], "n_max >= 1"),
+        (["expand", "rational", "--num", "0", "--den", "1", "--n", "-2"],
+         "order >= 1"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -26,6 +26,7 @@ from seqlab import (
     prec_residual,
     prec_to_ode,
 )
+from seqlab import guess
 from seqlab.errors import InsufficientTerms
 from seqlab.pipeline import branch_series
 from conftest import ASCENT_INIT, ASCENT_REC_LISTS, CATALAN
@@ -100,6 +101,51 @@ class TestIntegerNullspace:
             rank += 1
             col += 1
         assert len(integer_nullspace(rows, 3)) == 3 - rank
+
+
+class TestModSpan:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=-6, max_value=6), min_size=5,
+                     max_size=5),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_nested_columns_track_exact_rank(self, rows):
+        """Adding the columns one at a time keeps the rank of every prefix;
+        the minors here are far below the prime, so rank mod p is exact."""
+        span = guess._ModSpan(guess._RANK_PRIME)
+        for c in range(5):
+            span.add(c, [r[c] for r in rows])
+            prefix = [r[: c + 1] for r in rows]
+            assert len(span.basis) == c + 1 - len(integer_nullspace(prefix, c + 1))
+
+    def test_false_modular_positive_costs_one_exact_solve(self, monkeypatch):
+        """[[3, 0], [0, 1]] has full rank, but mod 3 its first column
+        vanishes: the shape is not skipped, and the exact solve rejects
+        it.  With the real prime no row is built."""
+        columns = {0: [3, 0], 1: [0, 1]}
+        built = []
+
+        def system(_):
+            return "family", 1, 2, [0, 1], lambda key: built.append(key) or columns[key]
+
+        def model(polys):
+            raise AssertionError("a full-rank shape has no candidate")
+
+        def search():
+            built.clear()
+            return guess._search([(0,)], system, model, None, "too few")
+
+        assert search() is None and built == [0, 1]
+        monkeypatch.setattr(guess, "_RANK_PRIME", 3)
+        assert search() is None and built == [0, 1, 0, 1]
+        span = guess._ModSpan(3)
+        for key, col in columns.items():
+            span.add(key, col)
+        assert len(span.basis) == 1
 
 
 class TestPRecurrenceNormalForm:

@@ -166,3 +166,8 @@ class TestQPochhammer:
     def test_negative_n(self):
         with pytest.raises(ValueError):
             q_pochhammer(-1, 4)
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_order_below_one(self, order):
+        with pytest.raises(ValueError, match="order >= 1"):
+            q_pochhammer(2, order)
