@@ -279,14 +279,16 @@ def oracle_ascent_cmd(state, pattern, n_max, budget):
 
 @main.group()
 def guess():
-    """Exact recurrence / algebraic-equation guessing with held-out checks."""
+    """Exact recurrence / algebraic-equation guessing: one exact nullspace
+    over all equations per shape; --margin sets the attempt threshold."""
 
 
 @guess.command("rec")
 @click.argument("source")
 @click.option("--rmax", default=8, show_default=True, help="Largest recurrence order.")
 @click.option("--dmax", default=4, show_default=True, help="Largest coefficient degree.")
-@click.option("--margin", default=4, show_default=True, help="Held-out terms.")
+@click.option("--margin", default=4, show_default=True,
+              help="Attempt threshold on the equations of a shape.")
 @run
 def guess_rec_cmd(state, source, rmax, dmax, margin):
     """Guess a linear recurrence with polynomial coefficients."""
@@ -307,7 +309,8 @@ def guess_rec_cmd(state, source, rmax, dmax, margin):
 @click.argument("source")
 @click.option("--dxmax", default=12, show_default=True, help="Largest x-degree.")
 @click.option("--dymax", default=3, show_default=True, help="Largest y-degree.")
-@click.option("--margin", default=4, show_default=True, help="Held-out terms.")
+@click.option("--margin", default=4, show_default=True,
+              help="Attempt threshold on the equations of a shape.")
 @run
 def guess_algeq_cmd(state, source, dxmax, dymax, margin):
     """Guess a polynomial equation P(x, y(x)) = 0 for the series y."""
@@ -334,7 +337,8 @@ def expand():
 @click.option("--n", "n_terms", type=int, required=True, help="Terms to produce.")
 @click.option("--rmax", default=8, show_default=True)
 @click.option("--dmax", default=4, show_default=True)
-@click.option("--margin", default=4, show_default=True)
+@click.option("--margin", default=4, show_default=True,
+              help="Attempt threshold on the equations of a shape.")
 @run
 def expand_rec_cmd(state, source, n_terms, rmax, dmax, margin):
     """Guess a recurrence from SOURCE, then extend it to --n terms."""
@@ -353,7 +357,8 @@ def expand_rec_cmd(state, source, n_terms, rmax, dmax, margin):
 @click.option("--n", "n_terms", type=int, required=True, help="Terms to produce.")
 @click.option("--dxmax", default=12, show_default=True)
 @click.option("--dymax", default=3, show_default=True)
-@click.option("--margin", default=4, show_default=True)
+@click.option("--margin", default=4, show_default=True,
+              help="Attempt threshold on the equations of a shape.")
 @run
 def expand_algeq_cmd(state, source, n_terms, dxmax, dymax, margin):
     """Guess an algebraic equation from SOURCE, then expand its branch."""

@@ -9,10 +9,10 @@ Given the first terms of an integer sequence, search for
 by exact integer nullspace computation (fraction-free Gaussian
 elimination) on the shapes that are rank deficient modulo a 61-bit prime.
 Both run one shape search; only the equations that each shape
-contributes differ.  Fitting never touches the last `margin`
-equations: candidates must also annihilate that held-out block (there is
-none when margin is 0), and finally every supplied term, before they are
-returned.  ``prec_to_ode`` converts a recurrence into a homogeneous
+contributes differ.  Each attempted shape is solved once, exactly, over
+all of its equations, so every returned model annihilates every supplied
+term; `margin` only sets the attempt threshold on a shape's number of
+equations.  ``prec_to_ode`` converts a recurrence into a homogeneous
 linear ODE for the generating function; the ``*_residual`` functions
 re-check any structure against longer expansions.
 """
@@ -232,40 +232,28 @@ def integer_nullspace(rows: SeqABC[SeqABC[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
-def _combine(basis: list[list[int]], weights: list[int]) -> list[int]:
-    n = len(basis[0])
-    out = [0] * n
-    for w, vec in zip(weights, basis):
-        if w:
-            for t in range(n):
-                out[t] += w * vec[t]
-    return primitive_int(out)
-
-
 def _bit_cost(polys: SeqABC[Poly]) -> int:
     return sum(abs(int(c)).bit_length() for p in polys for c in p.coeffs)
 
 
-def _search(shapes, system, model, accept, too_few: str):
+def _search(shapes, system, model, too_few: str):
     """The one shape search behind both guessers.
 
-    ``system(*shape)`` gives ``(family, width, n_fit, cols, column)``, or
-    None when the shape is not attempted: `cols` keys the unknowns in row
-    order and ``column(key)`` builds one column of the equations.  Rows
-    past `n_fit` are held out of the exact fit; each nullspace combination
-    that annihilates them is split into polynomials of `width`
-    coefficients and becomes ``model(polys)`` (skipped on ValueError), then
-    must pass ``accept``.  The first shape with survivors returns the
-    smallest one.
+    ``system(*shape)`` gives ``(family, width, cols, column)``, or None
+    when the shape is not attempted: `cols` keys the unknowns in row order
+    and ``column(key)`` builds one column of the equations.  Each vector of
+    the exact nullspace of all the rows is split into polynomials of
+    `width` coefficients and becomes ``model(polys)`` (skipped on
+    ValueError).  The first shape with candidates returns the smallest one.
 
     The shapes of a family share their rows, and each holds the columns of
     the family's earlier shapes, so one span mod _RANK_PRIME per family
     reduces each column once.  A shape whose rank mod p equals its column
     count is skipped before its rows are built.  Rank mod p is at most the
-    exact rank, so the skip fires only when the exact fit has full column
-    rank and no solution: a true shape is never dropped.  A false modular
-    positive (p divides a minor) costs the exact solve of that shape, and
-    of its family's later shapes, and nothing else.
+    exact rank, so the skip fires only when the exact system has full
+    column rank and no solution: a true shape is never dropped.  A false
+    modular positive (p divides a minor) costs the exact solve of that
+    shape, and of its family's later shapes, and nothing else.
     """
     attempted = False
     spans: dict = {}
@@ -274,29 +262,21 @@ def _search(shapes, system, model, accept, too_few: str):
         if built is None:
             continue
         attempted = True
-        family, width, n_fit, cols, column = built
+        family, width, cols, column = built
         span = spans.setdefault(family, _ModSpan(_RANK_PRIME))
         for key in cols:
             if key not in span.seen:
-                span.add(key, column(key)[:n_fit])
+                span.add(key, column(key))
         if len(span.basis) == len(cols):
             continue
-        rows = list(zip(*map(column, cols)))
         k = len(cols)
-        basis = integer_nullspace(rows[:n_fit], k)
-        if not basis:
-            continue
-        held = [[sum(h[t] * v[t] for t in range(k)) for v in basis]
-                for h in rows[n_fit:]]
         found = []
-        for weights in integer_nullspace(held, len(basis)):
-            vec = _combine(basis, weights)
+        for vec in integer_nullspace(list(zip(*map(column, cols))), k):
             try:
-                cand = model(tuple(Poly(vec[i : i + width]) for i in range(0, k, width)))
+                found.append(model(tuple(Poly(vec[i : i + width])
+                                         for i in range(0, k, width))))
             except ValueError:
                 continue
-            if accept(cand):
-                found.append(cand)
         if found:
             return min(found, key=lambda m: _bit_cost(m.coeffs))
     if not attempted:
@@ -328,8 +308,17 @@ def prec_residual(rec: PRecurrence, terms: "Sequence") -> int:
     return count
 
 
-def _full_windows(rec: PRecurrence, terms: "Sequence") -> bool:
-    return prec_residual(rec, terms) == max(len(terms) - rec.order, 0)
+def check_init(rec: PRecurrence, init: "Sequence") -> None:
+    """Raise InconsistentInit unless `init` covers the recurrence order and
+    satisfies the recurrence on every window it covers."""
+    r = rec.order
+    if len(init) < r:
+        raise InconsistentInit(f"need at least {r} initial terms, got {len(init)}")
+    good = prec_residual(rec, init)
+    if good < len(init) - r:
+        raise InconsistentInit(
+            f"initial terms violate the recurrence at n={init.offset + good}"
+        )
 
 
 def guess_prec(
@@ -341,12 +330,11 @@ def guess_prec(
     """Search for a recurrence sum_j p_j(n) u(n+j) = 0 annihilating `terms`.
 
     Shapes (order r, coefficient degree d) are visited in increasing r + d,
-    then increasing r.  For each shape, the window equations that avoid the
-    last `margin` terms are solved exactly; surviving coefficient vectors
-    must then annihilate the `margin` held-out windows (none when margin is
-    0) and finally every window.  Among several survivors the smallest
-    total coefficient size wins.  A shape is attempted only when its
-    windows outnumber both the unknowns less one and `margin`.
+    then increasing r.  Each attempted shape is solved once, exactly, over
+    all of its windows, so a returned recurrence annihilates every window;
+    among several candidates the smallest total coefficient size wins.
+    `margin` sets the attempt threshold: a shape with k unknowns is
+    attempted only when it has at least k - 1 windows and more than `margin`.
 
     Returns None when the whole grid fails; raises InsufficientTerms when
     no shape in the grid had enough terms to be attempted at all.
@@ -364,14 +352,14 @@ def guess_prec(
             return [seq_terms[w + j] * (terms.offset + w) ** t for w in range(n_win)]
 
         cols = [(j, t) for j in range(r + 1) for t in range(d + 1)]
-        return r, d + 1, n_win - margin, cols, column
+        return r, d + 1, cols, column
 
     shapes = sorted(
         ((r, d) for r in range(1, rmax + 1) for d in range(0, dmax + 1)),
         key=lambda rd: (rd[0] + rd[1], rd[0]),
     )
     return _search(
-        shapes, system, PRecurrence, lambda rec: _full_windows(rec, terms),
+        shapes, system, PRecurrence,
         f"{big_l} terms are too few for every recurrence shape with "
         f"order <= {rmax}, degree <= {dmax}, margin {margin}",
     )
@@ -406,13 +394,8 @@ def prec_to_ode(rec: PRecurrence, init: "Sequence") -> LinODE:
     """
     if init.offset != 0:
         raise ValueError("generating-function conversion needs an offset-0 sequence")
+    check_init(rec, init)
     r = rec.order
-    if len(init) < r:
-        raise InconsistentInit(
-            f"need at least {r} initial terms, got {len(init)}"
-        )
-    if not _full_windows(rec, init):
-        raise InconsistentInit("initial terms violate the recurrence")
     d = rec.degree
     s2 = _stirling2(d)
     # operator part: x^r * sum_j x^{-j} p_j(theta - j), collected as
@@ -494,11 +477,11 @@ def guess_algeq(
 
     Degree shapes (dx, dy) are visited in increasing dx + dy, then
     increasing dy, so the returned equation is minimal in that ordering.
-    A shape is attempted only when the coefficient equations overdetermine
-    the unknowns by at least `margin`; the last `margin` equations are held
-    out of the fit and must be satisfied as well, then the candidate is
-    re-verified against every supplied term.  The search is that of
-    ``guess_prec``; only the equations differ.
+    Each attempted shape is solved once, exactly, over the coefficients of
+    x^0 .. x^(L-1) of P(x, y) for L supplied terms, so a returned equation
+    satisfies every supplied term.  `margin` sets the attempt threshold: a
+    shape with k unknowns is attempted only when L >= k - 1 + margin.  The
+    search is that of ``guess_prec``; only the equations differ.
 
     Returns None when the grid fails; raises InsufficientTerms when no
     shape could be attempted.
@@ -515,7 +498,7 @@ def guess_algeq(
         if big_l < (dx + 1) * (dy + 1) - 1 + margin:
             return None
         cols = [(j, i) for j in range(dy + 1) for i in range(dx + 1)]
-        return dy, dx + 1, big_l - margin, cols, column
+        return dy, dx + 1, cols, column
 
     def column(key):  # x^i y^j: powers[j] shifted up by i
         j, i = key
@@ -526,7 +509,7 @@ def guess_algeq(
         key=lambda dd: (dd[0] + dd[1], dd[1]),
     )
     return _search(
-        shapes, system, AlgEq, lambda eq: algeq_residual(eq, terms) is None,
+        shapes, system, AlgEq,
         f"{big_l} terms are too few for every equation shape with "
         f"x-degree <= {dxmax}, y-degree <= {dymax}, margin {margin}",
     )

@@ -23,12 +23,11 @@ from typing import Iterable, Union
 from .errors import (
     BranchAmbiguous,
     BudgetExceeded,
-    InconsistentInit,
     LeadingCoeffVanishes,
     NonIntegral,
     NotARoot,
 )
-from .guess import AlgEq, PRecurrence, prec_residual
+from .guess import AlgEq, PRecurrence, check_init
 from .series import (
     Poly,
     TruncSeries,
@@ -463,21 +462,18 @@ def enum_ascent_avoiding(
 # ---------------------------------------------------------------------------
 
 def expand_prec(rec: PRecurrence, init: Sequence, n_terms: int) -> Sequence:
-    """Extend `init` to n_terms terms using the recurrence.
+    """Exactly n_terms terms of the sequence that `init` starts, extended
+    by the recurrence (ValueError when n_terms < 1).
 
     All supplied init terms must already satisfy the recurrence on every
-    window they cover (InconsistentInit otherwise).  Raises
-    LeadingCoeffVanishes(n) if the leading polynomial vanishes at a needed
-    index and NonIntegral if an exact integer step fails.
+    window they cover (``guess.check_init``: InconsistentInit otherwise).
+    Raises LeadingCoeffVanishes(n) if the leading polynomial vanishes at a
+    needed index and NonIntegral if an exact integer step fails.
     """
+    if n_terms < 1:
+        raise ValueError("need n_terms >= 1")
+    check_init(rec, init)
     r = rec.order
-    if len(init) < r:
-        raise InconsistentInit(f"need at least {r} initial terms, got {len(init)}")
-    good = prec_residual(rec, init)
-    if good < len(init) - r:
-        raise InconsistentInit(
-            f"initial terms violate the recurrence at n={init.offset + good}"
-        )
     if n_terms < len(init):
         return init.head(n_terms)
     ints = rec.coeff_lists()
@@ -505,8 +501,12 @@ def expand_algebraic_series(eq: AlgEq, seed: Iterable, n_terms: int) -> TruncSer
     otherwise), and dP/dy evaluated on the seed must be a unit, i.e. have a
     nonzero constant term (BranchAmbiguous otherwise: the seed sits on a
     multiple root and does not determine the branch).  Each Newton step
-    doubles the number of correct coefficients.
+    doubles the number of correct coefficients.  The result has order
+    exactly n_terms, also below the seed's length (ValueError when
+    n_terms < 1).
     """
+    if n_terms < 1:
+        raise ValueError("need n_terms >= 1")
     seed_coeffs = [Fraction(c) for c in seed]
     if not seed_coeffs:
         raise NotARoot("empty seed")
@@ -525,7 +525,7 @@ def expand_algebraic_series(eq: AlgEq, seed: Iterable, n_terms: int) -> TruncSer
         y = y - num * den.inverse()
     if any(alg_eval(grid, y.coeffs, y.order)):
         raise NotARoot("Newton lifting failed to converge")  # pragma: no cover
-    return y
+    return y.truncate(n_terms)
 
 
 def expand_algebraic(eq: AlgEq, seed: Iterable, n_terms: int) -> Sequence:

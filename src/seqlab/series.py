@@ -1,8 +1,7 @@
 """Exact arithmetic substrate: rationals, dense polynomials, truncated power series.
 
 Rational scalars are `fractions.Fraction` (arbitrary precision, always in lowest
-terms with positive denominator), re-exported here as `BigRat`.  On top of that
-sit two immutable value types:
+terms with positive denominator).  On top of that sit two immutable value types:
 
 * `Poly` -- dense univariate polynomial, coefficients ascending, no trailing
   zeros (the zero polynomial is the empty coefficient tuple).
@@ -20,8 +19,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence as Seq, Union
 
 from .errors import ZeroConstantTerm
-
-BigRat = Fraction
 
 Scalar = Union[int, Fraction]
 

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import seqlab
 from seqlab.cli import main
 from seqlab.report import text_digest
-from conftest import DATA_DIR
+from conftest import CATALAN, DATA_DIR
 from test_scripts import load_script
 
 
@@ -31,6 +31,9 @@ def invoke(runner, args, **kw):
 
 def read_report(path="report.json"):
     return json.loads(Path(path).read_text())
+
+
+CATALAN_14 = "".join(f"{n} {c}\n" for n, c in enumerate(CATALAN[:14]))
 
 
 class TestGen:
@@ -124,6 +127,18 @@ class TestGuessAndExpand:
             res = invoke(runner, ["expand", "algeq", "cat.txt", "--n", "15",
                                   "--dxmax", "2", "--dymax", "2"])
             assert res.stdout.splitlines()[-1] == "14 2674440"
+
+    def test_expand_stops_at_n_below_the_input(self, runner):
+        with runner.isolated_filesystem():
+            Path("cat.txt").write_text(CATALAN_14)
+            res = invoke(runner, ["expand", "algeq", "cat.txt", "--n", "3",
+                                  "--dxmax", "2", "--dymax", "2"])
+            assert res.stdout.splitlines() == ["0 1", "1 1", "2 2"]
+            assert read_report()["sequences"]["extended"]["values"] == ["1", "1", "2"]
+            res = invoke(runner, ["expand", "rec", str(DATA_DIR / "b202062.txt"),
+                                  "--n", "3"])
+            assert res.stdout.splitlines() == (DATA_DIR / "b202062.txt").read_text(
+            ).splitlines()[:3]
 
     def test_guess_rec_no_match(self, runner):
         with runner.isolated_filesystem():
@@ -371,12 +386,17 @@ class TestErrorBoundaryAndEcho:
         (["oracle", "stack", "--n", "-2"], "n_max >= 1"),
         (["expand", "rational", "--num", "0", "--den", "1", "--n", "-2"],
          "order >= 1"),
+        (["expand", "rec", B, "--n", "-1"], "n_terms >= 1"),
+        (["expand", "rec", B, "--n", "0"], "n_terms >= 1"),
+        (["expand", "algeq", "catalan.txt", "--n", "-2", "--dxmax", "2",
+          "--dymax", "2"], "n_terms >= 1"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys, "argv", ["pytest", "-q", "elsewhere"])
         Path(self.B).write_text((DATA_DIR / self.B).read_text())
         Path("bad.txt").write_text("0 1\n1 x\n")
+        Path("catalan.txt").write_text(CATALAN_14)
         Path("cache").mkdir()
         res = CliRunner().invoke(main, args)
         if error is None:

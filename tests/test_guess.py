@@ -27,7 +27,7 @@ from seqlab import (
     prec_to_ode,
 )
 from seqlab import guess
-from seqlab.errors import InsufficientTerms
+from seqlab.errors import InconsistentInit, InsufficientTerms
 from seqlab.pipeline import branch_series
 from conftest import ASCENT_INIT, ASCENT_REC_LISTS, CATALAN
 
@@ -130,14 +130,14 @@ class TestModSpan:
         built = []
 
         def system(_):
-            return "family", 1, 2, [0, 1], lambda key: built.append(key) or columns[key]
+            return "family", 1, [0, 1], lambda key: built.append(key) or columns[key]
 
         def model(polys):
             raise AssertionError("a full-rank shape has no candidate")
 
         def search():
             built.clear()
-            return guess._search([(0,)], system, model, None, "too few")
+            return guess._search([(0,)], system, model, "too few")
 
         assert search() is None and built == [0, 1]
         monkeypatch.setattr(guess, "_RANK_PRIME", 3)
@@ -245,8 +245,8 @@ class TestGuessPRec:
             guess_prec(Sequence(0, (1, 2, 3)), rmax=5, dmax=4)
 
     def test_margin_guards_against_overfitting(self):
-        # 14 terms offer enough unknowns for spurious high-order fits;
-        # held-out windows must reject them in favor of None.
+        # every attempted shape is solved over all of its windows, and 14
+        # terms overdetermine each one, so random terms fit no shape.
         rng = random.Random(7)
         s = Sequence(0, tuple(rng.randrange(1, 10 ** 6) for _ in range(14)))
         assert guess_prec(s, rmax=3, dmax=1) is None
@@ -307,6 +307,16 @@ class TestPrecToOde:
         terms[300] += 1
         r = ode_residual(ascent_ode, Sequence(0, terms))
         assert isinstance(r, int)
+
+    def test_init_shorter_than_order(self):
+        rec = PRecurrence.from_lists([[1], [0, 1], [1, 1]])
+        with pytest.raises(InconsistentInit, match="need at least 2 initial terms, got 1"):
+            prec_to_ode(rec, Sequence(0, (1,)))
+
+    def test_init_violates_recurrence(self):
+        rec = PRecurrence.from_lists([[-2], [1]])
+        with pytest.raises(InconsistentInit, match=r"at n=4$"):
+            prec_to_ode(rec, Sequence(0, (1, 2, 4, 8, 16, 33)))
 
     def test_factorial_ode(self):
         # f = sum n! x^n satisfies x^2 f' + (x - 1) f + 1 = 0; the
@@ -430,6 +440,58 @@ class TestGuessAlgEq:
     def test_insufficient(self):
         with pytest.raises(InsufficientTerms):
             guess_algeq(Sequence(0, (1, 1)), dxmax=5, dymax=3)
+
+
+class TestModelsFitEveryTerm:
+    """Each shape is solved once over all of its equations, so at every
+    margin a returned recurrence annihilates every supplied window and a
+    returned equation every supplied coefficient.  Inputs are seeded noise,
+    planted models, and planted models with one term corrupted."""
+
+    KINDS = st.sampled_from(("noise", "planted", "corrupted"))
+
+    @staticmethod
+    def terms(rng, kind, plant):
+        size = rng.randint(6, 20)
+        if kind == "noise":
+            return Sequence(0, tuple(rng.randrange(1, 10 ** 4) for _ in range(size)))
+        terms = list(plant(size))
+        if kind == "corrupted":
+            terms[rng.randrange(size)] += rng.randint(1, 5)
+        return Sequence(0, tuple(terms))
+
+    @staticmethod
+    def guessed(guesser, seq, **grid):
+        try:
+            return guesser(seq, **grid)
+        except InsufficientTerms:
+            return None
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2 ** 32 - 1), KINDS, st.integers(0, 4))
+    def test_recurrences(self, seed, kind, margin):
+        rng = random.Random(seed)
+        order, deg = rng.randint(1, 2), rng.randint(0, 1)
+        # a monic top coefficient keeps every planted term an integer
+        rec = PRecurrence.from_lists(
+            [[rng.randint(-3, 3) for _ in range(deg + 1)] for _ in range(order)] + [[1]])
+        init = Sequence(0, tuple(rng.randint(1, 5) for _ in range(order)))
+        seq = self.terms(rng, kind, lambda n: expand_prec(rec, init, n).terms)
+        model = self.guessed(guess_prec, seq, rmax=3, dmax=2, margin=margin)
+        assert model is None or prec_residual(model, seq) == len(seq) - model.order
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2 ** 32 - 1), KINDS, st.integers(0, 4))
+    def test_equations(self, seed, kind, margin):
+        rng = random.Random(seed)
+        # y = 1 + x (a + b y + c y^2) + d x^2: dP/dy is 1 at x = 0, so the
+        # planted branch through 1 has integer terms
+        a, b, d = (rng.randint(-2, 2) for _ in range(3))
+        c = rng.choice((-2, -1, 1, 2))
+        eq = AlgEq.from_grid([[-1, -a, -d], [1, -b], [0, -c]])
+        seq = self.terms(rng, kind, lambda n: expand_algebraic(eq, (1,), n).terms)
+        model = self.guessed(guess_algeq, seq, dxmax=3, dymax=2, margin=margin)
+        assert model is None or algeq_residual(model, seq) is None
 
 
 class TestGuessersPinned:

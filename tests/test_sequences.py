@@ -203,6 +203,15 @@ class TestExpandPRec:
         s = expand_prec(rec, Sequence(0, (1, 2, 4)), 6)
         assert s.terms == (1, 2, 4, 8, 16, 32)
 
+    def test_exactly_n_terms(self):
+        rec = PRecurrence.from_lists([[-2], [1]])
+        init = Sequence(0, tuple(2 ** n for n in range(8)))
+        for n in (1, 3, 8, 11):
+            assert expand_prec(rec, init, n).terms == tuple(2 ** k for k in range(n))
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n_terms >= 1"):
+                expand_prec(rec, init, n)
+
 
 class TestExpandAlgebraic:
     def test_catalan_from_cubic_relation(self):
@@ -237,6 +246,15 @@ class TestExpandAlgebraic:
         minus = seqlab.expand_algebraic_series(eq, (-1,), 6)
         assert plus.coeffs[0] == 1 and minus.coeffs[0] == -1
         assert plus.coeffs == tuple(-c for c in minus.coeffs)
+
+    def test_exactly_n_terms(self):
+        # the seed is checked in full, but never longer than n_terms
+        eq = AlgEq.from_grid([[1], [-1], [0, 1]])
+        for n in (1, 3, 14, 20):
+            assert expand_algebraic(eq, CATALAN[:14], n).terms == CATALAN[:n]
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="n_terms >= 1"):
+                expand_algebraic(eq, CATALAN[:14], n)
 
 
 @settings(deadline=None, max_examples=25)
