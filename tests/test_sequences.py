@@ -1,5 +1,6 @@
 """Generators vs brute-force oracles, and exact series-driven expanders."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,10 @@ class TestPattern:
             Pattern(())
 
 
+def _digest(s: Sequence) -> str:
+    return hashlib.sha256(",".join(map(str, s.terms)).encode()).hexdigest()
+
+
 class TestGenerators:
     def test_lconvex_area_head(self):
         assert gen_lconvex_area(8).terms == (1, 1, 2, 6, 15, 35, 76, 156)
@@ -69,6 +74,48 @@ class TestGenerators:
         s = gen_stack_area(8)
         assert s.offset == 1
         assert s.terms == (1, 2, 4, 8, 15, 27, 47, 79)
+
+    @pytest.mark.parametrize(
+        "gen, n, terms",
+        [
+            (gen_lconvex_area, 1, (1,)),
+            (gen_lconvex_area, 2, (1, 1)),
+            (gen_lconvex_area, 3, (1, 1, 2)),
+            (gen_lconvex_area, 4, (1, 1, 2, 6)),
+            (gen_lconvex_area, 10, (1, 1, 2, 6, 15, 35, 76, 156, 310, 590)),
+            (gen_stack_area, 1, (1,)),
+            (gen_stack_area, 2, (1, 2)),
+            (gen_stack_area, 3, (1, 2, 4)),
+            (gen_stack_area, 4, (1, 2, 4, 8)),
+            (gen_stack_area, 10, (1, 2, 4, 8, 15, 27, 47, 79, 130, 209)),
+        ],
+    )
+    def test_small_sizes_pinned(self, gen, n, terms):
+        assert gen(n).terms == terms
+
+    def test_size_57_pinned(self):
+        assert _digest(gen_lconvex_area(57)) == (
+            "0df8644f9c57414108161cbba0ad548be7a2cb281ced780bcec60d17df76eb48"
+        )
+        assert _digest(gen_stack_area(57)) == (
+            "d80fcddf11ba71b5aa1af7da15036e320eeaa56af823151a4113f37433012066"
+        )
+
+    def test_long_runs_pinned(self, lconvex_2000, stack_2000):
+        assert len(lconvex_2000) == 2001 and len(stack_2000) == 2000
+        assert _digest(lconvex_2000) == (
+            "6d8583acaf686edbdc27ef73e82132e143b15b772342995d076f85424fc96d3a"
+        )
+        assert _digest(stack_2000) == (
+            "c1550e5a9a14132d1fa396cb5906bf139436251a4c56ad1cf4468b4b5d113dd9"
+        )
+
+    @pytest.mark.parametrize("gen", [gen_lconvex_area, gen_stack_area])
+    def test_every_size_is_a_prefix(self, gen):
+        # each summand is truncated to its own length, so a longer run must
+        # extend, not change, a shorter one
+        full = gen(60).terms
+        assert all(gen(n).terms == full[:n] for n in range(1, 60))
 
     def test_perimeter_head(self):
         s = gen_lconvex_perimeter(6)
