@@ -215,49 +215,42 @@ def stretched_lambda(s: HpSeq, beta: Fraction = Fraction(1, 2)) -> HpSeq:
 def stretched_triple_fit(lam: HpSeq) -> tuple[HpSeq, HpSeq, HpSeq]:
     """Fit lambda_n = e1 + e2 log(n)/(pi sqrt n) + e3/(pi sqrt n) on triples.
 
-    Each consecutive index triple (k-1, k, k+1) yields one exact 3x3 solve;
-    the three returned estimator sequences (offset shifted by one) estimate
-    the stretched-exponential parameters a, -delta and -log c.
+    Each consecutive index triple (k-1, k, k+1) is solved exactly.  The
+    constant column drops out of the two first differences of its rows,
+    leaving a 2x2 solve for e2, e3 (singular exactly when the 3x3 system
+    is) and e1 from the middle row.  The three returned estimator sequences
+    (offset shifted by one) estimate the stretched-exponential parameters
+    a, -delta and -log c.
     """
     if len(lam) < 3:
         raise InsufficientTerms("triple fit needs at least 3 values")
     if lam.offset < 1:
         raise ValueError("triple fit needs indices >= 1")
     with lam.ctx.work():
-        def basis(n: int):
+        rows = []  # (B(n), C(n), lambda_n) with B = log(n) C, C = 1/(pi sqrt n)
+        for n, y in zip(lam.indices(), lam.values):
             root = mpmath.pi * mpmath.sqrt(n)
-            return (mpmath.mpf(1), mpmath.log(n) / root, 1 / root)
+            rows.append((mpmath.log(n) / root, 1 / root, lam.ctx.mpf(y)))
 
-        rows = [basis(n) for n in lam.indices()]
+        def diff(k):  # row k + 1 minus row k
+            (b, c, y), (b_next, c_next, y_next) = rows[k], rows[k + 1]
+            return b_next - b, c_next - c, y_next - y
+
         e1, e2, e3 = [], [], []
-        for k in range(1, len(lam) - 1):
-            (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = rows[k - 1 : k + 2]
-            y1, y2, y3 = lam.values[k - 1 : k + 2]
-            det = (
-                a1 * (b2 * c3 - b3 * c2)
-                - b1 * (a2 * c3 - a3 * c2)
-                + c1 * (a2 * b3 - a3 * b2)
-            )
+        d1 = diff(0)
+        for k in range(1, len(rows) - 1):
+            d2 = diff(k)
+            (b1, c1, y1), (b2, c2, y2) = d1, d2
+            det = b1 * c2 - b2 * c1
             if det == 0:
                 raise SingularSystem(f"degenerate triple at index {lam.offset + k}")
-            d1 = (
-                y1 * (b2 * c3 - b3 * c2)
-                - b1 * (y2 * c3 - y3 * c2)
-                + c1 * (y2 * b3 - y3 * b2)
-            )
-            d2 = (
-                a1 * (y2 * c3 - y3 * c2)
-                - y1 * (a2 * c3 - a3 * c2)
-                + c1 * (a2 * y3 - a3 * y2)
-            )
-            d3 = (
-                a1 * (b2 * y3 - b3 * y2)
-                - b1 * (a2 * y3 - a3 * y2)
-                + y1 * (a2 * b3 - a3 * b2)
-            )
-            e1.append(d1 / det)
-            e2.append(d2 / det)
-            e3.append(d3 / det)
+            f2 = (y1 * c2 - y2 * c1) / det
+            f3 = (b1 * y2 - b2 * y1) / det
+            bk, ck, yk = rows[k]
+            e1.append(yk - f2 * bk - f3 * ck)
+            e2.append(f2)
+            e3.append(f3)
+            d1 = d2
     off = lam.offset + 1
     return (
         HpSeq(off, tuple(e1), lam.ctx),

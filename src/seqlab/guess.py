@@ -339,6 +339,8 @@ def guess_prec(
     Returns None when the whole grid fails; raises InsufficientTerms when
     no shape in the grid had enough terms to be attempted at all.
     """
+    if margin < 0:
+        raise ValueError("need margin >= 0")
     seq_terms = terms.terms
     big_l = len(seq_terms)
 
@@ -486,6 +488,8 @@ def guess_algeq(
     Returns None when the grid fails; raises InsufficientTerms when no
     shape could be attempted.
     """
+    if margin < 0:
+        raise ValueError("need margin >= 0")
     if terms.offset != 0:
         raise ValueError("generating-function guessing needs an offset-0 sequence")
     u = [int(t) for t in terms.terms]

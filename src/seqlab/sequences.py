@@ -9,9 +9,9 @@ Three families are built in:
 
 Each family has a fast exact generator working from a functional equation or
 recurrence, plus an independent brute-force enumerator used as an oracle.
-The generators work on plain Python int arrays; all series identities are
-evaluated with one running numerator over a common denominator product, so
-the cost stays at O(N^2) coefficient operations.
+The generators work on plain Python int arrays; each q-series summand is
+carried over its own denominator, truncated to the coefficients it can still
+change, so the cost stays at O(N^2) coefficient operations.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .series import (
     alg_eval,
     div_one_minus_qm,
     int_horner,
-    mul_one_minus_qm,
 )
 
 
@@ -124,67 +123,56 @@ def gen_lconvex_area(n_terms: int) -> Sequence:
     f_k = 2 f_(k-1) - (1-q^k)^2 f_(k-2).  The k-th summand starts at q^(k+1),
     so summands with k+1 >= n_terms cannot change any kept coefficient.
 
-    The sum is accumulated as a single numerator over the deepest common
-    denominator, which is divided out once at the end.
+    Each summand h_k = f_k / D_k is carried directly: the denominators obey
+    D_k = D_(k-1) (1-q^k) (1-q^(k+1)), so with u_k = h_k / (1-q^(k+1))
+
+        h_k = (2 u_(k-1) - u_(k-2)) / (1-q^(k+1)),
+
+    two stride-(k+1) division passes per k, each only as long as the
+    coefficients of q^(k+1) h_k below q^n_terms.
     """
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
     big_n = n_terms
-    num = [0] * big_n
-    f_prev2: list[int] = []
-    f_prev1: list[int] = []
-    k_max = big_n - 2
-    for k in range(0, k_max + 1):
-        if k == 0:
-            f_k = [1] + [0] * (big_n - 1)
-        elif k == 1:
-            f_k = [1, 2, -1] + [0] * (big_n - 3) if big_n >= 3 else [1, 2][:big_n]
-            f_k += [0] * (big_n - len(f_k))
-        else:
-            # f_k = 2 f_(k-1) - (1 - q^k)^2 f_(k-2); f_(k-2) is not needed again
-            mul_one_minus_qm(f_prev2, k)
-            mul_one_minus_qm(f_prev2, k)
-            f_k = [2 * a - b for a, b in zip(f_prev1, f_prev2)]
-        # bring num over the denominator for summand k, then add q^(k+1) f_k;
-        # D_0 = 1 - q would multiply a numerator that is still zero
+    out = [1] + [0] * (big_n - 1)
+    # h_k is kept to length big_n - k - 1, u_k to big_n - k - 2 (its uses)
+    h = [1] * (big_n - 1)  # h_0 = 1/(1-q)
+    u_prev2: list[int] = []
+    u_prev1 = list(range(1, big_n - 1))  # u_0 = 1/(1-q)^2
+    for k in range(big_n - 1):
+        if k == 1:  # h_1 = (1 + 2q - q^2) / ((1-q)^2 (1-q^2))
+            h = ([1, 2, -1] + [0] * big_n)[: big_n - 2]
+            div_one_minus_qm(h, 1)
+            div_one_minus_qm(h, 1)
+            div_one_minus_qm(h, 2)
+        elif k > 1:
+            h = [2 * a - b for a, b in zip(u_prev1, u_prev2)]
+            div_one_minus_qm(h, k + 1)
         if k:
-            mul_one_minus_qm(num, k)
-            mul_one_minus_qm(num, k + 1)
-        for i in range(big_n - k - 1):
-            c = f_k[i]
-            if c:
-                num[i + k + 1] += c
-        f_prev2, f_prev1 = f_prev1, f_k
-    # divide by D_(k_max) = prod_{j<=k_max} (1-q^j)^2 * (1-q^(k_max+1))
-    for j in range(1, k_max + 1):
-        div_one_minus_qm(num, j)
-        div_one_minus_qm(num, j)
-    if k_max + 1 >= 1:
-        div_one_minus_qm(num, k_max + 1)
-    num[0] += 1
-    return Sequence(0, tuple(num))
+            u = h[: big_n - k - 2]
+            div_one_minus_qm(u, k + 1)
+            u_prev2, u_prev1 = u_prev1, u
+        out[k + 1 :] = [a + b for a, b in zip(out[k + 1 :], h)]
+    return Sequence(0, tuple(out))
 
 
 def gen_stack_area(n_terms: int) -> Sequence:
     """Stack polyominoes (unimodal bargraphs) by area: 1, 2, 4, 8, 15, ... (offset 1).
 
-    S(q) = sum_{n>=1} q^n / ( (q;q)_(n-1) (q;q)_n ), accumulated the same way
-    as the L-convex sum: one numerator over the deepest denominator.
+    S(q) = sum_{n>=1} q^n h_n with h_n = 1 / ( (q;q)_(n-1) (q;q)_n ).  Each
+    summand is carried directly, h_(n+1) = h_n / ((1-q^n) (1-q^(n+1))),
+    truncated to the n_terms - n coefficients that q^(n+1) h_(n+1) keeps.
     """
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
-    size = n_terms + 1
-    num = [0] * size
+    out = [0] * n_terms  # out[j - 1] is the coefficient of q^j
+    h = [1] * n_terms  # h_1 = 1/(1-q)
     for n in range(1, n_terms + 1):
-        if n > 1:  # D_1 = 1 - q would multiply a numerator that is still zero
-            mul_one_minus_qm(num, n - 1)
-            mul_one_minus_qm(num, n)
-        num[n] += 1
-    for j in range(1, n_terms):
-        div_one_minus_qm(num, j)
-        div_one_minus_qm(num, j)
-    div_one_minus_qm(num, n_terms)
-    return Sequence(1, tuple(num[1:]))
+        out[n - 1 :] = [a + b for a, b in zip(out[n - 1 :], h)]
+        h = h[: n_terms - n]
+        div_one_minus_qm(h, n)
+        div_one_minus_qm(h, n + 1)
+    return Sequence(1, tuple(out))
 
 
 @dataclass(frozen=True)

@@ -171,12 +171,6 @@ def int_horner(coeffs: Iterable[Scalar], n: Scalar) -> Scalar:
     return acc
 
 
-def mul_one_minus_qm(a: list, m: int) -> None:
-    """a *= (1 - q^m) in place, truncated to len(a)."""
-    for i in range(len(a) - 1, m - 1, -1):
-        a[i] -= a[i - m]
-
-
 def div_one_minus_qm(a: list, m: int) -> None:
     """a /= (1 - q^m) in place, truncated to len(a) (stride-m prefix sums)."""
     for i in range(m, len(a)):
@@ -339,5 +333,7 @@ def q_pochhammer(n: int, order: int) -> TruncSeries:
     out = [0] * order
     out[0] = 1
     for k in range(1, min(n, order - 1) + 1):
-        mul_one_minus_qm(out, k)
+        # out *= (1 - q^k), from the top down so each read is still unmultiplied
+        for i in range(order - 1, k - 1, -1):
+            out[i] -= out[i - k]
     return TruncSeries(out)

@@ -17,6 +17,7 @@ from seqlab import (
     amplitude_fit,
     bst_extrapolate,
     elim_power,
+    gen_lconvex_area,
     hp_eval_builtin,
     loglog_gradient,
     poly_smallest_positive_root,
@@ -35,6 +36,7 @@ from seqlab.errors import (
     InsufficientTerms,
     NonPositiveValue,
     NoPositiveRoot,
+    SingularSystem,
     TableauBlowup,
 )
 
@@ -214,6 +216,45 @@ class TestStretchedFit:
     def test_triple_fit_needs_three(self):
         with pytest.raises(InsufficientTerms):
             stretched_triple_fit(frac_seq(1, [1, 2]))
+
+    def test_triple_fit_singular(self):
+        # at two digits the rows of a far-out triple round to dependent ones
+        lam = HpSeq(10**6, (1, 2, 3), HpContext(2, 0))
+        with pytest.raises(SingularSystem, match="index 1000001"):
+            stretched_triple_fit(lam)
+
+    @staticmethod
+    def basis_lambda(a, b, c, n_max, ctx):
+        # lambda_n = a + b log(n)/(pi sqrt n) + c/(pi sqrt n), rounded once
+        with ctx.work():
+            vals = []
+            for n in range(1, n_max + 1):
+                root = mpmath.pi * mpmath.sqrt(n)
+                vals.append(ctx.mpf(a) + (ctx.mpf(b) * mpmath.log(n) + ctx.mpf(c)) / root)
+        return HpSeq(1, tuple(vals), ctx)
+
+    @staticmethod
+    def lconvex_lambda(ctx):
+        return stretched_lambda(
+            HpSeq.from_sequence(gen_lconvex_area(401), ctx).slice_from(1)
+        )
+
+    @pytest.mark.parametrize("source", ["planted", "lconvex"])
+    def test_triple_fit_keeps_requested_digits(self, source):
+        digits = 60
+        if source == "planted":
+            abc = Fraction(13, 7), Fraction(-3, 2), Fraction(-29, 9)
+            lam_lo = self.basis_lambda(*abc, 400, HpContext(digits))
+            lam_hi = self.basis_lambda(*abc, 400, HpContext(digits + 100))
+        else:
+            lam_lo = self.lconvex_lambda(HpContext(digits))
+            lam_hi = self.lconvex_lambda(HpContext(digits + 100))
+        lo, hi = stretched_triple_fit(lam_lo), stretched_triple_fit(lam_hi)
+        with mpmath.workdps(digits + 100):
+            for est_lo, est_hi in zip(lo, hi):
+                assert len(est_lo) == len(est_hi) == 398
+                for x, y in zip(est_lo.values, est_hi.values):
+                    assert abs(x - y) <= abs(y) * mpmath.mpf(10) ** -digits
 
 
 class TestPowerLaw:

@@ -390,6 +390,9 @@ class TestErrorBoundaryAndEcho:
         (["expand", "rec", B, "--n", "0"], "n_terms >= 1"),
         (["expand", "algeq", "catalan.txt", "--n", "-2", "--dxmax", "2",
           "--dymax", "2"], "n_terms >= 1"),
+        (["guess", "algeq", B, "--margin", "-30", "--dxmax", "3",
+          "--dymax", "2"], "margin >= 0"),
+        (["guess", "rec", B, "--margin", "-1"], "margin >= 0"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

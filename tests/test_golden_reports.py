@@ -109,8 +109,8 @@ ASCENT_ARGS = ["--terms", "600", "--digits", "60", "--corrections", "6",
 LCONVEX_DIGEST = "ee83fbc1697c0413487b45a5f6c4d4fc11e906fb7cf1c36252707216de87fc5a"
 ASCENT_DIGEST = "85154ccd5d97991f2eaaedc8c8419c08d749c8588d67341a9e6e6ed4c9d6790e"
 LCONVEX_CSV_SHA256 = {
-    "e1": "143219c65b2d44424c1ad394110b1a3947a6f6cf3f3d6e55e60d76311e165120",
-    "e2": "c51c982d088656aaf51ed6a4bffcb3c2c29278dc308d1cdfbfe31204b69a2a76",
+    "e1": "f7744bf1fa43bf7b2c73a5637ca6c97c98c5140fb588a858b5e923b3c8ab6d1e",
+    "e2": "10314e5b7866dd7aabfd9636b188fc77c3340686a34d52ced23e71e3c7f87c5f",
     "g2_n": "5aafc1437d1c4c26988776aedd45cc2ab75b922e82b879f9a7c7b7e382487402",
     "g_n": "b2c97899e030e13a22925883bb69ad8fa32936b0e975f9760cca20c065ffa297",
     "intercepts": "07f3f0585836e4fe6e801ca95dc17e0e4256b6221157db9a44e0af6771db1a54",
