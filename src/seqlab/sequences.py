@@ -123,7 +123,7 @@ def gen_lconvex_area(n_terms: int) -> Sequence:
     f_k = 2 f_(k-1) - (1-q^k)^2 f_(k-2).  The k-th summand starts at q^(k+1),
     so summands with k+1 >= n_terms cannot change any kept coefficient.
 
-    Each summand h_k = f_k / D_k is carried directly: the denominators obey
+    Each summand h_k = f_k / D_k, D_k the bracket above, is carried directly:
     D_k = D_(k-1) (1-q^k) (1-q^(k+1)), so with u_k = h_k / (1-q^(k+1))
 
         h_k = (2 u_(k-1) - u_(k-2)) / (1-q^(k+1)),
@@ -137,7 +137,6 @@ def gen_lconvex_area(n_terms: int) -> Sequence:
     out = [1] + [0] * (big_n - 1)
     # h_k is kept to length big_n - k - 1, u_k to big_n - k - 2 (its uses)
     h = [1] * (big_n - 1)  # h_0 = 1/(1-q)
-    u_prev2: list[int] = []
     u_prev1 = list(range(1, big_n - 1))  # u_0 = 1/(1-q)^2
     for k in range(big_n - 1):
         if k == 1:  # h_1 = (1 + 2q - q^2) / ((1-q)^2 (1-q^2))

@@ -223,33 +223,22 @@ class TestStretchedFit:
         with pytest.raises(SingularSystem, match="index 1000001"):
             stretched_triple_fit(lam)
 
-    @staticmethod
-    def basis_lambda(a, b, c, n_max, ctx):
-        # lambda_n = a + b log(n)/(pi sqrt n) + c/(pi sqrt n), rounded once
-        with ctx.work():
-            vals = []
-            for n in range(1, n_max + 1):
-                root = mpmath.pi * mpmath.sqrt(n)
-                vals.append(ctx.mpf(a) + (ctx.mpf(b) * mpmath.log(n) + ctx.mpf(c)) / root)
-        return HpSeq(1, tuple(vals), ctx)
-
-    @staticmethod
-    def lconvex_lambda(ctx):
-        return stretched_lambda(
-            HpSeq.from_sequence(gen_lconvex_area(401), ctx).slice_from(1)
-        )
-
     @pytest.mark.parametrize("source", ["planted", "lconvex"])
     def test_triple_fit_keeps_requested_digits(self, source):
+        # every estimator agrees with the same fit at digits + 100 to the
+        # requested significant digits
         digits = 60
-        if source == "planted":
-            abc = Fraction(13, 7), Fraction(-3, 2), Fraction(-29, 9)
-            lam_lo = self.basis_lambda(*abc, 400, HpContext(digits))
-            lam_hi = self.basis_lambda(*abc, 400, HpContext(digits + 100))
-        else:
-            lam_lo = self.lconvex_lambda(HpContext(digits))
-            lam_hi = self.lconvex_lambda(HpContext(digits + 100))
-        lo, hi = stretched_triple_fit(lam_lo), stretched_triple_fit(lam_hi)
+        lconvex = gen_lconvex_area(401)
+
+        def fit(ctx):
+            if source == "planted":
+                abc = Fraction(13, 7), Fraction(-3, 2), Fraction(-29, 9)
+                s = self.plant(*abc, 400, ctx)
+            else:
+                s = HpSeq.from_sequence(lconvex, ctx).slice_from(1)
+            return stretched_triple_fit(stretched_lambda(s))
+
+        lo, hi = fit(HpContext(digits)), fit(HpContext(digits + 100))
         with mpmath.workdps(digits + 100):
             for est_lo, est_hi in zip(lo, hi):
                 assert len(est_lo) == len(est_hi) == 398

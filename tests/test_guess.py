@@ -244,10 +244,6 @@ class TestGuessPRec:
         with pytest.raises(InsufficientTerms):
             guess_prec(Sequence(0, (1, 2, 3)), rmax=5, dmax=4)
 
-    def test_negative_margin(self):
-        with pytest.raises(ValueError, match="margin >= 0"):
-            guess_prec(Sequence(0, CATALAN), margin=-1)
-
     def test_margin_guards_against_overfitting(self):
         # every attempted shape is solved over all of its windows, and 14
         # terms overdetermine each one, so random terms fit no shape.
@@ -444,10 +440,6 @@ class TestGuessAlgEq:
     def test_insufficient(self):
         with pytest.raises(InsufficientTerms):
             guess_algeq(Sequence(0, (1, 1)), dxmax=5, dymax=3)
-
-    def test_negative_margin(self):
-        with pytest.raises(ValueError, match="margin >= 0"):
-            guess_algeq(Sequence(0, CATALAN), dxmax=3, dymax=2, margin=-30)
 
 
 class TestModelsFitEveryTerm:
