@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import hashlib
 import random
 
 import mpmath
@@ -459,6 +460,27 @@ class TestPolyRoot:
         for p in (Poly([1, 0, 1]), Poly([1, 1]), Poly([0, 1]), Poly([3])):
             with pytest.raises(NoPositiveRoot):
                 poly_smallest_positive_root(p)
+
+    # sha256 of repr([mpf tuple, ...]) over ROOT_GRID, recorded from the
+    # Fraction bisection before it moved to integer numerators
+    ROOT_DIGEST = "3c6eaed00cb946ffec1ee492a9ad35655ef8f09641075c064e37c9ddae232ae7"
+    ROOT_GRID = [(Poly([1, -8, 5, 1]), d) for d in (40, 110, 160, 210, 260)] + [
+        (Poly([-1, 2]), 50),  # 2x - 1, bound 3/2
+        (Poly([-1, 1]), 50),  # x - 1: the first midpoint is the root
+        (Poly([-1, 2]) * Poly([-3, 1]), 50),
+        (Poly([2, -3, 1]), 50),  # (x - 1)(x - 2): isolation ends on the root
+        (Poly([0, 0, -1, 1]), 50),  # x^2 (x - 1): origin stripped, exact midpoint
+        (Poly([-1, 1]) * Poly([-1, 1]) * Poly([-3, 1]), 50),  # square-free branch
+        (Poly([-2, 0, 3]), 60),  # 3x^2 - 2: bound 5/3
+    ]
+
+    def test_roots_pinned(self):
+        tuples = []
+        for p, digits in self.ROOT_GRID:
+            sign, man, exp, bc = poly_smallest_positive_root(p, digits=digits)._mpf_
+            tuples.append((sign, int(man), exp, bc))
+        digest = hashlib.sha256(repr(tuples).encode()).hexdigest()
+        assert digest == self.ROOT_DIGEST
 
     def test_random_polys_match_mpmath(self):
         import random
