@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Optional, Union
 
 import mpmath
@@ -543,9 +543,12 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
     """Smallest positive real root, isolated exactly then bisected to `digits`.
 
     Isolation uses a Sturm chain of the square-free part over exact
-    rationals, so no positive root can be missed; the returned value
-    satisfies |p(root)| < 10^(-digits+2).  Raises NoPositiveRoot when the
-    polynomial has no root in (0, inf).
+    rationals, so no positive root can be missed.  The bisection then runs
+    on integer numerators over a power-of-two multiple of the isolating
+    interval's denominator, taking the sign of p at each midpoint from a
+    homogeneous integer Horner sum.  The returned value satisfies
+    |p(root)| < 10^(-digits+2).  Raises NoPositiveRoot when the polynomial
+    has no root in (0, inf).
     """
     if p.is_zero() or p.degree < 1:
         raise NoPositiveRoot("polynomial has no positive real root")
@@ -580,22 +583,30 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
             lo = mid
     if int_horner(ints, hi) == 0:
         lo = hi  # the bracket's end is the root itself
-    flo = int_horner(ints, lo)
+    lo_pos = int_horner(ints, lo) > 0
+    # bisect on integer numerators: lo = a/den, hi = b/den, den doubling
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
     steps = int((digits + 6) * 3.33) + bound.numerator.bit_length()
-    width = Fraction(1, 10 ** (digits + 5))
+    scale = 10 ** (digits + 5)
     for _ in range(steps):
-        if hi - lo < width:
+        if (b - a) * scale < den:  # hi - lo < 10^-(digits+5)
             break
-        mid = (lo + hi) / 2
-        fmid = int_horner(ints, mid)
+        m, den = a + b, 2 * den
+        # den^deg p(m/den) = sum c_i m^i den^(deg-i) has the sign of p(m/den)
+        fmid, den_pow = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            den_pow *= den
+            fmid = fmid * m + c * den_pow
         if fmid == 0:
-            lo = hi = mid
+            a = b = m
             break
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+        if (fmid > 0) == lo_pos:
+            a, b = m, 2 * b
         else:
-            hi = mid
-    root = (lo + hi) / 2
+            a, b = 2 * a, m
+    root = Fraction(a + b, 2 * den)
     with mpmath.workdps(digits + 10):
         return mpmath.mpf(root.numerator) / root.denominator
 

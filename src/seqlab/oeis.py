@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -111,6 +109,11 @@ def default_cache_dir() -> Path:
 
 
 def _urllib_fetcher(url: str) -> str:
+    # imported here: urllib.request pulls in http.client, email and socket,
+    # which only a network fetch needs
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=30) as resp:
             return resp.read().decode("utf-8")

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import mpmath
+from mpmath.libmp import dps_to_prec, finf, fnan, fninf, mpf_pos, to_str
 
 
 @contextmanager
@@ -52,8 +53,13 @@ def decimal_str(value, digits: Optional[int] = None) -> str:
                 mpmath.mpf(value.numerator) / value.denominator,
                 digits or mpmath.mp.dps,
             )
-    with mpmath.workdps(max(mpmath.mp.dps, digits or 0) + 5):
-        return mpmath.nstr(mpmath.mpf(value), digits or mpmath.mp.dps)
+    dps = max(mpmath.mp.dps, digits or 0) + 5
+    if isinstance(value, mpmath.mpf):
+        # one round-to-nearest at dps, exactly what mpf(value) does under
+        # workdps(dps), without entering a precision context
+        return to_str(mpf_pos(value._mpf_, dps_to_prec(dps), "n"), digits or dps)
+    with mpmath.workdps(dps):
+        return mpmath.nstr(mpmath.mpf(value), digits or dps)
 
 
 def scalar_entry(value, digits: int, spread=None) -> dict:
@@ -167,13 +173,14 @@ def emit_csv(points: Iterable[tuple], header: tuple[str, str] = ("x", "y")) -> s
     """
     lines = [",".join(header)]
     for x, y in points:
-        xs, ys = decimal_str(x), decimal_str(y)
         if _finite(x) and _finite(y):
-            lines.append(f"{xs},{ys}")
+            lines.append(f"{decimal_str(x)},{decimal_str(y)}")
     return "\n".join(lines) + "\n"
 
 
 def _finite(v) -> bool:
     if isinstance(v, (int, Fraction)):
         return True
+    if isinstance(v, mpmath.mpf):
+        return v._mpf_ not in (finf, fninf, fnan)
     return bool(mpmath.isfinite(mpmath.mpf(v)))

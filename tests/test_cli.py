@@ -360,6 +360,21 @@ class TestReportDeterminism:
             assert text_digest(canonical) == doc["report_digest"]
 
 
+class TestImports:
+    def test_cli_import_leaves_out_urllib(self):
+        """urllib.request (with http.client, email and socket) is imported
+        only when a b-file is fetched from the network."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, seqlab.cli; print('urllib.request' in sys.modules)"],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 class TestErrorBoundaryAndEcho:
     """Every failure of a command ends as `Error: ...` with exit status 1,
     and the report echoes the arguments `main` received, not the host's

@@ -1,7 +1,10 @@
 """b-file parsing/rendering, cached fetching, and deterministic reports."""
 
 import json
+import random
 import sys
+import urllib.error
+import urllib.request
 from fractions import Fraction
 
 import mpmath
@@ -173,6 +176,22 @@ class TestFetchOeis:
         with pytest.raises(NetworkError):
             fetch_oeis("A999998", cache_dir=tmp_path, fetcher=double)
 
+    @pytest.mark.parametrize("error, expected", [
+        (urllib.error.HTTPError("u", 404, "Not Found", {}, None), SequenceNotFound),
+        (urllib.error.HTTPError("u", 503, "Unavailable", {}, None), NetworkError),
+        (urllib.error.URLError("no route to host"), NetworkError),
+        (TimeoutError("timed out"), NetworkError),
+    ])
+    def test_urllib_errors_map(self, tmp_path, monkeypatch, error, expected):
+        def urlopen(url, timeout):
+            assert url == bfile_url("A000042")
+            raise error
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        with pytest.raises(expected):
+            fetch_oeis("A000042", cache_dir=tmp_path)
+        assert not (tmp_path / "A000042.bfile").exists()
+
     def test_env_var_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEQLAB_CACHE_DIR", str(tmp_path))
         double = FetchDouble(payload=self.TEXT)
@@ -209,6 +228,26 @@ class TestDecimalStr:
             x = mpmath.mpf(1) / 7
         out = decimal_str(x, digits=20)
         assert out.startswith("0.142857142857142857")
+
+    @staticmethod
+    def via_workdps(value, digits):
+        """The rendering through a precision context and mpf(value)."""
+        with mpmath.workdps(max(mpmath.mp.dps, digits or 0) + 5):
+            return mpmath.nstr(mpmath.mpf(value), digits or mpmath.mp.dps)
+
+    def test_mpf_matches_workdps_rendering(self):
+        rng = random.Random(12)
+        with mpmath.workprec(800):
+            values = [mpmath.mpf(0), mpmath.mpf(1), -mpmath.mpf(1) / 3]
+            for _ in range(120):
+                # mantissas up to 700 bits: more than any precision below
+                man = rng.getrandbits(rng.randint(1, 700)) * rng.choice((1, -1))
+                values.append(mpmath.mpf((man, rng.randint(-900, 400))))
+        for dps in (15, 30, 60, 120):
+            with mpmath.workdps(dps):
+                for v in values:
+                    for digits in (None, 5, 25, 150):
+                        assert decimal_str(v, digits) == self.via_workdps(v, digits)
 
 
 class TestEntries:
@@ -271,7 +310,8 @@ class TestEmitCsv:
         assert emit_csv([], header=("n", "r_n")) == "n,r_n\n"
 
     def test_drops_non_finite(self):
-        rows = [(1, mpmath.inf), (2, mpmath.nan), (3, 9)]
+        rows = [(1, mpmath.inf), (2, mpmath.nan), (3, 9), (4, -mpmath.inf),
+                (mpmath.inf, 5), (-mpmath.inf, 6), (mpmath.nan, 7)]
         assert emit_csv(rows) == "x,y\n3,9\n"
 
     def test_mpf_values(self):
