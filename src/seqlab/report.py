@@ -54,12 +54,12 @@ def decimal_str(value, digits: Optional[int] = None) -> str:
                 digits or mpmath.mp.dps,
             )
     dps = max(mpmath.mp.dps, digits or 0) + 5
-    if isinstance(value, mpmath.mpf):
-        # one round-to-nearest at dps, exactly what mpf(value) does under
-        # workdps(dps), without entering a precision context
-        return to_str(mpf_pos(value._mpf_, dps_to_prec(dps), "n"), digits or dps)
-    with mpmath.workdps(dps):
-        return mpmath.nstr(mpmath.mpf(value), digits or dps)
+    if not isinstance(value, mpmath.mpf):
+        with mpmath.workdps(dps):
+            value = mpmath.mpf(value)
+    # one round-to-nearest at dps, as mpf(value) under workdps(dps) does,
+    # without entering a precision context for the common mpf case
+    return to_str(mpf_pos(value._mpf_, dps_to_prec(dps), "n"), digits or dps)
 
 
 def scalar_entry(value, digits: int, spread=None) -> dict:
@@ -181,6 +181,6 @@ def emit_csv(points: Iterable[tuple], header: tuple[str, str] = ("x", "y")) -> s
 def _finite(v) -> bool:
     if isinstance(v, (int, Fraction)):
         return True
-    if isinstance(v, mpmath.mpf):
-        return v._mpf_ not in (finf, fninf, fnan)
-    return bool(mpmath.isfinite(mpmath.mpf(v)))
+    if not isinstance(v, mpmath.mpf):
+        v = mpmath.mpf(v)
+    return v._mpf_ not in (finf, fninf, fnan)

@@ -235,7 +235,7 @@ class TestDecimalStr:
         with mpmath.workdps(max(mpmath.mp.dps, digits or 0) + 5):
             return mpmath.nstr(mpmath.mpf(value), digits or mpmath.mp.dps)
 
-    def test_mpf_matches_workdps_rendering(self):
+    def test_matches_workdps_rendering(self):
         rng = random.Random(12)
         with mpmath.workprec(800):
             values = [mpmath.mpf(0), mpmath.mpf(1), -mpmath.mpf(1) / 3]
@@ -243,6 +243,7 @@ class TestDecimalStr:
                 # mantissas up to 700 bits: more than any precision below
                 man = rng.getrandbits(rng.randint(1, 700)) * rng.choice((1, -1))
                 values.append(mpmath.mpf((man, rng.randint(-900, 400))))
+        values += [0.1, -2.5e-30, "3.14159265358979323846264338327950288419716939"]
         for dps in (15, 30, 60, 120):
             with mpmath.workdps(dps):
                 for v in values:
