@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +168,50 @@ class TestOracles:
     def test_ascent_budget(self):
         with pytest.raises(BudgetExceeded):
             enum_ascent_avoiding("201", 12, budget=100)
+
+    def test_ascent_avoiding_matches_definition(self):
+        # every ascent sequence of length <= 7, tested against each of the
+        # 17 normalised patterns of length <= 3 by checking every index
+        # subset for order-isomorphism (equal letters must be equal)
+        def ascent_sequences(n):
+            out = [()]
+            if n:
+                stack = [((0,), 0)]
+                while stack:
+                    seq, asc = stack.pop()
+                    out.append(seq)
+                    if len(seq) < n:
+                        for x in range(asc + 2):
+                            stack.append((seq + (x,), asc + (x > seq[-1])))
+            return out
+
+        def cmp(a, b):
+            return (a > b) - (a < b)
+
+        def contains(seq, p):
+            rel = [
+                (i, j, cmp(p[i], p[j]))
+                for i, j in combinations(range(len(p)), 2)
+            ]
+            return any(
+                all(cmp(sub[i], sub[j]) == r for i, j, r in rel)
+                for sub in combinations(seq, len(p))
+            )
+
+        n_max = 7
+        seqs = ascent_sequences(n_max)
+        patterns = {
+            Pattern(letters)
+            for k in (1, 2, 3)
+            for letters in product(range(k), repeat=k)
+        }
+        assert len(patterns) == 17
+        for pat in patterns:
+            want = [0] * (n_max + 1)
+            for seq in seqs:
+                if not contains(seq, pat.letters):
+                    want[len(seq)] += 1
+            assert enum_ascent_avoiding(pat, n_max).terms == tuple(want), str(pat)
 
 
 class TestExpandRational:
