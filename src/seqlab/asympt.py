@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd
 from typing import Callable, Optional, Union
 
 import mpmath
@@ -504,51 +504,62 @@ def amplitude_fit(s, mu: Real, g, K: int, ctx: HpContext) -> AmplitudeFit:
 # exact root isolation
 # ---------------------------------------------------------------------------
 
-def _poly_div_frac(a: list, b: list):
-    """Polynomial division over Q of ascending int or Fraction coefficient
-    lists, b with a nonzero top coefficient: returns (quotient, remainder)
-    with the remainder free of trailing zeros."""
+def _pdiv(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division of ascending integer coefficient lists, b with a
+    nonzero top coefficient: returns (q, r) with k a = q b + r for
+    k = |lc(b)|^steps > 0, r shorter than b and free of trailing zeros.
+    Since k > 0, r has the signs of the remainder over Q."""
+    lc = b[-1]
+    scale, sign = abs(lc), (lc > 0) - (lc < 0)
     rem = list(a)
     q = [0] * max(len(a) - len(b) + 1, 1)
     for shift in range(len(a) - len(b), -1, -1):
-        f = q[shift] = Fraction(rem[shift + len(b) - 1]) / b[-1]
-        for i, bc in enumerate(b[:-1]):
-            rem[shift + i] -= f * bc
+        t = sign * rem[shift + len(b) - 1]
+        q = [scale * c for c in q]
+        q[shift] = t
+        rem = [scale * c for c in rem]
+        for i, bc in enumerate(b):
+            rem[shift + i] -= t * bc
     rem = rem[: len(b) - 1]
     while rem and rem[-1] == 0:
         rem.pop()
     return q, rem
 
 
-def _sturm_chain(p: list[int]) -> list[list]:
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """Sturm chain of p over Z: each negated remainder is divided by its
+    positive content, so every entry is a positive multiple of the chain
+    over Q and the sign changes are the same."""
     chain = [list(p), [i * c for i, c in enumerate(p)][1:]]
     while chain[-1]:
-        _, rem = _poly_div_frac(chain[-2], chain[-1])
+        _, rem = _pdiv(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append([-c for c in rem])
+        g = gcd(*rem)
+        chain.append([-c // g for c in rem])
     return chain
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = int_horner(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_at(p: list[int], m: int, den: int) -> int:
+    """Sign of p(m/den), den > 0, from the homogeneous integer Horner sum
+    den^deg p(m/den) = sum c_i m^i den^(deg-i)."""
+    acc, den_pow = p[-1], 1
+    for c in reversed(p[:-1]):
+        den_pow *= den
+        acc = acc * m + c * den_pow
+    return (acc > 0) - (acc < 0)
 
 
 def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
     """Smallest positive real root, isolated exactly then bisected to `digits`.
 
-    Isolation uses a Sturm chain of the square-free part over exact
-    rationals, so no positive root can be missed.  The bisection then runs
-    on integer numerators over a power-of-two multiple of the isolating
-    interval's denominator, taking the sign of p at each midpoint from a
-    homogeneous integer Horner sum.  The returned value satisfies
-    |p(root)| < 10^(-digits+2).  Raises NoPositiveRoot when the polynomial
-    has no root in (0, inf).
+    Both phases run on integer numerators lo = a/den, hi = b/den over one
+    common denominator that doubles at each halving.  Isolation counts sign
+    changes of an integer Sturm chain of the square-free part, so no
+    positive root can be missed; the bisection then follows the sign of p.
+    Every sign is that of a homogeneous integer Horner sum.  The returned
+    value satisfies |p(root)| < 10^(-digits+2).  Raises NoPositiveRoot when
+    the polynomial has no root in (0, inf).
     """
     if p.is_zero() or p.degree < 1:
         raise NoPositiveRoot("polynomial has no positive real root")
@@ -561,48 +572,42 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
     chain = _sturm_chain(ints)
     # square-free part = p / gcd(p, p'); the gcd is the last nonzero chain entry
     if len(chain[-1]) > 1:
-        sf, _ = _poly_div_frac(ints, chain[-1])
+        sf, _ = _pdiv(ints, chain[-1])
         ints = primitive_int(sf)
         chain = _sturm_chain(ints)
 
-    bound = Fraction(1) + max(abs(Fraction(c)) for c in ints[:-1]) / abs(ints[-1])
+    def changes(m: int, den: int) -> int:
+        signs = [s for s in (_sign_at(q, m, den) for q in chain) if s]
+        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
-    def count(a: Fraction, b: Fraction) -> int:
-        return _sign_changes(chain, a) - _sign_changes(chain, b)
-
-    if count(Fraction(0), bound) < 1:
+    bound = Fraction(1) + Fraction(max(map(abs, ints[:-1])), abs(ints[-1]))
+    a, b, den = 0, bound.numerator, bound.denominator
+    v_lo, v_hi = changes(a, den), changes(b, den)
+    if v_lo - v_hi < 1:
         raise NoPositiveRoot("no root in (0, upper bound]")
     # shrink (lo, hi] until it brackets exactly the smallest positive root;
     # invariant: no root <= lo, at least one root in (lo, hi]
-    lo, hi = Fraction(0), bound
-    while count(lo, hi) > 1:
-        mid = (lo + hi) / 2
-        if count(lo, mid) >= 1:
-            hi = mid
+    while v_lo - v_hi > 1:
+        m, den = a + b, 2 * den
+        v_mid = changes(m, den)
+        if v_lo - v_mid >= 1:
+            a, b, v_hi = 2 * a, m, v_mid
         else:
-            lo = mid
-    if int_horner(ints, hi) == 0:
-        lo = hi  # the bracket's end is the root itself
-    lo_pos = int_horner(ints, lo) > 0
-    # bisect on integer numerators: lo = a/den, hi = b/den, den doubling
-    den = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    b = hi.numerator * (den // hi.denominator)
+            a, b, v_lo = m, 2 * b, v_mid
+    if _sign_at(ints, b, den) == 0:
+        a = b  # the bracket's end is the root itself
+    lo_sign = _sign_at(ints, a, den)
     steps = int((digits + 6) * 3.33) + bound.numerator.bit_length()
     scale = 10 ** (digits + 5)
     for _ in range(steps):
         if (b - a) * scale < den:  # hi - lo < 10^-(digits+5)
             break
         m, den = a + b, 2 * den
-        # den^deg p(m/den) = sum c_i m^i den^(deg-i) has the sign of p(m/den)
-        fmid, den_pow = ints[-1], 1
-        for c in reversed(ints[:-1]):
-            den_pow *= den
-            fmid = fmid * m + c * den_pow
-        if fmid == 0:
+        s_mid = _sign_at(ints, m, den)
+        if s_mid == 0:
             a = b = m
             break
-        if (fmid > 0) == lo_pos:
+        if s_mid == lo_sign:
             a, b = m, 2 * b
         else:
             a, b = 2 * a, m

@@ -30,7 +30,7 @@ from seqlab import (
     stretched_triple_fit,
     summarize_stretched,
 )
-from seqlab.asympt import _poly_div_frac, vandermonde_inverse
+from seqlab.asympt import _pdiv, vandermonde_inverse
 from seqlab.errors import (
     DomainError,
     IllConditioned,
@@ -415,18 +415,19 @@ class TestAmplitudeFitVsLu:
             assert abs(fit.cond_estimate / cond_ref - 1) < mpmath.mpf(10) ** -digits
 
 
-_div_coeffs = st.one_of(
-    st.lists(st.integers(-40, 40), max_size=7),
-    st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=9), max_size=7),
-)
+_int_coeffs = st.lists(st.integers(-40, 40), max_size=7)
 
 
-class TestPolyDiv:
+class TestPseudoDivision:
     @settings(deadline=None, max_examples=200)
-    @given(_div_coeffs, _div_coeffs.filter(lambda b: b and b[-1]))
-    def test_exact_division(self, a, b):
-        q, r = _poly_div_frac(a, b)
-        assert Poly(q) * Poly(b) + Poly(r) == Poly(a)
+    @given(_int_coeffs, _int_coeffs.filter(lambda b: b and b[-1]))
+    def test_pseudo_division_identity(self, a, b):
+        # k a = q b + r for some k > 0, read off the top coefficients
+        q, r = _pdiv(a, b)
+        pa, lhs = Poly(a), Poly(q) * Poly(b) + Poly(r)
+        k = lhs.coeffs[-1] / pa.coeffs[-1] if pa and lhs else 1
+        assert k > 0
+        assert lhs == pa * k
         assert len(r) < len(b) and (not r or r[-1] != 0)
 
 
