@@ -129,28 +129,22 @@ def gen_lconvex_area(n_terms: int) -> Sequence:
         h_k = (2 u_(k-1) - u_(k-2)) / (1-q^(k+1)),
 
     two stride-(k+1) division passes per k, each only as long as the
-    coefficients of q^(k+1) h_k below q^n_terms.
+    coefficients of q^(k+1) h_k below q^n_terms.  Seeding u_(-1) = 1 makes
+    2 u_0 - u_(-1) = (1 + 2q - q^2) / (1-q)^2, so h_1 takes the same step.
     """
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
     big_n = n_terms
-    out = [1] + [0] * (big_n - 1)
+    out = [1] * big_n  # 1 + q h_0 with h_0 = 1/(1-q)
     # h_k is kept to length big_n - k - 1, u_k to big_n - k - 2 (its uses)
-    h = [1] * (big_n - 1)  # h_0 = 1/(1-q)
+    u_prev2 = [1] + [0] * big_n  # u_(-1) = 1
     u_prev1 = list(range(1, big_n - 1))  # u_0 = 1/(1-q)^2
-    for k in range(big_n - 1):
-        if k == 1:  # h_1 = (1 + 2q - q^2) / ((1-q)^2 (1-q^2))
-            h = ([1, 2, -1] + [0] * big_n)[: big_n - 2]
-            div_one_minus_qm(h, 1)
-            div_one_minus_qm(h, 1)
-            div_one_minus_qm(h, 2)
-        elif k > 1:
-            h = [2 * a - b for a, b in zip(u_prev1, u_prev2)]
-            div_one_minus_qm(h, k + 1)
-        if k:
-            u = h[: big_n - k - 2]
-            div_one_minus_qm(u, k + 1)
-            u_prev2, u_prev1 = u_prev1, u
+    for k in range(1, big_n - 1):
+        h = [2 * a - b for a, b in zip(u_prev1, u_prev2)]
+        div_one_minus_qm(h, k + 1)
+        u = h[: big_n - k - 2]
+        div_one_minus_qm(u, k + 1)
+        u_prev2, u_prev1 = u_prev1, u
         out[k + 1 :] = [a + b for a, b in zip(out[k + 1 :], h)]
     return Sequence(0, tuple(out))
 
@@ -318,6 +312,16 @@ def _cmp(a: int, b: int) -> int:
     return (a > b) - (a < b)
 
 
+def _cmp_mask(rel: int, v: int) -> int:
+    """Bitmask of the values u >= 0 with _cmp(u, v) == rel (infinite above
+    v when rel > 0, as a negative int)."""
+    if rel < 0:
+        return (1 << v) - 1
+    if rel == 0:
+        return 1 << v
+    return -1 << (v + 1)
+
+
 def enum_ascent_avoiding(
     pattern: Union[Pattern, str, int],
     n_max: int,
@@ -344,81 +348,39 @@ def enum_ascent_avoiding(
         raise ValueError("need n_max >= 0")
     counts = [0] * (n_max + 1)
     counts[0] = 1
-    if n_max == 0:
+    if n_max == 0 or len(p) == 1:
+        # any single letter is an occurrence of a 1-letter pattern, so only
+        # the empty sequence avoids one
         return Sequence(0, tuple(counts))
 
-    nodes = 0
-    maxval = n_max + 2  # letters never exceed the sequence length
-
-    if len(p) == 1:
-        # any letter is an occurrence; only the empty sequence avoids
-        return Sequence(0, tuple(counts))
-
+    # pair_mask[v] is the bitmask of values v1 having an earlier occurrence
+    # before some occurrence of v; prefix_mask holds the prefix's values
+    pair_mask = [0] * (n_max + 3)  # letters never exceed the sequence length
     if len(p) == 2:
         r12 = _cmp(p[0], p[1])
-        # presence mask of prefix values; occurrence = some v with v r12 x
-        def creates2(x: int, prefix_mask: int) -> bool:
-            if r12 < 0:
-                return bool(prefix_mask & ((1 << x) - 1))
-            if r12 > 0:
-                return prefix_mask >> (x + 1) != 0
-            return bool(prefix_mask & (1 << x))
 
-        def recurse2(depth: int, last: int, asc: int, prefix_mask: int):
-            nonlocal nodes
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"node budget {budget} exceeded")
-            counts[depth] += 1
-            if depth == n_max:
-                return
-            for x in range(0, asc + 2):
-                if not creates2(x, prefix_mask):
-                    recurse2(
-                        depth + 1,
-                        x,
-                        asc + (1 if x > last else 0),
-                        prefix_mask | (1 << x),
-                    )
+        def creates(x: int, prefix_mask: int, top: int) -> bool:
+            return prefix_mask & _cmp_mask(r12, x) != 0
 
-        recurse2(1, 0, 0, 1)  # prefix mask holds the initial letter 0
-        return Sequence(0, tuple(counts))
+    else:
+        r12, r13, r23 = _cmp(p[0], p[1]), _cmp(p[0], p[2]), _cmp(p[1], p[2])
 
-    # length-3 pattern: keep, for every value v, the bitmask of values v1
-    # having an earlier occurrence before some occurrence of v
-    r12, r13, r23 = _cmp(p[0], p[1]), _cmp(p[0], p[2]), _cmp(p[1], p[2])
-    pair_mask = [0] * (maxval + 1)
+        def creates(x: int, prefix_mask: int, top: int) -> bool:
+            if r23 < 0:
+                v2_range = range(0, x)
+            elif r23 == 0:
+                v2_range = range(x, x + 1)
+            else:
+                v2_range = range(x + 1, top + 1)
+            for v2 in v2_range:
+                pm = pair_mask[v2]
+                if pm and pm & _cmp_mask(r12, v2) & _cmp_mask(r13, x):
+                    return True
+            return False
 
-    def v1_mask(v2: int, x: int) -> int:
-        m = -1  # all ones
-        if r12 < 0:
-            m &= (1 << v2) - 1
-        elif r12 == 0:
-            m &= 1 << v2
-        else:
-            m &= -1 << (v2 + 1)
-        if r13 < 0:
-            m &= (1 << x) - 1
-        elif r13 == 0:
-            m &= 1 << x
-        else:
-            m &= -1 << (x + 1)
-        return m
+    nodes = 0
 
-    def creates3(x: int, top: int) -> bool:
-        if r23 < 0:
-            v2_range = range(0, x)
-        elif r23 == 0:
-            v2_range = range(x, x + 1)
-        else:
-            v2_range = range(x + 1, top + 1)
-        for v2 in v2_range:
-            pm = pair_mask[v2]
-            if pm and pm & v1_mask(v2, x):
-                return True
-        return False
-
-    def recurse3(depth: int, last: int, asc: int, prefix_mask: int, top: int):
+    def recurse(depth: int, last: int, asc: int, prefix_mask: int, top: int):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -427,11 +389,11 @@ def enum_ascent_avoiding(
         if depth == n_max:
             return
         for x in range(0, asc + 2):
-            if creates3(x, top):
+            if creates(x, prefix_mask, top):
                 continue
             saved = pair_mask[x]
             pair_mask[x] = saved | prefix_mask
-            recurse3(
+            recurse(
                 depth + 1,
                 x,
                 asc + (1 if x > last else 0),
@@ -440,7 +402,7 @@ def enum_ascent_avoiding(
             )
             pair_mask[x] = saved
 
-    recurse3(1, 0, 0, 1, 0)  # prefix mask holds the initial letter 0
+    recurse(1, 0, 0, 1, 0)  # prefix mask holds the initial letter 0
     return Sequence(0, tuple(counts))
 
 
