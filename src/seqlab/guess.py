@@ -334,7 +334,9 @@ def guess_prec(
     all of its windows, so a returned recurrence annihilates every window;
     among several candidates the smallest total coefficient size wins.
     `margin` sets the attempt threshold: a shape with k unknowns is
-    attempted only when it has at least k - 1 windows and more than `margin`.
+    attempted only when it has at least k windows, so that at least one
+    equation is spare beyond the k - 1 a nonzero solution always satisfies,
+    and more than `margin`.
 
     Returns None when the whole grid fails; raises InsufficientTerms when
     no shape in the grid had enough terms to be attempted at all.
@@ -346,7 +348,7 @@ def guess_prec(
 
     def system(r: int, d: int):
         n_win = big_l - r
-        if n_win < max((r + 1) * (d + 1) - 1, margin + 1):
+        if n_win < max((r + 1) * (d + 1), margin + 1):
             return None
 
         def column(key):  # u(n + j) * n^t on the windows n = offset + w
@@ -482,8 +484,10 @@ def guess_algeq(
     Each attempted shape is solved once, exactly, over the coefficients of
     x^0 .. x^(L-1) of P(x, y) for L supplied terms, so a returned equation
     satisfies every supplied term.  `margin` sets the attempt threshold: a
-    shape with k unknowns is attempted only when L >= k - 1 + margin.  The
-    search is that of ``guess_prec``; only the equations differ.
+    shape with k unknowns is attempted only when L >= k - 1 + max(margin, 1),
+    so at least one equation is spare beyond the k - 1 a nonzero solution
+    always satisfies.  The search is that of ``guess_prec``; only the
+    equations differ.
 
     Returns None when the grid fails; raises InsufficientTerms when no
     shape could be attempted.
@@ -499,7 +503,7 @@ def guess_algeq(
         powers.append(mul_trunc(powers[-1], u, big_l))
 
     def system(dx: int, dy: int):
-        if big_l < (dx + 1) * (dy + 1) - 1 + margin:
+        if big_l < (dx + 1) * (dy + 1) - 1 + max(margin, 1):
             return None
         cols = [(j, i) for j in range(dy + 1) for i in range(dx + 1)]
         return dy, dx + 1, cols, column

@@ -3,6 +3,7 @@
 import datetime
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -424,6 +425,17 @@ class TestErrorBoundaryAndEcho:
             assert isinstance(res.exception, SystemExit), res.exception
             assert res.exit_code == 1
             assert res.stderr.startswith("Error: ") and error in res.stderr
+
+    def test_random_terms_fit_no_recurrence(self, tmp_path, monkeypatch):
+        """22 random terms leave every shape of the default grid without an
+        equation to spare, or overdetermined, so no recurrence is printed."""
+        monkeypatch.chdir(tmp_path)
+        rng = random.Random(22)
+        Path("noise.txt").write_text(
+            "".join(f"{n} {rng.randrange(1, 10 ** 6)}\n" for n in range(22)))
+        res = CliRunner().invoke(main, ["guess", "rec", "noise.txt"])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == "no recurrence found\n"
 
 
 class TestOutputsPinned:

@@ -494,6 +494,22 @@ class TestModelsFitEveryTerm:
         assert model is None or algeq_residual(model, seq) is None
 
 
+@pytest.mark.parametrize("margin", range(6))
+def test_random_terms_give_no_model(margin):
+    # k - 1 equations in k unknowns always have a nonzero solution, so both
+    # guessers attempt a shape only with an equation to spare; then random
+    # terms fit no shape at any length, whatever the margin
+    rng = random.Random(20261018 + margin)
+    for size in range(1, 31):
+        s = Sequence(0, tuple(rng.randrange(1, 10 ** 4) for _ in range(size)))
+        for guesser in (guess_prec, guess_algeq):
+            try:
+                model = guesser(s, margin=margin)
+            except InsufficientTerms:
+                continue
+            assert model is None, (guesser.__name__, size, str(model))
+
+
 class TestGuessersPinned:
     """Every outcome of both guessers over a fixed grid of inputs, hashed.
 
@@ -501,7 +517,7 @@ class TestGuessersPinned:
     or of an error message changes the digest.
     """
 
-    PINNED_DIGEST = "5e46864f5b936039f3cba7c41d6b8d53ce210987b377c1f67d21548ca0b6daeb"
+    PINNED_DIGEST = "319f9e56b1516c3b03c46b807f7c455e29a6a9d544285915efe8ad18688127f3"
 
     @staticmethod
     def outcome(guess, terms, **grid) -> str:
