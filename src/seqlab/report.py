@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import mpmath
-from mpmath.libmp import dps_to_prec, finf, fnan, fninf, mpf_pos, to_str
+from mpmath.libmp import dps_to_prec, finf, fnan, fninf, from_rational, mpf_pos, to_str
 
 
 @contextmanager
@@ -42,24 +42,29 @@ def unlimited_int_digits():
 
 
 def decimal_str(value, digits: Optional[int] = None) -> str:
-    """Full-precision decimal rendering; never a binary float repr."""
+    """Full-precision decimal rendering; never a binary float repr.
+
+    Integral values print exactly.  Any other value is rounded once to
+    nearest at 5 guard digits beyond max(mp.dps, digits), then printed to
+    `digits` (default: that working precision) significant digits.
+    """
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        with mpmath.workdps(digits or mpmath.mp.dps):
-            return mpmath.nstr(
-                mpmath.mpf(value.numerator) / value.denominator,
-                digits or mpmath.mp.dps,
-            )
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return str(value.numerator)
     dps = max(mpmath.mp.dps, digits or 0) + 5
-    if not isinstance(value, mpmath.mpf):
-        with mpmath.workdps(dps):
-            value = mpmath.mpf(value)
-    # one round-to-nearest at dps, as mpf(value) under workdps(dps) does,
-    # without entering a precision context for the common mpf case
-    return to_str(mpf_pos(value._mpf_, dps_to_prec(dps), "n"), digits or dps)
+    prec = dps_to_prec(dps)
+    if isinstance(value, Fraction):
+        # exact quotient rounded once, not re-rounded at mp.prec by mpf()
+        raw = from_rational(value.numerator, value.denominator, prec, "n")
+    else:
+        if not isinstance(value, mpmath.mpf):
+            with mpmath.workdps(dps):
+                value = mpmath.mpf(value)
+        # one round-to-nearest at dps, as mpf(value) under workdps(dps) does,
+        # without entering a precision context for the common mpf case
+        raw = mpf_pos(value._mpf_, prec, "n")
+    return to_str(raw, digits or dps)
 
 
 def scalar_entry(value, digits: int, spread=None) -> dict:

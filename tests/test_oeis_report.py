@@ -1,5 +1,6 @@
 """b-file parsing/rendering, cached fetching, and deterministic reports."""
 
+import decimal
 import json
 import random
 import sys
@@ -249,6 +250,17 @@ class TestDecimalStr:
                 for v in values:
                     for digits in (None, 5, 25, 150):
                         assert decimal_str(v, digits) == self.via_workdps(v, digits)
+
+    def test_fractions_round_correctly(self):
+        # the printed digits are the exact quotient rounded to nearest
+        rng = random.Random(48)
+        for _ in range(3000):
+            num = rng.getrandbits(200) * rng.choice((1, -1))
+            den = rng.getrandbits(60) | 1
+            digits = rng.randint(5, 20)
+            want = decimal.Context(prec=digits).divide(num, den)
+            got = decimal_str(Fraction(num, den), digits)
+            assert decimal.Decimal(got) == want, (num, den, digits)
 
 
 class TestEntries:
