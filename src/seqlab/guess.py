@@ -334,9 +334,9 @@ def guess_prec(
     all of its windows, so a returned recurrence annihilates every window;
     among several candidates the smallest total coefficient size wins.
     `margin` sets the attempt threshold: a shape with k unknowns is
-    attempted only when it has at least k windows, so that at least one
-    equation is spare beyond the k - 1 a nonzero solution always satisfies,
-    and more than `margin`.
+    attempted only when it has more than `margin` windows and at least k:
+    k - 1 homogeneous equations in k unknowns always have a nonzero
+    solution, so a fit rests on at least one spare equation.
 
     Returns None when the whole grid fails; raises InsufficientTerms when
     no shape in the grid had enough terms to be attempted at all.
@@ -484,10 +484,10 @@ def guess_algeq(
     Each attempted shape is solved once, exactly, over the coefficients of
     x^0 .. x^(L-1) of P(x, y) for L supplied terms, so a returned equation
     satisfies every supplied term.  `margin` sets the attempt threshold: a
-    shape with k unknowns is attempted only when L >= k - 1 + max(margin, 1),
-    so at least one equation is spare beyond the k - 1 a nonzero solution
-    always satisfies.  The search is that of ``guess_prec``; only the
-    equations differ.
+    shape with k unknowns is attempted only when L >= k - 1 + max(margin, 1):
+    k - 1 homogeneous equations in k unknowns always have a nonzero
+    solution, so a fit rests on at least one spare equation.  The search is
+    that of ``guess_prec``; only the equations differ.
 
     Returns None when the grid fails; raises InsufficientTerms when no
     shape could be attempted.
