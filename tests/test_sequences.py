@@ -139,6 +139,25 @@ class TestOracles:
         brute = enum_stack_bruteforce(12)
         assert gen == brute
 
+    @staticmethod
+    def _stack_by_products(n_terms):
+        """S(q) = sum_n q^n h_n with h_(n+1) = h_n / ((1-q^n)(1-q^(n+1))),
+        each h_n truncated to the coefficients q^n h_n keeps."""
+        out = [0] * n_terms
+        h = [1] * n_terms  # h_1 = 1/(1-q)
+        for n in range(1, n_terms + 1):
+            for i, c in enumerate(h):
+                out[n - 1 + i] += c
+            h = h[: n_terms - n]
+            for m in (n, n + 1):
+                for i in range(m, len(h)):
+                    h[i] += h[i - m]
+        return tuple(out)
+
+    def test_stack_matches_product_recursion(self):
+        for n in [*range(1, 41), 300]:
+            assert gen_stack_area(n).terms == self._stack_by_products(n), n
+
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
             enum_lconvex_bruteforce(8, budget=50)
