@@ -177,6 +177,24 @@ def div_one_minus_qm(a: list, m: int) -> None:
         a[i] += a[i - m]
 
 
+def div_q_infinity(a: list) -> None:
+    """a /= (q;q)_inf in place, truncated to len(a).
+
+    By Euler's pentagonal number theorem (q;q)_inf is the sum of
+    (-1)^k q^g over the generalised pentagonal numbers g = k(3k -+ 1)/2,
+    so the quotient obeys a[n] += sum of (-1)^(k+1) a[n - g] over g <= n:
+    about 2 sqrt(2n/3) additions per coefficient.
+    """
+    plus, minus = [], []  # generalised pentagonal numbers below len(a), by sign
+    k = 1
+    while k * (3 * k - 1) // 2 < len(a):
+        (plus if k % 2 else minus).extend((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
+        k += 1
+    for n in range(1, len(a)):
+        a[n] += (sum([a[n - g] for g in plus if g <= n])
+                 - sum([a[n - g] for g in minus if g <= n]))
+
+
 def primitive_int(vec: Seq[Scalar]) -> list[int]:
     """Integer multiple of a rational vector with content 1 and its first
     nonzero entry positive (all zeros stay zero)."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from seqlab import Poly, TruncSeries, q_pochhammer
 from seqlab.errors import ZeroConstantTerm
-from seqlab.series import int_horner
+from seqlab.series import div_q_infinity, int_horner, mul_trunc
 
 small_ints = st.integers(min_value=-9, max_value=9)
 polys = st.lists(small_ints, min_size=0, max_size=6).map(Poly)
@@ -166,6 +166,14 @@ class TestQPochhammer:
     def test_negative_n(self):
         with pytest.raises(ValueError):
             q_pochhammer(-1, 4)
+
+    def test_pentagonal_division_inverts_the_product(self):
+        for order in range(1, 201):
+            one = [1] + [0] * (order - 1)
+            quotient = list(one)
+            div_q_infinity(quotient)
+            product = [int(c) for c in q_pochhammer(order, order).coeffs]
+            assert mul_trunc(quotient, product, order) == one, order
 
     @pytest.mark.parametrize("order", [0, -3])
     def test_order_below_one(self, order):
