@@ -191,9 +191,9 @@ def loglog_gradient(s: HpSeq) -> HpSeq:
             if v <= 0:
                 raise NonPositiveValue(f"non-positive value at index {n}")
             logs.append(mpmath.log(v))
+        index_logs = [mpmath.log(n) for n in s.indices()]
         out = tuple(
-            (logs[i] - logs[i - 1])
-            / (mpmath.log(s.offset + i) - mpmath.log(s.offset + i - 1))
+            (logs[i] - logs[i - 1]) / (index_logs[i] - index_logs[i - 1])
             for i in range(1, len(logs))
         )
     return HpSeq(s.offset + 1, out, s.ctx)
@@ -204,11 +204,12 @@ def stretched_lambda(s: HpSeq, beta: Fraction = Fraction(1, 2)) -> HpSeq:
     s = s.slice_from(1)
     with s.ctx.work():
         b = s.ctx.mpf(beta)
+        pi = +mpmath.pi
         out = []
         for n, v in zip(s.indices(), s.values):
             if v <= 0:
                 raise NonPositiveValue(f"non-positive value at index {n}")
-            out.append(mpmath.log(v) / (mpmath.pi * mpmath.power(n, b)))
+            out.append(mpmath.log(v) / (pi * mpmath.power(n, b)))
     return HpSeq(s.offset, tuple(out), s.ctx)
 
 
@@ -227,9 +228,10 @@ def stretched_triple_fit(lam: HpSeq) -> tuple[HpSeq, HpSeq, HpSeq]:
     if lam.offset < 1:
         raise ValueError("triple fit needs indices >= 1")
     with lam.ctx.work():
+        pi = +mpmath.pi
         rows = []  # (B(n), C(n), lambda_n) with B = log(n) C, C = 1/(pi sqrt n)
         for n, y in zip(lam.indices(), lam.values):
-            root = mpmath.pi * mpmath.sqrt(n)
+            root = pi * mpmath.sqrt(n)
             rows.append((mpmath.log(n) / root, 1 / root, lam.ctx.mpf(y)))
 
         def diff(k):  # row k + 1 minus row k
@@ -289,13 +291,13 @@ def stretched_amplitude_seq(s: HpSeq, a: Real, beta: Fraction, delta: Real) -> H
     s = s.slice_from(1)
     with s.ctx.work():
         a_, b_, d_ = (s.ctx.mpf(t) for t in (a, beta, delta))
+        neg_a_pi = -a_ * mpmath.pi
         out = []
         for n, v in zip(s.indices(), s.values):
             if v <= 0:
                 raise NonPositiveValue(f"non-positive value at index {n}")
             out.append(
-                v * mpmath.power(n, d_)
-                * mpmath.exp(-a_ * mpmath.pi * mpmath.power(n, b_))
+                v * mpmath.power(n, d_) * mpmath.exp(neg_a_pi * mpmath.power(n, b_))
             )
     return HpSeq(s.offset, tuple(out), s.ctx)
 
