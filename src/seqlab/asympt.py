@@ -159,18 +159,22 @@ def elim_power(s: HpSeq, p: int) -> HpSeq:
     return HpSeq(s.offset + 1, tuple(out), s.ctx)
 
 
-def square_subsample(s):
+def square_subsample(s, least: int = 1):
     """Pick out indices 1, 4, 9, ...: output index k holds the term at k*k.
 
     Accepts an integer Sequence or an HpSeq and returns the same kind,
-    reindexed consecutively from 1.
+    reindexed consecutively from 1.  Raises InsufficientTerms unless s
+    holds the terms at indices 1 to least^2, so at least `least` squares.
     """
+    if s.offset > 1 or s.last_index < least * least:
+        squares = ", ".join(str(k * k) for k in range(1, least + 1))
+        raise InsufficientTerms(
+            f"need the terms at indices 1 to {least * least} (the squares {squares})"
+        )
     picker = s.value if isinstance(s, HpSeq) else s.term
     k_max = 1
     while (k_max + 1) ** 2 <= s.last_index:
         k_max += 1
-    if s.last_index < 1 or s.offset > 1:
-        raise InsufficientTerms("need terms at the square indices 1, 4, 9, ...")
     picked = tuple(picker(k * k) for k in range(1, k_max + 1))
     if isinstance(s, HpSeq):
         return HpSeq(1, picked, s.ctx)
@@ -326,6 +330,8 @@ def _float_values(s: HpSeq) -> HpSeq:
 
 def powerlaw_pipeline(s: HpSeq, mu: Real, tail: int = 10) -> PowerLawDiagnostics:
     """Estimate the power g of s_n ~ D mu^n n^g from ratios r_n = mu(1 + g/n + ...)."""
+    if len(s) < 3:
+        raise InsufficientTerms(f"power-law fit needs at least 3 terms, got {len(s)}")
     r = _float_values(ratios(s))
     with s.ctx.work():
         mu_ = s.ctx.mpf(mu)

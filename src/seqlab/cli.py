@@ -473,7 +473,8 @@ def analyze_powerlaw_cmd(state, source, mu, mu_from_poly, square):
     """Estimate the power g in s_n ~ D mu^n n^g from ratio corrections."""
     mu_val, mu_params = _resolve_mu(state, mu, mu_from_poly)
     s = _hpseq(state, source.seq)
-    diag, csvs = pipeline.power_law(square_subsample(s) if square else s, mu_val)
+    # the power-law fit needs 3 terms, so 3 squares
+    diag, csvs = pipeline.power_law(square_subsample(s, 3) if square else s, mu_val)
     return dict(
         parameters={"source": source.label, "precision": state.precision,
                     "square": square, **mu_params},

@@ -31,6 +31,7 @@ from .asympt import (
     stretched_triple_fit,
     summarize_stretched,
 )
+from .errors import InsufficientTerms
 from .report import emit_csv
 from .sequences import Sequence
 from .series import Poly, TruncSeries
@@ -59,6 +60,8 @@ class RatioTable(NamedTuple):
 
 def ratio_table(s: HpSeq) -> RatioTable:
     """Successive ratios, tabulated against 1/n and 1/sqrt(n)."""
+    if len(s) < 2:
+        raise InsufficientTerms(f"ratios need at least 2 terms, got {len(s)}")
     r = ratios(s)
     with s.ctx.work():
         inv_sqrt = ((1 / mpmath.sqrt(n), v) for n, v in zip(r.indices(), r.values))
@@ -112,8 +115,8 @@ class SquareRatios(NamedTuple):
 
 def square_ratios(s: HpSeq) -> SquareRatios:
     """Ratios r_k of the square subsequence and their 1/k, then 1/k^2
-    eliminations (the intercepts and t_k)."""
-    squares = square_subsample(s)
+    eliminations (the intercepts and t_k); needs the first 4 squares."""
+    squares = square_subsample(s, 4)
     r = ratios(squares)
     i1 = elim_power(r, 1)
     i2 = elim_power(i1, 2)
@@ -137,8 +140,8 @@ def power_law(s: HpSeq, mu) -> tuple[PowerLawDiagnostics, dict]:
 
 def square_bst(s: HpSeq, w, count: Optional[int] = None) -> BstResult:
     """Bulirsch-Stoer limit of s on its first `count` square indices 1, 4,
-    9, ... (all of them by default)."""
-    squares = square_subsample(s)
+    9, ... (all of them by default); needs the first 4 squares."""
+    squares = square_subsample(s, 4)
     return bst_extrapolate(HpSeq(1, squares.values[:count], s.ctx), w)
 
 

@@ -409,11 +409,22 @@ class TestErrorBoundaryAndEcho:
         (["guess", "algeq", B, "--margin", "-30", "--dxmax", "3",
           "--dymax", "2"], "margin >= 0"),
         (["guess", "rec", B, "--margin", "-1"], "margin >= 0"),
+        (["analyze", "ratios", "upto1.txt"], "at least 2 terms, got 1"),
+        (["analyze", "square", "upto15.txt"], "indices 1 to 16"),
+        (["analyze", "powerlaw", "upto2.txt", "--mu", "3"], "at least 3 terms, got 2"),
+        (["analyze", "powerlaw", "upto8.txt", "--mu", "3", "--square"],
+         "indices 1 to 9"),
+        (["extrapolate", "bst", "upto15.txt", "--square"], "indices 1 to 16"),
+        (["analyze", "square", "upto16.txt"], None),
+        (["analyze", "powerlaw", "upto9.txt", "--mu", "3", "--square"], None),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys, "argv", ["pytest", "-q", "elsewhere"])
-        Path(self.B).write_text((DATA_DIR / self.B).read_text())
+        lines = (DATA_DIR / self.B).read_text().splitlines(keepends=True)
+        Path(self.B).write_text("".join(lines))
+        for last in (1, 2, 8, 9, 15, 16):  # the terms at indices 0 to last
+            Path(f"upto{last}.txt").write_text("".join(lines[: last + 1]))
         Path("bad.txt").write_text("0 1\n1 x\n")
         Path("catalan.txt").write_text(CATALAN_14)
         Path("cache").mkdir()
