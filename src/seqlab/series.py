@@ -181,9 +181,10 @@ def div_q_infinity(a: list) -> None:
     """a /= (q;q)_inf in place, truncated to len(a).
 
     By Euler's pentagonal number theorem (q;q)_inf is the sum of
-    (-1)^k q^g over the generalised pentagonal numbers g = k(3k -+ 1)/2,
-    so the quotient obeys a[n] += sum of (-1)^(k+1) a[n - g] over g <= n:
-    about 2 sqrt(2n/3) additions per coefficient.
+    (-1)^k q^g over the generalised pentagonal numbers g = k(3k - 1)/2 and
+    g = k(3k + 1)/2, k >= 0, so the quotient obeys a[n] += sum of
+    (-1)^(k+1) a[n - g] over the g in 1..n: about 2 sqrt(2n/3) additions
+    per coefficient.
     """
     plus, minus = [], []  # generalised pentagonal numbers below len(a), by sign
     k = 1
