@@ -31,6 +31,7 @@ from seqlab import (
     scalar_entry,
     text_digest,
 )
+from seqlab.errors import RUN_ERRORS
 from seqlab.pipeline import growth_rate
 from seqlab.report import write_report
 
@@ -53,7 +54,14 @@ def main() -> int:
                         help="number of 1/n correction terms in the fit")
     parser.add_argument("--report", type=Path, default=Path("ascent_report.json"))
     args = parser.parse_args()
+    try:
+        return study(args)
+    except RUN_ERRORS as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return 1
 
+
+def study(args: argparse.Namespace) -> int:
     text = args.bfile.read_text(encoding="utf-8")
     stored = parse_bfile(text)
     head = stored.head(24)

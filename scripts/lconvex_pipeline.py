@@ -30,6 +30,7 @@ from seqlab import (
     stretched_amplitude_seq,
     text_digest,
 )
+from seqlab.errors import RUN_ERRORS
 from seqlab.pipeline import power_law, square_bst, square_ratios, stretched_fit
 from seqlab.report import write_report
 
@@ -44,7 +45,14 @@ def main() -> int:
                         help="square-subsampled values fed to the extrapolator")
     parser.add_argument("--report", type=Path, default=Path("lconvex_report.json"))
     args = parser.parse_args()
+    try:
+        return study(args)
+    except RUN_ERRORS as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return 1
 
+
+def study(args: argparse.Namespace) -> int:
     counts = gen_lconvex_area(args.terms + 1)
     ctx = HpContext(args.digits)
     hs = HpSeq.from_sequence(counts, ctx).slice_from(1)

@@ -25,6 +25,7 @@ from seqlab import (
     prec_residual,
     prec_to_ode,
 )
+from seqlab.errors import RUN_ERRORS
 from seqlab.pipeline import branch_series
 
 DEFAULT_BFILE = Path(__file__).resolve().parents[1] / "tests" / "data" / "b202062.txt"
@@ -38,7 +39,14 @@ def main() -> int:
         help="largest length to enumerate by brute force (default 12)",
     )
     args = parser.parse_args()
+    try:
+        return study(args)
+    except RUN_ERRORS as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return 1
 
+
+def study(args: argparse.Namespace) -> int:
     failures = 0
 
     def check(label: str, ok: bool) -> None:

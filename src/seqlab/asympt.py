@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, gcd
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import mpmath
 
@@ -89,8 +89,17 @@ class HpSeq:
         return HpSeq(n, self.values[n - self.offset :], self.ctx)
 
     def tail(self, k: int) -> "HpSeq":
+        """The last k values, or all of them when there are fewer (k >= 1)."""
+        if k < 1:
+            raise ValueError(f"tail needs k >= 1, got {k}")
         k = min(k, len(self.values))
         return HpSeq(self.last_index - k + 1, self.values[-k:], self.ctx)
+
+    def spread(self, k: int):
+        """max - min of the last k values: how far an estimator still moves."""
+        tail = self.tail(k).values
+        with self.ctx.work():
+            return max(tail) - min(tail)
 
     def map(self, fn: Callable) -> "HpSeq":
         with self.ctx.work():
@@ -118,7 +127,7 @@ class PowerLawModel:
 
     mu: HpReal
     g: HpReal
-    C: Optional[HpReal]
+    C: HpReal
     corrections: tuple = ()
 
 
@@ -266,9 +275,10 @@ def stretched_triple_fit(lam: HpSeq) -> tuple[HpSeq, HpSeq, HpSeq]:
 
 
 def summarize_stretched(
-    e1: HpSeq, e2: HpSeq, e3: HpSeq, beta: Fraction = Fraction(1, 2), tail: int = 10
+    e1: HpSeq, e2: HpSeq, e3: HpSeq, beta: Fraction = Fraction(1, 2)
 ) -> tuple[StretchedModel, dict]:
-    """Last-index summary of the triple-fit estimators with tail spreads."""
+    """Last-index summary of the triple-fit estimators with their spreads
+    over the last 10 indices."""
     with e1.ctx.work():
         model = StretchedModel(
             a=e1.values[-1],
@@ -276,10 +286,8 @@ def summarize_stretched(
             delta=-e2.values[-1],
             c=mpmath.exp(-e3.values[-1]),
         )
-        spreads = {
-            name: max(seq.tail(tail).values) - min(seq.tail(tail).values)
-            for name, seq in (("a", e1), ("delta", e2), ("log_c", e3))
-        }
+        spreads = {name: seq.spread(10)
+                   for name, seq in (("a", e1), ("delta", e2), ("log_c", e3))}
     return model, spreads
 
 
@@ -317,8 +325,7 @@ class PowerLawDiagnostics:
     g_seq: HpSeq
     g2_seq: HpSeq
     g_estimate: HpReal
-    g_spread: HpReal
-    model: PowerLawModel
+    g_spread: HpReal  # over the last 10 values of g2_seq
 
 
 def _float_values(s: HpSeq) -> HpSeq:
@@ -328,7 +335,7 @@ def _float_values(s: HpSeq) -> HpSeq:
     return s
 
 
-def powerlaw_pipeline(s: HpSeq, mu: Real, tail: int = 10) -> PowerLawDiagnostics:
+def powerlaw_pipeline(s: HpSeq, mu: Real) -> PowerLawDiagnostics:
     """Estimate the power g of s_n ~ D mu^n n^g from ratios r_n = mu(1 + g/n + ...)."""
     if len(s) < 3:
         raise InsufficientTerms(f"power-law fit needs at least 3 terms, got {len(s)}")
@@ -343,15 +350,7 @@ def powerlaw_pipeline(s: HpSeq, mu: Real, tail: int = 10) -> PowerLawDiagnostics
             s.ctx,
         )
         g2 = elim_power(g_seq, 1)
-        est = g2.values[-1]
-        spread = max(g2.tail(tail).values) - min(g2.tail(tail).values)
-    return PowerLawDiagnostics(
-        g_seq=g_seq,
-        g2_seq=g2,
-        g_estimate=est,
-        g_spread=spread,
-        model=PowerLawModel(mu=mu_, g=est, C=None),
-    )
+    return PowerLawDiagnostics(g_seq, g2, g2.values[-1], g2.spread(10))
 
 
 # ---------------------------------------------------------------------------

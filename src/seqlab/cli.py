@@ -22,7 +22,7 @@ import mpmath
 
 from . import pipeline
 from .asympt import HpContext, HpSeq, amplitude_fit, bst_extrapolate, square_subsample
-from .errors import SeqLabError
+from .errors import RUN_ERRORS
 from .guess import guess_algeq, guess_prec
 from .identify import identify_rational, identify_with_multipliers, min_poly
 from .oeis import bfile_text, canonical_a_number, fetch_oeis, parse_bfile
@@ -77,8 +77,8 @@ class _SeqlabGroup(click.Group):
               help="Working precision in decimal digits.")
 @click.option("--offline", is_flag=True, help="Never touch the network; cache only.")
 @click.option("--cache-dir", type=click.Path(path_type=Path), default=None,
-              envvar="SEQLAB_CACHE_DIR",
-              help="b-file cache directory [env: SEQLAB_CACHE_DIR].")
+              help="b-file cache directory [default: $SEQLAB_CACHE_DIR, "
+                   "else ~/.cache/seqlab].")
 @click.option("--report", "report_path", type=click.Path(path_type=Path),
               default=Path("report.json"), show_default=True,
               help="Where to write the JSON analysis report.")
@@ -139,7 +139,7 @@ def run(body):
                 command="seqlab " + " ".join(ctx.meta["seqlab.argv"]), **fields
             )
             write_report(state.report_path, report, csvs)
-        except (SeqLabError, ValueError, ArithmeticError, OSError) as exc:
+        except RUN_ERRORS as exc:
             raise click.ClickException(str(exc)) from exc
         click.echo(f"report: {state.report_path}", err=True)
         for block in [stdout] if isinstance(stdout, str) else stdout:
@@ -227,18 +227,6 @@ def gen_stack_cmd(state, n_terms):
                       {"generator": "stack", "n": n_terms})
 
 
-@gen.command("ascent")
-@click.option("--pattern", required=True, help="Pattern digits, e.g. 201.")
-@click.option("--n", "n_max", type=int, required=True, help="Largest length.")
-@click.option("--budget", type=int, default=50_000_000, show_default=True)
-@run
-def gen_ascent_cmd(state, pattern, n_max, budget):
-    """Counts of pattern-avoiding ascent sequences by length."""
-    return _generated(f"ascent_avoiding_{pattern}",
-                      enum_ascent_avoiding(pattern, n_max, budget),
-                      {"generator": "ascent", "pattern": pattern, "n": n_max})
-
-
 @main.group()
 def oracle():
     """Independent brute-force enumerations (slow, for cross-checks)."""
@@ -320,7 +308,7 @@ def guess_algeq_cmd(state, source, dxmax, dymax, margin):
         return dict(parameters=params, stdout="no algebraic equation found\n",
                     notes=["no algebraic equation found within the search grid"])
     return dict(
-        parameters={**params, "degree_x": eq.degree_x, "degree_y": eq.degree_y},
+        parameters={**params, "degree_x": eq.degree, "degree_y": eq.degree_y},
         sequences={f"c{j}": sequence_entry(0, list(c.int_coeffs()))
                    for j, c in enumerate(eq.coeffs)},
         notes=[str(eq)], stdout=f"{eq}\n",

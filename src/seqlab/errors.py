@@ -1,12 +1,17 @@
 """Exception types shared across the package.
 
 Every failure mode that callers are expected to handle gets its own class;
-plain ValueError/TypeError are reserved for programming errors.
+a plain ValueError marks an argument outside its documented range.
 """
 
 
 class SeqLabError(Exception):
     """Base class for all library-specific errors."""
+
+
+# What a library error, bad input or failed file access raises; the CLI and
+# the study scripts end each as ``Error: <message>`` with exit status 1.
+RUN_ERRORS = (SeqLabError, ValueError, ArithmeticError, OSError)
 
 
 # -- exact arithmetic ------------------------------------------------------

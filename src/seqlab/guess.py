@@ -116,18 +116,10 @@ class AlgEq(_PolyModel):
     def degree_y(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def degree_x(self) -> int:
-        return self.degree
-
     def grid(self) -> list[list[int]]:
         """Coefficient grid: grid()[j][i] multiplies x^i y^j."""
         dx = self.degree
         return [cs + [0] * (dx + 1 - len(cs)) for cs in self.coeff_lists()]
-
-    @classmethod
-    def from_grid(cls, grid: SeqABC[SeqABC[int]]) -> "AlgEq":
-        return cls.from_lists(grid)
 
     @staticmethod
     def _unknown(j: int) -> str:

@@ -46,9 +46,6 @@ class MultiplierDictionary:
         if len(set(tags)) != len(tags):
             raise ValueError("multiplier tags must be unique")
 
-    def items(self):
-        return self.entries
-
     @staticmethod
     def default() -> "MultiplierDictionary":
         return MultiplierDictionary(
@@ -125,7 +122,7 @@ def identify_with_multipliers(
         x = mpmath.mpf(x)
         if not mpmath.isfinite(x):
             return None
-        for tag, build in dictionary.items():
+        for tag, build in dictionary.entries:
             m = build()
             frac = identify_rational(x / m, maxden, digits=d)
             if frac is None:

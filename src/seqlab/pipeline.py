@@ -47,11 +47,6 @@ def _inv_index(s: HpSeq):
     return ((mpmath.mpf(1) / n, v) for n, v in zip(s.indices(), s.values))
 
 
-def _tail_spread(s: HpSeq, k: int):
-    tail = s.tail(k).values
-    return max(tail) - min(tail)
-
-
 class RatioTable(NamedTuple):
     ratios: HpSeq
     spread: HpReal  # over the last 10 ratios
@@ -65,7 +60,7 @@ def ratio_table(s: HpSeq) -> RatioTable:
     r = ratios(s)
     with s.ctx.work():
         inv_sqrt = ((1 / mpmath.sqrt(n), v) for n, v in zip(r.indices(), r.values))
-        return RatioTable(r, _tail_spread(r, 10), {
+        return RatioTable(r, r.spread(10), {
             "ratios_vs_inv_n": emit_csv(_inv_index(r), ("inv_n", "ratio")),
             "ratios_vs_inv_sqrt_n": emit_csv(inv_sqrt, ("inv_sqrt_n", "ratio")),
         })
@@ -121,7 +116,7 @@ def square_ratios(s: HpSeq) -> SquareRatios:
     i1 = elim_power(r, 1)
     i2 = elim_power(i1, 2)
     with s.ctx.work():
-        return SquareRatios(squares, i2.values[-1], _tail_spread(i2, 5), {
+        return SquareRatios(squares, i2.values[-1], i2.spread(5), {
             "r_sq": emit_csv(zip(r.indices(), r.values), ("k", "ratio")),
             "intercepts": emit_csv(_inv_index(i1), ("inv_k", "intercept")),
             "t_n": emit_csv(_inv_index(i2), ("inv_k", "t")),

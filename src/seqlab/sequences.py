@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import (
     BranchAmbiguous,
@@ -43,8 +43,7 @@ from .series import (
 @dataclass(frozen=True)
 class Sequence:
     """Exact integer terms for consecutive indices offset, offset+1, ...;
-    a term neither equal to an integer nor an integer string raises
-    NonIntegral."""
+    a term not equal to an integer raises NonIntegral."""
 
     offset: int
     terms: tuple[int, ...]
@@ -53,9 +52,8 @@ class Sequence:
         given = tuple(self.terms)
         ints = tuple(int(t) for t in given)
         if ints != given:
-            for n, (t, i) in enumerate(zip(given, ints), self.offset):
-                if t != i and not isinstance(t, str):
-                    raise NonIntegral(f"non-integer term at index {n}")
+            n = next(n for n, (t, i) in enumerate(zip(given, ints), self.offset) if t != i)
+            raise NonIntegral(f"non-integer term at index {n}")
         object.__setattr__(self, "terms", ints)
 
     def __len__(self) -> int:
@@ -75,39 +73,10 @@ class Sequence:
         return range(self.offset, self.offset + len(self.terms))
 
     def head(self, k: int) -> "Sequence":
+        """The first k terms, or all of them when there are fewer (k >= 0)."""
+        if k < 0:
+            raise ValueError(f"head needs k >= 0, got {k}")
         return Sequence(self.offset, self.terms[:k])
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """A classical pattern over totally ordered letters, e.g. 201 or 011.
-
-    Letters are order-normalized on construction: the distinct values are
-    replaced by their ranks, so Pattern([3, 0, 1]) == Pattern([2, 0, 1]).
-    Repeated letters stay equal and an occurrence requires equality there.
-    """
-
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.letters:
-            raise ValueError("pattern must have length >= 1")
-        ranks = {v: r for r, v in enumerate(sorted(set(self.letters)))}
-        object.__setattr__(
-            self, "letters", tuple(ranks[v] for v in self.letters)
-        )
-
-    @staticmethod
-    def from_string(s: str) -> "Pattern":
-        if not s.isdigit():
-            raise ValueError(f"pattern string must be digits, got {s!r}")
-        return Pattern(tuple(int(ch) for ch in s))
-
-    def __str__(self) -> str:
-        return "".join(str(v) for v in self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -331,26 +300,24 @@ def _cmp_mask(rel: int, v: int) -> int:
     return -1 << (v + 1)
 
 
-def enum_ascent_avoiding(
-    pattern: Union[Pattern, str, int],
-    n_max: int,
-    budget: int = 50_000_000,
-) -> Sequence:
+def enum_ascent_avoiding(pattern: str, n_max: int, budget: int = 50_000_000) -> Sequence:
     """Count ascent sequences of lengths 0..n_max avoiding `pattern`.
 
     An ascent sequence starts with 0 and each later letter lies in
-    [0, 1 + number of strict ascents of the preceding prefix].  Containment
-    is by order-isomorphic subsequence; repeated pattern letters demand
-    equal values.  Patterns up to length 3 are supported.
+    [0, 1 + number of strict ascents of the preceding prefix].  The pattern
+    is a digit string such as "201"; only the order of its digits counts,
+    so "301" is the same pattern.  Containment is by order-isomorphic
+    subsequence; repeated pattern letters demand equal values.  Patterns up
+    to length 3 are supported.
 
     Depth-first search over avoiding prefixes; raises BudgetExceeded when
     the node count passes `budget`.
     """
-    if isinstance(pattern, int):
-        pattern = Pattern.from_string(str(pattern))
-    elif isinstance(pattern, str):
-        pattern = Pattern.from_string(pattern)
-    p = pattern.letters
+    if not (isinstance(pattern, str) and pattern.isascii() and pattern.isdigit()):
+        raise ValueError(f"pattern must be a digit string such as '201' or '012' "
+                         f"(an int loses leading zeros), got {pattern!r}")
+    ranks = {ch: r for r, ch in enumerate(sorted(set(pattern)))}
+    p = [ranks[ch] for ch in pattern]
     if len(p) > 3:
         raise ValueError("patterns longer than 3 are not supported")
     if n_max < 0:

@@ -321,20 +321,8 @@ class TruncSeries:
         """Multiply by a polynomial without losing truncation order."""
         return TruncSeries(mul_trunc(p.coeffs, self.coeffs, self.order))
 
-    def pow(self, e: int) -> "TruncSeries":
-        if e < 0:
-            raise ValueError("negative power; invert first")
-        acc = TruncSeries((1,) + (0,) * (self.order - 1))
-        for _ in range(e):
-            acc = acc * self
-        return acc
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
-
-    @staticmethod
-    def one(order: int) -> "TruncSeries":
-        return TruncSeries((1,) + (0,) * (order - 1))
 
     @staticmethod
     def from_poly(p: Poly, order: int) -> "TruncSeries":

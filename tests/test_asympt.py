@@ -64,7 +64,18 @@ class TestHpSeq:
         assert s.slice_from(3).values == (3, 4, 5)
         assert s.slice_from(0) is s
         assert s.tail(2).offset == 4
+        assert s.tail(9) == s
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k >= 1"):
+                HpSeq(1, (10, 20, 30)).tail(k)
         assert s.map(lambda v: 2 * v).values == (2, 4, 6, 8, 10)
+
+    def test_spread(self):
+        s = frac_seq(1, [5, 1, 4, 2, 3])
+        assert s.spread(3) == 2  # over 4, 2, 3
+        assert s.spread(9) == 4
+        with pytest.raises(ValueError, match="k >= 1"):
+            s.spread(0)
 
     def test_from_sequence(self):
         hs = HpSeq.from_sequence(Sequence(0, (1, 2, 3)), CTX50)
@@ -254,7 +265,6 @@ class TestPowerLaw:
         assert all(v == 0 for v in diag.g_seq.values)
         assert diag.g_estimate == 0
         assert diag.g_spread == 0
-        assert diag.model.mu == 3
 
     def test_planted_power_converges(self):
         with CTX100.work():

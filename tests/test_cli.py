@@ -54,10 +54,12 @@ class TestGen:
             res = invoke(runner, ["gen", "stack", "--n", "4"])
             assert res.stdout.splitlines()[:4] == ["1 1", "2 2", "3 4", "4 8"]
 
+
+class TestOracle:
     def test_ascent(self, runner):
         with runner.isolated_filesystem():
             res = invoke(
-                runner, ["gen", "ascent", "--pattern", "201", "--n", "5"]
+                runner, ["oracle", "ascent", "--pattern", "201", "--n", "5"]
             )
             assert res.stdout.splitlines()[:6] == [
                 "0 1", "1 1", "2 2", "3 5", "4 15", "5 52",
@@ -67,7 +69,7 @@ class TestGen:
         with runner.isolated_filesystem():
             res = runner.invoke(
                 main,
-                ["gen", "ascent", "--pattern", "201", "--n", "12",
+                ["oracle", "ascent", "--pattern", "201", "--n", "12",
                  "--budget", "10"],
             )
             assert res.exit_code != 0
@@ -304,6 +306,15 @@ class TestFetchCli:
             assert res.exit_code != 0
             assert "cache" in res.stderr.lower()
 
+    def test_env_cache_dir_without_option(self, runner, monkeypatch):
+        with runner.isolated_filesystem():
+            cache = Path("env-cache").resolve()
+            cache.mkdir()
+            (cache / "A000244.bfile").write_text(self.TEXT)
+            monkeypatch.setenv("SEQLAB_CACHE_DIR", str(cache))
+            res = invoke(runner, ["--offline", "fetch", "A000244"])
+            assert res.stdout == self.TEXT
+
     def test_a_number_as_guess_source(self, runner):
         text = (DATA_DIR / "b202062.txt").read_text()
         with runner.isolated_filesystem():
@@ -397,7 +408,7 @@ class TestErrorBoundaryAndEcho:
         (["--report", f"{B}/report.json", "gen", "stack", "--n", "3"], B),
         (["gen", "stack", "--n", "3"], None),
         (["--precision", "30", "analyze", "ratios", B], None),
-        (["gen", "ascent", "--pattern", "201", "--n", "-1"], "n_max >= 0"),
+        (["oracle", "ascent", "--pattern", "201", "--n", "-1"], "n_max >= 0"),
         (["oracle", "lconvex", "--n", "-2"], "n_max >= 1"),
         (["oracle", "stack", "--n", "-2"], "n_max >= 1"),
         (["expand", "rational", "--num", "0", "--den", "1", "--n", "-2"],

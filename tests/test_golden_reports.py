@@ -27,7 +27,6 @@ COMMANDS = {
     "gen lconvex-area": ["gen", "lconvex-area", "--n", "40"],
     "gen lconvex-perimeter": ["gen", "lconvex-perimeter", "--n", "20"],
     "gen stack": ["gen", "stack", "--n", "40"],
-    "gen ascent": ["gen", "ascent", "--pattern", "201", "--n", "7"],
     "oracle lconvex": ["oracle", "lconvex", "--n", "8"],
     "oracle stack": ["oracle", "stack", "--n", "12"],
     "oracle ascent": ["oracle", "ascent", "--pattern", "201", "--n", "7"],
@@ -76,8 +75,6 @@ GOLDEN = {
         "b3685343134d6e47f1d33eef74556b69c9a0543b8fdeff5d4e16f3fbcd1f280e",
     "fit amplitude":
         "53236933c2e698e5b29b461dedfdc8980f3612200dd89e065b0cf5624172faa3",
-    "gen ascent":
-        "9233648436b681413786c3d12a95698de32050d1ac46ae18b53de9b3b871506a",
     "gen lconvex-area":
         "b3dd5c4cc0685f138cb152c6d2a7f891681d82b330ece662681d324b947aed1f",
     "gen lconvex-perimeter":

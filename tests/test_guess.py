@@ -333,9 +333,9 @@ class TestPrecToOde:
     @staticmethod
     def cases(b202062, ascent_rec):
         fib = expand_rational(Poly([1]), Poly([1, -1, -1]), 30).to_sequence()
-        motzkin = expand_algebraic(AlgEq.from_grid([[1], [-1, 1], [0, 0, 1]]),
+        motzkin = expand_algebraic(AlgEq.from_lists([[1], [-1, 1], [0, 0, 1]]),
                                    (1,), 30)
-        central = expand_algebraic(AlgEq.from_grid([[1], [], [-1, 4]]), (1,), 24)
+        central = expand_algebraic(AlgEq.from_lists([[1], [], [-1, 4]]), (1,), 24)
         factorials = Sequence(0, tuple(_factorials(14)))
         rec = PRecurrence.from_lists
         yield ascent_rec, b202062.head(24)
@@ -392,22 +392,22 @@ def _factorials(n):
 
 class TestAlgEq:
     def test_normal_form(self):
-        a = AlgEq.from_grid([[2], [-4, 2]])
-        b = AlgEq.from_grid([[-1], [2, -1]])
+        a = AlgEq.from_lists([[2], [-4, 2]])
+        b = AlgEq.from_lists([[-1], [2, -1]])
         assert a == b
-        assert a.degree_x == 1 and a.degree_y == 1
+        assert a.degree == 1 and a.degree_y == 1
 
     def test_rejects_y_divisible(self):
         with pytest.raises(ValueError):
-            AlgEq.from_grid([[], [1], [2]])
+            AlgEq.from_lists([[], [1], [2]])
 
     def test_grid_round_trip(self, ascent_cubic):
-        assert AlgEq.from_grid(ascent_cubic.grid()) == ascent_cubic
-        assert ascent_cubic.degree_x == 12
+        assert AlgEq.from_lists(ascent_cubic.grid()) == ascent_cubic
+        assert ascent_cubic.degree == 12
         assert ascent_cubic.degree_y == 3
 
     def test_str(self):
-        eq = AlgEq.from_grid([[1], [-1], [0, 1]])
+        eq = AlgEq.from_lists([[1], [-1], [0, 1]])
         assert str(eq) == "(1) + (-1)*y + (x)*y^2 = 0"
 
 
@@ -415,24 +415,24 @@ class TestGuessAlgEq:
     def test_geometric(self):
         s = Sequence(0, (1,) * 16)
         eq = guess_algeq(s, dxmax=2, dymax=1)
-        assert eq == AlgEq.from_grid([[-1], [1, -1]])
+        assert eq == AlgEq.from_lists([[-1], [1, -1]])
 
     def test_catalan(self):
         eq = guess_algeq(Sequence(0, CATALAN), dxmax=2, dymax=2)
-        assert eq == AlgEq.from_grid([[1], [-1], [0, 1]])
+        assert eq == AlgEq.from_lists([[1], [-1], [0, 1]])
         assert algeq_residual(eq, Sequence(0, CATALAN)) is None
 
     def test_central_binomial(self):
-        s = expand_algebraic(AlgEq.from_grid([[1], [], [-1, 4]]), (1,), 18)
+        s = expand_algebraic(AlgEq.from_lists([[1], [], [-1, 4]]), (1,), 18)
         eq = guess_algeq(s, dxmax=2, dymax=2)
-        assert eq == AlgEq.from_grid([[1], [], [-1, 4]])
+        assert eq == AlgEq.from_lists([[1], [], [-1, 4]])
 
     def test_none_for_non_algebraic(self, b202062):
         s = b202062.head(20)
         assert guess_algeq(s, dxmax=3, dymax=2) is None
 
     def test_residual_detects_corruption(self):
-        eq = AlgEq.from_grid([[1], [-1], [0, 1]])
+        eq = AlgEq.from_lists([[1], [-1], [0, 1]])
         bad = Sequence(0, CATALAN[:10] + (CATALAN[10] + 1,) + CATALAN[11:])
         r = algeq_residual(eq, bad)
         assert isinstance(r, int)
@@ -488,7 +488,7 @@ class TestModelsFitEveryTerm:
         # planted branch through 1 has integer terms
         a, b, d = (rng.randint(-2, 2) for _ in range(3))
         c = rng.choice((-2, -1, 1, 2))
-        eq = AlgEq.from_grid([[-1, -a, -d], [1, -b], [0, -c]])
+        eq = AlgEq.from_lists([[-1, -a, -d], [1, -b], [0, -c]])
         seq = self.terms(rng, kind, lambda n: expand_algebraic(eq, (1,), n).terms)
         model = self.guessed(guess_algeq, seq, dxmax=3, dymax=2, margin=margin)
         assert model is None or algeq_residual(model, seq) is None
@@ -534,9 +534,9 @@ class TestGuessersPinned:
         u = expand_prec(ascent_rec, Sequence(0, ASCENT_INIT), 64)
         branch = branch_series(u, 64)
         fib = expand_rational(Poly([1]), Poly([1, -1, -1]), 30).to_sequence()
-        motzkin = expand_algebraic(AlgEq.from_grid([[1], [-1, 1], [0, 0, 1]]),
+        motzkin = expand_algebraic(AlgEq.from_lists([[1], [-1, 1], [0, 0, 1]]),
                                    (1,), 30)
-        central = expand_algebraic(AlgEq.from_grid([[1], [], [-1, 4]]), (1,), 24)
+        central = expand_algebraic(AlgEq.from_lists([[1], [], [-1, 4]]), (1,), 24)
         factorials = Sequence(1, tuple(_factorials(14)[1:]))
         zeros = Sequence(0, (0,) * 14)
         rng = random.Random(20261018)

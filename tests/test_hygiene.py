@@ -1,10 +1,13 @@
-"""Dead-code guard: no unused imports and no unused module-private names.
+"""Dead-code guard: no unused imports, no unused module-private names and
+no alias methods.
 
 Each module of the package (except ``__init__.py``, which only re-exports)
 and each script is parsed with ``ast``.  An imported name must be referenced
 somewhere in its module, counting names inside string annotations such as
 ``"Sequence"``; a module-level ``_private`` function, class or constant must
-be referenced in its module.
+be referenced in its module.  A public method must do more than return
+another attribute of ``self`` or ``cls``, or the result of calling one:
+such a method is a second name for the same job.
 """
 
 import ast
@@ -78,6 +81,27 @@ def _module_private(tree: ast.Module) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
+def _aliases(tree: ast.Module) -> list[str]:
+    """``Class.method`` for each public method whose whole body, after an
+    optional docstring, is ``return self.x`` or ``return cls.x(...)``."""
+    found = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for fn in cls.body:
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or fn.name.startswith("_")):
+                continue
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            value = body[0].value
+            if isinstance(value, ast.Call):
+                value = value.func
+            if (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name)
+                    and value.value.id in ("self", "cls") and value.attr != fn.name):
+                found.append(f"{cls.name}.{fn.name}")
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 class TestNoDeadNames:
     def test_imports_used(self, path):
@@ -89,6 +113,9 @@ class TestNoDeadNames:
         tree = ast.parse(path.read_text())
         used = _referenced(tree)
         assert [n for n in _module_private(tree) if n not in used] == []
+
+    def test_no_alias_methods(self, path):
+        assert _aliases(ast.parse(path.read_text())) == []
 
 
 def test_guard_catches_dead_names():
@@ -105,3 +132,28 @@ def test_guard_catches_dead_names():
     used = _referenced(tree)
     assert [n for n in _imported(tree) if n not in used] == ["lcm"]
     assert [n for n in _module_private(tree) if n not in used] == ["_unused"]
+
+
+def test_guard_catches_aliases():
+    tree = ast.parse(
+        "class A:\n"
+        "    def items(self):\n"
+        "        return self.entries\n"
+        "    @property\n"
+        "    def degree_x(self):\n"
+        "        'Same as degree.'\n"
+        "        return self.degree\n"
+        "    @classmethod\n"
+        "    def from_grid(cls, grid):\n"
+        "        return cls.from_lists(grid)\n"
+        "    def _private(self):\n"
+        "        return self.entries\n"
+        "    def size(self):\n"
+        "        return len(self.entries)\n"
+        "    def first(self):\n"
+        "        return self.entries[0]\n"
+        "    def copy(self):\n"
+        "        entries = self.entries\n"
+        "        return entries\n"
+    )
+    assert _aliases(tree) == ["A.items", "A.degree_x", "A.from_grid"]

@@ -66,7 +66,7 @@ class TestIdentifyRational:
 
 class TestMultiplierDictionary:
     def test_default_tags(self):
-        tags = [tag for tag, _ in MultiplierDictionary.default().items()]
+        tags = [tag for tag, _ in MultiplierDictionary.default().entries]
         assert tags[0] == "1"
         assert "sqrt(2)" in tags and "pi" in tags and "sqrt(pi)" in tags
         assert len(tags) == len(set(tags))
@@ -419,7 +419,7 @@ class TestRandomPlantedConstants:
 
     def test_dictionary_multiples(self):
         rng = random.Random(202)
-        entries = MultiplierDictionary.default().items()
+        entries = MultiplierDictionary.default().entries
         for _ in range(100):
             tag, build = entries[rng.randrange(len(entries))]
             frac = Fraction(rng.randint(1, 400), rng.randint(1, 400))

@@ -15,6 +15,16 @@ def load_script(name):
     return module
 
 
+def assert_missing_bfile(name, tmp_path, monkeypatch, capsys):
+    """--bfile naming no file ends as one error line with status 1."""
+    missing = tmp_path / "missing.txt"
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", "--bfile", str(missing)])
+    assert load_script(name).main() == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Error: ") and str(missing) in err
+    assert len(err.splitlines()) == 1
+
+
 class TestAscentPipeline:
     def test_report_into_missing_directory(self, tmp_path, monkeypatch):
         report = tmp_path / "missing" / "nested" / "ascent.json"
@@ -26,6 +36,20 @@ class TestAscentPipeline:
         doc = json.loads(report.read_text(encoding="utf-8"))
         assert doc["parameters"]["terms"] == 60
         assert set(doc["scalars"]) >= {"rho", "mu", "amplitude_C"}
+
+    def test_ill_conditioned_fit_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
+        report = tmp_path / "ascent.json"
+        monkeypatch.setattr(sys, "argv", [
+            "ascent_pipeline.py", "--terms", "300", "--digits", "20",
+            "--corrections", "12", "--report", str(report),
+        ])
+        assert load_script("ascent_pipeline").main() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Error: condition estimate") and "Traceback" not in err
+        assert not report.exists()
+
+    def test_missing_bfile_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
+        assert_missing_bfile("ascent_pipeline", tmp_path, monkeypatch, capsys)
 
 
 class TestLconvexPipeline:
@@ -42,6 +66,16 @@ class TestLconvexPipeline:
             "e1", "e2", "g2_n", "g_n", "intercepts", "r_sq", "t_n"]
         assert "(+ 7 CSV files)" in capsys.readouterr().out
 
+    def test_too_few_terms_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
+        report = tmp_path / "lconvex.json"
+        monkeypatch.setattr(sys, "argv", [
+            "lconvex_pipeline.py", "--terms", "5", "--report", str(report),
+        ])
+        assert load_script("lconvex_pipeline").main() == 1
+        assert capsys.readouterr().err == (
+            "Error: need the terms at indices 1 to 16 (the squares 1, 4, 9, 16)\n")
+        assert not report.exists()
+
 
 class TestValidateFixture:
     def test_all_checks_pass(self, monkeypatch, capsys):
@@ -49,3 +83,6 @@ class TestValidateFixture:
         assert load_script("validate_fixture").main() == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "all checks passed" in out
+
+    def test_missing_bfile_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
+        assert_missing_bfile("validate_fixture", tmp_path, monkeypatch, capsys)

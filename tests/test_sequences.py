@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from seqlab import (
     AlgEq,
-    Pattern,
     Poly,
     PRecurrence,
     Sequence,
@@ -43,6 +42,9 @@ class TestSequenceContainer:
         assert s.term(3) == 20
         assert list(s.indices()) == [2, 3, 4]
         assert s.head(2) == Sequence(2, (10, 20))
+        assert s.head(0) == Sequence(2, ()) and s.head(9) == s
+        with pytest.raises(ValueError, match="k >= 0"):
+            Sequence(0, (1, 2, 3)).head(-1)
 
     def test_term_out_of_range(self):
         with pytest.raises(IndexError):
@@ -50,16 +52,20 @@ class TestSequenceContainer:
 
 
 class TestPattern:
+    """The pattern argument of enum_ascent_avoiding: a digit string."""
+
     def test_order_normalization(self):
-        assert Pattern((3, 0, 1)) == Pattern((2, 0, 1))
-        assert Pattern((5, 5, 2)) == Pattern((1, 1, 0))
+        # only the order of the digits counts
+        assert enum_ascent_avoiding("301", 8) == enum_ascent_avoiding("201", 8)
+        assert enum_ascent_avoiding("552", 8) == enum_ascent_avoiding("110", 8)
+        assert enum_ascent_avoiding("9", 4) == enum_ascent_avoiding("0", 4)
 
     def test_from_string(self):
-        assert Pattern.from_string("201").letters == (2, 0, 1)
-        with pytest.raises(ValueError):
-            Pattern.from_string("2a1")
-        with pytest.raises(ValueError):
-            Pattern(())
+        for bad in ("2a1", "", "2 1", "²01"):
+            with pytest.raises(ValueError, match="digit string"):
+                enum_ascent_avoiding(bad, 4)
+        with pytest.raises(ValueError, match="longer than 3"):
+            enum_ascent_avoiding("0123", 4)
 
 
 def _digest(s: Sequence) -> str:
@@ -176,13 +182,16 @@ class TestOracles:
             assert a101[n] == CATALAN[n]
 
     def test_ascent_avoiding_201_head(self):
-        assert enum_ascent_avoiding(201, 7).terms == (1, 1, 2, 5, 15, 52, 201, 843)
+        assert enum_ascent_avoiding("201", 7).terms == (1, 1, 2, 5, 15, 52, 201, 843)
 
     def test_pattern_argument_forms(self):
-        assert enum_ascent_avoiding("201", 6) == enum_ascent_avoiding(201, 6)
-        assert enum_ascent_avoiding(0, 6) == enum_ascent_avoiding(
-            Pattern((0,)), 6
-        )
+        # an int drops leading zeros: 12 would be counted as the pattern
+        # "12", i.e. 01 (all ones), where "012" gives the powers of two
+        with pytest.raises(ValueError, match="digit string such as '201' or '012'"):
+            enum_ascent_avoiding(12, 6)
+        with pytest.raises(ValueError, match="digit string"):
+            enum_ascent_avoiding(201, 6)
+        assert enum_ascent_avoiding("012", 6).terms == (1, 1, 2, 4, 8, 16, 32)
 
     def test_ascent_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -219,18 +228,21 @@ class TestOracles:
 
         n_max = 7
         seqs = ascent_sequences(n_max)
-        patterns = {
-            Pattern(letters)
+        # the order-normalised digit strings: each uses the digits 0..m-1
+        patterns = [
+            "".join(map(str, letters))
             for k in (1, 2, 3)
             for letters in product(range(k), repeat=k)
-        }
+            if set(letters) == set(range(max(letters) + 1))
+        ]
         assert len(patterns) == 17
         for pat in patterns:
+            letters = [int(ch) for ch in pat]
             want = [0] * (n_max + 1)
             for seq in seqs:
-                if not contains(seq, pat.letters):
+                if not contains(seq, letters):
                     want[len(seq)] += 1
-            assert enum_ascent_avoiding(pat, n_max).terms == tuple(want), str(pat)
+            assert enum_ascent_avoiding(pat, n_max).terms == tuple(want), pat
 
 
 class TestExpandRational:
@@ -260,12 +272,14 @@ class TestExpandRational:
             lau.to_sequence()
         # 2y - 2 - x = 0 has the branch y = 1 + x/2
         with pytest.raises(NonIntegral, match="index 1$"):
-            expand_algebraic(AlgEq.from_grid([[-2, -1], [2]]), (1,), 4)
+            expand_algebraic(AlgEq.from_lists([[-2, -1], [2]]), (1,), 4)
         with pytest.raises(NonIntegral, match="index 1$"):
             Sequence(0, (1, Fraction(1, 2)))
         with pytest.raises(NonIntegral, match="index 4$"):
             Sequence(3, (1, 2.5))
-        assert Sequence(0, (1, "2", Fraction(6, 2))).terms == (1, 2, 3)
+        assert Sequence(0, (1, 2.0, Fraction(6, 2))).terms == (1, 2, 3)
+        with pytest.raises(NonIntegral, match="index 1$"):
+            Sequence(0, (1, "2"))
 
 
 class TestExpandPRec:
@@ -327,30 +341,30 @@ class TestExpandPRec:
 class TestExpandAlgebraic:
     def test_catalan_from_cubic_relation(self):
         # x y^2 - y + 1 = 0 is satisfied by the Catalan series.
-        eq = AlgEq.from_grid([[1], [-1], [0, 1]])
+        eq = AlgEq.from_lists([[1], [-1], [0, 1]])
         s = expand_algebraic(eq, (1, 1), len(CATALAN))
         assert s.terms == CATALAN
 
     def test_central_binomial(self):
         # (4x - 1) y^2 + 1 = 0 for y = sum C(2n, n) x^n.
-        eq = AlgEq.from_grid([[1], [], [-1, 4]])
+        eq = AlgEq.from_lists([[1], [], [-1, 4]])
         s = expand_algebraic(eq, (1,), 8)
         assert s.terms == (1, 2, 6, 20, 70, 252, 924, 3432)
 
     def test_not_a_root(self):
-        eq = AlgEq.from_grid([[1], [-1], [0, 1]])
+        eq = AlgEq.from_lists([[1], [-1], [0, 1]])
         with pytest.raises(NotARoot):
             expand_algebraic(eq, (2,), 5)
 
     def test_branch_ambiguous(self):
         # y^2 - x = 0 has vanishing dP/dy at the seed y(0) = 0.
-        eq = AlgEq.from_grid([[0, -1], [], [1]])
+        eq = AlgEq.from_lists([[0, -1], [], [1]])
         with pytest.raises(BranchAmbiguous):
             expand_algebraic(eq, (0,), 5)
 
     def test_seed_selects_branch(self):
         # y^2 - (1 + x) = 0: the two branches start at +1 and -1.
-        eq = AlgEq.from_grid([[-1, -1], [], [1]])
+        eq = AlgEq.from_lists([[-1, -1], [], [1]])
         import seqlab
 
         plus = seqlab.expand_algebraic_series(eq, (1,), 6)
@@ -360,7 +374,7 @@ class TestExpandAlgebraic:
 
     def test_exactly_n_terms(self):
         # the seed is checked in full, but never longer than n_terms
-        eq = AlgEq.from_grid([[1], [-1], [0, 1]])
+        eq = AlgEq.from_lists([[1], [-1], [0, 1]])
         for n in (1, 3, 14, 20):
             assert expand_algebraic(eq, CATALAN[:14], n).terms == CATALAN[:n]
         for n in (0, -2):
