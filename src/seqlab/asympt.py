@@ -24,7 +24,6 @@ from typing import Callable, Union
 import mpmath
 
 from .errors import (
-    DomainError,
     IllConditioned,
     InsufficientTerms,
     NonPositiveValue,
@@ -621,38 +620,3 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
     root = Fraction(a + b, 2 * den)
     with mpmath.workdps(digits + 10):
         return mpmath.mpf(root.numerator) / root.denominator
-
-
-# ---------------------------------------------------------------------------
-# builtin high-precision evaluation
-# ---------------------------------------------------------------------------
-
-_BUILTINS = {
-    "exp": mpmath.exp,
-    "log": mpmath.log,
-    "sqrt": mpmath.sqrt,
-    "cos": mpmath.cos,
-    "arccos": mpmath.acos,
-}
-
-
-def hp_eval_builtin(fn: str, x=None, ctx: HpContext = HpContext()) -> HpReal:
-    """Evaluate one named function {exp, log, sqrt, cos, arccos, pi} at x.
-
-    Results are correct to within a few ulps at the context precision;
-    domain violations (log of a non-positive value, sqrt of a negative,
-    arccos outside [-1, 1]) raise DomainError.
-    """
-    with ctx.work():
-        if fn == "pi":
-            return +mpmath.pi
-        if fn not in _BUILTINS:
-            raise DomainError(f"unknown builtin {fn!r}")
-        x_ = ctx.mpf(x)
-        if fn == "log" and x_ <= 0:
-            raise DomainError("log needs a positive argument")
-        if fn == "sqrt" and x_ < 0:
-            raise DomainError("sqrt needs a non-negative argument")
-        if fn == "arccos" and abs(x_) > 1:
-            raise DomainError("arccos needs an argument in [-1, 1]")
-        return _BUILTINS[fn](x_)

@@ -27,13 +27,12 @@ from .guess import guess_algeq, guess_prec
 from .identify import identify_rational, identify_with_multipliers, min_poly
 from .oeis import bfile_text, canonical_a_number, fetch_oeis, parse_bfile
 from .report import (
-    AnalysisReport,
     decimal_str,
     identification_entry,
     scalar_entry,
     sequence_entry,
     text_digest,
-    write_report,
+    write_run,
 )
 from .sequences import (
     Sequence,
@@ -132,13 +131,10 @@ def run(body):
             if "source" in kwargs:
                 kwargs["source"] = _load(state, kwargs["source"])
             fields = body(state, **kwargs)
-            stdout, csvs = fields.pop("stdout", ""), fields.pop("csvs", None)
             if "source" in kwargs:
                 fields.setdefault("input_digest", kwargs["source"].digest)
-            report = AnalysisReport(
-                command="seqlab " + " ".join(ctx.meta["seqlab.argv"]), **fields
-            )
-            write_report(state.report_path, report, csvs)
+            stdout = write_run(state.report_path,
+                               "seqlab " + " ".join(ctx.meta["seqlab.argv"]), fields)
         except RUN_ERRORS as exc:
             raise click.ClickException(str(exc)) from exc
         click.echo(f"report: {state.report_path}", err=True)

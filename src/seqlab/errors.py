@@ -82,10 +82,6 @@ class NoPositiveRoot(SeqLabError):
     """A polynomial has no positive real root to isolate."""
 
 
-class DomainError(SeqLabError):
-    """A built-in high-precision function was evaluated outside its domain."""
-
-
 class PrecisionTooLow(SeqLabError):
     """Requested digits are insufficient for the operation's guard."""
 

@@ -2,13 +2,15 @@
 
 Each function runs one chain of estimators and returns its results; the
 chains that feed figures also return their CSVs as ``{key: csv_text}``,
-built at the working precision of the input (digits plus guard).  The CLI
-and ``scripts/`` call these functions and add only option parsing,
-printing and the report.
+built at the working precision of the input (digits plus guard).  The
+studies `lconvex_study` and `ascent_study` run a whole chain and return a
+run's fields, as a CLI body does; the CLI and ``scripts/`` add only option
+parsing, `report.write_run` and printing.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import mpmath
@@ -20,6 +22,7 @@ from .asympt import (
     HpSeq,
     PowerLawDiagnostics,
     StretchedModel,
+    amplitude_fit,
     bst_extrapolate,
     elim_power,
     loglog_gradient,
@@ -27,19 +30,28 @@ from .asympt import (
     powerlaw_pipeline,
     ratios,
     square_subsample,
+    stretched_amplitude_seq,
     stretched_lambda,
     stretched_triple_fit,
     summarize_stretched,
 )
-from .errors import InsufficientTerms
-from .report import emit_csv
-from .sequences import Sequence
-from .series import Poly, TruncSeries
+from .errors import InsufficientTerms, SeqLabError
+from .guess import guess_prec, ode_residual, prec_to_ode
+from .identify import identify_with_multipliers, min_poly
+from .oeis import parse_bfile
+from .report import emit_csv, identification_entry, scalar_entry, text_digest
+from .sequences import Sequence, expand_prec, gen_lconvex_area, gen_stack_area
+from .series import Poly, div_one_minus_qm
 
 # Numerator of the rational shift R(x) = (1+18x-45x^2+26x^3+x^4)/(x-1) that
 # turns 12 x^3 U(x) - R(x) into a cubic series branch, U being the
 # generating function of the 201-avoiding ascent sequences.
 BRANCH_SHIFT_NUM = Poly([1, 18, -45, 26, 1])
+
+# Irreducible cubic factor of the leading polynomial of the differential
+# equation derived for U; its smallest positive root is the dominant
+# singularity of U (ascent_study prints |lead(rho)| as the check).
+SINGULARITY_CUBIC = Poly([1, -8, 5, 1])
 
 
 def _inv_index(s: HpSeq):
@@ -150,11 +162,168 @@ def growth_rate(p: Poly, ctx: HpContext) -> tuple[HpReal, HpReal]:
 
 def branch_series(u: Sequence, order: int) -> Sequence:
     """Integer coefficients 0..order-1 of w(x) = 12 x^3 U(x) - R(x), the
-    series branch of a cubic equation, from the ascent counts u."""
-    series = TruncSeries(u.terms[:order])
-    w = (
-        series.shift(3).truncate(order) * 12
-        - TruncSeries.from_poly(BRANCH_SHIFT_NUM, order)
-        * TruncSeries.from_poly(Poly([-1, 1]), order).inverse()
+    series branch of a cubic equation, from the ascent counts u.  Since
+    -R(x) = num(x)/(1 - x), that term is the prefix sum of num."""
+    w = (list(BRANCH_SHIFT_NUM.int_coeffs()) + [0] * order)[:order]
+    div_one_minus_qm(w, 1)
+    for k in range(3, order):
+        w[k] += 12 * u.terms[k - 3]
+    return Sequence(0, w)
+
+
+def lconvex_study(terms: int, digits: int, squares: int) -> dict:
+    """The L-convex polyomino study: stretched-exponential triple fit,
+    square-subsequence ratio intercept and power law, Bulirsch-Stoer
+    amplitude constant on the first `squares` squares and its
+    identification, and the stack counts against their asymptotic form.
+    Returns the run's fields; raises InsufficientTerms before any stage
+    runs unless terms >= 16 and squares >= 4."""
+    if terms < 16:
+        raise InsufficientTerms("need the terms at indices 1 to 16 (the squares 1, 4, 9, 16)")
+    if squares < 4:
+        raise InsufficientTerms(f"extrapolation needs at least 4 squares, got {squares}")
+    counts = gen_lconvex_area(terms + 1)
+    ctx = HpContext(digits)
+    hs = HpSeq.from_sequence(counts, ctx).slice_from(1)
+
+    fit = stretched_fit(hs)
+    e1, e2, e3 = (e.values[-1] for e in (fit.e1, fit.e2, fit.e3))
+    sq = square_ratios(hs)
+    with ctx.work():
+        a_true = mpmath.sqrt(mpmath.mpf(13) / 6)
+        target = mpmath.exp(mpmath.pi * a_true)
+    diagnostics, power_csvs = power_law(sq.squares, target)
+    amplitudes = stretched_amplitude_seq(hs, a_true, Fraction(1, 2), Fraction(3, 2))
+    bst = square_bst(amplitudes, Fraction(1, 2), squares)
+    identified = identify_with_multipliers(bst.value, digits=12)
+    stacks = gen_stack_area(terms)
+    quarter = stacks.last_index // 4
+    identifications = []
+
+    with ctx.work():
+        def stack_ratio(n: int):
+            n_ = mpmath.mpf(n)
+            return stacks.term(n) / (mpmath.exp(2 * mpmath.pi * mpmath.sqrt(n_ / 3)) / (
+                8 * mpmath.power(3, mpmath.mpf(3) / 4) * mpmath.power(n_, mpmath.mpf(5) / 4)))
+        r_quarter, r_last = stack_ratio(quarter), stack_ratio(stacks.last_index)
+        exact = 13 * mpmath.sqrt(2) / 768
+        lines = [
+            f"triple fit at n = {hs.last_index}:",
+            f"  e1   = {mpmath.nstr(e1, 12)}  "
+            f"(e1^2 = {mpmath.nstr(fit.a_squared, 12)}, expect 13/6 = 2.1666...)",
+            f"  e2   = {mpmath.nstr(e2, 10)}  (expect -3/2)",
+            f"  e3   = {mpmath.nstr(e3, 10)}",
+            "  tail spreads: " + ", ".join(
+                f"{k} {mpmath.nstr(v, 3)}" for k, v in fit.spreads.items()),
+            f"square-subsequence ratio intercept = {mpmath.nstr(sq.intercept, 12)}",
+            f"  vs exp(pi sqrt(13/6)) = {mpmath.nstr(target, 12)}  "
+            f"(diff {mpmath.nstr(abs(sq.intercept - target), 3)})",
+            f"power-law exponent on squares = "
+            f"{mpmath.nstr(diagnostics.g_estimate, 8)}  (expect -3, i.e. delta = 3/2)",
+            f"extrapolated amplitude constant = {mpmath.nstr(bst.value, 15)}  "
+            f"(spread {mpmath.nstr(bst.spread, 3)}, depth {bst.depth})",
+            f"  vs 13 sqrt(2)/768 = {mpmath.nstr(exact, 15)}  "
+            f"(diff {mpmath.nstr(abs(bst.value - exact), 3)})",
+        ]
+        if identified is not None:
+            tag, frac = identified.payload
+            identifications.append(identification_entry(
+                identified.kind, f"({frac}) * {tag}", identified.certified_digits))
+            lines.append(f"  identified: ({frac}) * {tag}  "
+                         f"[{identified.certified_digits} certified digits]")
+        lines.append(f"stack counts vs exp(2 pi sqrt(n/3))/(8*3^(3/4) n^(5/4)): "
+                     f"ratio {mpmath.nstr(r_quarter, 8)} at n={quarter}, "
+                     f"{mpmath.nstr(r_last, 8)} at n={stacks.last_index}")
+
+    return dict(
+        input_digest=text_digest(",".join(str(t) for t in counts.terms)),
+        parameters={"terms": terms, "digits": digits, "squares": squares},
+        scalars={
+            "e1": scalar_entry(e1, 12, spread=fit.spreads["a"]),
+            "e1_squared": scalar_entry(fit.a_squared, 12),
+            "e2": scalar_entry(e2, 12, spread=fit.spreads["delta"]),
+            "e3": scalar_entry(e3, 12, spread=fit.spreads["log_c"]),
+            "ratio_intercept": scalar_entry(sq.intercept, 12),
+            "g_estimate": scalar_entry(diagnostics.g_estimate, 10, diagnostics.g_spread),
+            "amplitude_constant": scalar_entry(bst.value, 14, spread=bst.spread),
+            "stack_ratio_last": scalar_entry(r_last, 10),
+        },
+        identifications=identifications,
+        notes=["model: counts ~ exp(e1 pi sqrt(n)) * n^e2 * exp(e3)",
+               "amplitude constant extrapolated on the square subsequence"],
+        csvs={**sq.csvs, **fit.csvs, **power_csvs},
+        stdout="".join(line + "\n" for line in lines),
     )
-    return Sequence(0, w.coeffs)
+
+
+def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> dict:
+    """The 201-avoiding ascent sequence study on a b-file's text: recurrence
+    from the first 24 terms, its differential equation checked on 2000
+    terms, rho and mu = 1/rho from SINGULARITY_CUBIC, the amplitude C fitted
+    with `corrections` 1/n terms on `terms` terms, and the minimal
+    polynomial of A^2 = (16 sqrt(pi) C / 105)^2 and closed form of C.
+    Returns the run's fields; raises before any stage runs unless
+    corrections >= 0 and terms >= corrections + 2."""
+    if corrections < 0:
+        raise ValueError(f"need corrections >= 0, got {corrections}")
+    if terms < corrections + 2:
+        raise InsufficientTerms(f"an amplitude fit with {corrections} corrections "
+                                f"needs terms >= {corrections + 2}, got {terms}")
+    head = parse_bfile(bfile_text).head(24)
+    rec = guess_prec(head)
+    if rec is None:
+        raise SeqLabError("no recurrence found from the 24-term prefix")
+    ode = prec_to_ode(rec, head)
+    residual = ode_residual(ode, expand_prec(rec, head, 2000))
+
+    ctx = HpContext(digits)
+    rho, mu = growth_rate(SINGULARITY_CUBIC, ctx)
+    fit = amplitude_fit(expand_prec(rec, head, terms), mu, Fraction(9, 2), corrections, ctx)
+    c_value = fit.model.C
+    with ctx.work():
+        a_sq = (c_value * 16 * mpmath.sqrt(mpmath.pi) / 105) ** 2
+        poly_a_sq = min_poly(a_sq, maxdeg=3, digits=50)
+        lead_at_root = abs(ode.coeffs[-1](rho))
+        closed_mu = (mpmath.mpf(14) / 3 * mpmath.cos(mpmath.acos(mpmath.mpf(13) / 14) / 3)
+                     + mpmath.mpf(8) / 3)
+        s = mpmath.sqrt(9289)
+        inner = mpmath.pi / 3 + mpmath.acos(255709 * s / 24653006) / 3
+        closed_c = mpmath.mpf(35) / 16 * mpmath.sqrt(
+            4107 / mpmath.pi - 84 / mpmath.pi * s * mpmath.cos(inner))
+        d_closed = abs(c_value - closed_c)
+        lines = [
+            f"recurrence (order {rec.order}, degree {rec.degree}): {rec}",
+            f"derived ODE: order {ode.order}, degree {ode.degree}; residual on "
+            f"2000 terms: {'all zero' if residual is None else residual}",
+            f"singularity rho = {mpmath.nstr(rho, 20)} "
+            f"(|lead(rho)| = {mpmath.nstr(lead_at_root, 3)})",
+            f"growth constant mu = 1/rho = {mpmath.nstr(mu, 20)}",
+            f"  vs (14/3)cos(arccos(13/14)/3) + 8/3: "
+            f"diff {mpmath.nstr(abs(mu - closed_mu), 3)}",
+            f"amplitude C = {mpmath.nstr(c_value, 20)} "
+            f"(window spread {mpmath.nstr(fit.c_spread, 3)})",
+        ]
+        if poly_a_sq is not None:
+            lines.append(f"minimal polynomial of A^2 (A = 16 sqrt(pi) C / 105): "
+                         f"{poly_a_sq.format('B')} = 0")
+        lines.append(f"closed-form radical for C: diff {mpmath.nstr(d_closed, 3)}")
+
+    return dict(
+        input_digest=text_digest(bfile_text),
+        parameters={"terms": terms, "digits": digits, "corrections": corrections,
+                    "recurrence": rec.coeff_lists(),
+                    "singularity_cubic": list(SINGULARITY_CUBIC.int_coeffs())},
+        scalars={
+            "rho": scalar_entry(rho, digits),
+            "mu": scalar_entry(mu, digits),
+            "amplitude_C": scalar_entry(c_value, digits, spread=fit.c_spread),
+            "A_squared": scalar_entry(a_sq, digits),
+            "closed_form_C_diff": scalar_entry(d_closed, 5),
+        },
+        notes=[
+            f"ODE order {ode.order}, degree {ode.degree}, residual all-zero",
+            "A^2 minimal polynomial: "
+            + (poly_a_sq.format("B") if poly_a_sq is not None else "not found"),
+        ],
+        stdout="".join(line + "\n" for line in lines),
+    )

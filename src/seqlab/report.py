@@ -171,6 +171,16 @@ def write_report(path: Path, report: AnalysisReport, csvs: Optional[dict] = None
     write_atomic(path, report.json_chunks())
 
 
+def write_run(path: Path, command: str, fields: dict):
+    """Write a run's report and return its `stdout` (text, or text blocks).
+    `fields` are the AnalysisReport fields but `command`, plus the figure
+    `csvs` ({key: csv_text}, written beside `path`) and `stdout`; callers
+    print only what this returns, so a failed run prints nothing."""
+    body = {k: v for k, v in fields.items() if k not in ("csvs", "stdout")}
+    write_report(path, AnalysisReport(command=command, **body), fields.get("csvs"))
+    return fields.get("stdout", "")
+
+
 def emit_csv(points: Iterable[tuple], header: tuple[str, str] = ("x", "y")) -> str:
     """RFC-4180-style two-column CSV with full-precision decimal values.
 

@@ -36,7 +36,6 @@ from seqlab import (
     gen_stack_area,
     guess_algeq,
     guess_prec,
-    hp_eval_builtin,
     identify_with_multipliers,
     min_poly,
     ode_residual,
@@ -239,9 +238,7 @@ def test_growth_constant_and_closed_form(acceptance):
             d_rho = abs(rho - mpmath.mpf("0.1370633395"))
             d_mu_quoted = abs(mu - mpmath.mpf("7.295896946"))
             d_mu_rounded = abs(mu - mpmath.mpf("7.295896943"))
-            cos_term = hp_eval_builtin(
-                "cos", hp_eval_builtin("arccos", mpmath.mpf(13) / 14, ctx) / 3, ctx
-            )
+            cos_term = mpmath.cos(mpmath.acos(mpmath.mpf(13) / 14) / 3)
             closed = mpmath.mpf(14) / 3 * cos_term + mpmath.mpf(8) / 3
             d_closed = abs(mu - closed)
         elapsed = time.perf_counter() - t0

@@ -19,7 +19,6 @@ from seqlab import (
     bst_extrapolate,
     elim_power,
     gen_lconvex_area,
-    hp_eval_builtin,
     loglog_gradient,
     poly_smallest_positive_root,
     powerlaw_pipeline,
@@ -32,7 +31,6 @@ from seqlab import (
 )
 from seqlab.asympt import _pdiv, vandermonde_inverse
 from seqlab.errors import (
-    DomainError,
     IllConditioned,
     InsufficientTerms,
     NonPositiveValue,
@@ -527,29 +525,3 @@ class TestPolyRoot:
                     assert abs(mine - expect) < mpmath.mpf(10) ** -25
                     checked += 1
         assert checked > 10
-
-
-class TestHpEval:
-    def test_values(self):
-        with CTX50.work():
-            eps = mpmath.mpf(10) ** -48
-            assert abs(hp_eval_builtin("exp", 0, CTX50) - 1) < eps
-            assert abs(
-                hp_eval_builtin("cos", mpmath.pi / 3, CTX50) - Fraction(1, 2)
-            ) < eps
-            assert abs(hp_eval_builtin("pi", ctx=CTX50) - mpmath.pi) < eps
-            assert abs(hp_eval_builtin("sqrt", 2, CTX50) ** 2 - 2) < eps
-            assert abs(
-                hp_eval_builtin("arccos", Fraction(1, 2), CTX50)
-                - mpmath.pi / 3
-            ) < eps
-            assert abs(
-                hp_eval_builtin("log", mpmath.e, CTX50) - 1
-            ) < eps
-
-    def test_domain_errors(self):
-        for fn, x in (("log", 0), ("log", -1), ("sqrt", -2), ("arccos", 2)):
-            with pytest.raises(DomainError):
-                hp_eval_builtin(fn, x, CTX50)
-        with pytest.raises(DomainError):
-            hp_eval_builtin("tan", 1, CTX50)

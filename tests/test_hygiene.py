@@ -118,6 +118,18 @@ class TestNoDeadNames:
         assert _aliases(ast.parse(path.read_text())) == []
 
 
+# the study scripts parse arguments and print; the numeric work of each
+# study lives in seqlab.pipeline
+@pytest.mark.parametrize("name", ["ascent_pipeline", "lconvex_pipeline"])
+def test_study_script_does_no_numeric_work(name):
+    tree = ast.parse((ROOT / "scripts" / f"{name}.py").read_text())
+    modules = {a.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names}
+    modules |= {node.module.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module}
+    assert modules.isdisjoint({"mpmath", "fractions"})
+
+
 def test_guard_catches_dead_names():
     tree = ast.parse(
         "from math import gcd, lcm\n"

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import mpmath
+import pytest
 
+import seqlab.pipeline
 from seqlab import HpContext, HpSeq, expand_prec, guess_prec
-from seqlab.pipeline import branch_series, growth_rate, square_bst
+from seqlab.errors import InsufficientTerms
+from seqlab.pipeline import branch_series, growth_rate, lconvex_study, square_bst
 from test_acceptance import _branch_series
 from conftest import GROWTH_POLY
 
@@ -13,7 +16,18 @@ from conftest import GROWTH_POLY
 def test_branch_series_matches_acceptance_reference(b202062):
     head = b202062.head(24)
     u = expand_prec(guess_prec(head), head, 200)
-    assert branch_series(u, 200) == _branch_series(u, 200)
+    # orders below 5 truncate the shift numerator
+    for order in (1, 2, 3, 4, 5, 6, 64, 200):
+        assert branch_series(u, order) == _branch_series(u, order), order
+
+
+def test_lconvex_study_checks_sizes_before_any_stage(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the generator ran before the size checks")
+
+    monkeypatch.setattr(seqlab.pipeline, "gen_lconvex_area", fail)
+    with pytest.raises(InsufficientTerms, match="at least 4 squares"):
+        lconvex_study(5000, 100, 3)
 
 
 def test_growth_rate_is_reciprocal_root():

@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -13,6 +15,19 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def assert_failed_study(name, args, tmp_path, monkeypatch, capsys):
+    """A study stopped by a size it cannot run at: status 1, one error line,
+    nothing on stdout and no report."""
+    report = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *args, "--report", str(report)])
+    assert load_script(name).main() == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Error: ") and len(err.splitlines()) == 1
+    assert not report.exists()
+    return err
 
 
 def assert_missing_bfile(name, tmp_path, monkeypatch, capsys):
@@ -51,6 +66,12 @@ class TestAscentPipeline:
     def test_missing_bfile_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
         assert_missing_bfile("ascent_pipeline", tmp_path, monkeypatch, capsys)
 
+    @pytest.mark.parametrize("args", [["--terms", "0"],
+                                      ["--terms", "7", "--corrections", "6"]])
+    def test_too_few_terms_is_a_clean_error(self, args, tmp_path, monkeypatch, capsys):
+        err = assert_failed_study("ascent_pipeline", args, tmp_path, monkeypatch, capsys)
+        assert "needs terms >=" in err
+
 
 class TestLconvexPipeline:
     def test_writes_report_and_seven_csvs(self, tmp_path, monkeypatch, capsys):
@@ -67,14 +88,14 @@ class TestLconvexPipeline:
         assert "(+ 7 CSV files)" in capsys.readouterr().out
 
     def test_too_few_terms_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
-        report = tmp_path / "lconvex.json"
-        monkeypatch.setattr(sys, "argv", [
-            "lconvex_pipeline.py", "--terms", "5", "--report", str(report),
-        ])
-        assert load_script("lconvex_pipeline").main() == 1
-        assert capsys.readouterr().err == (
-            "Error: need the terms at indices 1 to 16 (the squares 1, 4, 9, 16)\n")
-        assert not report.exists()
+        err = assert_failed_study("lconvex_pipeline", ["--terms", "5"],
+                                  tmp_path, monkeypatch, capsys)
+        assert err == "Error: need the terms at indices 1 to 16 (the squares 1, 4, 9, 16)\n"
+
+    def test_too_few_squares_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
+        err = assert_failed_study("lconvex_pipeline", ["--squares", "3"],
+                                  tmp_path, monkeypatch, capsys)
+        assert err == "Error: extrapolation needs at least 4 squares, got 3\n"
 
 
 class TestValidateFixture:
