@@ -18,10 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, isqrt
 from typing import Callable, Union
 
 import mpmath
+from mpmath.libmp import (
+    dps_to_prec,
+    from_int,
+    from_man_exp,
+    log_int_fixed,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    normalize,
+    pi_fixed,
+    round_nearest,
+    to_fixed,
+)
 
 from .errors import (
     IllConditioned,
@@ -35,6 +48,7 @@ from .series import Poly, int_horner, primitive_int
 
 HpReal = mpmath.mpf
 Real = Union[HpReal, Fraction, int]
+_make_mpf = mpmath.mp.make_mpf  # an mpf from a raw tuple, as it is
 
 
 @dataclass(frozen=True)
@@ -211,17 +225,101 @@ def loglog_gradient(s: HpSeq) -> HpSeq:
     return HpSeq(s.offset + 1, out, s.ctx)
 
 
+class _Fixed:
+    """The fixed-point kernel of the stretched-exponential estimators.
+
+    A real x is held as the Python int floor(x 2^P), so sums and products
+    of rows are exact integer arithmetic and each output is rounded once,
+    to the context's working precision prec (its bits under `work()`).
+    The kernel works at P = prec + 3 bit_length(N) + 32 bits, N the last
+    index.  The guard is set by the triple fit, the kernel's worst
+    cancellation.  Its rows B, C are at most 1, each within a few units of
+    2^-P (B within about log n units); their first differences are about
+    n^(-3/2) log n / (2 pi); the determinant of two differenced rows is
+    about n^-4 / (4 pi^2), since its log n terms cancel.  So the rows'
+    rounding reaches the determinant, and the 2x2 numerators with it,
+    amplified by about 16 pi (log n + 1) n^(5/2) < 2^(3 log2 n + 7) (as
+    log n + 1 < 2 sqrt n), which 3 bit_length(N) bits cover.  The other 32
+    bits leave the kernel's own error at least 2^-25 below the final
+    rounding, and they also cover the amplitude's exponent
+    delta log n - a pi n^beta, whose absolute error is the relative error of
+    its exp, while |a pi n^beta| < 2^25.
+    """
+
+    def __init__(self, ctx: HpContext, last: int):
+        self.ctx = ctx
+        self.prec = dps_to_prec(ctx.digits + ctx.guard)  # as ctx.work() sets it
+        self.bits = self.prec + 3 * max(last, 1).bit_length() + 32
+        self.pi = pi_fixed(self.bits)
+
+    def fix(self, x) -> int:
+        """floor(x 2^P): exact for an int or a Fraction, otherwise from x
+        as a context float."""
+        if isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+            return (x.numerator << self.bits) // x.denominator
+        return to_fixed(self.ctx.mpf(x)._mpf_, self.bits)
+
+    def raw(self, v, n: int) -> tuple:
+        """Raw mpf of the finite value v at index n: an mpf as it is, an int
+        exactly, a Fraction rounded once to prec, as HpContext.mpf rounds it."""
+        if isinstance(v, mpmath.mpf):
+            raw = v._mpf_
+        elif isinstance(v, int):
+            raw = from_int(v)
+        else:
+            raw = self.ctx.mpf(v)._mpf_
+        if not raw[1] and raw[2]:  # inf or nan
+            raise ValueError(f"non-finite value at index {n}")
+        return raw
+
+    def positive(self, v, n: int) -> tuple:
+        raw = self.raw(v, n)
+        if raw[0] or not raw[1]:
+            raise NonPositiveValue(f"non-positive value at index {n}")
+        return raw
+
+    def sqrt(self, n: int) -> int:
+        return isqrt(n << 2 * self.bits)
+
+    def log(self, n: int) -> int:
+        return log_int_fixed(n, self.bits)
+
+    def power(self, n: int, beta: int) -> int:
+        """n^beta for beta = fix(beta): the integer square root at 1/2,
+        otherwise exp(beta log n)."""
+        if beta == 1 << (self.bits - 1):
+            return self.sqrt(n)
+        exponent = from_man_exp(beta * self.log(n), -2 * self.bits)
+        return to_fixed(mpf_exp(exponent, self.bits), self.bits)
+
+    def ratio(self, num: int, den: int, shift: int = 0) -> HpReal:
+        """The context float num / (den 2^shift), den != 0, rounded once to
+        prec: an integer quotient of prec + 3 or more bits, with its
+        remainder folded into a sticky last bit, rounded to nearest."""
+        sign = int((num < 0) != (den < 0))
+        num, den = abs(num), abs(den)
+        k = self.prec + 3 + den.bit_length() - num.bit_length()
+        q, r = divmod(num << k, den) if k >= 0 else divmod(num, den << -k)
+        q = 2 * q + (r != 0)
+        raw = normalize(sign, q, -k - 1 - shift, q.bit_length(), self.prec, round_nearest)
+        return _make_mpf(raw)
+
+
 def stretched_lambda(s: HpSeq, beta: Fraction = Fraction(1, 2)) -> HpSeq:
-    """lambda_n = log(s_n) / (pi n^beta), starting at index max(offset, 1)."""
+    """lambda_n = log(s_n) / (pi n^beta), starting at index max(offset, 1).
+
+    Runs on the fixed-point kernel (_Fixed, whose docstring states the
+    guard): pi n^beta is a fixed-point integer and log(s_n) is taken once,
+    at the kernel's precision, so each lambda_n is rounded once.
+    """
     s = s.slice_from(1)
-    with s.ctx.work():
-        b = s.ctx.mpf(beta)
-        pi = +mpmath.pi
-        out = []
-        for n, v in zip(s.indices(), s.values):
-            if v <= 0:
-                raise NonPositiveValue(f"non-positive value at index {n}")
-            out.append(mpmath.log(v) / (pi * mpmath.power(n, b)))
+    fx = _Fixed(s.ctx, s.last_index)
+    b, pi, wp = fx.fix(beta), fx.pi, fx.bits
+    out = []
+    for n, v in zip(s.indices(), s.values):
+        sign, man, exp, _ = mpf_log(fx.positive(v, n), wp)
+        out.append(fx.ratio(-man if sign else man, pi * fx.power(n, b), -exp - 2 * wp))
     return HpSeq(s.offset, tuple(out), s.ctx)
 
 
@@ -230,41 +328,48 @@ def stretched_triple_fit(lam: HpSeq) -> tuple[HpSeq, HpSeq, HpSeq]:
 
     Each consecutive index triple (k-1, k, k+1) is solved exactly.  The
     constant column drops out of the two first differences of its rows,
-    leaving a 2x2 solve for e2, e3 (singular exactly when the 3x3 system
-    is) and e1 from the middle row.  The three returned estimator sequences
-    (offset shifted by one) estimate the stretched-exponential parameters
-    a, -delta and -log c.
+    leaving a 2x2 solve for e2, e3 and e1 from the middle row.  The three
+    returned estimator sequences (offset shifted by one) estimate the
+    stretched-exponential parameters a, -delta and -log c.
+
+    Runs on the fixed-point kernel (_Fixed, whose docstring states the
+    guard): the rows B(n) = log(n) C(n), C(n) = 1/(pi sqrt n) are
+    fixed-point integers, and lambda_n is held at its own scale 2^Q, with
+    Q = P minus the binary magnitude of the largest |lambda_n|, because the
+    fit is linear in lambda.  The differences, the determinant det and the
+    2x2 numerators are exact integer products, so each of e1, e2 and e3 is
+    one exact quotient, rounded once.  A triple is singular when its
+    determinant vanishes at the working precision prec,
+    |det| 2^prec <= |b1 c2| + |b2 c1|, where (b1, c1) and (b2, c2) are its
+    differenced rows: it raises SingularSystem.
     """
     if len(lam) < 3:
         raise InsufficientTerms("triple fit needs at least 3 values")
     if lam.offset < 1:
         raise ValueError("triple fit needs indices >= 1")
-    with lam.ctx.work():
-        pi = +mpmath.pi
-        rows = []  # (B(n), C(n), lambda_n) with B = log(n) C, C = 1/(pi sqrt n)
-        for n, y in zip(lam.indices(), lam.values):
-            root = pi * mpmath.sqrt(n)
-            rows.append((mpmath.log(n) / root, 1 / root, lam.ctx.mpf(y)))
+    fx = _Fixed(lam.ctx, lam.last_index)
+    wp, prec, pi = fx.bits, fx.prec, fx.pi
+    raws = [fx.raw(y, n) for n, y in zip(lam.indices(), lam.values)]
+    q = wp - max((exp + bc for _, man, exp, bc in raws if man), default=0)
+    rows = []  # (B(n), C(n), lambda_n) as integers, at scales 2^P, 2^P, 2^Q
+    for n, raw in zip(lam.indices(), raws):
+        c = (1 << 3 * wp) // (pi * fx.sqrt(n))
+        rows.append((fx.log(n) * c >> wp, c, to_fixed(raw, q)))
 
-        def diff(k):  # row k + 1 minus row k
-            (b, c, y), (b_next, c_next, y_next) = rows[k], rows[k + 1]
-            return b_next - b, c_next - c, y_next - y
-
-        e1, e2, e3 = [], [], []
-        d1 = diff(0)
-        for k in range(1, len(rows) - 1):
-            d2 = diff(k)
-            (b1, c1, y1), (b2, c2, y2) = d1, d2
-            det = b1 * c2 - b2 * c1
-            if det == 0:
-                raise SingularSystem(f"degenerate triple at index {lam.offset + k}")
-            f2 = (y1 * c2 - y2 * c1) / det
-            f3 = (b1 * y2 - b2 * y1) / det
-            bk, ck, yk = rows[k]
-            e1.append(yk - f2 * bk - f3 * ck)
-            e2.append(f2)
-            e3.append(f3)
-            d1 = d2
+    e1, e2, e3 = [], [], []
+    for k, ((b0, c0, y0), (b, c, y), (b3, c3, y3)) in enumerate(
+            zip(rows, rows[1:], rows[2:]), 1):
+        b1, c1, y1 = b - b0, c - c0, y - y0
+        b2, c2, y2 = b3 - b, c3 - c, y3 - y
+        t1, t2 = b1 * c2, b2 * c1
+        det = t1 - t2
+        if abs(det) << prec <= abs(t1) + abs(t2):
+            raise SingularSystem(f"degenerate triple at index {lam.offset + k}")
+        num2 = y1 * c2 - y2 * c1  # e2 det 2^(Q-P)
+        num3 = b1 * y2 - b2 * y1  # e3 det 2^(Q-P)
+        e1.append(fx.ratio(y * det - num2 * b - num3 * c, det, q))
+        e2.append(fx.ratio(num2, det, q - wp))
+        e3.append(fx.ratio(num3, det, q - wp))
     off = lam.offset + 1
     return (
         HpSeq(off, tuple(e1), lam.ctx),
@@ -298,18 +403,21 @@ def stretched_amplitude_seq(s: HpSeq, a: Real, beta: Fraction, delta: Real) -> H
     (both presentations of the same constant occur; reports carry both).
     Subsampled at square indices these form the extrapolation input for the
     half-power case beta = 1/2.
+
+    Runs on the fixed-point kernel (_Fixed, whose docstring states the
+    guard): the exponent delta log(n) - a pi n^beta is a fixed-point
+    integer, so each c_n takes one exp and one rounding.
     """
     s = s.slice_from(1)
-    with s.ctx.work():
-        a_, b_, d_ = (s.ctx.mpf(t) for t in (a, beta, delta))
-        neg_a_pi = -a_ * mpmath.pi
-        out = []
-        for n, v in zip(s.indices(), s.values):
-            if v <= 0:
-                raise NonPositiveValue(f"non-positive value at index {n}")
-            out.append(
-                v * mpmath.power(n, d_) * mpmath.exp(neg_a_pi * mpmath.power(n, b_))
-            )
+    fx = _Fixed(s.ctx, s.last_index)
+    wp = fx.bits
+    a_pi = fx.fix(a) * fx.pi >> wp
+    b, d = fx.fix(beta), fx.fix(delta)
+    out = []
+    for n, v in zip(s.indices(), s.values):
+        raw = fx.positive(v, n)
+        exponent = from_man_exp(d * fx.log(n) - a_pi * fx.power(n, b), -2 * wp)
+        out.append(_make_mpf(mpf_mul(raw, mpf_exp(exponent, wp), fx.prec, round_nearest)))
     return HpSeq(s.offset, tuple(out), s.ctx)
 
 

@@ -2,7 +2,7 @@
 
 Each function runs one chain of estimators and returns its results; the
 chains that feed figures also return their CSVs as ``{key: csv_text}``,
-built at the working precision of the input (digits plus guard).  The
+whose values print at the requested digits of the input's context.  The
 studies `lconvex_study` and `ascent_study` run a whole chain and return a
 run's fields, as a CLI body does; the CLI and ``scripts/`` add only option
 parsing, `report.write_run` and printing.
@@ -55,8 +55,9 @@ SINGULARITY_CUBIC = Poly([1, -8, 5, 1])
 
 
 def _inv_index(s: HpSeq):
-    """Figure points (1/n, s_n)."""
-    return ((mpmath.mpf(1) / n, v) for n, v in zip(s.indices(), s.values))
+    """Figure points (1/n, s_n), with 1/n exact, so that it is rounded once
+    when printed."""
+    return ((Fraction(1, n), v) for n, v in zip(s.indices(), s.values))
 
 
 class RatioTable(NamedTuple):
@@ -73,8 +74,8 @@ def ratio_table(s: HpSeq) -> RatioTable:
     with s.ctx.work():
         inv_sqrt = ((1 / mpmath.sqrt(n), v) for n, v in zip(r.indices(), r.values))
         return RatioTable(r, r.spread(10), {
-            "ratios_vs_inv_n": emit_csv(_inv_index(r), ("inv_n", "ratio")),
-            "ratios_vs_inv_sqrt_n": emit_csv(inv_sqrt, ("inv_sqrt_n", "ratio")),
+            "ratios_vs_inv_n": emit_csv(_inv_index(r), ("inv_n", "ratio"), s.ctx.digits),
+            "ratios_vs_inv_sqrt_n": emit_csv(inv_sqrt, ("inv_sqrt_n", "ratio"), s.ctx.digits),
         })
 
 
@@ -87,8 +88,8 @@ def ratio_loglog(s: HpSeq) -> dict:
         loglog = ((mpmath.log(n), mpmath.log(v))
                   for n, v in zip(shifted.indices(), shifted.values) if v > 0)
         return {
-            "loglog": emit_csv(loglog, ("log_n", "log_ratio_minus_1")),
-            "gradient": emit_csv(_inv_index(grad), ("inv_n", "gradient")),
+            "loglog": emit_csv(loglog, ("log_n", "log_ratio_minus_1"), s.ctx.digits),
+            "gradient": emit_csv(_inv_index(grad), ("inv_n", "gradient"), s.ctx.digits),
         }
 
 
@@ -108,8 +109,8 @@ def stretched_fit(s: HpSeq) -> StretchedFit:
     model, spreads = summarize_stretched(e1, e2, e3)
     with s.ctx.work():
         return StretchedFit(e1, e2, e3, model, spreads, e1.values[-1] ** 2, {
-            "e1": emit_csv(_inv_index(e1), ("inv_n", "e1")),
-            "e2": emit_csv(_inv_index(e2), ("inv_n", "e2")),
+            "e1": emit_csv(_inv_index(e1), ("inv_n", "e1"), s.ctx.digits),
+            "e2": emit_csv(_inv_index(e2), ("inv_n", "e2"), s.ctx.digits),
         })
 
 
@@ -129,9 +130,9 @@ def square_ratios(s: HpSeq) -> SquareRatios:
     i2 = elim_power(i1, 2)
     with s.ctx.work():
         return SquareRatios(squares, i2.values[-1], i2.spread(5), {
-            "r_sq": emit_csv(zip(r.indices(), r.values), ("k", "ratio")),
-            "intercepts": emit_csv(_inv_index(i1), ("inv_k", "intercept")),
-            "t_n": emit_csv(_inv_index(i2), ("inv_k", "t")),
+            "r_sq": emit_csv(zip(r.indices(), r.values), ("k", "ratio"), s.ctx.digits),
+            "intercepts": emit_csv(_inv_index(i1), ("inv_k", "intercept"), s.ctx.digits),
+            "t_n": emit_csv(_inv_index(i2), ("inv_k", "t"), s.ctx.digits),
         })
 
 
@@ -140,8 +141,8 @@ def power_law(s: HpSeq, mu) -> tuple[PowerLawDiagnostics, dict]:
     diag = powerlaw_pipeline(s, mu)
     with s.ctx.work():
         return diag, {
-            "g_n": emit_csv(_inv_index(diag.g_seq), ("inv_n", "g")),
-            "g2_n": emit_csv(_inv_index(diag.g2_seq), ("inv_n", "g2")),
+            "g_n": emit_csv(_inv_index(diag.g_seq), ("inv_n", "g"), s.ctx.digits),
+            "g2_n": emit_csv(_inv_index(diag.g2_seq), ("inv_n", "g2"), s.ctx.digits),
         }
 
 

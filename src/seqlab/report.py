@@ -181,15 +181,17 @@ def write_run(path: Path, command: str, fields: dict):
     return fields.get("stdout", "")
 
 
-def emit_csv(points: Iterable[tuple], header: tuple[str, str] = ("x", "y")) -> str:
-    """RFC-4180-style two-column CSV with full-precision decimal values.
+def emit_csv(points: Iterable[tuple], header: tuple[str, str] = ("x", "y"),
+             digits: Optional[int] = None) -> str:
+    """RFC-4180-style two-column CSV of decimal values, each printed by
+    decimal_str at `digits` significant digits (default: full precision).
 
     Non-finite points are dropped; an empty input yields just the header.
     """
     lines = [",".join(header)]
     for x, y in points:
         if _finite(x) and _finite(y):
-            lines.append(f"{decimal_str(x)},{decimal_str(y)}")
+            lines.append(f"{decimal_str(x, digits)},{decimal_str(y, digits)}")
     return "\n".join(lines) + "\n"
 
 

@@ -220,8 +220,15 @@ class TestStretchedFit:
         assert all(abs(v - amp) < eps for v in c_seq.values)
 
     def test_lambda_rejects_non_positive(self):
-        with pytest.raises(NonPositiveValue):
-            stretched_lambda(frac_seq(1, [1, -1, 1]))
+        # as a Fraction or as a float, the first non-positive value is named,
+        # by the amplitude sequence too
+        exact = frac_seq(1, [1, -1, 0])
+        floats = HpSeq(1, tuple(map(CTX50.mpf, exact.values)), CTX50)
+        for s in (exact, floats):
+            with pytest.raises(NonPositiveValue, match="index 2"):
+                stretched_lambda(s)
+            with pytest.raises(NonPositiveValue, match="index 2"):
+                stretched_amplitude_seq(s, 1, Fraction(1, 2), 0)
 
     def test_triple_fit_needs_three(self):
         with pytest.raises(InsufficientTerms):
@@ -233,27 +240,100 @@ class TestStretchedFit:
         with pytest.raises(SingularSystem, match="index 1000001"):
             stretched_triple_fit(lam)
 
-    @pytest.mark.parametrize("source", ["planted", "lconvex"])
-    def test_triple_fit_keeps_requested_digits(self, source):
-        # every estimator agrees with the same fit at digits + 100 to the
-        # requested significant digits
-        digits = 60
-        lconvex = gen_lconvex_area(401)
+    @pytest.mark.parametrize("source, terms, digits", [
+        pytest.param("planted", 400, 60, id="planted"),
+        pytest.param("lconvex", 400, 60, id="lconvex"),
+        pytest.param("lconvex", 2000, 100, id="lconvex-2000-100"),
+        pytest.param("lconvex", 300, 250, id="lconvex-300-250"),
+    ])
+    def test_triple_fit_keeps_requested_digits(self, source, terms, digits):
+        # lambda, every triple-fit estimator and the amplitude sequence agree
+        # with the same calls at digits + 100 to the requested significant
+        # digits, and no triple of the fit is singular
+        counts = gen_lconvex_area(terms + 1)
+        abc = Fraction(13, 7), Fraction(-3, 2), Fraction(-29, 9)
 
-        def fit(ctx):
+        def estimators(ctx):
             if source == "planted":
-                abc = Fraction(13, 7), Fraction(-3, 2), Fraction(-29, 9)
-                s = self.plant(*abc, 400, ctx)
+                s, a = self.plant(*abc, terms, ctx), abc[0]
             else:
-                s = HpSeq.from_sequence(lconvex, ctx).slice_from(1)
-            return stretched_triple_fit(stretched_lambda(s))
+                s = HpSeq.from_sequence(counts, ctx).slice_from(1)
+                with ctx.work():
+                    a = mpmath.sqrt(mpmath.mpf(13) / 6)
+            lam = stretched_lambda(s)
+            return (lam, *stretched_triple_fit(lam),
+                    stretched_amplitude_seq(s, a, Fraction(1, 2), Fraction(3, 2)))
 
-        lo, hi = fit(HpContext(digits)), fit(HpContext(digits + 100))
+        lo, hi = estimators(HpContext(digits)), estimators(HpContext(digits + 100))
+        names = ("lambda", "e1", "e2", "e3", "amplitude")
         with mpmath.workdps(digits + 100):
-            for est_lo, est_hi in zip(lo, hi):
-                assert len(est_lo) == len(est_hi) == 398
-                for x, y in zip(est_lo.values, est_hi.values):
-                    assert abs(x - y) <= abs(y) * mpmath.mpf(10) ** -digits
+            for name, est_lo, est_hi in zip(names, lo, hi):
+                assert len(est_lo) == len(est_hi) == terms - 2 * (name[0] == "e")
+                for n, x, y in zip(est_lo.indices(), est_lo.values, est_hi.values):
+                    assert abs(x - y) <= abs(y) * mpmath.mpf(10) ** -digits, (name, n)
+
+    @pytest.mark.parametrize("terms, digits", [(400, 60), (2000, 100), (300, 250)])
+    def test_estimators_round_once(self, terms, digits):
+        # fed the same inputs, each value at digits is within 2^(1-prec) of
+        # the same call at digits + 100 (prec: the working bits): the kernel
+        # loses none of the guard digits, and each value is rounded once
+        lo, hi = HpContext(digits), HpContext(digits + 100)
+        s = HpSeq.from_sequence(gen_lconvex_area(terms + 1), lo).slice_from(1)
+        lam = stretched_lambda(s)
+        with lo.work():
+            a = mpmath.sqrt(mpmath.mpf(13) / 6)
+            unit = +mpmath.eps  # 2^(1-prec)
+
+        def estimators(ctx):
+            return (stretched_lambda(HpSeq(1, s.values, ctx)),
+                    *stretched_triple_fit(HpSeq(1, lam.values, ctx)),
+                    stretched_amplitude_seq(HpSeq(1, s.values, ctx), a,
+                                            Fraction(1, 2), Fraction(3, 2)))
+
+        names = ("lambda", "e1", "e2", "e3", "amplitude")
+        with mpmath.workdps(digits + 100):
+            for name, est_lo, est_hi in zip(names, estimators(lo), estimators(hi)):
+                for n, x, y in zip(est_lo.indices(), est_lo.values, est_hi.values):
+                    assert abs(x - y) <= abs(y) * unit, (name, n)
+
+    def test_fraction_values_match_floats(self):
+        # a Fraction-valued sequence is read as its context floats
+        values = [Fraction(k * k + 1, k + 2) for k in range(1, 13)]
+        exact = frac_seq(1, values)
+        floats = HpSeq(1, tuple(CTX50.mpf(v) for v in values), CTX50)
+        assert stretched_lambda(exact).values == stretched_lambda(floats).values
+        assert ([e.values for e in stretched_triple_fit(exact)]
+                == [e.values for e in stretched_triple_fit(floats)])
+        args = Fraction(1, 3), Fraction(1, 2), Fraction(3, 2)
+        assert (stretched_amplitude_seq(exact, *args).values
+                == stretched_amplitude_seq(floats, *args).values)
+
+    def test_non_finite_value_is_an_error(self):
+        with CTX50.work():
+            s = HpSeq(1, (mpmath.mpf(2), mpmath.inf, mpmath.mpf(3)), CTX50)
+        with pytest.raises(ValueError, match="non-finite value at index 2"):
+            stretched_triple_fit(s)
+        with pytest.raises(ValueError, match="non-finite value at index 2"):
+            stretched_lambda(s)
+
+    @pytest.mark.parametrize("beta, delta", [
+        (Fraction(1, 3), Fraction(-2, 5)),
+        (mpmath.mpf("0.625"), mpmath.mpf(2) / 3),
+    ], ids=["fractions", "floats"])
+    def test_any_exponent_matches_mpmath(self, beta, delta):
+        # exponents other than 1/2 take n^beta as exp(beta log n) in the kernel
+        s = self.plant(Fraction(6, 5), Fraction(-1, 2), Fraction(1, 4), 60, CTX50)
+        lam = stretched_lambda(s, beta)
+        amp = stretched_amplitude_seq(s, Fraction(6, 5), beta, delta)
+        with mpmath.workdps(150):
+            b, d = (mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction)
+                    else x for x in (beta, delta))
+            for n, v, x, c in zip(s.indices(), s.values, lam.values, amp.values):
+                lam_ref = mpmath.log(v) / (mpmath.pi * mpmath.mpf(n) ** b)
+                amp_ref = v * mpmath.mpf(n) ** d * mpmath.exp(
+                    -mpmath.mpf(6) / 5 * mpmath.pi * mpmath.mpf(n) ** b)
+                assert abs(x - lam_ref) <= abs(lam_ref) * mpmath.mpf(10) ** -50
+                assert abs(c - amp_ref) <= abs(amp_ref) * mpmath.mpf(10) ** -50
 
 
 class TestPowerLaw:

@@ -106,13 +106,13 @@ ASCENT_ARGS = ["--terms", "600", "--digits", "60", "--corrections", "6",
 LCONVEX_DIGEST = "ee83fbc1697c0413487b45a5f6c4d4fc11e906fb7cf1c36252707216de87fc5a"
 ASCENT_DIGEST = "85154ccd5d97991f2eaaedc8c8419c08d749c8588d67341a9e6e6ed4c9d6790e"
 LCONVEX_CSV_SHA256 = {
-    "e1": "f7744bf1fa43bf7b2c73a5637ca6c97c98c5140fb588a858b5e923b3c8ab6d1e",
-    "e2": "10314e5b7866dd7aabfd9636b188fc77c3340686a34d52ced23e71e3c7f87c5f",
-    "g2_n": "5aafc1437d1c4c26988776aedd45cc2ab75b922e82b879f9a7c7b7e382487402",
-    "g_n": "b2c97899e030e13a22925883bb69ad8fa32936b0e975f9760cca20c065ffa297",
-    "intercepts": "07f3f0585836e4fe6e801ca95dc17e0e4256b6221157db9a44e0af6771db1a54",
-    "r_sq": "9de04f25fb95f1514ef91c80db386df65fee775a0ef363af4eb2a891f972c7f0",
-    "t_n": "4c65ba72d9268d5c9d75e0083bb861934271abbd92ac2d816833d5ee9cefbdb5",
+    "e1": "029f41023688775aa90ee310ddf432315447dd1076efcea86139489ad7a31927",
+    "e2": "02dda6b6b46dad8fa3ffde2dc0d56cf45c06b435a4eacd2f4207ed00ea8442bc",
+    "g2_n": "e22502049a7b91fcc4ecdb93cc509c61b241264a5673a22e446dc370a5f723e0",
+    "g_n": "66063037e9a10a3bfab6bb7d76bafbfd7221b45424a1b0a201b0ff791680351e",
+    "intercepts": "bf849b7e670bb1c9f1c841f9cced298ead8a48a1114be5e126fc053f8919b89c",
+    "r_sq": "92f81109b06e2f9bb9fcde071fb7fca24d1c8f510634ab216c9712fc7545a575",
+    "t_n": "bb15bf1b823ad038a22d7a94fc909e88fb69df1b2f46e2a134355f7ab2dcbf4c",
 }
 
 

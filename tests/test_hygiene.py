@@ -1,5 +1,5 @@
 """Dead-code guard: no unused imports, no unused module-private names and
-no alias methods.
+no alias methods; and the mpmath internals the package relies on.
 
 Each module of the package (except ``__init__.py``, which only re-exports)
 and each script is parsed with ``ast``.  An imported name must be referenced
@@ -8,9 +8,15 @@ somewhere in its module, counting names inside string annotations such as
 be referenced in its module.  A public method must do more than return
 another attribute of ``self`` or ``cls``, or the result of calling one:
 such a method is a second name for the same job.
+
+``mpmath.libmp`` is mpmath's undocumented low-level layer.  Every name the
+package imports from it is listed in LIBMP_NAMES and imported one by one
+here, so an mpmath release that drops or moves one of them fails the test
+named after it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -128,6 +134,29 @@ def test_study_script_does_no_numeric_work(name):
     modules |= {node.module.split(".")[0] for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module}
     assert modules.isdisjoint({"mpmath", "fractions"})
+
+
+# every name the package imports from mpmath.libmp: report.py's decimal
+# rendering and the fixed-point kernel of asympt.py
+LIBMP_NAMES = [
+    "dps_to_prec", "finf", "fnan", "fninf", "from_int", "from_man_exp",
+    "from_rational", "log_int_fixed", "mpf_exp", "mpf_log", "mpf_mul",
+    "mpf_pos", "normalize", "pi_fixed", "round_nearest", "to_fixed", "to_str",
+]
+
+
+def test_libmp_names_listed():
+    imported = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "mpmath.libmp":
+                imported |= {a.name for a in node.names}
+    assert sorted(imported) == LIBMP_NAMES
+
+
+@pytest.mark.parametrize("name", LIBMP_NAMES)
+def test_libmp_name(name):
+    getattr(importlib.import_module("mpmath.libmp"), name)
 
 
 def test_guard_catches_dead_names():
