@@ -250,7 +250,7 @@ class TestStretchedFit:
         # lambda, every triple-fit estimator and the amplitude sequence agree
         # with the same calls at digits + 100 to the requested significant
         # digits, and no triple of the fit is singular
-        counts = gen_lconvex_area(terms + 1)
+        counts = gen_lconvex_area(terms + 1) if source == "lconvex" else None
         abc = Fraction(13, 7), Fraction(-3, 2), Fraction(-29, 9)
 
         def estimators(ctx):
