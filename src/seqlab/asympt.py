@@ -26,6 +26,7 @@ from mpmath.libmp import (
     dps_to_prec,
     from_int,
     from_man_exp,
+    from_rational,
     log_int_fixed,
     mpf_exp,
     mpf_log,
@@ -58,14 +59,20 @@ class HpContext:
     digits: int = 100
     guard: int = 10
 
+    def __post_init__(self):
+        if self.digits < 1:
+            raise ValueError(f"need digits >= 1, got {self.digits}")
+
     def work(self):
         """Context manager setting mpmath precision to digits + guard."""
         return mpmath.workdps(self.digits + self.guard)
 
     def mpf(self, x) -> HpReal:
+        """x as a context float; a Fraction is rounded once, to nearest."""
         with self.work():
             if isinstance(x, Fraction):
-                return mpmath.mpf(x.numerator) / x.denominator
+                return _make_mpf(from_rational(x.numerator, x.denominator,
+                                               mpmath.mp.prec, round_nearest))
             return mpmath.mpf(x)
 
 
@@ -126,10 +133,10 @@ class HpSeq:
 
 @dataclass(frozen=True)
 class StretchedModel:
-    """s_n ~ exp(a pi n^beta) / (c n^delta) with beta in (0, 1)."""
+    """s_n ~ exp(a pi sqrt(n)) / (c n^delta): the half-power model of the
+    triple fit."""
 
     a: HpReal
-    beta: Fraction
     delta: HpReal
     c: HpReal
 
@@ -378,15 +385,13 @@ def stretched_triple_fit(lam: HpSeq) -> tuple[HpSeq, HpSeq, HpSeq]:
     )
 
 
-def summarize_stretched(
-    e1: HpSeq, e2: HpSeq, e3: HpSeq, beta: Fraction = Fraction(1, 2)
-) -> tuple[StretchedModel, dict]:
+def summarize_stretched(e1: HpSeq, e2: HpSeq, e3: HpSeq) -> tuple[StretchedModel, dict]:
     """Last-index summary of the triple-fit estimators with their spreads
-    over the last 10 indices."""
+    over the last 10 indices.  The fit's rows are 1/(pi sqrt(n)), so the
+    model's power of n is fixed at 1/2."""
     with e1.ctx.work():
         model = StretchedModel(
             a=e1.values[-1],
-            beta=beta,
             delta=-e2.values[-1],
             c=mpmath.exp(-e3.values[-1]),
         )
@@ -442,15 +447,21 @@ def _float_values(s: HpSeq) -> HpSeq:
     return s
 
 
+def _growth_constant(mu: Real, ctx: HpContext) -> HpReal:
+    """mu as a context float; ValueError unless it is finite and positive."""
+    mu_ = ctx.mpf(mu)
+    if not (mu_ > 0 and mpmath.isfinite(mu_)):
+        raise ValueError("the growth constant mu must be finite and positive")
+    return mu_
+
+
 def powerlaw_pipeline(s: HpSeq, mu: Real) -> PowerLawDiagnostics:
     """Estimate the power g of s_n ~ D mu^n n^g from ratios r_n = mu(1 + g/n + ...)."""
     if len(s) < 3:
         raise InsufficientTerms(f"power-law fit needs at least 3 terms, got {len(s)}")
     r = _float_values(ratios(s))
+    mu_ = _growth_constant(mu, s.ctx)
     with s.ctx.work():
-        mu_ = s.ctx.mpf(mu)
-        if mu_ <= 0:
-            raise ValueError("mu must be positive")
         g_seq = HpSeq(
             r.offset,
             tuple((v / mu_ - 1) * n for n, v in zip(r.indices(), r.values)),
@@ -571,6 +582,7 @@ def amplitude_fit(s, mu: Real, g, K: int, ctx: HpContext) -> AmplitudeFit:
     """
     if K < 0:
         raise ValueError("need K >= 0")
+    mu_ = _growth_constant(mu, ctx)
     if len(s) < K + 1:
         raise InsufficientTerms(f"need at least K+1 = {K + 1} terms")
     last = s.last_index
@@ -579,7 +591,6 @@ def amplitude_fit(s, mu: Real, g, K: int, ctx: HpContext) -> AmplitudeFit:
         raise InsufficientTerms(f"need K+1 = {K + 1} terms at indices n >= 1")
     first = last - K - shifts + 1
     with ctx.work():
-        mu_ = ctx.mpf(mu)
         g_ = ctx.mpf(Fraction(g) if not isinstance(g, (int, Fraction)) else g)
         log_mu = mpmath.log(mu_)
         ys = [

@@ -305,8 +305,8 @@ def guess_algeq_cmd(state, source, dxmax, dymax, margin):
                     notes=["no algebraic equation found within the search grid"])
     return dict(
         parameters={**params, "degree_x": eq.degree, "degree_y": eq.degree_y},
-        sequences={f"c{j}": sequence_entry(0, list(c.int_coeffs()))
-                   for j, c in enumerate(eq.coeffs)},
+        sequences={f"c{j}": sequence_entry(0, cs)
+                   for j, cs in enumerate(eq.coeff_lists())},
         notes=[str(eq)], stdout=f"{eq}\n",
     )
 
@@ -610,7 +610,7 @@ def identify_minpoly_cmd(state, value, maxdeg, digits):
     fields = _identified(value, {"maxdeg": maxdeg, "digits": d}, found,
                          "no integer polynomial relation found")
     if p is not None:
-        fields["sequences"] = {"min_poly": sequence_entry(0, [int(c) for c in p.coeffs])}
+        fields["sequences"] = {"min_poly": sequence_entry(0, p.coeffs)}
     return fields
 
 

@@ -60,7 +60,7 @@ class _PolyModel:
         return max(p.degree for p in self.coeffs)
 
     def coeff_lists(self) -> list[list[int]]:
-        return [list(p.int_coeffs()) for p in self.coeffs]
+        return [list(p.coeffs) for p in self.coeffs]
 
     @classmethod
     def from_lists(cls, lists: SeqABC[SeqABC[int]]):
@@ -225,7 +225,7 @@ def integer_nullspace(rows: SeqABC[SeqABC[int]], ncols: int) -> list[list[int]]:
 
 
 def _bit_cost(polys: SeqABC[Poly]) -> int:
-    return sum(abs(int(c)).bit_length() for p in polys for c in p.coeffs)
+    return sum(abs(c).bit_length() for p in polys for c in p.coeffs)
 
 
 def _search(shapes, system, model, too_few: str):
@@ -398,7 +398,7 @@ def prec_to_ode(rec: PRecurrence, init: "Sequence") -> LinODE:
     # sum_i Q_i(x) D^i with theta^t = sum_i S2(t, i) x^i D^i
     q_acc = [[0] * (r + d + 1) for _ in range(d + 1)]
     for j, p in enumerate(rec.coeffs):
-        for t, a_t in enumerate(p.compose_linear(-j).int_coeffs()):
+        for t, a_t in enumerate(p.compose_linear(-j).coeffs):
             for i in range(t + 1):
                 q_acc[i][r - j + i] += a_t * s2[t][i]
     q_ops = [Poly(acc) for acc in q_acc]
@@ -459,7 +459,7 @@ def algeq_residual(eq: AlgEq, terms: "Sequence") -> Optional[int]:
     """
     if terms.offset != 0:
         raise ValueError("algebraic residual needs an offset-0 sequence")
-    residual = alg_eval(eq.grid(), [int(t) for t in terms.terms], len(terms))
+    residual = alg_eval(eq.grid(), terms.terms, len(terms))
     return next((m for m, c in enumerate(residual) if c), None)
 
 
@@ -488,7 +488,7 @@ def guess_algeq(
         raise ValueError("need margin >= 0")
     if terms.offset != 0:
         raise ValueError("generating-function guessing needs an offset-0 sequence")
-    u = [int(t) for t in terms.terms]
+    u = terms.terms
     big_l = len(u)
     powers = [[1] + [0] * (big_l - 1)]
     for _ in range(dymax):

@@ -206,9 +206,12 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
     |p(x)| < 10^(5 - digits) * ||p||_inf * max(1, |x|)^deg, a threshold a few
     orders above evaluation roundoff but far below the residual of any
     accidental lattice relation at this scaling.  Returns None if no degree
-    yields a verified relation; raises PrecisionTooLow when digits is too
-    small to separate the two regimes (digits < 10 * (maxdeg + 1)).
+    yields a verified relation; raises ValueError when maxdeg < 1 and
+    PrecisionTooLow when digits is too small to separate the two regimes
+    (digits < 10 * (maxdeg + 1)).
     """
+    if maxdeg < 1:
+        raise ValueError(f"need maxdeg >= 1, got {maxdeg}")
     if digits < 10 * (maxdeg + 1):
         raise PrecisionTooLow(
             f"need at least {10 * (maxdeg + 1)} digits for degree {maxdeg}"
@@ -236,7 +239,7 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
                 p = Poly(primitive_int(coeffs))
                 if p.coeffs[-1] < 0:
                     p = -p
-                norm = max(abs(int(c)) for c in p.coeffs)
+                norm = max(map(abs, p.coeffs))
                 if abs(p(x)) < threshold * norm:
                     return p
     return None

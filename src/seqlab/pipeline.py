@@ -165,7 +165,7 @@ def branch_series(u: Sequence, order: int) -> Sequence:
     """Integer coefficients 0..order-1 of w(x) = 12 x^3 U(x) - R(x), the
     series branch of a cubic equation, from the ascent counts u.  Since
     -R(x) = num(x)/(1 - x), that term is the prefix sum of num."""
-    w = (list(BRANCH_SHIFT_NUM.int_coeffs()) + [0] * order)[:order]
+    w = (list(BRANCH_SHIFT_NUM.coeffs) + [0] * order)[:order]
     div_one_minus_qm(w, 1)
     for k in range(3, order):
         w[k] += 12 * u.terms[k - 3]
@@ -177,14 +177,14 @@ def lconvex_study(terms: int, digits: int, squares: int) -> dict:
     square-subsequence ratio intercept and power law, Bulirsch-Stoer
     amplitude constant on the first `squares` squares and its
     identification, and the stack counts against their asymptotic form.
-    Returns the run's fields; raises InsufficientTerms before any stage
-    runs unless terms >= 16 and squares >= 4."""
+    Returns the run's fields; raises before any stage runs unless
+    terms >= 16, squares >= 4 and digits >= 1."""
     if terms < 16:
         raise InsufficientTerms("need the terms at indices 1 to 16 (the squares 1, 4, 9, 16)")
     if squares < 4:
         raise InsufficientTerms(f"extrapolation needs at least 4 squares, got {squares}")
-    counts = gen_lconvex_area(terms + 1)
     ctx = HpContext(digits)
+    counts = gen_lconvex_area(terms + 1)
     hs = HpSeq.from_sequence(counts, ctx).slice_from(1)
 
     fit = stretched_fit(hs)
@@ -264,22 +264,24 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
     with `corrections` 1/n terms on `terms` terms, and the minimal
     polynomial of A^2 = (16 sqrt(pi) C / 105)^2 and closed form of C.
     Returns the run's fields; raises before any stage runs unless
-    corrections >= 0 and terms >= corrections + 2."""
+    corrections >= 0, terms >= corrections + 2 and digits >= 1."""
     if corrections < 0:
         raise ValueError(f"need corrections >= 0, got {corrections}")
     if terms < corrections + 2:
         raise InsufficientTerms(f"an amplitude fit with {corrections} corrections "
                                 f"needs terms >= {corrections + 2}, got {terms}")
+    ctx = HpContext(digits)
     head = parse_bfile(bfile_text).head(24)
     rec = guess_prec(head)
     if rec is None:
         raise SeqLabError("no recurrence found from the 24-term prefix")
     ode = prec_to_ode(rec, head)
-    residual = ode_residual(ode, expand_prec(rec, head, 2000))
+    u = expand_prec(rec, head, max(2000, terms))
+    residual = ode_residual(ode, u.head(2000))
+    nonzero = None if residual is None else f"nonzero at x^{residual}"
 
-    ctx = HpContext(digits)
     rho, mu = growth_rate(SINGULARITY_CUBIC, ctx)
-    fit = amplitude_fit(expand_prec(rec, head, terms), mu, Fraction(9, 2), corrections, ctx)
+    fit = amplitude_fit(u.head(terms), mu, Fraction(9, 2), corrections, ctx)
     c_value = fit.model.C
     with ctx.work():
         a_sq = (c_value * 16 * mpmath.sqrt(mpmath.pi) / 105) ** 2
@@ -295,7 +297,7 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
         lines = [
             f"recurrence (order {rec.order}, degree {rec.degree}): {rec}",
             f"derived ODE: order {ode.order}, degree {ode.degree}; residual on "
-            f"2000 terms: {'all zero' if residual is None else residual}",
+            f"2000 terms: {nonzero or 'all zero'}",
             f"singularity rho = {mpmath.nstr(rho, 20)} "
             f"(|lead(rho)| = {mpmath.nstr(lead_at_root, 3)})",
             f"growth constant mu = 1/rho = {mpmath.nstr(mu, 20)}",
@@ -313,7 +315,7 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
         input_digest=text_digest(bfile_text),
         parameters={"terms": terms, "digits": digits, "corrections": corrections,
                     "recurrence": rec.coeff_lists(),
-                    "singularity_cubic": list(SINGULARITY_CUBIC.int_coeffs())},
+                    "singularity_cubic": list(SINGULARITY_CUBIC.coeffs)},
         scalars={
             "rho": scalar_entry(rho, digits),
             "mu": scalar_entry(mu, digits),
@@ -322,7 +324,7 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
             "closed_form_C_diff": scalar_entry(d_closed, 5),
         },
         notes=[
-            f"ODE order {ode.order}, degree {ode.degree}, residual all-zero",
+            f"ODE order {ode.order}, degree {ode.degree}, residual {nonzero or 'all-zero'}",
             "A^2 minimal polynomial: "
             + (poly_a_sq.format("B") if poly_a_sq is not None else "not found"),
         ],

@@ -37,6 +37,7 @@ from .series import (
     div_one_minus_qm,
     div_q_infinity,
     int_horner,
+    int_tuple,
 )
 
 
@@ -49,12 +50,7 @@ class Sequence:
     terms: tuple[int, ...]
 
     def __post_init__(self):
-        given = tuple(self.terms)
-        ints = tuple(int(t) for t in given)
-        if ints != given:
-            n = next(n for n, (t, i) in enumerate(zip(given, ints), self.offset) if t != i)
-            raise NonIntegral(f"non-integer term at index {n}")
-        object.__setattr__(self, "terms", ints)
+        object.__setattr__(self, "terms", int_tuple(self.terms, "term", self.offset))
 
     def __len__(self) -> int:
         return len(self.terms)

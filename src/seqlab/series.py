@@ -3,47 +3,54 @@
 Rational scalars are `fractions.Fraction` (arbitrary precision, always in lowest
 terms with positive denominator).  On top of that sit two immutable value types:
 
-* `Poly` -- dense univariate polynomial, coefficients ascending, no trailing
-  zeros (the zero polynomial is the empty coefficient tuple).
-* `TruncSeries` -- power series known exactly up to (but excluding) a stated
-  truncation order.  Arithmetic returns results at the weakest participating
-  order, so precision loss is always explicit, never silent.
+* `Poly` -- dense univariate polynomial with integer coefficients, ascending,
+  no trailing zeros (the zero polynomial is the empty coefficient tuple).
+* `TruncSeries` -- power series with rational coefficients known exactly up
+  to (but excluding) a stated truncation order.  Arithmetic returns results
+  at the weakest participating order, so precision loss is always explicit,
+  never silent.
 
 All operations are pure; nothing here mutates its inputs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence as Seq, Union
 
-from .errors import ZeroConstantTerm
+from .errors import NonIntegral, ZeroConstantTerm
 
 Scalar = Union[int, Fraction]
 
 
-def _as_rat(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def int_tuple(values: Iterable, what: str, first: int = 0) -> tuple[int, ...]:
+    """The values as ints, each equal to an integer (NonIntegral names the
+    index of the first that is not, counting from `first`)."""
+    given = tuple(values)
+    ints = tuple(int(v) for v in given)
+    if ints != given:
+        n = next(n for n, (v, i) in enumerate(zip(given, ints), first) if v != i)
+        raise NonIntegral(f"non-integer {what} at index {n}")
+    return ints
 
 
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Poly:
-    """Dense univariate polynomial over the rationals."""
+    """Dense univariate polynomial over the integers."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...] = ()
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_rat(c) for c in coeffs]
+    def __post_init__(self):
+        cs = list(int_tuple(self.coeffs, "coefficient"))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Poly is immutable")
 
     @property
     def degree(self) -> int:
@@ -55,15 +62,6 @@ class Poly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("Poly", self.coeffs))
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
@@ -80,36 +78,24 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+    def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         return Poly(mul_trunc(a, b, max(len(a) + len(b) - 1, 0)))
 
-    __rmul__ = __mul__
-
     def __call__(self, x):
-        """Evaluate by Horner's rule; works for Fraction, int, or mpf input."""
+        """Evaluate by Horner's rule; works for int, Fraction or mpf input."""
         return int_horner(self.coeffs, x)
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def compose_linear(self, shift: Scalar) -> "Poly":
+    def compose_linear(self, shift: int) -> "Poly":
         """Return p(t + shift) expanded in t."""
         out = Poly([])
-        lin = Poly([_as_rat(shift), Fraction(1)])
+        lin = Poly([shift, 1])
         for c in reversed(self.coeffs):
             out = out * lin + Poly([c])
         return out
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def int_coeffs(self) -> tuple[int, ...]:
-        if not self.is_integral():
-            raise ValueError("polynomial has non-integer coefficients")
-        return tuple(int(c) for c in self.coeffs)
 
     def format(self, var: str = "x") -> str:
         """Human-readable form, highest power first, e.g. '2*n^2 + 31*n + 120'."""
@@ -201,7 +187,7 @@ def primitive_int(vec: Seq[Scalar]) -> list[int]:
     nonzero entry positive (all zeros stay zero)."""
     den = 1
     for x in vec:
-        den = lcm(den, Fraction(x).denominator)
+        den = lcm(den, x.denominator)
     ints = [int(x * den) for x in vec]
     g = 0
     for e in ints:
@@ -216,6 +202,11 @@ def primitive_int(vec: Seq[Scalar]) -> list[int]:
 # truncated power series
 # ---------------------------------------------------------------------------
 
+def _as_rat(x: Scalar) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+@dataclass(frozen=True)
 class TruncSeries:
     """Power series with coefficients 0..order-1 known exactly.
 
@@ -224,35 +215,21 @@ class TruncSeries:
     their operands.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[Fraction, ...]
 
-    def __init__(self, coeffs: Iterable[Scalar]):
-        object.__setattr__(
-            self, "coeffs", tuple(_as_rat(c) for c in coeffs)
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(_as_rat(c) for c in self.coeffs))
         if not self.coeffs:
             raise ValueError("a TruncSeries needs order >= 1")
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("TruncSeries is immutable")
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TruncSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("TruncSeries", self.coeffs))
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 6 else ""
         return f"TruncSeries([{head}{tail}], order={self.order})"
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n]
 
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:

@@ -29,6 +29,7 @@ from seqlab import (
     stretched_triple_fit,
     summarize_stretched,
 )
+from mpmath.libmp import from_int, mpf_div, round_nearest
 from seqlab.asympt import _pdiv, vandermonde_inverse
 from seqlab.errors import (
     IllConditioned,
@@ -45,6 +46,34 @@ CTX100 = HpContext(100)
 
 def frac_seq(offset, values):
     return HpSeq(offset, tuple(Fraction(v) for v in values), CTX50)
+
+
+class TestHpContext:
+    @pytest.mark.parametrize("digits", [0, -5])
+    def test_digits_below_one_rejected(self, digits):
+        with pytest.raises(ValueError, match="need digits >= 1"):
+            HpContext(digits)
+
+    def test_wide_fraction_rounded_once(self):
+        # rounding 3^40 + 1 to 20 bits first, then the quotient, lands one
+        # unit below the nearest value 1031588 * 2^35
+        got = HpContext(5, 0).mpf(Fraction(3**40 + 1, 343))
+        assert got == 1031588 * 2**35
+
+    def test_fractions_rounded_to_nearest(self):
+        rng = random.Random(1908)
+        for _ in range(400):
+            ctx = HpContext(rng.randrange(1, 40), rng.randrange(0, 5))
+            x = Fraction(rng.randrange(-10**60, 10**60), rng.randrange(1, 10**30))
+            got = ctx.mpf(x)
+            with ctx.work():
+                prec = mpmath.mp.prec
+            want = mpf_div(from_int(x.numerator), from_int(x.denominator), prec, round_nearest)
+            assert got._mpf_ == want, x
+            # within half a unit in the last of prec bits
+            _, man, exp, bc = got._mpf_
+            half_ulp = Fraction(2) ** (exp + bc - prec - 1)
+            assert abs(Fraction(man) * Fraction(2) ** exp - abs(x)) <= half_ulp, x
 
 
 class TestHpSeq:
@@ -394,6 +423,27 @@ class TestBst:
             bst_extrapolate(frac_seq(1, [1, 2, 5, 9]), Fraction(1))
 
 
+BAD_MU = ["-2", "0", "inf", "nan"]
+
+
+class TestGrowthConstantChecked:
+    """Both consumers of a growth constant reject one that is not finite
+    and positive, with the same message."""
+
+    MESSAGE = "^the growth constant mu must be finite and positive$"
+
+    @pytest.mark.parametrize("mu", BAD_MU)
+    def test_powerlaw(self, mu):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            powerlaw_pipeline(frac_seq(1, [1, 2, 3]), mpmath.mpf(mu))
+
+    @pytest.mark.parametrize("mu", BAD_MU)
+    def test_amplitude_fit(self, mu):
+        s = Sequence(1, tuple(3 * 2 ** n for n in range(1, 12)))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            amplitude_fit(s, mpmath.mpf(mu), 1, 2, CTX50)
+
+
 class TestAmplitudeFit:
     def test_planted_one_correction(self):
         # s_n = 3 * 2^n (n + 1) = 2^n n (3 + 3/n): C = 3, a_1 = 1, g = 1
@@ -513,9 +563,9 @@ class TestPseudoDivision:
         # k a = q b + r for some k > 0, read off the top coefficients
         q, r = _pdiv(a, b)
         pa, lhs = Poly(a), Poly(q) * Poly(b) + Poly(r)
-        k = lhs.coeffs[-1] / pa.coeffs[-1] if pa and lhs else 1
-        assert k > 0
-        assert lhs == pa * k
+        k, rest = divmod(lhs.coeffs[-1], pa.coeffs[-1]) if pa and lhs else (1, 0)
+        assert k > 0 and rest == 0
+        assert lhs == pa * Poly([k])
         assert len(r) < len(b) and (not r or r[-1] != 0)
 
 

@@ -393,6 +393,7 @@ class TestErrorBoundaryAndEcho:
     sys.argv."""
 
     B = "b202062.txt"
+    MU_ERROR = "the growth constant mu must be finite and positive"
 
     @pytest.mark.parametrize("args, error", [
         (["guess", "rec", "bad.txt"], "malformed b-file line 2"),
@@ -426,6 +427,16 @@ class TestErrorBoundaryAndEcho:
         (["analyze", "powerlaw", "upto8.txt", "--mu", "3", "--square"],
          "indices 1 to 9"),
         (["extrapolate", "bst", "upto15.txt", "--square"], "indices 1 to 16"),
+        (["--precision", "-5", "analyze", "ratios", B], "need digits >= 1, got -5"),
+        (["--precision", "0", "analyze", "ratios", B], "need digits >= 1, got 0"),
+        (["fit", "amplitude", B, "--mu", "-2", "--g", "1", "--K", "2"], MU_ERROR),
+        (["fit", "amplitude", B, "--mu", "0", "--g", "1", "--K", "2"], MU_ERROR),
+        (["fit", "amplitude", B, "--mu", "inf", "--g", "1", "--K", "2"], MU_ERROR),
+        (["analyze", "powerlaw", B, "--mu", "nan"], MU_ERROR),
+        (["identify", "minpoly", "--value", "1.5", "--maxdeg", "-1", "--digits", "30"],
+         "need maxdeg >= 1, got -1"),
+        (["identify", "minpoly", "--value", "1.5", "--maxdeg", "0", "--digits", "30"],
+         "need maxdeg >= 1, got 0"),
         (["analyze", "square", "upto16.txt"], None),
         (["analyze", "powerlaw", "upto9.txt", "--mu", "3", "--square"], None),
     ])
@@ -445,8 +456,9 @@ class TestErrorBoundaryAndEcho:
             assert read_report()["command"] == "seqlab " + " ".join(args)
         else:
             assert isinstance(res.exception, SystemExit), res.exception
-            assert res.exit_code == 1
+            assert res.exit_code == 1 and res.stdout == ""
             assert res.stderr.startswith("Error: ") and error in res.stderr
+            assert len(res.stderr.splitlines()) == 1 and not Path("report.json").exists()
 
     def test_random_terms_fit_no_recurrence(self, tmp_path, monkeypatch):
         """22 random terms leave every shape of the default grid without an

@@ -31,7 +31,7 @@ from seqlab.errors import InconsistentInit, InsufficientTerms
 from seqlab.pipeline import branch_series
 from conftest import ASCENT_INIT, ASCENT_REC_LISTS, CATALAN
 
-from math import gcd, lcm
+from math import gcd
 
 
 class TestIntegerNullspace:
@@ -156,7 +156,7 @@ class TestPRecurrenceNormalForm:
         assert a.coeffs[-1].coeffs[-1] > 0
         g = 0
         for p in a.coeffs:
-            for c in p.int_coeffs():
+            for c in p.coeffs:
                 g = gcd(g, abs(c))
         assert g == 1
 
@@ -174,32 +174,28 @@ class TestPRecurrenceNormalForm:
 
 
 def _reference_normal_form(polys):
-    """The normal form as first written for the three model types: clear
-    denominators, divide out the content, make the top polynomial's leading
-    coefficient positive."""
-    den = 1
-    for p in polys:
-        for c in p.coeffs:
-            den = lcm(den, c.denominator)
+    """The normal form as first written for the three model types: divide
+    out the content, make the top polynomial's leading coefficient
+    positive."""
     g = 0
     for p in polys:
         for c in p.coeffs:
-            g = gcd(g, abs(int(c * den)))
-    scale = Fraction(den, g)
+            g = gcd(g, abs(c))
     if polys[-1].coeffs[-1] < 0:
-        scale = -scale
-    return tuple(p * scale for p in polys)
+        g = -g
+    return tuple(Poly([c // g for c in p.coeffs]) for p in polys)
 
 
-_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
-_polys = st.lists(_rationals, max_size=4).map(Poly)
+_polys = st.lists(st.integers(-50, 50), max_size=4).map(Poly)
 
 
 class TestNormalForm:
     @settings(deadline=None, max_examples=200)
-    @given(st.lists(_polys, max_size=4), _polys.filter(bool))
-    def test_matches_reference(self, lower, top):
-        polys = (*lower, top)
+    @given(st.lists(_polys, max_size=4), _polys.filter(bool),
+           st.integers(-12, 12).filter(bool))
+    def test_matches_reference(self, lower, top, scale):
+        # a common factor `scale` gives every polynomial tuple a content to divide out
+        polys = tuple(p * Poly([scale]) for p in (*lower, top))
         want = _reference_normal_form(polys)
         assert LinODE(polys).coeffs == want
         if len(polys) >= 2:
@@ -298,6 +294,7 @@ class TestPrecToOde:
         assert ode_residual(ascent_ode, u2000) is None
         built = prec_to_ode(ascent_rec, u2000.head(5))
         assert built == ascent_ode
+        assert all(type(c) is int for p in built.coeffs for c in p.coeffs)
         assert ode_residual(built, u2000) is None
 
     def test_residual_detects_corruption(self, ascent_ode, u2000):
@@ -527,7 +524,8 @@ class TestGuessersPinned:
             return f"{type(exc).__name__}: {exc}"
         if model is None:
             return "None"
-        return f"{model} {[list(p.int_coeffs()) for p in model.coeffs]}"
+        assert all(type(c) is int for p in model.coeffs for c in p.coeffs)
+        return f"{model} {model.coeff_lists()}"
 
     @staticmethod
     def cases(b202062, ascent_rec):

@@ -1,5 +1,6 @@
-"""Dead-code guard: no unused imports, no unused module-private names and
-no alias methods; and the mpmath internals the package relies on.
+"""Dead-code guard: no unused imports, no unused module-private names, no
+alias methods and no drift of the export list; and the mpmath internals the
+package relies on.
 
 Each module of the package (except ``__init__.py``, which only re-exports)
 and each script is parsed with ``ast``.  An imported name must be referenced
@@ -134,6 +135,16 @@ def test_study_script_does_no_numeric_work(name):
     modules |= {node.module.split(".")[0] for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module}
     assert modules.isdisjoint({"mpmath", "fractions"})
+
+
+def test_all_lists_every_reexport():
+    # seqlab.__all__ names exactly what __init__.py imports, once each
+    tree = ast.parse((ROOT / "src" / "seqlab" / "__init__.py").read_text())
+    imported = [a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    exported = importlib.import_module("seqlab").__all__
+    assert len(set(exported)) == len(exported)
+    assert sorted(exported) == sorted(imported)
 
 
 # every name the package imports from mpmath.libmp: report.py's decimal

@@ -399,8 +399,8 @@ class TestMinPolyVsFindpoly:
                 # PSLQ's default 100 steps miss some of the sextics
                 ref = mpmath.findpoly(x, 6, maxcoeff=10**6, maxsteps=10**4)
                 assert p is not None and ref is not None, (deg, x)
-                assert p.degree == deg
-                assert _normalised(p.int_coeffs()) == _normalised(ref[::-1]), (deg, x)
+                assert p.degree == deg and all(type(c) is int for c in p.coeffs)
+                assert _normalised(p.coeffs) == _normalised(ref[::-1]), (deg, x)
 
 
 class TestRandomPlantedConstants:

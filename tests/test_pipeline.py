@@ -8,9 +8,15 @@ import pytest
 import seqlab.pipeline
 from seqlab import HpContext, HpSeq, expand_prec, guess_prec
 from seqlab.errors import InsufficientTerms
-from seqlab.pipeline import branch_series, growth_rate, lconvex_study, square_bst
+from seqlab.pipeline import (
+    ascent_study,
+    branch_series,
+    growth_rate,
+    lconvex_study,
+    square_bst,
+)
 from test_acceptance import _branch_series
-from conftest import GROWTH_POLY
+from conftest import DATA_DIR, GROWTH_POLY
 
 
 def test_branch_series_matches_acceptance_reference(b202062):
@@ -28,6 +34,15 @@ def test_lconvex_study_checks_sizes_before_any_stage(monkeypatch):
     monkeypatch.setattr(seqlab.pipeline, "gen_lconvex_area", fail)
     with pytest.raises(InsufficientTerms, match="at least 4 squares"):
         lconvex_study(5000, 100, 3)
+    with pytest.raises(ValueError, match="digits >= 1"):
+        lconvex_study(5000, 0, 44)
+
+
+def test_ascent_study_reports_the_residual_it_found(monkeypatch):
+    monkeypatch.setattr(seqlab.pipeline, "ode_residual", lambda ode, terms: 7)
+    fields = ascent_study((DATA_DIR / "b202062.txt").read_text(encoding="utf-8"), 60, 40, 4)
+    assert fields["notes"][0] == "ODE order 3, degree 11, residual nonzero at x^7"
+    assert "; residual on 2000 terms: nonzero at x^7\n" in fields["stdout"]
 
 
 def test_growth_rate_is_reciprocal_root():

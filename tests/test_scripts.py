@@ -72,6 +72,12 @@ class TestAscentPipeline:
         err = assert_failed_study("ascent_pipeline", args, tmp_path, monkeypatch, capsys)
         assert "needs terms >=" in err
 
+    @pytest.mark.parametrize("digits", ["-5", "0"])
+    def test_bad_digits_is_a_clean_error(self, digits, tmp_path, monkeypatch, capsys):
+        err = assert_failed_study("ascent_pipeline", ["--digits", digits],
+                                  tmp_path, monkeypatch, capsys)
+        assert err == f"Error: need digits >= 1, got {digits}\n"
+
 
 class TestLconvexPipeline:
     def test_writes_report_and_seven_csvs(self, tmp_path, monkeypatch, capsys):
@@ -96,6 +102,12 @@ class TestLconvexPipeline:
         err = assert_failed_study("lconvex_pipeline", ["--squares", "3"],
                                   tmp_path, monkeypatch, capsys)
         assert err == "Error: extrapolation needs at least 4 squares, got 3\n"
+
+    @pytest.mark.parametrize("digits", ["-5", "0"])
+    def test_bad_digits_is_a_clean_error(self, digits, tmp_path, monkeypatch, capsys):
+        err = assert_failed_study("lconvex_pipeline", ["--digits", digits],
+                                  tmp_path, monkeypatch, capsys)
+        assert err == f"Error: need digits >= 1, got {digits}\n"
 
 
 class TestValidateFixture:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqlab import Poly, TruncSeries, q_pochhammer
-from seqlab.errors import ZeroConstantTerm
+from seqlab import Poly, Sequence, TruncSeries, q_pochhammer
+from seqlab.errors import NonIntegral, ZeroConstantTerm
 from seqlab.series import div_q_infinity, int_horner, mul_trunc
 
 small_ints = st.integers(min_value=-9, max_value=9)
@@ -57,8 +57,14 @@ class TestPoly:
         assert p.compose_linear(b)(x) == p(x + b)
 
     def test_int_coeffs(self):
-        assert Poly([1, Fraction(2), 3]).int_coeffs() == (1, 2, 3)
-        assert Poly([Fraction(1, 2)]).is_integral() is False
+        p = Poly([1, Fraction(4, 2), 3.0])
+        assert p.coeffs == (1, 2, 3) and all(type(c) is int for c in p.coeffs)
+        assert Poly([Fraction(4, 2)]).coeffs == (2,)
+        # any other value fails the check that Sequence terms go through
+        with pytest.raises(NonIntegral, match="^non-integer coefficient at index 1$"):
+            Poly([1, Fraction(1, 2)])
+        with pytest.raises(NonIntegral, match="^non-integer term at index 4$"):
+            Sequence(3, (1, Fraction(1, 2)))
 
     def test_format(self):
         assert Poly([120, 31, 2]).format("n") == "2*n^2 + 31*n + 120"
