@@ -427,6 +427,8 @@ class TestErrorBoundaryAndEcho:
         (["analyze", "powerlaw", "upto8.txt", "--mu", "3", "--square"],
          "indices 1 to 9"),
         (["extrapolate", "bst", "upto15.txt", "--square"], "indices 1 to 16"),
+        (["analyze", "square", "upto16.txt"], None),
+        (["analyze", "powerlaw", "upto9.txt", "--mu", "3", "--square"], None),
         (["--precision", "-5", "analyze", "ratios", B], "need digits >= 1, got -5"),
         (["--precision", "0", "analyze", "ratios", B], "need digits >= 1, got 0"),
         (["fit", "amplitude", B, "--mu", "-2", "--g", "1", "--K", "2"], MU_ERROR),
@@ -437,8 +439,6 @@ class TestErrorBoundaryAndEcho:
          "need maxdeg >= 1, got -1"),
         (["identify", "minpoly", "--value", "1.5", "--maxdeg", "0", "--digits", "30"],
          "need maxdeg >= 1, got 0"),
-        (["analyze", "square", "upto16.txt"], None),
-        (["analyze", "powerlaw", "upto9.txt", "--mu", "3", "--square"], None),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
