@@ -142,6 +142,20 @@ def test_cli_report_digest(name, workdir, monkeypatch):
     assert report_digest("report.json") == GOLDEN[name]
 
 
+def test_expand_rec_5000_terms_pinned(workdir, monkeypatch):
+    """stdout and report of a 5000-term expansion, whose last terms pass
+    CPython's 4300-digit str limit; both hashes were recorded from the code
+    that rendered every term with str(int)."""
+    args = ["expand", "rec", BFILE, "--n", "5000"]
+    monkeypatch.setattr(sys, "argv", ["seqlab", *args])
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "c759a76d62956b0c0f0be6feb2cee724f438293a931ca37bf53968215c532f24")
+    assert report_digest("report.json") == (
+        "d1cef0c70ed387cb1839875cb360e776ccfc634e24504751f6a34a2196dc44e2")
+
+
 def run_script(name, args, monkeypatch):
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
     assert load_script(name).main() == 0
