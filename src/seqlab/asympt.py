@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, gcd, isqrt
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import mpmath
 from mpmath.libmp import (
@@ -214,21 +214,27 @@ def square_subsample(s, least: int = 1):
 # stretched-exponential pipeline
 # ---------------------------------------------------------------------------
 
-def loglog_gradient(s: HpSeq) -> HpSeq:
-    """Two-point gradient of log(s_n) against log(n); needs offset >= 1."""
+def loglog_points(s: HpSeq) -> list[tuple[HpReal, HpReal]]:
+    """The points (log n, log s_n); needs offset >= 1 and positive values."""
     if s.offset < 1:
         raise ValueError("log-log gradient needs indices >= 1")
     with s.ctx.work():
-        logs = []
+        points = []
         for n, v in zip(s.indices(), s.values):
             if v <= 0:
                 raise NonPositiveValue(f"non-positive value at index {n}")
-            logs.append(mpmath.log(v))
-        index_logs = [mpmath.log(n) for n in s.indices()]
-        out = tuple(
-            (logs[i] - logs[i - 1]) / (index_logs[i] - index_logs[i - 1])
-            for i in range(1, len(logs))
-        )
+            points.append((mpmath.log(n), mpmath.log(v)))
+    return points
+
+
+def loglog_gradient(s: HpSeq, points: Optional[list] = None) -> HpSeq:
+    """Two-point gradient of log(s_n) against log(n); needs offset >= 1.
+    `points` are loglog_points(s), when the caller has them already."""
+    if points is None:
+        points = loglog_points(s)
+    with s.ctx.work():
+        out = tuple((y1 - y0) / (x1 - x0)
+                    for (x0, y0), (x1, y1) in zip(points, points[1:]))
     return HpSeq(s.offset + 1, out, s.ctx)
 
 
@@ -591,7 +597,7 @@ def amplitude_fit(s, mu: Real, g, K: int, ctx: HpContext) -> AmplitudeFit:
         raise InsufficientTerms(f"need K+1 = {K + 1} terms at indices n >= 1")
     first = last - K - shifts + 1
     with ctx.work():
-        g_ = ctx.mpf(Fraction(g) if not isinstance(g, (int, Fraction)) else g)
+        g_ = ctx.mpf(g if isinstance(g, mpmath.mpf) else Fraction(g))
         log_mu = mpmath.log(mu_)
         ys = [
             mpmath.mpf(s.term(n)) * mpmath.exp(g_ * mpmath.log(n) - n * log_mu)

@@ -40,7 +40,7 @@ from .sequences import (
     enum_lconvex_bruteforce,
     enum_stack_bruteforce,
     expand_algebraic,
-    expand_prec,
+    expand_prec_decimal,
     expand_rational,
     gen_lconvex_area,
     gen_lconvex_perimeter,
@@ -172,18 +172,20 @@ def _resolve_mu(state: CliState, mu: Optional[str], mu_from_poly: Optional[str])
     return pipeline.growth_rate(Poly(coeffs), state.ctx)[1], {"mu_from_poly": coeffs}
 
 
-def _sequence_fields(name: str, seq: Sequence, **fields) -> dict:
-    """Fields of a run whose output is one sequence.  stdout renders the
-    report's own decimal strings as a b-file, so each term is converted
-    to decimal once; it is rendered block by block after the report is
-    written, so it is never held whole, nor next to the report's JSON."""
-    entry = sequence_entry(seq.offset, seq.terms)
-    return dict(fields, sequences={name: entry},
-                stdout=bfile_text(seq.offset, entry["values"]))
+def _sequence_fields(name: str, offset: int, values: list, **fields) -> dict:
+    """Fields of a run whose output is one sequence, given by the decimal
+    strings of its terms (`**sequence_entry(...)` supplies both).  The
+    report entry and stdout's b-file share the strings, so each term is
+    converted to decimal once; stdout is rendered block by block after the
+    report is written, so it is never held whole, nor next to the report's
+    JSON."""
+    return dict(fields, sequences={name: {"offset": offset, "values": values}},
+                stdout=bfile_text(offset, values))
 
 
 def _generated(name: str, seq: Sequence, params: dict) -> dict:
-    return _sequence_fields(name, seq, parameters=params,
+    return _sequence_fields(name, **sequence_entry(seq.offset, seq.terms),
+                            parameters=params,
                             input_digest=text_digest(repr(sorted(params.items()))))
 
 
@@ -330,7 +332,8 @@ def expand_rec_cmd(state, source, n_terms, rmax, dmax, margin):
     if rec is None:
         raise click.ClickException("no recurrence found within the search grid")
     return _sequence_fields(
-        "extended", expand_prec(rec, source.seq, n_terms), notes=[str(rec)],
+        "extended", source.seq.offset, expand_prec_decimal(rec, source.seq, n_terms),
+        notes=[str(rec)],
         parameters={"source": source.label, "n": n_terms, "rmax": rmax,
                     "dmax": dmax, "margin": margin},
     )
@@ -351,8 +354,9 @@ def expand_algeq_cmd(state, source, n_terms, dxmax, dymax, margin):
     eq = guess_algeq(source.seq, dxmax=dxmax, dymax=dymax, margin=margin)
     if eq is None:
         raise click.ClickException("no algebraic equation found within the search grid")
+    seq = expand_algebraic(eq, source.seq.terms, n_terms)
     return _sequence_fields(
-        "extended", expand_algebraic(eq, source.seq.terms, n_terms), notes=[str(eq)],
+        "extended", **sequence_entry(seq.offset, seq.terms), notes=[str(eq)],
         parameters={"source": source.label, "n": n_terms, "dxmax": dxmax,
                     "dymax": dymax, "margin": margin},
     )
@@ -622,7 +626,8 @@ def fetch_cmd(state, a_number):
     bf = fetch_oeis(a_number, cache_dir=state.cache_dir, offline=state.offline)
     seq = bf.sequence()
     return _sequence_fields(
-        bf.a_number, seq, input_digest=text_digest(bf.text),
+        bf.a_number, **sequence_entry(seq.offset, seq.terms),
+        input_digest=text_digest(bf.text),
         parameters={"a_number": bf.a_number, "terms": len(seq), "offset": seq.offset},
     )
 

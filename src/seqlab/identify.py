@@ -65,8 +65,13 @@ class MultiplierDictionary:
 
 
 def _input_digits(digits: Optional[int]) -> int:
-    """Digits the input is certified to: explicit, else the ambient precision."""
-    return digits if digits is not None else mpmath.mp.dps
+    """Digits the input is certified to: explicit (at least 1), else the
+    ambient precision."""
+    if digits is None:
+        return mpmath.mp.dps
+    if digits < 1:
+        raise ValueError("need digits >= 1")
+    return digits
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -85,7 +90,8 @@ def identify_rational(
     The candidate is the continued-fraction best approximation; it is
     accepted only when |x - p/q| < 10^(4 - digits), where `digits` defaults
     to the ambient working precision.  Values carrying fewer correct digits
-    than the ambient precision should pass their certified digit count.
+    than the ambient precision should pass their certified digit count;
+    ValueError when it is below 1.
     """
     d = _input_digits(digits)
     with mpmath.workdps(max(d, 15) + 10):
@@ -114,7 +120,8 @@ def identify_with_multipliers(
     """First dictionary multiplier m (in order) with x/m a certified rational.
 
     Returns an Identification with payload (tag, p/q) meaning x = (p/q) * m,
-    or None when no entry matches within the precision bound.
+    or None when no entry matches within the precision bound; ValueError
+    when `digits` is below 1.
     """
     dictionary = dictionary or MultiplierDictionary.default()
     d = _input_digits(digits)

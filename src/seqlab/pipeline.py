@@ -26,6 +26,7 @@ from .asympt import (
     bst_extrapolate,
     elim_power,
     loglog_gradient,
+    loglog_points,
     poly_smallest_positive_root,
     powerlaw_pipeline,
     ratios,
@@ -84,11 +85,10 @@ def ratio_loglog(s: HpSeq) -> dict:
     r = ratios(s)
     with s.ctx.work():
         shifted = r.map(lambda v: v - 1)
-        grad = loglog_gradient(shifted)
-        loglog = ((mpmath.log(n), mpmath.log(v))
-                  for n, v in zip(shifted.indices(), shifted.values) if v > 0)
+        points = loglog_points(shifted)
+        grad = loglog_gradient(shifted, points)
         return {
-            "loglog": emit_csv(loglog, ("log_n", "log_ratio_minus_1"), s.ctx.digits),
+            "loglog": emit_csv(points, ("log_n", "log_ratio_minus_1"), s.ctx.digits),
             "gradient": emit_csv(_inv_index(grad), ("inv_n", "gradient"), s.ctx.digits),
         }
 

@@ -18,9 +18,12 @@ O(N^(3/2)).
 
 from __future__ import annotations
 
+import decimal
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import count, islice
+from typing import Iterable, Iterator
 
 from .errors import (
     BranchAmbiguous,
@@ -30,6 +33,7 @@ from .errors import (
     NotARoot,
 )
 from .guess import AlgEq, PRecurrence, check_init
+from .report import unlimited_int_digits
 from .series import (
     Poly,
     TruncSeries,
@@ -382,6 +386,30 @@ def enum_ascent_avoiding(pattern: str, n_max: int, budget: int = 50_000_000) -> 
 # expanders driven by recurrences / algebraic equations
 # ---------------------------------------------------------------------------
 
+def _prec_terms(rec: PRecurrence, first: int, window: Iterable) -> Iterator:
+    """Yield the terms at indices first + r, first + r + 1, ... of the
+    sequence whose terms at first, ..., first + r - 1 are `window`
+    (r = rec.order), for any number type with exact +, * and divmod
+    by an int.  Only the last r terms are kept.
+
+    Raises LeadingCoeffVanishes(n) if the leading polynomial vanishes at a
+    needed index and NonIntegral if an exact integer step fails.
+    """
+    ints = rec.coeff_lists()
+    r = rec.order
+    window = deque(window, maxlen=r)
+    for n in count(first):
+        lead = int_horner(ints[r], n)
+        if lead == 0:
+            raise LeadingCoeffVanishes(n)
+        acc = sum(int_horner(ints[j], n) * window[j] for j in range(r))
+        q, rem = divmod(-acc, lead)
+        if rem:
+            raise NonIntegral(f"non-integer term at n={n + r}")
+        window.append(q)
+        yield q
+
+
 def expand_prec(rec: PRecurrence, init: Sequence, n_terms: int) -> Sequence:
     """Exactly n_terms terms of the sequence that `init` starts, extended
     by the recurrence (ValueError when n_terms < 1).
@@ -394,25 +422,45 @@ def expand_prec(rec: PRecurrence, init: Sequence, n_terms: int) -> Sequence:
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
     check_init(rec, init)
-    r = rec.order
-    if n_terms < len(init):
+    if n_terms <= len(init):
         return init.head(n_terms)
-    ints = rec.coeff_lists()
-    terms = list(init.terms)
-    while len(terms) < n_terms:
-        n = init.offset + len(terms) - r
-        lead = int_horner(ints[r], n)
-        if lead == 0:
-            raise LeadingCoeffVanishes(n)
-        acc = sum(
-            int_horner(ints[j], n) * terms[n - init.offset + j]
-            for j in range(r)
-        )
-        q, rem = divmod(-acc, lead)
-        if rem:
-            raise NonIntegral(f"non-integer term at n={n + r}")
-        terms.append(q)
-    return Sequence(init.offset, tuple(terms))
+    r = rec.order
+    new = _prec_terms(rec, init.last_index - r + 1, init.terms[len(init) - r:])
+    return Sequence(init.offset, init.terms + tuple(islice(new, n_terms - len(init))))
+
+
+# Exact integer arithmetic in decimal: no rounding at any size, and an
+# inexact or invalid step raises rather than rounds.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.InvalidOperation, decimal.DivisionByZero],
+)
+
+
+def expand_prec_decimal(rec: PRecurrence, init: Sequence, n_terms: int) -> list[str]:
+    """The decimal strings of expand_prec(rec, init, n_terms).terms, with
+    the same checks and errors.
+
+    The init terms print with str; the recurrence then runs in
+    decimal.Decimal, whose base-10^19 limbs make each step and each
+    rendering linear in the digit count, where str of a Python int is
+    quadratic.  Each new term is rendered as it is produced.  The caller's
+    decimal context is left as it was.
+    """
+    if n_terms < 1:
+        raise ValueError("need n_terms >= 1")
+    check_init(rec, init)
+    with unlimited_int_digits():
+        out = [str(t) for t in init.terms[:n_terms]]
+    if n_terms <= len(init):
+        return out
+    r = rec.order
+    with decimal.localcontext(_EXACT):
+        window = [decimal.Decimal(t) for t in init.terms[len(init) - r:]]
+        new = _prec_terms(rec, init.last_index - r + 1, window)
+        # a zero divided by a negative leading value is Decimal("-0")
+        out.extend(str(q) if q else "0" for q in islice(new, n_terms - len(init)))
+    return out
 
 
 def expand_algebraic_series(eq: AlgEq, seed: Iterable, n_terms: int) -> TruncSeries:

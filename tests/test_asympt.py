@@ -20,6 +20,7 @@ from seqlab import (
     elim_power,
     gen_lconvex_area,
     loglog_gradient,
+    loglog_points,
     poly_smallest_positive_root,
     powerlaw_pipeline,
     ratios,
@@ -184,6 +185,14 @@ class TestLogLogGradient:
         assert g.offset == 2
         for v in g.values:
             assert abs(v - Fraction(5, 2)) < mpmath.mpf(10) ** -90
+
+    def test_given_points(self):
+        s = frac_seq(1, [3, 5, 11, 20])
+        points = loglog_points(s)
+        with s.ctx.work():
+            assert points == [(mpmath.log(n), mpmath.log(v)) for n, v in
+                              zip(range(1, 5), (3, 5, 11, 20))]
+        assert loglog_gradient(s, points) == loglog_gradient(s)
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -473,6 +482,12 @@ class TestAmplitudeFit:
             amplitude_fit(Sequence(0, (1, 2, 3)), 2, 0, 2, CTX50)
         fit = amplitude_fit(Sequence(0, (1, 2, 4, 8)), 2, 0, 2, CTX50)
         assert abs(fit.model.C - 1) < mpmath.mpf(10) ** -45
+
+    def test_mpf_g(self):
+        s = Sequence(1, (6, 12, 24, 48))
+        ctx = HpContext(30)
+        fit = amplitude_fit(s, 2, mpmath.mpf(1), 1, ctx)
+        assert fit.model.C == amplitude_fit(s, 2, Fraction(1), 1, ctx).model.C
 
     def test_ill_conditioned_at_low_precision(self, b202062):
         mu = 1 / poly_smallest_positive_root(Poly([1, -8, 5, 1]), digits=40)

@@ -439,6 +439,9 @@ class TestErrorBoundaryAndEcho:
          "need maxdeg >= 1, got -1"),
         (["identify", "minpoly", "--value", "1.5", "--maxdeg", "0", "--digits", "30"],
          "need maxdeg >= 1, got 0"),
+        (["identify", "rational", "--value", "0.5", "--digits", "-3"],
+         "need digits >= 1"),
+        (["identify", "mult", "--value", "0.5", "--digits", "0"], "need digits >= 1"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -143,9 +143,9 @@ def test_cli_report_digest(name, workdir, monkeypatch):
 
 
 def test_expand_rec_5000_terms_pinned(workdir, monkeypatch):
-    """stdout and report of a 5000-term expansion, whose last terms pass
-    CPython's 4300-digit str limit; both hashes were recorded from the code
-    that rendered every term with str(int)."""
+    """stdout and report of a 5000-term expansion, whose last term has
+    4300 digits; both hashes were recorded from the code that rendered
+    every term with str(int)."""
     args = ["expand", "rec", BFILE, "--n", "5000"]
     monkeypatch.setattr(sys, "argv", ["seqlab", *args])
     result = CliRunner().invoke(main, args, catch_exceptions=False)

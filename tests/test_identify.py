@@ -64,6 +64,14 @@ class TestIdentifyRational:
             assert identify_rational(x, digits=6) == Fraction(1, 3)
 
 
+    @pytest.mark.parametrize("digits", [0, -3])
+    def test_digits_below_one_rejected(self, digits):
+        with pytest.raises(ValueError, match="need digits >= 1"):
+            identify_rational(mpmath.mpf("0.5"), digits=digits)
+        with pytest.raises(ValueError, match="need digits >= 1"):
+            identify_with_multipliers(mpmath.mpf("0.5"), digits=digits)
+
+
 class TestMultiplierDictionary:
     def test_default_tags(self):
         tags = [tag for tag, _ in MultiplierDictionary.default().entries]

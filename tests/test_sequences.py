@@ -1,5 +1,6 @@
 """Generators vs brute-force oracles, and exact series-driven expanders."""
 
+import decimal
 import hashlib
 from fractions import Fraction
 from itertools import combinations, product
@@ -18,11 +19,13 @@ from seqlab import (
     enum_stack_bruteforce,
     expand_algebraic,
     expand_prec,
+    expand_prec_decimal,
     expand_rational,
     gen_lconvex_area,
     gen_lconvex_perimeter,
     gen_stack_area,
 )
+from seqlab.report import unlimited_int_digits
 from seqlab.errors import (
     BranchAmbiguous,
     BudgetExceeded,
@@ -336,6 +339,69 @@ class TestExpandPRec:
         for n in (0, -1):
             with pytest.raises(ValueError, match="n_terms >= 1"):
                 expand_prec(rec, init, n)
+
+
+class TestExpandPRecDecimal:
+    """expand_prec_decimal renders what expand_prec computes, with its
+    checks and errors, and leaves the caller's decimal context alone."""
+
+    CASES = [
+        # u(n+1) = 2 u(n)
+        (PRecurrence.from_lists([[-2], [1]]), Sequence(0, (1,))),
+        # u(n+2) = -u(n) from (1, 0): alternating zero and +-1 terms
+        (PRecurrence.from_lists([[1], [0], [1]]), Sequence(0, (1, 0))),
+        # u(n+1) = -2 u(n), nonzero offset
+        (PRecurrence.from_lists([[2], [1]]), Sequence(3, (5,))),
+        # (2n - 7) (u(n+2) + u(n)) = 0: negative leading values at n <= 3,
+        # where a zero term would come out of decimal division as -0
+        (PRecurrence((Poly([-7, 2]), Poly([0]), Poly([-7, 2]))), Sequence(0, (0, 3))),
+        # Catalan numbers, with three supplied terms
+        (PRecurrence.from_lists([[-2, -4], [2, 1]]), Sequence(0, CATALAN[:3])),
+    ]
+
+    @pytest.mark.parametrize("rec, init", CASES)
+    def test_matches_expand_prec(self, rec, init):
+        for n in (1, len(init), len(init) + 1, 12, 40):
+            want = [str(t) for t in expand_prec(rec, init, n).terms]
+            assert expand_prec_decimal(rec, init, n) == want
+
+    def test_ascent_recurrence_beyond_str_limit(self, ascent_rec, b202062):
+        """Terms past CPython's default limit of 4300 digits for str(int)."""
+        got = expand_prec_decimal(ascent_rec, b202062, 5200)
+        terms = expand_prec(ascent_rec, b202062, 5200).terms
+        assert len(got) == 5200 and len(got[-1]) > 4300
+        with unlimited_int_digits():
+            assert got[::250] + got[-1:] == [str(t) for t in terms[::250] + terms[-1:]]
+
+    @pytest.mark.parametrize("rec, init, n", [
+        (PRecurrence.from_lists([[-2], [1]]), Sequence(0, (1,)), 0),
+        (PRecurrence.from_lists([[-2], [1]]), Sequence(0, (1,)), -1),
+        (PRecurrence.from_lists([[-2], [1]]), Sequence(0, (1, 2, 4, 8, 16, 33)), 3),
+        (PRecurrence.from_lists([[-2], [1]]), Sequence(3, (1, 2, 4, 9, 18, 36)), 10),
+        (PRecurrence.from_lists([[1], [0, 1], [1, 1]]), Sequence(0, (1,)), 5),
+        (PRecurrence((Poly([14, -2]), Poly([-7, 1]))), Sequence(0, (1,)), 10),
+        (PRecurrence.from_lists([[-1], [2]]), Sequence(0, (1,)), 4),
+    ])
+    def test_same_errors_as_expand_prec(self, rec, init, n):
+        with pytest.raises(Exception) as want:
+            expand_prec(rec, init, n)
+        assert want.type in (ValueError, InconsistentInit, LeadingCoeffVanishes,
+                             NonIntegral)
+        with pytest.raises(want.type) as got:
+            expand_prec_decimal(rec, init, n)
+        assert type(got.value) is want.type and str(got.value) == str(want.value)
+
+    def test_caller_context_untouched(self):
+        rec = PRecurrence.from_lists([[-2], [1]])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 7
+            before = repr(ctx)
+            assert expand_prec_decimal(rec, Sequence(0, (1,)), 60)[-1] == str(2 ** 59)
+            assert decimal.getcontext() is ctx and repr(ctx) == before
+            with pytest.raises(NonIntegral):
+                expand_prec_decimal(PRecurrence.from_lists([[-1], [2]]),
+                                    Sequence(0, (1,)), 4)
+            assert decimal.getcontext() is ctx and repr(ctx) == before
 
 
 class TestExpandAlgebraic:
