@@ -386,19 +386,19 @@ def enum_ascent_avoiding(pattern: str, n_max: int, budget: int = 50_000_000) -> 
 # expanders driven by recurrences / algebraic equations
 # ---------------------------------------------------------------------------
 
-def _prec_terms(rec: PRecurrence, first: int, window: Iterable) -> Iterator:
-    """Yield the terms at indices first + r, first + r + 1, ... of the
-    sequence whose terms at first, ..., first + r - 1 are `window`
-    (r = rec.order), for any number type with exact +, * and divmod
-    by an int.  Only the last r terms are kept.
+def _prec_terms(rec: PRecurrence, init: Sequence, number: type) -> Iterator:
+    """Yield the terms after `init` of the sequence it starts, extended by
+    the recurrence in `number`s: int, or decimal.Decimal under an exact
+    context (any type with exact +, * and divmod by an int).  Only the
+    last rec.order terms are kept.
 
     Raises LeadingCoeffVanishes(n) if the leading polynomial vanishes at a
     needed index and NonIntegral if an exact integer step fails.
     """
     ints = rec.coeff_lists()
     r = rec.order
-    window = deque(window, maxlen=r)
-    for n in count(first):
+    window = deque(map(number, init.terms[len(init) - r:]), maxlen=r)
+    for n in count(init.last_index - r + 1):
         lead = int_horner(ints[r], n)
         if lead == 0:
             raise LeadingCoeffVanishes(n)
@@ -424,8 +424,7 @@ def expand_prec(rec: PRecurrence, init: Sequence, n_terms: int) -> Sequence:
     check_init(rec, init)
     if n_terms <= len(init):
         return init.head(n_terms)
-    r = rec.order
-    new = _prec_terms(rec, init.last_index - r + 1, init.terms[len(init) - r:])
+    new = _prec_terms(rec, init, int)
     return Sequence(init.offset, init.terms + tuple(islice(new, n_terms - len(init))))
 
 
@@ -454,10 +453,8 @@ def expand_prec_decimal(rec: PRecurrence, init: Sequence, n_terms: int) -> list[
         out = [str(t) for t in init.terms[:n_terms]]
     if n_terms <= len(init):
         return out
-    r = rec.order
     with decimal.localcontext(_EXACT):
-        window = [decimal.Decimal(t) for t in init.terms[len(init) - r:]]
-        new = _prec_terms(rec, init.last_index - r + 1, window)
+        new = _prec_terms(rec, init, decimal.Decimal)
         # a zero divided by a negative leading value is Decimal("-0")
         out.extend(str(q) if q else "0" for q in islice(new, n_terms - len(init)))
     return out

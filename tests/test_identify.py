@@ -63,7 +63,6 @@ class TestIdentifyRational:
             assert identify_rational(x, digits=30) is None
             assert identify_rational(x, digits=6) == Fraction(1, 3)
 
-
     @pytest.mark.parametrize("digits", [0, -3])
     def test_digits_below_one_rejected(self, digits):
         with pytest.raises(ValueError, match="need digits >= 1"):
