@@ -6,21 +6,24 @@ Given the first terms of an integer sequence, search for
 * an algebraic equation P(x, y) = 0 for the generating function
   (``guess_algeq``),
 
-by exact integer nullspace computation (fraction-free Gaussian
-elimination) on the shapes that are rank deficient modulo a 61-bit prime.
-Both run one shape search; only the equations that each shape
-contributes differ.  Each attempted shape is solved once, exactly, over
-all of its equations, so every returned model annihilates every supplied
-term; `margin` only sets the attempt threshold on a shape's number of
-equations.  ``prec_to_ode`` converts a recurrence into a homogeneous
-linear ODE for the generating function; the ``*_residual`` functions
-re-check any structure against longer expansions.
+by elimination modulo a 61-bit prime: a shape of nullity 1 mod p has its
+relation lifted to the integers by rational reconstruction, any other
+rank-deficient shape is solved by exact integer nullspace computation
+(fraction-free Gaussian elimination).  Both run one shape search; only
+the equations that each shape contributes differ.  Every candidate is
+checked, or solved, exactly over all of its shape's equations, so every
+returned model annihilates every supplied term; `margin` only sets the
+attempt threshold on a shape's number of equations.  ``prec_to_ode``
+converts a recurrence into a homogeneous linear ODE for the generating
+function; the ``*_residual`` functions re-check any structure against
+longer expansions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import TYPE_CHECKING, Optional, Sequence as SeqABC
 
 from .errors import InconsistentInit, InsufficientTerms
@@ -155,25 +158,94 @@ class _ModSpan:
     """The span, modulo a prime p, of the columns added so far.
 
     Each independent column is reduced by the earlier ones, so it vanishes
-    at their pivot rows, and scaled to 1 at its own pivot; ``len(basis)``
-    is the rank mod p of every column in `seen`.
+    at their pivot rows, and scaled to 1 at its own pivot, its first
+    nonzero entry; it is stored from that pivot on.  ``len(basis)`` is the
+    rank mod p of every column in `seen`.  A column is reduced lazily:
+    ``% p`` is taken only to read each multiplier, and once at the end.
+
+    Every column keeps its multipliers, one per earlier basis vector, so a
+    column that reduces to zero is a known combination of the basis, and
+    back substitution through the basis vectors' own multipliers writes it
+    as a combination of the columns that were added (``relation``).
     """
 
     def __init__(self, p: int):
-        self.p, self.basis, self.seen = p, [], set()
+        self.p, self.basis, self.dependent, self.seen = p, [], [], set()
 
     def add(self, key, col: SeqABC[int]) -> None:
         p = self.p
         self.seen.add(key)
-        v = [e % p for e in col]
-        for piv, b in self.basis:
-            f = v[piv]
+        v = list(col)
+        mults = []
+        for piv, b, _, _, _ in self.basis:
+            f = v[piv] % p
+            mults.append(f)
             if f:
-                v = [(x - f * y) % p for x, y in zip(v, b)]
+                v[piv:] = [x - f * y for x, y in zip(v[piv:], b)]
+        v = [e % p for e in v]
         piv = next((i for i, e in enumerate(v) if e), None)
-        if piv is not None:
+        if piv is None:
+            self.dependent.append((key, mults))
+        else:
             inv = pow(v[piv], -1, p)
-            self.basis.append((piv, [e * inv % p for e in v]))
+            self.basis.append((piv, [e * inv % p for e in v[piv:]], key, mults, inv))
+
+    def relation(self, key, mults: SeqABC[int]) -> dict:
+        """Coefficients mod p, by key, of a vanishing combination of the
+        added columns: 1 on the dependent column `key`, which reduced to
+        zero with these multipliers, and the rest on basis columns."""
+        p = self.p
+        rel = {key: 1}
+        w = [-f for f in mults]  # coefficients on the basis vectors
+        for i in reversed(range(len(w))):
+            c = w[i] % p
+            if c:
+                _, _, k, ms, inv = self.basis[i]
+                rel[k] = c = c * inv % p
+                for j, f in enumerate(ms):
+                    if f:
+                        w[j] -= c * f
+        return rel
+
+
+def _rational(a: int, p: int) -> Optional[Fraction]:
+    """The fraction n/d = a mod p with |n|, d < sqrt(p/2), or None.
+
+    Such a fraction is unique when it exists; the extended Euclidean
+    algorithm on (p, a), stopped at the first remainder below the bound,
+    finds it.
+    """
+    bound = isqrt(p // 2)
+    r0, r1, t0, t1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _lift(span: _ModSpan, cols: SeqABC, columns: SeqABC[SeqABC[int]]) -> Optional[list[int]]:
+    """The primitive integer null vector of a shape of nullity 1 mod p,
+    lifted from the span's relation, or None.
+
+    Each coefficient is rational-reconstructed, the vector is made
+    primitive, and ``sum_k v_k * columns[k]`` is checked to vanish in every
+    row.  A vector that passes is exact, so the exact nullity is at least
+    1; it is at most the nullity mod p, which is 1.  The vector then spans
+    the exact nullspace, and ``primitive_int`` gives it the one normal form
+    that ``integer_nullspace`` gives too.
+    """
+    rel = span.relation(*span.dependent[0])
+    fracs = [_rational(rel.get(key, 0), span.p) for key in cols]
+    if None in fracs:
+        return None
+    vec = primitive_int(fracs)
+    acc = [0] * len(columns[0])
+    for x, col in zip(vec, columns):
+        if x:
+            acc = [a + x * e for a, e in zip(acc, col)]
+    return None if any(acc) else vec
 
 
 def integer_nullspace(rows: SeqABC[SeqABC[int]], ncols: int) -> list[list[int]]:
@@ -243,9 +315,15 @@ def _search(shapes, system, model, too_few: str):
     reduces each column once.  A shape whose rank mod p equals its column
     count is skipped before its rows are built.  Rank mod p is at most the
     exact rank, so the skip fires only when the exact system has full
-    column rank and no solution: a true shape is never dropped.  A false
-    modular positive (p divides a minor) costs the exact solve of that
-    shape, and of its family's later shapes, and nothing else.
+    column rank and no solution: a true shape is never dropped.
+
+    A shape of nullity 1 mod p takes its null vector from the span
+    (``_lift``), checked exactly over every row; by the same rank argument
+    a checked vector spans the exact nullspace.  Any other rank-deficient
+    shape, or a failed lift, is solved by ``integer_nullspace`` on the
+    same built columns.  A false modular positive (p divides a minor)
+    costs the exact solve of that shape, and of its family's later shapes,
+    and nothing else.
     """
     attempted = False
     spans: dict = {}
@@ -259,11 +337,13 @@ def _search(shapes, system, model, too_few: str):
         for key in cols:
             if key not in span.seen:
                 span.add(key, column(key))
-        if len(span.basis) == len(cols):
-            continue
         k = len(cols)
+        if len(span.basis) == k:
+            continue
+        columns = [column(key) for key in cols]
+        lifted = _lift(span, cols, columns) if len(span.basis) == k - 1 else None
         found = []
-        for vec in integer_nullspace(list(zip(*map(column, cols))), k):
+        for vec in [lifted] if lifted else integer_nullspace(list(zip(*columns)), k):
             try:
                 found.append(model(tuple(Poly(vec[i : i + width])
                                          for i in range(0, k, width))))
@@ -331,8 +411,13 @@ def guess_prec(
     solution, so a fit rests on at least one spare equation.
 
     Returns None when the whole grid fails; raises InsufficientTerms when
-    no shape in the grid had enough terms to be attempted at all.
+    no shape in the grid had enough terms to be attempted at all, and
+    ValueError when the grid is empty (rmax < 1 or dmax < 0).
     """
+    if rmax < 1:
+        raise ValueError("need rmax >= 1")
+    if dmax < 0:
+        raise ValueError("need dmax >= 0")
     if margin < 0:
         raise ValueError("need margin >= 0")
     seq_terms = terms.terms
@@ -482,8 +567,13 @@ def guess_algeq(
     that of ``guess_prec``; only the equations differ.
 
     Returns None when the grid fails; raises InsufficientTerms when no
-    shape could be attempted.
+    shape could be attempted, and ValueError when the grid is empty
+    (dxmax < 0 or dymax < 1).
     """
+    if dxmax < 0:
+        raise ValueError("need dxmax >= 0")
+    if dymax < 1:
+        raise ValueError("need dymax >= 1")
     if margin < 0:
         raise ValueError("need margin >= 0")
     if terms.offset != 0:

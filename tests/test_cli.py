@@ -442,6 +442,10 @@ class TestErrorBoundaryAndEcho:
         (["identify", "rational", "--value", "0.5", "--digits", "-3"],
          "need digits >= 1"),
         (["identify", "mult", "--value", "0.5", "--digits", "0"], "need digits >= 1"),
+        (["guess", "rec", B, "--rmax", "0"], "need rmax >= 1"),
+        (["guess", "rec", B, "--dmax", "-1"], "need dmax >= 0"),
+        (["guess", "algeq", B, "--dxmax", "-1"], "need dxmax >= 0"),
+        (["guess", "algeq", B, "--dymax", "0"], "need dymax >= 1"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

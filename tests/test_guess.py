@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,94 @@ class TestModSpan:
         assert len(span.basis) == 1
 
 
+@dataclass(frozen=True)
+class _Vector:
+    """A bare model for ``_search``: one polynomial per unknown."""
+
+    coeffs: tuple
+
+
+class TestLift:
+    """A shape of nullity 1 mod p takes its null vector from the span; every
+    other rank-deficient shape, and every lift that fails reconstruction or
+    the exact check, falls back to ``integer_nullspace``.  Either way
+    ``_search`` returns the same result."""
+
+    @staticmethod
+    def system(rng, kind):
+        """Columns of a seeded integer system and the nested shapes (column
+        counts) to search, one family sharing all the rows."""
+        k = rng.randint(3, 8)
+        nrows = k + rng.randint(1, 4)
+        big = 1 << 60
+        if kind == "full":
+            return [[rng.randint(-big, big) for _ in range(nrows)] for _ in range(k)], [k]
+        if kind == "nullity2":
+            base = [[rng.randint(-big, big) for _ in range(nrows)] for _ in range(k - 2)]
+            combos = [[rng.randint(-9, 9) for _ in base] for _ in range(2)]
+            return base + [[sum(a * c[r] for a, c in zip(combo, base)) for r in range(nrows)]
+                           for combo in combos], [k]
+        # rows orthogonal to a planted x: x_last * y_j for j < last, and
+        # -sum_j x_j y_j last, so x is the only relation of the k columns
+        x = [rng.randint(-20, 20) for _ in range(k - 1)] + [rng.choice((-3, -1, 1, 2, 7))]
+        if kind == "big":  # its ratio to x_last exceeds sqrt(p / 2)
+            x[rng.randrange(k - 1)] = rng.choice((-1, 1)) * rng.randint(1 << 36, 1 << 40)
+        rows = []
+        for _ in range(nrows):
+            y = [rng.randint(-big, big) for _ in range(k - 1)]
+            rows.append([x[-1] * e for e in y] + [-sum(a * e for a, e in zip(x, y))])
+        return [list(c) for c in zip(*rows)], range(1, k + 1)
+
+    @pytest.mark.parametrize("kind", ["planted", "big", "nullity2", "full"])
+    def test_lift_matches_exact_solve(self, kind, monkeypatch):
+        solves = []
+        exact = guess.integer_nullspace
+        monkeypatch.setattr(guess, "integer_nullspace",
+                            lambda rows, k: solves.append(k) or exact(rows, k))
+        rng = random.Random(20261019)
+        for _ in range(30):
+            columns, shapes = self.system(rng, kind)
+
+            def search():
+                return guess._search(
+                    [(n,) for n in shapes],
+                    lambda n: ("family", 1, list(range(n)), columns.__getitem__),
+                    _Vector, "too few")
+
+            solves.clear()
+            lifted = search()
+            fell_back = bool(solves)
+            with monkeypatch.context() as m:
+                m.setattr(guess, "_lift", lambda *args: None)
+                assert search() == lifted
+            assert fell_back == (kind in ("big", "nullity2"))
+            assert (lifted is None) == (kind == "full")
+
+    def test_paper_guesses_need_no_exact_solve(self, monkeypatch, b202062,
+                                               ascent_rec, ascent_cubic):
+        branch = branch_series(expand_prec(ascent_rec, Sequence(0, ASCENT_INIT), 64), 64)
+
+        def refuse(rows, ncols):
+            raise AssertionError("integer_nullspace reached")
+
+        monkeypatch.setattr(guess, "integer_nullspace", refuse)
+        for size in range(24, 29):
+            assert guess_prec(b202062.head(size)) == ascent_rec
+        assert guess_algeq(branch, dxmax=12, dymax=3) == ascent_cubic
+
+    @pytest.mark.parametrize("p", [19, 73, 101, 251])
+    def test_rational_reconstruction_exhaustive(self, p):
+        """Every residue maps to the unique n/d with |n|, d < sqrt(p/2)
+        that it equals mod p, or to None when there is none."""
+        bound = next(b for b in range(p, 0, -1) if 2 * b * b < p)
+        small = {}
+        for d in range(1, bound + 1):
+            for n in range(-bound, bound + 1):
+                small.setdefault(n * pow(d, -1, p) % p, Fraction(n, d))
+        for a in range(p):
+            assert guess._rational(a, p) == small.get(a)
+
+
 class TestPRecurrenceNormalForm:
     def test_scaling_and_sign_collapse(self):
         a = PRecurrence.from_lists([[2, 4], [-6]])
@@ -239,6 +328,15 @@ class TestGuessPRec:
     def test_insufficient_terms(self):
         with pytest.raises(InsufficientTerms):
             guess_prec(Sequence(0, (1, 2, 3)), rmax=5, dmax=4)
+
+    @pytest.mark.parametrize("grid, error", [
+        (dict(rmax=0), "need rmax >= 1"),
+        (dict(rmax=-2), "need rmax >= 1"),
+        (dict(dmax=-1), "need dmax >= 0"),
+    ])
+    def test_empty_grid_rejected(self, grid, error):
+        with pytest.raises(ValueError, match=error):
+            guess_prec(Sequence(0, CATALAN), **grid)
 
     def test_margin_guards_against_overfitting(self):
         # every attempted shape is solved over all of its windows, and 14
@@ -437,6 +535,15 @@ class TestGuessAlgEq:
     def test_insufficient(self):
         with pytest.raises(InsufficientTerms):
             guess_algeq(Sequence(0, (1, 1)), dxmax=5, dymax=3)
+
+    @pytest.mark.parametrize("grid, error", [
+        (dict(dxmax=-1), "need dxmax >= 0"),
+        (dict(dymax=0), "need dymax >= 1"),
+        (dict(dymax=-1), "need dymax >= 1"),
+    ])
+    def test_empty_grid_rejected(self, grid, error):
+        with pytest.raises(ValueError, match=error):
+            guess_algeq(Sequence(0, CATALAN), **grid)
 
 
 class TestModelsFitEveryTerm:
