@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Full experimental workflow for the 201-avoiding ascent sequence counts.
 
-From a stored b-file prefix: guess the minimal recurrence, derive the
-differential equation, locate the dominant singularity, compute the growth
-constant and its trigonometric closed form, fit the asymptotic amplitude at
-high precision, and recover the amplitude's minimal polynomial plus the
-matching radical expression.  Writes one JSON report and prints a summary.
+From a stored b-file: guess the recurrence from the first 23 terms and
+check it on every stored term, derive the differential equation, guess and
+check the cubic of the shifted branch, take the dominant singularity from
+the equation's leading coefficient, fit the asymptotic amplitude at high
+precision, and recover the amplitude's minimal polynomial plus the matching
+radical expression.  Writes one JSON report and prints a summary.
 The chain is `seqlab.pipeline.ascent_study`.
 """
 

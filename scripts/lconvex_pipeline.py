@@ -27,8 +27,9 @@ def main() -> int:
                         help="number of area counts to analyze")
     parser.add_argument("--digits", type=int, default=100,
                         help="working precision in decimal digits")
-    parser.add_argument("--squares", type=int, default=44,
-                        help="square-subsampled values fed to the extrapolator")
+    parser.add_argument("--squares", type=int,
+                        help="square-subsampled values fed to the extrapolator "
+                             "(default: every square up to --terms)")
     parser.add_argument("--report", type=Path, default=Path("lconvex_report.json"))
     args = parser.parse_args()
     try:

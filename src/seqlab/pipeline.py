@@ -11,6 +11,7 @@ parsing, `report.write_run` and printing.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple, Optional
 
 import mpmath
@@ -37,7 +38,7 @@ from .asympt import (
     summarize_stretched,
 )
 from .errors import InsufficientTerms, SeqLabError
-from .guess import guess_prec, ode_residual, prec_to_ode
+from .guess import algeq_residual, guess_algeq, guess_prec, ode_residual, prec_to_ode
 from .identify import identify_with_multipliers, min_poly
 from .oeis import parse_bfile
 from .report import emit_csv, identification_entry, scalar_entry, text_digest
@@ -48,11 +49,6 @@ from .series import Poly, div_one_minus_qm
 # turns 12 x^3 U(x) - R(x) into a cubic series branch, U being the
 # generating function of the 201-avoiding ascent sequences.
 BRANCH_SHIFT_NUM = Poly([1, 18, -45, 26, 1])
-
-# Irreducible cubic factor of the leading polynomial of the differential
-# equation derived for U; its smallest positive root is the dominant
-# singularity of U (ascent_study prints |lead(rho)| as the check).
-SINGULARITY_CUBIC = Poly([1, -8, 5, 1])
 
 
 def _inv_index(s: HpSeq):
@@ -172,17 +168,22 @@ def branch_series(u: Sequence, order: int) -> Sequence:
     return Sequence(0, w)
 
 
-def lconvex_study(terms: int, digits: int, squares: int) -> dict:
+def lconvex_study(terms: int, digits: int, squares: Optional[int] = None) -> dict:
     """The L-convex polyomino study: stretched-exponential triple fit,
     square-subsequence ratio intercept and power law, Bulirsch-Stoer
-    amplitude constant on the first `squares` squares and its
-    identification, and the stack counts against their asymptotic form.
-    Returns the run's fields; raises before any stage runs unless
-    terms >= 16, squares >= 4 and digits >= 1."""
+    amplitude constant on the first `squares` squares (by default every
+    square up to `terms`) and its identification, and the stack counts
+    against their asymptotic form.  Returns the run's fields, which record
+    the squares used; raises before any stage runs unless terms >= 16,
+    4 <= squares <= isqrt(terms) and digits >= 1."""
     if terms < 16:
         raise InsufficientTerms("need the terms at indices 1 to 16 (the squares 1, 4, 9, 16)")
+    held = isqrt(terms)
+    squares = held if squares is None else squares
     if squares < 4:
         raise InsufficientTerms(f"extrapolation needs at least 4 squares, got {squares}")
+    if squares > held:
+        raise InsufficientTerms(f"{terms} terms hold {held} squares, not {squares}")
     ctx = HpContext(digits)
     counts = gen_lconvex_area(terms + 1)
     hs = HpSeq.from_sequence(counts, ctx).slice_from(1)
@@ -258,35 +259,50 @@ def lconvex_study(terms: int, digits: int, squares: int) -> dict:
 
 
 def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> dict:
-    """The 201-avoiding ascent sequence study on a b-file's text: recurrence
-    from the first 24 terms, its differential equation checked on 2000
-    terms, rho and mu = 1/rho from SINGULARITY_CUBIC, the amplitude C fitted
-    with `corrections` 1/n terms on `terms` terms, and the minimal
-    polynomial of A^2 = (16 sqrt(pi) C / 105)^2 and closed form of C.
-    Returns the run's fields; raises before any stage runs unless
-    corrections >= 0, terms >= corrections + 2 and digits >= 1."""
+    """The 201-avoiding ascent sequence study on a b-file's text, in the
+    paper's order: the recurrence guessed from the first 23 terms and checked
+    on every stored term, its differential equation checked on 2000 terms,
+    the cubic of the shifted branch guessed on 64 coefficients and checked
+    on 200, rho as the smallest positive root of the ODE's leading
+    coefficient and mu = 1/rho, the amplitude C fitted with `corrections`
+    1/n terms on `terms` terms, and the minimal polynomial of
+    A^2 = (16 sqrt(pi) C / 105)^2.  Returns the run's fields; raises before
+    any stage runs unless corrections >= 0, terms >= corrections + 2 and
+    digits >= 1, and raises SeqLabError when a guess or a check fails."""
     if corrections < 0:
         raise ValueError(f"need corrections >= 0, got {corrections}")
     if terms < corrections + 2:
         raise InsufficientTerms(f"an amplitude fit with {corrections} corrections "
                                 f"needs terms >= {corrections + 2}, got {terms}")
     ctx = HpContext(digits)
-    head = parse_bfile(bfile_text).head(24)
+    stored = parse_bfile(bfile_text)
+    head = stored.head(23)
     rec = guess_prec(head)
     if rec is None:
-        raise SeqLabError("no recurrence found from the 24-term prefix")
+        raise SeqLabError("no recurrence found from the 23-term prefix")
+    u = expand_prec(rec, head, max(2000, terms, len(stored)))
+    wrong = next((n for n, t, v in zip(stored.indices(), stored.terms, u.terms)
+                  if t != v), None)
+    if wrong is not None:
+        raise SeqLabError(f"the recurrence from the 23-term prefix disagrees with the "
+                          f"b-file at n = {wrong}")
     ode = prec_to_ode(rec, head)
-    u = expand_prec(rec, head, max(2000, terms))
     residual = ode_residual(ode, u.head(2000))
     nonzero = None if residual is None else f"nonzero at x^{residual}"
+    branch = branch_series(u, 200)
+    cubic = guess_algeq(branch.head(64), 12, 3)
+    if cubic is None:
+        raise SeqLabError("no algebraic equation found from 64 branch coefficients")
+    failed_at = algeq_residual(cubic, branch)
+    if failed_at is not None:
+        raise SeqLabError(f"the algebraic equation fails at x^{failed_at} of the branch")
 
-    rho, mu = growth_rate(SINGULARITY_CUBIC, ctx)
+    rho, mu = growth_rate(ode.coeffs[-1], ctx)
     fit = amplitude_fit(u.head(terms), mu, Fraction(9, 2), corrections, ctx)
     c_value = fit.model.C
     with ctx.work():
         a_sq = (c_value * 16 * mpmath.sqrt(mpmath.pi) / 105) ** 2
         poly_a_sq = min_poly(a_sq, maxdeg=3, digits=50)
-        lead_at_root = abs(ode.coeffs[-1](rho))
         closed_mu = (mpmath.mpf(14) / 3 * mpmath.cos(mpmath.acos(mpmath.mpf(13) / 14) / 3)
                      + mpmath.mpf(8) / 3)
         s = mpmath.sqrt(9289)
@@ -295,11 +311,14 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
             4107 / mpmath.pi - 84 / mpmath.pi * s * mpmath.cos(inner))
         d_closed = abs(c_value - closed_c)
         lines = [
-            f"recurrence (order {rec.order}, degree {rec.degree}): {rec}",
+            f"recurrence (order {rec.order}, degree {rec.degree}) from 23 terms: {rec}",
+            f"  reproduces all {len(stored)} stored terms",
             f"derived ODE: order {ode.order}, degree {ode.degree}; residual on "
             f"2000 terms: {nonzero or 'all zero'}",
+            f"algebraic equation of the shifted branch: degree {cubic.degree} in x, "
+            f"{cubic.degree_y} in y; residual on 200 coefficients: all zero",
             f"singularity rho = {mpmath.nstr(rho, 20)} "
-            f"(|lead(rho)| = {mpmath.nstr(lead_at_root, 3)})",
+            f"(smallest positive root of the ODE's leading coefficient)",
             f"growth constant mu = 1/rho = {mpmath.nstr(mu, 20)}",
             f"  vs (14/3)cos(arccos(13/14)/3) + 8/3: "
             f"diff {mpmath.nstr(abs(mu - closed_mu), 3)}",
@@ -315,7 +334,7 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
         input_digest=text_digest(bfile_text),
         parameters={"terms": terms, "digits": digits, "corrections": corrections,
                     "recurrence": rec.coeff_lists(),
-                    "singularity_cubic": list(SINGULARITY_CUBIC.coeffs)},
+                    "algebraic_equation": cubic.coeff_lists()},
         scalars={
             "rho": scalar_entry(rho, digits),
             "mu": scalar_entry(mu, digits),

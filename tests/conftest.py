@@ -2,8 +2,9 @@
 
 Expensive generators run once per session; the pinned recurrence, ODE and
 algebraic equation below were found by the package's own guessers and then
-frozen after independent cross-checks against the brute-force enumerators
-(see scripts/validate_fixture.py).
+frozen.  `seqlab.pipeline.ascent_study` re-derives them from the b-file and
+checks them against every stored term; the b-file's head is checked against
+the brute-force enumerator in test_sequences.py.
 """
 
 from __future__ import annotations

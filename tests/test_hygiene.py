@@ -18,6 +18,7 @@ named after it.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -125,16 +126,26 @@ class TestNoDeadNames:
         assert _aliases(ast.parse(path.read_text())) == []
 
 
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
 # the study scripts parse arguments and print; the numeric work of each
 # study lives in seqlab.pipeline
-@pytest.mark.parametrize("name", ["ascent_pipeline", "lconvex_pipeline"])
-def test_study_script_does_no_numeric_work(name):
-    tree = ast.parse((ROOT / "scripts" / f"{name}.py").read_text())
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_study_script_does_no_numeric_work(path):
+    tree = ast.parse(path.read_text())
     modules = {a.name.split(".")[0] for node in ast.walk(tree)
                if isinstance(node, ast.Import) for a in node.names}
     modules |= {node.module.split(".")[0] for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module}
     assert modules.isdisjoint({"mpmath", "fractions"})
+
+
+def test_readme_names_every_script():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"scripts/[\w/.-]*?\.py", readme))
+    assert {f"scripts/{p.name}" for p in SCRIPTS} <= named
+    assert [n for n in sorted(named) if not (ROOT / n).is_file()] == []
 
 
 def test_all_lists_every_reexport():

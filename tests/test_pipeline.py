@@ -7,7 +7,7 @@ import pytest
 
 import seqlab.pipeline
 from seqlab import HpContext, HpSeq, expand_prec, guess_prec
-from seqlab.errors import InsufficientTerms
+from seqlab.errors import InsufficientTerms, SeqLabError
 from seqlab.pipeline import (
     ascent_study,
     branch_series,
@@ -15,8 +15,26 @@ from seqlab.pipeline import (
     lconvex_study,
     square_bst,
 )
+from seqlab.report import scalar_entry
 from test_acceptance import _branch_series
+from test_scripts import assert_failed_study
 from conftest import DATA_DIR, GROWTH_POLY
+
+BFILE_TEXT = (DATA_DIR / "b202062.txt").read_text(encoding="utf-8")
+
+
+def bfile_with_wrong_term(n: int) -> str:
+    """The bundled b-file with its term at index n raised by one."""
+    lines = BFILE_TEXT.splitlines()
+    index, value = lines[n].split()
+    assert int(index) == n
+    lines[n] = f"{n} {int(value) + 1}"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module", params=[100, 250])
+def ascent_fields(request):
+    return request.param, ascent_study(BFILE_TEXT, 60, request.param, 4)
 
 
 def test_branch_series_matches_acceptance_reference(b202062):
@@ -36,11 +54,48 @@ def test_lconvex_study_checks_sizes_before_any_stage(monkeypatch):
         lconvex_study(5000, 100, 3)
     with pytest.raises(ValueError, match="digits >= 1"):
         lconvex_study(5000, 0, 44)
+    with pytest.raises(InsufficientTerms, match="^400 terms hold 20 squares, not 44$"):
+        lconvex_study(400, 40, 44)
+
+
+def test_lconvex_study_uses_every_square_by_default():
+    fields = lconvex_study(200, 30)
+    assert fields["parameters"]["squares"] == 14
+    assert "depth 13)" in fields["stdout"]
+
+
+@pytest.mark.parametrize("n", range(23, 28))
+def test_ascent_study_names_the_first_wrong_stored_term(n):
+    # the recurrence comes from terms 0..22, so a later term is a prediction
+    with pytest.raises(SeqLabError, match=f"disagrees with the b-file at n = {n}$"):
+        ascent_study(bfile_with_wrong_term(n), 60, 40, 4)
+
+
+def test_ascent_script_on_a_wrong_bfile_fails_cleanly(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "wrong.txt"
+    bad.write_text(bfile_with_wrong_term(25), encoding="utf-8")
+    err = assert_failed_study("ascent_pipeline", ["--bfile", str(bad)],
+                              tmp_path, monkeypatch, capsys)
+    assert "at n = 25" in err
+
+
+def test_ascent_study_recovers_the_cubic(ascent_fields, ascent_cubic):
+    _, fields = ascent_fields
+    assert fields["parameters"]["algebraic_equation"] == ascent_cubic.coeff_lists()
+
+
+def test_ascent_rho_is_the_growth_cubic_root(ascent_fields):
+    # reference: every complex root of GROWTH_POLY by mpmath, at 20 extra digits
+    digits, fields = ascent_fields
+    with mpmath.workdps(digits + 20):
+        roots = mpmath.polyroots(GROWTH_POLY.coeffs[::-1], maxsteps=200, extraprec=400)
+        rho = min(r.real for r in roots if abs(r.imag) < 10 ** -digits and r.real > 0)
+        assert fields["scalars"]["rho"] == scalar_entry(rho, digits)
 
 
 def test_ascent_study_reports_the_residual_it_found(monkeypatch):
     monkeypatch.setattr(seqlab.pipeline, "ode_residual", lambda ode, terms: 7)
-    fields = ascent_study((DATA_DIR / "b202062.txt").read_text(encoding="utf-8"), 60, 40, 4)
+    fields = ascent_study(BFILE_TEXT, 60, 40, 4)
     assert fields["notes"][0] == "ODE order 3, degree 11, residual nonzero at x^7"
     assert "; residual on 2000 terms: nonzero at x^7\n" in fields["stdout"]
 

@@ -103,19 +103,14 @@ class TestLconvexPipeline:
                                   tmp_path, monkeypatch, capsys)
         assert err == "Error: extrapolation needs at least 4 squares, got 3\n"
 
+    def test_too_many_squares_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
+        err = assert_failed_study("lconvex_pipeline", ["--terms", "400", "--squares", "44"],
+                                  tmp_path, monkeypatch, capsys)
+        assert err == "Error: 400 terms hold 20 squares, not 44\n"
+
     @pytest.mark.parametrize("digits", ["-5", "0"])
     def test_bad_digits_is_a_clean_error(self, digits, tmp_path, monkeypatch, capsys):
         err = assert_failed_study("lconvex_pipeline", ["--digits", digits],
                                   tmp_path, monkeypatch, capsys)
         assert err == f"Error: need digits >= 1, got {digits}\n"
 
-
-class TestValidateFixture:
-    def test_all_checks_pass(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "argv", ["validate_fixture.py", "--brute-max", "8"])
-        assert load_script("validate_fixture").main() == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out and "all checks passed" in out
-
-    def test_missing_bfile_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
-        assert_missing_bfile("validate_fixture", tmp_path, monkeypatch, capsys)

@@ -71,6 +71,11 @@ class TestPattern:
             enum_ascent_avoiding("0123", 4)
 
 
+def test_bruteforce_201_avoiders_match_bfile(b202062):
+    # the bundled b-file's head, independent of any guessed model
+    assert enum_ascent_avoiding("201", 10).terms == b202062.terms[:11]
+
+
 def _digest(s: Sequence) -> str:
     return hashlib.sha256(",".join(map(str, s.terms)).encode()).hexdigest()
 
