@@ -24,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence as SeqABC
 
 from .errors import InconsistentInit, InsufficientTerms
-from .series import Poly, alg_eval, int_horner, mul_trunc, primitive_int
+from .series import Poly, alg_eval, int_horner, mul_trunc, poly_values, primitive_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sequences import Sequence
@@ -367,17 +368,11 @@ def prec_residual(rec: PRecurrence, terms: "Sequence") -> int:
     annihilates every checkable window.
     """
     r = rec.order
-    coeff_ints = rec.coeff_lists()
-    count = 0
-    for w in range(len(terms) - r):
-        n = terms.offset + w
-        acc = sum(
-            int_horner(coeff_ints[j], n) * terms.terms[w + j] for j in range(r + 1)
-        )
-        if acc:
-            break
-        count += 1
-    return count
+    t = terms.terms
+    values = zip(*(poly_values(cs, terms.offset) for cs in rec.coeff_lists()))
+    windows = zip(*(t[j:] for j in range(r + 1)))
+    sums = (sum(map(mul, cs, win)) for cs, win in zip(values, windows))
+    return next((w for w, acc in enumerate(sums) if acc), max(len(t) - r, 0))
 
 
 def check_init(rec: PRecurrence, init: "Sequence") -> None:
@@ -504,12 +499,27 @@ def prec_to_ode(rec: PRecurrence, init: "Sequence") -> LinODE:
     return LinODE(tuple(coeffs))
 
 
+def _falling(top: int, i: int) -> list[int]:
+    """Ascending coefficients in N of (N + top)(N + top - 1)...(N + top - i + 1)."""
+    out = [1]
+    for k in range(i):
+        out = [(top - k) * a + b for a, b in zip(out + [0], [0] + out)]
+    return out
+
+
 def ode_residual(ode: LinODE, terms: "Sequence") -> Optional[int]:
     """Exponent of the first nonzero coefficient of sum_i Q_i f^(i), or None.
 
     None means all-zero to the checkable truncation.  The series f comes
     from `terms` (offset 0); with L terms and order m the residual is
     trustworthy through x^(L - m - 1).
+
+    The ODE is read as its coefficient recurrence: with Q_i = sum_e q_ie x^e
+    the coefficient of x^N is sum_s P_s(N) u(N + s) over the shifts
+    s = i - e, where P_s(N) = sum_i q_i,(i-s) (N + s)(N + s - 1)...(N + s - i + 1).
+    Each shift is one pass over the series, with its P_s values from
+    `poly_values`; indices N + s < 0 drop out, and the falling factorial
+    vanishes where x^e f^(i) has no x^N term.
     """
     if terms.offset != 0:
         raise ValueError("ODE residual needs an offset-0 sequence")
@@ -520,14 +530,19 @@ def ode_residual(ode: LinODE, terms: "Sequence") -> Optional[int]:
             f"need at least order + degree + 1 = {m + ode.degree + 1} terms"
         )
     out_order = big_l - m
-    acc = [0] * out_order
-    g = list(terms.terms)
+    shifts: dict[int, list[int]] = {}  # s -> ascending coefficients of P_s
     for i, q in enumerate(ode.coeff_lists()):
-        if i:
-            g = [j * c for j, c in enumerate(g)][1:]
-        for e, c in enumerate(q[:out_order]):
+        for e, c in enumerate(q):
             if c:
-                acc[e:] = [a + c * b for a, b in zip(acc[e:], g)]
+                p = shifts.setdefault(i - e, [0] * (m + 1))
+                for k, f in enumerate(_falling(i - e, i)):
+                    p[k] += c * f
+    u = terms.terms
+    acc = [0] * out_order
+    for s, p in shifts.items():
+        n0 = max(0, -s)
+        values = poly_values(p, n0)
+        acc[n0:] = [a + v * t for a, v, t in zip(acc[n0:], values, u[n0 + s :])]
     return next((i for i, c in enumerate(acc) if c), None)
 
 

@@ -328,6 +328,8 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
         if poly_a_sq is not None:
             lines.append(f"minimal polynomial of A^2 (A = 16 sqrt(pi) C / 105): "
                          f"{poly_a_sq.format('B')} = 0")
+        else:
+            lines.append("minimal polynomial of A^2: not found")
         lines.append(f"closed-form radical for C: diff {mpmath.nstr(d_closed, 3)}")
 
     return dict(

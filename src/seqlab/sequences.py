@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
+from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -40,8 +41,8 @@ from .series import (
     alg_eval,
     div_one_minus_qm,
     div_q_infinity,
-    int_horner,
     int_tuple,
+    poly_values,
 )
 
 
@@ -390,20 +391,22 @@ def _prec_terms(rec: PRecurrence, init: Sequence, number: type) -> Iterator:
     """Yield the terms after `init` of the sequence it starts, extended by
     the recurrence in `number`s: int, or decimal.Decimal under an exact
     context (any type with exact +, * and divmod by an int).  Only the
-    last rec.order terms are kept.
+    last rec.order terms are kept, and the coefficient values at each
+    step come from `poly_values`, so a step is a few C-level loops.
 
     Raises LeadingCoeffVanishes(n) if the leading polynomial vanishes at a
     needed index and NonIntegral if an exact integer step fails.
     """
-    ints = rec.coeff_lists()
     r = rec.order
+    n0 = init.last_index - r + 1
+    steps = zip(*(poly_values(cs, n0) for cs in rec.coeff_lists()))
     window = deque(map(number, init.terms[len(init) - r:]), maxlen=r)
-    for n in count(init.last_index - r + 1):
-        lead = int_horner(ints[r], n)
+    for n, cs in zip(count(n0), steps):
+        lead = cs[r]
         if lead == 0:
             raise LeadingCoeffVanishes(n)
-        acc = sum(int_horner(ints[j], n) * window[j] for j in range(r))
-        q, rem = divmod(-acc, lead)
+        # map stops at the window's r terms, leaving out the leading value
+        q, rem = divmod(-sum(map(mul, cs, window)), lead)
         if rem:
             raise NonIntegral(f"non-integer term at n={n + r}")
         window.append(q)

@@ -1,14 +1,16 @@
 """Exact arithmetic substrate: rationals, dense polynomials, truncated power series.
 
-Rational scalars are `fractions.Fraction` (arbitrary precision, always in lowest
-terms with positive denominator).  On top of that sit two immutable value types:
+Scalars are Python ints, and `fractions.Fraction` (arbitrary precision, always
+in lowest terms with positive denominator) where a value is not integral.  On
+top of that sit two immutable value types:
 
 * `Poly` -- dense univariate polynomial with integer coefficients, ascending,
   no trailing zeros (the zero polynomial is the empty coefficient tuple).
-* `TruncSeries` -- power series with rational coefficients known exactly up
-  to (but excluding) a stated truncation order.  Arithmetic returns results
-  at the weakest participating order, so precision loss is always explicit,
-  never silent.
+* `TruncSeries` -- power series with exact coefficients known up to (but
+  excluding) a stated truncation order: an integral coefficient is held as
+  an int, any other as a Fraction.  Arithmetic returns results at the
+  weakest participating order, so precision loss is always explicit, never
+  silent.
 
 All operations are pure; nothing here mutates its inputs.
 """
@@ -17,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, lcm
-from typing import Iterable, Sequence as Seq, Union
+from typing import Iterable, Iterator, Sequence as Seq, Union
 
 from .errors import NonIntegral, ZeroConstantTerm
 
@@ -122,13 +125,18 @@ class Poly:
 def mul_trunc(a: Seq[Scalar], b: Seq[Scalar], order: int) -> list:
     """Coefficients 0..order-1 of the product of two ascending coefficient
     lists.  The one product kernel of this package: ints stay ints, so the
-    guessers' integer series never pay for Fractions."""
+    guessers' integer series never pay for Fractions.
+
+    The outer loop runs over the operand with fewer nonzero entries; each
+    of its nonzero entries adds one scaled slice of the other operand."""
+    a, b = a[:order], b[:order]
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a
     out = [0] * order
-    for i, ai in enumerate(a[:order]):
+    for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b[: order - i], i):
-                if bj:
-                    out[j] += ai * bj
+            part = b[: order - i]  # may end before order when b is short
+            out[i : i + len(part)] = [o + ai * bj for o, bj in zip(out[i:], part)]
     return out
 
 
@@ -155,6 +163,25 @@ def int_horner(coeffs: Iterable[Scalar], n: Scalar) -> Scalar:
     for c in reversed(tuple(coeffs)):
         acc = acc * n + c
     return acc
+
+
+def poly_values(coeffs: Seq[Scalar], n0: int) -> Iterator[Scalar]:
+    """p(n0), p(n0 + 1), p(n0 + 2), ... without end, for the polynomial p
+    of the ascending coefficients: the one evaluator at consecutive points.
+
+    The forward differences of p at n0, seeded from d + 1 values by
+    `int_horner` (d = deg p), run through d nested running sums, so each
+    further value costs d additions at C speed and no Python step."""
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    table = [int_horner(cs, n0 + k) for k in range(len(cs))] or [0]
+    for k in range(1, len(table)):  # table[k] becomes the k-th difference at n0
+        table[k:] = [b - a for a, b in zip(table[k - 1 :], table[k:])]
+    values = repeat(table[-1])
+    for first in reversed(table[:-1]):
+        values = accumulate(values, initial=first)
+    return values
 
 
 def div_one_minus_qm(a: list, m: int) -> None:
@@ -202,24 +229,31 @@ def primitive_int(vec: Seq[Scalar]) -> list[int]:
 # truncated power series
 # ---------------------------------------------------------------------------
 
-def _as_rat(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _exact(x) -> Scalar:
+    """x as an int when it is integral, else as a Fraction."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
 class TruncSeries:
-    """Power series with coefficients 0..order-1 known exactly.
+    """Power series with coefficients 0..order-1 known exactly: an int
+    when integral, else a Fraction.
 
     `order` is the truncation order: the series is congruent to the stored
     coefficients mod x^order.  Binary operations return the weakest order of
     their operands.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_as_rat(c) for c in self.coeffs))
-        if not self.coeffs:
+        cs = tuple(self.coeffs)
+        if not {int}.issuperset(map(type, cs)):
+            cs = tuple(map(_exact, cs))
+        object.__setattr__(self, "coeffs", cs)
+        if not cs:
             raise ValueError("a TruncSeries needs order >= 1")
 
     @property
@@ -258,38 +292,36 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a unit constant term.
+        """Multiplicative inverse; requires a nonzero constant term.
 
         inv(a)[n] is determined by the first n+1 coefficients of a, so the
-        result carries the same order.
+        result carries the same order.  Each step sums over the nonzero
+        coefficients of a only; an integer series with constant term +-1
+        inverts in ints.
         """
         a = self.coeffs
         if a[0] == 0:
             raise ZeroConstantTerm("series has zero constant term")
-        n = self.order
-        inv0 = 1 / a[0]
-        out = [Fraction(0)] * n
-        out[0] = inv0
-        for k in range(1, n):
-            s = Fraction(0)
-            for i in range(1, k + 1):
-                if a[i]:
-                    s += a[i] * out[k - i]
-            out[k] = -s * inv0
+        inv0 = a[0] if a[0] in (1, -1) else 1 / Fraction(a[0])
+        terms = [(i, c) for i, c in enumerate(a) if c and i]
+        out = [inv0]
+        live = 0  # terms[:live] are those with i <= k
+        for k in range(1, self.order):
+            if live < len(terms) and terms[live][0] == k:
+                live += 1
+            out.append(-inv0 * sum([c * out[k - i] for i, c in terms[:live]]))
         return TruncSeries(out)
 
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by x^k (k >= 0), keeping the truncation order."""
         if k < 0:
             raise ValueError("negative shift on a power series")
-        return TruncSeries(
-            (Fraction(0),) * min(k, self.order) + self.coeffs[: self.order - k]
-        )
+        return TruncSeries((0,) * min(k, self.order) + self.coeffs[: self.order - k])
 
     def derivative(self) -> "TruncSeries":
         """Formal derivative; the result is known to one order less."""
         if self.order == 1:
-            return TruncSeries([Fraction(0)])
+            return TruncSeries([0])
         return TruncSeries(
             [i * c for i, c in enumerate(self.coeffs)][1:]
         )
@@ -299,12 +331,12 @@ class TruncSeries:
         return TruncSeries(mul_trunc(p.coeffs, self.coeffs, self.order))
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return {int}.issuperset(map(type, self.coeffs))
 
     @staticmethod
     def from_poly(p: Poly, order: int) -> "TruncSeries":
         cs = list(p.coeffs[:order])
-        cs += [Fraction(0)] * (order - len(cs))
+        cs += [0] * (order - len(cs))
         return TruncSeries(cs)
 
 

@@ -171,6 +171,12 @@ def test_lconvex_script_digest_and_csvs(workdir, monkeypatch):
     assert csvs == LCONVEX_CSV_SHA256
 
 
-def test_ascent_script_digest(workdir, monkeypatch):
+def test_ascent_script_digest(workdir, monkeypatch, capsys):
     run_script("ascent_pipeline", ASCENT_ARGS, monkeypatch)
     assert report_digest("out/ascent.json") == ASCENT_DIGEST
+    # C at 600 terms holds too few digits for min_poly(A^2, 3, 50); stdout
+    # says so, the report's notes already did
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("minimal polynomial of A^2: not found")
+    assert lines[at - 1].startswith("amplitude C = ")
+    assert lines[at + 1].startswith("closed-form radical for C: ")

@@ -30,6 +30,7 @@ from seqlab import (
 from seqlab import guess
 from seqlab.errors import InconsistentInit, InsufficientTerms
 from seqlab.pipeline import branch_series
+from seqlab.series import int_horner
 from conftest import ASCENT_INIT, ASCENT_REC_LISTS, CATALAN
 
 from math import gcd
@@ -453,13 +454,14 @@ class TestPrecToOde:
         digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
         assert digest == self.PINNED_DIGEST
 
-    @pytest.mark.parametrize("pos", [0, 1, 57, 300, 596, 597, 598, 599])
+    @pytest.mark.parametrize("pos", [0, 1, 2, 11, 57, 300, 596, 597, 598, 599])
     def test_matches_fraction_oracle(self, ascent_ode, u2000, pos):
         terms = list(u2000.terms[:600])
         terms[pos] += 1
         s = Sequence(0, terms)
         want = _fraction_ode_residual(ascent_ode, s)
         assert ode_residual(ascent_ode, s) == want
+        assert _coefficient_pass_residual(ascent_ode, s) == want
         # the residual is checkable through x^596; Q_3 = x^2 * ... first
         # sees term 598 at x^597, so the last two terms go unseen
         assert (want is None) == (pos >= 598)
@@ -475,6 +477,77 @@ def _fraction_ode_residual(ode, terms):
             f = f.derivative()
         acc = acc + f.mul_poly(q).truncate(out_order)
     return next((i for i, c in enumerate(acc.coeffs) if c), None)
+
+
+def _coefficient_pass_residual(ode, terms):
+    """The ode_residual loop before shift grouping: one pass over the
+    series per nonzero coefficient of every Q_i, kept as its reference."""
+    out_order = len(terms) - ode.order
+    acc = [0] * out_order
+    g = list(terms.terms)
+    for i, q in enumerate(ode.coeff_lists()):
+        if i:
+            g = [j * c for j, c in enumerate(g)][1:]
+        for e, c in enumerate(q[:out_order]):
+            if c:
+                acc[e:] = [a + c * b for a, b in zip(acc[e:], g)]
+    return next((i for i, c in enumerate(acc) if c), None)
+
+
+def _window_loop_residual(rec, terms):
+    """The prec_residual loop before poly_values, kept as its reference."""
+    r = rec.order
+    lists = rec.coeff_lists()
+    count = 0
+    for w in range(len(terms) - r):
+        n = terms.offset + w
+        if sum(int_horner(lists[j], n) * terms.terms[w + j] for j in range(r + 1)):
+            break
+        count += 1
+    return count
+
+
+class TestResidualKernels:
+    """ode_residual and prec_residual against the loops they replaced (the
+    fixture's perturbed terms: TestPrecToOde.test_matches_fraction_oracle)."""
+
+    def test_ode_residual_perturbed_coefficient(self, ascent_ode, u2000):
+        s = u2000.head(600)
+        lists = ascent_ode.coeff_lists()
+        rng = random.Random(600)
+        spots = [(i, e) for i, q in enumerate(lists) for e in range(len(q))]
+        for i, e in rng.sample(spots, 12) + [(0, 0), (3, len(lists[3]) - 1)]:
+            changed = [list(q) for q in lists]
+            changed[i][e] += 1
+            ode = LinODE.from_lists(changed)
+            want = _coefficient_pass_residual(ode, s)
+            assert want is not None, (i, e)
+            assert ode_residual(ode, s) == want, (i, e)
+
+    def test_ode_residual_random(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            m, d = rng.randint(0, 3), rng.randint(0, 6)
+            lists = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(d + 1)]
+                     for _ in range(m + 1)]
+            lists[-1][-1] = lists[-1][-1] or 1
+            ode = LinODE.from_lists(lists)
+            length = ode.order + ode.degree + 1 + rng.randint(0, 12)
+            s = Sequence(0, [rng.randint(-99, 99) for _ in range(length)])
+            assert ode_residual(ode, s) == _coefficient_pass_residual(ode, s), (lists, s)
+
+    def test_prec_residual_random(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            r, d = rng.randint(1, 3), rng.randint(0, 3)
+            rec = PRecurrence.from_lists(
+                [[rng.randint(-5, 5) for _ in range(d + 1)] for _ in range(r)] + [[1]])
+            init = Sequence(rng.randint(-4, 4), [rng.randint(-9, 9) for _ in range(r)])
+            terms = list(expand_prec(rec, init, r + rng.randint(0, 15)).terms)
+            if rng.random() < 0.7:
+                terms[rng.randrange(len(terms))] += 1
+            s = Sequence(init.offset, terms[: rng.randint(0, len(terms))])
+            assert prec_residual(rec, s) == _window_loop_residual(rec, s), (rec, s)
 
 
 def _factorials(n):

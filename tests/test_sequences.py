@@ -2,8 +2,10 @@
 
 import decimal
 import hashlib
+import random
+from collections import deque
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,8 @@ from seqlab import (
     gen_stack_area,
 )
 from seqlab.report import unlimited_int_digits
+from seqlab.sequences import _EXACT, _prec_terms
+from seqlab.series import int_horner
 from seqlab.errors import (
     BranchAmbiguous,
     BudgetExceeded,
@@ -344,6 +348,92 @@ class TestExpandPRec:
         for n in (0, -1):
             with pytest.raises(ValueError, match="n_terms >= 1"):
                 expand_prec(rec, init, n)
+
+
+def _prec_terms_loop(rec, init, number):
+    """The _prec_terms step loop before poly_values, one int_horner call
+    per coefficient and term, kept as its reference."""
+    ints = rec.coeff_lists()
+    r = rec.order
+    window = deque(map(number, init.terms[len(init) - r:]), maxlen=r)
+    for n in count(init.last_index - r + 1):
+        lead = int_horner(ints[r], n)
+        if lead == 0:
+            raise LeadingCoeffVanishes(n)
+        acc = sum(int_horner(ints[j], n) * window[j] for j in range(r))
+        q, rem = divmod(-acc, lead)
+        if rem:
+            raise NonIntegral(f"non-integer term at n={n + r}")
+        window.append(q)
+        yield q
+
+
+def _run(steps, limit):
+    """The terms a step generator yields, up to limit, and the error that
+    stopped it: (terms, (type, message, n) or None)."""
+    out = []
+    try:
+        for q in islice(steps, limit):
+            out.append(q)
+    except (LeadingCoeffVanishes, NonIntegral) as exc:
+        return out, (type(exc), str(exc), getattr(exc, "n", None))
+    return out, None
+
+
+class TestPrecTermsErrors:
+    """_prec_terms raises what the per-term int_horner loop raised, at the
+    same n, in int and in Decimal."""
+
+    PLANTED = [
+        # (n - 5)(n + 2) (u(n+2) - u(n+1) - u(n)) = 0: stalls at n = 5
+        (PRecurrence((Poly([10, 3, -1]), Poly([10, 3, -1]), Poly([-10, -3, 1]))),
+         Sequence(0, (1, 1)), LeadingCoeffVanishes, 5),
+        # (n - 9) u(n+1) = 2 (n - 9) u(n) from offset 3: stalls at n = 9
+        (PRecurrence((Poly([18, -2]), Poly([-9, 1]))), Sequence(3, (1,)),
+         LeadingCoeffVanishes, 9),
+        # (n + 1) u(n+1) = (n + 1) u(n) from offset -4: stalls at n = -1
+        (PRecurrence((Poly([-1, -1]), Poly([1, 1]))), Sequence(-4, (2,)),
+         LeadingCoeffVanishes, -1),
+        # 7 u(n+1) = (n + 3) u(n) from 49: 21, 12, then 60/7 at n = 3
+        (PRecurrence((Poly([-3, -1]), Poly([7]))), Sequence(0, (49,)), NonIntegral, 3),
+        # order 3, degree 3, leading n^3 + 8: stalls at n = -2 from offset -6
+        (PRecurrence((Poly([1]), Poly([0, 0, 0]), Poly([-1]), Poly([8, 0, 0, 1]))),
+         Sequence(-6, (0, 0, 0)), LeadingCoeffVanishes, -2),
+    ]
+
+    @staticmethod
+    def outcomes(rec, init, limit=40):
+        with decimal.localcontext(_EXACT):
+            return [_run(make(rec, init, number), limit)
+                    for make in (_prec_terms, _prec_terms_loop)
+                    for number in (int, decimal.Decimal)]
+
+    @pytest.mark.parametrize("rec, init, error, n", PLANTED)
+    def test_planted(self, rec, init, error, n):
+        new_int, new_dec, old_int, old_dec = self.outcomes(rec, init)
+        assert new_int == old_int and new_dec == old_dec
+        assert new_dec[0] == new_int[0] and new_dec[1] == new_int[1]
+        got_error, _, got_n = new_int[1]
+        assert got_error is error
+        if error is LeadingCoeffVanishes:
+            assert got_n == n
+        else:
+            assert new_int[1][1] == f"non-integer term at n={n}"
+
+    def test_random(self):
+        rng = random.Random(5)
+        errors = set()
+        for _ in range(300):
+            r, d = rng.randint(1, 3), rng.randint(0, 3)
+            rec = PRecurrence.from_lists(
+                [[rng.randint(-4, 4) for _ in range(d + 1)] for _ in range(r)]
+                + [[rng.randint(-6, 6) for _ in range(rng.randint(0, 2))] + [1]])
+            init = Sequence(rng.randint(-6, 3), [rng.randint(-9, 9) for _ in range(r)])
+            new_int, new_dec, old_int, old_dec = self.outcomes(rec, init, 25)
+            assert new_int == old_int and new_dec == old_dec, (rec, init)
+            assert new_dec == new_int, (rec, init)
+            errors.add(new_int[1] and new_int[1][0])
+        assert errors == {None, LeadingCoeffVanishes, NonIntegral}
 
 
 class TestExpandPRecDecimal:

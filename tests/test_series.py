@@ -1,6 +1,8 @@
 """Exact-arithmetic tests for polynomials, truncated series and (q)_n."""
 
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from seqlab import Poly, Sequence, TruncSeries, q_pochhammer
 from seqlab.errors import NonIntegral, ZeroConstantTerm
-from seqlab.series import div_q_infinity, int_horner, mul_trunc
+from seqlab.series import div_q_infinity, int_horner, mul_trunc, poly_values
 
 small_ints = st.integers(min_value=-9, max_value=9)
 polys = st.lists(small_ints, min_size=0, max_size=6).map(Poly)
@@ -77,8 +79,96 @@ class TestPoly:
             assert int_horner(cs, int(x)) == Poly(cs)(x)
 
 
+class TestPolyValues:
+    """poly_values against int_horner at every point."""
+
+    @pytest.mark.parametrize("degree", range(-1, 7))  # -1: the empty polynomial
+    def test_matches_horner(self, degree):
+        rng = random.Random(degree)
+        for _ in range(3):
+            cs = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(degree + 1)]
+            if cs:
+                cs[-1] = cs[-1] or 1
+            for n0 in range(-20, 21):
+                want = [int_horner(cs, n) for n in range(n0, n0 + 50)]
+                assert list(islice(poly_values(cs, n0), 50)) == want, (cs, n0)
+
+    def test_trailing_zeros_and_fractions(self):
+        cs = [Fraction(1, 3), 0, Fraction(-5, 2), 0, 0]
+        want = [int_horner(cs, n) for n in range(-4, 26)]
+        assert list(islice(poly_values(cs, -4), 30)) == want
+        assert list(islice(poly_values([0, 0], 7), 5)) == [0] * 5
+
+
+def _mul_trunc_loop(a, b, order):
+    """The double loop that mul_trunc replaced, kept as its reference."""
+    out = [0] * order
+    for i, ai in enumerate(a[:order]):
+        if ai:
+            for j, bj in enumerate(b[: order - i], i):
+                if bj:
+                    out[j] += ai * bj
+    return out
+
+
+class TestMulTrunc:
+    """mul_trunc against the double loop it replaced."""
+
+    @staticmethod
+    def operand(rng, length, density, fractions):
+        def entry():
+            if rng.random() >= density:
+                return 0
+            c = rng.randint(-10 ** 9, 10 ** 9)
+            return Fraction(c, rng.randint(1, 50)) if fractions else c
+        return [entry() for _ in range(length)]
+
+    @pytest.mark.parametrize("fractions", [False, True])
+    @pytest.mark.parametrize("density", [0.1, 0.5, 1.0])
+    def test_matches_loop(self, fractions, density):
+        rng = random.Random(int(density * 10) + fractions)
+        for _ in range(60):
+            a = self.operand(rng, rng.randint(0, 30), density, fractions)
+            b = self.operand(rng, rng.randint(0, 30), rng.choice([0.1, density]), fractions)
+            for order in (0, 1, len(a), len(b), len(a) + len(b), rng.randint(1, 40)):
+                got = mul_trunc(a, b, order)
+                assert got == _mul_trunc_loop(a, b, order), (a, b, order)
+                assert len(got) == order
+                assert mul_trunc(tuple(b), tuple(a), order) == got
+
+    def test_short_second_operand(self):
+        # len(b) < order - i for every i: each slice of b ends before order,
+        # and out must keep its full length
+        a, b = [1, 2, 3, 4, 5, 6], [7, 0, 8]
+        got = mul_trunc(a, b, 10)
+        assert got == _mul_trunc_loop(a, b, 10) == [7, 14, 29, 44, 59, 74, 40, 48, 0, 0]
+        # the sparser operand drives the loop, whichever side it is on
+        sparse = [0, 0, 5, 0, 0, 0, 0, 0]
+        dense = [1, 2, 3]
+        for x, y in ((sparse, dense), (dense, sparse)):
+            assert mul_trunc(x, y, 12) == _mul_trunc_loop(x, y, 12)
+
+    def test_ints_stay_ints(self):
+        got = mul_trunc([3, 0, -1], (2, 5), 5)
+        assert got == [6, 15, -2, -5, 0] and {type(c) for c in got} == {int}
+
+
 def series(coeffs):
     return TruncSeries([Fraction(c) for c in coeffs])
+
+
+def _inverse_loop(a):
+    """The Fraction loop that TruncSeries.inverse replaced."""
+    inv0 = 1 / Fraction(a[0])
+    out = [Fraction(0)] * len(a)
+    out[0] = inv0
+    for k in range(1, len(a)):
+        s = Fraction(0)
+        for i in range(1, k + 1):
+            if a[i]:
+                s += a[i] * out[k - i]
+        out[k] = -s * inv0
+    return out
 
 
 unit_series = st.lists(small_ints, min_size=1, max_size=8).filter(
@@ -134,6 +224,26 @@ class TestTruncSeries:
     def test_geometric_series(self):
         one_minus_x = TruncSeries.from_poly(Poly([1, -1]), 6)
         assert one_minus_x.inverse() == series([1] * 6)
+
+    def test_integral_coefficients_are_ints(self):
+        s = TruncSeries([Fraction(4, 2), Fraction(1, 2), 3, True])
+        assert s.coeffs == (2, Fraction(1, 2), 3, 1)
+        assert [type(c) for c in s.coeffs] == [int, Fraction, int, int]
+        assert not s.is_integral() and TruncSeries([Fraction(6, 3), -1]).is_integral()
+        assert {type(c) for c in (series([5, 1, 3]) * Fraction(1, 2) * 2).coeffs} == {int}
+        assert {type(c) for c in series([1, 2]).shift(3).coeffs} == {int}
+        assert {type(c) for c in TruncSeries.from_poly(Poly([1]), 4).coeffs} == {int}
+
+    @pytest.mark.parametrize("lead", [1, -1, 2, Fraction(-3, 5)])
+    def test_inverse_matches_loop(self, lead):
+        rng = random.Random(str(lead))
+        for _ in range(40):
+            order = rng.randint(1, 25)
+            cs = [lead] + [rng.choice([0, 0, rng.randint(-50, 50)]) for _ in range(order - 1)]
+            inv = TruncSeries(cs).inverse()
+            assert list(inv.coeffs) == _inverse_loop(cs), cs
+            if lead in (1, -1):  # an integer unit inverts in ints
+                assert {type(c) for c in inv.coeffs} == {int}
 
 
 class TestQPochhammer:
