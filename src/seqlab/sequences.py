@@ -152,7 +152,7 @@ class LaurentSeries:
     """Finite Laurent expansion: coeffs[i] multiplies x^(offset + i)."""
 
     offset: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def to_sequence(self) -> Sequence:
         return Sequence(self.offset, self.coeffs)
