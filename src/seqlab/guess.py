@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt
 from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence as SeqABC
@@ -499,14 +500,6 @@ def prec_to_ode(rec: PRecurrence, init: "Sequence") -> LinODE:
     return LinODE(tuple(coeffs))
 
 
-def _falling(top: int, i: int) -> list[int]:
-    """Ascending coefficients in N of (N + top)(N + top - 1)...(N + top - i + 1)."""
-    out = [1]
-    for k in range(i):
-        out = [(top - k) * a + b for a, b in zip(out + [0], [0] + out)]
-    return out
-
-
 def ode_residual(ode: LinODE, terms: "Sequence") -> Optional[int]:
     """Exponent of the first nonzero coefficient of sum_i Q_i f^(i), or None.
 
@@ -530,18 +523,18 @@ def ode_residual(ode: LinODE, terms: "Sequence") -> Optional[int]:
             f"need at least order + degree + 1 = {m + ode.degree + 1} terms"
         )
     out_order = big_l - m
-    shifts: dict[int, list[int]] = {}  # s -> ascending coefficients of P_s
+    shifts: dict[int, Poly] = {}  # s -> P_s
     for i, q in enumerate(ode.coeff_lists()):
         for e, c in enumerate(q):
             if c:
-                p = shifts.setdefault(i - e, [0] * (m + 1))
-                for k, f in enumerate(_falling(i - e, i)):
-                    p[k] += c * f
+                s = i - e
+                term = reduce(mul, (Poly([s - k, 1]) for k in range(i)), Poly([c]))
+                shifts[s] = shifts.get(s, Poly([])) + term
     u = terms.terms
     acc = [0] * out_order
     for s, p in shifts.items():
         n0 = max(0, -s)
-        values = poly_values(p, n0)
+        values = poly_values(p.coeffs, n0)
         acc[n0:] = [a + v * t for a, v, t in zip(acc[n0:], values, u[n0 + s :])]
     return next((i for i, c in enumerate(acc) if c), None)
 

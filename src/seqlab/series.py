@@ -127,16 +127,14 @@ def mul_trunc(a: Seq[Scalar], b: Seq[Scalar], order: int) -> list:
     lists.  The one product kernel of this package: ints stay ints, so the
     guessers' integer series never pay for Fractions.
 
-    The outer loop runs over the operand with fewer nonzero entries; each
-    of its nonzero entries adds one scaled slice of the other operand."""
-    a, b = a[:order], b[:order]
-    if len(a) - a.count(0) > len(b) - b.count(0):
-        a, b = b, a
+    Each nonzero entry of `a` adds one scaled slice of `b`, so callers pass
+    the sparser operand first."""
     out = [0] * order
-    for i, ai in enumerate(a):
+    for i, ai in enumerate(a[:order]):
         if ai:
             part = b[: order - i]  # may end before order when b is short
-            out[i : i + len(part)] = [o + ai * bj for o, bj in zip(out[i:], part)]
+            j = i + len(part)
+            out[i:j] = [o + ai * bj for o, bj in zip(out[i:j], part)]
     return out
 
 

@@ -142,7 +142,7 @@ class TestMulTrunc:
         a, b = [1, 2, 3, 4, 5, 6], [7, 0, 8]
         got = mul_trunc(a, b, 10)
         assert got == _mul_trunc_loop(a, b, 10) == [7, 14, 29, 44, 59, 74, 40, 48, 0, 0]
-        # the sparser operand drives the loop, whichever side it is on
+        # a sparse operand on either side gives the same product
         sparse = [0, 0, 5, 0, 0, 0, 0, 0]
         dense = [1, 2, 3]
         for x, y in ((sparse, dense), (dense, sparse)):
