@@ -89,7 +89,8 @@ def identify_rational(
 
     The candidate is the continued-fraction best approximation; it is
     accepted only when |x - p/q| < 10^(4 - digits), where `digits` defaults
-    to the ambient working precision.  Values carrying fewer correct digits
+    to the ambient working precision.  A nonzero x never identifies as 0:
+    a zero candidate returns None.  Values carrying fewer correct digits
     than the ambient precision should pass their certified digit count;
     ValueError when it is below 1.
     """
@@ -99,6 +100,8 @@ def identify_rational(
         if not mpmath.isfinite(x):
             return None
         cand = _mpf_to_fraction(x).limit_denominator(maxden)
+        if cand == 0 and x != 0:
+            return None
         err = abs(x - mpmath.mpf(cand.numerator) / cand.denominator)
         if err < mpmath.mpf(10) ** (4 - d):
             return cand
@@ -207,12 +210,22 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
 def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
     """Integer polynomial of minimal degree <= maxdeg with x as a near-root.
 
-    Builds the integer-relation lattice [identity | round(10^(digits-10) x^i)]
-    and LLL-reduces it, trying degrees in increasing order so the first
-    verified hit has minimal degree.  A candidate p is accepted only if
-    |p(x)| < 10^(5 - digits) * ||p||_inf * max(1, |x|)^deg, a threshold a few
-    orders above evaluation roundoff but far below the residual of any
-    accidental lattice relation at this scaling.  Returns None if no degree
+    Searches the integer-relation lattices [identity | round(10^(digits-10)
+    x^i)] of degrees 1, 2, ... in turn, so the first verified hit has
+    minimal degree.  All degrees share one growing lattice: the degree d+1
+    basis is the LLL-reduced degree-d basis with a zero inserted before each
+    row's last entry, plus the row e_(d+1) | round(10^(digits-10) x^(d+1)).
+    Each reduced row is an integer unimodular combination of the degree-d
+    rows, and those rows padded with a zero are rows 0..d of the fresh
+    degree-(d+1) basis, so the grown basis spans the same lattice.  The
+    identity block keeps the rows independent for every x, so lll_reduce
+    never raises RankDeficient here.
+
+    A candidate p is accepted only if |p(x)| < 10^(5 - digits) *
+    ||p||_inf * max(1, |x|)^deg, a threshold a few orders above evaluation
+    roundoff but far below the residual of any accidental lattice relation
+    at this scaling; for x != 0 a candidate with p(0) = 0 is skipped, since
+    p = x q makes q a relation of lower degree.  Returns None if no degree
     yields a verified relation; raises ValueError when maxdeg < 1 and
     PrecisionTooLow when digits is too small to separate the two regimes
     (digits < 10 * (maxdeg + 1)).
@@ -228,20 +241,16 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
         x = mpmath.mpf(x)
         scale = mpmath.mpf(10) ** scale_exp
         grow = max(mpmath.mpf(1), abs(x))
+        reduced = [[1, int(mpmath.nint(scale))]]
         for deg in range(1, maxdeg + 1):
-            rows = []
-            for i in range(deg + 1):
-                row = [0] * (deg + 1) + [int(mpmath.nint(scale * x**i))]
-                row[i] = 1
-                rows.append(row)
-            try:
-                reduced = lll_reduce(rows)
-            except RankDeficient:
-                continue
+            column = int(mpmath.nint(scale * x**deg))
+            reduced = lll_reduce(
+                [row[:-1] + [0, row[-1]] for row in reduced] + [[0] * deg + [1, column]]
+            )
             threshold = mpmath.mpf(10) ** (5 - digits) * grow**deg
             for vec in sorted(reduced, key=lambda r: sum(c * c for c in r[:-1])):
                 coeffs = vec[: deg + 1]
-                if not any(coeffs[1:]):
+                if not any(coeffs[1:]) or (x and not coeffs[0]):
                     continue
                 p = Poly(primitive_int(coeffs))
                 if p.coeffs[-1] < 0:

@@ -275,6 +275,19 @@ class TestIdentifyCli:
             ])
             assert res.stdout.splitlines()[0] == "x^2 - 2"
 
+    @pytest.mark.parametrize("args", [
+        ["rational", "--value", "0.00000001"],
+        ["mult", "--value", "0.0000000001"],
+        ["minpoly", "--maxdeg", "2",
+         "--value", "0." + "0" * 34 + "1414213562373095048801688724"],
+    ])
+    def test_nonzero_value_not_named_zero(self, runner, args):
+        """A small nonzero value is neither 0/1, (0) * 1, nor a root of
+        x^2."""
+        with runner.isolated_filesystem():
+            res = invoke(runner, ["identify", *args])
+            assert res.stdout == "not found\n"
+
     def test_not_found(self, runner):
         with runner.isolated_filesystem():
             res = invoke(runner, [

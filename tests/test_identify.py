@@ -19,6 +19,7 @@ from seqlab import (
     min_poly,
 )
 from seqlab.errors import PrecisionTooLow, RankDeficient
+from seqlab.series import primitive_int
 
 
 def mp(value, dps=50):
@@ -62,6 +63,15 @@ class TestIdentifyRational:
             x = mpmath.mpf("0.333333")
             assert identify_rational(x, digits=30) is None
             assert identify_rational(x, digits=6) == Fraction(1, 3)
+
+    def test_nonzero_never_identifies_as_zero(self):
+        # the continued fraction of 1e-8 rounds to 0/1, which is within
+        # 10^(4 - 9) of it; a nonzero value must not be named 0
+        with mpmath.workdps(30):
+            assert identify_rational(mpmath.mpf("0.00000001"), digits=9) is None
+            assert identify_rational(mpmath.mpf("-1e-30"), digits=20) is None
+            assert identify_rational(mpmath.mpf(0), digits=20) == 0
+            assert identify_with_multipliers(mpmath.mpf("0.0000000001"), digits=11) is None
 
     @pytest.mark.parametrize("digits", [0, -3])
     def test_digits_below_one_rejected(self, digits):
@@ -361,6 +371,14 @@ class TestMinPoly:
             p = min_poly(x, maxdeg=6, digits=250)
         assert p == Poly([-23, -36, 27, -4, -9, 0, 1])
 
+    def test_zero_constant_term_skipped(self):
+        # x^2 is below the acceptance threshold at x = sqrt(2) * 1e-35, but
+        # a nonzero number is never a root of x * q unless q is a relation
+        with mpmath.workdps(80):
+            x = mpmath.sqrt(2) * mpmath.mpf(10) ** -35
+            assert min_poly(x, maxdeg=2, digits=63) is None
+            assert min_poly(mpmath.mpf(0), maxdeg=2, digits=30) == Poly([0, 1])
+
     def test_prime_roots_each_degree(self):
         for d, c in ((1, 7), (2, 5), (3, 3), (4, 2), (5, 2)):
             digits = 10 * (d + 1) + 40
@@ -462,3 +480,70 @@ class TestRandomPlantedConstants:
                 assert p is not None
                 assert p.degree == 2
                 assert abs(p(x)) < mpmath.mpf(10) ** -40
+
+
+def _per_degree_min_poly(x, maxdeg, digits):
+    """min_poly's former search: a fresh lattice at each degree, reduced from
+    scratch, with the same acceptance test."""
+    with mpmath.workdps(digits + 10):
+        x = mpmath.mpf(x)
+        scale = mpmath.mpf(10) ** (digits - 10)
+        grow = max(mpmath.mpf(1), abs(x))
+        for deg in range(1, maxdeg + 1):
+            rows = []
+            for i in range(deg + 1):
+                row = [0] * (deg + 1) + [int(mpmath.nint(scale * x**i))]
+                row[i] = 1
+                rows.append(row)
+            reduced = lll_reduce(rows)
+            threshold = mpmath.mpf(10) ** (5 - digits) * grow**deg
+            for vec in sorted(reduced, key=lambda r: sum(c * c for c in r[:-1])):
+                coeffs = vec[: deg + 1]
+                if not any(coeffs[1:]) or (x and not coeffs[0]):
+                    continue
+                p = Poly(primitive_int(coeffs))
+                if p.coeffs[-1] < 0:
+                    p = -p
+                norm = max(map(abs, p.coeffs))
+                if abs(p(x)) < threshold * norm:
+                    return p
+    return None
+
+
+class TestMinPolyGrowingLattice:
+    """min_poly reduces one lattice grown a row per degree; it returns what
+    a fresh reduction at each degree returns."""
+
+    @staticmethod
+    def inputs():
+        # planted algebraics of degree 2..6, exp and log of rationals and
+        # rational multiples of pi and sqrt(pi), each moved into [1, 2)
+        rng = random.Random(2323)
+        draws = [n for n in range(2, 60) if _squarefree(n)]
+        values = []
+        for d in range(2, 7):
+            for a in rng.sample(draws, 2):
+                values.append(mpmath.root(a, d) + rng.randint(-3, 3))
+        for _ in range(2):
+            a, b = rng.sample(draws, 2)
+            values.append(mpmath.sqrt(a) + mpmath.sqrt(b))
+            values.append(mpmath.cbrt(a) + mpmath.sqrt(b))
+        for _ in range(3):
+            r = mpmath.mpf(rng.randint(1, 30)) / rng.randint(2, 30)
+            values += [mpmath.exp(r), mpmath.log(r + 1)]
+            values += [r * mpmath.pi, r * mpmath.sqrt(mpmath.pi)]
+        return [v + 1 - mpmath.floor(v) for v in values]
+
+    def test_matches_per_degree_search(self):
+        with mpmath.workdps(130):
+            for x in self.inputs():
+                assert min_poly(x, 6, 100) == _per_degree_min_poly(x, 6, 100), x
+
+    def test_false_positives_match(self):
+        # four inputs on which both searches return a false relation at
+        # (6, 100); a height bound is to reject them later, in both
+        with mpmath.workdps(130):
+            for x in (mpmath.exp(mpmath.mpf(9) / 4), mpmath.exp(mpmath.mpf(18) / 11),
+                      mpmath.pi * 37 / 14, mpmath.cbrt(2) + mpmath.sqrt(3) + 3):
+                p = min_poly(x, 6, 100)
+                assert p is not None and p == _per_degree_min_poly(x, 6, 100), x
