@@ -131,8 +131,8 @@ class TestGenerators:
 
     @pytest.mark.parametrize("gen", [gen_lconvex_area, gen_stack_area])
     def test_every_size_is_a_prefix(self, gen):
-        # each summand is truncated to its own length, so a longer run must
-        # extend, not change, a shorter one
+        # the n-term run keeps exactly the coefficients below q^n of one
+        # series, so a longer run must extend, not change, a shorter one
         full = gen(60).terms
         assert all(gen(n).terms == full[:n] for n in range(1, 60))
 
@@ -175,6 +175,30 @@ class TestOracles:
     def test_stack_matches_product_recursion(self):
         for n in [*range(1, 41), 300]:
             assert gen_stack_area(n).terms == self._stack_by_products(n), n
+
+    @staticmethod
+    def _lconvex_by_summands(n_terms):
+        """A(q) = 1 + sum_k q^(k+1) h_k with h_k = (2 u_(k-1) - u_(k-2))
+        / (1-q^(k+1)) and u_k = h_k / (1-q^(k+1)), u_(-1) = 1, u_0 =
+        1/(1-q)^2, each series truncated to the coefficients it can change."""
+        out = [1] * n_terms  # 1 + q h_0 with h_0 = 1/(1-q)
+        u_prev2 = [1] + [0] * n_terms
+        u_prev1 = list(range(1, n_terms - 1))
+        for k in range(1, n_terms - 1):
+            h = [2 * a - b for a, b in zip(u_prev1, u_prev2)]
+            for i in range(k + 1, len(h)):
+                h[i] += h[i - k - 1]
+            u = h[: n_terms - k - 2]
+            for i in range(k + 1, len(u)):
+                u[i] += u[i - k - 1]
+            u_prev2, u_prev1 = u_prev1, u
+            for i, c in enumerate(h):
+                out[k + 1 + i] += c
+        return tuple(out)
+
+    def test_lconvex_matches_summand_recursion(self):
+        for n in [*range(1, 81), 300, 1001]:
+            assert gen_lconvex_area(n).terms == self._lconvex_by_summands(n), n
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
