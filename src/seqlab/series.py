@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Sequence as Seq, Union
 
 from .errors import NonIntegral, ZeroConstantTerm
@@ -183,9 +184,20 @@ def poly_values(coeffs: Seq[Scalar], n0: int) -> Iterator[Scalar]:
 
 
 def div_one_minus_qm(a: list, m: int) -> None:
-    """a /= (1 - q^m) in place, truncated to len(a) (stride-m prefix sums)."""
-    for i in range(m, len(a)):
-        a[i] += a[i - m]
+    """a /= (1 - q^m) in place, truncated to len(a) (stride-m prefix sums).
+
+    Either path loops at C speed over whichever is longer: with m^2 < len(a)
+    each of the m residue classes a[r::m] becomes its running sum through
+    `accumulate`; otherwise each block of m entries adds the block before
+    it with one `map(add, ...)`, about len(a)/m blocks.
+    """
+    n = len(a)
+    if m * m < n:
+        for r in range(m):
+            a[r::m] = accumulate(a[r::m])
+    else:
+        for s in range(m, n, m):
+            a[s : s + m] = map(add, a[s : s + m], a[s - m : s])
 
 
 def div_q_infinity(a: list) -> None:

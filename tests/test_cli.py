@@ -426,7 +426,7 @@ class TestErrorBoundaryAndEcho:
         (["oracle", "lconvex", "--n", "-2"], "n_max >= 1"),
         (["oracle", "stack", "--n", "-2"], "n_max >= 1"),
         (["expand", "rational", "--num", "0", "--den", "1", "--n", "-2"],
-         "order >= 1"),
+         "n_terms >= 1"),
         (["expand", "rec", B, "--n", "-1"], "n_terms >= 1"),
         (["expand", "rec", B, "--n", "0"], "n_terms >= 1"),
         (["expand", "algeq", "catalan.txt", "--n", "-2", "--dxmax", "2",
@@ -479,6 +479,19 @@ class TestErrorBoundaryAndEcho:
             assert res.exit_code == 1 and res.stdout == ""
             assert res.stderr.startswith("Error: ") and error in res.stderr
             assert len(res.stderr.splitlines()) == 1 and not Path("report.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["gen", "lconvex-perimeter", "--n", "0"],
+        ["gen", "lconvex-area", "--n", "0"],
+        ["gen", "stack", "--n", "0"],
+    ])
+    def test_zero_terms_same_error(self, args, tmp_path, monkeypatch):
+        """Every generator refuses zero terms with the same line."""
+        monkeypatch.chdir(tmp_path)
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1 and res.stdout == ""
+        assert res.stderr == "Error: need n_terms >= 1\n"
+        assert not Path("report.json").exists()
 
     def test_random_terms_fit_no_recurrence(self, tmp_path, monkeypatch):
         """22 random terms leave every shape of the default grid without an

@@ -302,6 +302,16 @@ class TestExpandRational:
         with pytest.raises(ZeroDivisionError):
             expand_rational(Poly([1]), Poly([]), 3)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_needs_one_term(self, n):
+        # the check comes before any series is built, so the message is
+        # the generators' own, not that of an internal type
+        for num in (Poly([]), Poly([1])):
+            with pytest.raises(ValueError, match=r"^need n_terms >= 1$"):
+                expand_rational(num, Poly([1, -1]), n)
+        with pytest.raises(ValueError, match=r"^need n_terms >= 1$"):
+            gen_lconvex_perimeter(n)
+
     def test_non_integral_to_sequence(self):
         lau = expand_rational(Poly([1]), Poly([2]), 3)
         with pytest.raises(NonIntegral):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from seqlab import Poly, Sequence, TruncSeries, q_pochhammer
 from seqlab.errors import NonIntegral, ZeroConstantTerm
-from seqlab.series import div_q_infinity, int_horner, mul_trunc, poly_values
+from seqlab.series import (
+    div_one_minus_qm,
+    div_q_infinity,
+    int_horner,
+    mul_trunc,
+    poly_values,
+)
 
 small_ints = st.integers(min_value=-9, max_value=9)
 polys = st.lists(small_ints, min_size=0, max_size=6).map(Poly)
@@ -151,6 +157,43 @@ class TestMulTrunc:
     def test_ints_stay_ints(self):
         got = mul_trunc([3, 0, -1], (2, 5), 5)
         assert got == [6, 15, -2, -5, 0] and {type(c) for c in got} == {int}
+
+
+class TestDivOneMinusQm:
+    """div_one_minus_qm, per residue class (m^2 < len) or per block of m,
+    against the stride loop a[i] += a[i - m]."""
+
+    @staticmethod
+    def stride_loop(a, m):
+        a = list(a)
+        for i in range(m, len(a)):
+            a[i] += a[i - m]
+        return a
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 8, 9, 10, 24, 25, 26, 100, 143])
+    def test_matches_stride_loop(self, length):
+        rng = random.Random(length)
+        root = int(length ** 0.5)
+        for m in sorted({1, 2, root - 1, root, root + 1, length - 1, length,
+                         length + 5} - {0, -1}):
+            # signed entries from one digit to a few hundred bits
+            a = [rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(1, 90))
+                 for _ in range(length)]
+            want = self.stride_loop(a, m)
+            assert div_one_minus_qm(a, m) is None
+            assert a == want, (length, m)
+
+    def test_both_paths_and_in_place(self):
+        # 3^2 < 10 sums each residue class, 4^2 >= 10 adds block to block
+        for m, want in ((3, [1, 2, 3, 5, 7, 9, 12, 15, 18, 22]),
+                        (4, [1, 2, 3, 4, 6, 8, 10, 12, 15, 18])):
+            a = list(range(1, 11))
+            div_one_minus_qm(a, m)
+            assert a == want == self.stride_loop(range(1, 11), m)
+        for m in (1, 2, 7):
+            empty = []
+            div_one_minus_qm(empty, m)
+            assert empty == []
 
 
 def series(coeffs):
