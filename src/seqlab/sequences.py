@@ -116,11 +116,11 @@ def gen_lconvex_area(n_terms: int) -> Sequence:
         (1-q^j)^2 V_j = 1 - q^j + 2q V_(j+1) - q^2 V_(j+2),
 
     and since 1/(1-q^j)^2 is a power series, V_j mod q^M needs only the
-    right side mod q^M.  A(q) mod q^N needs V_1 mod q^(N-1) and V_2 mod q^(N-2);
-    by the step, V_j mod q^(N-j) needs V_(j+1) mod q^(N-j-1) and V_(j+2)
-    mod q^(N-j-2), so each V_j is kept to N - j coefficients.  The run
-    starts from V_(N-1) = u_0(0) = 1 and the empty V_N and steps back to
-    V_1.  While j >= N - j, dividing by 1 - q^j changes no kept
+    right side mod q^M.  A(q) mod q^N needs V_1 mod q^(N-1) and V_2
+    mod q^(N-2); by the step, V_j mod q^(N-j) needs V_(j+1) mod q^(N-j-1)
+    and V_(j+2) mod q^(N-j-2), so each V_j is kept to N - j coefficients.
+    The run starts from V_(N-1) = u_0(0) = 1 and the empty V_N and steps
+    back to V_1.  While j >= N - j, dividing by 1 - q^j changes no kept
     coefficient and is skipped.  That is about 5N^2/4 coefficient
     operations, near the 3N^2/2 of carrying the summands forward one by
     one, but most of them act on small integers: at N = 1100 the largest

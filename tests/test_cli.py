@@ -459,6 +459,7 @@ class TestErrorBoundaryAndEcho:
         (["guess", "rec", B, "--dmax", "-1"], "need dmax >= 0"),
         (["guess", "algeq", B, "--dxmax", "-1"], "need dxmax >= 0"),
         (["guess", "algeq", B, "--dymax", "0"], "need dymax >= 1"),
+        (["gen", "lconvex-perimeter", "--n", "0"], "Error: need n_terms >= 1"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -479,19 +480,6 @@ class TestErrorBoundaryAndEcho:
             assert res.exit_code == 1 and res.stdout == ""
             assert res.stderr.startswith("Error: ") and error in res.stderr
             assert len(res.stderr.splitlines()) == 1 and not Path("report.json").exists()
-
-    @pytest.mark.parametrize("args", [
-        ["gen", "lconvex-perimeter", "--n", "0"],
-        ["gen", "lconvex-area", "--n", "0"],
-        ["gen", "stack", "--n", "0"],
-    ])
-    def test_zero_terms_same_error(self, args, tmp_path, monkeypatch):
-        """Every generator refuses zero terms with the same line."""
-        monkeypatch.chdir(tmp_path)
-        res = CliRunner().invoke(main, args)
-        assert res.exit_code == 1 and res.stdout == ""
-        assert res.stderr == "Error: need n_terms >= 1\n"
-        assert not Path("report.json").exists()
 
     def test_random_terms_fit_no_recurrence(self, tmp_path, monkeypatch):
         """22 random terms leave every shape of the default grid without an
