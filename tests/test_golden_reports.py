@@ -158,6 +158,26 @@ def test_expand_rec_5000_terms_pinned(workdir, monkeypatch):
         "d1cef0c70ed387cb1839875cb360e776ccfc634e24504751f6a34a2196dc44e2")
 
 
+def test_fit_amplitude_on_3000_term_expansion_pinned(workdir, monkeypatch):
+    """`fit amplitude` at 200 digits on the stdout of a 3000-term
+    `expand rec`, the settings of the benchmark's `cli` session; both
+    hashes were recorded from the code that converted every b-file term."""
+    expand = ["expand", "rec", BFILE, "--n", "3000"]
+    monkeypatch.setattr(sys, "argv", ["seqlab", *expand])
+    result = CliRunner().invoke(main, expand, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    Path("expanded.txt").write_bytes(result.stdout_bytes)
+    args = ["--precision", "200", "fit", "amplitude", "expanded.txt",
+            "--mu-from-poly", GROWTH, "--g", "9/2", "--K", "12"]
+    monkeypatch.setattr(sys, "argv", ["seqlab", *args])
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "efd611a7d09f188a503dc9903b54ee63a8e12e627befe85068f514d709dedfd1")
+    assert report_digest("report.json") == (
+        "d949328ca339366139b0fee31a9cb12a491aa837dac7689ea838ce473844d1bd")
+
+
 def run_script(name, args, monkeypatch):
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
     assert load_script(name).main() == 0
