@@ -574,6 +574,11 @@ def vandermonde_inverse(ns: list[int]) -> list[list[Fraction]]:
     return [list(row) for row in zip(*cols)]
 
 
+# Windows of amplitude_fit: the last K+1 indices and up to 9 ending earlier,
+# so the fit reads no term before the last K + AMPLITUDE_WINDOWS.
+AMPLITUDE_WINDOWS = 10
+
+
 def amplitude_fit(s, mu: Real, g, K: int, ctx: HpContext) -> AmplitudeFit:
     """Fit s_n n^g / mu^n = C (1 + a_1/n + ... + a_K/n^K) on the last K+1 indices.
 
@@ -592,7 +597,7 @@ def amplitude_fit(s, mu: Real, g, K: int, ctx: HpContext) -> AmplitudeFit:
     if len(s) < K + 1:
         raise InsufficientTerms(f"need at least K+1 = {K + 1} terms")
     last = s.last_index
-    shifts = min(10, len(s) - K, last - K - max(s.offset, 1) + 1)
+    shifts = min(AMPLITUDE_WINDOWS, len(s) - K, last - K - max(s.offset, 1) + 1)
     if shifts < 1:
         raise InsufficientTerms(f"need K+1 = {K + 1} terms at indices n >= 1")
     first = last - K - shifts + 1

@@ -15,17 +15,24 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import click
 import mpmath
 
 from . import pipeline
-from .asympt import HpContext, HpSeq, amplitude_fit, bst_extrapolate, square_subsample
+from .asympt import (
+    AMPLITUDE_WINDOWS,
+    HpContext,
+    HpSeq,
+    amplitude_fit,
+    bst_extrapolate,
+    square_subsample,
+)
 from .errors import RUN_ERRORS
 from .guess import guess_algeq, guess_prec
 from .identify import identify_rational, identify_with_multipliers, min_poly
-from .oeis import bfile_text, canonical_a_number, fetch_oeis, parse_bfile
+from .oeis import bfile_text, canonical_a_number, fetch_oeis, parse_bfile, parse_bfile_tail
 from .report import (
     decimal_str,
     identification_entry,
@@ -87,12 +94,23 @@ def main(ctx, precision, offline, cache_dir, report_path):
     ctx.obj = CliState(precision, offline, cache_dir, report_path)
 
 
-class Source(NamedTuple):
-    """A loaded SOURCE argument: its terms, the digest of its text, its name."""
+@dataclass
+class Source:
+    """A loaded SOURCE argument: its b-file text, the digest of that text,
+    its name.  The terms are parsed on first use, so a malformed b-file
+    fails there."""
 
-    seq: Sequence
+    text: str
     digest: str
     label: str
+
+    @functools.cached_property
+    def seq(self) -> Sequence:
+        return parse_bfile(self.text)
+
+    def tail(self, k: int) -> Sequence:
+        """The last k terms: every line is checked, only these converted."""
+        return parse_bfile_tail(self.text, k)
 
 
 def _load(state: CliState, source: str) -> Source:
@@ -100,7 +118,7 @@ def _load(state: CliState, source: str) -> Source:
     p = Path(source)
     if p.exists():
         text = p.read_text(encoding="utf-8")
-        return Source(parse_bfile(text), text_digest(text), str(p))
+        return Source(text, text_digest(text), str(p))
     try:
         canonical_a_number(source)
     except ValueError:
@@ -108,7 +126,7 @@ def _load(state: CliState, source: str) -> Source:
             f"input {source!r} is neither an existing file nor an A-number"
         )
     bf = fetch_oeis(source, cache_dir=state.cache_dir, offline=state.offline)
-    return Source(bf.sequence(), text_digest(bf.text), bf.a_number)
+    return Source(bf.text, text_digest(bf.text), bf.a_number)
 
 
 def run(body):
@@ -116,7 +134,9 @@ def run(body):
 
     This is the one place where a command loads SOURCE, builds and writes
     its report, prints, and fails.  The body receives the CliState, the
-    loaded `Source` in place of a SOURCE argument, and its options.  It
+    loaded `Source` in place of a SOURCE argument, and its options; a body
+    reads its terms before it parses its options, so a malformed b-file is
+    reported first, as it was when SOURCE was parsed on loading.  It
     returns the AnalysisReport fields (`input_digest` defaults to the
     digest of SOURCE), plus its figure `csvs` and its `stdout`: text, or
     text blocks rendered one by one once the report is written.  A
@@ -459,8 +479,8 @@ def analyze_square_cmd(state, source):
 @run
 def analyze_powerlaw_cmd(state, source, mu, mu_from_poly, square):
     """Estimate the power g in s_n ~ D mu^n n^g from ratio corrections."""
-    mu_val, mu_params = _resolve_mu(state, mu, mu_from_poly)
     s = _hpseq(state, source.seq)
+    mu_val, mu_params = _resolve_mu(state, mu, mu_from_poly)
     # the power-law fit needs 3 terms, so 3 squares
     diag, csvs = pipeline.power_law(square_subsample(s, 3) if square else s, mu_val)
     return dict(
@@ -491,8 +511,8 @@ def extrapolate():
 @run
 def extrapolate_bst_cmd(state, source, w, square):
     """Bulirsch-Stoer extrapolation of the input terms."""
-    w_frac = _fraction(w)
     s = _hpseq(state, source.seq)
+    w_frac = _fraction(w)
     res = pipeline.square_bst(s, w_frac) if square else bst_extrapolate(s, w_frac)
     if res.spread >= abs(res.value):
         click.echo("note: spread >= |limit|, so the terms do not fix the limit", err=True)
@@ -521,9 +541,11 @@ def fit():
 @run
 def fit_amplitude_cmd(state, source, mu, mu_from_poly, g_str, k_corr):
     """Fit s_n n^g / mu^n = C (1 + a_1/n + ... + a_K/n^K) exactly-sized."""
+    # the fit reads only these terms; a negative K is amplitude_fit's to reject
+    seq = source.tail(max(k_corr, 0) + AMPLITUDE_WINDOWS)
     mu_val, mu_params = _resolve_mu(state, mu, mu_from_poly)
     g_frac = _fraction(g_str)
-    res = amplitude_fit(source.seq, mu_val, g_frac, k_corr, state.ctx)
+    res = amplitude_fit(seq, mu_val, g_frac, k_corr, state.ctx)
     with state.ctx.work():
         corr = sequence_entry(1, res.model.corrections, digits=25)
     return dict(

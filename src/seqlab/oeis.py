@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import re
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -23,7 +24,7 @@ from .errors import (
     NonContiguousIndex,
     SequenceNotFound,
 )
-from .report import unlimited_int_digits, write_atomic
+from .report import is_ascii_digits, unlimited_int_digits, write_atomic
 from .sequences import Sequence
 
 CACHE_ENV_VAR = "SEQLAB_CACHE_DIR"
@@ -41,33 +42,60 @@ class BFile:
         return parse_bfile(self.text)
 
 
+# What int() accepts of a token that is not plain ASCII digits: a sign,
+# underscores between digits, and any Unicode decimal digits.
+_INT_TOKEN_RE = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def _int_token(token: str) -> bool:
+    """Whether int() accepts the token, found without converting it."""
+    return is_ascii_digits(token) or _INT_TOKEN_RE.fullmatch(token) is not None
+
+
+def _scan_bfile(text: str) -> Iterator[tuple[int, str]]:
+    """(index, value token) of each data line of b-file text, in order.
+
+    Every line is checked (two tokens, an int value, contiguous indices),
+    but no value is converted, so a caller converts only what it keeps.
+    Run it under unlimited_int_digits: indices are converted."""
+    expected: Optional[int] = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2 or not _int_token(parts[1]):
+            raise MalformedLine(lineno, raw)
+        try:
+            idx = int(parts[0])
+        except ValueError:
+            raise MalformedLine(lineno, raw) from None
+        if expected is not None and idx != expected:
+            raise NonContiguousIndex(lineno, expected, idx)
+        yield idx, parts[1]
+        expected = idx + 1
+    if expected is None:
+        raise MalformedLine(0, "<no data lines>")
+
+
 def parse_bfile(text: str) -> Sequence:
     """Parse b-file text into a Sequence whose offset is the first index."""
-    offset: Optional[int] = None
-    expected = 0
-    terms: list[int] = []
     with unlimited_int_digits():
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise MalformedLine(lineno, raw)
-            try:
-                idx, value = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise MalformedLine(lineno, raw) from None
-            if offset is None:
-                offset = idx
-                expected = idx
-            if idx != expected:
-                raise NonContiguousIndex(lineno, expected, idx)
-            terms.append(value)
-            expected += 1
-    if offset is None:
-        raise MalformedLine(0, "<no data lines>")
-    return Sequence(offset, tuple(terms))
+        lines = _scan_bfile(text)
+        offset, first = next(lines)
+        return Sequence(offset, (int(first), *(int(v) for _, v in lines)))
+
+
+def parse_bfile_tail(text: str, k: int) -> Sequence:
+    """The last k terms of b-file text (all of them if there are fewer), at
+    their indices.  Every line is checked as parse_bfile checks it, so the
+    same text raises the same error, but only these k values are converted
+    to int: that conversion is quadratic in the digits of a term."""
+    if k < 1:
+        raise ValueError(f"parse_bfile_tail needs k >= 1, got {k}")
+    with unlimited_int_digits():
+        window = deque(_scan_bfile(text), maxlen=k)
+        return Sequence(window[0][0], tuple(int(v) for _, v in window))
 
 
 # Lines per block: 64 lines of 2000-digit terms are about 128 KiB.

@@ -94,8 +94,77 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_INDENTED = json.JSONEncoder(sort_keys=True, indent=2)
+def is_ascii_digits(text: str) -> bool:
+    """Whether text is one or more ASCII digits.  Checked on its bytes,
+    which costs far less per character than str.isdecimal."""
+    return text.isascii() and text.encode().isdigit()
+
+
+# encodes one JSON scalar (str, int, float, bool or None) as json.dumps does
+_SCALAR = json.JSONEncoder()
+
+
+def _encoded(obj):
+    """obj with each leaf replaced by the pieces of its JSON text: dicts
+    stay dicts, lists and tuples become lists, leaves become tuples.  A
+    string of ASCII digits needs no escaping, so its pieces are the string
+    itself between quotes: a long decimal term is neither scanned nor
+    copied."""
+    if isinstance(obj, dict):
+        return {k: _encoded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encoded(v) for v in obj]
+    if isinstance(obj, str) and is_ascii_digits(obj):
+        return ('"', obj, '"')
+    return (_SCALAR.encode(obj),)
+
+
+def _json_key(key) -> str:
+    """A dict key as JSON renders it, with the rules of json.dumps."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _SCALAR.encode(key)
+    return _SCALAR.encode(key)
+
+
+def _json_pieces(node, newline: Optional[str]) -> Iterator[str]:
+    """The JSON text of an `_encoded` tree in pieces, keys sorted: compact
+    when `newline` is None, else indented by two spaces per level, where
+    `newline` ends each line at the node's own level.  The two forms are
+    those of json.dumps with sort_keys and either separators=(",", ":")
+    or indent=2."""
+    if isinstance(node, tuple):
+        yield from node
+        return
+    is_dict = isinstance(node, dict)
+    if not node:
+        yield "{}" if is_dict else "[]"
+        return
+    inner = None if newline is None else newline + "  "
+    comma = "," + (inner or "")
+    sep = ("{" if is_dict else "[") + (inner or "")
+    if is_dict:
+        colon = ":" if newline is None else ": "
+        for key, value in sorted(node.items()):
+            yield sep + _json_key(key) + colon
+            yield from value if isinstance(value, tuple) else _json_pieces(value, inner)
+            sep = comma
+    else:
+        for value in node:
+            yield sep
+            # a leaf inline: a generator per leaf would cost more than its text
+            yield from value if isinstance(value, tuple) else _json_pieces(value, inner)
+            sep = comma
+    yield (newline or "") + ("}" if is_dict else "]")
+
+
+def _sha256_of(pieces: Iterable[str]) -> str:
+    h = hashlib.sha256()
+    for piece in pieces:
+        h.update(piece.encode("utf-8"))
+    return h.hexdigest()
 
 
 @dataclass
@@ -125,18 +194,17 @@ class AnalysisReport:
     def digest(self) -> str:
         """Digest of everything except timestamps (rerun-stable): SHA-256 of
         the compact sorted-key JSON of the body, hashed as it is encoded."""
-        h = hashlib.sha256()
-        for chunk in _COMPACT.iterencode(self._canonical_body()):
-            h.update(chunk.encode("utf-8"))
-        return h.hexdigest()
+        return _sha256_of(_json_pieces(_encoded(self._canonical_body()), None))
 
     def json_chunks(self) -> Iterator[str]:
         """The report as indented sorted-key JSON plus a final newline, in
-        pieces, so a large report is written without one string of it all."""
-        doc = dict(self._canonical_body())
-        doc["created_at"] = self.created_at
-        doc["report_digest"] = self.digest()
-        yield from _INDENTED.iterencode(doc)
+        pieces, so a large report is written without one string of it all.
+        Each value is encoded once, for the digest and the file alike."""
+        doc = _encoded(self._canonical_body())
+        digest = _sha256_of(_json_pieces(doc, None))
+        doc["created_at"] = (_SCALAR.encode(self.created_at),)
+        doc["report_digest"] = (_SCALAR.encode(digest),)
+        yield from _json_pieces(doc, "\n")
         yield "\n"
 
     def to_json(self) -> str:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab import (
+    AmplitudeFit,
     HpContext,
     HpSeq,
     Poly,
@@ -31,7 +32,7 @@ from seqlab import (
     summarize_stretched,
 )
 from mpmath.libmp import from_int, mpf_div, round_nearest
-from seqlab.asympt import _pdiv, vandermonde_inverse
+from seqlab.asympt import AMPLITUDE_WINDOWS, _pdiv, vandermonde_inverse
 from seqlab.errors import (
     IllConditioned,
     InsufficientTerms,
@@ -493,6 +494,41 @@ class TestAmplitudeFit:
         mu = 1 / poly_smallest_positive_root(Poly([1, -8, 5, 1]), digits=40)
         with pytest.raises(IllConditioned):
             amplitude_fit(b202062, mu, Fraction(9, 2), 20, HpContext(30))
+
+
+class TestAmplitudeFitWindow:
+    """amplitude_fit reads only the last K + AMPLITUDE_WINDOWS terms, so
+    the CLI may hand it just those: the same fit, or the same error."""
+
+    @staticmethod
+    def outcome(s, K, ctx):
+        try:
+            fit = amplitude_fit(s, 3, Fraction(-1), K, ctx)
+        except (InsufficientTerms, IllConditioned) as exc:
+            return type(exc), str(exc), getattr(exc, "cond_estimate", None)
+        return (fit.model.C, fit.c_spread, fit.cond_estimate,
+                fit.model.corrections, fit.window_end)
+
+    @pytest.mark.parametrize("K", [0, 1, 5, 12])
+    @pytest.mark.parametrize("offset", [-3, 0, 1, 5])
+    def test_tail_gives_the_same_fit(self, offset, K):
+        rng = random.Random(1000 * K + offset)
+        kinds = set()
+        for length in range(K + 1, K + 13):
+            terms = tuple(3 ** max(n, 0) * (n * n + rng.randint(1, 50))
+                          for n in range(offset, offset + length))
+            full = Sequence(offset, terms)
+            keep = min(length, K + AMPLITUDE_WINDOWS)
+            tail = Sequence(full.last_index - keep + 1, terms[-keep:])
+            for ctx in (CTX50, HpContext(12)):
+                got = self.outcome(full, K, ctx)
+                assert self.outcome(tail, K, ctx) == got
+                kinds.add(got[0] if isinstance(got[0], type) else AmplitudeFit)
+        # each case meets a fit; windows short of positive indices fail, and
+        # 12 digits leave none for the larger K
+        assert AmplitudeFit in kinds
+        assert (InsufficientTerms in kinds) == (offset <= 0)
+        assert (IllConditioned in kinds) == (K >= 5)
 
 
 class TestVandermondeInverse:

@@ -460,6 +460,11 @@ class TestErrorBoundaryAndEcho:
         (["guess", "algeq", B, "--dxmax", "-1"], "need dxmax >= 0"),
         (["guess", "algeq", B, "--dymax", "0"], "need dymax >= 1"),
         (["gen", "lconvex-perimeter", "--n", "0"], "Error: need n_terms >= 1"),
+        # every line is checked, though the fit converts only the last K + 10
+        (["fit", "amplitude", "bad_early.txt", "--mu", "3", "--g", "1", "--K", "2"],
+         "malformed b-file line 3: '2 x'"),
+        (["fit", "amplitude", B, "--mu", "3", "--g", "1", "--K", "-1"],
+         "Error: need K >= 0"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -469,6 +474,8 @@ class TestErrorBoundaryAndEcho:
         for last in (1, 2, 8, 9, 15, 16):  # the terms at indices 0 to last
             Path(f"upto{last}.txt").write_text("".join(lines[: last + 1]))
         Path("bad.txt").write_text("0 1\n1 x\n")
+        Path("bad_early.txt").write_text(
+            "".join(lines[:2]) + "2 x\n" + "".join(lines[3:]))
         Path("catalan.txt").write_text(CATALAN_14)
         Path("cache").mkdir()
         res = CliRunner().invoke(main, args)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab import (
@@ -24,13 +24,15 @@ from seqlab import (
     expand_prec,
     fetch_oeis,
     parse_bfile,
+    parse_bfile_tail,
     render_bfile,
     scalar_entry,
     sequence_entry,
     text_digest,
 )
 from conftest import ASCENT_INIT
-from seqlab.report import write_report
+from seqlab.oeis import _int_token
+from seqlab.report import unlimited_int_digits, write_report
 from seqlab.errors import (
     CacheMiss,
     MalformedLine,
@@ -84,6 +86,145 @@ class TestParseBFile:
         assert parse_bfile(render_bfile(s)) == s
 
 
+def reference_parse(text):
+    """parse_bfile as it was before the line scanner: int() on both tokens
+    of every data line."""
+    offset, expected, terms = None, 0, []
+    with unlimited_int_digits():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise MalformedLine(lineno, raw)
+            try:
+                idx, value = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise MalformedLine(lineno, raw) from None
+            if offset is None:
+                offset = expected = idx
+            if idx != expected:
+                raise NonContiguousIndex(lineno, expected, idx)
+            terms.append(value)
+            expected += 1
+    if offset is None:
+        raise MalformedLine(0, "<no data lines>")
+    return Sequence(offset, tuple(terms))
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except (MalformedLine, NonContiguousIndex) as exc:
+        return type(exc), str(exc)
+
+
+def last(seq, k):
+    """The last k terms of a parsed Sequence, or the same error outcome."""
+    if not isinstance(seq, Sequence):
+        return seq
+    k = min(k, len(seq))
+    return Sequence(seq.last_index - k + 1, seq.terms[-k:])
+
+
+class TestParseBFileTail:
+    """parse_bfile_tail checks every line as parse_bfile does but converts
+    only the last k terms."""
+
+    TEXT = "# heading\n\n-2 5\n-1 -7\n\t0  0 \n1 +12\n# trailing comment\n2 3_000\n"
+
+    def test_window_terms(self, b202062):
+        text = render_bfile(b202062)
+        for k in range(1, len(b202062) + 3):
+            assert parse_bfile_tail(text, k) == last(b202062, k)
+
+    def test_comments_blanks_and_negative_offsets(self):
+        full = parse_bfile(self.TEXT)
+        assert full == Sequence(-2, (5, -7, 0, 12, 3000))
+        for k in range(1, 7):
+            assert parse_bfile_tail(self.TEXT, k) == last(full, k)
+        assert parse_bfile_tail(self.TEXT, 2) == Sequence(1, (12, 3000))
+
+    @pytest.mark.parametrize("bad", ["1 x", "1 2 3", "1", "x 2", "1 ²"])
+    def test_malformed_line_before_the_window(self, bad):
+        lines = [f"{n} {n * n}" for n in range(40)]
+        lines[1] = bad
+        text = "# c\n" + "\n".join(lines) + "\n"
+        want = outcome(parse_bfile, text)
+        assert want == outcome(reference_parse, text)
+        assert want[0] is MalformedLine and "line 3:" in want[1]
+        assert outcome(parse_bfile_tail, text, 5) == want
+
+    def test_gap_before_the_window(self):
+        text = "".join(f"{n} {n}\n" for n in [0, 1, 3, 4, *range(5, 40)])
+        with pytest.raises(NonContiguousIndex) as err:
+            parse_bfile_tail(text, 5)
+        assert (err.value.lineno, err.value.expected, err.value.got) == (3, 2, 3)
+        assert outcome(parse_bfile_tail, text, 5) == outcome(parse_bfile, text)
+
+    def test_no_data_lines(self):
+        assert (outcome(parse_bfile_tail, "# only comments\n", 3)
+                == outcome(parse_bfile, "# only comments\n"))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_needs_a_window(self, k):
+        with pytest.raises(ValueError, match="k >= 1"):
+            parse_bfile_tail("0 1\n", k)
+
+    # ASCII and non-ASCII decimal digits (Arabic-Indic, fullwidth, NKo), a
+    # digit that is not decimal (superscript two), signs, underscores and
+    # letters
+    TOKEN_CHARS = "0123456789" * 3 + "+-__" + "\u0663\uff15\u07c1" + "\u00b2" + "aZ."
+
+    def random_token(self, rng, alphabet):
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+
+    def test_token_check_matches_int(self):
+        rng = random.Random(2025)
+        seen = {True: 0, False: 0}
+        for _ in range(20000):
+            token = self.random_token(rng, self.TOKEN_CHARS)
+            try:
+                int(token)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert _int_token(token) == accepted, token
+            seen[accepted] += 1
+        assert min(seen.values()) > 2000
+
+    @pytest.mark.parametrize("ascii_only", [True, False])
+    def test_fuzzed_files_match_the_reference(self, ascii_only):
+        """Random files of mostly good lines, with bad tokens, gaps, and the
+        characters that end a line (form feed, U+001E, U+2028) or split
+        tokens (U+001F, no-break space) for str but not for bytes."""
+        rng = random.Random(7 + ascii_only)
+        chars = "".join(c for c in self.TOKEN_CHARS if c.isascii() or not ascii_only)
+        seps = " \t\x1f" + ("" if ascii_only else "\xa0")
+        breaks = ["\n", "\r\n", "\x0c", "\x1e"] + ([] if ascii_only else ["\u2028"])
+        kinds = set()
+        for _ in range(400):
+            offset = rng.randint(-3, 3)
+            lines = []
+            for n in range(offset, offset + rng.randint(1, 12)):
+                roll = rng.random()
+                value = (self.random_token(rng, chars) if roll < 0.08
+                         else str(rng.randint(-10 ** 9, 10 ** 9)))
+                index = n + (1 if roll > 0.97 else 0)
+                lines.append(f"{index}{rng.choice(seps)}{value}")
+                if roll < 0.05:
+                    lines.append("# comment")
+            text = "".join(line + rng.choice(breaks) for line in lines)
+            assert text.isascii() or not ascii_only
+            want = outcome(reference_parse, text)
+            kinds.add(want[0] if isinstance(want, tuple) else Sequence)
+            assert outcome(parse_bfile, text) == want
+            for k in (1, 2, 5, 20):
+                assert outcome(parse_bfile_tail, text, k) == last(want, k)
+        assert kinds == {Sequence, MalformedLine, NonContiguousIndex}
+
+
 class TestTermsPastStrLimit:
     """The ascent counts pass CPython's 4300-digit int <-> str limit near
     n = 5690; b-files and reports carry them whole and restore the limit."""
@@ -97,6 +238,12 @@ class TestTermsPastStrLimit:
         assert u6000.terms[-1] > 10 ** 4300
         text = render_bfile(u6000)
         assert parse_bfile(text) == u6000
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_bfile_tail(self, u6000):
+        text = render_bfile(u6000)
+        limit = sys.get_int_max_str_digits()
+        assert parse_bfile_tail(text, 22) == last(u6000, 22)
         assert sys.get_int_max_str_digits() == limit
 
     def test_sequence_entry(self, u6000):
@@ -308,6 +455,51 @@ class TestReport:
         assert doc["sequences"]["head"]["offset"] == 0
         assert "created_at" in doc
         assert rep.to_json().endswith("\n")
+
+    # JSON values as reports may hold them: decimal strings long and short,
+    # any text, ints past the str limit's reach, floats with their non-finite
+    # forms, and nested lists, tuples and dicts, empty ones included
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text() | st.from_regex(r"\A-?[0-9]{1,80}\Z"),
+        lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                       | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+        max_leaves=20,
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text(max_size=6), json_values, max_size=4),
+           st.lists(json_values, max_size=3))
+    def test_encoding_is_json_dumps(self, parameters, notes):
+        """digest() and the file are the compact and the indented sorted-key
+        json.dumps of the body, whatever its values."""
+        rep = self.build(param=1)
+        rep.parameters, rep.notes = parameters, notes
+        body = rep._canonical_body()
+        compact = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        assert rep.digest() == text_digest(compact)
+        doc = dict(body, created_at=rep.created_at, report_digest=rep.digest())
+        assert rep.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("keys", [[2, 10, -1], [1.5, -0.0, float("inf")],
+                                      [None], [True, False], ["", "a\u00e9\n"]])
+    def test_keys_are_json_dumps(self, keys):
+        rep = self.build()
+        rep.parameters = {k: [k] for k in keys}
+        body = rep._canonical_body()
+        assert rep.digest() == text_digest(
+            json.dumps(body, sort_keys=True, separators=(",", ":")))
+        doc = dict(body, created_at=rep.created_at, report_digest=rep.digest())
+        assert rep.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_unencodable_values_and_keys_raise(self):
+        rep = self.build()
+        for parameters in ({"x": Fraction(1, 2)}, {(1, 2): 1}, {1: 0, "a": 0}):
+            rep.parameters = parameters
+            with pytest.raises(TypeError):
+                rep.digest()
+            with pytest.raises(TypeError):
+                rep.to_json()
 
     def test_text_digest_is_sha256(self):
         assert text_digest("abc") == (
