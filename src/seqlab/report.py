@@ -18,6 +18,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -104,19 +105,22 @@ def is_ascii_digits(text: str) -> bool:
 _SCALAR = json.JSONEncoder()
 
 
+class _JsonText(str):
+    """The JSON text of one value, ready to write."""
+
+
 def _encoded(obj):
-    """obj with each leaf replaced by the pieces of its JSON text: dicts
-    stay dicts, lists and tuples become lists, leaves become tuples.  A
-    string of ASCII digits needs no escaping, so its pieces are the string
-    itself between quotes: a long decimal term is neither scanned nor
-    copied."""
+    """obj with each leaf encoded once: dicts stay dicts, lists and tuples
+    become lists, a string of ASCII digits stays itself (it needs no
+    escaping, so a long decimal term is neither scanned nor copied), and
+    any other leaf becomes its _JsonText."""
     if isinstance(obj, dict):
         return {k: _encoded(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_encoded(v) for v in obj]
     if isinstance(obj, str) and is_ascii_digits(obj):
-        return ('"', obj, '"')
-    return (_SCALAR.encode(obj),)
+        return obj
+    return _JsonText(_SCALAR.encode(obj))
 
 
 def _json_key(key) -> str:
@@ -130,14 +134,11 @@ def _json_key(key) -> str:
 
 
 def _json_pieces(node, newline: Optional[str]) -> Iterator[str]:
-    """The JSON text of an `_encoded` tree in pieces, keys sorted: compact
-    when `newline` is None, else indented by two spaces per level, where
-    `newline` ends each line at the node's own level.  The two forms are
-    those of json.dumps with sort_keys and either separators=(",", ":")
+    """The JSON text of an `_encoded` dict or list in pieces, keys sorted:
+    compact when `newline` is None, else indented by two spaces per level,
+    where `newline` ends each line at the node's own level.  The two forms
+    are those of json.dumps with sort_keys and either separators=(",", ":")
     or indent=2."""
-    if isinstance(node, tuple):
-        yield from node
-        return
     is_dict = isinstance(node, dict)
     if not node:
         yield "{}" if is_dict else "[]"
@@ -147,16 +148,20 @@ def _json_pieces(node, newline: Optional[str]) -> Iterator[str]:
     sep = ("{" if is_dict else "[") + (inner or "")
     if is_dict:
         colon = ":" if newline is None else ": "
-        for key, value in sorted(node.items()):
-            yield sep + _json_key(key) + colon
-            yield from value if isinstance(value, tuple) else _json_pieces(value, inner)
-            sep = comma
+        items = [(_json_key(k) + colon, v) for k, v in sorted(node.items())]
     else:
-        for value in node:
-            yield sep
-            # a leaf inline: a generator per leaf would cost more than its text
-            yield from value if isinstance(value, tuple) else _json_pieces(value, inner)
-            sep = comma
+        items = zip(repeat(""), node)
+    for head, value in items:
+        if isinstance(value, (dict, list)):
+            yield sep + head
+            yield from _json_pieces(value, inner)
+        elif isinstance(value, _JsonText):
+            yield sep + head + value
+        else:  # ASCII digits, quoted as they are
+            yield sep + head + '"'
+            yield value
+            yield '"'
+        sep = comma
     yield (newline or "") + ("}" if is_dict else "]")
 
 
@@ -202,8 +207,8 @@ class AnalysisReport:
         Each value is encoded once, for the digest and the file alike."""
         doc = _encoded(self._canonical_body())
         digest = _sha256_of(_json_pieces(doc, None))
-        doc["created_at"] = (_SCALAR.encode(self.created_at),)
-        doc["report_digest"] = (_SCALAR.encode(digest),)
+        doc["created_at"] = _encoded(self.created_at)
+        doc["report_digest"] = _encoded(digest)
         yield from _json_pieces(doc, "\n")
         yield "\n"
 
