@@ -178,6 +178,37 @@ def test_fit_amplitude_on_3000_term_expansion_pinned(workdir, monkeypatch):
         "d949328ca339366139b0fee31a9cb12a491aa837dac7689ea838ce473844d1bd")
 
 
+def test_fetch_of_4655_term_bfile_pinned(workdir, monkeypatch):
+    """`fetch` of a cached b-file: the stdout of a 4655-term `expand rec`,
+    with some values written as int() reads them but str(int) does not
+    (a sign, leading zeros, an underscore, non-ASCII digits), and one
+    negative value.  Both hashes
+    were recorded from the code that converted every term to int."""
+    expand = ["expand", "rec", BFILE, "--n", "4655"]
+    monkeypatch.setattr(sys, "argv", ["seqlab", *expand])
+    result = CliRunner().invoke(main, expand, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    lines = result.stdout_bytes.decode().splitlines()
+    odd = {3: "+{}", 10: "00{}", 20: "-0", 40: "-{}", 4000: "+{}"}
+    for at, form in odd.items():
+        n, v = lines[at].split()
+        lines[at] = f"{n} {form.format(v)}"
+    n, v = lines[7].split()
+    lines[7] = f"{n} {v[:2]}_{v[2:]}"
+    n, v = lines[30].split()
+    lines[30] = f"{n} {''.join(chr(0x660 + int(d)) for d in v)}"
+    (Path("cache") / "A202062.bfile").write_text("\n".join(lines) + "\n",
+                                                 encoding="utf-8")
+    args = ["--offline", "--cache-dir", "cache", "fetch", "A202062"]
+    monkeypatch.setattr(sys, "argv", ["seqlab", *args])
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "835468bf34cd594372592ca60ae6b674268d6377a4612d5b0bfd26e37bb3b52c")
+    assert report_digest("report.json") == (
+        "130e337b85d000c2ab3d847a7a039614e3b6c6726b1eec6231dffc0c8cff34da")
+
+
 def run_script(name, args, monkeypatch):
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
     assert load_script(name).main() == 0
