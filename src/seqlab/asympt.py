@@ -26,11 +26,18 @@ from mpmath.libmp import (
     dps_to_prec,
     from_int,
     from_man_exp,
+    fone,
     from_rational,
+    fzero,
     log_int_fixed,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
     mpf_exp,
     mpf_log,
     mpf_mul,
+    mpf_pow,
+    mpf_sub,
     normalize,
     pi_fixed,
     round_nearest,
@@ -512,33 +519,38 @@ def bst_extrapolate(s: HpSeq, w) -> BstResult:
         raise ValueError("exponent w must be positive")
     s = _float_values(s)
     n_terms = len(s)
-    with s.ctx.work():
-        w_ = s.ctx.mpf(w)
-        prev2 = [mpmath.mpf(0)] * (n_terms + 1)
-        prev1 = list(s.values)
-        for m in range(1, n_terms):
-            cur = []
-            for i in range(n_terms - m):
-                hi, lo = prev1[i + 1], prev1[i]
-                delta = hi - lo
-                if delta == 0:
-                    cur.append(hi)
-                    continue
-                dprev = hi - prev2[i + 1]
-                if dprev == 0:
-                    cur.append(hi)
-                    continue
-                n = s.offset + i
-                ratio = mpmath.power(mpmath.mpf(n + m) / n, w_)
-                bracket = ratio * (1 - delta / dprev) - 1
-                if bracket == 0:
-                    raise TableauBlowup(
-                        f"zero denominator at depth {m}, index {n}"
-                    )
-                cur.append(hi + delta / bracket)
-            prev2, prev1 = prev1, cur
-        value = prev1[0]
-        spread = abs(value - prev2[1]) if len(prev2) > 1 else mpmath.mpf(0)
+    # the tableau on raw mpfs, each operation rounded to nearest at the
+    # context's precision, as mpf arithmetic under s.ctx.work() rounds it
+    prec, rnd = dps_to_prec(s.ctx.digits + s.ctx.guard), round_nearest
+    w_ = s.ctx.mpf(w)._mpf_
+    prev2 = [fzero] * (n_terms + 1)
+    prev1 = [v._mpf_ if isinstance(v, mpmath.mpf) else from_int(v) for v in s.values]
+    for m in range(1, n_terms):
+        cur = []
+        for i in range(n_terms - m):
+            hi, lo = prev1[i + 1], prev1[i]
+            delta = mpf_sub(hi, lo, prec, rnd)
+            if delta == fzero:
+                cur.append(hi)
+                continue
+            dprev = mpf_sub(hi, prev2[i + 1], prec, rnd)
+            if dprev == fzero:
+                cur.append(hi)
+                continue
+            n = s.offset + i
+            ratio = mpf_pow(mpf_div(from_int(n + m), from_int(n), prec, rnd), w_, prec, rnd)
+            bracket = mpf_sub(
+                mpf_mul(ratio, mpf_sub(fone, mpf_div(delta, dprev, prec, rnd), prec, rnd),
+                        prec, rnd),
+                fone, prec, rnd)
+            if bracket == fzero:
+                raise TableauBlowup(
+                    f"zero denominator at depth {m}, index {n}"
+                )
+            cur.append(mpf_add(hi, mpf_div(delta, bracket, prec, rnd), prec, rnd))
+        prev2, prev1 = prev1, cur
+    value = _make_mpf(prev1[0])
+    spread = _make_mpf(mpf_abs(mpf_sub(prev1[0], prev2[1], prec, rnd), prec, rnd))
     return BstResult(value=value, spread=spread, depth=n_terms - 1)
 
 

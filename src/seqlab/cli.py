@@ -32,7 +32,14 @@ from .asympt import (
 from .errors import RUN_ERRORS
 from .guess import guess_algeq, guess_prec
 from .identify import identify_rational, identify_with_multipliers, min_poly
-from .oeis import bfile_text, canonical_a_number, fetch_oeis, parse_bfile, parse_bfile_tail
+from .oeis import (
+    bfile_text,
+    canonical_a_number,
+    fetch_oeis,
+    parse_bfile,
+    parse_bfile_decimal,
+    parse_bfile_tail,
+)
 from .report import (
     decimal_str,
     identification_entry,
@@ -646,11 +653,10 @@ def identify_minpoly_cmd(state, value, maxdeg, digits):
 def fetch_cmd(state, a_number):
     """Download (or serve from cache) the b-file for an A-number."""
     bf = fetch_oeis(a_number, cache_dir=state.cache_dir, offline=state.offline)
-    seq = bf.sequence()
+    offset, values = parse_bfile_decimal(bf.text)
     return _sequence_fields(
-        bf.a_number, **sequence_entry(seq.offset, seq.terms),
-        input_digest=text_digest(bf.text),
-        parameters={"a_number": bf.a_number, "terms": len(seq), "offset": seq.offset},
+        bf.a_number, offset, values, input_digest=text_digest(bf.text),
+        parameters={"a_number": bf.a_number, "terms": len(values), "offset": offset},
     )
 
 

@@ -98,6 +98,27 @@ def parse_bfile_tail(text: str, k: int) -> Sequence:
         return Sequence(window[0][0], tuple(int(v) for _, v in window))
 
 
+def _decimal(token: str) -> str:
+    """str(int(token)) of a value token that _scan_bfile accepted: the
+    token itself when it already has that form (ASCII digits, no leading
+    zero, at most a leading "-"), so a long term is not converted twice."""
+    digits = token[1:] if token[0] == "-" else token
+    if is_ascii_digits(digits) and (digits[0] != "0" or token == "0"):
+        return token
+    return str(int(token))
+
+
+def parse_bfile_decimal(text: str) -> tuple[int, list[str]]:
+    """(first index, the terms as str(int) prints them) of b-file text.
+    Every line is checked as parse_bfile checks it, so the same text
+    raises the same error; only a token of another form (a sign "+",
+    leading zeros, underscores, non-ASCII digits) is converted to int."""
+    with unlimited_int_digits():
+        lines = _scan_bfile(text)
+        offset, first = next(lines)
+        return offset, [_decimal(first), *(_decimal(v) for _, v in lines)]
+
+
 # Lines per block: 64 lines of 2000-digit terms are about 128 KiB.
 _BFILE_BLOCK = 64
 

@@ -15,6 +15,7 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 import mpmath
+from mpmath.libmp import fone, from_int, mpf_div, mpf_sqrt, round_nearest
 
 from .asympt import (
     BstResult,
@@ -57,6 +58,13 @@ def _inv_index(s: HpSeq):
     return ((Fraction(1, n), v) for n, v in zip(s.indices(), s.values))
 
 
+def _inv_sqrt(n: int, prec: int) -> HpReal:
+    """1 / sqrt(n) as `1 / mpmath.sqrt(n)` gives it at prec bits, each
+    step rounded to nearest, computed on raw mpfs."""
+    root = mpf_sqrt(from_int(n), prec, round_nearest)
+    return mpmath.mp.make_mpf(mpf_div(fone, root, prec, round_nearest))
+
+
 class RatioTable(NamedTuple):
     ratios: HpSeq
     spread: HpReal  # over the last 10 ratios
@@ -69,7 +77,8 @@ def ratio_table(s: HpSeq) -> RatioTable:
         raise InsufficientTerms(f"ratios need at least 2 terms, got {len(s)}")
     r = ratios(s)
     with s.ctx.work():
-        inv_sqrt = ((1 / mpmath.sqrt(n), v) for n, v in zip(r.indices(), r.values))
+        prec = mpmath.mp.prec
+        inv_sqrt = ((_inv_sqrt(n, prec), v) for n, v in zip(r.indices(), r.values))
         return RatioTable(r, r.spread(10), {
             "ratios_vs_inv_n": emit_csv(_inv_index(r), ("inv_n", "ratio"), s.ctx.digits),
             "ratios_vs_inv_sqrt_n": emit_csv(inv_sqrt, ("inv_sqrt_n", "ratio"), s.ctx.digits),

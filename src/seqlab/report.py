@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import mpmath
-from mpmath.libmp import dps_to_prec, finf, fnan, fninf, from_rational, mpf_pos, to_str
+from mpmath.libmp import dps_to_prec, finf, fnan, fninf, normalize, round_nearest, to_str
 
 
 @contextmanager
@@ -45,27 +46,118 @@ def unlimited_int_digits():
 def decimal_str(value, digits: Optional[int] = None) -> str:
     """Full-precision decimal rendering; never a binary float repr.
 
-    Integral values print exactly.  Any other value is rounded once to
-    nearest at 5 guard digits beyond max(mp.dps, digits), then printed to
-    `digits` (default: that working precision) significant digits.
+    An int, or a Fraction with denominator 1, prints exactly, as str(int).
+    Any other value is first rounded once, to nearest with ties to even, to
+    the binary precision of dps = max(mp.dps, digits) + 5 decimal digits
+    (`dps_to_prec(dps)` bits): an mpf from its own bits, a Fraction as the
+    exact quotient (mpmath's from_rational), anything else as mpf(value)
+    at dps.  It then prints with D = `digits` (default: dps) significant
+    digits, exactly as mpmath's to_str(raw, D) does:
+
+    * the value is truncated to D + 3 decimal digits, and those are
+      rounded half up to D (a run of 9s carries into a new leading 1);
+    * with e the decimal exponent of the leading digit, the form is fixed
+      point when min(-(D // 3), -5) < e < D, otherwise scientific,
+      d.ddd followed by e+N or e-N;
+    * trailing zeros after the point are stripped, keeping one digit
+      after it (1.0, 1.5e+20); negative values lead with "-".
+
+    Zero ("0.0"), +inf, -inf, nan and values whose binary exponent
+    exp + bc is beyond +-3500 are handed to mpmath's to_str itself; every
+    other value is rendered from the mpf's integers by the same steps.
     """
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return str(value.numerator)
-    dps = max(mpmath.mp.dps, digits or 0) + 5
-    prec = dps_to_prec(dps)
-    if isinstance(value, Fraction):
-        # exact quotient rounded once, not re-rounded at mp.prec by mpf()
-        raw = from_rational(value.numerator, value.denominator, prec, "n")
-    else:
-        if not isinstance(value, mpmath.mpf):
-            with mpmath.workdps(dps):
-                value = mpmath.mpf(value)
-        # one round-to-nearest at dps, as mpf(value) under workdps(dps) does,
-        # without entering a precision context for the common mpf case
-        raw = mpf_pos(value._mpf_, prec, "n")
-    return to_str(raw, digits or dps)
+    return _Decimals(digits)(value)
+
+
+_LOG2_10 = math.log(10, 2)  # as mpmath's to_str computes it
+_NON_FINITE = (finf, fninf, fnan)
+
+
+class _Decimals:
+    """The renderer of decimal_str at one digit count, built once per
+    call of decimal_str, sequence_entry or emit_csv: it fixes dps, prec
+    and D, and the fixed-point scales of to_str at D + 3 digits."""
+
+    def __init__(self, digits: Optional[int]):
+        self.dps = max(mpmath.mp.dps, digits or 0) + 5
+        self.prec = dps_to_prec(self.dps)
+        self.digits = digits or self.dps
+        self.bitprec = int((self.digits + 3) * _LOG2_10) + 10
+        self.min_fixed = min(-(self.digits // 3), -5)
+        self.scales = {}  # fixprec -> (fixdps, 10**fixdps)
+
+    def __call__(self, value) -> str:
+        return self.text(self.raw(value))
+
+    def raw(self, value):
+        """An integer's exact decimal string, or else a raw mpf (sign,
+        man, exp, bc) that `text` rounds to prec as decimal_str states."""
+        if isinstance(value, mpmath.mpf):
+            return value._mpf_
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, Fraction):
+            num, den = value.numerator, value.denominator
+            if den == 1:
+                return str(num)
+            # a quotient of prec + 3 or more bits with the remainder as a
+            # sticky last bit: rounded to prec, it is from_rational's
+            sign, num = int(num < 0), abs(num)
+            k = self.prec + 3 + den.bit_length() - num.bit_length()
+            q, r = divmod(num << k, den) if k >= 0 else divmod(num, den << -k)
+            man = 2 * q + (r != 0)
+            return sign, man, -k - 1, man.bit_length()
+        with mpmath.workdps(self.dps):
+            return mpmath.mpf(value)._mpf_
+
+    def text(self, raw) -> str:
+        """The decimal string of `raw`, a result of `raw()`."""
+        if type(raw) is str:
+            return raw
+        sign, man, exp, bc = raw
+        if not man:  # zero, inf or nan
+            return to_str(raw, self.digits)
+        drop = bc - self.prec
+        if drop > 0:  # to nearest, ties to even, as normalize rounds
+            half = 1 << (drop - 1)
+            low = man & ((half << 1) - 1)
+            man >>= drop
+            if low > half or (low == half and man & 1):
+                man += 1
+            exp += drop
+            bc = man.bit_length()
+        mag = exp + bc
+        if not -3500 <= mag <= 3500:
+            return to_str(normalize(*raw, self.prec, round_nearest), self.digits)
+        # to_str's digits: the value truncated to bitprec bits in binary
+        # fixed point, then to fixdps decimals
+        fixprec = self.bitprec - mag if mag < self.bitprec else 0
+        scale = self.scales.get(fixprec)
+        if scale is None:
+            fixdps = int(fixprec / _LOG2_10 + 0.5)
+            scale = self.scales[fixprec] = (fixdps, 10**fixdps)
+        fixdps, ten = scale
+        shift = exp + fixprec
+        digits = str(((man << shift if shift >= 0 else man >> -shift) * ten) >> fixprec)
+        e = len(digits) - fixdps - 1
+        # round half up to D digits and strip trailing zeros
+        d = self.digits
+        if len(digits) > d and digits[d] >= "5":
+            head = digits[:d].rstrip("9")
+            if head:
+                digits = head[:-1] + "123456789"[int(head[-1])]
+            else:
+                digits, e = "1", e + 1
+        else:
+            digits = digits[:d].rstrip("0")
+        sign = "-" if sign else ""
+        if self.min_fixed < e < d:
+            if e < 0:
+                return f"{sign}0.{'0' * (-1 - e)}{digits}"
+            if len(digits) > e + 1:
+                return f"{sign}{digits[:e + 1]}.{digits[e + 1:]}"
+            return f"{sign}{digits}{'0' * (e + 1 - len(digits))}.0"
+        return f"{sign}{digits[0]}.{digits[1:] or '0'}e{'+' if e > 0 else ''}{e}"
 
 
 def scalar_entry(value, digits: int, spread=None) -> dict:
@@ -77,10 +169,7 @@ def scalar_entry(value, digits: int, spread=None) -> dict:
 
 def sequence_entry(offset: int, values, digits: Optional[int] = None) -> dict:
     with unlimited_int_digits():
-        return {
-            "offset": offset,
-            "values": [decimal_str(v, digits) for v in values],
-        }
+        return {"offset": offset, "values": list(map(_Decimals(digits), values))}
 
 
 def identification_entry(kind: str, payload_str: str, certified_digits: int) -> dict:
@@ -261,16 +350,11 @@ def emit_csv(points: Iterable[tuple], header: tuple[str, str] = ("x", "y"),
 
     Non-finite points are dropped; an empty input yields just the header.
     """
+    dec = _Decimals(digits)
+    raw, text = dec.raw, dec.text
     lines = [",".join(header)]
     for x, y in points:
-        if _finite(x) and _finite(y):
-            lines.append(f"{decimal_str(x, digits)},{decimal_str(y, digits)}")
+        x, y = raw(x), raw(y)
+        if x not in _NON_FINITE and y not in _NON_FINITE:
+            lines.append(f"{text(x)},{text(y)}")
     return "\n".join(lines) + "\n"
-
-
-def _finite(v) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return True
-    if not isinstance(v, mpmath.mpf):
-        v = mpmath.mpf(v)
-    return v._mpf_ not in (finf, fninf, fnan)

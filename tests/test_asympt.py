@@ -433,6 +433,93 @@ class TestBst:
             bst_extrapolate(frac_seq(1, [1, 2, 5, 9]), Fraction(1))
 
 
+def mpf_tableau(s, w):
+    """bst_extrapolate's tableau as it was before it ran on raw tuples:
+    mpf objects under s.ctx.work(); returns (value, spread)."""
+    if any(isinstance(v, Fraction) for v in s.values):
+        s = s.map(s.ctx.mpf)
+    n_terms = len(s)
+    with s.ctx.work():
+        w_ = s.ctx.mpf(Fraction(w))
+        prev2 = [mpmath.mpf(0)] * (n_terms + 1)
+        prev1 = list(s.values)
+        for m in range(1, n_terms):
+            cur = []
+            for i in range(n_terms - m):
+                hi, lo = prev1[i + 1], prev1[i]
+                delta = hi - lo
+                if delta == 0:
+                    cur.append(hi)
+                    continue
+                dprev = hi - prev2[i + 1]
+                if dprev == 0:
+                    cur.append(hi)
+                    continue
+                n = s.offset + i
+                ratio = mpmath.power(mpmath.mpf(n + m) / n, w_)
+                bracket = ratio * (1 - delta / dprev) - 1
+                if bracket == 0:
+                    raise TableauBlowup(f"zero denominator at depth {m}, index {n}")
+                cur.append(hi + delta / bracket)
+            prev2, prev1 = prev1, cur
+        return prev1[0], abs(prev1[0] - prev2[1])
+
+
+class TestBstRawTableau:
+    """bst_extrapolate runs its tableau on raw mpf tuples; its value and
+    spread are bit for bit those of the mpf-object tableau, and it raises
+    TableauBlowup at the same depth and index."""
+
+    WS = [Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(2)]
+
+    @staticmethod
+    def outcome(fn, s, w):
+        try:
+            value, spread = fn(s, w)
+        except TableauBlowup as exc:
+            return str(exc)
+        return value._mpf_, spread._mpf_
+
+    @staticmethod
+    def raw_bst(s, w):
+        res = bst_extrapolate(s, w)
+        return res.value, res.spread
+
+    def test_seeded_sequences(self):
+        rng = random.Random(1926)
+        for _ in range(160):
+            digits, w = rng.randint(15, 250), rng.choice(self.WS)
+            ctx = HpContext(digits, rng.choice([0, 3, 10]))
+            offset, n_terms = rng.randint(1, 6), rng.randint(4, 14)
+            # limit plus powers of n^-w, the terms at a precision of their
+            # own: below, at or above the context's
+            with mpmath.workdps(rng.choice([digits - 5, digits + ctx.guard, digits + 40])):
+                coeffs = [mpmath.mpf(rng.uniform(-3, 3)) for _ in range(4)]
+                values = tuple(
+                    sum(c / mpmath.mpf(k) ** (j * w) for j, c in enumerate(coeffs))
+                    for k in range(offset, offset + n_terms))
+            s = HpSeq(offset, values, ctx)
+            want = self.outcome(mpf_tableau, s, w)
+            assert isinstance(want, tuple)
+            assert self.outcome(self.raw_bst, s, w) == want
+
+    def test_blowups_and_converged_entries(self):
+        """Short sequences of small integers, as Fractions and as mpfs: their
+        tableaux meet zero differences and zero brackets."""
+        rng = random.Random(1927)
+        blowups = 0
+        for _ in range(1500):
+            w = rng.choice(self.WS)
+            ctx = HpContext(rng.randint(15, 60))
+            values = [rng.randint(-3, 3) for _ in range(rng.randint(4, 7))]
+            for s in (frac_seq(1, values), HpSeq(rng.randint(1, 3), tuple(
+                    ctx.mpf(v) for v in values), ctx)):
+                want = self.outcome(mpf_tableau, s, w)
+                assert self.outcome(self.raw_bst, s, w) == want
+                blowups += isinstance(want, str)
+        assert blowups > 50
+
+
 BAD_MU = ["-2", "0", "inf", "nan"]
 
 

@@ -161,9 +161,10 @@ def test_all_lists_every_reexport():
 # every name the package imports from mpmath.libmp: report.py's decimal
 # rendering and the fixed-point kernel of asympt.py
 LIBMP_NAMES = [
-    "dps_to_prec", "finf", "fnan", "fninf", "from_int", "from_man_exp",
-    "from_rational", "log_int_fixed", "mpf_exp", "mpf_log", "mpf_mul",
-    "mpf_pos", "normalize", "pi_fixed", "round_nearest", "to_fixed", "to_str",
+    "dps_to_prec", "finf", "fnan", "fninf", "fone", "from_int", "from_man_exp",
+    "from_rational", "fzero", "log_int_fixed", "mpf_abs", "mpf_add", "mpf_div",
+    "mpf_exp", "mpf_log", "mpf_mul", "mpf_pow", "mpf_sqrt", "mpf_sub",
+    "normalize", "pi_fixed", "round_nearest", "to_fixed", "to_str",
 ]
 
 

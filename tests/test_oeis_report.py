@@ -24,6 +24,7 @@ from seqlab import (
     expand_prec,
     fetch_oeis,
     parse_bfile,
+    parse_bfile_decimal,
     parse_bfile_tail,
     render_bfile,
     scalar_entry,
@@ -31,7 +32,9 @@ from seqlab import (
     text_digest,
 )
 from conftest import ASCENT_INIT
-from seqlab.oeis import _int_token
+from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, mpf_pos, to_str
+
+from seqlab.oeis import _decimal, _int_token
 from seqlab.report import unlimited_int_digits, write_report
 from seqlab.errors import (
     CacheMiss,
@@ -111,6 +114,14 @@ def reference_parse(text):
     if offset is None:
         raise MalformedLine(0, "<no data lines>")
     return Sequence(offset, tuple(terms))
+
+
+def as_decimals(parsed):
+    """parse_bfile_decimal's result for a parsed Sequence, or the same
+    error outcome."""
+    if not isinstance(parsed, Sequence):
+        return parsed
+    return parsed.offset, [str(t) for t in parsed.terms]
 
 
 def outcome(parse, *args):
@@ -222,7 +233,21 @@ class TestParseBFileTail:
             assert outcome(parse_bfile, text) == want
             for k in (1, 2, 5, 20):
                 assert outcome(parse_bfile_tail, text, k) == last(want, k)
+            assert outcome(parse_bfile_decimal, text) == as_decimals(want)
         assert kinds == {Sequence, MalformedLine, NonContiguousIndex}
+
+    def test_decimal_tokens(self):
+        """parse_bfile_decimal gives str(int(token)), keeping a token that
+        is already in that form and converting any other."""
+        tokens = ["0", "-0", "+0", "00", "7", "+5", "007", "-007", "-12", "1_0",
+                  "\u0663\u0660", "-\uff15", "9" * 5000, "-" + "8" * 5000]
+        text = "".join(f"{n} {t}\n" for n, t in enumerate(tokens, 3))
+        offset, values = parse_bfile_decimal(text)
+        assert offset == 3
+        with unlimited_int_digits():
+            assert values == [str(int(t)) for t in tokens]
+        kept = [t for t in tokens if _decimal(t) is t]
+        assert kept == ["0", "7", "-12", "9" * 5000, "-" + "8" * 5000]
 
 
 class TestTermsPastStrLimit:
@@ -408,6 +433,152 @@ class TestDecimalStr:
             want = decimal.Context(prec=digits).divide(num, den)
             got = decimal_str(Fraction(num, den), digits)
             assert decimal.Decimal(got) == want, (num, den, digits)
+
+
+def mpmath_decimal_str(value, digits=None):
+    """decimal_str as it was before it rendered from the mpf's integers:
+    from_rational or mpf_pos at dps, then mpmath's to_str."""
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return str(value.numerator)
+    dps = max(mpmath.mp.dps, digits or 0) + 5
+    prec = dps_to_prec(dps)
+    if isinstance(value, Fraction):
+        raw = from_rational(value.numerator, value.denominator, prec, "n")
+    else:
+        if not isinstance(value, mpmath.mpf):
+            with mpmath.workdps(dps):
+                value = mpmath.mpf(value)
+        raw = mpf_pos(value._mpf_, prec, "n")
+    return to_str(raw, digits or dps)
+
+
+def exact_mpf(num, den=1):
+    """num / den as an mpf of every bit it needs (den a power of two), or
+    rounded to 2000 bits."""
+    return mpmath.mp.make_mpf(from_rational(num, den, 2000, "n"))
+
+
+class TestRendererMatchesMpmath:
+    """decimal_str, sequence_entry and emit_csv print every value exactly
+    as mpmath's own path does (mpmath_decimal_str), on seeded values at
+    several working precisions and digit counts."""
+
+    WORKING_DPS = (12, 15, 30, 60, 100, 200, 250)
+
+    @staticmethod
+    def digit_counts(rng):
+        return [None, 5, 12, 15, 25, 100, 250, rng.randint(12, 250)]
+
+    @staticmethod
+    def both_kinds(rng, num, den=1):
+        """num / den as a Fraction, an mpf of all its bits, and that mpf
+        one unit of its last place above and below, each of either sign."""
+        value = Fraction(num, den)
+        raw = from_rational(num, den, 2000, "n")
+        sign, man, exp, _ = raw
+        out = [value, mpmath.mp.make_mpf(raw)]
+        if man:
+            shift = max(0, rng.choice([0, 40, 900]) - man.bit_length())
+            for step in (1, -1):
+                out.append(mpmath.mp.make_mpf(from_man_exp(
+                    ((man << shift) + step) * (-1) ** sign, exp - shift)))
+        return out + [-v for v in out]
+
+    def values(self, rng, digits):
+        d = digits or mpmath.mp.dps + 5
+        min_fixed = min(-(d // 3), -5)
+        out = []
+        # random mantissas of up to 900 bits and moderate exponents
+        for _ in range(6):
+            bits = rng.randint(1, 900)
+            man = rng.getrandbits(bits) | 1
+            out.append(mpmath.mp.make_mpf(from_man_exp(
+                man * rng.choice((1, -1)), rng.randint(-400, 400) - bits)))
+        # random fractions
+        for _ in range(3):
+            num = rng.randint(-10 ** rng.randint(1, 300), 10 ** rng.randint(1, 300))
+            out.append(Fraction(num, rng.randint(1, 10 ** rng.randint(1, 300))))
+        # exact decimal ties: d digits then a 5, (10 n + 5) / 10^t, dyadic as
+        # 5^(t-1) divides 2 n + 1; and their neighbours
+        t = rng.randint(-3, min(d, 40))
+        odd = 2 * rng.randint(10 ** d // 5 ** max(t - 1, 0) // 2 + 1,
+                              10 ** (d + 1) // 5 ** max(t - 1, 0) // 2) + 1
+        tie = odd * 5 ** max(t - 1, 0)  # = 2 n + 1, with n of d digits
+        out += self.both_kinds(rng, 5 * tie * 10 ** max(-t, 0), 10 ** max(t, 0) * 2)
+        # the midpoint of the two prec-bit neighbours of a decimal tie that
+        # is not dyadic, so the binary rounding decides how it prints
+        prec = dps_to_prec(max(mpmath.mp.dps, d) + 5)
+        tie = Fraction(10 * rng.randint(10 ** (d - 1), 10 ** d - 1) + 5,
+                       10 ** rng.randint(1, d + 30))
+        shift = prec - tie.numerator.bit_length() + tie.denominator.bit_length()
+        while ((tie.numerator << shift) // tie.denominator).bit_length() > prec:
+            shift -= 1
+        while ((tie.numerator << shift) // tie.denominator).bit_length() < prec:
+            shift += 1
+        low = (tie.numerator << shift) // tie.denominator
+        out += [mpmath.mp.make_mpf(from_man_exp(sign * (2 * low + 1), -shift - 1))
+                for sign in (1, -1)]
+        # runs of 9s that carry into a new digit, some at the fixed and
+        # scientific boundaries
+        e = rng.choice([d - 1, d, min_fixed, min_fixed + 1, rng.randint(-40, 40)])
+        nines = 10 ** (d + rng.randint(0, 3)) - 1
+        out += self.both_kinds(rng, nines * 10 ** max(e, 0), 10 ** max(-e, 0)
+                               * 10 ** (d + 3))
+        # leading digits on either side of the fixed/scientific switch
+        e = rng.choice([d - 2, d - 1, d, d + 1, min_fixed - 1, min_fixed,
+                        min_fixed + 1, -5, -4, -1, 0])
+        head = rng.choice([1, 15, rng.randint(1, 10 ** 30)])
+        size = len(str(head)) - 1
+        out += self.both_kinds(rng, head * 10 ** max(e - size, 0),
+                               10 ** max(size - e, 0))
+        # binary exponents beyond +-3500 and at the edge of it
+        man = rng.getrandbits(rng.randint(1, 400)) | 1
+        for mag in (rng.choice((1, -1)) * rng.randint(3501, 12000),
+                    rng.choice((3500, 3501, -3500, -3501))):
+            out.append(mpmath.mp.make_mpf(from_man_exp(
+                man * rng.choice((1, -1)), mag - man.bit_length())))
+        return out
+
+    SPECIAL = [0, 7, -12, 10 ** 400, -(10 ** 300) - 1, Fraction(0), Fraction(-9, 1),
+               mpmath.mpf(0), mpmath.inf, -mpmath.inf, mpmath.nan, 0.1, -2.5e-30,
+               float("inf"), "3.14159265358979323846264338327950288419716939"]
+
+    def test_seeded_values(self):
+        rng = random.Random(2026)
+        checked = 0
+        for dps in self.WORKING_DPS:
+            with mpmath.workdps(dps):
+                for _ in range(60):
+                    for digits in self.digit_counts(rng):
+                        values = self.values(rng, digits)
+                        for v in values:
+                            assert decimal_str(v, digits) == mpmath_decimal_str(v, digits), (
+                                v, digits, dps)
+                        checked += len(values)
+                for digits in (None, 1, 5, 12, 250):
+                    for v in self.SPECIAL:
+                        assert decimal_str(v, digits) == mpmath_decimal_str(v, digits)
+        assert checked >= 10 ** 5
+
+    @staticmethod
+    def finite(v):
+        return isinstance(v, (int, Fraction, str)) or mpmath.isfinite(v)
+
+    def test_entries_and_tables(self):
+        rng = random.Random(2027)
+        for dps in self.WORKING_DPS:
+            with mpmath.workdps(dps):
+                for digits in self.digit_counts(rng):
+                    values = self.values(rng, digits) + self.SPECIAL
+                    want = [mpmath_decimal_str(v, digits) for v in values]
+                    assert sequence_entry(3, values, digits)["values"] == want
+                    points = list(zip(values, reversed(values)))
+                    rows = [f"{a},{b}" for (x, y), a, b in zip(points, want, want[::-1])
+                            if self.finite(x) and self.finite(y)]
+                    assert emit_csv(points, ("a", "b"), digits) == "\n".join(
+                        ["a,b", *rows]) + "\n"
 
 
 class TestEntries:
