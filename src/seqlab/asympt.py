@@ -24,9 +24,9 @@ from typing import Callable, Optional, Union
 import mpmath
 from mpmath.libmp import (
     dps_to_prec,
+    fone,
     from_int,
     from_man_exp,
-    fone,
     from_rational,
     fzero,
     log_int_fixed,
@@ -73,6 +73,11 @@ class HpContext:
     def work(self):
         """Context manager setting mpmath precision to digits + guard."""
         return mpmath.workdps(self.digits + self.guard)
+
+    @property
+    def prec(self) -> int:
+        """The binary precision that work() sets."""
+        return dps_to_prec(self.digits + self.guard)
 
     def mpf(self, x) -> HpReal:
         """x as a context float; a Fraction is rounded once, to nearest."""
@@ -268,7 +273,7 @@ class _Fixed:
 
     def __init__(self, ctx: HpContext, last: int):
         self.ctx = ctx
-        self.prec = dps_to_prec(ctx.digits + ctx.guard)  # as ctx.work() sets it
+        self.prec = ctx.prec
         self.bits = self.prec + 3 * max(last, 1).bit_length() + 32
         self.pi = pi_fixed(self.bits)
 
@@ -520,8 +525,9 @@ def bst_extrapolate(s: HpSeq, w) -> BstResult:
     s = _float_values(s)
     n_terms = len(s)
     # the tableau on raw mpfs, each operation rounded to nearest at the
-    # context's precision, as mpf arithmetic under s.ctx.work() rounds it
-    prec, rnd = dps_to_prec(s.ctx.digits + s.ctx.guard), round_nearest
+    # context's precision, as mpf arithmetic under s.ctx.work() rounds it;
+    # an int term enters exactly, as it does in mpf arithmetic
+    prec, rnd = s.ctx.prec, round_nearest
     w_ = s.ctx.mpf(w)._mpf_
     prev2 = [fzero] * (n_terms + 1)
     prev1 = [v._mpf_ if isinstance(v, mpmath.mpf) else from_int(v) for v in s.values]

@@ -77,8 +77,7 @@ def ratio_table(s: HpSeq) -> RatioTable:
         raise InsufficientTerms(f"ratios need at least 2 terms, got {len(s)}")
     r = ratios(s)
     with s.ctx.work():
-        prec = mpmath.mp.prec
-        inv_sqrt = ((_inv_sqrt(n, prec), v) for n, v in zip(r.indices(), r.values))
+        inv_sqrt = ((_inv_sqrt(n, s.ctx.prec), v) for n, v in zip(r.indices(), r.values))
         return RatioTable(r, r.spread(10), {
             "ratios_vs_inv_n": emit_csv(_inv_index(r), ("inv_n", "ratio"), s.ctx.digits),
             "ratios_vs_inv_sqrt_n": emit_csv(inv_sqrt, ("inv_sqrt_n", "ratio"), s.ctx.digits),

@@ -144,7 +144,7 @@ class _Decimals:
         d = self.digits
         if len(digits) > d and digits[d] >= "5":
             head = digits[:d].rstrip("9")
-            if head:
+            if head:  # its last digit, not a 9, goes up by one
                 digits = head[:-1] + "123456789"[int(head[-1])]
             else:
                 digits, e = "1", e + 1
