@@ -24,7 +24,6 @@ from seqlab import (
     expand_prec,
     fetch_oeis,
     parse_bfile,
-    parse_bfile_decimal,
     parse_bfile_tail,
     render_bfile,
     scalar_entry,
@@ -34,7 +33,7 @@ from seqlab import (
 from conftest import ASCENT_INIT
 from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, mpf_pos, to_str
 
-from seqlab.oeis import _decimal, _int_token
+from seqlab.oeis import _decimal, _int_token, parse_bfile_decimal
 from seqlab.report import unlimited_int_digits, write_report
 from seqlab.errors import (
     CacheMiss,
