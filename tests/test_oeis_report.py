@@ -453,12 +453,6 @@ def mpmath_decimal_str(value, digits=None):
     return to_str(raw, digits or dps)
 
 
-def exact_mpf(num, den=1):
-    """num / den as an mpf of every bit it needs (den a power of two), or
-    rounded to 2000 bits."""
-    return mpmath.mp.make_mpf(from_rational(num, den, 2000, "n"))
-
-
 class TestRendererMatchesMpmath:
     """decimal_str, sequence_entry and emit_csv print every value exactly
     as mpmath's own path does (mpmath_decimal_str), on seeded values at
@@ -499,13 +493,13 @@ class TestRendererMatchesMpmath:
         for _ in range(3):
             num = rng.randint(-10 ** rng.randint(1, 300), 10 ** rng.randint(1, 300))
             out.append(Fraction(num, rng.randint(1, 10 ** rng.randint(1, 300))))
-        # exact decimal ties: d digits then a 5, (10 n + 5) / 10^t, dyadic as
-        # 5^(t-1) divides 2 n + 1; and their neighbours
+        # exact decimal ties, d digits then a 5: (10 n + 5) / 10^t with n of
+        # d digits, dyadic as 5^(t-1) divides 2 n + 1; and their neighbours
         t = rng.randint(-3, min(d, 40))
-        odd = 2 * rng.randint(10 ** d // 5 ** max(t - 1, 0) // 2 + 1,
-                              10 ** (d + 1) // 5 ** max(t - 1, 0) // 2) + 1
-        tie = odd * 5 ** max(t - 1, 0)  # = 2 n + 1, with n of d digits
-        out += self.both_kinds(rng, 5 * tie * 10 ** max(-t, 0), 10 ** max(t, 0) * 2)
+        five = 5 ** max(t - 1, 0)
+        lo, hi = -(-(2 * 10 ** (d - 1) + 1) // five), (2 * 10 ** d - 1) // five
+        odd = 2 * rng.randint(lo // 2, (hi - 1) // 2) + 1  # odd * five = 2 n + 1
+        out += self.both_kinds(rng, 5 * odd * five * 10 ** max(-t, 0), 10 ** max(t, 0))
         # the midpoint of the two prec-bit neighbours of a decimal tie that
         # is not dyadic, so the binary rounding decides how it prints
         prec = dps_to_prec(max(mpmath.mp.dps, d) + 5)
@@ -519,12 +513,11 @@ class TestRendererMatchesMpmath:
         low = (tie.numerator << shift) // tie.denominator
         out += [mpmath.mp.make_mpf(from_man_exp(sign * (2 * low + 1), -shift - 1))
                 for sign in (1, -1)]
-        # runs of 9s that carry into a new digit, some at the fixed and
-        # scientific boundaries
-        e = rng.choice([d - 1, d, min_fixed, min_fixed + 1, rng.randint(-40, 40)])
-        nines = 10 ** (d + rng.randint(0, 3)) - 1
-        out += self.both_kinds(rng, nines * 10 ** max(e, 0), 10 ** max(-e, 0)
-                               * 10 ** (d + 3))
+        # runs of d to d + 3 nines, 10^e minus a unit of their last place,
+        # which carry into 10^e, some at the fixed/scientific switch
+        run = d + rng.randint(0, 3)
+        e = rng.choice([d - 1, d, min_fixed, min_fixed + 1, rng.randint(-40, 40)]) - run
+        out += self.both_kinds(rng, (10 ** run - 1) * 10 ** max(e, 0), 10 ** max(-e, 0))
         # leading digits on either side of the fixed/scientific switch
         e = rng.choice([d - 2, d - 1, d, d + 1, min_fixed - 1, min_fixed,
                         min_fixed + 1, -5, -4, -1, 0])
