@@ -54,8 +54,9 @@ def decimal_str(value, digits: Optional[int] = None) -> str:
     at dps.  It then prints with D = `digits` (default: dps) significant
     digits, exactly as mpmath's to_str(raw, D) does:
 
-    * the value is truncated to D + 3 decimal digits, and those are
-      rounded half up to D (a run of 9s carries into a new leading 1);
+    * the value is truncated to int((D + 3) log2(10)) + 10 bits, then to
+      D + 3 or more decimal digits, and those are rounded half up to D
+      (a run of 9s carries into a new leading 1);
     * with e the decimal exponent of the leading digit, the form is fixed
       point when min(-(D // 3), -5) < e < D, otherwise scientific,
       d.ddd followed by e+N or e-N;
