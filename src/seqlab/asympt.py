@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, gcd, isqrt
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import mpmath
 from mpmath.libmp import (
@@ -29,7 +30,6 @@ from mpmath.libmp import (
     from_man_exp,
     from_rational,
     fzero,
-    log_int_fixed,
     mpf_abs,
     mpf_add,
     mpf_div,
@@ -227,15 +227,30 @@ def square_subsample(s, least: int = 1):
 # ---------------------------------------------------------------------------
 
 def loglog_points(s: HpSeq) -> list[tuple[HpReal, HpReal]]:
-    """The points (log n, log s_n); needs offset >= 1 and positive values."""
+    """The points (log n, log s_n); needs offset >= 1 and positive values.
+
+    Each log is the fixed-point kernel's (_Fixed), rounded once to nearest
+    at the context's precision.  A value in [1/2, 2), whose log would need
+    cancellation bits, and a value that is not a finite mpf take mpmath.log.
+    """
     if s.offset < 1:
         raise ValueError("log-log gradient needs indices >= 1")
+    fx = _Fixed(s.ctx, s.offset, s.last_index)
+    scale, prec = fx.table.prec, s.ctx.prec
+
+    def rounded(m: int) -> HpReal:
+        return _make_mpf(from_man_exp(m, -scale, prec, round_nearest))
+
     with s.ctx.work():
         points = []
         for n, v in zip(s.indices(), s.values):
             if v <= 0:
                 raise NonPositiveValue(f"non-positive value at index {n}")
-            points.append((mpmath.log(n), mpmath.log(v)))
+            raw = v._mpf_ if isinstance(v, mpmath.mpf) else fzero
+            if raw[1] and not _near_one(raw):
+                points.append((rounded(fx.int_log(n)), rounded(fx.log_raw(raw))))
+            else:
+                points.append((rounded(fx.int_log(n)), mpmath.log(v)))
     return points
 
 
@@ -248,6 +263,99 @@ def loglog_gradient(s: HpSeq, points: Optional[list] = None) -> HpSeq:
         out = tuple((y1 - y0) / (x1 - x0)
                     for (x0, y0), (x1, y1) in zip(points, points[1:]))
     return HpSeq(s.offset + 1, out, s.ctx)
+
+
+def _near_one(raw: tuple) -> bool:
+    """Whether the raw mpf x lies in [1/2, 2), where log x needs relative
+    precision, not the kernel's absolute one."""
+    return 0 <= raw[2] + raw[3] <= 1
+
+
+def _atanh_inv(q: int, prec: int) -> int:
+    """atanh(1/q) 2^prec for q >= 3, as the sum over j >= 0 of the exact
+    floors of 2^prec / ((2j + 1) q^(2j + 1)) (the running quotient t is
+    floor(2^prec / q^(2j + 1)), a floor of floors).  At most
+    (prec / log2 q + 1) / 2 terms are nonzero and the rest sum to under
+    3/8, so the result falls short by less than prec / (2 log2 q) + 7/8."""
+    t = (1 << prec) // q
+    q2, k, total = q * q, 1, t
+    while t:
+        t //= q2
+        k += 2
+        total += t // k
+    return total
+
+
+def _atanh_fixed(z: int, prec: int) -> int:
+    """atanh(z 2^-prec) 2^prec for 0 <= z < 2^(prec - 10), every product
+    floored: the terms z^(4i+1) / (4i+1) sum in one running total, the
+    terms z^(4i+3) / (4i+3) in another that is multiplied by z^2 at the
+    end.  Each power falls short by under 1.01 units, so each of the fewer
+    than prec / 40 nonzero later terms of the first total by under 1.21;
+    its tail and the second total's product add under 2.3, so the result
+    falls short by less than prec / 30 + 3."""
+    z2 = z * z >> prec
+    z4 = z2 * z2 >> prec
+    odd1 = t = z
+    odd3 = z // 3
+    k = 1
+    while t:
+        t = t * z4 >> prec
+        k += 4
+        odd1 += t // k
+        odd3 += t // (k + 2)
+    return odd1 + (odd3 * z2 >> prec)
+
+
+_TOP_BITS = 10  # a value's log starts from the table entry of its leading bits
+
+
+class _LogTable:
+    """log n 2^T and floor(sqrt(n) 2^P) for 1 <= n <= last, with
+    T = P + bit_length(P) + 32.
+
+    log 2^T is 2 atanh(1/3) 2^T; a prime p adds 2 atanh(1/(2p - 1)) to
+    log(p - 1), and any other n sums the entries of its smallest prime
+    factor p and of n / p.  Every rounding is a floor, so each entry falls
+    short of the true value (by how much: _Fixed).  `ln2` is log 2 at
+    T + 64 bits, for multiples of log 2 that must keep T bits.  Built
+    lazily and grown on demand; _log_table keeps one per P.
+    """
+
+    def __init__(self, bits: int):
+        self.bits = bits
+        self.guard = bits.bit_length() + 32
+        self.prec = bits + self.guard
+        self.ln2 = 2 * _atanh_inv(3, self.prec + 64)
+        self.logs = [0, 0]  # index 0 is unused
+        self.roots = [0, 1 << bits]
+
+    def extend(self, last: int) -> None:
+        """Fill the entries up to n = last."""
+        start = len(self.logs)
+        if last < start:
+            return
+        factor = list(range(last + 1))
+        for p in range(isqrt(last), 1, -1):  # smaller factors overwrite larger ones
+            factor[p * p :: p] = [p] * len(range(p * p, last + 1, p))
+        logs = self.logs
+        for n in range(start, last + 1):
+            p = factor[n]
+            logs.append(logs[p] + logs[n // p] if p < n
+                        else logs[n - 1] + 2 * _atanh_inv(2 * n - 1, self.prec))
+        self.roots += [isqrt(n << 2 * self.bits) for n in range(start, last + 1)]
+
+    def ln2_times(self, e: int) -> int:
+        """floor(e log 2 2^T), from log 2 at T + 64 bits or, for |e| >= 2^32,
+        at 32 bits more than |e| has."""
+        extra = max(64, abs(e).bit_length() + 32)
+        ln2 = self.ln2 if extra == 64 else 2 * _atanh_inv(3, self.prec + extra)
+        return e * ln2 >> extra
+
+
+@lru_cache(maxsize=4)
+def _log_table(bits: int) -> _LogTable:
+    return _LogTable(bits)
 
 
 class _Fixed:
@@ -269,13 +377,36 @@ class _Fixed:
     rounding, and they also cover the amplitude's exponent
     delta log n - a pi n^beta, whose absolute error is the relative error of
     its exp, while |a pi n^beta| < 2^25.
+
+    Logs and square roots come from the _LogTable of P, at T = P + g bits
+    with g = bit_length(P) + 32.  The square roots are exact floors.  Each
+    atanh(1/q) sum of the table falls short by less than T / (2 log2 3) + 1
+    units of 2^-T, so each prime's step by less than T; an entry log n sums
+    at most 2 log2 n steps (a prime p adds one to the steps of log 2 and of
+    log((p - 1) / 2)), so it falls short by less than 2 T log2 n.  The log of
+    a value (log_raw) is off by less than 21 T: under 20 T from the entry
+    of its 10 leading bits, under 2 from its multiple of log 2 and under
+    T / 15 + 9 from the atanh series of the rest.  As T < 2 P < 2^g 2^-31,
+    these are below 2^-30 log2 n and 2^-26 units of 2^-P.  So log(n), the
+    entry floored to P bits, lies within 1 + 2^-30 log2 n units below
+    log n 2^P (within 1 + 2^-26 for an index past the table, whose log is a
+    value's), as log_int_fixed's floor lay within one; the rows carry the
+    same few units as before, lambda's log of s_n carries less than one,
+    and the kernel's error stays at least 2^-25 below the final rounding.
+    A value x in [1/2, 2) keeps mpf_log at P bits in stretched_lambda,
+    whose log x needs relative precision.
     """
 
-    def __init__(self, ctx: HpContext, last: int):
+    def __init__(self, ctx: HpContext, first: int, last: int):
+        """The kernel for the indices first..last; the table covers them
+        when they fill a quarter of 1..last or more."""
         self.ctx = ctx
         self.prec = ctx.prec
         self.bits = self.prec + 3 * max(last, 1).bit_length() + 32
         self.pi = pi_fixed(self.bits)
+        self.table = _log_table(self.bits)
+        dense = 4 * (last - first + 1) >= last
+        self.table.extend(max(last if dense else 0, (1 << _TOP_BITS) - 1))
 
     def fix(self, x) -> int:
         """floor(x 2^P): exact for an int or a Fraction, otherwise from x
@@ -305,10 +436,32 @@ class _Fixed:
         return raw
 
     def sqrt(self, n: int) -> int:
-        return isqrt(n << 2 * self.bits)
+        roots = self.table.roots
+        return roots[n] if n < len(roots) else isqrt(n << 2 * self.bits)
 
     def log(self, n: int) -> int:
-        return log_int_fixed(n, self.bits)
+        return self.int_log(n) >> self.table.guard
+
+    def int_log(self, n: int) -> int:
+        """log n 2^T: the table's entry, or past the table n's log as a
+        value's (log_raw)."""
+        logs = self.table.logs
+        return logs[n] if n < len(logs) else self.log_raw(from_int(n))
+
+    def log_raw(self, raw: tuple) -> int:
+        """log x 2^T (T = self.table.prec) for a positive raw mpf x: the
+        table entry of x's leading 10 bits, plus its multiple of log 2, plus
+        2 atanh((y - 1) / (y + 1)) for the rest y in [1, 1 + 2^-9)."""
+        table = self.table
+        _, man, exp, bc = raw
+        shift = bc - _TOP_BITS
+        if shift > 0:
+            top = man >> shift
+            low = top << shift
+            rest = 2 * _atanh_fixed(((man - low) << table.prec) // (man + low), table.prec)
+        else:
+            top, rest = man << -shift, 0
+        return table.logs[top] + table.ln2_times(exp + shift) + rest
 
     def power(self, n: int, beta: int) -> int:
         """n^beta for beta = fix(beta): the integer square root at 1/2,
@@ -335,16 +488,22 @@ def stretched_lambda(s: HpSeq, beta: Fraction = Fraction(1, 2)) -> HpSeq:
     """lambda_n = log(s_n) / (pi n^beta), starting at index max(offset, 1).
 
     Runs on the fixed-point kernel (_Fixed, whose docstring states the
-    guard): pi n^beta is a fixed-point integer and log(s_n) is taken once,
-    at the kernel's precision, so each lambda_n is rounded once.
+    guard): pi n^beta and log(s_n) are fixed-point integers (log(s_n) at the
+    log table's precision, or mpf_log at P bits for s_n in [1/2, 2)), so
+    each lambda_n is rounded once.
     """
     s = s.slice_from(1)
-    fx = _Fixed(s.ctx, s.last_index)
+    fx = _Fixed(s.ctx, s.offset, s.last_index)
     b, pi, wp = fx.fix(beta), fx.pi, fx.bits
     out = []
     for n, v in zip(s.indices(), s.values):
-        sign, man, exp, _ = mpf_log(fx.positive(v, n), wp)
-        out.append(fx.ratio(-man if sign else man, pi * fx.power(n, b), -exp - 2 * wp))
+        raw = fx.positive(v, n)
+        if _near_one(raw):
+            sign, log_v, exp, _ = mpf_log(raw, wp)
+            log_v, scale = -log_v if sign else log_v, -exp
+        else:
+            log_v, scale = fx.log_raw(raw), fx.table.prec
+        out.append(fx.ratio(log_v, pi * fx.power(n, b), scale - 2 * wp))
     return HpSeq(s.offset, tuple(out), s.ctx)
 
 
@@ -372,7 +531,7 @@ def stretched_triple_fit(lam: HpSeq) -> tuple[HpSeq, HpSeq, HpSeq]:
         raise InsufficientTerms("triple fit needs at least 3 values")
     if lam.offset < 1:
         raise ValueError("triple fit needs indices >= 1")
-    fx = _Fixed(lam.ctx, lam.last_index)
+    fx = _Fixed(lam.ctx, lam.offset, lam.last_index)
     wp, prec, pi = fx.bits, fx.prec, fx.pi
     raws = [fx.raw(y, n) for n, y in zip(lam.indices(), lam.values)]
     q = wp - max((exp + bc for _, man, exp, bc in raws if man), default=0)
@@ -425,23 +584,34 @@ def stretched_amplitude_seq(s: HpSeq, a: Real, beta: Fraction, delta: Real) -> H
     which is the reciprocal of the denominator constant c in StretchedModel
     (both presentations of the same constant occur; reports carry both).
     Subsampled at square indices these form the extrapolation input for the
-    half-power case beta = 1/2.
-
-    Runs on the fixed-point kernel (_Fixed, whose docstring states the
-    guard): the exponent delta log(n) - a pi n^beta is a fixed-point
-    integer, so each c_n takes one exp and one rounding.
+    half-power case beta = 1/2; stretched_amplitudes evaluates only those.
     """
     s = s.slice_from(1)
-    fx = _Fixed(s.ctx, s.last_index)
+    return HpSeq(s.offset, stretched_amplitudes(s, a, beta, delta, s.indices()), s.ctx)
+
+
+def stretched_amplitudes(s: HpSeq, a: Real, beta: Fraction, delta: Real,
+                         indices: Iterable[int]) -> tuple:
+    """The values of stretched_amplitude_seq(s, a, beta, delta) at the given
+    indices n >= 1 of s, in their order.
+
+    Runs on the fixed-point kernel (_Fixed, whose docstring states the
+    guard), at the precision that s's last index sets: the exponent
+    delta log(n) - a pi n^beta is a fixed-point integer, so each c_n takes
+    one exp and one rounding.
+    """
+    fx = _Fixed(s.ctx, s.offset, s.last_index)
     wp = fx.bits
     a_pi = fx.fix(a) * fx.pi >> wp
     b, d = fx.fix(beta), fx.fix(delta)
     out = []
-    for n, v in zip(s.indices(), s.values):
-        raw = fx.positive(v, n)
+    for n in indices:
+        if n < 1:
+            raise ValueError(f"amplitudes need indices >= 1, got {n}")
+        raw = fx.positive(s.value(n), n)
         exponent = from_man_exp(d * fx.log(n) - a_pi * fx.power(n, b), -2 * wp)
         out.append(_make_mpf(mpf_mul(raw, mpf_exp(exponent, wp), fx.prec, round_nearest)))
-    return HpSeq(s.offset, tuple(out), s.ctx)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 import mpmath
-from mpmath.libmp import fone, from_int, mpf_div, mpf_sqrt, round_nearest
+from mpmath.libmp import fone, mpf_div, normalize, round_nearest
 
 from .asympt import (
     BstResult,
@@ -33,7 +33,7 @@ from .asympt import (
     powerlaw_pipeline,
     ratios,
     square_subsample,
-    stretched_amplitude_seq,
+    stretched_amplitudes,
     stretched_lambda,
     stretched_triple_fit,
     summarize_stretched,
@@ -60,9 +60,14 @@ def _inv_index(s: HpSeq):
 
 def _inv_sqrt(n: int, prec: int) -> HpReal:
     """1 / sqrt(n) as `1 / mpmath.sqrt(n)` gives it at prec bits, each
-    step rounded to nearest, computed on raw mpfs."""
-    root = mpf_sqrt(from_int(n), prec, round_nearest)
-    return mpmath.mp.make_mpf(mpf_div(fone, root, prec, round_nearest))
+    step rounded to nearest, computed on raw mpfs: the root is math.isqrt's
+    at prec + 1 or more bits with a sticky last bit for a nonzero
+    remainder, rounded by normalize."""
+    shift = max(prec + 1 - (n.bit_length() + 1) // 2, 0)
+    root = isqrt(n << 2 * shift)
+    man = 2 * root + (root * root != n << 2 * shift)
+    sqrt_n = normalize(0, man, -shift - 1, man.bit_length(), prec, round_nearest)
+    return mpmath.mp.make_mpf(mpf_div(fone, sqrt_n, prec, round_nearest))
 
 
 class RatioTable(NamedTuple):
@@ -203,8 +208,10 @@ def lconvex_study(terms: int, digits: int, squares: Optional[int] = None) -> dic
         a_true = mpmath.sqrt(mpmath.mpf(13) / 6)
         target = mpmath.exp(mpmath.pi * a_true)
     diagnostics, power_csvs = power_law(sq.squares, target)
-    amplitudes = stretched_amplitude_seq(hs, a_true, Fraction(1, 2), Fraction(3, 2))
-    bst = square_bst(amplitudes, Fraction(1, 2), squares)
+    # the amplitudes at the squares that the extrapolation reads, and no others
+    amplitudes = stretched_amplitudes(hs, a_true, Fraction(1, 2), Fraction(3, 2),
+                                      [k * k for k in range(1, squares + 1)])
+    bst = bst_extrapolate(HpSeq(1, amplitudes, ctx), Fraction(1, 2))
     identified = identify_with_multipliers(bst.value, digits=12)
     stacks = gen_stack_area(terms)
     quarter = stacks.last_index // 4

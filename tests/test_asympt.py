@@ -1,9 +1,12 @@
 """High-precision extrapolation machinery, tested on exactly known plants."""
 
 from fractions import Fraction
+from math import isqrt, log2
 
 import hashlib
 import random
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -31,8 +34,22 @@ from seqlab import (
     stretched_triple_fit,
     summarize_stretched,
 )
-from mpmath.libmp import from_int, mpf_div, round_nearest
-from seqlab.asympt import AMPLITUDE_WINDOWS, _pdiv, vandermonde_inverse
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    log_int_fixed,
+    mpf_div,
+    mpf_log,
+    round_nearest,
+    to_fixed,
+)
+from seqlab.asympt import (
+    AMPLITUDE_WINDOWS,
+    _Fixed,
+    _pdiv,
+    stretched_amplitudes,
+    vandermonde_inverse,
+)
 from seqlab.errors import (
     IllConditioned,
     InsufficientTerms,
@@ -41,6 +58,7 @@ from seqlab.errors import (
     SingularSystem,
     TableauBlowup,
 )
+from test_cli import child_env
 
 CTX50 = HpContext(50)
 CTX100 = HpContext(100)
@@ -373,6 +391,181 @@ class TestStretchedFit:
                     -mpmath.mpf(6) / 5 * mpmath.pi * mpmath.mpf(n) ** b)
                 assert abs(x - lam_ref) <= abs(lam_ref) * mpmath.mpf(10) ** -50
                 assert abs(c - amp_ref) <= abs(amp_ref) * mpmath.mpf(10) ** -50
+
+
+class TestStretchedAmplitudesAtIndices:
+    def test_values_at_squares(self, lconvex_2000):
+        # the values at the given indices are those of the whole sequence
+        ctx = HpContext(60)
+        s = HpSeq.from_sequence(lconvex_2000, ctx).slice_from(1)
+        args = Fraction(7, 5), Fraction(1, 2), Fraction(3, 2)
+        squares = [k * k for k in range(1, 45)]
+        whole = stretched_amplitude_seq(s, *args)
+        assert stretched_amplitudes(s, *args, squares) == tuple(
+            whole.value(n) for n in squares)
+        assert stretched_amplitudes(s, *args, [9, 2, 9]) == (
+            whole.value(9), whole.value(2), whole.value(9))
+
+    def test_indices_below_one_rejected(self):
+        s = frac_seq(0, [1, 2, 3])
+        with pytest.raises(ValueError, match="need indices >= 1, got 0"):
+            stretched_amplitudes(s, 1, Fraction(1, 2), 0, [0])
+
+
+class ReferenceKernel(_Fixed):
+    """The kernel's logs and roots as they were before the log table:
+    log_int_fixed at P bits for log n, mpf_log at P bits for a value's log
+    (at the table's scale, which holds it exactly) and isqrt for sqrt n."""
+
+    def sqrt(self, n):
+        return isqrt(n << 2 * self.bits)
+
+    def log(self, n):
+        return log_int_fixed(n, self.bits)
+
+    def log_raw(self, raw):
+        return to_fixed(mpf_log(raw, self.bits), self.table.prec)
+
+
+def random_raws(rng, count):
+    """Positive raw mpfs with mantissas of 1 to 900 bits and exponents in
+    [-10^4, 10^4]."""
+    raws = []
+    for _ in range(count):
+        bits = rng.randint(1, 900)
+        man = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        raws.append(from_man_exp(man, rng.randint(-10 ** 4, 10 ** 4)))
+    return raws
+
+
+class TestKernelLog:
+    """The log table and the general log of _Fixed against mpmath at more
+    bits, within the bounds its docstring states."""
+
+    @pytest.mark.parametrize("digits, last", [(15, 2000), (100, 20000), (250, 2000)])
+    def test_integer_logs(self, digits, last):
+        fx = _Fixed(HpContext(digits), 1, last)
+        table = fx.table
+        for n in range(1, last + 1):
+            # the entry falls short of log n 2^T by less than 2 T log2 n units
+            short = log_int_fixed(n, table.prec + 64) - (table.logs[n] << 64)
+            assert -(1 << 64) < short < (2 * table.prec * log2(n) + 1) * 2 ** 64, n
+            assert fx.log(n) == table.logs[n] >> table.guard
+            assert fx.sqrt(n) == isqrt(n << 2 * fx.bits)
+
+    @pytest.mark.parametrize("digits", [15, 100, 250])
+    def test_value_logs(self, digits):
+        # a value's log is off by less than 21 T units of 2^-T
+        fx = _Fixed(HpContext(digits), 1, 1300)
+        prec = fx.table.prec
+        for raw in random_raws(random.Random(digits), 7000):
+            ref = to_fixed(mpf_log(raw, prec + 80), prec + 80)
+            assert abs(ref - (fx.log_raw(raw) << 80)) < 21 * prec << 80, raw
+
+    def test_indices_past_the_table(self):
+        # a range far from 1 leaves the table at 1023 entries: its logs are
+        # values' logs, within their bound, and its roots come from isqrt
+        fx = _Fixed(HpContext(100), 10 ** 6, 10 ** 6 + 99)
+        prec = fx.table.prec
+        assert len(fx.table.logs) == 1024
+        for n in range(10 ** 6, 10 ** 6 + 100):
+            ref = log_int_fixed(n, prec + 64)
+            assert abs(ref - (fx.int_log(n) << 64)) < 21 * prec << 64, n
+            assert fx.sqrt(n) == isqrt(n << 2 * fx.bits)
+
+    def test_multiples_of_log2_beyond_2_to_32(self):
+        fx = _Fixed(HpContext(30), 1, 100)
+        prec = fx.table.prec
+        for e in (2 ** 32 - 1, -(2 ** 32), 3 ** 40, -(7 ** 30)):
+            raw = from_man_exp(12345, e)
+            ref = to_fixed(mpf_log(raw, prec + 80), prec + 80)
+            assert abs(ref - (fx.log_raw(raw) << 80)) < 21 * prec << 80, e
+
+
+def stretched_values(s, beta, delta, a):
+    """The _mpf_ tuples of lambda, of the triple fit at beta = 1/2, and of
+    the amplitudes."""
+    lam = stretched_lambda(s, beta)
+    seqs = [lam, *(stretched_triple_fit(lam) if beta == Fraction(1, 2) else ()),
+            stretched_amplitude_seq(s, a, beta, delta)]
+    return [v._mpf_ for seq in seqs for v in seq.values]
+
+
+class TestKernelMatchesMpmathLogs:
+    """The kernel's table logs give the tuples that mpmath's logs gave."""
+
+    @pytest.mark.parametrize("digits", [15, 60, 100, 250])
+    def test_stretched_estimators(self, digits, lconvex_2000, stack_2000, monkeypatch):
+        ctx = HpContext(digits)
+        with ctx.work():
+            a = mpmath.sqrt(mpmath.mpf(13) / 6)
+        cases = [(counts, terms, Fraction(1, 2), Fraction(3, 2))
+                 for counts in (lconvex_2000, stack_2000) for terms in (300, 2000)]
+        cases.append((stack_2000, 1300, Fraction(1, 3), Fraction(-2, 5)))
+        compared = 0
+        for counts, terms, beta, delta in cases:
+            s = HpSeq(1, HpSeq.from_sequence(counts, ctx).slice_from(1).values[:terms], ctx)
+            new = stretched_values(s, beta, delta, a)
+            with monkeypatch.context() as m:
+                m.setattr("seqlab.asympt._Fixed", ReferenceKernel)
+                assert new == stretched_values(s, beta, delta, a), (terms, beta)
+            compared += len(new)
+        assert compared > 25000
+
+    def test_indices_past_the_table(self, lconvex_2000, monkeypatch):
+        ctx = HpContext(100)
+        s = HpSeq(10 ** 5, HpSeq.from_sequence(lconvex_2000, ctx).values[1:301], ctx)
+        args = Fraction(1, 2), Fraction(3, 2), Fraction(7, 5)
+        new = stretched_values(s, *args)
+        points = loglog_points(s)
+        with monkeypatch.context() as m:
+            m.setattr("seqlab.asympt._Fixed", ReferenceKernel)
+            assert new == stretched_values(s, *args)
+        with ctx.work():
+            assert points == [(mpmath.log(n), mpmath.log(v))
+                              for n, v in zip(s.indices(), s.values)]
+
+    @pytest.mark.parametrize("digits", [15, 60, 100, 250])
+    def test_loglog_points(self, digits, lconvex_2000, stack_2000):
+        ctx = HpContext(digits)
+        counts = [HpSeq.from_sequence(c, ctx).slice_from(1) for c in (lconvex_2000, stack_2000)]
+        with ctx.work():
+            raws = random_raws(random.Random(100 + digits), 5000)
+            seqs = [*counts, *(ratios(c).map(lambda v: v - 1) for c in counts),
+                    HpSeq(1, tuple(map(mpmath.mp.make_mpf, raws)), ctx)]
+        compared = 0
+        for s in seqs:
+            points = loglog_points(s)
+            with ctx.work():
+                ref = [(mpmath.log(n), mpmath.log(v)) for n, v in zip(s.indices(), s.values)]
+            assert [(x._mpf_, y._mpf_) for x, y in points] == [
+                (x._mpf_, y._mpf_) for x, y in ref]
+            compared += 2 * len(points)
+        assert compared > 25000
+
+
+COLD_START = """
+from fractions import Fraction
+from mpmath.libmp import libelefun
+from seqlab import (HpContext, HpSeq, gen_lconvex_area, gen_stack_area, loglog_points,
+                    stretched_amplitude_seq, stretched_lambda, stretched_triple_fit)
+ctx = HpContext(100)
+for counts in (gen_lconvex_area(1301), gen_stack_area(600)):
+    s = HpSeq.from_sequence(counts, ctx).slice_from(1)
+    stretched_triple_fit(stretched_lambda(s))
+    stretched_amplitude_seq(s, Fraction(7, 5), Fraction(1, 2), Fraction(3, 2))
+    loglog_points(s)
+print(len(libelefun.log_taylor_cache), len(libelefun.log_int_cache))
+"""
+
+
+def test_stretched_chain_leaves_mpmath_log_caches_empty():
+    # a fresh process runs the stretched chain and the log-log points on
+    # counts without filling mpmath's log caches
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 class TestPowerLaw:

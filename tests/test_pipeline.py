@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import fone, from_int, mpf_div, mpf_sqrt, round_nearest
 
 import seqlab.pipeline
 from seqlab import HpContext, HpSeq, expand_prec, guess_prec
 from seqlab.errors import InsufficientTerms, SeqLabError
 from seqlab.pipeline import (
+    _inv_sqrt,
     ascent_study,
     branch_series,
     growth_rate,
@@ -35,6 +37,16 @@ def bfile_with_wrong_term(n: int) -> str:
 @pytest.fixture(scope="module", params=[100, 250])
 def ascent_fields(request):
     return request.param, ascent_study(BFILE_TEXT, 60, request.param, 4)
+
+
+@pytest.mark.parametrize("digits", [15, 100, 250])
+def test_inv_sqrt_matches_mpf_sqrt(digits):
+    # the isqrt root with a sticky bit, rounded by normalize, is mpf_sqrt's
+    # root, so the same mpf_div gives the same tuples
+    prec = HpContext(digits).prec
+    for n in range(1, 10 ** 4 + 1):
+        root = mpf_sqrt(from_int(n), prec, round_nearest)
+        assert _inv_sqrt(n, prec)._mpf_ == mpf_div(fone, root, prec, round_nearest), n
 
 
 def test_branch_series_matches_acceptance_reference(b202062):
