@@ -166,18 +166,31 @@ LIBMP_NAMES = [
     "mpf_log", "mpf_mul", "mpf_pow", "mpf_sub", "normalize", "pi_fixed",
     "round_nearest", "to_fixed", "to_str",
 ]
+# the further names the tests import from mpmath.libmp as reference oracles:
+# log_int_fixed for the prime-log table, mpf_sqrt for _inv_sqrt, mpf_pos for
+# decimal rounding
+LIBMP_TEST_NAMES = ["log_int_fixed", "mpf_pos", "mpf_sqrt"]
 
 
-def test_libmp_names_listed():
+def _libmp_imports(paths):
     imported = set()
-    for path in MODULES:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "mpmath.libmp":
                 imported |= {a.name for a in node.names}
-    assert sorted(imported) == LIBMP_NAMES
+    return imported
 
 
-@pytest.mark.parametrize("name", LIBMP_NAMES)
+def test_libmp_names_listed():
+    assert sorted(_libmp_imports(MODULES)) == LIBMP_NAMES
+
+
+def test_libmp_test_names_listed():
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert sorted(_libmp_imports(tests) - set(LIBMP_NAMES)) == LIBMP_TEST_NAMES
+
+
+@pytest.mark.parametrize("name", LIBMP_NAMES + LIBMP_TEST_NAMES)
 def test_libmp_name(name):
     getattr(importlib.import_module("mpmath.libmp"), name)
 
