@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, gcd, isqrt
+from math import comb, factorial, isqrt
 from typing import Callable, Iterable, Optional, Union
 
 import mpmath
@@ -28,7 +28,6 @@ from mpmath.libmp import (
     fone,
     from_int,
     from_man_exp,
-    from_rational,
     fzero,
     mpf_abs,
     mpf_add,
@@ -52,7 +51,7 @@ from .errors import (
     SingularSystem,
     TableauBlowup,
 )
-from .series import Poly, int_horner, primitive_int
+from .series import Poly, int_horner
 
 HpReal = mpmath.mpf
 Real = Union[HpReal, Fraction, int]
@@ -81,11 +80,23 @@ class HpContext:
 
     def mpf(self, x) -> HpReal:
         """x as a context float; a Fraction is rounded once, to nearest."""
+        if isinstance(x, Fraction):
+            raw = sticky_quotient(x.numerator, x.denominator, self.prec)
+            return _make_mpf(normalize(*raw, self.prec, round_nearest))
         with self.work():
-            if isinstance(x, Fraction):
-                return _make_mpf(from_rational(x.numerator, x.denominator,
-                                               mpmath.mp.prec, round_nearest))
             return mpmath.mpf(x)
+
+
+def sticky_quotient(num: int, den: int, bits: int, shift: int = 0) -> tuple:
+    """The raw mpf num / (den 2^shift), den != 0, before rounding: a quotient
+    of bits + 3 or more bits with the remainder as a sticky last bit, which
+    normalize rounds to `bits` or fewer bits as it would the exact quotient."""
+    sign = int((num < 0) != (den < 0))
+    num, den = abs(num), abs(den)
+    k = bits + 3 + den.bit_length() - num.bit_length()
+    q, r = divmod(num << k, den) if k >= 0 else divmod(num, den << -k)
+    man = 2 * q + (r != 0)
+    return sign, man, -k - 1 - shift, man.bit_length()
 
 
 @dataclass(frozen=True)
@@ -390,8 +401,8 @@ class _Fixed:
     these are below 2^-30 log2 n and 2^-26 units of 2^-P.  So log(n), the
     entry floored to P bits, lies within 1 + 2^-30 log2 n units below
     log n 2^P (within 1 + 2^-26 for an index past the table, whose log is a
-    value's), as log_int_fixed's floor lay within one; the rows carry the
-    same few units as before, lambda's log of s_n carries less than one,
+    value's).  The rows therefore stay within the few units of 2^-P that
+    the guard above assumes, lambda's log of s_n carries less than one unit,
     and the kernel's error stays at least 2^-25 below the final rounding.
     A value x in [1/2, 2) keeps mpf_log at P bits in stretched_lambda,
     whose log x needs relative precision.
@@ -473,15 +484,9 @@ class _Fixed:
 
     def ratio(self, num: int, den: int, shift: int = 0) -> HpReal:
         """The context float num / (den 2^shift), den != 0, rounded once to
-        prec: an integer quotient of prec + 3 or more bits, with its
-        remainder folded into a sticky last bit, rounded to nearest."""
-        sign = int((num < 0) != (den < 0))
-        num, den = abs(num), abs(den)
-        k = self.prec + 3 + den.bit_length() - num.bit_length()
-        q, r = divmod(num << k, den) if k >= 0 else divmod(num, den << -k)
-        q = 2 * q + (r != 0)
-        raw = normalize(sign, q, -k - 1 - shift, q.bit_length(), self.prec, round_nearest)
-        return _make_mpf(raw)
+        prec, to nearest."""
+        raw = sticky_quotient(num, den, self.prec, shift)
+        return _make_mpf(normalize(*raw, self.prec, round_nearest))
 
 
 def stretched_lambda(s: HpSeq, beta: Fraction = Fraction(1, 2)) -> HpSeq:
@@ -750,12 +755,12 @@ def vandermonde_inverse(ns: list[int]) -> list[list[Fraction]]:
     integer quotient of prod_j (n_j x - 1) by (n_r x - 1), divided by its
     value at 1/n_r.  The nodes must be distinct nonzero integers.
     """
-    master = [1]
+    master = Poly([1])
     for n in ns:
-        master = [n * a - b for a, b in zip([0] + master, master + [0])]
+        master = Poly([-1, n]) * master
     cols = []
     for n in ns:
-        quot = list(accumulate(master[:-1], lambda q, m: n * q - m, initial=0))[1:]
+        quot = list(accumulate(master.coeffs[:-1], lambda q, m: n * q - m, initial=0))[1:]
         top = n ** (len(ns) - 1)
         scale = int_horner(reversed(quot), n)  # = top * quot(1/n)
         cols.append([Fraction(q * top, scale) for q in quot])
@@ -828,50 +833,18 @@ def amplitude_fit(s, mu: Real, g, K: int, ctx: HpContext) -> AmplitudeFit:
 # exact root isolation
 # ---------------------------------------------------------------------------
 
-def _pdiv(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Pseudo-division of ascending integer coefficient lists, b with a
-    nonzero top coefficient: returns (q, r) with k a = q b + r for
-    k = |lc(b)|^steps > 0, r shorter than b and free of trailing zeros.
-    Since k > 0, r has the signs of the remainder over Q."""
-    lc = b[-1]
-    scale, sign = abs(lc), (lc > 0) - (lc < 0)
-    rem = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        t = sign * rem[shift + len(b) - 1]
-        q = [scale * c for c in q]
-        q[shift] = t
-        rem = [scale * c for c in rem]
-        for i, bc in enumerate(b):
-            rem[shift + i] -= t * bc
-    rem = rem[: len(b) - 1]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return q, rem
-
-
-def _sturm_chain(p: list[int]) -> list[list[int]]:
-    """Sturm chain of p over Z: each negated remainder is divided by its
-    positive content, so every entry is a positive multiple of the chain
-    over Q and the sign changes are the same."""
-    chain = [list(p), [i * c for i, c in enumerate(p)][1:]]
+def _sturm_chain(p: Poly) -> list[Poly]:
+    """Sturm chain of p over Z: each negated pseudo-remainder is divided by
+    its positive content, so every entry is a positive multiple of the
+    chain over Q and the sign changes are the same."""
+    chain = [p, p.derivative()]
     while chain[-1]:
-        _, rem = _pdiv(chain[-2], chain[-1])
+        rem = chain[-2].pseudo_divmod(chain[-1])[1]
         if not rem:
             break
-        g = gcd(*rem)
-        chain.append([-c // g for c in rem])
+        prim = rem.primitive()  # rem over its content, times the sign of lc(rem)
+        chain.append(prim if rem.coeffs[-1] < 0 else -prim)
     return chain
-
-
-def _sign_at(p: list[int], m: int, den: int) -> int:
-    """Sign of p(m/den), den > 0, from the homogeneous integer Horner sum
-    den^deg p(m/den) = sum c_i m^i den^(deg-i)."""
-    acc, den_pow = p[-1], 1
-    for c in reversed(p[:-1]):
-        den_pow *= den
-        acc = acc * m + c * den_pow
-    return (acc > 0) - (acc < 0)
 
 
 def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
@@ -885,26 +858,21 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
     value satisfies |p(root)| < 10^(-digits+2).  Raises NoPositiveRoot when
     the polynomial has no root in (0, inf).
     """
-    if p.is_zero() or p.degree < 1:
-        raise NoPositiveRoot("polynomial has no positive real root")
-    ints = primitive_int(p.coeffs)
     # strip roots at the origin; positive roots are unaffected
-    first = next(i for i, c in enumerate(ints) if c)
-    ints = ints[first:]
-    if len(ints) < 2:
+    p = Poly(p.coeffs[p.valuation:]).primitive()
+    if p.degree < 1:
         raise NoPositiveRoot("polynomial has no positive real root")
-    chain = _sturm_chain(ints)
+    chain = _sturm_chain(p)
     # square-free part = p / gcd(p, p'); the gcd is the last nonzero chain entry
-    if len(chain[-1]) > 1:
-        sf, _ = _pdiv(ints, chain[-1])
-        ints = primitive_int(sf)
-        chain = _sturm_chain(ints)
+    if chain[-1].degree > 0:
+        p = p.pseudo_divmod(chain[-1])[0].primitive()
+        chain = _sturm_chain(p)
 
     def changes(m: int, den: int) -> int:
-        signs = [s for s in (_sign_at(q, m, den) for q in chain) if s]
+        signs = [s for s in (q.sign_at(m, den) for q in chain) if s]
         return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
-    bound = Fraction(1) + Fraction(max(map(abs, ints[:-1])), abs(ints[-1]))
+    bound = Fraction(1) + Fraction(max(map(abs, p.coeffs[:-1])), p.coeffs[-1])
     a, b, den = 0, bound.numerator, bound.denominator
     v_lo, v_hi = changes(a, den), changes(b, den)
     if v_lo - v_hi < 1:
@@ -918,16 +886,16 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> HpReal:
             a, b, v_hi = 2 * a, m, v_mid
         else:
             a, b, v_lo = m, 2 * b, v_mid
-    if _sign_at(ints, b, den) == 0:
+    if p.sign_at(b, den) == 0:
         a = b  # the bracket's end is the root itself
-    lo_sign = _sign_at(ints, a, den)
+    lo_sign = p.sign_at(a, den)
     steps = int((digits + 6) * 3.33) + bound.numerator.bit_length()
     scale = 10 ** (digits + 5)
     for _ in range(steps):
         if (b - a) * scale < den:  # hi - lo < 10^-(digits+5)
             break
         m, den = a + b, 2 * den
-        s_mid = _sign_at(ints, m, den)
+        s_mid = p.sign_at(m, den)
         if s_mid == 0:
             a = b = m
             break

@@ -54,8 +54,8 @@ class _PolyModel:
         polys = tuple(self.coeffs)
         if not polys or polys[-1].is_zero():
             raise ValueError(f"{type(self).__name__}: leading polynomial must be nonzero")
-        flat = primitive_int([c for p in polys for c in p.coeffs])
-        ints = iter(flat if flat[-1] > 0 else [-c for c in flat])
+        # the flat coefficients end in the top polynomial's leading one
+        ints = iter(Poly([c for p in polys for c in p.coeffs]).primitive().coeffs)
         object.__setattr__(self, "coeffs", tuple(
             Poly([next(ints) for _ in p.coeffs]) for p in polys
         ))

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import mpmath
 
 from .errors import PrecisionTooLow, RankDeficient
-from .series import Poly, primitive_int
+from .series import Poly
 
 Payload = Union[Fraction, tuple, Poly]
 
@@ -252,9 +252,7 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
                 coeffs = vec[: deg + 1]
                 if not any(coeffs[1:]) or (x and not coeffs[0]):
                     continue
-                p = Poly(primitive_int(coeffs))
-                if p.coeffs[-1] < 0:
-                    p = -p
+                p = Poly(coeffs).primitive()
                 norm = max(map(abs, p.coeffs))
                 if abs(p(x)) < threshold * norm:
                     return p

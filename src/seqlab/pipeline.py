@@ -155,11 +155,9 @@ def power_law(s: HpSeq, mu) -> tuple[PowerLawDiagnostics, dict]:
         }
 
 
-def square_bst(s: HpSeq, w, count: Optional[int] = None) -> BstResult:
-    """Bulirsch-Stoer limit of s on its first `count` square indices 1, 4,
-    9, ... (all of them by default); needs the first 4 squares."""
-    squares = square_subsample(s, 4)
-    return bst_extrapolate(HpSeq(1, squares.values[:count], s.ctx), w)
+def square_bst(s: HpSeq, w) -> BstResult:
+    """Bulirsch-Stoer limit of s on its square indices 1, 4, 9, ... (4 or more)."""
+    return bst_extrapolate(square_subsample(s, 4), w)
 
 
 def growth_rate(p: Poly, ctx: HpContext) -> tuple[HpReal, HpReal]:

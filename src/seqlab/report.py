@@ -26,6 +26,8 @@ from typing import Iterable, Iterator, Optional
 import mpmath
 from mpmath.libmp import dps_to_prec, finf, fnan, fninf, normalize, round_nearest, to_str
 
+from .asympt import sticky_quotient
+
 
 @contextmanager
 def unlimited_int_digits():
@@ -50,7 +52,7 @@ def decimal_str(value, digits: Optional[int] = None) -> str:
     Any other value is first rounded once, to nearest with ties to even, to
     the binary precision of dps = max(mp.dps, digits) + 5 decimal digits
     (`dps_to_prec(dps)` bits): an mpf from its own bits, a Fraction as the
-    exact quotient (mpmath's from_rational), anything else as mpf(value)
+    exact quotient (asympt.sticky_quotient), anything else as mpf(value)
     at dps.  It then prints with D = `digits` (default: dps) significant
     digits, exactly as mpmath's to_str(raw, D) does:
 
@@ -99,15 +101,7 @@ class _Decimals:
             return str(value)
         if isinstance(value, Fraction):
             num, den = value.numerator, value.denominator
-            if den == 1:
-                return str(num)
-            # a quotient of prec + 3 or more bits with the remainder as a
-            # sticky last bit: rounded to prec, it is from_rational's
-            sign, num = int(num < 0), abs(num)
-            k = self.prec + 3 + den.bit_length() - num.bit_length()
-            q, r = divmod(num << k, den) if k >= 0 else divmod(num, den << -k)
-            man = 2 * q + (r != 0)
-            return sign, man, -k - 1, man.bit_length()
+            return str(num) if den == 1 else sticky_quotient(num, den, self.prec)
         with mpmath.workdps(self.dps):
             return mpmath.mpf(value)._mpf_
 

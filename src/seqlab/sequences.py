@@ -195,8 +195,7 @@ def expand_rational(num: Poly, den: Poly, n_terms: int) -> LaurentSeries:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
         return LaurentSeries(0, TruncSeries.from_poly(num, n_terms).coeffs)
-    v_num = next(i for i, c in enumerate(num.coeffs) if c)
-    v_den = next(i for i, c in enumerate(den.coeffs) if c)
+    v_num, v_den = num.valuation, den.valuation
     num_s = TruncSeries.from_poly(Poly(num.coeffs[v_num:]), n_terms)
     den_s = TruncSeries.from_poly(Poly(den.coeffs[v_den:]), n_terms)
     return LaurentSeries(v_num - v_den, (num_s * den_s.inverse()).coeffs)

@@ -90,6 +90,47 @@ class Poly:
         """Evaluate by Horner's rule; works for int, Fraction or mpf input."""
         return int_horner(self.coeffs, x)
 
+    @property
+    def valuation(self) -> int:
+        """The number of zero coefficients below the first nonzero one, so
+        p = x^valuation q with q(0) != 0; the zero polynomial has 0."""
+        return next((i for i, c in enumerate(self.coeffs) if c), 0)
+
+    def primitive(self) -> "Poly":
+        """The integer normal form: p over its content, signed so that the
+        leading coefficient is positive; the zero polynomial stays zero."""
+        g = gcd(*self.coeffs)
+        if g and self.coeffs[-1] < 0:
+            g = -g
+        return self if g in (0, 1) else Poly([c // g for c in self.coeffs])
+
+    def pseudo_divmod(self, b: "Poly") -> tuple["Poly", "Poly"]:
+        """Pseudo-division by a nonzero b: (q, r) with k p = q b + r for
+        k = |lc(b)|^steps > 0 and deg r < deg b.  Since k > 0, r has the
+        signs of the remainder over Q."""
+        if not b:
+            raise ZeroDivisionError("pseudo-division by the zero polynomial")
+        a, b = self.coeffs, b.coeffs
+        scale, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+        rem, q = list(a), [0] * max(len(a) - len(b) + 1, 1)
+        for shift in range(len(a) - len(b), -1, -1):
+            t = sign * rem[shift + len(b) - 1]
+            q = [scale * c for c in q]
+            q[shift] = t
+            rem = [scale * c for c in rem]
+            rem[shift : shift + len(b)] = [r - t * c for r, c in zip(rem[shift:], b)]
+        return Poly(q), Poly(rem[: len(b) - 1])
+
+    def sign_at(self, m: int, den: int) -> int:
+        """Sign of p(m / den) for den > 0, from the homogeneous integer
+        Horner sum den^deg p(m / den) = sum c_i m^i den^(deg - i)."""
+        cs = self.coeffs
+        acc, den_pow = cs[-1] if cs else 0, 1
+        for c in reversed(cs[:-1]):
+            den_pow *= den
+            acc = acc * m + c * den_pow
+        return (acc > 0) - (acc < 0)
+
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -157,7 +198,8 @@ def alg_eval(grid: Seq[Seq[Scalar]], y: Seq[Scalar], order: int) -> list:
 
 def int_horner(coeffs: Iterable[Scalar], n: Scalar) -> Scalar:
     """Evaluate ascending coefficients at n by Horner's rule; the one
-    scalar Horner loop of this package, for int, Fraction or mpf n."""
+    scalar Horner loop of this package, for int, Fraction or mpf n
+    (Poly.sign_at is its homogeneous integer form at a rational point)."""
     acc = 0
     for c in reversed(tuple(coeffs)):
         acc = acc * n + c

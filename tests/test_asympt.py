@@ -46,7 +46,6 @@ from mpmath.libmp import (
 from seqlab.asympt import (
     AMPLITUDE_WINDOWS,
     _Fixed,
-    _pdiv,
     stretched_amplitudes,
     vandermonde_inverse,
 )
@@ -882,22 +881,6 @@ class TestAmplitudeFitVsLu:
                 assert abs(got - want) < tol * max(1, abs(want))
             assert abs(fit.c_spread - spread_ref) < tol * abs(c_ref)
             assert abs(fit.cond_estimate / cond_ref - 1) < mpmath.mpf(10) ** -digits
-
-
-_int_coeffs = st.lists(st.integers(-40, 40), max_size=7)
-
-
-class TestPseudoDivision:
-    @settings(deadline=None, max_examples=200)
-    @given(_int_coeffs, _int_coeffs.filter(lambda b: b and b[-1]))
-    def test_pseudo_division_identity(self, a, b):
-        # k a = q b + r for some k > 0, read off the top coefficients
-        q, r = _pdiv(a, b)
-        pa, lhs = Poly(a), Poly(q) * Poly(b) + Poly(r)
-        k, rest = divmod(lhs.coeffs[-1], pa.coeffs[-1]) if pa and lhs else (1, 0)
-        assert k > 0 and rest == 0
-        assert lhs == pa * Poly([k])
-        assert len(r) < len(b) and (not r or r[-1] != 0)
 
 
 class TestPolyRoot:

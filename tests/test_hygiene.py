@@ -129,16 +129,21 @@ class TestNoDeadNames:
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-# the study scripts parse arguments and print; the numeric work of each
-# study lives in seqlab.pipeline
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
-def test_study_script_does_no_numeric_work(path):
+def _top_modules(path: Path) -> set[str]:
+    """The first component of each module name that a file imports."""
     tree = ast.parse(path.read_text())
     modules = {a.name.split(".")[0] for node in ast.walk(tree)
                if isinstance(node, ast.Import) for a in node.names}
     modules |= {node.module.split(".")[0] for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module}
-    assert modules.isdisjoint({"mpmath", "fractions"})
+    return modules
+
+
+# the study scripts parse arguments and print; the numeric work of each
+# study lives in seqlab.pipeline
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_study_script_does_no_numeric_work(path):
+    assert _top_modules(path).isdisjoint({"mpmath", "fractions"})
 
 
 def test_readme_names_every_script():
@@ -162,14 +167,14 @@ def test_all_lists_every_reexport():
 # rendering and the fixed-point kernel of asympt.py
 LIBMP_NAMES = [
     "dps_to_prec", "finf", "fnan", "fninf", "fone", "from_int", "from_man_exp",
-    "from_rational", "fzero", "mpf_abs", "mpf_add", "mpf_div", "mpf_exp",
-    "mpf_log", "mpf_mul", "mpf_pow", "mpf_sub", "normalize", "pi_fixed",
-    "round_nearest", "to_fixed", "to_str",
+    "fzero", "mpf_abs", "mpf_add", "mpf_div", "mpf_exp", "mpf_log", "mpf_mul",
+    "mpf_pow", "mpf_sub", "normalize", "pi_fixed", "round_nearest", "to_fixed",
+    "to_str",
 ]
 # the further names the tests import from mpmath.libmp as reference oracles:
-# log_int_fixed for the prime-log table, mpf_sqrt for _inv_sqrt, mpf_pos for
-# decimal rounding
-LIBMP_TEST_NAMES = ["log_int_fixed", "mpf_pos", "mpf_sqrt"]
+# from_rational and mpf_pos for decimal rounding, log_int_fixed for the
+# prime-log table, mpf_sqrt for _inv_sqrt
+LIBMP_TEST_NAMES = ["from_rational", "log_int_fixed", "mpf_pos", "mpf_sqrt"]
 
 
 def _libmp_imports(paths):
@@ -193,6 +198,13 @@ def test_libmp_test_names_listed():
 @pytest.mark.parametrize("name", LIBMP_NAMES + LIBMP_TEST_NAMES)
 def test_libmp_name(name):
     getattr(importlib.import_module("mpmath.libmp"), name)
+
+
+def test_exact_toolkit_is_float_free():
+    # series.py, the integer-polynomial and exact-series toolkit, imports
+    # neither mpmath nor decimal
+    path = ROOT / "src" / "seqlab" / "series.py"
+    assert _top_modules(path).isdisjoint({"mpmath", "decimal"})
 
 
 def test_guard_catches_dead_names():

@@ -126,7 +126,7 @@ def test_square_bst_limits_to_first_squares():
     ctx = HpContext(30)
     with ctx.work():
         s = HpSeq(1, tuple(2 + 1 / mpmath.sqrt(n) for n in range(1, 101)), ctx)
-    res = square_bst(s, Fraction(1), 6)
-    assert res.depth == 5
+    res = square_bst(s, Fraction(1))
+    assert res.depth == 9
     with ctx.work():
         assert abs(res.value - 2) < 10 ** -25

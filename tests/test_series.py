@@ -3,9 +3,10 @@
 import random
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab import Poly, Sequence, TruncSeries, q_pochhammer
@@ -83,6 +84,85 @@ class TestPoly:
     def test_int_horner_matches_eval(self, cs, x):
         if x.denominator == 1:
             assert int_horner(cs, int(x)) == Poly(cs)(x)
+
+
+_int_coeffs = st.lists(st.integers(-40, 40), max_size=7)
+
+
+class TestPseudoDivision:
+    @settings(deadline=None, max_examples=200)
+    @given(_int_coeffs, _int_coeffs.filter(lambda b: b and b[-1]))
+    def test_pseudo_division_identity(self, a, b):
+        # k a = q b + r for some k > 0, read off the top coefficients
+        pa, pb = Poly(a), Poly(b)
+        q, r = pa.pseudo_divmod(pb)
+        lhs = q * pb + r
+        k, rest = divmod(lhs.coeffs[-1], pa.coeffs[-1]) if pa and lhs else (1, 0)
+        assert k > 0 and rest == 0
+        assert lhs == pa * Poly([k])
+        assert r.degree < pb.degree
+
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            Poly([1, 2]).pseudo_divmod(Poly([]))
+
+
+class TestSignAt:
+    def test_matches_fraction_sign(self):
+        # p has roots at 0, 1/2, -3/4 and 5/3, and the grid holds all four
+        roots = Poly([0, 1]) * Poly([-1, 2]) * Poly([3, 4]) * Poly([-5, 3])
+        rng = random.Random(2809)
+        cases = [(roots, m, 12) for m in range(-30, 31)]
+        for _ in range(300):
+            p = Poly([rng.randint(-50, 50) for _ in range(rng.randint(0, 8))])
+            cases.append((p, rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)))
+        zeros = 0
+        for p, m, den in cases:
+            want = p(Fraction(m, den))
+            zeros += want == 0
+            assert p.sign_at(m, den) == (want > 0) - (want < 0), (p, m, den)
+        assert zeros >= 4
+
+    def test_zero_polynomial(self):
+        assert Poly([]).sign_at(3, 7) == 0
+
+
+class TestPrimitive:
+    def test_zero_polynomial(self):
+        assert Poly([]).primitive() == Poly([])
+
+    def test_negative_leading_coefficient(self):
+        assert Poly([3, 0, -1]).primitive() == Poly([-3, 0, 1])
+        assert Poly([-7]).primitive() == Poly([1])
+
+    def test_content_removed(self):
+        assert Poly([6, -4, 10]).primitive() == Poly([3, -2, 5])
+        assert Poly([-6, 4, -10]).primitive() == Poly([3, -2, 5])
+        assert Poly([0, 0, 12]).primitive() == Poly([0, 0, 1])
+
+    def test_already_primitive_unchanged(self):
+        assert Poly([1, -8, 5, 1]).primitive() == Poly([1, -8, 5, 1])
+
+    @given(polys, st.integers(-20, 20).filter(bool))
+    def test_normal_form_of_any_multiple(self, p, k):
+        f = (p * Poly([k])).primitive()
+        assert f == p.primitive()
+        if f:
+            assert f.coeffs[-1] > 0 and gcd(*f.coeffs) == 1
+
+
+class TestValuation:
+    def test_values(self):
+        assert Poly([]).valuation == 0
+        assert Poly([5]).valuation == 0
+        assert Poly([1, 0, 2]).valuation == 0
+        assert Poly([0, 0, -1, 1]).valuation == 2
+        assert Poly([0, 0, 0, 4]).valuation == 3
+
+    @given(polys, st.integers(0, 5))
+    def test_power_of_x_factor(self, p, v):
+        shifted = Poly([0] * v + list(p.coeffs))
+        assert shifted.valuation == (p.valuation + v if p else 0)
 
 
 class TestPolyValues:
