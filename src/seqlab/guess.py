@@ -52,7 +52,7 @@ class _PolyModel:
 
     def __post_init__(self):
         polys = tuple(self.coeffs)
-        if not polys or polys[-1].is_zero():
+        if not polys or not polys[-1]:
             raise ValueError(f"{type(self).__name__}: leading polynomial must be nonzero")
         # the flat coefficients end in the top polynomial's leading one
         ints = iter(Poly([c for p in polys for c in p.coeffs]).primitive().coeffs)
@@ -75,7 +75,7 @@ class _PolyModel:
         parts = [
             f"({p.format(self._var)}){self._unknown(j)}"
             for j, p in enumerate(self.coeffs)
-            if not p.is_zero()
+            if p
         ]
         return " + ".join(parts) + " = 0"
 
@@ -113,7 +113,7 @@ class AlgEq(_PolyModel):
     def __post_init__(self):
         if len(self.coeffs) < 2:
             raise ValueError("equation must have y-degree >= 1")
-        if self.coeffs[0].is_zero():
+        if not self.coeffs[0]:
             raise ValueError("equation is divisible by y")
         super().__post_init__()
 
@@ -489,7 +489,7 @@ def prec_to_ode(rec: PRecurrence, init: "Sequence") -> LinODE:
         for m in range(j):
             r_acc[r - j + m] += int_horner(cs, m - j) * init.terms[m]
     r_poly = Poly(r_acc)
-    if r_poly.is_zero():
+    if not r_poly:
         return LinODE(tuple(q_ops))
     r_deriv = r_poly.derivative()
     padded = [Poly([])] + q_ops + [Poly([])]

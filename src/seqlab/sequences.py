@@ -191,9 +191,9 @@ def expand_rational(num: Poly, den: Poly, n_terms: int) -> LaurentSeries:
     """
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
-    if den.is_zero():
+    if not den:
         raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
+    if not num:
         return LaurentSeries(0, TruncSeries.from_poly(num, n_terms).coeffs)
     v_num, v_den = num.valuation, den.valuation
     num_s = TruncSeries.from_poly(Poly(num.coeffs[v_num:]), n_terms)
@@ -318,14 +318,14 @@ def _cmp(a: int, b: int) -> int:
     return (a > b) - (a < b)
 
 
-def _cmp_mask(rel: int, v: int) -> int:
-    """Bitmask of the values u >= 0 with _cmp(u, v) == rel (infinite above
-    v when rel > 0, as a negative int)."""
-    if rel < 0:
-        return (1 << v) - 1
-    if rel == 0:
-        return 1 << v
-    return -1 << (v + 1)
+def _cmp_set(values: int, rel: int) -> int:
+    """Bitmask of the u >= 0 with _cmp(u, v) == rel for some v in the
+    bitmask `values` (infinite above when rel > 0, as a negative int)."""
+    if rel == 0 or not values:
+        return values
+    if rel < 0:  # below the highest v
+        return (1 << values.bit_length() - 1) - 1
+    return -1 << (values & -values).bit_length()  # above the lowest v
 
 
 def enum_ascent_avoiding(pattern: str, n_max: int, budget: int = 50_000_000) -> Sequence:
@@ -338,8 +338,11 @@ def enum_ascent_avoiding(pattern: str, n_max: int, budget: int = 50_000_000) -> 
     subsequence; repeated pattern letters demand equal values.  Patterns up
     to length 3 are supported.
 
-    Depth-first search over avoiding prefixes; raises BudgetExceeded when
-    the node count passes `budget`.
+    Depth-first search over the avoiding prefixes.  Each prefix carries the
+    bitmask of its letter values and the bitmask `banned` of the letters
+    that would complete an occurrence after it, so a child is one bit test.
+    The budget counts the avoiding prefixes of lengths 1..n_max; the search
+    raises BudgetExceeded when it visits more.
     """
     if not (isinstance(pattern, str) and pattern.isascii() and pattern.isdigit()):
         raise ValueError(f"pattern must be a digit string such as '201' or '012' "
@@ -357,34 +360,22 @@ def enum_ascent_avoiding(pattern: str, n_max: int, budget: int = 50_000_000) -> 
         # the empty sequence avoids one
         return Sequence(0, tuple(counts))
 
-    # pair_mask[v] is the bitmask of values v1 having an earlier occurrence
-    # before some occurrence of v; prefix_mask holds the prefix's values
-    pair_mask = [0] * (n_max + 3)  # letters never exceed the sequence length
-    if len(p) == 2:
-        r12 = _cmp(p[0], p[1])
+    # appending y bans the x with _cmp(x, y) == tail; a 3-letter pattern
+    # also needs a letter v1 before y with _cmp(v1, y) == r12 and
+    # _cmp(x, v1) == r31
+    tail = _cmp(p[-1], p[-2])
+    r12, r31 = _cmp(p[0], p[1]), _cmp(p[-1], p[0])
+    three = len(p) == 3
 
-        def creates(x: int, prefix_mask: int, top: int) -> bool:
-            return prefix_mask & _cmp_mask(r12, x) != 0
-
-    else:
-        r12, r13, r23 = _cmp(p[0], p[1]), _cmp(p[0], p[2]), _cmp(p[1], p[2])
-
-        def creates(x: int, prefix_mask: int, top: int) -> bool:
-            if r23 < 0:
-                v2_range = range(0, x)
-            elif r23 == 0:
-                v2_range = range(x, x + 1)
-            else:
-                v2_range = range(x + 1, top + 1)
-            for v2 in v2_range:
-                pm = pair_mask[v2]
-                if pm and pm & _cmp_mask(r12, v2) & _cmp_mask(r13, x):
-                    return True
-            return False
+    def bans(prefix: int, y: int) -> int:
+        ban = _cmp_set(1 << y, tail)
+        if three:
+            ban &= _cmp_set(prefix & _cmp_set(1 << y, r12), r31)
+        return ban
 
     nodes = 0
 
-    def recurse(depth: int, last: int, asc: int, prefix_mask: int, top: int):
+    def recurse(depth: int, last: int, asc: int, prefix: int, banned: int):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -392,21 +383,12 @@ def enum_ascent_avoiding(pattern: str, n_max: int, budget: int = 50_000_000) -> 
         counts[depth] += 1
         if depth == n_max:
             return
-        for x in range(0, asc + 2):
-            if creates(x, prefix_mask, top):
-                continue
-            saved = pair_mask[x]
-            pair_mask[x] = saved | prefix_mask
-            recurse(
-                depth + 1,
-                x,
-                asc + (1 if x > last else 0),
-                prefix_mask | (1 << x),
-                max(top, x),
-            )
-            pair_mask[x] = saved
+        for y in range(asc + 2):
+            if not banned >> y & 1:
+                recurse(depth + 1, y, asc + (y > last), prefix | 1 << y,
+                        banned | bans(prefix, y))
 
-    recurse(1, 0, 0, 1, 0)  # prefix mask holds the initial letter 0
+    recurse(1, 0, 0, 1, bans(0, 0))  # the prefix is the initial letter 0
     return Sequence(0, tuple(counts))
 
 

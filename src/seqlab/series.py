@@ -61,9 +61,6 @@ class Poly:
         """Degree; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -144,7 +141,7 @@ class Poly:
 
     def format(self, var: str = "x") -> str:
         """Human-readable form, highest power first, e.g. '2*n^2 + 31*n + 120'."""
-        if self.is_zero():
+        if not self:
             return "0"
         parts: list[str] = []
         for e in range(self.degree, -1, -1):
@@ -377,10 +374,6 @@ class TruncSeries:
         return TruncSeries(
             [i * c for i, c in enumerate(self.coeffs)][1:]
         )
-
-    def mul_poly(self, p: Poly) -> "TruncSeries":
-        """Multiply by a polynomial without losing truncation order."""
-        return TruncSeries(mul_trunc(p.coeffs, self.coeffs, self.order))
 
     def is_integral(self) -> bool:
         return {int}.issuperset(map(type, self.coeffs))

@@ -475,7 +475,7 @@ def _fraction_ode_residual(ode, terms):
     for i, q in enumerate(ode.coeffs):
         if i:
             f = f.derivative()
-        acc = acc + f.mul_poly(q).truncate(out_order)
+        acc = acc + (f * TruncSeries.from_poly(q, f.order)).truncate(out_order)
     return next((i for i, c in enumerate(acc.coeffs) if c), None)
 
 

@@ -89,19 +89,37 @@ def _module_private(tree: ast.Module) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
+def _returned(fn: ast.AST) -> ast.AST | None:
+    """The expression a function returns when its whole body, after an
+    optional docstring, is one ``return``; None otherwise."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) == 1 and isinstance(body[0], ast.Return):
+        return body[0].value
+    return None
+
+
 def _aliases(tree: ast.Module) -> list[str]:
     """``Class.method`` for each public method whose whole body, after an
-    optional docstring, is ``return self.x`` or ``return cls.x(...)``."""
+    optional docstring, is ``return self.x`` or ``return cls.x(...)``, or
+    ``return not <expr>`` where the class's ``__bool__`` returns
+    ``bool(<expr>)``."""
     found = []
     for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-        for fn in cls.body:
-            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    or fn.name.startswith("_")):
+        methods = [fn for fn in cls.body
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        truth = next((_returned(fn) for fn in methods if fn.name == "__bool__"), None)
+        bool_of = None  # the dumped <expr> of ``__bool__``'s ``return bool(<expr>)``
+        if (isinstance(truth, ast.Call) and isinstance(truth.func, ast.Name)
+                and truth.func.id == "bool" and len(truth.args) == 1):
+            bool_of = ast.dump(truth.args[0])
+        for fn in methods:
+            value = _returned(fn)
+            if fn.name.startswith("_") or value is None:
                 continue
-            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
-            if len(body) != 1 or not isinstance(body[0], ast.Return):
+            if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.Not):
+                if ast.dump(value.operand) == bool_of:
+                    found.append(f"{cls.name}.{fn.name}")
                 continue
-            value = body[0].value
             if isinstance(value, ast.Call):
                 value = value.func
             if (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name)
@@ -244,5 +262,16 @@ def test_guard_catches_aliases():
         "    def copy(self):\n"
         "        entries = self.entries\n"
         "        return entries\n"
+        "class B:\n"
+        "    def __bool__(self):\n"
+        "        return bool(self.coeffs)\n"
+        "    def is_zero(self):\n"
+        "        'Same as not b.'\n"
+        "        return not self.coeffs\n"
+        "    def is_empty(self):\n"
+        "        return not self.terms\n"
+        "class C:\n"
+        "    def is_zero(self):\n"
+        "        return not self.coeffs\n"
     )
-    assert _aliases(tree) == ["A.items", "A.degree_x", "A.from_grid"]
+    assert _aliases(tree) == ["A.items", "A.degree_x", "A.from_grid", "B.is_zero"]

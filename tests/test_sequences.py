@@ -232,11 +232,17 @@ class TestOracles:
     def test_ascent_budget(self):
         with pytest.raises(BudgetExceeded):
             enum_ascent_avoiding("201", 12, budget=100)
+        # the budget counts the avoiding prefixes of lengths 1..n_max:
+        # 1 + 2 + 5 + 15 + 52 + 201 + 843 = 1119 at n_max = 7
+        assert enum_ascent_avoiding("201", 7, budget=1119).terms[-1] == 843
+        with pytest.raises(BudgetExceeded, match="node budget 1118 exceeded"):
+            enum_ascent_avoiding("201", 7, budget=1118)
 
     def test_ascent_avoiding_matches_definition(self):
         # every ascent sequence of length <= 7, tested against each of the
         # 17 normalised patterns of length <= 3 by checking every index
-        # subset for order-isomorphism (equal letters must be equal)
+        # subset for order-isomorphism (equal letters must be equal), at
+        # every n_max from 0 to 7
         def ascent_sequences(n):
             out = [()]
             if n:
@@ -278,7 +284,8 @@ class TestOracles:
             for seq in seqs:
                 if not contains(seq, letters):
                     want[len(seq)] += 1
-            assert enum_ascent_avoiding(pat, n_max).terms == tuple(want), pat
+            for n in range(n_max + 1):
+                assert enum_ascent_avoiding(pat, n).terms == tuple(want[: n + 1]), (pat, n)
 
 
 class TestExpandRational:
