@@ -129,6 +129,11 @@ class TestGenerators:
             "c1550e5a9a14132d1fa396cb5906bf139436251a4c56ad1cf4468b4b5d113dd9"
         )
 
+    def test_lconvex_5001_pinned(self):
+        assert _digest(gen_lconvex_area(5001)) == (
+            "b3b73389deffaa4e348d92fbd586e102ad954080e1734680b45778f3e55b6640"
+        )
+
     @pytest.mark.parametrize("gen", [gen_lconvex_area, gen_stack_area])
     def test_every_size_is_a_prefix(self, gen):
         # the n-term run keeps exactly the coefficients below q^n of one
