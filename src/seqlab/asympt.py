@@ -99,6 +99,20 @@ def sticky_quotient(num: int, den: int, bits: int, shift: int = 0) -> tuple:
     return sign, man, -k - 1 - shift, man.bit_length()
 
 
+def sqrt_nearest(x: tuple, prec: int) -> tuple:
+    """The square root of a raw mpf x > 0 rounded to nearest at prec bits,
+    the tuple mpf_sqrt(x, prec, round_nearest) gives: math.isqrt's root at
+    prec + 1 or more bits with the remainder as a sticky last bit, rounded
+    by normalize."""
+    _, man, exp, bc = x
+    if exp & 1:
+        man, exp, bc = man << 1, exp - 1, bc + 1
+    shift = max(prec + 1 - (bc + 1) // 2, 0)
+    root = isqrt(man << 2 * shift)
+    man = 2 * root + (root * root != man << 2 * shift)
+    return normalize(0, man, exp // 2 - shift - 1, man.bit_length(), prec, round_nearest)
+
+
 @dataclass(frozen=True)
 class HpSeq:
     """Consecutively indexed high-precision values (index = offset + position).
@@ -704,6 +718,8 @@ def bst_extrapolate(s: HpSeq, w) -> BstResult:
     # an int term enters exactly, as it does in mpf arithmetic
     prec, rnd = s.ctx.prec, round_nearest
     w_ = s.ctx.mpf(w)._mpf_
+    # mpf_pow takes w = 1/2 to mpf_sqrt, whose integer root is a Python loop
+    half = w == Fraction(1, 2)
     prev2 = [fzero] * (n_terms + 1)
     prev1 = [v._mpf_ if isinstance(v, mpmath.mpf) else from_int(v) for v in s.values]
     for m in range(1, n_terms):
@@ -719,7 +735,8 @@ def bst_extrapolate(s: HpSeq, w) -> BstResult:
                 cur.append(hi)
                 continue
             n = s.offset + i
-            ratio = mpf_pow(mpf_div(from_int(n + m), from_int(n), prec, rnd), w_, prec, rnd)
+            quotient = mpf_div(from_int(n + m), from_int(n), prec, rnd)
+            ratio = sqrt_nearest(quotient, prec) if half else mpf_pow(quotient, w_, prec, rnd)
             bracket = mpf_sub(
                 mpf_mul(ratio, mpf_sub(fone, mpf_div(delta, dprev, prec, rnd), prec, rnd),
                         prec, rnd),

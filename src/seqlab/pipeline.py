@@ -15,7 +15,7 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 import mpmath
-from mpmath.libmp import fone, mpf_div, normalize, round_nearest
+from mpmath.libmp import fone, from_int, mpf_div, round_nearest
 
 from .asympt import (
     BstResult,
@@ -32,6 +32,7 @@ from .asympt import (
     poly_smallest_positive_root,
     powerlaw_pipeline,
     ratios,
+    sqrt_nearest,
     square_subsample,
     stretched_amplitudes,
     stretched_lambda,
@@ -60,14 +61,9 @@ def _inv_index(s: HpSeq):
 
 def _inv_sqrt(n: int, prec: int) -> HpReal:
     """1 / sqrt(n) as `1 / mpmath.sqrt(n)` gives it at prec bits, each
-    step rounded to nearest, computed on raw mpfs: the root is math.isqrt's
-    at prec + 1 or more bits with a sticky last bit for a nonzero
-    remainder, rounded by normalize."""
-    shift = max(prec + 1 - (n.bit_length() + 1) // 2, 0)
-    root = isqrt(n << 2 * shift)
-    man = 2 * root + (root * root != n << 2 * shift)
-    sqrt_n = normalize(0, man, -shift - 1, man.bit_length(), prec, round_nearest)
-    return mpmath.mp.make_mpf(mpf_div(fone, sqrt_n, prec, round_nearest))
+    step rounded to nearest, computed on raw mpfs."""
+    root = sqrt_nearest(from_int(n), prec)
+    return mpmath.mp.make_mpf(mpf_div(fone, root, prec, round_nearest))
 
 
 class RatioTable(NamedTuple):

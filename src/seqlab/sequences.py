@@ -11,11 +11,11 @@ Each family has a fast exact generator working from a functional equation or
 recurrence, plus an independent brute-force enumerator used as an oracle.
 The generators work on plain Python int arrays.  The L-convex generator
 sums its q-series through the generating function U(z) of the summands:
-a functional equation for U gives the values U(q^j), each truncated to
-the coefficients the area series needs, by a backward recurrence from
-j = N - 1 down to 1, in O(N^2) coefficient operations mostly on small
-integers; the stack generator divides a sparse numerator twice by
-(q;q)_inf, in O(N^(3/2)).
+the values U(q^j), each truncated to the coefficients the area series
+needs, are short sums of the summands for j at or above a switch index
+near sqrt(4N/3) and follow from a functional equation for U by a backward
+recurrence below it, in O(N^(3/2)) coefficient operations; the stack
+generator divides a sparse numerator twice by (q;q)_inf, in O(N^(3/2)).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
+from math import isqrt
 from operator import add, mul, sub
 from typing import Iterable, Iterator
 
@@ -119,22 +120,46 @@ def gen_lconvex_area(n_terms: int) -> Sequence:
     right side mod q^M.  A(q) mod q^N needs V_1 mod q^(N-1) and V_2
     mod q^(N-2); by the step, V_j mod q^(N-j) needs V_(j+1) mod q^(N-j-1)
     and V_(j+2) mod q^(N-j-2), so each V_j is kept to N - j coefficients.
-    The run starts from V_(N-1) = u_0(0) = 1 and the empty V_N and steps
-    back to V_1.  While j >= N - j, dividing by 1 - q^j changes no kept
-    coefficient and is skipped.  That is about 5N^2/4 coefficient
-    operations, near the 3N^2/2 of carrying the summands forward one by
-    one, but most of them act on small integers: at N = 1100 the largest
-    coefficient of V_j has 201 bits at j = 1, 64 at j = 100 and fewer
-    than 30 from j = 294 on, while the forward summands carry 100 to 200
-    bits for every k from 10 to 800.  No pass adds summands into the
-    output.
+
+    The step is run backward only below a switch index J.  Above it V_j is
+    a short sum: V_j = sum_k u_k q^(jk) mod q^(N-j) takes only the u_k
+    with jk < N - j (for j >= N/2 it is u_0 = 1, 2, 3, ..., N - j).  So
+    u_0, u_1, ... are made by the recursion, u_k kept to the N - J - kJ
+    coefficients V_J needs, and each is added into V_J at offset kJ and
+    into V_(J+1) at offset k(J+1) as soon as it is made; only u_(k-1) and
+    u_(k-2) stay alive, so memory stays O(N).  The backward step then runs
+    from J - 1 down to 1, while j < N - j dividing by 1 - q^j twice.
+
+    Each backward step costs about 3N coefficient operations (the right
+    side and two divisions), each of the fewer than N/J summands at most
+    3N and their additions into V_J and V_(J+1) about N^2/J in all.  The
+    cost 3JN + 3N^2/J + N^2/J is least at J = sqrt(4N/3), where it is
+    about 7 N^(3/2) operations, against about 5N^2/4 for running the
+    backward step from j = N - 2 (at N = 5001, 2.5 million against 31
+    million).  J = isqrt(4N/3) lies in [1, N - 1] for every N >= 2.
     """
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
     if n_terms == 1:
         return Sequence(0, (1,))
-    v_next2, v_next = [], [1]  # V_(j+2), V_(j+1) for j = N - 2
-    for j in range(n_terms - 2, 0, -1):
+    return _lconvex_area(n_terms, isqrt(4 * n_terms // 3))
+
+
+def _lconvex_area(n_terms: int, top: int) -> Sequence:
+    """gen_lconvex_area with V_top and V_(top+1) summed directly from the
+    u_k and the backward step run from top - 1; 1 <= top < n_terms."""
+    n = n_terms
+    u_prev2, u_prev1 = [1] + [0] * n, list(range(1, n - top + 1))  # u_(-1), u_0
+    v_next, v_next2 = u_prev1[:], u_prev1[: n - top - 1]  # V_top, V_(top+1)
+    for k in range(1, (n - 1) // top):  # the k with k top < n - top
+        u = u_prev1[: n - top - k * top]
+        u = [*map(sub, map(add, u, u), u_prev2)]
+        div_one_minus_qm(u, k + 1)
+        div_one_minus_qm(u, k + 1)
+        v_next[k * top :] = map(add, v_next[k * top :], u)
+        v_next2[k * (top + 1) :] = map(add, v_next2[k * (top + 1) :], u)
+        u_prev2, u_prev1 = u_prev1, u
+    for j in range(top - 1, 0, -1):
         # 1 - q^j + 2q V_(j+1) - q^2 V_(j+2), kept to N - j coefficients
         rest = v_next[1:]
         v = [1, 2 * v_next[0], *map(sub, map(add, rest, rest), v_next2)]

@@ -40,12 +40,14 @@ from mpmath.libmp import (
     log_int_fixed,
     mpf_div,
     mpf_log,
+    mpf_sqrt,
     round_nearest,
     to_fixed,
 )
 from seqlab.asympt import (
     AMPLITUDE_WINDOWS,
     _Fixed,
+    sqrt_nearest,
     stretched_amplitudes,
     vandermonde_inverse,
 )
@@ -655,6 +657,17 @@ def mpf_tableau(s, w):
                 cur.append(hi + delta / bracket)
             prev2, prev1 = prev1, cur
         return prev1[0], abs(prev1[0] - prev2[1])
+
+
+@pytest.mark.parametrize("digits", [15, 100, 260])
+def test_sqrt_nearest_matches_mpf_sqrt(digits):
+    # every index ratio (n + m)/n of a tableau of up to 34 terms at n < 300,
+    # odd and even exponents and exact squares among them
+    prec = HpContext(digits).prec
+    for n in range(1, 300):
+        for m in range(1, 34):
+            q = mpf_div(from_int(n + m), from_int(n), prec, round_nearest)
+            assert sqrt_nearest(q, prec) == mpf_sqrt(q, prec, round_nearest), (n, m)
 
 
 class TestBstRawTableau:

@@ -191,7 +191,7 @@ LIBMP_NAMES = [
 ]
 # the further names the tests import from mpmath.libmp as reference oracles:
 # from_rational and mpf_pos for decimal rounding, log_int_fixed for the
-# prime-log table, mpf_sqrt for _inv_sqrt
+# prime-log table, mpf_sqrt for sqrt_nearest and _inv_sqrt
 LIBMP_TEST_NAMES = ["from_rational", "log_int_fixed", "mpf_pos", "mpf_sqrt"]
 
 

@@ -3,9 +3,12 @@
 import decimal
 import hashlib
 import random
+import sys
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, count, islice, product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +31,7 @@ from seqlab import (
     gen_stack_area,
 )
 from seqlab.report import unlimited_int_digits
-from seqlab.sequences import _EXACT, _prec_terms
+from seqlab.sequences import _EXACT, _lconvex_area, _prec_terms
 from seqlab.series import int_horner
 from seqlab.errors import (
     BranchAmbiguous,
@@ -134,6 +137,18 @@ class TestGenerators:
             "b3b73389deffaa4e348d92fbd586e102ad954080e1734680b45778f3e55b6640"
         )
 
+    @pytest.mark.parametrize("n", [2001, 5001])
+    def test_lconvex_memory_is_linear(self, n):
+        # two summands alive besides V_J and V_(J+1) peak near 4.5 times the
+        # bytes of the terms; keeping every summand alive reaches 20 to 27
+        tracemalloc.start()
+        try:
+            s = gen_lconvex_area(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * (sys.getsizeof(s.terms) + sum(map(sys.getsizeof, s.terms)))
+
     @pytest.mark.parametrize("gen", [gen_lconvex_area, gen_stack_area])
     def test_every_size_is_a_prefix(self, gen):
         # the n-term run keeps exactly the coefficients below q^n of one
@@ -204,6 +219,17 @@ class TestOracles:
     def test_lconvex_matches_summand_recursion(self):
         for n in [*range(1, 81), 300, 1001]:
             assert gen_lconvex_area(n).terms == self._lconvex_by_summands(n), n
+
+    def test_lconvex_every_switch_matches_summand_recursion(self):
+        # the split between the direct sum and the backward step moves no term
+        for n in range(2, 81):
+            want = self._lconvex_by_summands(n)
+            for top in range(1, n):
+                assert _lconvex_area(n, top).terms == want, (n, top)
+        for n in (300, 1001):
+            want = self._lconvex_by_summands(n)
+            for top in (1, 2, isqrt(4 * n // 3)):
+                assert _lconvex_area(n, top).terms == want, (n, top)
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
