@@ -137,6 +137,11 @@ class TestGenerators:
             "b3b73389deffaa4e348d92fbd586e102ad954080e1734680b45778f3e55b6640"
         )
 
+    def test_stack_5001_pinned(self):
+        assert _digest(gen_stack_area(5001)) == (
+            "1cac05b0cdb7159cb2ad1212c103bb213dc9768053b92a983e06b617c0323a22"
+        )
+
     @pytest.mark.parametrize("n", [2001, 5001])
     def test_lconvex_memory_is_linear(self, n):
         # two summands alive besides V_J and V_(J+1) peak near 4.5 times the
