@@ -7,10 +7,13 @@ The pipeline estimates parameters of two model families from exact terms:
 
 via ratio sequences, exact elimination of inverse-power error terms,
 successive-triple fits, square subsampling, Bulirsch-Stoer extrapolation,
-and overdetermined-free linear amplitude fits.  Everything runs on mpmath
+and overdetermined-free linear amplitude fits.  Values are mpmath
 arbitrary-precision floats at a precision carried by an HpContext; the
 purely rational operators (ratios, eliminations, subsampling) also accept
-exact Fraction values, which the algebraic-identity tests rely on.
+exact Fraction values, which the algebraic-identity tests rely on.  The
+stretched estimators and the log-log points compute on a fixed-point
+integer kernel (_Fixed), with its own logs, and round each output once to
+the context's precision.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from mpmath.libmp import (
     mpf_add,
     mpf_div,
     mpf_exp,
-    mpf_log,
     mpf_mul,
     mpf_pow,
     mpf_sub,
@@ -252,30 +254,16 @@ def square_subsample(s, least: int = 1):
 # ---------------------------------------------------------------------------
 
 def loglog_points(s: HpSeq) -> list[tuple[HpReal, HpReal]]:
-    """The points (log n, log s_n); needs offset >= 1 and positive values.
-
-    Each log is the fixed-point kernel's (_Fixed), rounded once to nearest
-    at the context's precision.  A value in [1/2, 2), whose log would need
-    cancellation bits, and a value that is not a finite mpf take mpmath.log.
-    """
+    """The points (log n, log s_n); needs offset >= 1 and positive, finite
+    values.  Each log is the fixed-point kernel's (_Fixed.log_raw), rounded
+    once to nearest at the context's precision."""
     if s.offset < 1:
         raise ValueError("log-log gradient needs indices >= 1")
     fx = _Fixed(s.ctx, s.offset, s.last_index)
-    scale, prec = fx.table.prec, s.ctx.prec
-
-    def rounded(m: int) -> HpReal:
-        return _make_mpf(from_man_exp(m, -scale, prec, round_nearest))
-
-    with s.ctx.work():
-        points = []
-        for n, v in zip(s.indices(), s.values):
-            if v <= 0:
-                raise NonPositiveValue(f"non-positive value at index {n}")
-            raw = v._mpf_ if isinstance(v, mpmath.mpf) else fzero
-            if raw[1] and not _near_one(raw):
-                points.append((rounded(fx.int_log(n)), rounded(fx.log_raw(raw))))
-            else:
-                points.append((rounded(fx.int_log(n)), mpmath.log(v)))
+    points = []
+    for n, v in zip(s.indices(), s.values):
+        log_v, scale = fx.log_raw(fx.positive(v, n))
+        points.append((fx.ratio(fx.int_log(n), 1, fx.table.prec), fx.ratio(log_v, 1, scale)))
     return points
 
 
@@ -288,12 +276,6 @@ def loglog_gradient(s: HpSeq, points: Optional[list] = None) -> HpSeq:
         out = tuple((y1 - y0) / (x1 - x0)
                     for (x0, y0), (x1, y1) in zip(points, points[1:]))
     return HpSeq(s.offset + 1, out, s.ctx)
-
-
-def _near_one(raw: tuple) -> bool:
-    """Whether the raw mpf x lies in [1/2, 2), where log x needs relative
-    precision, not the kernel's absolute one."""
-    return 0 <= raw[2] + raw[3] <= 1
 
 
 def _atanh_inv(q: int, prec: int) -> int:
@@ -418,8 +400,17 @@ class _Fixed:
     value's).  The rows therefore stay within the few units of 2^-P that
     the guard above assumes, lambda's log of s_n carries less than one unit,
     and the kernel's error stays at least 2^-25 below the final rounding.
-    A value x in [1/2, 2) keeps mpf_log at P bits in stretched_lambda,
-    whose log x needs relative precision.
+
+    A value x in the band 1 - 2^-10 <= x < 1 + 2^-9 (x = man 2^exp, one =
+    2^-exp), whose log needs relative precision, takes log x = 2 atanh(z),
+    z = (x - 1) / (x + 1), at S = T + bit_length(man + one) -
+    bit_length|man - one| + 2 bits.  There |z| 2^S > 2^(T + 1), so
+    |log x| 2^S > 2^(T + 2); z 2^S is floored (under 1 unit, and atanh's
+    slope is below 1 + 2^-19) and the series falls short by under
+    S / 30 + 3, so log x is off by less than S / 15 + 9 units of 2^-S, a
+    relative error below (S / 15 + 9) 2^-(T + 2).  For a mantissa of at most
+    14 T bits (every context float) S <= 15 T + 3, so this is below
+    T 2^-(T + 1) < 2^-(P + 32).
     """
 
     def __init__(self, ctx: HpContext, first: int, last: int):
@@ -471,22 +462,33 @@ class _Fixed:
         """log n 2^T: the table's entry, or past the table n's log as a
         value's (log_raw)."""
         logs = self.table.logs
-        return logs[n] if n < len(logs) else self.log_raw(from_int(n))
+        return logs[n] if n < len(logs) else self.log_raw(from_int(n))[0]
 
-    def log_raw(self, raw: tuple) -> int:
-        """log x 2^T (T = self.table.prec) for a positive raw mpf x: the
-        table entry of x's leading 10 bits, plus its multiple of log 2, plus
-        2 atanh((y - 1) / (y + 1)) for the rest y in [1, 1 + 2^-9)."""
+    def log_raw(self, raw: tuple) -> tuple:
+        """(m, scale) with m 2^-scale = log x, for a positive raw mpf x.
+
+        Outside the band 1 - 2^-10 <= x < 1 + 2^-9, m is log x 2^T
+        (T = self.table.prec): the table entry of x's leading 10 bits, plus
+        its multiple of log 2, plus 2 atanh((y - 1) / (y + 1)) for the rest y
+        in [1, 1 + 2^-9).  Inside it, m is 2 atanh((x - 1) / (x + 1)) at the
+        scale that keeps T bits of it, and log 1 is (0, T)."""
         table = self.table
         _, man, exp, bc = raw
         shift = bc - _TOP_BITS
+        top = man >> shift if shift > 0 else man << -shift
+        if (top, exp + shift) in ((512, -9), (1023, -10)):
+            one = 1 << -exp  # x = man / one, as x < 2 forces exp <= 0
+            diff = man - one
+            if not diff:
+                return 0, table.prec
+            scale = table.prec + (man + one).bit_length() - abs(diff).bit_length() + 2
+            m = 2 * _atanh_fixed((abs(diff) << scale) // (man + one), scale)
+            return (m if diff > 0 else -m), scale
+        rest = 0
         if shift > 0:
-            top = man >> shift
             low = top << shift
             rest = 2 * _atanh_fixed(((man - low) << table.prec) // (man + low), table.prec)
-        else:
-            top, rest = man << -shift, 0
-        return table.logs[top] + table.ln2_times(exp + shift) + rest
+        return table.logs[top] + table.ln2_times(exp + shift) + rest, table.prec
 
     def power(self, n: int, beta: int) -> int:
         """n^beta for beta = fix(beta): the integer square root at 1/2,
@@ -507,21 +509,15 @@ def stretched_lambda(s: HpSeq, beta: Fraction = Fraction(1, 2)) -> HpSeq:
     """lambda_n = log(s_n) / (pi n^beta), starting at index max(offset, 1).
 
     Runs on the fixed-point kernel (_Fixed, whose docstring states the
-    guard): pi n^beta and log(s_n) are fixed-point integers (log(s_n) at the
-    log table's precision, or mpf_log at P bits for s_n in [1/2, 2)), so
-    each lambda_n is rounded once.
+    guard): pi n^beta and log(s_n) (_Fixed.log_raw) are fixed-point
+    integers, so each lambda_n is rounded once.
     """
     s = s.slice_from(1)
     fx = _Fixed(s.ctx, s.offset, s.last_index)
     b, pi, wp = fx.fix(beta), fx.pi, fx.bits
     out = []
     for n, v in zip(s.indices(), s.values):
-        raw = fx.positive(v, n)
-        if _near_one(raw):
-            sign, log_v, exp, _ = mpf_log(raw, wp)
-            log_v, scale = -log_v if sign else log_v, -exp
-        else:
-            log_v, scale = fx.log_raw(raw), fx.table.prec
+        log_v, scale = fx.log_raw(fx.positive(v, n))
         out.append(fx.ratio(log_v, pi * fx.power(n, b), scale - 2 * wp))
     return HpSeq(s.offset, tuple(out), s.ctx)
 

@@ -220,6 +220,12 @@ class TestLogLogGradient:
         with pytest.raises(NonPositiveValue):
             loglog_gradient(frac_seq(1, [1, -2, 3]))
 
+    @pytest.mark.parametrize("bad", [mpmath.inf, mpmath.nan])
+    def test_non_finite_value_rejected(self, bad):
+        s = HpSeq(1, (mpmath.mpf(2), mpmath.mpf(bad), mpmath.mpf(5)), CTX50)
+        with pytest.raises(ValueError, match="non-finite value at index 2"):
+            loglog_points(s)
+
 
 class TestStretchedFit:
     def plant(self, a, e2, e3, n_max, ctx=CTX100):
@@ -416,7 +422,8 @@ class TestStretchedAmplitudesAtIndices:
 class ReferenceKernel(_Fixed):
     """The kernel's logs and roots as they were before the log table:
     log_int_fixed at P bits for log n, mpf_log at P bits for a value's log
-    (at the table's scale, which holds it exactly) and isqrt for sqrt n."""
+    (at the scale of its last bit, which holds it exactly) and isqrt for
+    sqrt n."""
 
     def sqrt(self, n):
         return isqrt(n << 2 * self.bits)
@@ -425,7 +432,8 @@ class ReferenceKernel(_Fixed):
         return log_int_fixed(n, self.bits)
 
     def log_raw(self, raw):
-        return to_fixed(mpf_log(raw, self.bits), self.table.prec)
+        sign, man, exp, _ = mpf_log(raw, self.bits)
+        return -man if sign else man, -exp
 
 
 def random_raws(rng, count):
@@ -461,7 +469,39 @@ class TestKernelLog:
         prec = fx.table.prec
         for raw in random_raws(random.Random(digits), 7000):
             ref = to_fixed(mpf_log(raw, prec + 80), prec + 80)
-            assert abs(ref - (fx.log_raw(raw) << 80)) < 21 * prec << 80, raw
+            m, scale = fx.log_raw(raw)
+            assert scale == prec
+            assert abs(ref - (m << 80)) < 21 * prec << 80, raw
+
+    @pytest.mark.parametrize("digits", [15, 100, 250])
+    def test_logs_near_one(self, digits):
+        # in the band 1 - 2^-10 <= x < 1 + 2^-9 a value's log keeps T bits
+        # relative: x = 1 +- f 2^-k, f in (0, 1) of up to prec bits, is off
+        # by less than 2^-(prec + 64) of log x
+        fx = _Fixed(HpContext(digits), 1, 1300)
+        prec, rng = HpContext(digits).prec, random.Random(digits)
+        assert fx.log_raw(from_int(1)) == (0, fx.table.prec)
+        for k in range(10, 3 * prec + 1):
+            for sign in (1, -1):
+                d = rng.getrandbits(rng.randint(1, prec)) | 1
+                shift = k + d.bit_length()
+                raw = from_man_exp((1 << shift) + sign * d, -shift)
+                m, scale = fx.log_raw(raw)
+                ref = to_fixed(mpf_log(raw, scale + 80), scale + 80)
+                assert abs(ref - (m << 80)) << prec + 64 < abs(ref), raw
+
+    def test_band_edges(self):
+        # 1 - 2^-10 and 1 + 2^-9 - 2^-40 lie in the band; 1 - 2^-10 - 2^-40
+        # and 1 + 2^-9 lie outside it and take the table at scale T
+        fx = _Fixed(HpContext(30), 1, 100)
+        prec = fx.table.prec
+        inside = [from_man_exp(1023, -10), from_man_exp(2 ** 40 + 2 ** 31 - 1, -40)]
+        outside = [from_man_exp(2 ** 40 - 2 ** 30 - 1, -40), from_man_exp(513, -9)]
+        for raw in inside + outside:
+            m, scale = fx.log_raw(raw)
+            assert (scale > prec) == (raw in inside), raw
+            ref = to_fixed(mpf_log(raw, scale + 80), scale + 80)
+            assert abs(ref - (m << 80)) << 64 < abs(ref), raw
 
     def test_indices_past_the_table(self):
         # a range far from 1 leaves the table at 1023 entries: its logs are
@@ -480,7 +520,9 @@ class TestKernelLog:
         for e in (2 ** 32 - 1, -(2 ** 32), 3 ** 40, -(7 ** 30)):
             raw = from_man_exp(12345, e)
             ref = to_fixed(mpf_log(raw, prec + 80), prec + 80)
-            assert abs(ref - (fx.log_raw(raw) << 80)) < 21 * prec << 80, e
+            m, scale = fx.log_raw(raw)
+            assert scale == prec
+            assert abs(ref - (m << 80)) < 21 * prec << 80, e
 
 
 def stretched_values(s, beta, delta, a):
@@ -550,23 +592,26 @@ from fractions import Fraction
 from mpmath.libmp import libelefun
 from seqlab import (HpContext, HpSeq, gen_lconvex_area, gen_stack_area, loglog_points,
                     stretched_amplitude_seq, stretched_lambda, stretched_triple_fit)
+from seqlab.pipeline import ratio_loglog
 ctx = HpContext(100)
-for counts in (gen_lconvex_area(1301), gen_stack_area(600)):
+for counts in (gen_stack_area(600), gen_lconvex_area(1301)):
     s = HpSeq.from_sequence(counts, ctx).slice_from(1)
     stretched_triple_fit(stretched_lambda(s))
     stretched_amplitude_seq(s, Fraction(7, 5), Fraction(1, 2), Fraction(3, 2))
     loglog_points(s)
-print(len(libelefun.log_taylor_cache), len(libelefun.log_int_cache))
+    ratio_loglog(s)
+    print(len(libelefun.log_taylor_cache), len(libelefun.log_int_cache))
 """
 
 
 def test_stretched_chain_leaves_mpmath_log_caches_empty():
-    # a fresh process runs the stretched chain and the log-log points on
-    # counts without filling mpmath's log caches
+    # a fresh process runs the stretched chain, the log-log points and the
+    # log-log figures of the ratios (whose r_n - 1 start near 1) on counts
+    # without filling mpmath's log caches
     proc = subprocess.run([sys.executable, "-c", COLD_START], env=child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0", "0"] * 2
 
 
 class TestPowerLaw:
