@@ -476,10 +476,12 @@ class TestKernelLog:
     @pytest.mark.parametrize("digits", [15, 100, 250])
     def test_logs_near_one(self, digits):
         # in the band 1 - 2^-10 <= x < 1 + 2^-9 a value's log keeps T bits
-        # relative: x = 1 +- f 2^-k, f in (0, 1) of up to prec bits, is off
-        # by less than 2^-(prec + 64) of log x
+        # relative: x = 1 +- f 2^-k, f in [1/2, 1) of up to prec bits and
+        # k from 10 to 3 prec, is off by less than 2^-(prec + 64) of log x.
+        # mpf_log keeps its precision relative near 1, so T + 80 bits of it
+        # placed at scale + 80 are an exact enough reference
         fx = _Fixed(HpContext(digits), 1, 1300)
-        prec, rng = HpContext(digits).prec, random.Random(digits)
+        prec, rng = fx.prec, random.Random(digits)
         assert fx.log_raw(from_int(1)) == (0, fx.table.prec)
         for k in range(10, 3 * prec + 1):
             for sign in (1, -1):
@@ -487,7 +489,7 @@ class TestKernelLog:
                 shift = k + d.bit_length()
                 raw = from_man_exp((1 << shift) + sign * d, -shift)
                 m, scale = fx.log_raw(raw)
-                ref = to_fixed(mpf_log(raw, scale + 80), scale + 80)
+                ref = to_fixed(mpf_log(raw, fx.table.prec + 80), scale + 80)
                 assert abs(ref - (m << 80)) << prec + 64 < abs(ref), raw
 
     def test_band_edges(self):
@@ -500,7 +502,7 @@ class TestKernelLog:
         for raw in inside + outside:
             m, scale = fx.log_raw(raw)
             assert (scale > prec) == (raw in inside), raw
-            ref = to_fixed(mpf_log(raw, scale + 80), scale + 80)
+            ref = to_fixed(mpf_log(raw, prec + 80), scale + 80)
             assert abs(ref - (m << 80)) << 64 < abs(ref), raw
 
     def test_indices_past_the_table(self):
