@@ -12,15 +12,15 @@ arbitrary-precision floats at a precision carried by an HpContext; the
 purely rational operators (ratios, eliminations, subsampling) also accept
 exact Fraction values, which the algebraic-identity tests rely on.  The
 stretched estimators and the log-log points compute on a fixed-point
-integer kernel (_Fixed), with its own logs, and round each output once to
-the context's precision.
+integer kernel (_Fixed), with its own logs and exps, and round each output
+once to the context's precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb, factorial, isqrt
 from typing import Callable, Iterable, Optional, Union
@@ -30,12 +30,10 @@ from mpmath.libmp import (
     dps_to_prec,
     fone,
     from_int,
-    from_man_exp,
     fzero,
     mpf_abs,
     mpf_add,
     mpf_div,
-    mpf_exp,
     mpf_mul,
     mpf_pow,
     mpf_sub,
@@ -83,22 +81,32 @@ class HpContext:
     def mpf(self, x) -> HpReal:
         """x as a context float; a Fraction is rounded once, to nearest."""
         if isinstance(x, Fraction):
-            raw = sticky_quotient(x.numerator, x.denominator, self.prec)
-            return _make_mpf(normalize(*raw, self.prec, round_nearest))
+            return _make_mpf(quotient_nearest(x.numerator, x.denominator, self.prec))
         with self.work():
             return mpmath.mpf(x)
 
 
-def sticky_quotient(num: int, den: int, bits: int, shift: int = 0) -> tuple:
-    """The raw mpf num / (den 2^shift), den != 0, before rounding: a quotient
-    of bits + 3 or more bits with the remainder as a sticky last bit, which
-    normalize rounds to `bits` or fewer bits as it would the exact quotient."""
+def quotient_nearest(num: int, den: int, prec: int, shift: int = 0) -> tuple:
+    """The raw mpf num / (den 2^shift), den != 0, rounded once to prec bits,
+    to nearest with ties to even: the tuple normalize gives for the exact
+    quotient.  One divmod gives a quotient q of prec + 1 or prec + 2 bits and
+    a remainder r; the bits of q below prec decide the rounding, r != 0
+    breaks a tie, and trailing zeros are stripped as normalize strips them."""
+    if not num:
+        return fzero
     sign = int((num < 0) != (den < 0))
     num, den = abs(num), abs(den)
-    k = bits + 3 + den.bit_length() - num.bit_length()
+    k = prec + 1 + den.bit_length() - num.bit_length()
     q, r = divmod(num << k, den) if k >= 0 else divmod(num, den << -k)
-    man = 2 * q + (r != 0)
-    return sign, man, -k - 1 - shift, man.bit_length()
+    drop = q.bit_length() - prec
+    half = 1 << (drop - 1)
+    low = q & ((half << 1) - 1)
+    q >>= drop
+    if low > half or low == half and (r or q & 1):
+        q += 1
+    zeros = (q & -q).bit_length() - 1
+    q >>= zeros
+    return sign, q, drop + zeros - k - shift, q.bit_length()
 
 
 def sqrt_nearest(x: tuple, prec: int) -> tuple:
@@ -166,8 +174,10 @@ class HpSeq:
 
     @staticmethod
     def from_sequence(seq, ctx: HpContext = HpContext()) -> "HpSeq":
-        with ctx.work():
-            return HpSeq(seq.offset, tuple(mpmath.mpf(t) for t in seq.terms), ctx)
+        """The integer terms of seq, each rounded to nearest at ctx.prec."""
+        prec = ctx.prec
+        return HpSeq(seq.offset, tuple(_make_mpf(from_int(t, prec, round_nearest))
+                                       for t in seq.terms), ctx)
 
 
 @dataclass(frozen=True)
@@ -326,7 +336,8 @@ class _LogTable:
     factor p and of n / p.  Every rounding is a floor, so each entry falls
     short of the true value (by how much: _Fixed).  `ln2` is log 2 at
     T + 64 bits, for multiples of log 2 that must keep T bits.  Built
-    lazily and grown on demand; _log_table keeps one per P.
+    lazily and grown on demand; _log_table keeps one per P, with its exp
+    tables (`exps`) once an exp asks for them.
     """
 
     def __init__(self, bits: int):
@@ -351,6 +362,28 @@ class _LogTable:
             logs.append(logs[p] + logs[n // p] if p < n
                         else logs[n - 1] + 2 * _atanh_inv(2 * n - 1, self.prec))
         self.roots += [isqrt(n << 2 * self.bits) for n in range(start, last + 1)]
+
+    @cached_property
+    def exps(self) -> list[list[int]]:
+        """floor(exp(j 2^-8l) 2^T) for 0 <= j < 256, as table l - 1 for
+        l = 1..4.  Table l starts from exp(2^-8l) 2^T, the series whose
+        terms floor(2^(T - 8l i) / i!) come one from the other by a shift
+        and a floored division, and multiplies on by it, floored at each
+        step (the bounds: _Fixed)."""
+        T = self.prec
+        tables = []
+        for l in range(1, 5):
+            base = term = 1 << T
+            i = 0
+            while term:
+                i += 1
+                term = (term >> 8 * l) // i
+                base += term
+            row = [1 << T, base]
+            for _ in range(254):
+                row.append(row[-1] * base >> T)
+            tables.append(row)
+        return tables
 
     def ln2_times(self, e: int) -> int:
         """floor(e log 2 2^T), from log 2 at T + 64 bits or, for |e| >= 2^32,
@@ -411,6 +444,22 @@ class _Fixed:
     relative error below (S / 15 + 9) 2^-(T + 2).  For a mantissa of at most
     14 T bits (every context float) S <= 15 T + 3, so this is below
     T 2^-(T + 1) < 2^-(P + 32).
+
+    The exp (exp, for the amplitudes and for n^beta off beta = 1/2) is off
+    by a relative error below (68 T + 2^12) 2^-T, for |x| < 2^31.  In units
+    of 2^-T: flooring x to W = T + 64 bits and k `ln2` (|k| < 2^32) miss by
+    under (|k| + 1) 2^-64, and r's floor to T bits by under 1.  Table l's
+    base exp(2^-8l) sums at most T / 8l nonzero terms, each floored by
+    under 1, and misses a tail under 2, so it falls short by b < T / 8l + 2;
+    entry j of its products then falls short by under j (b + 1) relative,
+    under 255 (T / 8l + 3), which over the four tables is under
+    67 T + 3060.  The three products of entries are floored (under 1 each,
+    as each lies in [1, 2)), and the Taylor sum on the rest below 2^-32 has
+    at most (T + 1) / 32 nonzero terms, each short by under 1.01, and a
+    tail under 1.  As T < 2^g 2^-31, this bound is below 2^(g - 23) 2^-T =
+    2^-(P + 23), 2^-(3 bit_length(N) + 55) of the final rounding: under the
+    2^-25 margin above, beside the exponent's own error that it covers.
+    n^beta floored to P bits is therefore within (1 + 2^-23) 2^-P relative.
     """
 
     def __init__(self, ctx: HpContext, first: int, last: int):
@@ -490,19 +539,44 @@ class _Fixed:
             rest = 2 * _atanh_fixed(((man - low) << table.prec) // (man + low), table.prec)
         return table.logs[top] + table.ln2_times(exp + shift) + rest, table.prec
 
+    def exp(self, x: int, scale: int) -> tuple:
+        """(m, shift) with m 2^-shift = exp(x 2^-scale), m about T + 1 bits.
+
+        x 2^-scale is floored to W = T + 64 bits and reduced by k log 2
+        (`ln2`, at W bits) to r in [0, log 2), floored to T bits.  The four
+        8-bit chunks of r below the point pick exp(j 2^-8l) from the tables
+        (`exps`), and the rest, below 2^-32, is a Taylor sum on their
+        product, each term the last one times the rest, over i."""
+        table = self.table
+        T, W = table.prec, table.prec + 64
+        x = x << W - scale if scale <= W else x >> scale - W
+        k, r = divmod(x, table.ln2)
+        r >>= 64
+        e1, e2, e3, e4 = table.exps
+        y = e1[r >> T - 8] * e2[r >> T - 16 & 255] >> T
+        y = y * e3[r >> T - 24 & 255] >> T
+        y = y * e4[r >> T - 32 & 255] >> T
+        rest = r & (1 << T - 32) - 1
+        term, i = y, 0
+        while term:
+            i += 1
+            term = (term * rest >> T) // i
+            y += term
+        return y, T - k
+
     def power(self, n: int, beta: int) -> int:
         """n^beta for beta = fix(beta): the integer square root at 1/2,
-        otherwise exp(beta log n)."""
+        otherwise exp(beta log n), floored to P bits."""
         if beta == 1 << (self.bits - 1):
             return self.sqrt(n)
-        exponent = from_man_exp(beta * self.log(n), -2 * self.bits)
-        return to_fixed(mpf_exp(exponent, self.bits), self.bits)
+        m, shift = self.exp(beta * self.log(n), 2 * self.bits)
+        shift -= self.bits
+        return m >> shift if shift >= 0 else m << -shift
 
     def ratio(self, num: int, den: int, shift: int = 0) -> HpReal:
         """The context float num / (den 2^shift), den != 0, rounded once to
         prec, to nearest."""
-        raw = sticky_quotient(num, den, self.prec, shift)
-        return _make_mpf(normalize(*raw, self.prec, round_nearest))
+        return _make_mpf(quotient_nearest(num, den, self.prec, shift))
 
 
 def stretched_lambda(s: HpSeq, beta: Fraction = Fraction(1, 2)) -> HpSeq:
@@ -612,8 +686,8 @@ def stretched_amplitudes(s: HpSeq, a: Real, beta: Fraction, delta: Real,
 
     Runs on the fixed-point kernel (_Fixed, whose docstring states the
     guard), at the precision that s's last index sets: the exponent
-    delta log(n) - a pi n^beta is a fixed-point integer, so each c_n takes
-    one exp and one rounding.
+    delta log(n) - a pi n^beta is a fixed-point integer, and so is its exp
+    (_Fixed.exp); mpf_mul multiplies s_n by it exactly and rounds once.
     """
     fx = _Fixed(s.ctx, s.offset, s.last_index)
     wp = fx.bits
@@ -624,8 +698,9 @@ def stretched_amplitudes(s: HpSeq, a: Real, beta: Fraction, delta: Real,
         if n < 1:
             raise ValueError(f"amplitudes need indices >= 1, got {n}")
         raw = fx.positive(s.value(n), n)
-        exponent = from_man_exp(d * fx.log(n) - a_pi * fx.power(n, b), -2 * wp)
-        out.append(_make_mpf(mpf_mul(raw, mpf_exp(exponent, wp), fx.prec, round_nearest)))
+        m, shift = fx.exp(d * fx.log(n) - a_pi * fx.power(n, b), 2 * wp)
+        exp = (0, m, -shift, m.bit_length())
+        out.append(_make_mpf(mpf_mul(raw, exp, fx.prec, round_nearest)))
     return tuple(out)
 
 

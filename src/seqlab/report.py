@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional
 import mpmath
 from mpmath.libmp import dps_to_prec, finf, fnan, fninf, normalize, round_nearest, to_str
 
-from .asympt import sticky_quotient
+from .asympt import quotient_nearest
 
 
 @contextmanager
@@ -52,7 +52,7 @@ def decimal_str(value, digits: Optional[int] = None) -> str:
     Any other value is first rounded once, to nearest with ties to even, to
     the binary precision of dps = max(mp.dps, digits) + 5 decimal digits
     (`dps_to_prec(dps)` bits): an mpf from its own bits, a Fraction as the
-    exact quotient (asympt.sticky_quotient), anything else as mpf(value)
+    exact quotient (asympt.quotient_nearest), anything else as mpf(value)
     at dps.  It then prints with D = `digits` (default: dps) significant
     digits, exactly as mpmath's to_str(raw, D) does:
 
@@ -101,7 +101,7 @@ class _Decimals:
             return str(value)
         if isinstance(value, Fraction):
             num, den = value.numerator, value.denominator
-            return str(num) if den == 1 else sticky_quotient(num, den, self.prec)
+            return str(num) if den == 1 else quotient_nearest(num, den, self.prec)
         with mpmath.workdps(self.dps):
             return mpmath.mpf(value)._mpf_
 

@@ -39,14 +39,17 @@ from mpmath.libmp import (
     from_man_exp,
     log_int_fixed,
     mpf_div,
+    mpf_exp,
     mpf_log,
     mpf_sqrt,
+    normalize,
     round_nearest,
     to_fixed,
 )
 from seqlab.asympt import (
     AMPLITUDE_WINDOWS,
     _Fixed,
+    quotient_nearest,
     sqrt_nearest,
     stretched_amplitudes,
     vandermonde_inverse,
@@ -129,6 +132,25 @@ class TestHpSeq:
         hs = HpSeq.from_sequence(Sequence(0, (1, 2, 3)), CTX50)
         assert hs.offset == 0
         assert hs.values[2] == 3
+
+    @pytest.mark.parametrize("digits", [1, 15, 100])
+    def test_from_sequence_rounds_as_mpf(self, digits):
+        # each term is the mpf that mpmath.mpf gives under ctx.work(): ints
+        # wider than prec, exact ties at prec + 1 bits (both parities of the
+        # kept bits), negative ints and zero
+        ctx = HpContext(digits)
+        prec, rng = ctx.prec, random.Random(digits)
+        terms = [0, 1, -1]
+        for _ in range(600):
+            kept = rng.getrandbits(prec) | 1 << prec - 1
+            terms += [(2 * kept + 1) << rng.randrange(40),
+                      rng.getrandbits(rng.randint(1, 3 * prec))]
+        terms += [-t for t in terms]
+        hs = HpSeq.from_sequence(Sequence(-2, terms), ctx)
+        with ctx.work():
+            want = [mpmath.mpf(t)._mpf_ for t in terms]
+        assert [v._mpf_ for v in hs.values] == want
+        assert (hs.offset, hs.ctx) == (-2, ctx)
 
 
 class TestRatios:
@@ -420,10 +442,12 @@ class TestStretchedAmplitudesAtIndices:
 
 
 class ReferenceKernel(_Fixed):
-    """The kernel's logs and roots as they were before the log table:
+    """The kernel's logs, roots and exps as they were before its tables:
     log_int_fixed at P bits for log n, mpf_log at P bits for a value's log
-    (at the scale of its last bit, which holds it exactly) and isqrt for
-    sqrt n."""
+    (at the scale of its last bit, which holds it exactly), isqrt for
+    sqrt n, and mpf_exp at P bits for an exp, so that an amplitude is
+    mpf_mul of s_n and that exp at prec and n^beta (beta != 1/2) is
+    to_fixed of it at P bits."""
 
     def sqrt(self, n):
         return isqrt(n << 2 * self.bits)
@@ -434,6 +458,10 @@ class ReferenceKernel(_Fixed):
     def log_raw(self, raw):
         sign, man, exp, _ = mpf_log(raw, self.bits)
         return -man if sign else man, -exp
+
+    def exp(self, x, scale):
+        _, man, exp, _ = mpf_exp(from_man_exp(x, -scale), self.bits)
+        return man, -exp
 
 
 def random_raws(rng, count):
@@ -527,6 +555,54 @@ class TestKernelLog:
             assert abs(ref - (m << 80)) < 21 * prec << 80, e
 
 
+class TestKernelExp:
+    """_Fixed.exp against mpf_exp at T + 64 bits, within the relative error
+    (68 T + 2^12) 2^-T that the _Fixed docstring states."""
+
+    @staticmethod
+    def assert_within_bound(fx, x, scale):
+        T = fx.table.prec
+        m, shift = fx.exp(x, scale)
+        assert m >> T == 1, x  # exp(r) for r in [0, log 2)
+        ref = to_fixed(mpf_exp(from_man_exp(x, -scale), T + 64), shift + 64)
+        assert abs(ref - (m << 64)) << T < (68 * T + 4096) * ref, x
+
+    @pytest.mark.parametrize("digits, last", [(15, 300), (100, 2000), (250, 20000)])
+    def test_seeded_arguments(self, digits, last):
+        # |x| up to 2^25 at the kernel's scale 2^-2P, every magnitude below
+        fx = _Fixed(HpContext(digits), 1, last)
+        scale, rng = 2 * fx.bits, random.Random(digits)
+        xs = [0, 1, -1, 1 << scale + 25, -(1 << scale + 25)]
+        for _ in range(3000):
+            x = rng.getrandbits(rng.randint(1, scale + 25))
+            xs += [x, -x]
+        for x in xs:
+            self.assert_within_bound(fx, x, scale)
+        # another input scale, below T + 64 bits
+        for x in xs[:200]:
+            self.assert_within_bound(fx, x >> scale - 60, 60)
+
+    @pytest.mark.parametrize("digits", [15, 100, 250])
+    def test_near_multiples_of_log2(self, digits):
+        # x just below and above k log 2, where the reduction's k steps and
+        # r lies at either end of [0, log 2)
+        fx = _Fixed(HpContext(digits), 1, 2000)
+        scale, rng = 2 * fx.bits, random.Random(digits)
+        for k in [0, 1, -1, 2, -2, *(rng.randint(-2 ** 25, 2 ** 25) for _ in range(300))]:
+            with mpmath.workprec(scale + 64):
+                at = int(mpmath.floor(k * mpmath.ln2 * mpmath.ldexp(1, scale)))
+            for d in (1, 1 << 40, 1 << scale - 30, 1 << scale - 8):
+                for x in (at - d, at + d):
+                    self.assert_within_bound(fx, x, scale)
+
+    def test_exact_at_zero(self):
+        fx = _Fixed(HpContext(30), 1, 100)
+        T = fx.table.prec
+        assert fx.exp(0, 2 * fx.bits) == (1 << T, T)
+        assert [row[0] for row in fx.table.exps] == [1 << T] * 4
+        assert [len(row) for row in fx.table.exps] == [256] * 4
+
+
 def stretched_values(s, beta, delta, a):
     """The _mpf_ tuples of lambda, of the triple fit at beta = 1/2, and of
     the amplitudes."""
@@ -537,7 +613,8 @@ def stretched_values(s, beta, delta, a):
 
 
 class TestKernelMatchesMpmathLogs:
-    """The kernel's table logs give the tuples that mpmath's logs gave."""
+    """The kernel's table logs and exps give the tuples that mpmath's logs
+    and exps gave."""
 
     @pytest.mark.parametrize("digits", [15, 60, 100, 250])
     def test_stretched_estimators(self, digits, lconvex_2000, stack_2000, monkeypatch):
@@ -704,6 +781,60 @@ def mpf_tableau(s, w):
                 cur.append(hi + delta / bracket)
             prev2, prev1 = prev1, cur
         return prev1[0], abs(prev1[0] - prev2[1])
+
+
+def sticky_quotient(num, den, bits, shift=0):
+    """The rounding that quotient_nearest replaced: num / (den 2^shift)
+    to bits + 3 or more bits with the remainder as a sticky last bit, for
+    normalize to round."""
+    sign = int((num < 0) != (den < 0))
+    num, den = abs(num), abs(den)
+    k = bits + 3 + den.bit_length() - num.bit_length()
+    q, r = divmod(num << k, den) if k >= 0 else divmod(num, den << -k)
+    man = 2 * q + (r != 0)
+    return sign, man, -k - 1 - shift, man.bit_length()
+
+
+class TestQuotientNearest:
+    @staticmethod
+    def cases(rng, count):
+        """(num, den, prec, shift): numerators of 0 to 900 bits and
+        denominators of 1 to 600 bits of either sign, a zero numerator, and
+        every third an exact tie at prec + 1 bits, times den; shifts in
+        [-1000, 1000] and +-1000 itself."""
+        for i in range(count):
+            prec = rng.randint(1, 400)
+            den = rng.choice((1, -1)) * (rng.getrandbits(rng.randint(0, 600)) + 1)
+            if i % 3 == 0:
+                kept = rng.getrandbits(prec) | 1 << prec - 1
+                num = rng.choice((1, -1)) * ((2 * kept + 1) << rng.randrange(20)) * den
+            elif i % 50 == 1:
+                num = 0
+            else:
+                num = rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 900))
+            shift = rng.choice((-1000, 1000)) if i % 7 == 0 else rng.randint(-1000, 1000)
+            yield num, den, prec, shift
+
+    def test_matches_normalized_sticky_quotient(self):
+        rng = random.Random(3232)
+        ties = 0
+        for num, den, prec, shift in self.cases(rng, 100_000):
+            got = quotient_nearest(num, den, prec, shift)
+            want = normalize(*sticky_quotient(num, den, prec, shift), prec, round_nearest)
+            assert got == want, (num, den, prec, shift)
+            ties += num % den == 0 and (abs(num) // abs(den)).bit_length() > prec
+        assert ties > 30_000
+
+    def test_ties_go_to_even(self):
+        # a + 1/2 and a + 3/2 for the even a = 2^(prec - 1) lie halfway
+        # between two floats of prec bits: both go to the even neighbour
+        for prec in (2, 3, 53, 300):
+            a = 1 << prec - 1
+            assert quotient_nearest(2 * a + 1, 2, prec) == from_int(a)
+            assert quotient_nearest(2 * a + 3, -2, prec, 5) == from_man_exp(-(a + 2), -5)
+
+    def test_zero_numerator(self):
+        assert quotient_nearest(0, -7, 53, 1000) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("digits", [15, 100, 260])

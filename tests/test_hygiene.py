@@ -184,15 +184,17 @@ def test_all_lists_every_reexport():
 # every name the package imports from mpmath.libmp: report.py's decimal
 # rendering and the fixed-point kernel of asympt.py
 LIBMP_NAMES = [
-    "dps_to_prec", "finf", "fnan", "fninf", "fone", "from_int", "from_man_exp",
-    "fzero", "mpf_abs", "mpf_add", "mpf_div", "mpf_exp", "mpf_mul", "mpf_pow",
-    "mpf_sub", "normalize", "pi_fixed", "round_nearest", "to_fixed", "to_str",
+    "dps_to_prec", "finf", "fnan", "fninf", "fone", "from_int", "fzero",
+    "mpf_abs", "mpf_add", "mpf_div", "mpf_mul", "mpf_pow", "mpf_sub",
+    "normalize", "pi_fixed", "round_nearest", "to_fixed", "to_str",
 ]
 # the further names the tests import from mpmath.libmp as reference oracles:
 # from_rational and mpf_pos for decimal rounding, log_int_fixed for the
-# prime-log table, mpf_log for a value's log, mpf_sqrt for sqrt_nearest and
+# prime-log table, mpf_log for a value's log, mpf_exp (with from_man_exp
+# for its argument) for the kernel's exp, mpf_sqrt for sqrt_nearest and
 # _inv_sqrt
-LIBMP_TEST_NAMES = ["from_rational", "log_int_fixed", "mpf_log", "mpf_pos", "mpf_sqrt"]
+LIBMP_TEST_NAMES = ["from_man_exp", "from_rational", "log_int_fixed", "mpf_exp", "mpf_log",
+                    "mpf_pos", "mpf_sqrt"]
 
 
 def _libmp_imports(paths):
