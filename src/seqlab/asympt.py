@@ -540,7 +540,7 @@ class _Fixed:
         return table.logs[top] + table.ln2_times(exp + shift) + rest, table.prec
 
     def exp(self, x: int, scale: int) -> tuple:
-        """(m, shift) with m 2^-shift = exp(x 2^-scale), m about T + 1 bits.
+        """(m, shift) with m 2^-shift = exp(x 2^-scale) and 2^T <= m < 2^(T + 1).
 
         x 2^-scale is floored to W = T + 64 bits and reduced by k log 2
         (`ln2`, at W bits) to r in [0, log 2), floored to T bits.  The four
