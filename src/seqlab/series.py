@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Sequence as Seq, Union
 
 from .errors import NonIntegral, ZeroConstantTerm
@@ -222,40 +222,71 @@ def poly_values(coeffs: Seq[Scalar], n0: int) -> Iterator[Scalar]:
     return values
 
 
-def div_one_minus_qm(a: list, m: int) -> None:
-    """a /= (1 - q^m) in place, truncated to len(a) (stride-m prefix sums).
+def div_one_minus_qm(a: list, m: int, power: int = 1) -> None:
+    """a /= (1 - q^m)^power in place, truncated to len(a) (stride-m prefix
+    sums, `power` times over).
 
     Either path loops at C speed over whichever is longer: with m^2 < len(a)
-    each of the m residue classes a[r::m] becomes its running sum through
-    `accumulate`; otherwise each block of m entries adds the block before
-    it with one `map(add, ...)`, about len(a)/m blocks.
+    each of the m residue classes a[r::m] becomes its `power`-fold running
+    sum through nested `accumulate`, read and written once; otherwise each
+    block of m entries adds the block before it with one `map(add, ...)`,
+    about len(a)/m blocks per power.
     """
     n = len(a)
     if m * m < n:
         for r in range(m):
-            a[r::m] = accumulate(a[r::m])
+            sums = a[r::m]
+            for _ in range(power):
+                sums = accumulate(sums)
+            a[r::m] = sums
     else:
-        for s in range(m, n, m):
-            a[s : s + m] = map(add, a[s : s + m], a[s - m : s])
+        for _ in range(power):
+            for s in range(m, n, m):
+                a[s : s + m] = map(add, a[s : s + m], a[s - m : s])
 
 
-def div_q_infinity(a: list) -> None:
-    """a /= (q;q)_inf in place, truncated to len(a).
+def q_infinity_terms(order: int) -> list[tuple[int, int]]:
+    """The nonzero terms (g, c) of (q;q)_inf below q^order, ascending in g.
 
-    By Euler's pentagonal number theorem (q;q)_inf is the sum of
-    (-1)^k q^g over the generalised pentagonal numbers g = k(3k - 1)/2 and
-    g = k(3k + 1)/2, k >= 0, so the quotient obeys a[n] += sum of
-    (-1)^(k+1) a[n - g] over the g in 1..n: about 2 sqrt(2n/3) additions
-    per coefficient.
+    By Euler's pentagonal number theorem they sit at the generalised
+    pentagonal numbers g = k(3k - 1)/2 and k(3k + 1)/2, k >= 0, with
+    c = (-1)^k: about 2 sqrt(2 order/3) terms.
     """
-    plus, minus = [], []  # generalised pentagonal numbers below len(a), by sign
+    terms = [(0, 1)] if order > 0 else []
     k = 1
-    while k * (3 * k - 1) // 2 < len(a):
-        (plus if k % 2 else minus).extend((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
+    while k * (3 * k - 1) // 2 < order:
+        c = -1 if k % 2 else 1
+        terms += [(g, c) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g < order]
         k += 1
-    for n in range(1, len(a)):
-        a[n] += (sum([a[n - g] for g in plus if g <= n])
-                 - sum([a[n - g] for g in minus if g <= n]))
+    return terms
+
+
+def div_q_infinity_cubed(a: list) -> None:
+    """a /= (q;q)_inf^3 in place, truncated to len(a).
+
+    By Jacobi's identity (q;q)_inf^3 is the sum of (-1)^k (2k + 1) q^t over
+    the triangular numbers t = k(k + 1)/2, k >= 0 (a corollary of the triple
+    product; Andrews, The Theory of Partitions, 1976, ch. 2), so the
+    quotient obeys a[n] += sum of (-1)^(k+1) (2k + 1) a[n - t] over the t
+    in 1..n: about sqrt(2n) weighted taps per coefficient, against
+    2 sqrt(2n/3) for each division by (q;q)_inf through Euler's pentagonal
+    recurrence.
+
+    The quotient is rebuilt by appending, so its taps stay at the fixed
+    negative indices -t, and one `itemgetter`, remade as each t comes into
+    range, fetches them all at C speed.
+    """
+    rest = a[1:]
+    del a[1:]
+    offsets, weights = [0], [0]  # a zero-weight tap keeps the fetch a tuple
+    k = 1
+    for n, x in enumerate(rest, 1):
+        if n == k * (k + 1) // 2:
+            offsets.append(-n)
+            weights.append(2 * k + 1 if k % 2 else -2 * k - 1)
+            taps = itemgetter(*offsets)
+            k += 1
+        a.append(x + sum(map(mul, weights, taps(a))))
 
 
 def primitive_int(vec: Seq[Scalar]) -> list[int]:

@@ -154,6 +154,18 @@ class TestGenerators:
             tracemalloc.stop()
         assert peak < 6 * (sys.getsizeof(s.terms) + sum(map(sys.getsizeof, s.terms)))
 
+    @pytest.mark.parametrize("n", [2001])
+    def test_stack_memory_is_linear(self, n):
+        # the dividend, the quotient and the terms' tuple peak near 1.4
+        # times the bytes of the terms; no summand or power is kept
+        tracemalloc.start()
+        try:
+            s = gen_stack_area(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (sys.getsizeof(s.terms) + sum(map(sys.getsizeof, s.terms)))
+
     @pytest.mark.parametrize("gen", [gen_lconvex_area, gen_stack_area])
     def test_every_size_is_a_prefix(self, gen):
         # the n-term run keeps exactly the coefficients below q^n of one
@@ -196,6 +208,37 @@ class TestOracles:
                 for i in range(m, len(h)):
                     h[i] += h[i - m]
         return tuple(out)
+
+    @staticmethod
+    def _stack_by_pentagonal_divisions(n_terms):
+        """(q - q^3 + q^6 - ...) / (q;q)_inf^2 by two divisions through
+        Euler's pentagonal recurrence: the generator before the Jacobi
+        division, a[n] += sum of (-1)^(k+1) a[n - g] over the generalised
+        pentagonal g = k(3k -+ 1)/2 in 1..n."""
+        out = [0] * n_terms
+        k = 1
+        while k * (k + 1) // 2 <= n_terms:
+            out[k * (k + 1) // 2 - 1] = 1 if k % 2 else -1
+            k += 1
+        plus, minus = [], []
+        k = 1
+        while k * (3 * k - 1) // 2 < n_terms:
+            (plus if k % 2 else minus).extend((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
+            k += 1
+        for _ in range(2):
+            for n in range(1, n_terms):
+                out[n] += (sum([out[n - g] for g in plus if g <= n])
+                           - sum([out[n - g] for g in minus if g <= n]))
+        return tuple(out)
+
+    def test_stack_matches_pentagonal_divisions(self):
+        # each n-term reference run is the n-term prefix of the 400-term one
+        # (both divisions are triangular recurrences), so one run checks
+        # every n in 1..400
+        want = self._stack_by_pentagonal_divisions(400)
+        for n in range(1, 401):
+            assert gen_stack_area(n).terms == want[:n], n
+        assert gen_stack_area(2000).terms == self._stack_by_pentagonal_divisions(2000)
 
     def test_stack_matches_product_recursion(self):
         for n in [*range(1, 41), 300]:

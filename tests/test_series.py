@@ -13,10 +13,11 @@ from seqlab import Poly, Sequence, TruncSeries, q_pochhammer
 from seqlab.errors import NonIntegral, ZeroConstantTerm
 from seqlab.series import (
     div_one_minus_qm,
-    div_q_infinity,
+    div_q_infinity_cubed,
     int_horner,
     mul_trunc,
     poly_values,
+    q_infinity_terms,
 )
 
 small_ints = st.integers(min_value=-9, max_value=9)
@@ -275,6 +276,20 @@ class TestDivOneMinusQm:
             div_one_minus_qm(empty, m)
             assert empty == []
 
+    def test_squared_matches_two_divisions(self):
+        # lengths 0..150 against m in 1..20 take both paths: m^2 < length
+        # sums each residue class twice over, m^2 >= length adds blocks
+        rng = random.Random(150)
+        for length in range(151):
+            for m in range(1, 21):
+                a = [rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(1, 60))
+                     for _ in range(length)]
+                want = list(a)
+                div_one_minus_qm(want, m)
+                div_one_minus_qm(want, m)
+                assert div_one_minus_qm(a, m, 2) is None
+                assert a == want, (length, m)
+
 
 def series(coeffs):
     return TruncSeries([Fraction(c) for c in coeffs])
@@ -394,13 +409,46 @@ class TestQPochhammer:
         with pytest.raises(ValueError):
             q_pochhammer(-1, 4)
 
-    def test_pentagonal_division_inverts_the_product(self):
+    def test_euler_terms_are_the_product(self):
+        stable = q_pochhammer(300, 300).coeffs
+        for order in range(301):
+            dense = [0] * order
+            for g, c in q_infinity_terms(order):
+                dense[g] = c
+            assert dense == list(stable[:order]), order
+
+    def test_jacobi_cube_identity(self):
+        # (q;q)_inf^3 = sum_{k>=0} (-1)^k (2k + 1) q^(k(k+1)/2), below q^300
+        # and so below every smaller order
+        euler = [int(c) for c in q_pochhammer(300, 300).coeffs]
+        cube = mul_trunc(euler, mul_trunc(euler, euler, 300), 300)
+        jacobi = [0] * 300
+        k = 0
+        while k * (k + 1) // 2 < 300:
+            jacobi[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+            k += 1
+        assert cube == jacobi
+
+    def test_cube_division_inverts_the_product(self):
+        euler = [int(c) for c in q_pochhammer(200, 200).coeffs]
+        cube = mul_trunc(euler, mul_trunc(euler, euler, 200), 200)
         for order in range(1, 201):
             one = [1] + [0] * (order - 1)
             quotient = list(one)
-            div_q_infinity(quotient)
-            product = [int(c) for c in q_pochhammer(order, order).coeffs]
-            assert mul_trunc(quotient, product, order) == one, order
+            assert div_q_infinity_cubed(quotient) is None
+            assert mul_trunc(quotient, cube, order) == one, order
+
+    def test_cube_division_of_big_signed_entries(self):
+        # the quotient times the cube gives back the dividend, in place
+        rng = random.Random(3)
+        euler = [int(c) for c in q_pochhammer(120, 120).coeffs]
+        cube = mul_trunc(euler, mul_trunc(euler, euler, 120), 120)
+        for length in (0, 1, 2, 3, 4, 7, 11, 120):
+            a = [rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(1, 90))
+                 for _ in range(length)]
+            quotient = list(a)
+            div_q_infinity_cubed(quotient)
+            assert mul_trunc(quotient, cube, length) == a, length
 
     @pytest.mark.parametrize("order", [0, -3])
     def test_order_below_one(self, order):
