@@ -226,9 +226,9 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
     roundoff but far below the residual of any accidental lattice relation
     at this scaling; for x != 0 a candidate with p(0) = 0 is skipped, since
     p = x q makes q a relation of lower degree.  Returns None if no degree
-    yields a verified relation; raises ValueError when maxdeg < 1 and
-    PrecisionTooLow when digits is too small to separate the two regimes
-    (digits < 10 * (maxdeg + 1)).
+    yields a verified relation (so also for a non-finite x); raises
+    ValueError when maxdeg < 1 and PrecisionTooLow when digits is too small
+    to separate the two regimes (digits < 10 * (maxdeg + 1)).
     """
     if maxdeg < 1:
         raise ValueError(f"need maxdeg >= 1, got {maxdeg}")
@@ -239,6 +239,8 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
     scale_exp = digits - 10
     with mpmath.workdps(digits + 10):
         x = mpmath.mpf(x)
+        if not mpmath.isfinite(x):
+            return None
         scale = mpmath.mpf(10) ** scale_exp
         grow = max(mpmath.mpf(1), abs(x))
         reduced = [[1, int(mpmath.nint(scale))]]

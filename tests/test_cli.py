@@ -296,6 +296,12 @@ class TestIdentifyCli:
             ])
             assert "not found" in res.stdout
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_minpoly_non_finite_not_found(self, runner, value):
+        with runner.isolated_filesystem():
+            res = invoke(runner, ["identify", "minpoly", "--value", value, "--digits", "60"])
+            assert "not found" in res.stdout
+
 
 class TestFetchCli:
     TEXT = "0 1\n1 3\n2 9\n3 27\n"

@@ -361,6 +361,12 @@ class TestMinPoly:
             assert min_poly(mpmath.pi, maxdeg=3, digits=60) is None
             assert min_poly(mpmath.e, maxdeg=3, digits=60) is None
 
+    def test_non_finite(self):
+        # like identify_rational: no relation, rather than an int(inf) error
+        with mpmath.workdps(80):
+            for x in (mpmath.inf, -mpmath.inf, mpmath.nan):
+                assert min_poly(x, maxdeg=3, digits=60) is None
+
     def test_precision_guard(self):
         with pytest.raises(PrecisionTooLow):
             min_poly(mp(1.5), maxdeg=4, digits=40)
