@@ -366,10 +366,12 @@ class _LogTable:
     @cached_property
     def exps(self) -> list[list[int]]:
         """floor(exp(j 2^-8l) 2^T) for 0 <= j < 256, as table l - 1 for
-        l = 1..4.  Table l starts from exp(2^-8l) 2^T, the series whose
-        terms floor(2^(T - 8l i) / i!) come one from the other by a shift
-        and a floored division, and multiplies on by it, floored at each
-        step (the bounds: _Fixed)."""
+        l = 1..4, but only for j <= 177 in table 1: exp reads it at the
+        first 8-bit chunk of r < log 2, and 256 log 2 < 178.  Table l
+        starts from exp(2^-8l) 2^T, the series whose terms
+        floor(2^(T - 8l i) / i!) come one from the other by a shift and a
+        floored division, and multiplies on by it, floored at each step
+        (the bounds: _Fixed)."""
         T = self.prec
         tables = []
         for l in range(1, 5):
@@ -380,7 +382,7 @@ class _LogTable:
                 term = (term >> 8 * l) // i
                 base += term
             row = [1 << T, base]
-            for _ in range(254):
+            for _ in range((178 if l == 1 else 256) - 2):
                 row.append(row[-1] * base >> T)
             tables.append(row)
         return tables

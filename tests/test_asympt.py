@@ -600,7 +600,9 @@ class TestKernelExp:
         T = fx.table.prec
         assert fx.exp(0, 2 * fx.bits) == (1 << T, T)
         assert [row[0] for row in fx.table.exps] == [1 << T] * 4
-        assert [len(row) for row in fx.table.exps] == [256] * 4
+        # r < log 2 keeps the first chunk floor(256 r) at or below 177
+        assert [len(row) for row in fx.table.exps] == [178, 256, 256, 256]
+        assert (fx.table.ln2 * 256 >> T + 64) == 177
 
 
 def stretched_values(s, beta, delta, a):
