@@ -254,7 +254,9 @@ def gen_stack_cmd(state, n_terms):
 
 @main.group()
 def oracle():
-    """Independent brute-force enumerations (slow, for cross-checks)."""
+    """Independent counts for cross-checks, from no guessed model: slow
+    brute-force enumerations, except ascent 201 (and its spellings), counted
+    by a polynomial-time state recursion."""
 
 
 @oracle.command("lconvex")

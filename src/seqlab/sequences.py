@@ -8,12 +8,15 @@ Three families are built in:
 * ascent sequences avoiding a short pattern, counted by length.
 
 Each family has a fast exact generator working from a functional equation or
-recurrence, plus an independent brute-force enumerator used as an oracle.
+recurrence, plus an independent brute-force enumerator used as an oracle;
+the 201-avoiding ascent sequences are also counted exactly, and
+independently of any guessed model, by a state recursion in O(n^3)
+big-integer additions.
 The generators work on plain Python int arrays.  The L-convex generator
 sums its q-series through the generating function U(z) of the summands:
 the values U(q^j), each truncated to the coefficients the area series
 needs, are short sums of the summands for j at or above a switch index
-near sqrt(4N/3) and follow from a functional equation for U by a backward
+near sqrt(5N/6) and follow from a functional equation for U by a backward
 recurrence below it, in O(N^(3/2)) coefficient operations; the stack
 generator divides a sparse numerator once by (q;q)_inf^3, sparse by
 Jacobi's identity, in O(N^(3/2)).
@@ -25,7 +28,7 @@ import decimal
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from math import isqrt
 from operator import add, mul, sub
 from typing import Iterable, Iterator
@@ -133,18 +136,20 @@ def gen_lconvex_area(n_terms: int) -> Sequence:
     from J - 1 down to 1, while j < N - j dividing by 1 - q^j twice.
 
     Each backward step costs about 3N coefficient operations (the right
-    side and two divisions), each of the fewer than N/J summands at most
-    3N and their additions into V_J and V_(J+1) about N^2/J in all.  The
-    cost 3JN + 3N^2/J + N^2/J is least at J = sqrt(4N/3), where it is
-    about 7 N^(3/2) operations, against about 5N^2/4 for running the
-    backward step from j = N - 2 (at N = 5001, 2.5 million against 31
-    million).  J = isqrt(4N/3) lies in [1, N - 1] for every N >= 2.
+    side and two divisions).  The k-th summand is kept to N - J - kJ
+    coefficients and costs about three operations per coefficient, so the
+    fewer than N/J summands cost about 3N^2/(2J), half of 3N each, and
+    their additions into V_J and V_(J+1) about N^2/J in all.  The cost
+    3JN + 5N^2/(2J) is least at J = sqrt(5N/6), where it is about
+    5.5 N^(3/2) operations, against about 5N^2/4 for running the backward
+    step from j = N - 2 (at N = 5001, 1.9 million against 31 million).
+    J = isqrt(5N/6) lies in [1, N - 1] for every N >= 2.
     """
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
     if n_terms == 1:
         return Sequence(0, (1,))
-    return _lconvex_area(n_terms, isqrt(4 * n_terms // 3))
+    return _lconvex_area(n_terms, isqrt(5 * n_terms // 6))
 
 
 def _lconvex_area(n_terms: int, top: int) -> Sequence:
@@ -372,11 +377,14 @@ def enum_ascent_avoiding(pattern: str, n_max: int, budget: int = 50_000_000) -> 
     subsequence; repeated pattern letters demand equal values.  Patterns up
     to length 3 are supported.
 
-    Depth-first search over the avoiding prefixes.  Each prefix carries the
-    bitmask of its letter values and the bitmask `banned` of the letters
-    that would complete an occurrence after it, so a child is one bit test.
-    The budget counts the avoiding prefixes of lengths 1..n_max; the search
-    raises BudgetExceeded when it visits more.
+    201 and every spelling of it ("301", "312", ...) are counted by the
+    state recursion of count_201_ascent; every other pattern by a
+    depth-first search over the avoiding prefixes (_walk_ascent_avoiding).
+    Neither uses a guessed model.  The budget bounds the avoiding prefixes
+    of lengths 1..n_max, the sum of counts[1:], on both paths: the search
+    raises BudgetExceeded when it visits more, and the recursion when the
+    counts of the lengths made so far add up to more, so a call raises
+    on one path exactly when it would on the other.
     """
     if not (isinstance(pattern, str) and pattern.isascii() and pattern.isdigit()):
         raise ValueError(f"pattern must be a digit string such as '201' or '012' "
@@ -387,6 +395,26 @@ def enum_ascent_avoiding(pattern: str, n_max: int, budget: int = 50_000_000) -> 
         raise ValueError("patterns longer than 3 are not supported")
     if n_max < 0:
         raise ValueError("need n_max >= 0")
+    if p != [2, 0, 1]:
+        return _walk_ascent_avoiding(p, n_max, budget)
+    counts, prefixes = [1], 0
+    for c in islice(_ascent_201_counts(), n_max):
+        prefixes += c
+        if prefixes > budget:
+            raise BudgetExceeded(f"node budget {budget} exceeded")
+        counts.append(c)
+    return Sequence(0, tuple(counts))
+
+
+def _walk_ascent_avoiding(p: list[int], n_max: int, budget: int) -> Sequence:
+    """enum_ascent_avoiding by depth-first search, for the pattern p given
+    by the ranks of its letters (201 is [2, 0, 1]) and n_max >= 0.
+
+    Each prefix carries the bitmask of its letter values and the bitmask
+    `banned` of the letters that would complete an occurrence after it, so
+    a child is one bit test.  Raises BudgetExceeded when the search visits
+    more than `budget` avoiding prefixes of lengths 1..n_max.
+    """
     counts = [0] * (n_max + 1)
     counts[0] = 1
     if n_max == 0 or len(p) == 1:
@@ -424,6 +452,80 @@ def enum_ascent_avoiding(pattern: str, n_max: int, budget: int = 50_000_000) -> 
 
     recurse(1, 0, 0, 1, bans(0, 0))  # the prefix is the initial letter 0
     return Sequence(0, tuple(counts))
+
+
+def count_201_ascent(n_max: int) -> Sequence:
+    """201-avoiding ascent sequences of lengths 0..n_max: 1, 1, 2, 5, 15,
+    52, 201, 843, ... (offset 0), in O(n_max^3) big-integer additions.
+
+    An occurrence of 201 is a letter x, a later y < x and a later z with
+    y < z < x.  So appending y to a prefix whose maximum is M bans exactly
+    the letters strictly between y and M (none when y >= M): every banned
+    letter lies below M, and the letters above M are never banned.  Let L
+    be the last letter and asc the number of ascents; the next letter is
+    any of 0..asc + 1 not yet banned.  Appending L banned every letter
+    strictly between L and M, so the allowed letters are
+
+        b letters below L, L itself, M when L < M, and the
+        k = asc + 1 - M letters M + 1, ..., asc + 1 above M,
+
+    and the next step goes from state (b, k, L < M) to one of
+
+        a letter below L, the one with i allowed letters below it
+            (0 <= i < b): no ascent; it bans L and the allowed letters
+            between it and L, and is below M; (i, k, L < M);
+        L again: the state is unchanged;
+        M, when L < M: an ascent that bans nothing; (b + 1, k + 1, L = M);
+        a new maximum M + t, 1 <= t <= k: an ascent that bans nothing;
+            (b + [L < M] + t, k + 1 - t, L = M).
+
+    So the number of completions of a prefix depends only on its state,
+    and the counts of the prefixes of one length in each state determine
+    those of the next.  They are kept as two triangles of ints, `low`
+    (L = M) and `high` (L < M), with row k - 1 holding b = 0, 1, ...; a
+    prefix of length n has b + k <= n.  Going a letter further, a letter
+    below L takes the entries of both triangles at (b, k) with b > i to
+    high's (i, k) (a suffix sum along b), and M and the new maxima, M
+    being t = 0 from L < M, take the entries at (b, k) to low's entries on
+    the antidiagonal b' + k' = b + k + 1 + [L < M] with b' > b (a prefix
+    sum along the antidiagonal).  So a length costs O(n^2) additions, made
+    in C by map and accumulate.
+
+    The count is exact and independent of any guessed model; it has no
+    budget (compare enum_ascent_avoiding, which calls it for 201).
+    """
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
+    return Sequence(0, (1, *islice(_ascent_201_counts(), n_max)))
+
+
+def _ascent_201_counts() -> Iterator[int]:
+    """Yield the 201-avoiding ascent sequence counts of lengths 1, 2, ...
+    by the state recursion of count_201_ascent."""
+    low, high = [[1]], [[0]]  # the sequence 0: b = 0, k = 1, L = M
+    while True:
+        yield sum(map(sum, low)) + sum(map(sum, high))
+        n = len(low)  # the prefix length; row k - 1 holds b = 0..n - k
+        # into L = M: L again, or a step to M or a new maximum.  carry[b]
+        # counts those steps that land at (b, k): t = 1 from (b - 1, k,
+        # L = M), M from (b - 1, k - 1, L < M), and, with t one higher,
+        # each step that lands at (b - 1, k + 1); built from k = n + 1 down
+        carry = [0]
+        new_low = [carry]
+        for i in range(n - 1, -1, -1):
+            run = map(add, low[i], carry)
+            if i:
+                run = map(add, run, high[i - 1])
+            carry = [0, *run]
+            new_low.append([*map(add, low[i], carry), carry[-1]])
+        new_low.reverse()
+        # into L < M: L again, or a letter below L from any later b
+        new_high = []
+        for lo, hi in zip(low, high):
+            tails = [*accumulate(map(add, reversed(lo), reversed(hi)))]
+            new_high.append([*map(add, hi, reversed(tails[:-1])), hi[-1], 0])
+        new_high.append([0])
+        low, high = new_low, new_high
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import decimal
 import hashlib
+import inspect
 import random
 import sys
 import tracemalloc
@@ -19,6 +20,7 @@ from seqlab import (
     Poly,
     PRecurrence,
     Sequence,
+    count_201_ascent,
     enum_ascent_avoiding,
     enum_lconvex_bruteforce,
     enum_stack_bruteforce,
@@ -29,9 +31,15 @@ from seqlab import (
     gen_lconvex_area,
     gen_lconvex_perimeter,
     gen_stack_area,
+    guess_prec,
 )
 from seqlab.report import unlimited_int_digits
-from seqlab.sequences import _EXACT, _lconvex_area, _prec_terms
+from seqlab.sequences import (
+    _EXACT,
+    _lconvex_area,
+    _prec_terms,
+    _walk_ascent_avoiding,
+)
 from seqlab.series import int_horner
 from seqlab.errors import (
     BranchAmbiguous,
@@ -365,6 +373,53 @@ class TestOracles:
                     want[len(seq)] += 1
             for n in range(n_max + 1):
                 assert enum_ascent_avoiding(pat, n).terms == tuple(want[: n + 1]), (pat, n)
+
+
+class TestCount201Ascent:
+    """count_201_ascent, the state recursion that enum_ascent_avoiding
+    sends 201 to, against the tree walk and the paper's recurrence."""
+
+    def test_matches_tree_walk(self):
+        for n in range(12):
+            assert count_201_ascent(n) == _walk_ascent_avoiding([2, 0, 1], n, 10**9), n
+
+    def test_every_spelling_takes_the_recursion(self):
+        want = _walk_ascent_avoiding([2, 0, 1], 9, 10**9)
+        for pattern in ("201", "301", "312", "957"):
+            assert enum_ascent_avoiding(pattern, 9) == want, pattern
+
+    def test_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="n_max >= 0"):
+            count_201_ascent(-1)
+
+    def test_budget_on_each_path(self):
+        # the walk: 012-avoiders of lengths 1..7 are 1 + 2 + ... + 64 = 127
+        assert enum_ascent_avoiding("012", 7, budget=127).terms[-1] == 64
+        with pytest.raises(BudgetExceeded, match="node budget 126 exceeded"):
+            enum_ascent_avoiding("012", 7, budget=126)
+        # the recursion stops at the first length over budget, long before
+        # it could count a million lengths
+        with pytest.raises(BudgetExceeded, match="node budget 100 exceeded"):
+            enum_ascent_avoiding("201", 10**6, budget=100)
+        # count_201_ascent itself takes no budget: the 80208803 prefixes of
+        # lengths 1..14 are over enum_ascent_avoiding's default budget
+        assert list(inspect.signature(count_201_ascent).parameters) == ["n_max"]
+        assert sum(count_201_ascent(14).terms[1:]) == 80208803
+        with pytest.raises(BudgetExceeded, match="node budget 50000000 exceeded"):
+            enum_ascent_avoiding("201", 14)
+
+    def test_recurrence_from_23_terms_generates_the_counts(self, b202062, ascent_rec):
+        # the paper's claim: 22 terms admit no recurrence, the first 23
+        # give the order-5 one, and it generates every later count
+        assert guess_prec(b202062.head(22)) is None
+        rec = guess_prec(b202062.head(23))
+        assert rec == ascent_rec and rec.order == 5
+        counts = count_201_ascent(150)
+        assert counts.head(len(b202062)) == b202062
+        assert expand_prec(rec, b202062.head(23), 151) == counts
+        assert _digest(counts) == (
+            "be87ddbdbdaa9fde557d87c03f863e7963cf2b4eb6fa5e31abf69bb22fa70f10"
+        )
 
 
 class TestExpandRational:
