@@ -410,7 +410,7 @@ class TestCount201Ascent:
 
     def test_recurrence_from_23_terms_generates_the_counts(self, b202062, ascent_rec):
         # the paper's claim: 22 terms admit no recurrence, the first 23
-        # give the order-5 one, and it generates every later count
+        # give the order-5 one, and it generates every count up to 150
         assert guess_prec(b202062.head(22)) is None
         rec = guess_prec(b202062.head(23))
         assert rec == ascent_rec and rec.order == 5
