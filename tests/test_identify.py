@@ -84,9 +84,8 @@ class TestIdentifyRational:
 class TestMultiplierDictionary:
     def test_default_tags(self):
         tags = [tag for tag, _ in MultiplierDictionary.default().entries]
-        assert tags[0] == "1"
-        assert "sqrt(2)" in tags and "pi" in tags and "sqrt(pi)" in tags
-        assert len(tags) == len(set(tags))
+        assert tags == ["1", "sqrt(2)", "sqrt(3)", "sqrt(5)", "pi", "sqrt(pi)",
+                        "1/pi", "pi^2", "2^(1/3)", "3^(1/3)"]
 
     def test_unique_tags_enforced(self):
         with pytest.raises(ValueError):
