@@ -237,26 +237,20 @@ def elim_power(s: HpSeq, p: int) -> HpSeq:
     return HpSeq(s.offset + 1, tuple(out), s.ctx)
 
 
-def square_subsample(s, least: int = 1):
+def square_subsample(s: HpSeq, least: int = 1) -> HpSeq:
     """Pick out indices 1, 4, 9, ...: output index k holds the term at k*k.
 
-    Accepts an integer Sequence or an HpSeq and returns the same kind,
-    reindexed consecutively from 1.  Raises InsufficientTerms unless s
-    holds the terms at indices 1 to least^2, so at least `least` squares.
+    Returns an HpSeq reindexed consecutively from 1.  Raises
+    InsufficientTerms unless s holds the terms at indices 1 to least^2, so
+    at least `least` squares.
     """
     if s.offset > 1 or s.last_index < least * least:
         squares = ", ".join(str(k * k) for k in range(1, least + 1))
         raise InsufficientTerms(
             f"need the terms at indices 1 to {least * least} (the squares {squares})"
         )
-    picker = s.value if isinstance(s, HpSeq) else s.term
-    k_max = 1
-    while (k_max + 1) ** 2 <= s.last_index:
-        k_max += 1
-    picked = tuple(picker(k * k) for k in range(1, k_max + 1))
-    if isinstance(s, HpSeq):
-        return HpSeq(1, picked, s.ctx)
-    return type(s)(1, picked)
+    picked = tuple(s.value(k * k) for k in range(1, isqrt(s.last_index) + 1))
+    return HpSeq(1, picked, s.ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -400,12 +400,10 @@ def expand_rational_cmd(state, num, den, n_terms):
     """Taylor/Laurent coefficients of a rational function num/den."""
     num_c, den_c = _int_list(num), _int_list(den)
     laurent = expand_rational(Poly(num_c), Poly(den_c), n_terms)
-    values = [str(c) for c in laurent.coeffs]
-    return dict(
+    return _sequence_fields(
+        "coefficients", laurent.offset, [str(c) for c in laurent.coeffs],
         input_digest=text_digest(f"{num}|{den}|{n_terms}"),
         parameters={"num": num_c, "den": den_c, "n": n_terms},
-        sequences={"coefficients": {"offset": laurent.offset, "values": values}},
-        stdout=bfile_text(laurent.offset, values),
     )
 
 

@@ -1,7 +1,7 @@
 """Recognition of high-precision real constants.
 
 Three escalating strategies: continued-fraction rational reconstruction,
-rational multiples of a small ordered dictionary of common irrationals, and
+rational multiples of a fixed ordered table of common irrationals, and
 integer minimal polynomials found by exact LLL lattice reduction.  Every
 positive identification is re-verified numerically before being returned;
 the certified-digits field records how many decimal digits the candidate
@@ -12,66 +12,49 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import mpmath
 
 from .errors import PrecisionTooLow, RankDeficient
 from .series import Poly
 
-Payload = Union[Fraction, tuple, Poly]
-
 
 @dataclass(frozen=True)
 class Identification:
     """A recognized constant: what it is, and to how many digits it checks out.
 
-    kind is one of "rational", "dictionary-multiple", "algebraic"; payload is
-    a Fraction, a (multiplier-tag, Fraction) pair, or an integer Poly.
+    kind is "dictionary-multiple" and payload the (multiplier-tag, Fraction)
+    pair (tag, p/q) meaning x = (p/q) * multiplier.
     """
 
     kind: str
-    payload: Payload
+    payload: tuple[str, Fraction]
     certified_digits: int
 
 
-@dataclass(frozen=True)
-class MultiplierDictionary:
-    """Ordered (tag, value-builder) pairs; values computed at call precision."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        tags = [t for t, _ in self.entries]
-        if len(set(tags)) != len(tags):
-            raise ValueError("multiplier tags must be unique")
-
-    @staticmethod
-    def default() -> "MultiplierDictionary":
-        return MultiplierDictionary(
-            (
-                ("1", lambda: mpmath.mpf(1)),
-                ("sqrt(2)", lambda: mpmath.sqrt(2)),
-                ("sqrt(3)", lambda: mpmath.sqrt(3)),
-                ("sqrt(5)", lambda: mpmath.sqrt(5)),
-                ("pi", lambda: +mpmath.pi),
-                ("sqrt(pi)", lambda: mpmath.sqrt(mpmath.pi)),
-                ("1/pi", lambda: 1 / mpmath.pi),
-                ("pi^2", lambda: mpmath.pi**2),
-                ("2^(1/3)", lambda: mpmath.cbrt(2)),
-                ("3^(1/3)", lambda: mpmath.cbrt(3)),
-            )
-        )
+# The multipliers identify_with_multipliers tries, in order: (tag, builder),
+# each value built at the working precision.
+_MULTIPLIERS = (
+    ("1", lambda: mpmath.mpf(1)),
+    ("sqrt(2)", lambda: mpmath.sqrt(2)),
+    ("sqrt(3)", lambda: mpmath.sqrt(3)),
+    ("sqrt(5)", lambda: mpmath.sqrt(5)),
+    ("pi", lambda: +mpmath.pi),
+    ("sqrt(pi)", lambda: mpmath.sqrt(mpmath.pi)),
+    ("1/pi", lambda: 1 / mpmath.pi),
+    ("pi^2", lambda: mpmath.pi**2),
+    ("2^(1/3)", lambda: mpmath.cbrt(2)),
+    ("3^(1/3)", lambda: mpmath.cbrt(3)),
+)
 
 
-def _input_digits(digits: Optional[int]) -> int:
-    """Digits the input is certified to: explicit (at least 1), else the
-    ambient precision."""
-    if digits is None:
-        return mpmath.mp.dps
+def _workdps(digits: int):
+    """The working precision for a value certified to `digits` digits;
+    ValueError when digits is below 1."""
     if digits < 1:
         raise ValueError("need digits >= 1")
-    return digits
+    return mpmath.workdps(max(digits, 15) + 10)
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -82,30 +65,29 @@ def _mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
-def identify_rational(
-    x, maxden: int = 1000, digits: Optional[int] = None
-) -> Optional[Fraction]:
+def _rational(x, maxden: int, digits: int) -> Optional[Fraction]:
+    """identify_rational on a finite mpf x, under the caller's _workdps."""
+    cand = _mpf_to_fraction(x).limit_denominator(maxden)
+    if cand == 0 and x != 0:
+        return None
+    err = abs(x - mpmath.mpf(cand.numerator) / cand.denominator)
+    if err < mpmath.mpf(10) ** (4 - digits):
+        return cand
+    return None
+
+
+def identify_rational(x, maxden: int = 1000, *, digits: int) -> Optional[Fraction]:
     """Best rational p/q with q <= maxden, if it matches x to nearly full digits.
 
     The candidate is the continued-fraction best approximation; it is
-    accepted only when |x - p/q| < 10^(4 - digits), where `digits` defaults
-    to the ambient working precision.  A nonzero x never identifies as 0:
-    a zero candidate returns None.  Values carrying fewer correct digits
-    than the ambient precision should pass their certified digit count;
-    ValueError when it is below 1.
+    accepted only when |x - p/q| < 10^(4 - digits), where `digits` is the
+    number of digits x is certified to.  A nonzero x never identifies as 0:
+    a zero candidate returns None, and so does a non-finite x.  ValueError
+    when digits is below 1.
     """
-    d = _input_digits(digits)
-    with mpmath.workdps(max(d, 15) + 10):
+    with _workdps(digits):
         x = mpmath.mpf(x)
-        if not mpmath.isfinite(x):
-            return None
-        cand = _mpf_to_fraction(x).limit_denominator(maxden)
-        if cand == 0 and x != 0:
-            return None
-        err = abs(x - mpmath.mpf(cand.numerator) / cand.denominator)
-        if err < mpmath.mpf(10) ** (4 - d):
-            return cand
-    return None
+        return _rational(x, maxden, digits) if mpmath.isfinite(x) else None
 
 
 def _certified_digits(err, cap: int) -> int:
@@ -115,31 +97,27 @@ def _certified_digits(err, cap: int) -> int:
 
 
 def identify_with_multipliers(
-    x,
-    dictionary: Optional[MultiplierDictionary] = None,
-    maxden: int = 1000,
-    digits: Optional[int] = None,
+    x, maxden: int = 1000, *, digits: int
 ) -> Optional[Identification]:
-    """First dictionary multiplier m (in order) with x/m a certified rational.
+    """First multiplier m of _MULTIPLIERS (in order) with x/m a certified
+    rational, by identify_rational's test at `digits` digits.
 
     Returns an Identification with payload (tag, p/q) meaning x = (p/q) * m,
     or None when no entry matches within the precision bound; ValueError
     when `digits` is below 1.
     """
-    dictionary = dictionary or MultiplierDictionary.default()
-    d = _input_digits(digits)
-    with mpmath.workdps(max(d, 15) + 10):
+    with _workdps(digits):
         x = mpmath.mpf(x)
         if not mpmath.isfinite(x):
             return None
-        for tag, build in dictionary.entries:
+        for tag, build in _MULTIPLIERS:
             m = build()
-            frac = identify_rational(x / m, maxden, digits=d)
+            frac = _rational(x / m, maxden, digits)
             if frac is None:
                 continue
             err = abs(x - m * frac.numerator / frac.denominator)
-            cert = _certified_digits(err, d)
-            if cert >= d - 4:
+            cert = _certified_digits(err, digits)
+            if cert >= digits - 4:
                 return Identification("dictionary-multiple", (tag, frac), cert)
     return None
 

@@ -38,9 +38,6 @@ class BFile:
     a_number: str
     text: str
 
-    def sequence(self) -> Sequence:
-        return parse_bfile(self.text)
-
 
 # What int() accepts of a token that is not plain ASCII digits: a sign,
 # underscores between digits, and any Unicode decimal digits.

@@ -492,7 +492,8 @@ def count_201_ascent(n_max: int) -> Sequence:
     in C by map and accumulate.
 
     The count is exact and independent of any guessed model; it has no
-    budget (compare enum_ascent_avoiding, which calls it for 201).
+    budget (compare enum_ascent_avoiding, which runs _ascent_201_counts for
+    201 under its prefix budget).
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")

@@ -195,13 +195,6 @@ class TestElimPower:
 
 
 class TestSquareSubsample:
-    def test_on_integer_sequence(self):
-        s = Sequence(0, tuple(range(100)))
-        sub = square_subsample(s)
-        assert isinstance(sub, Sequence)
-        assert sub.offset == 1
-        assert sub.terms == (1, 4, 9, 16, 25, 36, 49, 64, 81)
-
     def test_on_hpseq(self):
         s = frac_seq(1, [n * n for n in range(1, 26)])
         sub = square_subsample(s)
@@ -210,9 +203,9 @@ class TestSquareSubsample:
 
     def test_too_short(self):
         with pytest.raises(InsufficientTerms):
-            square_subsample(Sequence(0, (1,)))
+            square_subsample(frac_seq(0, [1]))
         with pytest.raises(InsufficientTerms):
-            square_subsample(Sequence(2, tuple(range(50))))
+            square_subsample(frac_seq(2, range(50)))
 
 
 class TestLogLogGradient:

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab import (
-    MultiplierDictionary,
     Poly,
     identify_rational,
     identify_with_multipliers,
@@ -19,6 +18,7 @@ from seqlab import (
     min_poly,
 )
 from seqlab.errors import PrecisionTooLow, RankDeficient
+from seqlab.identify import _MULTIPLIERS
 from seqlab.series import primitive_int
 
 
@@ -51,12 +51,6 @@ class TestIdentifyRational:
             assert identify_rational(mpmath.inf, digits=50) is None
             assert identify_rational(mpmath.nan, digits=50) is None
 
-    def test_ambient_precision_default(self):
-        # without an explicit digits argument the ambient dps governs
-        with mpmath.workdps(40):
-            x = mpmath.mpf(3) / 7
-            assert identify_rational(x) == Fraction(3, 7)
-
     def test_low_precision_value_not_overclaimed(self):
         # a 6-digit approximation of 1/3 must not pass a 30-digit test
         with mpmath.workdps(30):
@@ -80,18 +74,20 @@ class TestIdentifyRational:
         with pytest.raises(ValueError, match="need digits >= 1"):
             identify_with_multipliers(mpmath.mpf("0.5"), digits=digits)
 
+    def test_digits_required(self):
+        # the caller states the certified digits; the ambient dps is no default
+        for identify in (identify_rational, identify_with_multipliers):
+            with pytest.raises(TypeError):
+                identify(mpmath.mpf("0.5"))
+            with pytest.raises(TypeError):
+                identify(mpmath.mpf("0.5"), 1000, 50)
+
 
 class TestMultiplierDictionary:
     def test_default_tags(self):
-        tags = [tag for tag, _ in MultiplierDictionary.default().entries]
+        tags = [tag for tag, _ in _MULTIPLIERS]
         assert tags == ["1", "sqrt(2)", "sqrt(3)", "sqrt(5)", "pi", "sqrt(pi)",
                         "1/pi", "pi^2", "2^(1/3)", "3^(1/3)"]
-
-    def test_unique_tags_enforced(self):
-        with pytest.raises(ValueError):
-            MultiplierDictionary(
-                (("a", lambda: mpmath.mpf(1)), ("a", lambda: mpmath.mpf(2)))
-            )
 
     def test_pinned_constant(self):
         with mpmath.workdps(50):
@@ -115,19 +111,6 @@ class TestMultiplierDictionary:
     def test_none_for_unrelated(self):
         with mpmath.workdps(60):
             assert identify_with_multipliers(mpmath.e, digits=60) is None
-
-    def test_order_determines_first_match(self):
-        with mpmath.workdps(50):
-            half = MultiplierDictionary(
-                (
-                    ("half", lambda: mpmath.mpf(1) / 2),
-                    ("1", lambda: mpmath.mpf(1)),
-                )
-            )
-            ident = identify_with_multipliers(
-                mpmath.mpf(3) / 4, dictionary=half, digits=50
-            )
-        assert ident.payload == ("half", Fraction(3, 2))
 
 
 class TestLll:
@@ -449,9 +432,8 @@ class TestRandomPlantedConstants:
 
     def test_dictionary_multiples(self):
         rng = random.Random(202)
-        entries = MultiplierDictionary.default().entries
         for _ in range(100):
-            tag, build = entries[rng.randrange(len(entries))]
+            tag, build = _MULTIPLIERS[rng.randrange(len(_MULTIPLIERS))]
             frac = Fraction(rng.randint(1, 400), rng.randint(1, 400))
             if rng.random() < 0.5:
                 frac = -frac
@@ -460,7 +442,7 @@ class TestRandomPlantedConstants:
                 ident = identify_with_multipliers(x, digits=50)
                 assert ident is not None
                 got_tag, got_frac = ident.payload
-                rebuilt = dict(entries)[got_tag]() * mpmath.mpf(
+                rebuilt = dict(_MULTIPLIERS)[got_tag]() * mpmath.mpf(
                     got_frac.numerator
                 ) / got_frac.denominator
                 # the found combination reproduces the input to the

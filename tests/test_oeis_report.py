@@ -313,7 +313,7 @@ class TestFetchOeis:
         bf = fetch_oeis("202062", cache_dir=tmp_path, fetcher=double)
         assert isinstance(bf, BFile)
         assert bf.a_number == "A202062"
-        assert bf.sequence() == Sequence(0, (1, 3, 9))
+        assert parse_bfile(bf.text) == Sequence(0, (1, 3, 9))
         assert double.calls == 1
         cached = tmp_path / "A202062.bfile"
         assert cached.read_text() == self.TEXT
