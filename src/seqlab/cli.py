@@ -23,13 +23,13 @@ import mpmath
 from . import pipeline
 from .asympt import (
     AMPLITUDE_WINDOWS,
-    HpContext,
     HpSeq,
     amplitude_fit,
     bst_extrapolate,
     square_subsample,
 )
 from .errors import RUN_ERRORS
+from .fixed import HpContext
 from .guess import guess_algeq, guess_prec
 from .identify import identify_rational, identify_with_multipliers, min_poly
 from .oeis import (
@@ -292,6 +292,22 @@ def oracle_ascent_cmd(state, pattern, n_max, budget):
 # guess / expand
 # ---------------------------------------------------------------------------
 
+def _grid(first, second):
+    """A search grid's two size options, then --margin, as one decorator;
+    each grid is shared by a guess command and its expand twin."""
+    margin = click.option("--margin", default=4, show_default=True,
+                          help="Attempt threshold on the equations of a shape.")
+    return lambda f: first(second(margin(f)))
+
+
+_REC_GRID = _grid(
+    click.option("--rmax", default=8, show_default=True, help="Largest recurrence order."),
+    click.option("--dmax", default=4, show_default=True, help="Largest coefficient degree."))
+_ALGEQ_GRID = _grid(
+    click.option("--dxmax", default=12, show_default=True, help="Largest x-degree."),
+    click.option("--dymax", default=3, show_default=True, help="Largest y-degree."))
+
+
 @main.group()
 def guess():
     """Exact recurrence / algebraic-equation guessing: one exact nullspace
@@ -300,15 +316,12 @@ def guess():
 
 @guess.command("rec")
 @click.argument("source")
-@click.option("--rmax", default=8, show_default=True, help="Largest recurrence order.")
-@click.option("--dmax", default=4, show_default=True, help="Largest coefficient degree.")
-@click.option("--margin", default=4, show_default=True,
-              help="Attempt threshold on the equations of a shape.")
+@_REC_GRID
 @run
-def guess_rec_cmd(state, source, rmax, dmax, margin):
+def guess_rec_cmd(state, source, **grid):
     """Guess a linear recurrence with polynomial coefficients."""
-    rec = guess_prec(source.seq, rmax=rmax, dmax=dmax, margin=margin)
-    params = {"source": source.label, "rmax": rmax, "dmax": dmax, "margin": margin}
+    rec = guess_prec(source.seq, **grid)
+    params = {"source": source.label, **grid}
     if rec is None:
         return dict(parameters=params, stdout="no recurrence found\n",
                     notes=["no recurrence found within the search grid"])
@@ -322,15 +335,12 @@ def guess_rec_cmd(state, source, rmax, dmax, margin):
 
 @guess.command("algeq")
 @click.argument("source")
-@click.option("--dxmax", default=12, show_default=True, help="Largest x-degree.")
-@click.option("--dymax", default=3, show_default=True, help="Largest y-degree.")
-@click.option("--margin", default=4, show_default=True,
-              help="Attempt threshold on the equations of a shape.")
+@_ALGEQ_GRID
 @run
-def guess_algeq_cmd(state, source, dxmax, dymax, margin):
+def guess_algeq_cmd(state, source, **grid):
     """Guess a polynomial equation P(x, y(x)) = 0 for the series y."""
-    eq = guess_algeq(source.seq, dxmax=dxmax, dymax=dymax, margin=margin)
-    params = {"source": source.label, "dxmax": dxmax, "dymax": dymax, "margin": margin}
+    eq = guess_algeq(source.seq, **grid)
+    params = {"source": source.label, **grid}
     if eq is None:
         return dict(parameters=params, stdout="no algebraic equation found\n",
                     notes=["no algebraic equation found within the search grid"])
@@ -350,44 +360,34 @@ def expand():
 @expand.command("rec")
 @click.argument("source")
 @click.option("--n", "n_terms", type=int, required=True, help="Terms to produce.")
-@click.option("--rmax", default=8, show_default=True)
-@click.option("--dmax", default=4, show_default=True)
-@click.option("--margin", default=4, show_default=True,
-              help="Attempt threshold on the equations of a shape.")
+@_REC_GRID
 @run
-def expand_rec_cmd(state, source, n_terms, rmax, dmax, margin):
+def expand_rec_cmd(state, source, n_terms, **grid):
     """Guess a recurrence from SOURCE, then extend it to --n terms."""
-    rec = guess_prec(source.seq, rmax=rmax, dmax=dmax, margin=margin)
+    rec = guess_prec(source.seq, **grid)
     if rec is None:
         raise click.ClickException("no recurrence found within the search grid")
     return _sequence_fields(
         "extended", source.seq.offset, expand_prec_decimal(rec, source.seq, n_terms),
         notes=[str(rec)],
-        parameters={"source": source.label, "n": n_terms, "rmax": rmax,
-                    "dmax": dmax, "margin": margin},
+        parameters={"source": source.label, "n": n_terms, **grid},
     )
 
 
 @expand.command("algeq")
 @click.argument("source")
 @click.option("--n", "n_terms", type=int, required=True, help="Terms to produce.")
-@click.option("--dxmax", default=12, show_default=True)
-@click.option("--dymax", default=3, show_default=True)
-@click.option("--margin", default=4, show_default=True,
-              help="Attempt threshold on the equations of a shape.")
+@_ALGEQ_GRID
 @run
-def expand_algeq_cmd(state, source, n_terms, dxmax, dymax, margin):
+def expand_algeq_cmd(state, source, n_terms, **grid):
     """Guess an algebraic equation from SOURCE, then expand its branch."""
-    if source.seq.offset != 0:
-        raise click.ClickException("algebraic expansion expects a series offset of 0")
-    eq = guess_algeq(source.seq, dxmax=dxmax, dymax=dymax, margin=margin)
+    eq = guess_algeq(source.seq, **grid)
     if eq is None:
         raise click.ClickException("no algebraic equation found within the search grid")
     seq = expand_algebraic(eq, source.seq.terms, n_terms)
     return _sequence_fields(
         "extended", **sequence_entry(seq.offset, seq.terms), notes=[str(eq)],
-        parameters={"source": source.label, "n": n_terms, "dxmax": dxmax,
-                    "dymax": dymax, "margin": margin},
+        parameters={"source": source.label, "n": n_terms, **grid},
     )
 
 

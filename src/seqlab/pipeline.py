@@ -19,8 +19,6 @@ from mpmath.libmp import fone, from_int, mpf_div, round_nearest
 
 from .asympt import (
     BstResult,
-    HpContext,
-    HpReal,
     HpSeq,
     PowerLawDiagnostics,
     StretchedModel,
@@ -32,7 +30,6 @@ from .asympt import (
     poly_smallest_positive_root,
     powerlaw_pipeline,
     ratios,
-    sqrt_nearest,
     square_subsample,
     stretched_amplitudes,
     stretched_lambda,
@@ -40,6 +37,7 @@ from .asympt import (
     summarize_stretched,
 )
 from .errors import InsufficientTerms, SeqLabError
+from .fixed import HpContext, sqrt_nearest
 from .guess import algeq_residual, guess_algeq, guess_prec, ode_residual, prec_to_ode
 from .identify import identify_with_multipliers, min_poly
 from .oeis import parse_bfile
@@ -59,7 +57,7 @@ def _inv_index(s: HpSeq):
     return ((Fraction(1, n), v) for n, v in zip(s.indices(), s.values))
 
 
-def _inv_sqrt(n: int, prec: int) -> HpReal:
+def _inv_sqrt(n: int, prec: int) -> mpmath.mpf:
     """1 / sqrt(n) as `1 / mpmath.sqrt(n)` gives it at prec bits, each
     step rounded to nearest, computed on raw mpfs."""
     root = sqrt_nearest(from_int(n), prec)
@@ -68,7 +66,7 @@ def _inv_sqrt(n: int, prec: int) -> HpReal:
 
 class RatioTable(NamedTuple):
     ratios: HpSeq
-    spread: HpReal  # over the last 10 ratios
+    spread: mpmath.mpf  # over the last 10 ratios
     csvs: dict
 
 
@@ -104,7 +102,7 @@ class StretchedFit(NamedTuple):
     e3: HpSeq
     model: StretchedModel
     spreads: dict
-    a_squared: HpReal  # square of the last e1
+    a_squared: mpmath.mpf  # square of the last e1
     csvs: dict
 
 
@@ -121,8 +119,8 @@ def stretched_fit(s: HpSeq) -> StretchedFit:
 
 class SquareRatios(NamedTuple):
     squares: HpSeq  # s at the square indices, reindexed k = 1, 2, ...
-    intercept: HpReal  # last value of the twice-eliminated ratios t_k
-    spread: HpReal  # over the last 5 values of t_k
+    intercept: mpmath.mpf  # last value of the twice-eliminated ratios t_k
+    spread: mpmath.mpf  # over the last 5 values of t_k
     csvs: dict
 
 
@@ -156,7 +154,7 @@ def square_bst(s: HpSeq, w) -> BstResult:
     return bst_extrapolate(square_subsample(s, 4), w)
 
 
-def growth_rate(p: Poly, ctx: HpContext) -> tuple[HpReal, HpReal]:
+def growth_rate(p: Poly, ctx: HpContext) -> tuple[mpmath.mpf, mpmath.mpf]:
     """(rho, mu): the smallest positive root of p and mu = 1/rho, at the
     working precision of ctx."""
     with ctx.work():

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional
 import mpmath
 from mpmath.libmp import dps_to_prec, finf, fnan, fninf, normalize, round_nearest, to_str
 
-from .asympt import quotient_nearest
+from .fixed import quotient_nearest
 
 
 @contextmanager
@@ -52,7 +52,7 @@ def decimal_str(value, digits: Optional[int] = None) -> str:
     Any other value is first rounded once, to nearest with ties to even, to
     the binary precision of dps = max(mp.dps, digits) + 5 decimal digits
     (`dps_to_prec(dps)` bits): an mpf from its own bits, a Fraction as the
-    exact quotient (asympt.quotient_nearest), anything else as mpf(value)
+    exact quotient (fixed.quotient_nearest), anything else as mpf(value)
     at dps.  It then prints with D = `digits` (default: dps) significant
     digits, exactly as mpmath's to_str(raw, D) does:
 
@@ -110,20 +110,11 @@ class _Decimals:
         if type(raw) is str:
             return raw
         sign, man, exp, bc = raw
-        if not man:  # zero, inf or nan
-            return to_str(raw, self.digits)
-        drop = bc - self.prec
-        if drop > 0:  # to nearest, ties to even, as normalize rounds
-            half = 1 << (drop - 1)
-            low = man & ((half << 1) - 1)
-            man >>= drop
-            if low > half or (low == half and man & 1):
-                man += 1
-            exp += drop
-            bc = man.bit_length()
+        if bc > self.prec:  # to nearest, ties to even
+            raw = sign, man, exp, bc = normalize(*raw, self.prec, round_nearest)
         mag = exp + bc
-        if not -3500 <= mag <= 3500:
-            return to_str(normalize(*raw, self.prec, round_nearest), self.digits)
+        if not man or not -3500 <= mag <= 3500:  # zero, inf, nan or far out
+            return to_str(raw, self.digits)
         # to_str's digits: the value truncated to bitprec bits in binary
         # fixed point, then to fixdps decimals
         fixprec = self.bitprec - mag if mag < self.bitprec else 0

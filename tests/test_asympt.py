@@ -46,14 +46,7 @@ from mpmath.libmp import (
     round_nearest,
     to_fixed,
 )
-from seqlab.asympt import (
-    AMPLITUDE_WINDOWS,
-    _Fixed,
-    quotient_nearest,
-    sqrt_nearest,
-    stretched_amplitudes,
-    vandermonde_inverse,
-)
+from seqlab.asympt import AMPLITUDE_WINDOWS, stretched_amplitudes, vandermonde_inverse
 from seqlab.errors import (
     IllConditioned,
     InsufficientTerms,
@@ -62,6 +55,7 @@ from seqlab.errors import (
     SingularSystem,
     TableauBlowup,
 )
+from seqlab.fixed import Fixed, quotient_nearest, sqrt_nearest
 from test_cli import child_env
 
 CTX50 = HpContext(50)
@@ -434,7 +428,7 @@ class TestStretchedAmplitudesAtIndices:
             stretched_amplitudes(s, 1, Fraction(1, 2), 0, [0])
 
 
-class ReferenceKernel(_Fixed):
+class ReferenceKernel(Fixed):
     """The kernel's logs, roots and exps as they were before its tables:
     log_int_fixed at P bits for log n, mpf_log at P bits for a value's log
     (at the scale of its last bit, which holds it exactly), isqrt for
@@ -469,12 +463,12 @@ def random_raws(rng, count):
 
 
 class TestKernelLog:
-    """The log table and the general log of _Fixed against mpmath at more
+    """The log table and the general log of Fixed against mpmath at more
     bits, within the bounds its docstring states."""
 
     @pytest.mark.parametrize("digits, last", [(15, 2000), (100, 20000), (250, 2000)])
     def test_integer_logs(self, digits, last):
-        fx = _Fixed(HpContext(digits), 1, last)
+        fx = Fixed(HpContext(digits), 1, last)
         table = fx.table
         for n in range(1, last + 1):
             # the entry falls short of log n 2^T by less than 2 T log2 n units
@@ -486,7 +480,7 @@ class TestKernelLog:
     @pytest.mark.parametrize("digits", [15, 100, 250])
     def test_value_logs(self, digits):
         # a value's log is off by less than 21 T units of 2^-T
-        fx = _Fixed(HpContext(digits), 1, 1300)
+        fx = Fixed(HpContext(digits), 1, 1300)
         prec = fx.table.prec
         for raw in random_raws(random.Random(digits), 7000):
             ref = to_fixed(mpf_log(raw, prec + 80), prec + 80)
@@ -501,7 +495,7 @@ class TestKernelLog:
         # k from 10 to 3 prec, is off by less than 2^-(prec + 64) of log x.
         # mpf_log keeps its precision relative near 1, so T + 80 bits of it
         # placed at scale + 80 are an exact enough reference
-        fx = _Fixed(HpContext(digits), 1, 1300)
+        fx = Fixed(HpContext(digits), 1, 1300)
         prec, rng = fx.prec, random.Random(digits)
         assert fx.log_raw(from_int(1)) == (0, fx.table.prec)
         for k in range(10, 3 * prec + 1):
@@ -516,7 +510,7 @@ class TestKernelLog:
     def test_band_edges(self):
         # 1 - 2^-10 and 1 + 2^-9 - 2^-40 lie in the band; 1 - 2^-10 - 2^-40
         # and 1 + 2^-9 lie outside it and take the table at scale T
-        fx = _Fixed(HpContext(30), 1, 100)
+        fx = Fixed(HpContext(30), 1, 100)
         prec = fx.table.prec
         inside = [from_man_exp(1023, -10), from_man_exp(2 ** 40 + 2 ** 31 - 1, -40)]
         outside = [from_man_exp(2 ** 40 - 2 ** 30 - 1, -40), from_man_exp(513, -9)]
@@ -529,7 +523,7 @@ class TestKernelLog:
     def test_indices_past_the_table(self):
         # a range far from 1 leaves the table at 1023 entries: its logs are
         # values' logs, within their bound, and its roots come from isqrt
-        fx = _Fixed(HpContext(100), 10 ** 6, 10 ** 6 + 99)
+        fx = Fixed(HpContext(100), 10 ** 6, 10 ** 6 + 99)
         prec = fx.table.prec
         assert len(fx.table.logs) == 1024
         for n in range(10 ** 6, 10 ** 6 + 100):
@@ -538,7 +532,7 @@ class TestKernelLog:
             assert fx.sqrt(n) == isqrt(n << 2 * fx.bits)
 
     def test_multiples_of_log2_beyond_2_to_32(self):
-        fx = _Fixed(HpContext(30), 1, 100)
+        fx = Fixed(HpContext(30), 1, 100)
         prec = fx.table.prec
         for e in (2 ** 32 - 1, -(2 ** 32), 3 ** 40, -(7 ** 30)):
             raw = from_man_exp(12345, e)
@@ -549,8 +543,8 @@ class TestKernelLog:
 
 
 class TestKernelExp:
-    """_Fixed.exp against mpf_exp at T + 64 bits, within the relative error
-    (68 T + 2^12) 2^-T that the _Fixed docstring states."""
+    """Fixed.exp against mpf_exp at T + 64 bits, within the relative error
+    (68 T + 2^12) 2^-T that the Fixed docstring states."""
 
     @staticmethod
     def assert_within_bound(fx, x, scale):
@@ -563,7 +557,7 @@ class TestKernelExp:
     @pytest.mark.parametrize("digits, last", [(15, 300), (100, 2000), (250, 20000)])
     def test_seeded_arguments(self, digits, last):
         # |x| up to 2^25 at the kernel's scale 2^-2P, every magnitude below
-        fx = _Fixed(HpContext(digits), 1, last)
+        fx = Fixed(HpContext(digits), 1, last)
         scale, rng = 2 * fx.bits, random.Random(digits)
         xs = [0, 1, -1, 1 << scale + 25, -(1 << scale + 25)]
         for _ in range(3000):
@@ -579,7 +573,7 @@ class TestKernelExp:
     def test_near_multiples_of_log2(self, digits):
         # x just below and above k log 2, where the reduction's k steps and
         # r lies at either end of [0, log 2)
-        fx = _Fixed(HpContext(digits), 1, 2000)
+        fx = Fixed(HpContext(digits), 1, 2000)
         scale, rng = 2 * fx.bits, random.Random(digits)
         for k in [0, 1, -1, 2, -2, *(rng.randint(-2 ** 25, 2 ** 25) for _ in range(300))]:
             with mpmath.workprec(scale + 64):
@@ -589,7 +583,7 @@ class TestKernelExp:
                     self.assert_within_bound(fx, x, scale)
 
     def test_exact_at_zero(self):
-        fx = _Fixed(HpContext(30), 1, 100)
+        fx = Fixed(HpContext(30), 1, 100)
         T = fx.table.prec
         assert fx.exp(0, 2 * fx.bits) == (1 << T, T)
         assert [row[0] for row in fx.table.exps] == [1 << T] * 4
@@ -624,7 +618,7 @@ class TestKernelMatchesMpmathLogs:
             s = HpSeq(1, HpSeq.from_sequence(counts, ctx).slice_from(1).values[:terms], ctx)
             new = stretched_values(s, beta, delta, a)
             with monkeypatch.context() as m:
-                m.setattr("seqlab.asympt._Fixed", ReferenceKernel)
+                m.setattr("seqlab.asympt.Fixed", ReferenceKernel)
                 assert new == stretched_values(s, beta, delta, a), (terms, beta)
             compared += len(new)
         assert compared > 25000
@@ -636,7 +630,7 @@ class TestKernelMatchesMpmathLogs:
         new = stretched_values(s, *args)
         points = loglog_points(s)
         with monkeypatch.context() as m:
-            m.setattr("seqlab.asympt._Fixed", ReferenceKernel)
+            m.setattr("seqlab.asympt.Fixed", ReferenceKernel)
             assert new == stretched_values(s, *args)
         with ctx.work():
             assert points == [(mpmath.log(n), mpmath.log(v))

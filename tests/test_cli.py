@@ -471,6 +471,8 @@ class TestErrorBoundaryAndEcho:
          "malformed b-file line 3: '2 x'"),
         (["fit", "amplitude", B, "--mu", "3", "--g", "1", "--K", "-1"],
          "Error: need K >= 0"),
+        (["expand", "algeq", "catalan1.txt", "--n", "5", "--dxmax", "2",
+          "--dymax", "2"], "generating-function guessing needs an offset-0 sequence"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -483,6 +485,8 @@ class TestErrorBoundaryAndEcho:
         Path("bad_early.txt").write_text(
             "".join(lines[:2]) + "2 x\n" + "".join(lines[3:]))
         Path("catalan.txt").write_text(CATALAN_14)
+        Path("catalan1.txt").write_text(
+            "".join(f"{n} {c}\n" for n, c in enumerate(CATALAN[:14], 1)))
         Path("cache").mkdir()
         res = CliRunner().invoke(main, args)
         if error is None:

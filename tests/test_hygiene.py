@@ -19,6 +19,7 @@ named after it.
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,8 +153,9 @@ def _top_modules(path: Path) -> set[str]:
     tree = ast.parse(path.read_text())
     modules = {a.name.split(".")[0] for node in ast.walk(tree)
                if isinstance(node, ast.Import) for a in node.names}
-    modules |= {node.module.split(".")[0] for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module}
+    modules |= {node.module.split(".")[0] if node.module else a.name
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
     return modules
 
 
@@ -182,7 +184,8 @@ def test_all_lists_every_reexport():
 
 
 # every name the package imports from mpmath.libmp: report.py's decimal
-# rendering and the fixed-point kernel of asympt.py
+# rendering, the fixed-point kernel of fixed.py, and the raw-mpf steps of
+# asympt.py's estimators and of pipeline.py
 LIBMP_NAMES = [
     "dps_to_prec", "finf", "fnan", "fninf", "fone", "from_int", "fzero",
     "mpf_abs", "mpf_add", "mpf_div", "mpf_mul", "mpf_pow", "mpf_sub",
@@ -225,6 +228,16 @@ def test_exact_toolkit_is_float_free():
     # neither mpmath nor decimal
     path = ROOT / "src" / "seqlab" / "series.py"
     assert _top_modules(path).isdisjoint({"mpmath", "decimal"})
+
+
+def test_fixed_kernel_layering():
+    # the fixed-point kernel stands below the estimators: fixed.py imports
+    # only errors of the package and only mpmath from outside the standard
+    # library, and report.py, which renders its quotients, does not import
+    # the estimators of asympt.py
+    src = ROOT / "src" / "seqlab"
+    assert _top_modules(src / "fixed.py") - sys.stdlib_module_names == {"errors", "mpmath"}
+    assert _top_modules(src / "report.py").isdisjoint({"asympt", "seqlab"})
 
 
 def test_guard_catches_dead_names():
