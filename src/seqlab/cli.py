@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -61,6 +62,14 @@ from .sequences import (
     gen_stack_area,
 )
 from .series import Poly
+
+
+MAX_PRECISION = 10_000
+"""The largest ``--precision``, in decimal digits: it bounds the working
+precision, and so the memory, that any stage asks for."""
+
+MAX_VALUE_EXPONENT = 1000
+"""The largest decimal exponent of an ``identify --value``, either sign."""
 
 
 @dataclass
@@ -143,7 +152,8 @@ def run(body):
     its report, prints, and fails.  The body receives the CliState, the
     loaded `Source` in place of a SOURCE argument, and its options; a body
     reads its terms before it parses its options, so a malformed b-file is
-    reported first, as it was when SOURCE was parsed on loading.  It
+    reported first, as it was when SOURCE was parsed on loading.
+    ``--precision`` is checked before SOURCE loads.  It
     returns the AnalysisReport fields (`input_digest` defaults to the
     digest of SOURCE), plus its figure `csvs` and its `stdout`: text, or
     text blocks rendered one by one once the report is written.  A
@@ -155,6 +165,10 @@ def run(body):
     def callback(ctx, **kwargs):
         state = ctx.obj
         try:
+            if state.precision < 1:
+                raise ValueError(f"need digits >= 1, got {state.precision}")
+            if state.precision > MAX_PRECISION:
+                raise ValueError(f"need digits <= {MAX_PRECISION}, got {state.precision}")
             if "source" in kwargs:
                 kwargs["source"] = _load(state, kwargs["source"])
             fields = body(state, **kwargs)
@@ -579,6 +593,16 @@ def identify():
 
 
 def _value_and_digits(value: str, digits: Optional[int]) -> tuple:
+    """The value and its digits.  A decimal exponent beyond
+    MAX_VALUE_EXPONENT is rejected before mpmath reads the value."""
+    try:
+        dec = Decimal(value)
+    except InvalidOperation:  # not a decimal: left to mpmath to read or reject
+        dec = Decimal(0)
+    if dec and abs(dec.adjusted()) > MAX_VALUE_EXPONENT:
+        raise ValueError(
+            f"value {value!r} is out of range: need a decimal exponent between "
+            f"-{MAX_VALUE_EXPONENT} and {MAX_VALUE_EXPONENT}, got {dec.adjusted()}")
     d = digits if digits is not None else _text_digits(value)
     with mpmath.workdps(max(d, 15) + 10):
         return mpmath.mpf(value), d

@@ -6,7 +6,10 @@ Given the first terms of an integer sequence, search for
 * an algebraic equation P(x, y) = 0 for the generating function
   (``guess_algeq``),
 
-by elimination modulo a 61-bit prime: a shape of nullity 1 mod p has its
+by elimination modulo the Mersenne prime p = 2^61 - 1.  The elimination
+packs each column's residues into the slots of one integer, so each step
+is one big-integer multiply-add and the slots are reduced mod p together,
+by 2^61 = 1 mod p (``_ModSpan``).  A shape of nullity 1 mod p has its
 relation lifted to the integers by rational reconstruction, any other
 rank-deficient shape is solved by exact integer nullspace computation
 (fraction-free Gaussian elimination).  Both run one shape search; only
@@ -157,13 +160,27 @@ _RANK_PRIME = (1 << 61) - 1
 
 
 class _ModSpan:
-    """The span, modulo a prime p, of the columns added so far.
+    """The span, modulo a Mersenne prime p = 2^k - 1, of the columns added
+    so far.
 
     Each independent column is reduced by the earlier ones, so it vanishes
     at their pivot rows, and scaled to 1 at its own pivot, its first
-    nonzero entry; it is stored from that pivot on.  ``len(basis)`` is the
-    rank mod p of every column in `seen`.  A column is reduced lazily:
-    ``% p`` is taken only to read each multiplier, and once at the end.
+    nonzero entry.  ``len(basis)`` is the rank mod p of every column in
+    `seen`.
+
+    Rows are packed: entry i of an n-row column is slot i, bits
+    [w*i, w*(i + 1)), of one int, with the slot width w a whole number of
+    bytes and w >= 2k + 1 + bit_length(n), fixed at the first column; every
+    column has the first column's n rows.  A column is packed once, its
+    entries reduced mod p; a basis vector b is stored as the int whose
+    slots hold p - b_i.  Each elimination step reads the multiplier f from
+    the pivot slot, mod p, and adds f times the stored vector: one
+    big-integer multiply-add, which changes every slot by -f*b_i mod p.  No
+    slot overflows into the next: it starts below p, each step adds
+    f*(p - b_i) < 2^(2k), and a column meets at most n steps, one per pivot
+    row, so every slot stays below (n + 1) * 2^(2k) <= 2^(2k + bit_length(n))
+    < 2^w.  At the end every slot is reduced mod p at once, by the Mersenne
+    identity 2^k = 1 mod p.
 
     Every column keeps its multipliers, one per earlier basis vector, so a
     column that reduces to zero is a known combination of the basis, and
@@ -172,25 +189,53 @@ class _ModSpan:
     """
 
     def __init__(self, p: int):
+        if p < 3 or p & (p + 1):
+            raise ValueError(f"need a Mersenne prime 2^k - 1, got {p}")
         self.p, self.basis, self.dependent, self.seen = p, [], [], set()
+        self.k, self.width = p.bit_length(), None
+
+    def _layout(self, n: int) -> None:
+        """Fix the slot width for n rows, and the masks that repeat a
+        pattern in every slot."""
+        k = self.k
+        self.nbytes = -(-(2 * k + 1 + n.bit_length()) // 8)
+        self.width = w = 8 * self.nbytes
+        self.ones = int.from_bytes(b"\x01".ljust(self.nbytes, b"\x00") * n, "little")
+        self.low = self.ones * self.p  # the low k bits: p itself in each slot
+        self.rest = self.ones * ((1 << w - k) - 1)
+        self.high = self.ones * ((1 << w) - (1 << k))
+
+    def _reduce(self, v: int) -> int:
+        """Every slot of v mod p.  (x & p) + (x >> k) = x mod p, and it is
+        below x for any x >= 2^k, so repeating it leaves each slot at most
+        p; a slot equal to p is the one where x + 1 has bit k set."""
+        k, low, rest = self.k, self.low, self.rest
+        while v & self.high:
+            v = (v & low) + (v >> k & rest)
+        return v - (v + self.ones >> k & self.ones) * self.p
 
     def add(self, key, col: SeqABC[int]) -> None:
         p = self.p
+        if self.width is None:
+            self._layout(len(col))
         self.seen.add(key)
-        v = list(col)
+        w, nbytes = self.width, self.nbytes
+        mask = (1 << w) - 1
+        v = int.from_bytes(b"".join([(e % p).to_bytes(nbytes, "little") for e in col]),
+                           "little")
         mults = []
-        for piv, b, _, _, _ in self.basis:
-            f = v[piv] % p
+        for piv, neg, _, _, _ in self.basis:
+            f = (v >> w * piv & mask) % p
             mults.append(f)
             if f:
-                v[piv:] = [x - f * y for x, y in zip(v[piv:], b)]
-        v = [e % p for e in v]
-        piv = next((i for i, e in enumerate(v) if e), None)
-        if piv is None:
+                v += f * neg
+        v = self._reduce(v)
+        if not v:
             self.dependent.append((key, mults))
         else:
-            inv = pow(v[piv], -1, p)
-            self.basis.append((piv, [e * inv % p for e in v[piv:]], key, mults, inv))
+            piv = ((v & -v).bit_length() - 1) // w  # the lowest nonzero slot
+            inv = pow(v >> w * piv & mask, -1, p)
+            self.basis.append((piv, self.low - self._reduce(v * inv), key, mults, inv))
 
     def relation(self, key, mults: SeqABC[int]) -> dict:
         """Coefficients mod p, by key, of a vanishing combination of the

@@ -414,65 +414,132 @@ class TestErrorBoundaryAndEcho:
     B = "b202062.txt"
     MU_ERROR = "the growth constant mu must be finite and positive"
 
+    # Every case names itself, so adding one renames no other.  The
+    # "argsN-..." ids are the names pytest gave the first cases by position.
     @pytest.mark.parametrize("args, error", [
-        (["guess", "rec", "bad.txt"], "malformed b-file line 2"),
-        (["--offline", "--cache-dir", "cache", "guess", "rec", "A000108"],
-         "not cached"),
-        (["gen", "lconvex-area", "--n", "-3"], "n_terms >= 1"),
-        (["gen", "stack", "--n", "0"], "n_terms >= 1"),
-        (["expand", "rational", "--num", "1", "--den", "0", "--n", "5"],
-         "zero denominator"),
-        (["identify", "rational", "--value", "abc"], "'abc'"),
-        (["identify", "mult", "--value", "abc"], "'abc'"),
-        (["fit", "amplitude", B, "--mu", "abc", "--g", "9/2", "--K", "3"], "'abc'"),
-        (["--report", f"{B}/report.json", "gen", "stack", "--n", "3"], B),
-        (["gen", "stack", "--n", "3"], None),
-        (["--precision", "30", "analyze", "ratios", B], None),
-        (["oracle", "ascent", "--pattern", "201", "--n", "-1"], "n_max >= 0"),
-        (["oracle", "lconvex", "--n", "-2"], "n_max >= 1"),
-        (["oracle", "stack", "--n", "-2"], "n_max >= 1"),
-        (["expand", "rational", "--num", "0", "--den", "1", "--n", "-2"],
-         "n_terms >= 1"),
-        (["expand", "rec", B, "--n", "-1"], "n_terms >= 1"),
-        (["expand", "rec", B, "--n", "0"], "n_terms >= 1"),
-        (["expand", "algeq", "catalan.txt", "--n", "-2", "--dxmax", "2",
-          "--dymax", "2"], "n_terms >= 1"),
-        (["guess", "algeq", B, "--margin", "-30", "--dxmax", "3",
-          "--dymax", "2"], "margin >= 0"),
-        (["guess", "rec", B, "--margin", "-1"], "margin >= 0"),
-        (["analyze", "ratios", "upto1.txt"], "at least 2 terms, got 1"),
-        (["analyze", "square", "upto15.txt"], "indices 1 to 16"),
-        (["analyze", "powerlaw", "upto2.txt", "--mu", "3"], "at least 3 terms, got 2"),
-        (["analyze", "powerlaw", "upto8.txt", "--mu", "3", "--square"],
-         "indices 1 to 9"),
-        (["extrapolate", "bst", "upto15.txt", "--square"], "indices 1 to 16"),
-        (["analyze", "square", "upto16.txt"], None),
-        (["analyze", "powerlaw", "upto9.txt", "--mu", "3", "--square"], None),
-        (["--precision", "-5", "analyze", "ratios", B], "need digits >= 1, got -5"),
-        (["--precision", "0", "analyze", "ratios", B], "need digits >= 1, got 0"),
-        (["fit", "amplitude", B, "--mu", "-2", "--g", "1", "--K", "2"], MU_ERROR),
-        (["fit", "amplitude", B, "--mu", "0", "--g", "1", "--K", "2"], MU_ERROR),
-        (["fit", "amplitude", B, "--mu", "inf", "--g", "1", "--K", "2"], MU_ERROR),
-        (["analyze", "powerlaw", B, "--mu", "nan"], MU_ERROR),
-        (["identify", "minpoly", "--value", "1.5", "--maxdeg", "-1", "--digits", "30"],
-         "need maxdeg >= 1, got -1"),
-        (["identify", "minpoly", "--value", "1.5", "--maxdeg", "0", "--digits", "30"],
-         "need maxdeg >= 1, got 0"),
-        (["identify", "rational", "--value", "0.5", "--digits", "-3"],
-         "need digits >= 1"),
-        (["identify", "mult", "--value", "0.5", "--digits", "0"], "need digits >= 1"),
-        (["guess", "rec", B, "--rmax", "0"], "need rmax >= 1"),
-        (["guess", "rec", B, "--dmax", "-1"], "need dmax >= 0"),
-        (["guess", "algeq", B, "--dxmax", "-1"], "need dxmax >= 0"),
-        (["guess", "algeq", B, "--dymax", "0"], "need dymax >= 1"),
-        (["gen", "lconvex-perimeter", "--n", "0"], "Error: need n_terms >= 1"),
+        pytest.param(["guess", "rec", "bad.txt"], "malformed b-file line 2",
+                     id="args0-malformed b-file line 2"),
+        pytest.param(["--offline", "--cache-dir", "cache", "guess", "rec", "A000108"],
+                     "not cached",
+                     id="args1-not cached"),
+        pytest.param(["gen", "lconvex-area", "--n", "-3"], "n_terms >= 1",
+                     id="args2-n_terms >= 1"),
+        pytest.param(["gen", "stack", "--n", "0"], "n_terms >= 1",
+                     id="args3-n_terms >= 1"),
+        pytest.param(["expand", "rational", "--num", "1", "--den", "0", "--n", "5"],
+                     "zero denominator",
+                     id="args4-zero denominator"),
+        pytest.param(["identify", "rational", "--value", "abc"], "'abc'",
+                     id="args5-'abc'"),
+        pytest.param(["identify", "mult", "--value", "abc"], "'abc'",
+                     id="args6-'abc'"),
+        pytest.param(["fit", "amplitude", B, "--mu", "abc", "--g", "9/2", "--K", "3"], "'abc'",
+                     id="args7-'abc'"),
+        pytest.param(["--report", f"{B}/report.json", "gen", "stack", "--n", "3"], B,
+                     id="args8-b202062.txt"),
+        pytest.param(["gen", "stack", "--n", "3"], None,
+                     id="args9-None"),
+        pytest.param(["--precision", "30", "analyze", "ratios", B], None,
+                     id="args10-None"),
+        pytest.param(["oracle", "ascent", "--pattern", "201", "--n", "-1"], "n_max >= 0",
+                     id="args11-n_max >= 0"),
+        pytest.param(["oracle", "lconvex", "--n", "-2"], "n_max >= 1",
+                     id="args12-n_max >= 1"),
+        pytest.param(["oracle", "stack", "--n", "-2"], "n_max >= 1",
+                     id="args13-n_max >= 1"),
+        pytest.param(["expand", "rational", "--num", "0", "--den", "1", "--n", "-2"],
+                     "n_terms >= 1",
+                     id="args14-n_terms >= 1"),
+        pytest.param(["expand", "rec", B, "--n", "-1"], "n_terms >= 1",
+                     id="args15-n_terms >= 1"),
+        pytest.param(["expand", "rec", B, "--n", "0"], "n_terms >= 1",
+                     id="args16-n_terms >= 1"),
+        pytest.param(["expand", "algeq", "catalan.txt", "--n", "-2", "--dxmax", "2",
+                      "--dymax", "2"], "n_terms >= 1",
+                     id="args17-n_terms >= 1"),
+        pytest.param(["guess", "algeq", B, "--margin", "-30", "--dxmax", "3",
+                      "--dymax", "2"], "margin >= 0",
+                     id="args18-margin >= 0"),
+        pytest.param(["guess", "rec", B, "--margin", "-1"], "margin >= 0",
+                     id="args19-margin >= 0"),
+        pytest.param(["analyze", "ratios", "upto1.txt"], "at least 2 terms, got 1",
+                     id="args20-at least 2 terms, got 1"),
+        pytest.param(["analyze", "square", "upto15.txt"], "indices 1 to 16",
+                     id="args21-indices 1 to 16"),
+        pytest.param(["analyze", "powerlaw", "upto2.txt", "--mu", "3"], "at least 3 terms, got 2",
+                     id="args22-at least 3 terms, got 2"),
+        pytest.param(["analyze", "powerlaw", "upto8.txt", "--mu", "3", "--square"],
+                     "indices 1 to 9",
+                     id="args23-indices 1 to 9"),
+        pytest.param(["extrapolate", "bst", "upto15.txt", "--square"], "indices 1 to 16",
+                     id="args24-indices 1 to 16"),
+        pytest.param(["analyze", "square", "upto16.txt"], None,
+                     id="args25-None"),
+        pytest.param(["analyze", "powerlaw", "upto9.txt", "--mu", "3", "--square"], None,
+                     id="args26-None"),
+        pytest.param(["--precision", "-5", "analyze", "ratios", B], "need digits >= 1, got -5",
+                     id="args27-need digits >= 1, got -5"),
+        pytest.param(["--precision", "0", "analyze", "ratios", B], "need digits >= 1, got 0",
+                     id="args28-need digits >= 1, got 0"),
+        pytest.param(["fit", "amplitude", B, "--mu", "-2", "--g", "1", "--K", "2"], MU_ERROR,
+                     id="args29-the growth constant mu must be finite and positive"),
+        pytest.param(["fit", "amplitude", B, "--mu", "0", "--g", "1", "--K", "2"], MU_ERROR,
+                     id="args30-the growth constant mu must be finite and positive"),
+        pytest.param(["fit", "amplitude", B, "--mu", "inf", "--g", "1", "--K", "2"], MU_ERROR,
+                     id="args31-the growth constant mu must be finite and positive"),
+        pytest.param(["analyze", "powerlaw", B, "--mu", "nan"], MU_ERROR,
+                     id="args32-the growth constant mu must be finite and positive"),
+        pytest.param(["identify", "minpoly", "--value", "1.5", "--maxdeg", "-1", "--digits", "30"],
+                     "need maxdeg >= 1, got -1",
+                     id="args33-need maxdeg >= 1, got -1"),
+        pytest.param(["identify", "minpoly", "--value", "1.5", "--maxdeg", "0", "--digits", "30"],
+                     "need maxdeg >= 1, got 0",
+                     id="args34-need maxdeg >= 1, got 0"),
+        pytest.param(["identify", "rational", "--value", "0.5", "--digits", "-3"],
+                     "need digits >= 1",
+                     id="args35-need digits >= 1"),
+        pytest.param(["identify", "mult", "--value", "0.5", "--digits", "0"], "need digits >= 1",
+                     id="args36-need digits >= 1"),
+        pytest.param(["guess", "rec", B, "--rmax", "0"], "need rmax >= 1",
+                     id="args37-need rmax >= 1"),
+        pytest.param(["guess", "rec", B, "--dmax", "-1"], "need dmax >= 0",
+                     id="args38-need dmax >= 0"),
+        pytest.param(["guess", "algeq", B, "--dxmax", "-1"], "need dxmax >= 0",
+                     id="args39-need dxmax >= 0"),
+        pytest.param(["guess", "algeq", B, "--dymax", "0"], "need dymax >= 1",
+                     id="args40-need dymax >= 1"),
+        pytest.param(["gen", "lconvex-perimeter", "--n", "0"], "Error: need n_terms >= 1",
+                     id="args41-Error: need n_terms >= 1"),
         # every line is checked, though the fit converts only the last K + 10
-        (["fit", "amplitude", "bad_early.txt", "--mu", "3", "--g", "1", "--K", "2"],
-         "malformed b-file line 3: '2 x'"),
-        (["fit", "amplitude", B, "--mu", "3", "--g", "1", "--K", "-1"],
-         "Error: need K >= 0"),
-        (["expand", "algeq", "catalan1.txt", "--n", "5", "--dxmax", "2",
-          "--dymax", "2"], "generating-function guessing needs an offset-0 sequence"),
+        pytest.param(["fit", "amplitude", "bad_early.txt", "--mu", "3", "--g", "1", "--K", "2"],
+                     "malformed b-file line 3: '2 x'",
+                     id="args42-malformed b-file line 3: '2 x'"),
+        pytest.param(["fit", "amplitude", B, "--mu", "3", "--g", "1", "--K", "-1"],
+                     "Error: need K >= 0",
+                     id="args43-Error: need K >= 0"),
+        pytest.param(["expand", "algeq", "catalan1.txt", "--n", "5", "--dxmax", "2",
+                      "--dymax", "2"], "generating-function guessing needs an offset-0 sequence",
+                     id="args44-generating-function guessing needs an offset-0 sequence"),
+        # --precision is bounded before SOURCE loads or any stage runs
+        pytest.param(["--precision", "0", "identify", "mult", "--value", "0.0239372"],
+                     "need digits >= 1, got 0", id="precision-0-identify-mult"),
+        pytest.param(["--precision", "-5", "identify", "rational", "--value", "0.5"],
+                     "need digits >= 1, got -5", id="precision-negative-identify-rational"),
+        pytest.param(["--precision", "0", "analyze", "ratios", "missing.txt"],
+                     "need digits >= 1, got 0", id="precision-0-before-source"),
+        pytest.param(["--precision", "10001", "identify", "rational", "--value", "0.5"],
+                     "need digits <= 10000, got 10001", id="precision-above-bound"),
+        pytest.param(["--precision", "100000000", "gen", "stack", "--n", "3"],
+                     "need digits <= 10000, got 100000000", id="precision-far-above-bound"),
+        pytest.param(["--precision", "10000", "identify", "rational", "--value", "0.5"], None,
+                     id="precision-at-bound"),
+        pytest.param(["identify", "rational", "--value", "1e400000"],
+                     "value '1e400000' is out of range", id="value-exponent-above-bound"),
+        pytest.param(["identify", "mult", "--value", "-2.5e-1001"],
+                     "value '-2.5e-1001' is out of range", id="value-exponent-below-bound"),
+        pytest.param(["identify", "minpoly", "--value", "1e1001", "--digits", "40"],
+                     "need a decimal exponent between -1000 and 1000, got 1001",
+                     id="value-exponent-minpoly"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -149,6 +149,93 @@ class TestModSpan:
             span.add(key, col)
         assert len(span.basis) == 1
 
+    @pytest.mark.parametrize("p", [3, (1 << 61) - 1])
+    def test_matches_list_span(self, p):
+        """Seeded families of wide, zero, dependent and shifted columns:
+        the packed span keeps the list span's pivots, basis vectors,
+        multipliers, inverses, dependent columns and relations."""
+        rng = random.Random(20261020 + p.bit_length())
+        for _ in range(60):
+            nrows = rng.randint(1, 24)
+            columns = []
+            for _ in range(rng.randint(1, 30)):
+                kind = rng.random()
+                if kind < 0.1:
+                    col = [0] * nrows
+                elif kind < 0.3 and columns:
+                    base = rng.sample(columns, min(3, len(columns)))
+                    factors = [rng.randint(-10 ** 30, 10 ** 30) for _ in base]
+                    col = [sum(f * c[i] for f, c in zip(factors, base))
+                           for i in range(nrows)]
+                elif kind < 0.5 and columns:  # like the x^i y^j columns
+                    shift = rng.randint(1, nrows)
+                    col = [0] * shift + rng.choice(columns)[: nrows - shift]
+                else:
+                    big = 10 ** rng.choice((1, 18, 200))
+                    col = [rng.randint(-big, big) for _ in range(nrows)]
+                columns.append(col)
+            self.assert_same_span(p, columns)
+
+    @pytest.mark.parametrize("p", [3, (1 << 61) - 1])
+    def test_slot_bound_stress(self, p):
+        """Every nonzero entry is p - 1 and every column is independent, so
+        each step adds the largest multiple, (p - 1) * p, to the slots
+        below the column's last nonzero row, and the last column meets one
+        step per earlier row."""
+        for nrows in (1, 7, 8, 64, 65):
+            columns = [[p - 1] * (j + 1) + [0] * (nrows - j - 1) for j in range(nrows)]
+            span = self.assert_same_span(p, columns)
+            assert len(span.basis) == nrows
+
+    @pytest.mark.parametrize("p", [(1 << 61) + 1, 2, 1, 0])
+    def test_needs_a_mersenne_number(self, p):
+        with pytest.raises(ValueError, match="Mersenne"):
+            guess._ModSpan(p)
+
+    @staticmethod
+    def assert_same_span(p, columns):
+        packed, listed = guess._ModSpan(p), _ListSpan(p)
+        for key, col in enumerate(columns):
+            packed.add(key, col)
+            listed.add(key, col)
+        nrows, mask = len(columns[0]), (1 << packed.width) - 1
+        assert [(piv, [p - (neg >> packed.width * i & mask) for i in range(piv, nrows)],
+                 key, mults, inv)
+                for piv, neg, key, mults, inv in packed.basis] == listed.basis
+        assert all(neg >> packed.width * i & mask == p
+                   for piv, neg, *_ in packed.basis for i in range(piv))
+        assert packed.dependent == listed.dependent
+        assert packed.seen == listed.seen
+        for key, mults in listed.dependent:
+            assert packed.relation(key, mults) == listed.relation(key, mults)
+        return packed
+
+
+class _ListSpan(guess._ModSpan):
+    """The reference span: each basis vector a list of residues from its
+    pivot on, and every elimination step a pass over the row."""
+
+    def __init__(self, p: int):
+        self.p, self.basis, self.dependent, self.seen = p, [], [], set()
+
+    def add(self, key, col):
+        p = self.p
+        self.seen.add(key)
+        v = list(col)
+        mults = []
+        for piv, b, _, _, _ in self.basis:
+            f = v[piv] % p
+            mults.append(f)
+            if f:
+                v[piv:] = [x - f * y for x, y in zip(v[piv:], b)]
+        v = [e % p for e in v]
+        piv = next((i for i, e in enumerate(v) if e), None)
+        if piv is None:
+            self.dependent.append((key, mults))
+        else:
+            inv = pow(v[piv], -1, p)
+            self.basis.append((piv, [e * inv % p for e in v[piv:]], key, mults, inv))
+
 
 @dataclass(frozen=True)
 class _Vector:
