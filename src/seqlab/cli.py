@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Optional
 
 import click
-import mpmath
 
 from . import pipeline
 from .asympt import (
@@ -32,7 +31,7 @@ from .asympt import (
 from .errors import RUN_ERRORS
 from .fixed import HpContext
 from .guess import guess_algeq, guess_prec
-from .identify import identify_rational, identify_with_multipliers, min_poly
+from .identify import identify_rational, identify_with_multipliers, min_poly, working_context
 from .oeis import (
     bfile_text,
     canonical_a_number,
@@ -65,11 +64,11 @@ from .series import Poly
 
 
 MAX_PRECISION = 10_000
-"""The largest ``--precision``, in decimal digits: it bounds the working
-precision, and so the memory, that any stage asks for."""
+"""The most decimal digits of --precision, --digits and a number's text: it
+bounds the working precision, and so the memory, that any stage asks for."""
 
 MAX_VALUE_EXPONENT = 1000
-"""The largest decimal exponent of an ``identify --value``, either sign."""
+"""The largest decimal exponent, either sign, of a number's text."""
 
 
 @dataclass
@@ -78,10 +77,7 @@ class CliState:
     offline: bool
     cache_dir: Optional[Path]
     report_path: Path
-
-    @property
-    def ctx(self) -> HpContext:
-        return HpContext(self.precision)
+    ctx: Optional[HpContext] = None  # the working precision, built by `run`
 
 
 class _SeqlabGroup(click.Group):
@@ -152,8 +148,8 @@ def run(body):
     its report, prints, and fails.  The body receives the CliState, the
     loaded `Source` in place of a SOURCE argument, and its options; a body
     reads its terms before it parses its options, so a malformed b-file is
-    reported first, as it was when SOURCE was parsed on loading.
-    ``--precision`` is checked before SOURCE loads.  It
+    reported first, as it was when SOURCE was parsed on loading.  The
+    context of ``--precision`` is built once, before SOURCE loads.  It
     returns the AnalysisReport fields (`input_digest` defaults to the
     digest of SOURCE), plus its figure `csvs` and its `stdout`: text, or
     text blocks rendered one by one once the report is written.  A
@@ -165,10 +161,7 @@ def run(body):
     def callback(ctx, **kwargs):
         state = ctx.obj
         try:
-            if state.precision < 1:
-                raise ValueError(f"need digits >= 1, got {state.precision}")
-            if state.precision > MAX_PRECISION:
-                raise ValueError(f"need digits <= {MAX_PRECISION}, got {state.precision}")
+            state.ctx = HpContext(_bounded(state.precision))
             if "source" in kwargs:
                 kwargs["source"] = _load(state, kwargs["source"])
             fields = body(state, **kwargs)
@@ -184,18 +177,45 @@ def run(body):
     return callback
 
 
-def _int_list(text: str) -> list[int]:
+def _bounded(digits: int) -> int:
+    """digits, unless above MAX_PRECISION (HpContext rejects it below 1)."""
+    if digits > MAX_PRECISION:
+        raise ValueError(f"need digits <= {MAX_PRECISION}, got {digits}")
+    return digits
+
+
+def _read_number(name: str, text: str, ctx: Optional[HpContext] = None):
+    """The number that option `name` gives as text, read once and exactly:
+    a decimal (2, -.5, 5., 1.5e-3) or a ratio p/q of two.  Given a context,
+    it is rounded once to its precision (HpContext.mpf), and inf and nan
+    read as themselves; without one it is a Fraction.  Before any big
+    integer is built, each decimal must have at most MAX_PRECISION digits
+    and, unless zero, a decimal exponent within +-MAX_VALUE_EXPONENT."""
+    num, slash, den = text.partition("/")
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
+        num, den = Decimal(num), Decimal(den if slash else 1)
+        if ctx and not slash and (num.is_infinite() or num.is_qnan()):
+            return ctx.mpf(float(num))
+        if not (num.is_finite() and den.is_finite() and den):
+            raise InvalidOperation
+    except InvalidOperation:
+        raise ValueError(f"{name} {text!r} is not a number: expected a decimal or a "
+                         f"ratio p/q{', inf or nan' if ctx else ''}") from None
+    for part in (num, den):
+        _bounded(len(part.as_tuple().digits))
+        if part and abs(part.adjusted()) > MAX_VALUE_EXPONENT:
+            raise ValueError(
+                f"{name} {text!r} is out of range: need a decimal exponent between "
+                f"-{MAX_VALUE_EXPONENT} and {MAX_VALUE_EXPONENT}, got {part.adjusted()}")
+    value = Fraction(num) / Fraction(den)
+    return value if ctx is None else ctx.mpf(value)
+
+
+def _int_list(name: str, text: str) -> list[int]:
+    values = [_read_number(name, tok) for tok in text.replace(",", " ").split()]
+    if any(v.denominator != 1 for v in values):
         raise click.ClickException(f"expected a comma-separated integer list, got {text!r}")
-
-
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise click.ClickException(f"expected a rational like 1/2, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _text_digits(text: str) -> int:
@@ -207,9 +227,8 @@ def _resolve_mu(state: CliState, mu: Optional[str], mu_from_poly: Optional[str])
     if (mu is None) == (mu_from_poly is None):
         raise click.ClickException("give exactly one of --mu or --mu-from-poly")
     if mu is not None:
-        with state.ctx.work():
-            return mpmath.mpf(mu), {"mu": mu}
-    coeffs = _int_list(mu_from_poly)
+        return _read_number("mu", mu, state.ctx), {"mu": mu}
+    coeffs = _int_list("mu_from_poly", mu_from_poly)
     return pipeline.growth_rate(Poly(coeffs), state.ctx)[1], {"mu_from_poly": coeffs}
 
 
@@ -239,31 +258,20 @@ def gen():
     """Exact series-based generators."""
 
 
-@gen.command("lconvex-area")
-@click.option("--n", "n_terms", type=int, required=True, help="Number of terms.")
-@run
-def gen_lconvex_area_cmd(state, n_terms):
-    """Counts of L-convex polyominoes by cell count."""
-    return _generated("lconvex_area", gen_lconvex_area(n_terms),
-                      {"generator": "lconvex-area", "n": n_terms})
+def _generator(name: str, key: str, generate, doc: str) -> None:
+    """Register `gen <name>`: the first --n terms of `generate`, as `key`."""
+    @gen.command(name, help=doc)
+    @click.option("--n", "n_terms", type=int, required=True, help="Number of terms.")
+    @run
+    def command(state, n_terms):
+        return _generated(key, generate(n_terms), {"generator": name, "n": n_terms})
 
 
-@gen.command("lconvex-perimeter")
-@click.option("--n", "n_terms", type=int, required=True, help="Number of terms.")
-@run
-def gen_lconvex_perimeter_cmd(state, n_terms):
-    """Counts of L-convex polyominoes by half-perimeter."""
-    return _generated("lconvex_perimeter", gen_lconvex_perimeter(n_terms),
-                      {"generator": "lconvex-perimeter", "n": n_terms})
-
-
-@gen.command("stack")
-@click.option("--n", "n_terms", type=int, required=True, help="Number of terms.")
-@run
-def gen_stack_cmd(state, n_terms):
-    """Counts of stack polyominoes by cell count."""
-    return _generated("stack_area", gen_stack_area(n_terms),
-                      {"generator": "stack", "n": n_terms})
+_generator("lconvex-area", "lconvex_area", gen_lconvex_area,
+           "Counts of L-convex polyominoes by cell count.")
+_generator("lconvex-perimeter", "lconvex_perimeter", gen_lconvex_perimeter,
+           "Counts of L-convex polyominoes by half-perimeter.")
+_generator("stack", "stack_area", gen_stack_area, "Counts of stack polyominoes by cell count.")
 
 
 @main.group()
@@ -273,22 +281,19 @@ def oracle():
     by a polynomial-time state recursion."""
 
 
-@oracle.command("lconvex")
-@click.option("--n", "n_max", type=int, required=True, help="Largest area.")
-@click.option("--budget", type=int, default=5_000_000, show_default=True)
-@run
-def oracle_lconvex_cmd(state, n_max, budget):
-    return _generated("lconvex_area_bruteforce", enum_lconvex_bruteforce(n_max, budget),
-                      {"oracle": "lconvex", "n": n_max})
+def _bruteforce(name: str, enumerate_counts) -> None:
+    """Register `oracle <name>`: brute-force counts by area up to --n."""
+    @oracle.command(name)
+    @click.option("--n", "n_max", type=int, required=True, help="Largest area.")
+    @click.option("--budget", type=int, default=5_000_000, show_default=True)
+    @run
+    def command(state, n_max, budget):
+        return _generated(f"{name}_area_bruteforce", enumerate_counts(n_max, budget),
+                          {"oracle": name, "n": n_max})
 
 
-@oracle.command("stack")
-@click.option("--n", "n_max", type=int, required=True, help="Largest area.")
-@click.option("--budget", type=int, default=5_000_000, show_default=True)
-@run
-def oracle_stack_cmd(state, n_max, budget):
-    return _generated("stack_area_bruteforce", enum_stack_bruteforce(n_max, budget),
-                      {"oracle": "stack", "n": n_max})
+_bruteforce("lconvex", enum_lconvex_bruteforce)
+_bruteforce("stack", enum_stack_bruteforce)
 
 
 @oracle.command("ascent")
@@ -306,20 +311,31 @@ def oracle_ascent_cmd(state, pattern, n_max, budget):
 # guess / expand
 # ---------------------------------------------------------------------------
 
-def _grid(first, second):
-    """A search grid's two size options, then --margin, as one decorator;
-    each grid is shared by a guess command and its expand twin."""
-    margin = click.option("--margin", default=4, show_default=True,
-                          help="Attempt threshold on the equations of a shape.")
-    return lambda f: first(second(margin(f)))
+def _options(*options):
+    """Click options as one decorator, in the order given."""
+    return lambda f: functools.reduce(lambda g, option: option(g), reversed(options), f)
 
 
-_REC_GRID = _grid(
+# option sets, each defined once and shared by the commands that take it
+_MARGIN = click.option("--margin", default=4, show_default=True,
+                       help="Attempt threshold on the equations of a shape.")
+_REC_GRID = _options(
     click.option("--rmax", default=8, show_default=True, help="Largest recurrence order."),
-    click.option("--dmax", default=4, show_default=True, help="Largest coefficient degree."))
-_ALGEQ_GRID = _grid(
+    click.option("--dmax", default=4, show_default=True, help="Largest coefficient degree."),
+    _MARGIN)
+_ALGEQ_GRID = _options(
     click.option("--dxmax", default=12, show_default=True, help="Largest x-degree."),
-    click.option("--dymax", default=3, show_default=True, help="Largest y-degree."))
+    click.option("--dymax", default=3, show_default=True, help="Largest y-degree."),
+    _MARGIN)
+# a growth constant is given by exactly one of these (_resolve_mu)
+_MU = _options(
+    click.option("--mu", default=None, help="Growth constant as a decimal string."),
+    click.option("--mu-from-poly", default=None,
+                 help="Ascending integer coefficients; mu = 1/smallest positive root."))
+_VALUE = click.option("--value", required=True, help="Decimal string.")
+_DIGITS = click.option("--digits", type=int, default=None,
+                       help="Certified digits of the value [default: count its digits].")
+_MAXDEN = click.option("--maxden", default=1000, show_default=True)
 
 
 @main.group()
@@ -412,10 +428,10 @@ def expand_algeq_cmd(state, source, n_terms, **grid):
 @run
 def expand_rational_cmd(state, num, den, n_terms):
     """Taylor/Laurent coefficients of a rational function num/den."""
-    num_c, den_c = _int_list(num), _int_list(den)
+    num_c, den_c = _int_list("num", num), _int_list("den", den)
     laurent = expand_rational(Poly(num_c), Poly(den_c), n_terms)
     return _sequence_fields(
-        "coefficients", laurent.offset, [str(c) for c in laurent.coeffs],
+        "coefficients", **sequence_entry(laurent.offset, laurent.coeffs),
         input_digest=text_digest(f"{num}|{den}|{n_terms}"),
         parameters={"num": num_c, "den": den_c, "n": n_terms},
     )
@@ -493,9 +509,7 @@ def analyze_square_cmd(state, source):
 
 @analyze.command("powerlaw")
 @click.argument("source")
-@click.option("--mu", default=None, help="Growth constant as a decimal string.")
-@click.option("--mu-from-poly", default=None,
-              help="Ascending integer coefficients; mu = 1/smallest positive root.")
+@_MU
 @click.option("--square", is_flag=True, help="Square-subsample the input first.")
 @run
 def analyze_powerlaw_cmd(state, source, mu, mu_from_poly, square):
@@ -533,7 +547,7 @@ def extrapolate():
 def extrapolate_bst_cmd(state, source, w, square):
     """Bulirsch-Stoer extrapolation of the input terms."""
     s = _hpseq(state, source.seq)
-    w_frac = _fraction(w)
+    w_frac = _read_number("w", w)
     res = pipeline.square_bst(s, w_frac) if square else bst_extrapolate(s, w_frac)
     if res.spread >= abs(res.value):
         click.echo("note: spread >= |limit|, so the terms do not fix the limit", err=True)
@@ -552,9 +566,7 @@ def fit():
 
 @fit.command("amplitude")
 @click.argument("source")
-@click.option("--mu", default=None, help="Growth constant as a decimal string.")
-@click.option("--mu-from-poly", default=None,
-              help="Ascending integer coefficients; mu = 1/smallest positive root.")
+@_MU
 @click.option("--g", "g_str", required=True,
               help="Normalizing power as a rational, e.g. 9/2 for s_n n^(9/2)/mu^n.")
 @click.option("--k", "--K", "k_corr", type=int, required=True,
@@ -565,7 +577,7 @@ def fit_amplitude_cmd(state, source, mu, mu_from_poly, g_str, k_corr):
     # the fit reads only these terms; a negative K is amplitude_fit's to reject
     seq = source.tail(max(k_corr, 0) + AMPLITUDE_WINDOWS)
     mu_val, mu_params = _resolve_mu(state, mu, mu_from_poly)
-    g_frac = _fraction(g_str)
+    g_frac = _read_number("g", g_str)
     res = amplitude_fit(seq, mu_val, g_frac, k_corr, state.ctx)
     with state.ctx.work():
         corr = sequence_entry(1, res.model.corrections, digits=25)
@@ -593,19 +605,9 @@ def identify():
 
 
 def _value_and_digits(value: str, digits: Optional[int]) -> tuple:
-    """The value and its digits.  A decimal exponent beyond
-    MAX_VALUE_EXPONENT is rejected before mpmath reads the value."""
-    try:
-        dec = Decimal(value)
-    except InvalidOperation:  # not a decimal: left to mpmath to read or reject
-        dec = Decimal(0)
-    if dec and abs(dec.adjusted()) > MAX_VALUE_EXPONENT:
-        raise ValueError(
-            f"value {value!r} is out of range: need a decimal exponent between "
-            f"-{MAX_VALUE_EXPONENT} and {MAX_VALUE_EXPONENT}, got {dec.adjusted()}")
-    d = digits if digits is not None else _text_digits(value)
-    with mpmath.workdps(max(d, 15) + 10):
-        return mpmath.mpf(value), d
+    """(value, d): d is --digits or else counted, the value read for d digits."""
+    d = _bounded(digits if digits is not None else _text_digits(value))
+    return _read_number("value", value, working_context(d)), d
 
 
 def _identified(value: str, params: dict, found: Optional[tuple], missing: str) -> dict:
@@ -617,10 +619,7 @@ def _identified(value: str, params: dict, found: Optional[tuple], missing: str) 
 
 
 @identify.command("rational")
-@click.option("--value", required=True, help="Decimal string.")
-@click.option("--maxden", default=1000, show_default=True)
-@click.option("--digits", type=int, default=None,
-              help="Certified digits of the value [default: count its digits].")
+@_options(_VALUE, _MAXDEN, _DIGITS)
 @run
 def identify_rational_cmd(state, value, maxden, digits):
     """Recognize a rational p/q with q <= maxden."""
@@ -633,10 +632,7 @@ def identify_rational_cmd(state, value, maxden, digits):
 
 
 @identify.command("mult")
-@click.option("--value", required=True, help="Decimal string.")
-@click.option("--maxden", default=1000, show_default=True)
-@click.option("--digits", type=int, default=None,
-              help="Certified digits of the value [default: count its digits].")
+@_options(_VALUE, _MAXDEN, _DIGITS)
 @run
 def identify_mult_cmd(state, value, maxden, digits):
     """Recognize a rational multiple of a dictionary constant."""
@@ -653,10 +649,7 @@ def identify_mult_cmd(state, value, maxden, digits):
 
 
 @identify.command("minpoly")
-@click.option("--value", required=True, help="Decimal string.")
-@click.option("--maxdeg", default=3, show_default=True)
-@click.option("--digits", type=int, default=None,
-              help="Certified digits of the value [default: count its digits].")
+@_options(_VALUE, click.option("--maxdeg", default=3, show_default=True), _DIGITS)
 @run
 def identify_minpoly_cmd(state, value, maxdeg, digits):
     """Find an integer minimal polynomial via lattice reduction."""

@@ -17,6 +17,7 @@ from typing import Optional
 import mpmath
 
 from .errors import PrecisionTooLow, RankDeficient
+from .fixed import HpContext
 from .series import Poly
 
 
@@ -49,12 +50,17 @@ _MULTIPLIERS = (
 )
 
 
+def working_context(digits: int) -> HpContext:
+    """The working precision of identify_rational and identify_with_multipliers
+    for a value certified to `digits` digits: max(digits, 15) digits."""
+    return HpContext(max(digits, 15))
+
+
 def _workdps(digits: int):
-    """The working precision for a value certified to `digits` digits;
-    ValueError when digits is below 1."""
+    """working_context(digits).work(); ValueError when digits is below 1."""
     if digits < 1:
-        raise ValueError("need digits >= 1")
-    return mpmath.workdps(max(digits, 15) + 10)
+        raise ValueError(f"need digits >= 1, got {digits}")
+    return working_context(digits).work()
 
 
 def _mpf_to_fraction(x) -> Fraction:

@@ -41,7 +41,7 @@ from .fixed import HpContext, sqrt_nearest
 from .guess import algeq_residual, guess_algeq, guess_prec, ode_residual, prec_to_ode
 from .identify import identify_with_multipliers, min_poly
 from .oeis import parse_bfile
-from .report import emit_csv, identification_entry, scalar_entry, text_digest
+from .report import decimal_str, emit_csv, identification_entry, scalar_entry, text_digest
 from .sequences import Sequence, expand_prec, gen_lconvex_area, gen_stack_area
 from .series import Poly, div_one_minus_qm
 
@@ -218,21 +218,21 @@ def lconvex_study(terms: int, digits: int, squares: Optional[int] = None) -> dic
         exact = 13 * mpmath.sqrt(2) / 768
         lines = [
             f"triple fit at n = {hs.last_index}:",
-            f"  e1   = {mpmath.nstr(e1, 12)}  "
-            f"(e1^2 = {mpmath.nstr(fit.a_squared, 12)}, expect 13/6 = 2.1666...)",
-            f"  e2   = {mpmath.nstr(e2, 10)}  (expect -3/2)",
-            f"  e3   = {mpmath.nstr(e3, 10)}",
+            f"  e1   = {decimal_str(e1, 12)}  "
+            f"(e1^2 = {decimal_str(fit.a_squared, 12)}, expect 13/6 = 2.1666...)",
+            f"  e2   = {decimal_str(e2, 10)}  (expect -3/2)",
+            f"  e3   = {decimal_str(e3, 10)}",
             "  tail spreads: " + ", ".join(
-                f"{k} {mpmath.nstr(v, 3)}" for k, v in fit.spreads.items()),
-            f"square-subsequence ratio intercept = {mpmath.nstr(sq.intercept, 12)}",
-            f"  vs exp(pi sqrt(13/6)) = {mpmath.nstr(target, 12)}  "
-            f"(diff {mpmath.nstr(abs(sq.intercept - target), 3)})",
+                f"{k} {decimal_str(v, 3)}" for k, v in fit.spreads.items()),
+            f"square-subsequence ratio intercept = {decimal_str(sq.intercept, 12)}",
+            f"  vs exp(pi sqrt(13/6)) = {decimal_str(target, 12)}  "
+            f"(diff {decimal_str(abs(sq.intercept - target), 3)})",
             f"power-law exponent on squares = "
-            f"{mpmath.nstr(diagnostics.g_estimate, 8)}  (expect -3, i.e. delta = 3/2)",
-            f"extrapolated amplitude constant = {mpmath.nstr(bst.value, 15)}  "
-            f"(spread {mpmath.nstr(bst.spread, 3)}, depth {bst.depth})",
-            f"  vs 13 sqrt(2)/768 = {mpmath.nstr(exact, 15)}  "
-            f"(diff {mpmath.nstr(abs(bst.value - exact), 3)})",
+            f"{decimal_str(diagnostics.g_estimate, 8)}  (expect -3, i.e. delta = 3/2)",
+            f"extrapolated amplitude constant = {decimal_str(bst.value, 15)}  "
+            f"(spread {decimal_str(bst.spread, 3)}, depth {bst.depth})",
+            f"  vs 13 sqrt(2)/768 = {decimal_str(exact, 15)}  "
+            f"(diff {decimal_str(abs(bst.value - exact), 3)})",
         ]
         if identified is not None:
             tag, frac = identified.payload
@@ -241,8 +241,8 @@ def lconvex_study(terms: int, digits: int, squares: Optional[int] = None) -> dic
             lines.append(f"  identified: ({frac}) * {tag}  "
                          f"[{identified.certified_digits} certified digits]")
         lines.append(f"stack counts vs exp(2 pi sqrt(n/3))/(8*3^(3/4) n^(5/4)): "
-                     f"ratio {mpmath.nstr(r_quarter, 8)} at n={quarter}, "
-                     f"{mpmath.nstr(r_last, 8)} at n={stacks.last_index}")
+                     f"ratio {decimal_str(r_quarter, 8)} at n={quarter}, "
+                     f"{decimal_str(r_last, 8)} at n={stacks.last_index}")
 
     return dict(
         input_digest=text_digest(",".join(str(t) for t in counts.terms)),
@@ -324,20 +324,20 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
             f"2000 terms: {nonzero or 'all zero'}",
             f"algebraic equation of the shifted branch: degree {cubic.degree} in x, "
             f"{cubic.degree_y} in y; residual on 200 coefficients: all zero",
-            f"singularity rho = {mpmath.nstr(rho, 20)} "
+            f"singularity rho = {decimal_str(rho, 20)} "
             f"(smallest positive root of the ODE's leading coefficient)",
-            f"growth constant mu = 1/rho = {mpmath.nstr(mu, 20)}",
+            f"growth constant mu = 1/rho = {decimal_str(mu, 20)}",
             f"  vs (14/3)cos(arccos(13/14)/3) + 8/3: "
-            f"diff {mpmath.nstr(abs(mu - closed_mu), 3)}",
-            f"amplitude C = {mpmath.nstr(c_value, 20)} "
-            f"(window spread {mpmath.nstr(fit.c_spread, 3)})",
+            f"diff {decimal_str(abs(mu - closed_mu), 3)}",
+            f"amplitude C = {decimal_str(c_value, 20)} "
+            f"(window spread {decimal_str(fit.c_spread, 3)})",
         ]
         if poly_a_sq is not None:
             lines.append(f"minimal polynomial of A^2 (A = 16 sqrt(pi) C / 105): "
                          f"{poly_a_sq.format('B')} = 0")
         else:
             lines.append("minimal polynomial of A^2: not found")
-        lines.append(f"closed-form radical for C: diff {mpmath.nstr(d_closed, 3)}")
+        lines.append(f"closed-form radical for C: diff {decimal_str(d_closed, 3)}")
 
     return dict(
         input_digest=text_digest(bfile_text),

@@ -7,13 +7,17 @@ import random
 import re
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
 import seqlab
-from seqlab.cli import main
+from seqlab.cli import _read_number, main
+from seqlab.fixed import HpContext
 from seqlab.report import text_digest
 from conftest import CATALAN, DATA_DIR
 from test_scripts import load_script
@@ -540,6 +544,27 @@ class TestErrorBoundaryAndEcho:
         pytest.param(["identify", "minpoly", "--value", "1e1001", "--digits", "40"],
                      "need a decimal exponent between -1000 and 1000, got 1001",
                      id="value-exponent-minpoly"),
+        # every number given as text goes through one bounded reader
+        pytest.param(["fit", "amplitude", B, "--mu", "3", "--g", "1e10000000", "--K", "2"],
+                     "g '1e10000000' is out of range", id="g-exponent-above-bound"),
+        pytest.param(["extrapolate", "bst", B, "--w", "1e10000000"],
+                     "w '1e10000000' is out of range", id="w-exponent-above-bound"),
+        pytest.param(["analyze", "powerlaw", B, "--mu", "1e2000"],
+                     "mu '1e2000' is out of range", id="mu-exponent-above-bound"),
+        pytest.param(["fit", "amplitude", B, "--mu", "3", "--g", "inf", "--K", "2"], "'inf'",
+                     id="g-inf"),
+        pytest.param(["extrapolate", "bst", B, "--w", "nan"], "'nan'", id="w-nan"),
+        pytest.param(["extrapolate", "bst", B, "--w", "1/0"], "'1/0' is not a number",
+                     id="w-zero-denominator"),
+        pytest.param(["identify", "rational", "--value", "0.5", "--digits", "10001"],
+                     "need digits <= 10000, got 10001", id="digits-above-bound"),
+        pytest.param(["identify", "mult", "--value", "0." + "3" * 10000],
+                     "need digits <= 10000, got 10001", id="counted-digits-above-bound"),
+        pytest.param(["identify", "rational", "--value", "0." + "3" * 4999], None,
+                     id="value-past-int-str-limit"),
+        pytest.param(["expand", "rational", "--num", "1", "--den", "1,-10000", "--n", "1100"],
+                     None, id="coefficients-past-int-str-limit"),
+        pytest.param(["identify", "rational", "--value", ".0"], None, id="value-point-zero"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -564,6 +589,23 @@ class TestErrorBoundaryAndEcho:
             assert res.exit_code == 1 and res.stdout == ""
             assert res.stderr.startswith("Error: ") and error in res.stderr
             assert len(res.stderr.splitlines()) == 1 and not Path("report.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["fit", "amplitude", B, "--mu", "3", "--g", "1e10000000", "--K", "2"],
+        ["extrapolate", "bst", B, "--w", "1e10000000"],
+        ["analyze", "powerlaw", B, "--mu", "1e2000"],
+        ["identify", "rational", "--value", "0.5", "--digits", "10001"],
+    ], ids=["g", "w", "mu", "digits"])
+    def test_out_of_range_fails_before_any_work(self, args, tmp_path, monkeypatch):
+        """A number beyond its bound fails at the check: reading 1e10000000
+        as an exact rational alone took seconds."""
+        monkeypatch.chdir(tmp_path)
+        args = [str(DATA_DIR / arg) if arg == self.B else arg for arg in args]
+        start = time.perf_counter()
+        res = CliRunner().invoke(main, args)
+        assert time.perf_counter() - start < 1
+        assert res.exit_code == 1 and len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("Error: ") and not Path("report.json").exists()
 
     def test_random_terms_fit_no_recurrence(self, tmp_path, monkeypatch):
         """22 random terms leave every shape of the default grid without an
@@ -610,3 +652,52 @@ class TestOutputsPinned:
                 cli = Path("cli", f"{key}.csv").read_bytes()
                 assert cli == Path("script", f"{key}.csv").read_bytes(), key
             assert Path("cli/r_sq.csv").read_text().splitlines()[1].startswith("2,")
+
+
+class TestReadNumber:
+    """The one reader of numbers given as text (`_read_number`)."""
+
+    def test_rounds_as_mpmath_reads(self):
+        """Rounded through HpContext.mpf, each of 10,000 decimals that
+        mpmath's own string parse accepts reads to the mpf that it gives at
+        the same precision.  (mpmath rejects a mantissa of zeros after the
+        point alone, such as .0, which the reader reads as 0.)"""
+        rng = random.Random(38)
+        checked = 0
+        while checked < 10_000:
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 80)))
+            point = rng.randint(0, len(digits))
+            text = rng.choice(["", "-", "+"]) + digits[:point] + "." + digits[point:]
+            if rng.random() < 0.75:
+                text += f"e{rng.randint(-300, 300)}"
+            ctx = HpContext(rng.randint(5, 250))  # 15 to 260 working digits
+            with ctx.work():
+                try:
+                    want = mpmath.mpf(text)
+                except ValueError:
+                    continue
+            assert _read_number("x", text, ctx)._mpf_ == want._mpf_, (text, ctx)
+            checked += 1
+
+    @pytest.mark.parametrize("text, value", [
+        (".5", Fraction(1, 2)), ("-.5", Fraction(-1, 2)), ("5.", Fraction(5)),
+        ("1/4", Fraction(1, 4)), ("-9/2", Fraction(-9, 2)), ("2.5e-3", Fraction(1, 400)),
+        (".0", Fraction(0)), ("0e99999", Fraction(0)),
+        ("1" + "0" * 4999 + "e-4999", Fraction(1)),
+    ])
+    def test_exact(self, text, value):
+        assert _read_number("x", text) == value
+
+    @pytest.mark.parametrize("text, ctx", [
+        *((text, None) for text in ["", "abc", "1/0", "1/2/3", "inf", "nan", "1e", "0x10"]),
+        ("snan", HpContext(20)), ("inf/2", HpContext(20)),
+    ])
+    def test_not_a_number(self, text, ctx):
+        with pytest.raises(ValueError, match=f"x {re.escape(repr(text))} is not a number"):
+            _read_number("x", text, ctx)
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    def test_non_finite_with_a_context(self, text):
+        ctx = HpContext(20)
+        with ctx.work():
+            assert _read_number("x", text, ctx)._mpf_ == mpmath.mpf(text)._mpf_

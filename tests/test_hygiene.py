@@ -240,6 +240,74 @@ def test_fixed_kernel_layering():
     assert _top_modules(src / "report.py").isdisjoint({"asympt", "seqlab"})
 
 
+# cli.py reads every number given as text in one function, and neither it
+# nor pipeline.py renders or works at a precision of its own: HpContext
+# sets the precision and report.decimal_str renders
+CLI_READER = "_read_number"
+NUMBER_BUILDERS = {"Decimal", "Fraction", "mpf", "make_mpf"}
+
+
+def _builds_outside(tree: ast.Module, reader: str) -> list[str]:
+    """``def:builder`` for each call of a NUMBER_BUILDERS name (bare or an
+    attribute) that lies outside the module-level function `reader`;
+    ``def`` is the enclosing module-level function, or <module>."""
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and owner != reader:
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in NUMBER_BUILDERS:
+                    found.append(f"{owner}:{name}")
+    return found
+
+
+def _mentions(tree: ast.Module, names: set[str]) -> list[str]:
+    """Each use of one of `names`: as a name, an attribute or an import."""
+    found = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name) else node.attr
+                if isinstance(node, ast.Attribute) else node.name
+                if isinstance(node, ast.alias) else None)
+        if name in names:
+            found.append(name)
+    return found
+
+
+def test_cli_reads_numbers_in_one_place():
+    tree = ast.parse((ROOT / "src" / "seqlab" / "cli.py").read_text())
+    assert _builds_outside(tree, CLI_READER) == []
+    assert _mentions(tree, {"workdps"}) == []
+
+
+def test_pipeline_renders_through_report():
+    tree = ast.parse((ROOT / "src" / "seqlab" / "pipeline.py").read_text())
+    assert _mentions(tree, {"nstr"}) == []
+
+
+def test_guard_catches_number_builders():
+    tree = ast.parse(
+        "import mpmath\n"
+        "from decimal import Decimal\n"
+        "from mpmath import nstr\n"
+        "ZERO = Decimal(0)\n"
+        "def _read_number(text, ctx):\n"
+        "    return ctx.mpf(Fraction(Decimal(text)))\n"
+        "def _fraction(text):\n"
+        "    return Fraction(text)\n"
+        "def resolve_mu(text):\n"
+        "    with mpmath.workdps(30):\n"
+        "        return mpmath.mpf(text)\n"
+        "def show(x):\n"
+        "    return nstr(x, 5) + mpmath.nstr(x, 3)\n"
+    )
+    assert _builds_outside(tree, CLI_READER) == [
+        "<module>:Decimal", "_fraction:Fraction", "resolve_mu:mpf"]
+    assert _mentions(tree, {"workdps"}) == ["workdps"]
+    assert _mentions(tree, {"nstr"}) == ["nstr", "nstr", "nstr"]
+
+
 def test_guard_catches_dead_names():
     tree = ast.parse(
         "from math import gcd, lcm\n"
