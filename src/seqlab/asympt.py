@@ -42,7 +42,6 @@ from mpmath.libmp import (
 from .errors import (
     IllConditioned,
     InsufficientTerms,
-    NoPositiveRoot,
     SingularSystem,
     TableauBlowup,
 )
@@ -550,79 +549,13 @@ def amplitude_fit(s, mu: Real, g, K: int, ctx: HpContext) -> AmplitudeFit:
 
 
 # ---------------------------------------------------------------------------
-# exact root isolation
+# the smallest positive root, as an mpf
 # ---------------------------------------------------------------------------
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain of p over Z: each negated pseudo-remainder is divided by
-    its positive content, so every entry is a positive multiple of the
-    chain over Q and the sign changes are the same."""
-    chain = [p, p.derivative()]
-    while chain[-1]:
-        rem = chain[-2].pseudo_divmod(chain[-1])[1]
-        if not rem:
-            break
-        prim = rem.primitive()  # rem over its content, times the sign of lc(rem)
-        chain.append(prim if rem.coeffs[-1] < 0 else -prim)
-    return chain
-
-
 def poly_smallest_positive_root(p: Poly, digits: int = 50) -> mpmath.mpf:
-    """Smallest positive real root, isolated exactly then bisected to `digits`.
-
-    Both phases run on integer numerators lo = a/den, hi = b/den over one
-    common denominator that doubles at each halving.  Isolation counts sign
-    changes of an integer Sturm chain of the square-free part, so no
-    positive root can be missed; the bisection then follows the sign of p.
-    Every sign is that of a homogeneous integer Horner sum.  The returned
-    value satisfies |p(root)| < 10^(-digits+2).  Raises NoPositiveRoot when
-    the polynomial has no root in (0, inf).
-    """
-    # strip roots at the origin; positive roots are unaffected
-    p = Poly(p.coeffs[p.valuation:]).primitive()
-    if p.degree < 1:
-        raise NoPositiveRoot("polynomial has no positive real root")
-    chain = _sturm_chain(p)
-    # square-free part = p / gcd(p, p'); the gcd is the last nonzero chain entry
-    if chain[-1].degree > 0:
-        p = p.pseudo_divmod(chain[-1])[0].primitive()
-        chain = _sturm_chain(p)
-
-    def changes(m: int, den: int) -> int:
-        signs = [s for s in (q.sign_at(m, den) for q in chain) if s]
-        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-
-    bound = Fraction(1) + Fraction(max(map(abs, p.coeffs[:-1])), p.coeffs[-1])
-    a, b, den = 0, bound.numerator, bound.denominator
-    v_lo, v_hi = changes(a, den), changes(b, den)
-    if v_lo - v_hi < 1:
-        raise NoPositiveRoot("no root in (0, upper bound]")
-    # shrink (lo, hi] until it brackets exactly the smallest positive root;
-    # invariant: no root <= lo, at least one root in (lo, hi]
-    while v_lo - v_hi > 1:
-        m, den = a + b, 2 * den
-        v_mid = changes(m, den)
-        if v_lo - v_mid >= 1:
-            a, b, v_hi = 2 * a, m, v_mid
-        else:
-            a, b, v_lo = m, 2 * b, v_mid
-    if p.sign_at(b, den) == 0:
-        a = b  # the bracket's end is the root itself
-    lo_sign = p.sign_at(a, den)
-    steps = int((digits + 6) * 3.33) + bound.numerator.bit_length()
-    scale = 10 ** (digits + 5)
-    for _ in range(steps):
-        if (b - a) * scale < den:  # hi - lo < 10^-(digits+5)
-            break
-        m, den = a + b, 2 * den
-        s_mid = p.sign_at(m, den)
-        if s_mid == 0:
-            a = b = m
-            break
-        if s_mid == lo_sign:
-            a, b = m, 2 * b
-        else:
-            a, b = 2 * a, m
-    root = Fraction(a + b, 2 * den)
+    """`Poly.smallest_positive_root(digits)` as an mpf at digits + 10
+    digits; the value satisfies |p(root)| < 10^(-digits+2).  Raises
+    NoPositiveRoot when the polynomial has no root in (0, inf)."""
+    root = p.smallest_positive_root(digits)
     with mpmath.workdps(digits + 10):
         return mpmath.mpf(root.numerator) / root.denominator

@@ -605,9 +605,13 @@ def identify():
 
 
 def _value_and_digits(value: str, digits: Optional[int]) -> tuple:
-    """(value, d): d is --digits or else counted, the value read for d digits."""
+    """(value, d): d is --digits or else counted, the value read for d digits.
+    A value read as inf or nan has no digits to count, so it needs --digits."""
     d = _bounded(digits if digits is not None else _text_digits(value))
-    return _read_number("value", value, working_context(d)), d
+    x = _read_number("value", value, working_context(d))
+    if digits is None and not d:
+        raise ValueError(f"value {value!r} has no digits to count: give --digits")
+    return x, d
 
 
 def _identified(value: str, params: dict, found: Optional[tuple], missing: str) -> dict:

@@ -27,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, isqrt
+from itertools import islice
+from math import factorial, gcd, isqrt
 from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence as SeqABC
 
 from .errors import InconsistentInit, InsufficientTerms
-from .series import Poly, alg_eval, int_horner, mul_trunc, poly_values, primitive_int
+from .series import Poly, alg_eval, mul_trunc, poly_values, primitive_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sequences import Sequence
@@ -491,16 +492,6 @@ def guess_prec(
 # recurrence -> ODE for the generating function
 # ---------------------------------------------------------------------------
 
-def _stirling2(dmax: int) -> list[list[int]]:
-    table = [[1]]
-    for t in range(1, dmax + 1):
-        prev = table[-1] + [0]
-        table.append(
-            [0] + [i * prev[i] + prev[i - 1] for i in range(1, t + 1)]
-        )
-    return table
-
-
 def prec_to_ode(rec: PRecurrence, init: "Sequence") -> LinODE:
     """Homogeneous linear ODE annihilating f(x) = sum_n u(n) x^n.
 
@@ -519,20 +510,22 @@ def prec_to_ode(rec: PRecurrence, init: "Sequence") -> LinODE:
     check_init(rec, init)
     r = rec.order
     d = rec.degree
-    s2 = _stirling2(d)
-    # operator part: x^r * sum_j x^{-j} p_j(theta - j), collected as
-    # sum_i Q_i(x) D^i with theta^t = sum_i S2(t, i) x^i D^i
+    # operator part: x^r * sum_j x^-j p_j(theta - j), collected as
+    # sum_i Q_i(x) D^i.  Since x^i D^i = theta (theta - 1) ... (theta - i + 1),
+    # the coefficient of x^i D^i in p_j(theta - j) is Delta^i p_j(-j) / i!, an
+    # integer (Newton's forward-difference series).  Constant part from the
+    # initial terms: sum_j sum_{m<j} p_j(m - j) u(m) x^(r-j+m).
     q_acc = [[0] * (r + d + 1) for _ in range(d + 1)]
-    for j, p in enumerate(rec.coeffs):
-        for t, a_t in enumerate(p.compose_linear(-j).coeffs):
-            for i in range(t + 1):
-                q_acc[i][r - j + i] += a_t * s2[t][i]
-    q_ops = [Poly(acc) for acc in q_acc]
-    # constant part from initial terms: sum_j sum_{m<j} p_j(m-j) u(m) x^{r-j+m}
     r_acc = [0] * r
     for j, cs in enumerate(rec.coeff_lists()):
+        values = list(islice(poly_values(cs, -j), max(d + 1, j)))  # p_j(-j), p_j(1 - j), ...
         for m in range(j):
-            r_acc[r - j + m] += int_horner(cs, m - j) * init.terms[m]
+            r_acc[r - j + m] += values[m] * init.terms[m]
+        diffs = values[: d + 1]
+        for i in range(d + 1):
+            q_acc[i][r - j + i] += diffs[0] // factorial(i)
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    q_ops = [Poly(acc) for acc in q_acc]
     r_poly = Poly(r_acc)
     if not r_poly:
         return LinODE(tuple(q_ops))

@@ -5,7 +5,10 @@ in lowest terms with positive denominator) where a value is not integral.  On
 top of that sit two immutable value types:
 
 * `Poly` -- dense univariate polynomial with integer coefficients, ascending,
-  no trailing zeros (the zero polynomial is the empty coefficient tuple).
+  no trailing zeros (the zero polynomial is the empty coefficient tuple),
+  with the exact algorithms on it: pseudo-division, exact signs at
+  rationals, the Sturm chain, the square-free part and the isolation of
+  the smallest positive root.
 * `TruncSeries` -- power series with exact coefficients known up to (but
   excluding) a stated truncation order: an integral coefficient is held as
   an int, any other as a Fraction.  Arithmetic returns results at the
@@ -24,7 +27,7 @@ from math import gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Sequence as Seq, Union
 
-from .errors import NonIntegral, ZeroConstantTerm
+from .errors import NoPositiveRoot, NonIntegral, ZeroConstantTerm
 
 Scalar = Union[int, Fraction]
 
@@ -131,13 +134,78 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def compose_linear(self, shift: int) -> "Poly":
-        """Return p(t + shift) expanded in t."""
-        out = Poly([])
-        lin = Poly([shift, 1])
-        for c in reversed(self.coeffs):
-            out = out * lin + Poly([c])
-        return out
+    def sturm_chain(self) -> list["Poly"]:
+        """Sturm chain of p over Z: each negated pseudo-remainder is divided
+        by its positive content, so every entry is a positive multiple of
+        the chain over Q and the sign changes are the same.  For deg p >= 1
+        the last entry is gcd(p, p') up to a constant factor."""
+        chain = [self, self.derivative()]
+        while chain[-1]:
+            rem = chain[-2].pseudo_divmod(chain[-1])[1]
+            if not rem:
+                break
+            prim = rem.primitive()  # rem over its content, times the sign of lc(rem)
+            chain.append(prim if rem.coeffs[-1] < 0 else -prim)
+        return chain
+
+    def squarefree_part(self) -> "Poly":
+        """p over gcd(p, p'), made primitive: the roots of p, each simple."""
+        g = self.sturm_chain()[-1]
+        return (self.pseudo_divmod(g)[0] if g.degree > 0 else self).primitive()
+
+    def smallest_positive_root(self, digits: int) -> Fraction:
+        """The smallest positive real root, isolated exactly then bisected
+        until its bracket is narrower than 10^-(digits+5); the bracket's
+        midpoint.  Raises NoPositiveRoot when p has no root in (0, inf).
+
+        Both phases run on integer numerators lo = a/den, hi = b/den over
+        one common denominator that doubles at each halving.  Isolation
+        counts sign changes of the Sturm chain of the square-free part, so
+        no positive root can be missed; the bisection then follows the sign
+        of that part.  Every sign is that of `sign_at`."""
+        # strip roots at the origin; positive roots are unaffected
+        p = Poly(self.coeffs[self.valuation:]).primitive()
+        if p.degree < 1:
+            raise NoPositiveRoot("polynomial has no positive real root")
+        p = p.squarefree_part()
+        chain = p.sturm_chain()
+
+        def changes(m: int, den: int) -> int:
+            signs = [s for s in (q.sign_at(m, den) for q in chain) if s]
+            return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+        bound = Fraction(1) + Fraction(max(map(abs, p.coeffs[:-1])), p.coeffs[-1])
+        a, b, den = 0, bound.numerator, bound.denominator
+        v_lo, v_hi = changes(a, den), changes(b, den)
+        if v_lo - v_hi < 1:
+            raise NoPositiveRoot("no root in (0, upper bound]")
+        # shrink (lo, hi] until it brackets exactly the smallest positive root;
+        # invariant: no root <= lo, at least one root in (lo, hi]
+        while v_lo - v_hi > 1:
+            m, den = a + b, 2 * den
+            v_mid = changes(m, den)
+            if v_lo - v_mid >= 1:
+                a, b, v_hi = 2 * a, m, v_mid
+            else:
+                a, b, v_lo = m, 2 * b, v_mid
+        if p.sign_at(b, den) == 0:
+            a = b  # the bracket's end is the root itself
+        lo_sign = p.sign_at(a, den)
+        steps = int((digits + 6) * 3.33) + bound.numerator.bit_length()
+        scale = 10 ** (digits + 5)
+        for _ in range(steps):
+            if (b - a) * scale < den:  # hi - lo < 10^-(digits+5)
+                break
+            m, den = a + b, 2 * den
+            s_mid = p.sign_at(m, den)
+            if s_mid == 0:
+                a = b = m
+                break
+            if s_mid == lo_sign:
+                a, b = m, 2 * b
+            else:
+                a, b = 2 * a, m
+        return Fraction(a + b, 2 * den)
 
     def format(self, var: str = "x") -> str:
         """Human-readable form, highest power first, e.g. '2*n^2 + 31*n + 120'."""

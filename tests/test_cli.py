@@ -565,6 +565,11 @@ class TestErrorBoundaryAndEcho:
         pytest.param(["expand", "rational", "--num", "1", "--den", "1,-10000", "--n", "1100"],
                      None, id="coefficients-past-int-str-limit"),
         pytest.param(["identify", "rational", "--value", ".0"], None, id="value-point-zero"),
+        # a value read as inf or nan has no digits to count, so it needs --digits
+        *(pytest.param(["identify", command, "--value", value],
+                       f"value '{value}' has no digits to count: give --digits",
+                       id=f"no-digits-{command}-{value}")
+          for command in ("rational", "mult", "minpoly") for value in ("inf", "nan", "-inf")),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -554,6 +554,63 @@ class TestPrecToOde:
         assert (want is None) == (pos >= 598)
 
 
+    def test_matches_stirling_reference(self):
+        """The forward-difference basis change equals the Stirling-table one
+        it replaced, on seeded random recurrences and initial terms."""
+        rng = random.Random(5311)
+        for _ in range(1000):
+            order, degree = rng.randint(1, 5), rng.randint(0, 6)
+            lists = [[rng.randint(-9, 9) for _ in range(rng.randint(0, degree + 1))]
+                     for _ in range(order + 1)]
+            lists[-1] = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([-3, -1, 1, 2])]
+            rec = PRecurrence.from_lists(lists)
+            init = Sequence(0, tuple(rng.randint(-50, 50) for _ in range(order)))
+            want = _stirling_prec_to_ode(rec, init).coeff_lists()
+            assert prec_to_ode(rec, init).coeff_lists() == want, (lists, init)
+
+
+def _stirling2(dmax):
+    """Stirling numbers of the second kind S2(t, i) for t <= dmax."""
+    table = [[1]]
+    for t in range(1, dmax + 1):
+        prev = table[-1] + [0]
+        table.append([0] + [i * prev[i] + prev[i - 1] for i in range(1, t + 1)])
+    return table
+
+
+def _compose_linear(p, shift):
+    """p(t + shift) expanded in t."""
+    out = Poly([])
+    for c in reversed(p.coeffs):
+        out = out * Poly([shift, 1]) + Poly([c])
+    return out
+
+
+def _stirling_prec_to_ode(rec, init):
+    """prec_to_ode by expanding each p_j(theta - j) in powers of theta and
+    rewriting theta^t = sum_i S2(t, i) x^i D^i."""
+    r, d = rec.order, rec.degree
+    s2 = _stirling2(d)
+    q_acc = [[0] * (r + d + 1) for _ in range(d + 1)]
+    for j, p in enumerate(rec.coeffs):
+        for t, a_t in enumerate(_compose_linear(p, -j).coeffs):
+            for i in range(t + 1):
+                q_acc[i][r - j + i] += a_t * s2[t][i]
+    q_ops = [Poly(acc) for acc in q_acc]
+    r_acc = [0] * r
+    for j, cs in enumerate(rec.coeff_lists()):
+        for m in range(j):
+            r_acc[r - j + m] += int_horner(cs, m - j) * init.terms[m]
+    r_poly = Poly(r_acc)
+    if not r_poly:
+        return LinODE(tuple(q_ops))
+    r_deriv = r_poly.derivative()
+    padded = [Poly([])] + q_ops + [Poly([])]
+    return LinODE(tuple(
+        r_poly * (padded[i] + padded[i + 1].derivative()) - r_deriv * padded[i + 1]
+        for i in range(d + 2)))
+
+
 def _fraction_ode_residual(ode, terms):
     """First nonzero index of sum_i Q_i f^(i) over exact rational series."""
     out_order = len(terms) - ode.order

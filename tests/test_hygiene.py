@@ -286,6 +286,31 @@ def test_pipeline_renders_through_report():
     assert _mentions(tree, {"nstr"}) == []
 
 
+# series.py is the one home of the exact polynomial algorithms: no other
+# module uses the pseudo-division, the exact sign or the Sturm chain
+EXACT_POLY_NAMES = {"pseudo_divmod", "sign_at", "sturm_chain"}
+
+
+def test_exact_polynomial_algorithms_live_in_series():
+    uses = {path.name: _mentions(ast.parse(path.read_text()), EXACT_POLY_NAMES)
+            for path in MODULES if path.name != "series.py"}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_guard_catches_exact_poly_calls():
+    tree = ast.parse(
+        "from .series import Poly\n"
+        "def _sturm_chain(p):\n"
+        "    chain = [p, p.derivative()]\n"
+        "    chain.append(-chain[-2].pseudo_divmod(chain[-1])[1])\n"
+        "    return chain\n"
+        "def root(p):\n"
+        "    return p.sturm_chain(), p.squarefree_part(), p.sign_at(1, 2)\n"
+    )
+    assert sorted(_mentions(tree, EXACT_POLY_NAMES)) == [
+        "pseudo_divmod", "sign_at", "sturm_chain"]
+
+
 def test_guard_catches_number_builders():
     tree = ast.parse(
         "import mpmath\n"

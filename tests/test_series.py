@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab import Poly, Sequence, TruncSeries, q_pochhammer
-from seqlab.errors import NonIntegral, ZeroConstantTerm
+from seqlab.errors import NonIntegral, NoPositiveRoot, ZeroConstantTerm
 from seqlab.series import (
     div_one_minus_qm,
     div_q_infinity_cubed,
@@ -61,10 +61,6 @@ class TestPoly:
         prod_rule = p.derivative() * q + p * q.derivative()
         assert (p * q).derivative() == prod_rule
         del r
-
-    @given(polys, small_ints, points)
-    def test_compose_linear(self, p, b, x):
-        assert p.compose_linear(b)(x) == p(x + b)
 
     def test_int_coeffs(self):
         p = Poly([1, Fraction(4, 2), 3.0])
@@ -126,6 +122,54 @@ class TestSignAt:
 
     def test_zero_polynomial(self):
         assert Poly([]).sign_at(3, 7) == 0
+
+
+class TestSmallestPositiveRoot:
+    """Exact checks of the isolator: the returned Fraction is the midpoint
+    of a bracket narrower than 10^-(digits+5) around the root, so it lies
+    within half that width of the root."""
+
+    DIGITS = 30
+
+    def assert_near(self, p, root):
+        got = p.smallest_positive_root(self.DIGITS)
+        assert type(got) is Fraction
+        assert abs(got - root) * 2 * 10 ** (self.DIGITS + 5) < 1, (p, got)
+
+    def test_rational_root(self):
+        self.assert_near(Poly([-1, 2]), Fraction(1, 2))  # 2x - 1
+
+    def test_picks_smallest(self):
+        self.assert_near(Poly([-1, 2]) * Poly([-3, 1]), Fraction(1, 2))  # (2x - 1)(x - 3)
+
+    def test_double_root(self):
+        self.assert_near(Poly([-1, 1]) * Poly([-1, 1]) * Poly([2, 1]), 1)  # (x - 1)^2 (x + 2)
+
+    def test_roots_at_origin_stripped(self):
+        self.assert_near(Poly([0, 0, -1, 1]), 1)  # x^2 (x - 1)
+
+    @pytest.mark.parametrize("digits", [20, 60, 110])
+    def test_sqrt2_sign_change(self, digits):
+        p = Poly([-2, 0, 1])  # x^2 - 2
+        mid = p.smallest_positive_root(digits)
+        eps = Fraction(1, 10 ** (digits + 5))
+        assert p(mid - eps) < 0 < p(mid + eps)
+
+    @pytest.mark.parametrize("p", [Poly([1, 0, 1]), Poly([1, 1]) * Poly([2, 1])],
+                             ids=["x^2+1", "(x+1)(x+2)"])
+    def test_no_positive_root(self, p):
+        with pytest.raises(NoPositiveRoot):
+            p.smallest_positive_root(self.DIGITS)
+
+
+class TestSquarefreePart:
+    def test_repeated_factors_removed(self):
+        a, b = Poly([-1, 1]), Poly([2, 1])
+        assert (a * a * b * b * b).squarefree_part() == a * b  # (x - 1)^2 (x + 2)^3
+
+    def test_squarefree_input_unchanged(self):
+        p = Poly([-2, 0, 3]) * Poly([1, 5])  # (3x^2 - 2)(5x + 1), primitive
+        assert p.squarefree_part() == p
 
 
 class TestPrimitive:
