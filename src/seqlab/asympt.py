@@ -61,7 +61,7 @@ class HpSeq:
 
     offset: int
     values: tuple
-    ctx: HpContext = HpContext()
+    ctx: HpContext
 
     def __len__(self) -> int:
         return len(self.values)
@@ -101,7 +101,7 @@ class HpSeq:
             return HpSeq(self.offset, tuple(fn(v) for v in self.values), self.ctx)
 
     @staticmethod
-    def from_sequence(seq, ctx: HpContext = HpContext()) -> "HpSeq":
+    def from_sequence(seq, ctx: HpContext) -> "HpSeq":
         """The integer terms of seq, each rounded to nearest at ctx.prec."""
         prec = ctx.prec
         return HpSeq(seq.offset, tuple(mpmath.mp.make_mpf(from_int(t, prec, round_nearest))
@@ -553,9 +553,9 @@ def amplitude_fit(s, mu: Real, g, K: int, ctx: HpContext) -> AmplitudeFit:
 # ---------------------------------------------------------------------------
 
 def poly_smallest_positive_root(p: Poly, digits: int = 50) -> mpmath.mpf:
-    """`Poly.smallest_positive_root(digits)` as an mpf at digits + 10
-    digits; the value satisfies |p(root)| < 10^(-digits+2).  Raises
-    NoPositiveRoot when the polynomial has no root in (0, inf)."""
+    """`Poly.smallest_positive_root(digits)` as an mpf under HpContext(digits),
+    so |p(root)| < 10^(-digits+2).  Raises NoPositiveRoot when the polynomial
+    has no root in (0, inf)."""
     root = p.smallest_positive_root(digits)
-    with mpmath.workdps(digits + 10):
+    with HpContext(digits).work():
         return mpmath.mpf(root.numerator) / root.denominator

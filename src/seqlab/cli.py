@@ -28,7 +28,7 @@ from .asympt import (
     bst_extrapolate,
     square_subsample,
 )
-from .errors import RUN_ERRORS
+from .errors import RUN_ERRORS, PrecisionTooLow
 from .fixed import HpContext
 from .guess import guess_algeq, guess_prec
 from .identify import identify_rational, identify_with_multipliers, min_poly, working_context
@@ -344,42 +344,34 @@ def guess():
     over all equations per shape; --margin sets the attempt threshold."""
 
 
-@guess.command("rec")
-@click.argument("source")
-@_REC_GRID
-@run
-def guess_rec_cmd(state, source, **grid):
-    """Guess a linear recurrence with polynomial coefficients."""
-    rec = guess_prec(source.seq, **grid)
-    params = {"source": source.label, **grid}
-    if rec is None:
-        return dict(parameters=params, stdout="no recurrence found\n",
-                    notes=["no recurrence found within the search grid"])
-    return dict(
-        parameters={**params, "order": rec.order, "degree": rec.degree},
-        sequences={f"p{j}": sequence_entry(0, cs)
-                   for j, cs in enumerate(rec.coeff_lists())},
-        notes=[str(rec)], stdout=f"{rec}\n",
-    )
+def _guesser(name: str, find, grid_options, noun: str, shape, prefix: str, doc: str) -> None:
+    """Register `guess <name>`: `find` on SOURCE over the grid that
+    `grid_options` take; a model found reports its `shape` fields and its
+    coefficient lists as prefix0, prefix1, ..."""
+    @guess.command(name, help=doc)
+    @click.argument("source")
+    @grid_options
+    @run
+    def command(state, source, **grid):
+        model = find(source.seq, **grid)
+        params = {"source": source.label, **grid}
+        if model is None:
+            return dict(parameters=params, stdout=f"no {noun} found\n",
+                        notes=[f"no {noun} found within the search grid"])
+        return dict(
+            parameters={**params, **shape(model)},
+            sequences={f"{prefix}{j}": sequence_entry(0, cs)
+                       for j, cs in enumerate(model.coeff_lists())},
+            notes=[str(model)], stdout=f"{model}\n",
+        )
 
 
-@guess.command("algeq")
-@click.argument("source")
-@_ALGEQ_GRID
-@run
-def guess_algeq_cmd(state, source, **grid):
-    """Guess a polynomial equation P(x, y(x)) = 0 for the series y."""
-    eq = guess_algeq(source.seq, **grid)
-    params = {"source": source.label, **grid}
-    if eq is None:
-        return dict(parameters=params, stdout="no algebraic equation found\n",
-                    notes=["no algebraic equation found within the search grid"])
-    return dict(
-        parameters={**params, "degree_x": eq.degree, "degree_y": eq.degree_y},
-        sequences={f"c{j}": sequence_entry(0, cs)
-                   for j, cs in enumerate(eq.coeff_lists())},
-        notes=[str(eq)], stdout=f"{eq}\n",
-    )
+_guesser("rec", guess_prec, _REC_GRID, "recurrence",
+         lambda rec: {"order": rec.order, "degree": rec.degree}, "p",
+         "Guess a linear recurrence with polynomial coefficients.")
+_guesser("algeq", guess_algeq, _ALGEQ_GRID, "algebraic equation",
+         lambda eq: {"degree_x": eq.degree, "degree_y": eq.degree_y}, "c",
+         "Guess a polynomial equation P(x, y(x)) = 0 for the series y.")
 
 
 @main.group()
@@ -548,7 +540,7 @@ def extrapolate_bst_cmd(state, source, w, square):
     """Bulirsch-Stoer extrapolation of the input terms."""
     s = _hpseq(state, source.seq)
     w_frac = _read_number("w", w)
-    res = pipeline.square_bst(s, w_frac) if square else bst_extrapolate(s, w_frac)
+    res = bst_extrapolate(square_subsample(s, 4) if square else s, w_frac)
     if res.spread >= abs(res.value):
         click.echo("note: spread >= |limit|, so the terms do not fix the limit", err=True)
     return dict(
@@ -658,7 +650,12 @@ def identify_mult_cmd(state, value, maxden, digits):
 def identify_minpoly_cmd(state, value, maxdeg, digits):
     """Find an integer minimal polynomial via lattice reduction."""
     x, d = _value_and_digits(value, digits)
-    p = min_poly(x, maxdeg, d)
+    try:
+        p = min_poly(x, maxdeg, d)
+    except PrecisionTooLow as exc:
+        if digits is not None:
+            raise
+        raise PrecisionTooLow(f"{exc}; --value {value!r} gives {d}: give --digits") from None
     found = None if p is None else (identification_entry("algebraic", p.format("x"), d),
                                     p.format("x"))
     fields = _identified(value, {"maxdeg": maxdeg, "digits": d}, found,

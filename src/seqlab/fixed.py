@@ -26,9 +26,10 @@ from .errors import NonPositiveValue
 
 @dataclass(frozen=True)
 class HpContext:
-    """Working precision in decimal digits, plus guard digits for rounding."""
+    """Working precision in decimal digits, plus guard digits for rounding:
+    the one owner of the rule that a stage works at digits + guard."""
 
-    digits: int = 100
+    digits: int
     guard: int = 10
 
     def __post_init__(self):

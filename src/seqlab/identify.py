@@ -56,7 +56,7 @@ def working_context(digits: int) -> HpContext:
     return HpContext(max(digits, 15))
 
 
-def _workdps(digits: int):
+def _work(digits: int):
     """working_context(digits).work(); ValueError when digits is below 1."""
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
@@ -72,9 +72,9 @@ def _mpf_to_fraction(x) -> Fraction:
 
 
 def _rational(x, maxden: int, digits: int) -> Optional[Fraction]:
-    """identify_rational on a finite mpf x, under the caller's _workdps."""
+    """identify_rational on a finite mpf x, under the caller's _work."""
     cand = _mpf_to_fraction(x).limit_denominator(maxden)
-    if cand == 0 and x != 0:
+    if cand == 0 and x != 0 or abs(cand.numerator) >= 10 ** mpmath.mp.dps:
         return None
     err = abs(x - mpmath.mpf(cand.numerator) / cand.denominator)
     if err < mpmath.mpf(10) ** (4 - digits):
@@ -88,10 +88,11 @@ def identify_rational(x, maxden: int = 1000, *, digits: int) -> Optional[Fractio
     The candidate is the continued-fraction best approximation; it is
     accepted only when |x - p/q| < 10^(4 - digits), where `digits` is the
     number of digits x is certified to.  A nonzero x never identifies as 0:
-    a zero candidate returns None, and so does a non-finite x.  ValueError
-    when digits is below 1.
+    a zero candidate returns None, as does a candidate whose numerator has
+    more digits than the working precision (the rest are rounding noise),
+    and a non-finite x.  ValueError when digits is below 1.
     """
-    with _workdps(digits):
+    with _work(digits):
         x = mpmath.mpf(x)
         return _rational(x, maxden, digits) if mpmath.isfinite(x) else None
 
@@ -112,7 +113,7 @@ def identify_with_multipliers(
     or None when no entry matches within the precision bound; ValueError
     when `digits` is below 1.
     """
-    with _workdps(digits):
+    with _work(digits):
         x = mpmath.mpf(x)
         if not mpmath.isfinite(x):
             return None
@@ -221,7 +222,7 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
             f"need at least {10 * (maxdeg + 1)} digits for degree {maxdeg}"
         )
     scale_exp = digits - 10
-    with mpmath.workdps(digits + 10):
+    with _work(digits):  # digits >= 20, so max(digits, 15) = digits
         x = mpmath.mpf(x)
         if not mpmath.isfinite(x):
             return None

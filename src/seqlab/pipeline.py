@@ -18,7 +18,6 @@ import mpmath
 from mpmath.libmp import fone, from_int, mpf_div, round_nearest
 
 from .asympt import (
-    BstResult,
     HpSeq,
     PowerLawDiagnostics,
     StretchedModel,
@@ -107,7 +106,10 @@ class StretchedFit(NamedTuple):
 
 
 def stretched_fit(s: HpSeq) -> StretchedFit:
-    """Triple fit of exp(a pi n^(1/2)) / (c n^delta) with its e1/e2 figures."""
+    """Triple fit of exp(a pi n^(1/2)) / (c n^delta) with its e1/e2 figures;
+    the 10 estimates its spreads cover need 12 terms."""
+    if len(s) < 12:
+        raise InsufficientTerms(f"the stretched fit needs 12 terms at n >= 1, got {len(s)}")
     e1, e2, e3 = stretched_triple_fit(stretched_lambda(s))
     model, spreads = summarize_stretched(e1, e2, e3)
     with s.ctx.work():
@@ -149,16 +151,11 @@ def power_law(s: HpSeq, mu) -> tuple[PowerLawDiagnostics, dict]:
         }
 
 
-def square_bst(s: HpSeq, w) -> BstResult:
-    """Bulirsch-Stoer limit of s on its square indices 1, 4, 9, ... (4 or more)."""
-    return bst_extrapolate(square_subsample(s, 4), w)
-
-
 def growth_rate(p: Poly, ctx: HpContext) -> tuple[mpmath.mpf, mpmath.mpf]:
     """(rho, mu): the smallest positive root of p and mu = 1/rho, at the
     working precision of ctx."""
     with ctx.work():
-        rho = poly_smallest_positive_root(p, digits=ctx.digits + 10)
+        rho = poly_smallest_positive_root(p, digits=ctx.digits + ctx.guard)
         return rho, 1 / rho
 
 

@@ -112,7 +112,7 @@ class TestHpSeq:
         assert s.tail(9) == s
         for k in (0, -1):
             with pytest.raises(ValueError, match="k >= 1"):
-                HpSeq(1, (10, 20, 30)).tail(k)
+                HpSeq(1, (10, 20, 30), CTX50).tail(k)
         assert s.map(lambda v: 2 * v).values == (2, 4, 6, 8, 10)
 
     def test_spread(self):

@@ -300,6 +300,23 @@ class TestIdentifyCli:
             ])
             assert "not found" in res.stdout
 
+    @pytest.mark.parametrize("command, value, out", [
+        ("rational", "1e300", "not found"),
+        ("mult", "1e300", "not found"),
+        ("rational", "1e20", "100000000000000000000/1"),
+    ])
+    def test_numerator_within_working_precision(self, runner, command, value, out):
+        """1e300 read at its one counted digit leaves its numerator's digits
+        past the working precision as rounding noise, so it is not found."""
+        with runner.isolated_filesystem():
+            res = invoke(runner, ["identify", command, "--value", value])
+            assert res.stdout == out + "\n"
+
+    def test_minpoly_given_digits_error_has_no_hint(self, runner):
+        res = runner.invoke(main, ["identify", "minpoly", "--value", "0.5", "--digits", "30"])
+        assert res.exit_code == 1
+        assert res.stderr == "Error: need at least 40 digits for degree 3\n"
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_minpoly_non_finite_not_found(self, runner, value):
         with runner.isolated_filesystem():
@@ -570,15 +587,34 @@ class TestErrorBoundaryAndEcho:
                        f"value '{value}' has no digits to count: give --digits",
                        id=f"no-digits-{command}-{value}")
           for command in ("rational", "mult", "minpoly") for value in ("inf", "nan", "-inf")),
+        # too few counted digits for min_poly: the message names --value's count
+        pytest.param(["identify", "minpoly", "--value", "0.5"],
+                     "need at least 40 digits for degree 3; --value '0.5' gives 2: give --digits",
+                     id="minpoly-counted-digits-below-degree-3"),
+        pytest.param(["identify", "minpoly", "--value", "1.414", "--maxdeg", "1"],
+                     "need at least 20 digits for degree 1; --value '1.414' gives 4: "
+                     "give --digits", id="minpoly-counted-digits-below-degree-1"),
+        pytest.param(["identify", "minpoly", "--value", "0." + "1" * 38], "gives 39: give",
+                     id="minpoly-counted-digits-one-short"),
+        pytest.param(["identify", "minpoly", "--value", "0." + "1" * 39], None,
+                     id="minpoly-counted-digits-enough"),
+        # the stretched fit's spreads cover 10 estimates, which need 12 terms
+        pytest.param(["analyze", "stretched", "three.txt"],
+                     "the stretched fit needs 12 terms at n >= 1, got 3", id="stretched-3-terms"),
+        pytest.param(["analyze", "stretched", "upto11.txt"],
+                     "the stretched fit needs 12 terms at n >= 1, got 11",
+                     id="stretched-11-terms"),
+        pytest.param(["analyze", "stretched", "upto12.txt"], None, id="stretched-12-terms"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys, "argv", ["pytest", "-q", "elsewhere"])
         lines = (DATA_DIR / self.B).read_text().splitlines(keepends=True)
         Path(self.B).write_text("".join(lines))
-        for last in (1, 2, 8, 9, 15, 16):  # the terms at indices 0 to last
+        for last in (1, 2, 8, 9, 11, 12, 15, 16):  # the terms at indices 0 to last
             Path(f"upto{last}.txt").write_text("".join(lines[: last + 1]))
         Path("bad.txt").write_text("0 1\n1 x\n")
+        Path("three.txt").write_text("1 1\n2 2\n3 6\n")
         Path("bad_early.txt").write_text(
             "".join(lines[:2]) + "2 x\n" + "".join(lines[3:]))
         Path("catalan.txt").write_text(CATALAN_14)

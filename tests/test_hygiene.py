@@ -297,6 +297,28 @@ def test_exact_polynomial_algorithms_live_in_series():
     assert {name: found for name, found in uses.items() if found} == {}
 
 
+# HpContext owns the working precision: besides fixed.py, which defines it,
+# only report.py's renderer sets mpmath's precision itself
+WORKDPS_HOMES = {"fixed.py", "report.py"}
+
+
+def test_working_precision_comes_from_hpcontext():
+    uses = {path.name: _mentions(ast.parse(path.read_text()), {"workdps"})
+            for path in MODULES if path.name not in WORKDPS_HOMES}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_guard_catches_workdps():
+    tree = ast.parse(
+        "import mpmath\n"
+        "from mpmath import workdps\n"
+        "def root(p, digits):\n"
+        "    with mpmath.workdps(digits + 10):\n"
+        "        return p.root()\n"
+    )
+    assert _mentions(tree, {"workdps"}) == ["workdps", "workdps"]
+
+
 def test_guard_catches_exact_poly_calls():
     tree = ast.parse(
         "from .series import Poly\n"

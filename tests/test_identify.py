@@ -67,6 +67,15 @@ class TestIdentifyRational:
             assert identify_rational(mpmath.mpf(0), digits=20) == 0
             assert identify_with_multipliers(mpmath.mpf("0.0000000001"), digits=11) is None
 
+    def test_numerator_beyond_working_precision_not_found(self):
+        # at 15 digits the working precision is 25 digits: a 25-digit
+        # numerator is read, a 26-digit one would be mostly rounding noise
+        with mpmath.workdps(30):
+            assert identify_rational(mpmath.mpf(10) ** 24, digits=15) == 10**24
+            assert identify_rational(mpmath.mpf(10) ** 25, digits=15) is None
+            assert identify_rational(mpmath.mpf("1e300"), digits=1) is None
+            assert identify_with_multipliers(mpmath.mpf("1e300"), digits=1) is None
+
     @pytest.mark.parametrize("digits", [0, -3])
     def test_digits_below_one_rejected(self, digits):
         with pytest.raises(ValueError, match="need digits >= 1"):

@@ -7,7 +7,14 @@ import pytest
 from mpmath.libmp import fone, from_int, mpf_div, mpf_sqrt, round_nearest
 
 import seqlab.pipeline
-from seqlab import HpContext, HpSeq, expand_prec, guess_prec
+from seqlab import (
+    HpContext,
+    HpSeq,
+    bst_extrapolate,
+    expand_prec,
+    guess_prec,
+    square_subsample,
+)
 from seqlab.errors import InsufficientTerms, SeqLabError
 from seqlab.pipeline import (
     _inv_sqrt,
@@ -15,7 +22,6 @@ from seqlab.pipeline import (
     branch_series,
     growth_rate,
     lconvex_study,
-    square_bst,
 )
 from seqlab.report import scalar_entry
 from test_acceptance import _branch_series
@@ -126,7 +132,7 @@ def test_square_bst_limits_to_first_squares():
     ctx = HpContext(30)
     with ctx.work():
         s = HpSeq(1, tuple(2 + 1 / mpmath.sqrt(n) for n in range(1, 101)), ctx)
-    res = square_bst(s, Fraction(1))
+    res = bst_extrapolate(square_subsample(s, 4), Fraction(1))
     assert res.depth == 9
     with ctx.work():
         assert abs(res.value - 2) < 10 ** -25
