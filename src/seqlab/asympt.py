@@ -10,7 +10,8 @@ successive-triple fits, square subsampling, Bulirsch-Stoer extrapolation,
 and overdetermined-free linear amplitude fits.  Values are mpmath
 arbitrary-precision floats at a precision carried by an HpContext; the
 purely rational operators (ratios, eliminations, subsampling) also accept
-exact Fraction values, which the algebraic-identity tests rely on.  The
+exact Fraction values, which the algebraic-identity tests rely on.  An int
+or a float given to an HpSeq becomes a context float (HpContext.raw).  The
 stretched estimators and the log-log points compute on the fixed-point
 integer kernel of `seqlab.fixed` (Fixed), with its own logs and exps, and
 round each output once to the context's precision.
@@ -55,13 +56,20 @@ Real = Union[mpmath.mpf, Fraction, int]
 class HpSeq:
     """Consecutively indexed high-precision values (index = offset + position).
 
-    Values are normally mpmath floats at the context precision; the rational
-    operators below work equally on exact Fraction values.
+    Values are mpmath floats or exact Fractions; the rational operators
+    below work equally on both.  Any other value, an int or a float, becomes
+    a context float at construction (HpContext.mpf).
     """
 
     offset: int
     values: tuple
     ctx: HpContext
+
+    def __post_init__(self):
+        held, mpf = {mpmath.mpf, Fraction}, self.ctx.mpf
+        if not held.issuperset(map(type, self.values)):
+            object.__setattr__(self, "values", tuple(
+                v if type(v) in held else mpf(v) for v in self.values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -103,9 +111,7 @@ class HpSeq:
     @staticmethod
     def from_sequence(seq, ctx: HpContext) -> "HpSeq":
         """The integer terms of seq, each rounded to nearest at ctx.prec."""
-        prec = ctx.prec
-        return HpSeq(seq.offset, tuple(mpmath.mp.make_mpf(from_int(t, prec, round_nearest))
-                                       for t in seq.terms), ctx)
+        return HpSeq(seq.offset, seq.terms, ctx)
 
 
 @dataclass(frozen=True)
@@ -253,7 +259,7 @@ def stretched_triple_fit(lam: HpSeq) -> tuple[HpSeq, HpSeq, HpSeq]:
         raise ValueError("triple fit needs indices >= 1")
     fx = Fixed(lam.ctx, lam.offset, lam.last_index)
     wp, prec, pi = fx.bits, fx.prec, fx.pi
-    raws = [fx.raw(y, n) for n, y in zip(lam.indices(), lam.values)]
+    raws = list(map(lam.ctx.raw, lam.values, lam.indices()))
     q = wp - max((exp + bc for _, man, exp, bc in raws if man), default=0)
     rows = []  # (B(n), C(n), lambda_n) as integers, at scales 2^P, 2^P, 2^Q
     for n, raw in zip(lam.indices(), raws):
@@ -349,13 +355,6 @@ class PowerLawDiagnostics:
     g_spread: mpmath.mpf  # over the last 10 values of g2_seq
 
 
-def _float_values(s: HpSeq) -> HpSeq:
-    """Coerce exact rational values to context floats for float-domain ops."""
-    if any(isinstance(v, Fraction) for v in s.values):
-        return s.map(s.ctx.mpf)
-    return s
-
-
 def _growth_constant(mu: Real, ctx: HpContext) -> mpmath.mpf:
     """mu as a context float; ValueError unless it is finite and positive."""
     mu_ = ctx.mpf(mu)
@@ -365,10 +364,13 @@ def _growth_constant(mu: Real, ctx: HpContext) -> mpmath.mpf:
 
 
 def powerlaw_pipeline(s: HpSeq, mu: Real) -> PowerLawDiagnostics:
-    """Estimate the power g of s_n ~ D mu^n n^g from ratios r_n = mu(1 + g/n + ...)."""
+    """Estimate the power g of s_n ~ D mu^n n^g from ratios r_n = mu(1 + g/n + ...).
+    ValueError at an inf or a nan among the s_n, as bst_extrapolate."""
     if len(s) < 3:
         raise InsufficientTerms(f"power-law fit needs at least 3 terms, got {len(s)}")
-    r = _float_values(ratios(s))
+    for n, v in zip(s.indices(), s.values):
+        s.ctx.raw(v, n)  # ValueError at an inf or a nan
+    r = ratios(s).map(s.ctx.mpf)
     mu_ = _growth_constant(mu, s.ctx)
     with s.ctx.work():
         g_seq = HpSeq(
@@ -403,8 +405,9 @@ def bst_extrapolate(s: HpSeq, w) -> BstResult:
     Dp = T(m-1, n+1) - T(m-2, n+1).  A vanishing D means the previous depth
     already converged there, so the entry propagates unchanged; a vanishing
     Dp likewise kills the correction in the limit.  A vanishing bracket with
-    D nonzero is a genuine pole and raises TableauBlowup.  Returns the
-    deepest entry and the spread against the previous depth.
+    D nonzero is a genuine pole and raises TableauBlowup, and an inf or a
+    nan among the s_n raises ValueError.  Returns the deepest entry and the
+    spread against the previous depth.
     """
     if len(s) < 4:
         raise InsufficientTerms("extrapolation needs at least 4 terms")
@@ -413,17 +416,16 @@ def bst_extrapolate(s: HpSeq, w) -> BstResult:
     w = Fraction(w)
     if w <= 0:
         raise ValueError("exponent w must be positive")
-    s = _float_values(s)
     n_terms = len(s)
-    # the tableau on raw mpfs, each operation rounded to nearest at the
-    # context's precision, as mpf arithmetic under s.ctx.work() rounds it;
-    # an int term enters exactly, as it does in mpf arithmetic
+    # the tableau on raw mpfs as they enter the context (HpContext.raw),
+    # each operation rounded to nearest at the context's precision, as mpf
+    # arithmetic under s.ctx.work() rounds it
     prec, rnd = s.ctx.prec, round_nearest
-    w_ = s.ctx.mpf(w)._mpf_
+    w_ = s.ctx.raw(w)
     # mpf_pow takes w = 1/2 to mpf_sqrt, whose integer root is a Python loop
     half = w == Fraction(1, 2)
     prev2 = [fzero] * (n_terms + 1)
-    prev1 = [v._mpf_ if isinstance(v, mpmath.mpf) else from_int(v) for v in s.values]
+    prev1 = list(map(s.ctx.raw, s.values, s.indices()))
     for m in range(1, n_terms):
         cur = []
         for i in range(n_terms - m):

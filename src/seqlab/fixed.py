@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
+from typing import Optional
 
 import mpmath
 from mpmath.libmp import (
@@ -40,17 +41,32 @@ class HpContext:
         """Context manager setting mpmath precision to digits + guard."""
         return mpmath.workdps(self.digits + self.guard)
 
-    @property
+    @cached_property
     def prec(self) -> int:
         """The binary precision that work() sets."""
         return dps_to_prec(self.digits + self.guard)
 
+    def raw(self, x, n: Optional[int] = None) -> tuple:
+        """The raw mpf of x, the one rule by which a value enters the context:
+        an mpf as it is, an int or a Fraction rounded once to prec, to nearest,
+        anything else (a float, text) read by mpmath at prec.  Given an index
+        n, x is the value at n of a sequence, and an inf or a nan raises."""
+        if isinstance(x, mpmath.mpf):
+            raw = x._mpf_
+        elif isinstance(x, int):
+            raw = from_int(x, self.prec, round_nearest)
+        elif isinstance(x, Fraction):
+            raw = quotient_nearest(x.numerator, x.denominator, self.prec)
+        else:
+            with self.work():
+                raw = mpmath.mpf(x)._mpf_
+        if n is not None and not raw[1] and raw[2]:  # inf or nan
+            raise ValueError(f"non-finite value at index {n}")
+        return raw
+
     def mpf(self, x) -> mpmath.mpf:
-        """x as a context float; a Fraction is rounded once, to nearest."""
-        if isinstance(x, Fraction):
-            return mpmath.mp.make_mpf(quotient_nearest(x.numerator, x.denominator, self.prec))
-        with self.work():
-            return mpmath.mpf(x)
+        """x as a context float (raw)."""
+        return mpmath.mp.make_mpf(self.raw(x))
 
 
 def quotient_nearest(num: int, den: int, prec: int, shift: int = 0) -> tuple:
@@ -279,27 +295,14 @@ class Fixed:
 
     def fix(self, x) -> int:
         """floor(x 2^P): exact for an int or a Fraction, otherwise from x
-        as a context float."""
+        as it enters the context (HpContext.raw)."""
         if isinstance(x, (int, Fraction)):
             x = Fraction(x)
             return (x.numerator << self.bits) // x.denominator
-        return to_fixed(self.ctx.mpf(x)._mpf_, self.bits)
-
-    def raw(self, v, n: int) -> tuple:
-        """Raw mpf of the finite value v at index n: an mpf as it is, an int
-        exactly, a Fraction rounded once to prec, as HpContext.mpf rounds it."""
-        if isinstance(v, mpmath.mpf):
-            raw = v._mpf_
-        elif isinstance(v, int):
-            raw = from_int(v)
-        else:
-            raw = self.ctx.mpf(v)._mpf_
-        if not raw[1] and raw[2]:  # inf or nan
-            raise ValueError(f"non-finite value at index {n}")
-        return raw
+        return to_fixed(self.ctx.raw(x), self.bits)
 
     def positive(self, v, n: int) -> tuple:
-        raw = self.raw(v, n)
+        raw = self.ctx.raw(v, n)
         if raw[0] or not raw[1]:
             raise NonPositiveValue(f"non-positive value at index {n}")
         return raw

@@ -147,6 +147,70 @@ class TestHpSeq:
         assert (hs.offset, hs.ctx) == (-2, ctx)
 
 
+def motzkin(count):
+    """M_1, ..., M_count, from (n + 2) M_n = (2n + 1) M_(n-1) + 3 (n - 1) M_(n-2)."""
+    m = [1, 1]
+    for n in range(2, count + 1):
+        m.append(((2 * n + 1) * m[-1] + 3 * (n - 1) * m[-2]) // (n + 2))
+    return m[1:]
+
+
+def mpf_tuples(s):
+    return [v._mpf_ for v in s.values]
+
+
+class TestValuesEnterTheContext:
+    """HpContext.raw is the one rule by which a value enters the working
+    precision: an int or a float in an HpSeq becomes a context float at
+    construction, so every estimator reads it as from_sequence gives it."""
+
+    @pytest.mark.parametrize("digits", [1, 15, 100])
+    def test_int_values_round_as_from_sequence(self, digits):
+        ctx = HpContext(digits)
+        rng = random.Random(4100 + digits)
+        ints = [0, 1, -1] + [rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 3 * ctx.prec))
+                             for _ in range(300)]
+        assert sum(abs(t).bit_length() > ctx.prec for t in ints) > 100
+        direct = HpSeq(-1, tuple(ints), ctx)
+        assert mpf_tuples(direct) == mpf_tuples(HpSeq.from_sequence(Sequence(-1, ints), ctx))
+
+    def test_int_valued_motzkin_matches_from_sequence(self):
+        terms = motzkin(59)
+
+        def outputs(s):
+            r = ratios(s)
+            lam = stretched_lambda(s)
+            diag = powerlaw_pipeline(s, 3)
+            bst = bst_extrapolate(r, 1)
+            seqs = [r, elim_power(r, 1), diag.g_seq, diag.g2_seq, lam, *stretched_triple_fit(lam)]
+            scalars = diag.g_estimate, diag.g_spread, bst.value, bst.spread
+            return [mpf_tuples(q) for q in seqs], [x._mpf_ for x in scalars]
+
+        ints = HpSeq(1, tuple(terms), CTX50)
+        assert outputs(ints) == outputs(HpSeq.from_sequence(Sequence(1, terms), CTX50))
+        # a 53-bit float ratio truncated to an int sent the limit to 2
+        assert abs(bst_extrapolate(ratios(ints), 1).value - 3) < 1e-12
+
+    def test_float_values_match_their_fractions(self):
+        floats = [3 - 1.5 / n ** 1.5 for n in range(1, 20)]
+        got = bst_extrapolate(HpSeq(1, tuple(floats), CTX50), 1)
+        want = bst_extrapolate(HpSeq(1, tuple(map(Fraction, floats)), CTX50), 1)
+        assert (got.value._mpf_, got.spread._mpf_) == (want.value._mpf_, want.spread._mpf_)
+        assert mpmath.nstr(got.value, 15) == "3.00005046248064"
+
+    @pytest.mark.parametrize("index", [1, 8, 15])
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_value_is_an_error(self, bad, index):
+        # BST and the power law name the index as the stretched estimators do
+        values = [2 ** n * (n * n + 1) for n in range(1, 16)]
+        values[index - 1] = mpmath.mpf(bad)
+        s = HpSeq(1, tuple(values), HpContext(30))
+        for estimate in (lambda: bst_extrapolate(s, 1), lambda: powerlaw_pipeline(s, 2),
+                         lambda: stretched_lambda(s)):
+            with pytest.raises(ValueError, match=f"^non-finite value at index {index}$"):
+                estimate()
+
+
 class TestRatios:
     def test_values_and_offset(self):
         s = frac_seq(0, [1, 2, 6, 24])

@@ -3,9 +3,10 @@ degenerate and extreme inputs.
 
 Each command starts from a cheap valid invocation (BASE); each case
 changes one input: SOURCE for a command that reads a b-file, --n, the
-global --precision, --value or --K.  Whatever the input, a run ends with
-exit status 0, or with status 1 and exactly one ``Error:`` line on stderr,
-never with a traceback or an uncaught exception.  Every run is offline,
+global --precision, --value or --K, and for a command that reads SOURCE
+also --n and --K at and above its term count.  Whatever the input, a run
+ends with exit status 0, or with status 1 and exactly one ``Error:`` line
+on stderr, never with a traceback or an uncaught exception.  Every run is offline,
 with an empty cache, so ``fetch`` fails on the cache miss.
 """
 
@@ -66,6 +67,13 @@ OPTION_VALUES = {
     "--K": ["-1"],
 }
 
+# sizes at and above SOURCE's 14 terms, for the commands that read it: the
+# brute-force oracles would take seconds at these sizes
+SOURCE_OPTION_VALUES = {
+    "--n": ["15", "28"],
+    "--K": ["14", "15"],
+}
+
 
 def _with(args: list, option: str, value: str) -> list:
     i = args.index(option)
@@ -81,7 +89,8 @@ def _cases():
         if args and args[0] == SOURCE:
             for key in BFILES:
                 yield pytest.param([*path, f"{key}.txt", *args[1:]], id=f"{name}-{key}")
-        for option, values in OPTION_VALUES.items():
+        sized = SOURCE_OPTION_VALUES if args and args[0] == SOURCE else {}
+        for option, values in [*OPTION_VALUES.items(), *sized.items()]:
             if option in args:
                 for value in values:
                     yield pytest.param([*path, *_with(args, option, value)],

@@ -308,6 +308,46 @@ def test_working_precision_comes_from_hpcontext():
     assert {name: found for name, found in uses.items() if found} == {}
 
 
+# HpContext.raw is the one rule by which a value enters the working
+# precision: besides fixed.py, which defines it, only report.py's renderer
+# rounds a value at a precision of its own
+ROUNDING_HOMES = {"fixed.py", "report.py"}
+
+
+def _roundings(tree: ast.Module) -> list[str]:
+    """``name:line`` for each call of quotient_nearest, and for each call of
+    from_int with a precision argument (more than one argument)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if (name == "quotient_nearest"
+                    or name == "from_int" and len(node.args) + len(node.keywords) > 1):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_values_enter_through_hpcontext():
+    uses = {path.name: _roundings(ast.parse(path.read_text()))
+            for path in MODULES if path.name not in ROUNDING_HOMES}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_guard_catches_private_roundings():
+    tree = ast.parse(
+        "from mpmath.libmp import from_int, round_nearest\n"
+        "from .fixed import quotient_nearest\n"
+        "def terms(seq, ctx):\n"
+        "    return [from_int(t, ctx.prec, round_nearest) for t in seq.terms]\n"
+        "def index(n):\n"
+        "    return libmp.from_int(n), libmp.from_int(n, prec=53)\n"
+        "def ratio(x, prec):\n"
+        "    return fixed.quotient_nearest(x.numerator, x.denominator, prec)\n"
+    )
+    assert sorted(_roundings(tree)) == ["from_int:4", "from_int:6", "quotient_nearest:8"]
+
+
 def test_guard_catches_workdps():
     tree = ast.parse(
         "import mpmath\n"
