@@ -10,11 +10,14 @@ successive-triple fits, square subsampling, Bulirsch-Stoer extrapolation,
 and overdetermined-free linear amplitude fits.  Values are mpmath
 arbitrary-precision floats at a precision carried by an HpContext; the
 purely rational operators (ratios, eliminations, subsampling) also accept
-exact Fraction values, which the algebraic-identity tests rely on.  An int
-or a float given to an HpSeq becomes a context float (HpContext.raw).  The
-stretched estimators and the log-log points compute on the fixed-point
-integer kernel of `seqlab.fixed` (Fixed), with its own logs and exps, and
-round each output once to the context's precision.
+exact Fraction values, which the algebraic-identity tests rely on.  Every
+number that enters the working precision, a term or a model parameter (mu,
+g, a, beta, delta), enters through HpContext.raw or HpContext.mpf, and an
+inf or a nan parameter raises ValueError naming it.  The amplitude fit
+needs K + 2 terms at indices n >= 1, so that its spread covers two
+windows.  The stretched estimators and the log-log points compute on the
+fixed-point integer kernel of `seqlab.fixed` (Fixed), with its own logs
+and exps, and round each output once to the context's precision.
 """
 
 from __future__ import annotations
@@ -225,7 +228,7 @@ def stretched_lambda(s: HpSeq, beta: Fraction = Fraction(1, 2)) -> HpSeq:
     """
     s = s.slice_from(1)
     fx = Fixed(s.ctx, s.offset, s.last_index)
-    b, pi, wp = fx.fix(beta), fx.pi, fx.bits
+    b, pi, wp = fx.fix(beta, "beta"), fx.pi, fx.bits
     out = []
     for n, v in zip(s.indices(), s.values):
         log_v, scale = fx.log_raw(fx.positive(v, n))
@@ -328,8 +331,8 @@ def stretched_amplitudes(s: HpSeq, a: Real, beta: Fraction, delta: Real,
     """
     fx = Fixed(s.ctx, s.offset, s.last_index)
     wp = fx.bits
-    a_pi = fx.fix(a) * fx.pi >> wp
-    b, d = fx.fix(beta), fx.fix(delta)
+    a_pi = fx.fix(a, "a") * fx.pi >> wp
+    b, d = fx.fix(beta, "beta"), fx.fix(delta, "delta")
     out = []
     for n in indices:
         if n < 1:
@@ -502,30 +505,30 @@ def amplitude_fit(s, mu: Real, g, K: int, ctx: HpContext) -> AmplitudeFit:
     refitted on windows ending 1..9 indices earlier through the Lagrange
     weights L_r(0) = (-1)^(K-r) binom(K, r) n_r^K / K!, and the spread of C
     across windows is reported, along with the exact 1-norm condition
-    number of the fit matrix.  Raises IllConditioned when that condition
-    number leaves no correct digits at working precision.
+    number of the fit matrix.  Raises InsufficientTerms unless s holds
+    K + 2 terms at indices n >= 1, so that the spread covers two windows,
+    and IllConditioned when that condition number leaves no correct digits
+    at working precision.  An inf or a nan g raises ValueError.
     """
     if K < 0:
         raise ValueError("need K >= 0")
     mu_ = _growth_constant(mu, ctx)
-    if len(s) < K + 1:
-        raise InsufficientTerms(f"need at least K+1 = {K + 1} terms")
     last = s.last_index
-    shifts = min(AMPLITUDE_WINDOWS, len(s) - K, last - K - max(s.offset, 1) + 1)
-    if shifts < 1:
-        raise InsufficientTerms(f"need K+1 = {K + 1} terms at indices n >= 1")
+    shifts = min(AMPLITUDE_WINDOWS, last - K - max(s.offset, 1) + 1)
+    if shifts < 2:
+        raise InsufficientTerms(f"need K+2 = {K + 2} terms at indices n >= 1, for two windows")
     first = last - K - shifts + 1
     with ctx.work():
-        g_ = ctx.mpf(g if isinstance(g, mpmath.mpf) else Fraction(g))
+        g_ = ctx.mpf(g, "g")
         log_mu = mpmath.log(mu_)
         ys = [
-            mpmath.mpf(s.term(n)) * mpmath.exp(g_ * mpmath.log(n) - n * log_mu)
+            ctx.mpf(s.term(n)) * mpmath.exp(g_ * mpmath.log(n) - n * log_mu)
             for n in range(first, last + 1)
         ]
         inv = vandermonde_inverse(list(range(last - K, last + 1)))
         # ||V||_1 = K + 1: the column of n^0 dominates
         cond = (K + 1) * ctx.mpf(max(sum(map(abs, col)) for col in zip(*inv)))
-        if cond > mpmath.mpf(10) ** (ctx.digits - 5):
+        if cond > 10 ** (ctx.digits - 5):
             raise IllConditioned(
                 f"condition estimate 10^{mpmath.nstr(mpmath.log10(cond), 4)} "
                 f"leaves no correct digits at {ctx.digits} digits",
@@ -558,6 +561,4 @@ def poly_smallest_positive_root(p: Poly, digits: int = 50) -> mpmath.mpf:
     """`Poly.smallest_positive_root(digits)` as an mpf under HpContext(digits),
     so |p(root)| < 10^(-digits+2).  Raises NoPositiveRoot when the polynomial
     has no root in (0, inf)."""
-    root = p.smallest_positive_root(digits)
-    with HpContext(digits).work():
-        return mpmath.mpf(root.numerator) / root.denominator
+    return HpContext(digits).mpf(p.smallest_positive_root(digits))

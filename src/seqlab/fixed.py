@@ -1,6 +1,8 @@
 """The integer fixed-point kernel of the estimators in `asympt`: a working
-precision (HpContext), exact quotients and square roots rounded once to it,
-and reals held as ints at one binary scale, with their logs and exps (Fixed).
+precision (HpContext) with the one rule by which a number enters it
+(HpContext.raw, whose finite check names a sequence index or a model
+parameter), exact quotients and square roots rounded once to it, and reals
+held as ints at one binary scale, with their logs and exps (Fixed).
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
-from typing import Optional
 
 import mpmath
 from mpmath.libmp import (
@@ -46,11 +47,12 @@ class HpContext:
         """The binary precision that work() sets."""
         return dps_to_prec(self.digits + self.guard)
 
-    def raw(self, x, n: Optional[int] = None) -> tuple:
+    def raw(self, x, at: int | str | None = None) -> tuple:
         """The raw mpf of x, the one rule by which a value enters the context:
         an mpf as it is, an int or a Fraction rounded once to prec, to nearest,
-        anything else (a float, text) read by mpmath at prec.  Given an index
-        n, x is the value at n of a sequence, and an inf or a nan raises."""
+        anything else (a float, text) read by mpmath at prec.  Given `at`, the
+        index of a sequence value or the name of a model parameter, an inf or
+        a nan raises ValueError naming it."""
         if isinstance(x, mpmath.mpf):
             raw = x._mpf_
         elif isinstance(x, int):
@@ -60,13 +62,14 @@ class HpContext:
         else:
             with self.work():
                 raw = mpmath.mpf(x)._mpf_
-        if n is not None and not raw[1] and raw[2]:  # inf or nan
-            raise ValueError(f"non-finite value at index {n}")
+        if at is not None and not raw[1] and raw[2]:  # inf or nan
+            what = f"parameter {at}" if isinstance(at, str) else f"value at index {at}"
+            raise ValueError(f"non-finite {what}")
         return raw
 
-    def mpf(self, x) -> mpmath.mpf:
+    def mpf(self, x, at: int | str | None = None) -> mpmath.mpf:
         """x as a context float (raw)."""
-        return mpmath.mp.make_mpf(self.raw(x))
+        return mpmath.mp.make_mpf(self.raw(x, at))
 
 
 def quotient_nearest(num: int, den: int, prec: int, shift: int = 0) -> tuple:
@@ -293,13 +296,14 @@ class Fixed:
         dense = 4 * (last - first + 1) >= last
         self.table.extend(max(last if dense else 0, (1 << _TOP_BITS) - 1))
 
-    def fix(self, x) -> int:
-        """floor(x 2^P): exact for an int or a Fraction, otherwise from x
-        as it enters the context (HpContext.raw)."""
+    def fix(self, x, name: str) -> int:
+        """floor(x 2^P) for the model parameter `name`: exact for an int or a
+        Fraction, otherwise from x as it enters the context (HpContext.raw),
+        so an inf or a nan raises ValueError naming the parameter."""
         if isinstance(x, (int, Fraction)):
             x = Fraction(x)
             return (x.numerator << self.bits) // x.denominator
-        return to_fixed(self.ctx.raw(x), self.bits)
+        return to_fixed(self.ctx.raw(x, name), self.bits)
 
     def positive(self, v, n: int) -> tuple:
         raw = self.ctx.raw(v, n)

@@ -194,7 +194,7 @@ def lconvex_study(terms: int, digits: int, squares: Optional[int] = None) -> dic
     e1, e2, e3 = (e.values[-1] for e in (fit.e1, fit.e2, fit.e3))
     sq = square_ratios(hs)
     with ctx.work():
-        a_true = mpmath.sqrt(mpmath.mpf(13) / 6)
+        a_true = mpmath.sqrt(ctx.mpf(Fraction(13, 6)))
         target = mpmath.exp(mpmath.pi * a_true)
     diagnostics, power_csvs = power_law(sq.squares, target)
     # the amplitudes at the squares that the extrapolation reads, and no others
@@ -208,9 +208,9 @@ def lconvex_study(terms: int, digits: int, squares: Optional[int] = None) -> dic
 
     with ctx.work():
         def stack_ratio(n: int):
-            n_ = mpmath.mpf(n)
+            n_ = ctx.mpf(n)
             return stacks.term(n) / (mpmath.exp(2 * mpmath.pi * mpmath.sqrt(n_ / 3)) / (
-                8 * mpmath.power(3, mpmath.mpf(3) / 4) * mpmath.power(n_, mpmath.mpf(5) / 4)))
+                8 * mpmath.power(3, ctx.mpf(Fraction(3, 4))) * n_ ** ctx.mpf(Fraction(5, 4))))
         r_quarter, r_last = stack_ratio(quarter), stack_ratio(stacks.last_index)
         exact = 13 * mpmath.sqrt(2) / 768
         lines = [
@@ -307,11 +307,11 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
     with ctx.work():
         a_sq = (c_value * 16 * mpmath.sqrt(mpmath.pi) / 105) ** 2
         poly_a_sq = min_poly(a_sq, maxdeg=3, digits=50)
-        closed_mu = (mpmath.mpf(14) / 3 * mpmath.cos(mpmath.acos(mpmath.mpf(13) / 14) / 3)
-                     + mpmath.mpf(8) / 3)
+        closed_mu = ctx.mpf(Fraction(8, 3)) + ctx.mpf(Fraction(14, 3)) * mpmath.cos(
+            mpmath.acos(ctx.mpf(Fraction(13, 14))) / 3)
         s = mpmath.sqrt(9289)
         inner = mpmath.pi / 3 + mpmath.acos(255709 * s / 24653006) / 3
-        closed_c = mpmath.mpf(35) / 16 * mpmath.sqrt(
+        closed_c = ctx.mpf(Fraction(35, 16)) * mpmath.sqrt(
             4107 / mpmath.pi - 84 / mpmath.pi * s * mpmath.cos(inner))
         d_closed = abs(c_value - closed_c)
         lines = [

@@ -492,6 +492,44 @@ class TestStretchedAmplitudesAtIndices:
             stretched_amplitudes(s, 1, Fraction(1, 2), 0, [0])
 
 
+class TestNonFiniteParameter:
+    """A model parameter enters the working precision as a sequence value
+    does (HpContext.raw), so an inf or a nan raises ValueError naming it
+    rather than giving a plausible wrong answer."""
+
+    S = HpSeq(1, tuple(2 ** n * (n * n + 1) for n in range(1, 16)), HpContext(30))
+    FINITE = {"a": 1, "beta": Fraction(1, 2), "delta": 1}
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("name", ["a", "beta", "delta"])
+    def test_stretched_amplitudes(self, name, bad):
+        params = {**self.FINITE, name: mpmath.mpf(bad)}
+        match = f"^non-finite parameter {name}$"
+        with pytest.raises(ValueError, match=match):
+            stretched_amplitude_seq(self.S, **params)
+        with pytest.raises(ValueError, match=match):
+            stretched_amplitudes(self.S, **params, indices=[1, 4, 9])
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_stretched_lambda(self, bad):
+        with pytest.raises(ValueError, match="^non-finite parameter beta$"):
+            stretched_lambda(self.S, mpmath.mpf(bad))
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_amplitude_fit_g(self, bad):
+        s = Sequence(1, tuple(3 * 2 ** n for n in range(1, 12)))
+        with pytest.raises(ValueError, match="^non-finite parameter g$"):
+            amplitude_fit(s, 2, mpmath.mpf(bad), 2, CTX50)
+
+    def test_raw_names_an_index_or_a_parameter(self):
+        ctx = HpContext(30)
+        with pytest.raises(ValueError, match="^non-finite value at index 0$"):
+            ctx.raw(mpmath.inf, 0)
+        with pytest.raises(ValueError, match="^non-finite parameter g$"):
+            ctx.mpf("nan", "g")
+        assert ctx.raw(mpmath.inf) == mpmath.inf._mpf_
+
+
 class ReferenceKernel(Fixed):
     """The kernel's logs, roots and exps as they were before its tables:
     log_int_fixed at P bits for log n, mpf_log at P bits for a value's log
@@ -1001,11 +1039,15 @@ class TestAmplitudeFit:
             amplitude_fit(Sequence(1, (1, 2, 3)), 2, 0, 5, CTX50)
 
     def test_needs_terms_at_positive_indices(self):
-        # the fit nodes are 1/n, so index 0 cannot enter a window
-        with pytest.raises(InsufficientTerms):
-            amplitude_fit(Sequence(0, (1, 2, 3)), 2, 0, 2, CTX50)
-        fit = amplitude_fit(Sequence(0, (1, 2, 4, 8)), 2, 0, 2, CTX50)
+        # the fit nodes are 1/n, so index 0 cannot enter a window, and the
+        # spread needs two windows: K + 2 terms at indices n >= 1
+        for terms in ((1, 2, 3), (1, 2, 4, 8)):
+            with pytest.raises(InsufficientTerms,
+                               match="^need K\\+2 = 4 terms at indices n >= 1, for two windows$"):
+                amplitude_fit(Sequence(0, terms), 2, 0, 2, CTX50)
+        fit = amplitude_fit(Sequence(0, (1, 2, 4, 8, 16)), 2, 0, 2, CTX50)
         assert abs(fit.model.C - 1) < mpmath.mpf(10) ** -45
+        assert fit.c_spread < mpmath.mpf(10) ** -45
 
     def test_mpf_g(self):
         s = Sequence(1, (6, 12, 24, 48))
@@ -1036,7 +1078,7 @@ class TestAmplitudeFitWindow:
     @pytest.mark.parametrize("offset", [-3, 0, 1, 5])
     def test_tail_gives_the_same_fit(self, offset, K):
         rng = random.Random(1000 * K + offset)
-        kinds = set()
+        kinds, short = set(), set()
         for length in range(K + 1, K + 13):
             terms = tuple(3 ** max(n, 0) * (n * n + rng.randint(1, 50))
                           for n in range(offset, offset + length))
@@ -1047,10 +1089,12 @@ class TestAmplitudeFitWindow:
                 got = self.outcome(full, K, ctx)
                 assert self.outcome(tail, K, ctx) == got
                 kinds.add(got[0] if isinstance(got[0], type) else AmplitudeFit)
-        # each case meets a fit; windows short of positive indices fail, and
-        # 12 digits leave none for the larger K
+                if got[0] is InsufficientTerms:
+                    short.add(length)
+        # each case meets a fit; lengths short of K + 2 terms at indices
+        # n >= 1 (two windows) fail, and 12 digits leave none for the larger K
         assert AmplitudeFit in kinds
-        assert (InsufficientTerms in kinds) == (offset <= 0)
+        assert short == set(range(K + 1, K + 2 + max(1 - offset, 0)))
         assert (IllConditioned in kinds) == (K >= 5)
 
 
@@ -1178,6 +1222,28 @@ class TestPolyRoot:
             tuples.append((sign, int(man), exp, bc))
         digest = hashlib.sha256(repr(tuples).encode()).hexdigest()
         assert digest == self.ROOT_DIGEST
+
+    def test_root_rounded_once_as_before(self):
+        # the root enters HpContext(digits) as a Fraction (HpContext.mpf);
+        # it gives the tuple of the conversion it replaced, the numerator as
+        # an mpf divided by the denominator under HpContext(digits).work()
+        rng = random.Random(4200)
+        growth_cubic = [(Poly([1, -8, 5, 1]), d) for d in (20, 100, 250, 260)]
+        checked = 0
+        while checked < 300:
+            if growth_cubic:
+                p, digits = growth_cubic.pop()
+            else:
+                cs = [rng.randint(-30, 30) for _ in range(rng.randint(2, 7))]
+                p, digits = Poly(cs[:-1] + [cs[-1] or 1]), rng.randint(20, 260)
+            try:
+                root = p.smallest_positive_root(digits)
+            except NoPositiveRoot:
+                continue
+            with HpContext(digits).work():
+                before = mpmath.mpf(root.numerator) / root.denominator
+            assert poly_smallest_positive_root(p, digits)._mpf_ == before._mpf_
+            checked += 1
 
     def test_random_polys_match_mpmath(self):
         import random

@@ -605,6 +605,12 @@ class TestErrorBoundaryAndEcho:
                      "the stretched fit needs 12 terms at n >= 1, got 11",
                      id="stretched-11-terms"),
         pytest.param(["analyze", "stretched", "upto12.txt"], None, id="stretched-12-terms"),
+        # the amplitude fit's spread covers two windows, which need K + 2 terms
+        pytest.param(["fit", "amplitude", "three.txt", "--mu", "4", "--g", "3/2", "--K", "2"],
+                     "need K+2 = 4 terms at indices n >= 1, for two windows",
+                     id="amplitude-one-window"),
+        pytest.param(["fit", "amplitude", "three.txt", "--mu", "4", "--g", "3/2", "--K", "1"],
+                     None, id="amplitude-two-windows"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -693,6 +699,57 @@ class TestOutputsPinned:
                 cli = Path("cli", f"{key}.csv").read_bytes()
                 assert cli == Path("script", f"{key}.csv").read_bytes(), key
             assert Path("cli/r_sq.csv").read_text().splitlines()[1].startswith("2,")
+
+    # the first 16 hex digits of text_digest of each command's and group's
+    # --help text at 80 columns; a change behind the command line that
+    # should leave it alone must leave every one of them
+    HELP_DIGESTS = {
+        "": "e3f2abf0a257593c",
+        "analyze": "5936db8cb36a0e18",
+        "analyze powerlaw": "b82c06ebe4a9a7df",
+        "analyze ratios": "4807505e0e08b1bf",
+        "analyze square": "1a0db967b457a446",
+        "analyze stretched": "2e77e335a64bb6da",
+        "expand": "8c538543128ca244",
+        "expand algeq": "f307b37580f83388",
+        "expand rational": "4a2658436564ec6b",
+        "expand rec": "9db382f94fc65084",
+        "extrapolate": "23bebcfa33cd5eda",
+        "extrapolate bst": "dacffdcb0508b69b",
+        "fetch": "48f36d53b8a07840",
+        "fit": "8e506e432b76ff72",
+        "fit amplitude": "50fb112373614bba",
+        "gen": "f33e9de69b09299f",
+        "gen lconvex-area": "0252311f232a4d4e",
+        "gen lconvex-perimeter": "de3759422e92dda4",
+        "gen stack": "6178b268ab9de4c4",
+        "guess": "972c2501252fe681",
+        "guess algeq": "17c1ee7d15f38565",
+        "guess rec": "75f6578d155bd985",
+        "identify": "ad8b75ad2b52a8dd",
+        "identify minpoly": "974e50f0417bc14a",
+        "identify mult": "617e84b38957ac6a",
+        "identify rational": "6037cd885ae1091b",
+        "oracle": "2e8942a01d7ce0bc",
+        "oracle ascent": "9f9f4288969fb30e",
+        "oracle lconvex": "442a14a74aa44e41",
+        "oracle stack": "e2d7fa9a7d2f7936",
+    }
+
+    def test_help_texts(self, runner):
+        """Every command and group, found by walking `main`, is pinned."""
+        def paths(command, path=()):
+            yield path
+            for name, sub in sorted(getattr(command, "commands", {}).items()):
+                yield from paths(sub, (*path, name))
+
+        got = {}
+        for path in paths(main):
+            res = runner.invoke(main, [*path, "--help"], prog_name="seqlab",
+                                terminal_width=80, catch_exceptions=False)
+            assert res.exit_code == 0, res.output
+            got[" ".join(path)] = text_digest(res.output)[:16]
+        assert got == self.HELP_DIGESTS
 
 
 class TestReadNumber:

@@ -308,23 +308,46 @@ def test_working_precision_comes_from_hpcontext():
     assert {name: found for name, found in uses.items() if found} == {}
 
 
-# HpContext.raw is the one rule by which a value enters the working
-# precision: besides fixed.py, which defines it, only report.py's renderer
-# rounds a value at a precision of its own
-ROUNDING_HOMES = {"fixed.py", "report.py"}
+# HpContext.raw (or HpContext.mpf) is the one rule by which a number enters
+# the working precision: besides fixed.py, which defines it, only report.py's
+# renderer rounds a value at a precision of its own, and identify.py still
+# rounds its input and builds its tolerances with mpmath's constructor
+ROUNDING_HOMES = {"fixed.py", "report.py", "identify.py"}
+
+
+def _mpmath_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The names a module binds to mpmath (or its ``mp`` context) and to
+    mpmath's mpf class."""
+    modules, classes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "mpmath"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            modules |= {a.asname or a.name for a in node.names if a.name == "mp"}
+            classes |= {a.asname or a.name for a in node.names if a.name == "mpf"}
+    return modules, classes
 
 
 def _roundings(tree: ast.Module) -> list[str]:
-    """``name:line`` for each call of quotient_nearest, and for each call of
-    from_int with a precision argument (more than one argument)."""
+    """``name:line`` for each call of quotient_nearest, for each call of
+    from_int with a precision argument (more than one argument), and
+    ``mpf:line`` for each call of mpmath's mpf constructor: ``mpmath.mpf``,
+    ``mpmath.mp.mpf`` or an ``mpf`` imported from mpmath."""
+    modules, classes = _mpmath_names(tree)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            root = func
+            while isinstance(root, ast.Attribute):
+                root = root.value
             if (name == "quotient_nearest"
                     or name == "from_int" and len(node.args) + len(node.keywords) > 1):
                 found.append(f"{name}:{node.lineno}")
+            elif (isinstance(func, ast.Name) and name in classes
+                    or name == "mpf" and isinstance(root, ast.Name) and root.id in modules):
+                found.append(f"mpf:{node.lineno}")
     return found
 
 
@@ -344,8 +367,15 @@ def test_guard_catches_private_roundings():
         "    return libmp.from_int(n), libmp.from_int(n, prec=53)\n"
         "def ratio(x, prec):\n"
         "    return fixed.quotient_nearest(x.numerator, x.denominator, prec)\n"
+        "import mpmath\n"
+        "from mpmath import mp, mpf as real\n"
+        "def constants(ctx, n):\n"
+        "    a = mpmath.mpf(13) / 6\n"
+        "    return a, real(n), mp.mpf(n), mpmath.mp.mpf(n), ctx.mpf(n), ctx.mpf(n, 'n')\n"
     )
-    assert sorted(_roundings(tree)) == ["from_int:4", "from_int:6", "quotient_nearest:8"]
+    assert sorted(_roundings(tree)) == [
+        "from_int:4", "from_int:6", "mpf:12", "mpf:13", "mpf:13", "mpf:13",
+        "quotient_nearest:8"]
 
 
 def test_guard_catches_workdps():
