@@ -368,9 +368,10 @@ def _growth_constant(mu: Real, ctx: HpContext) -> mpmath.mpf:
 
 def powerlaw_pipeline(s: HpSeq, mu: Real) -> PowerLawDiagnostics:
     """Estimate the power g of s_n ~ D mu^n n^g from ratios r_n = mu(1 + g/n + ...).
-    ValueError at an inf or a nan among the s_n, as bst_extrapolate."""
-    if len(s) < 3:
-        raise InsufficientTerms(f"power-law fit needs at least 3 terms, got {len(s)}")
+    The spread covers two values of g2 at least, so 4 terms.  ValueError at
+    an inf or a nan among the s_n, as bst_extrapolate."""
+    if len(s) < 4:
+        raise InsufficientTerms(f"power-law fit needs at least 4 terms, got {len(s)}")
     for n, v in zip(s.indices(), s.values):
         s.ctx.raw(v, n)  # ValueError at an inf or a nan
     r = ratios(s).map(s.ctx.mpf)

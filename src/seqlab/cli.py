@@ -423,7 +423,7 @@ def expand_rational_cmd(state, num, den, n_terms):
     num_c, den_c = _int_list("num", num), _int_list("den", den)
     laurent = expand_rational(Poly(num_c), Poly(den_c), n_terms)
     return _sequence_fields(
-        "coefficients", **sequence_entry(laurent.offset, laurent.coeffs),
+        "coefficients", **sequence_entry(laurent.offset, laurent.coeffs, state.precision),
         input_digest=text_digest(f"{num}|{den}|{n_terms}"),
         parameters={"num": num_c, "den": den_c, "n": n_terms},
     )
@@ -508,8 +508,8 @@ def analyze_powerlaw_cmd(state, source, mu, mu_from_poly, square):
     """Estimate the power g in s_n ~ D mu^n n^g from ratio corrections."""
     s = _hpseq(state, source.seq)
     mu_val, mu_params = _resolve_mu(state, mu, mu_from_poly)
-    # the power-law fit needs 3 terms, so 3 squares
-    diag, csvs = pipeline.power_law(square_subsample(s, 3) if square else s, mu_val)
+    # the power-law fit needs 4 terms, so 4 squares
+    diag, csvs = pipeline.power_law(square_subsample(s, 4) if square else s, mu_val)
     return dict(
         parameters={"source": source.label, "precision": state.precision,
                     "square": square, **mu_params},
@@ -571,8 +571,6 @@ def fit_amplitude_cmd(state, source, mu, mu_from_poly, g_str, k_corr):
     mu_val, mu_params = _resolve_mu(state, mu, mu_from_poly)
     g_frac = _read_number("g", g_str)
     res = amplitude_fit(seq, mu_val, g_frac, k_corr, state.ctx)
-    with state.ctx.work():
-        corr = sequence_entry(1, res.model.corrections, digits=25)
     return dict(
         parameters={"source": source.label, "precision": state.precision,
                     "g": str(g_frac), "K": k_corr,
@@ -582,7 +580,7 @@ def fit_amplitude_cmd(state, source, mu, mu_from_poly, g_str, k_corr):
             "mu": scalar_entry(mu_val, state.precision),
             "C": scalar_entry(res.model.C, state.precision, res.c_spread),
         },
-        sequences={"corrections": corr},
+        sequences={"corrections": sequence_entry(1, res.model.corrections, digits=25)},
         stdout=f"C: {decimal_str(res.model.C, 25)}  spread: {decimal_str(res.c_spread, 5)}\n",
     )
 

@@ -210,10 +210,12 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
     ||p||_inf * max(1, |x|)^deg, a threshold a few orders above evaluation
     roundoff but far below the residual of any accidental lattice relation
     at this scaling; for x != 0 a candidate with p(0) = 0 is skipped, since
-    p = x q makes q a relation of lower degree.  Returns None if no degree
-    yields a verified relation (so also for a non-finite x); raises
-    ValueError when maxdeg < 1 and PrecisionTooLow when digits is too small
-    to separate the two regimes (digits < 10 * (maxdeg + 1)).
+    p = x q makes q a relation of lower degree, and so is a candidate with
+    a coefficient of 10^dps or more, noise past the working precision.
+    Returns None if no degree yields a verified relation (so also for a
+    non-finite x); raises ValueError when maxdeg < 1 and PrecisionTooLow
+    when digits is too small to separate the two regimes (digits < 10 *
+    (maxdeg + 1)).
     """
     if maxdeg < 1:
         raise ValueError(f"need maxdeg >= 1, got {maxdeg}")
@@ -241,6 +243,6 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
                     continue
                 p = Poly(coeffs).primitive()
                 norm = max(map(abs, p.coeffs))
-                if abs(p(x)) < threshold * norm:
+                if norm < 10 ** mpmath.mp.dps and abs(p(x)) < threshold * norm:
                     return p
     return None

@@ -70,29 +70,27 @@ class RatioTable(NamedTuple):
 
 
 def ratio_table(s: HpSeq) -> RatioTable:
-    """Successive ratios, tabulated against 1/n and 1/sqrt(n)."""
-    if len(s) < 2:
-        raise InsufficientTerms(f"ratios need at least 2 terms, got {len(s)}")
+    """Successive ratios, tabulated against 1/n and 1/sqrt(n); the spread
+    covers two ratios at least, so 3 terms."""
+    if len(s) < 3:
+        raise InsufficientTerms(f"ratios need at least 3 terms, got {len(s)}")
     r = ratios(s)
-    with s.ctx.work():
-        inv_sqrt = ((_inv_sqrt(n, s.ctx.prec), v) for n, v in zip(r.indices(), r.values))
-        return RatioTable(r, r.spread(10), {
-            "ratios_vs_inv_n": emit_csv(_inv_index(r), ("inv_n", "ratio"), s.ctx.digits),
-            "ratios_vs_inv_sqrt_n": emit_csv(inv_sqrt, ("inv_sqrt_n", "ratio"), s.ctx.digits),
-        })
+    inv_sqrt = ((_inv_sqrt(n, s.ctx.prec), v) for n, v in zip(r.indices(), r.values))
+    return RatioTable(r, r.spread(10), {
+        "ratios_vs_inv_n": emit_csv(_inv_index(r), ("inv_n", "ratio"), s.ctx.digits),
+        "ratios_vs_inv_sqrt_n": emit_csv(inv_sqrt, ("inv_sqrt_n", "ratio"), s.ctx.digits),
+    })
 
 
 def ratio_loglog(s: HpSeq) -> dict:
     """Figures of log(r_n - 1) against log n and of its two-point gradient."""
-    r = ratios(s)
-    with s.ctx.work():
-        shifted = r.map(lambda v: v - 1)
-        points = loglog_points(shifted)
-        grad = loglog_gradient(shifted, points)
-        return {
-            "loglog": emit_csv(points, ("log_n", "log_ratio_minus_1"), s.ctx.digits),
-            "gradient": emit_csv(_inv_index(grad), ("inv_n", "gradient"), s.ctx.digits),
-        }
+    shifted = ratios(s).map(lambda v: v - 1)
+    points = loglog_points(shifted)
+    grad = loglog_gradient(shifted, points)
+    return {
+        "loglog": emit_csv(points, ("log_n", "log_ratio_minus_1"), s.ctx.digits),
+        "gradient": emit_csv(_inv_index(grad), ("inv_n", "gradient"), s.ctx.digits),
+    }
 
 
 class StretchedFit(NamedTuple):
@@ -113,10 +111,11 @@ def stretched_fit(s: HpSeq) -> StretchedFit:
     e1, e2, e3 = stretched_triple_fit(stretched_lambda(s))
     model, spreads = summarize_stretched(e1, e2, e3)
     with s.ctx.work():
-        return StretchedFit(e1, e2, e3, model, spreads, e1.values[-1] ** 2, {
-            "e1": emit_csv(_inv_index(e1), ("inv_n", "e1"), s.ctx.digits),
-            "e2": emit_csv(_inv_index(e2), ("inv_n", "e2"), s.ctx.digits),
-        })
+        a_squared = e1.values[-1] ** 2
+    return StretchedFit(e1, e2, e3, model, spreads, a_squared, {
+        "e1": emit_csv(_inv_index(e1), ("inv_n", "e1"), s.ctx.digits),
+        "e2": emit_csv(_inv_index(e2), ("inv_n", "e2"), s.ctx.digits),
+    })
 
 
 class SquareRatios(NamedTuple):
@@ -128,27 +127,26 @@ class SquareRatios(NamedTuple):
 
 def square_ratios(s: HpSeq) -> SquareRatios:
     """Ratios r_k of the square subsequence and their 1/k, then 1/k^2
-    eliminations (the intercepts and t_k); needs the first 4 squares."""
-    squares = square_subsample(s, 4)
+    eliminations (the intercepts and t_k); the spread covers two t_k at
+    least, so the first 5 squares."""
+    squares = square_subsample(s, 5)
     r = ratios(squares)
     i1 = elim_power(r, 1)
     i2 = elim_power(i1, 2)
-    with s.ctx.work():
-        return SquareRatios(squares, i2.values[-1], i2.spread(5), {
-            "r_sq": emit_csv(zip(r.indices(), r.values), ("k", "ratio"), s.ctx.digits),
-            "intercepts": emit_csv(_inv_index(i1), ("inv_k", "intercept"), s.ctx.digits),
-            "t_n": emit_csv(_inv_index(i2), ("inv_k", "t"), s.ctx.digits),
-        })
+    return SquareRatios(squares, i2.values[-1], i2.spread(5), {
+        "r_sq": emit_csv(zip(r.indices(), r.values), ("k", "ratio"), s.ctx.digits),
+        "intercepts": emit_csv(_inv_index(i1), ("inv_k", "intercept"), s.ctx.digits),
+        "t_n": emit_csv(_inv_index(i2), ("inv_k", "t"), s.ctx.digits),
+    })
 
 
 def power_law(s: HpSeq, mu) -> tuple[PowerLawDiagnostics, dict]:
     """powerlaw_pipeline with its g_n and g2_n figures."""
     diag = powerlaw_pipeline(s, mu)
-    with s.ctx.work():
-        return diag, {
-            "g_n": emit_csv(_inv_index(diag.g_seq), ("inv_n", "g"), s.ctx.digits),
-            "g2_n": emit_csv(_inv_index(diag.g2_seq), ("inv_n", "g2"), s.ctx.digits),
-        }
+    return diag, {
+        "g_n": emit_csv(_inv_index(diag.g_seq), ("inv_n", "g"), s.ctx.digits),
+        "g2_n": emit_csv(_inv_index(diag.g2_seq), ("inv_n", "g2"), s.ctx.digits),
+    }
 
 
 def growth_rate(p: Poly, ctx: HpContext) -> tuple[mpmath.mpf, mpmath.mpf]:
@@ -176,10 +174,10 @@ def lconvex_study(terms: int, digits: int, squares: Optional[int] = None) -> dic
     amplitude constant on the first `squares` squares (by default every
     square up to `terms`) and its identification, and the stack counts
     against their asymptotic form.  Returns the run's fields, which record
-    the squares used; raises before any stage runs unless terms >= 16,
+    the squares used; raises before any stage runs unless terms >= 25,
     4 <= squares <= isqrt(terms) and digits >= 1."""
-    if terms < 16:
-        raise InsufficientTerms("need the terms at indices 1 to 16 (the squares 1, 4, 9, 16)")
+    if terms < 25:
+        raise InsufficientTerms("need the terms at indices 1 to 25 (the squares 1, 4, 9, 16, 25)")
     held = isqrt(terms)
     squares = held if squares is None else squares
     if squares < 4:

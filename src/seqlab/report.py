@@ -24,9 +24,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import mpmath
-from mpmath.libmp import dps_to_prec, finf, fnan, fninf, normalize, round_nearest, to_str
-
-from .fixed import quotient_nearest
+from mpmath.libmp import dps_to_prec, finf, fnan, fninf, from_float, from_str, round_nearest, to_str
 
 
 @contextmanager
@@ -49,85 +47,86 @@ def decimal_str(value, digits: Optional[int] = None) -> str:
     """Full-precision decimal rendering; never a binary float repr.
 
     An int, or a Fraction with denominator 1, prints exactly, as str(int).
-    Any other value is first rounded once, to nearest with ties to even, to
-    the binary precision of dps = max(mp.dps, digits) + 5 decimal digits
-    (`dps_to_prec(dps)` bits): an mpf from its own bits, a Fraction as the
-    exact quotient (fixed.quotient_nearest), anything else as mpf(value)
-    at dps.  It then prints with D = `digits` (default: dps) significant
-    digits, exactly as mpmath's to_str(raw, D) does:
+    Any other value prints as its exact value rounded once, half up, to
+    D = `digits` significant digits (default: mp.dps + 5); a float or
+    decimal text counts as the exact value it denotes.  With e the decimal
+    exponent of the leading digit, the form is fixed point when
+    min(-(D // 3), -5) < e < D, otherwise scientific, d.ddd followed by e+N
+    or e-N; trailing zeros after the point are stripped, keeping one digit
+    after it (1.0, 1.5e+20); negative values lead with "-".
 
-    * the value is truncated to int((D + 3) log2(10)) + 10 bits, then to
-      D + 3 or more decimal digits, and those are rounded half up to D
-      (a run of 9s carries into a new leading 1);
-    * with e the decimal exponent of the leading digit, the form is fixed
-      point when min(-(D // 3), -5) < e < D, otherwise scientific,
-      d.ddd followed by e+N or e-N;
-    * trailing zeros after the point are stripped, keeping one digit
-      after it (1.0, 1.5e+20); negative values lead with "-".
-
-    Zero ("0.0"), +inf, -inf, nan and values whose binary exponent
-    exp + bc is beyond +-3500 are handed to mpmath's to_str itself; every
-    other value is rendered from the mpf's integers by the same steps.
+    Zero ("0.0"), +inf, -inf, nan and values whose binary exponent exp + bc
+    is beyond +-3500 are handed to mpmath's to_str(value, D), text as
+    mpmath reads it at D + 5 digits.
     """
     return _Decimals(digits)(value)
 
 
-_LOG2_10 = math.log(10, 2)  # as mpmath's to_str computes it
+_LOG10_2 = math.log10(2)
 _NON_FINITE = (finf, fninf, fnan)
 
 
 class _Decimals:
-    """The renderer of decimal_str at one digit count, built once per
-    call of decimal_str, sequence_entry or emit_csv: it fixes dps, prec
-    and D, and the fixed-point scales of to_str at D + 3 digits."""
+    """The renderer of decimal_str at one digit count D, built once per
+    call of decimal_str, sequence_entry or emit_csv."""
 
     def __init__(self, digits: Optional[int]):
-        self.dps = max(mpmath.mp.dps, digits or 0) + 5
-        self.prec = dps_to_prec(self.dps)
-        self.digits = digits or self.dps
-        self.bitprec = int((self.digits + 3) * _LOG2_10) + 10
+        self.digits = digits or mpmath.mp.dps + 5
         self.min_fixed = min(-(self.digits // 3), -5)
-        self.scales = {}  # fixprec -> (fixdps, 10**fixdps)
+        self.scales = {}  # j -> (j, 10**|j|)
 
     def __call__(self, value) -> str:
         return self.text(self.raw(value))
 
     def raw(self, value):
-        """An integer's exact decimal string, or else a raw mpf (sign,
-        man, exp, bc) that `text` rounds to prec as decimal_str states."""
+        """An integer's exact decimal string, or else the exact value that
+        `text` rounds: a raw mpf (sign, man, exp, bc) or a Fraction."""
         if isinstance(value, mpmath.mpf):
             return value._mpf_
         if isinstance(value, int):
             return str(value)
         if isinstance(value, Fraction):
-            num, den = value.numerator, value.denominator
-            return str(num) if den == 1 else quotient_nearest(num, den, self.prec)
-        with mpmath.workdps(self.dps):
-            return mpmath.mpf(value)._mpf_
+            return str(value.numerator) if value.denominator == 1 else value
+        if isinstance(value, float):
+            return from_float(value)  # exactly, and so are inf and nan
+        # decimal text: exactly, or as mpmath reads it when to_str takes it
+        text = str(value)
+        _, man, exp, bc = rough = from_str(text, dps_to_prec(self.digits + 5), round_nearest)
+        if not man or not -3500 <= exp + bc <= 3500:
+            return rough
+        return Fraction(text)
+
+    def scale(self, low: int) -> tuple:
+        """(j, 10^|j|) for j = D + 1 - floor(low log10(2)): when |x| >= 2^low,
+        floor(|x| 10^j) has at least D + 1 digits (one more than the bound
+        needs, against the float's error)."""
+        j = self.digits + 1 - math.floor(low * _LOG10_2)
+        scale = self.scales.get(j)
+        if scale is None:
+            scale = self.scales[j] = (j, 10 ** abs(j))
+        return scale
 
     def text(self, raw) -> str:
-        """The decimal string of `raw`, a result of `raw()`."""
+        """The decimal string of `raw`, a result of `raw()`: the first digits
+        of the exact value, rounded half up to D."""
         if type(raw) is str:
             return raw
-        sign, man, exp, bc = raw
-        if bc > self.prec:  # to nearest, ties to even
-            raw = sign, man, exp, bc = normalize(*raw, self.prec, round_nearest)
-        mag = exp + bc
-        if not man or not -3500 <= mag <= 3500:  # zero, inf, nan or far out
-            return to_str(raw, self.digits)
-        # to_str's digits: the value truncated to bitprec bits in binary
-        # fixed point, then to fixdps decimals
-        fixprec = self.bitprec - mag if mag < self.bitprec else 0
-        scale = self.scales.get(fixprec)
-        if scale is None:
-            fixdps = int(fixprec / _LOG2_10 + 0.5)
-            scale = self.scales[fixprec] = (fixdps, 10**fixdps)
-        fixdps, ten = scale
-        shift = exp + fixprec
-        digits = str(((man << shift if shift >= 0 else man >> -shift) * ten) >> fixprec)
-        e = len(digits) - fixdps - 1
-        # round half up to D digits and strip trailing zeros
         d = self.digits
+        if type(raw) is Fraction:
+            sign, num, den = raw.numerator < 0, abs(raw.numerator), raw.denominator
+            j, ten = self.scale(num.bit_length() - den.bit_length() - 1)
+            digits = str(num * ten // den if j >= 0 else num // (den * ten))
+        else:
+            sign, man, exp, bc = raw
+            if not man or not -3500 <= exp + bc <= 3500:  # zero, inf, nan or far out
+                return to_str(raw, d)
+            j, ten = self.scale(exp + bc - 1)
+            if j < 0:  # |x| >= 10^(D + 1): its integer part, below 2^3500, has the digits
+                j, ten = 0, 1
+            man *= ten
+            digits = str(man << exp if exp >= 0 else man >> -exp)
+        e = len(digits) - j - 1
+        # round half up to D digits and strip trailing zeros
         if len(digits) > d and digits[d] >= "5":
             head = digits[:d].rstrip("9")
             if head:  # its last digit, not a 9, goes up by one

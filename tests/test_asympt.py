@@ -805,7 +805,7 @@ class TestPowerLaw:
 
     def test_rejects_non_positive_mu(self):
         with pytest.raises(ValueError):
-            powerlaw_pipeline(frac_seq(1, [1, 2, 3]), 0)
+            powerlaw_pipeline(frac_seq(1, [1, 2, 3, 4]), 0)
 
 
 class TestBst:
@@ -1006,7 +1006,7 @@ class TestGrowthConstantChecked:
     @pytest.mark.parametrize("mu", BAD_MU)
     def test_powerlaw(self, mu):
         with pytest.raises(ValueError, match=self.MESSAGE):
-            powerlaw_pipeline(frac_seq(1, [1, 2, 3]), mpmath.mpf(mu))
+            powerlaw_pipeline(frac_seq(1, [1, 2, 3, 4]), mpmath.mpf(mu))
 
     @pytest.mark.parametrize("mu", BAD_MU)
     def test_amplitude_fit(self, mu):

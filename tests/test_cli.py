@@ -126,6 +126,15 @@ class TestGuessAndExpand:
                 "0 1", "1 2", "2 7", "3 24", "4 82", "5 280",
             ]
 
+    @pytest.mark.parametrize("precision", [5, 50])
+    def test_expand_rational_prints_at_precision(self, runner, precision):
+        with runner.isolated_filesystem():
+            res = invoke(runner, ["--precision", str(precision), "expand", "rational",
+                                  "--num", "1", "--den", "3,-1", "--n", "2"])
+            thirds = ["0." + "3" * precision, "0." + "1" * precision]
+            assert res.stdout.splitlines()[-2:] == [f"0 {thirds[0]}", f"1 {thirds[1]}"]
+            assert read_report()["sequences"]["coefficients"]["values"] == thirds
+
     def test_expand_algeq_catalan(self, runner):
         catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786]
         text = "".join(f"{n} {c}\n" for n, c in enumerate(catalan))
@@ -312,6 +321,16 @@ class TestIdentifyCli:
             res = invoke(runner, ["identify", command, "--value", value])
             assert res.stdout == out + "\n"
 
+    @pytest.mark.parametrize("value, out", [
+        ("1e300", "not found"),
+        ("1e20", "x - 100000000000000000000"),
+    ])
+    def test_minpoly_coefficient_within_working_precision(self, runner, value, out):
+        """min_poly skips a candidate with a coefficient of 10^dps or more."""
+        with runner.isolated_filesystem():
+            res = invoke(runner, ["identify", "minpoly", "--value", value, "--digits", "40"])
+            assert res.stdout == out + "\n"
+
     def test_minpoly_given_digits_error_has_no_hint(self, runner):
         res = runner.invoke(main, ["identify", "minpoly", "--value", "0.5", "--digits", "30"])
         assert res.exit_code == 1
@@ -483,21 +502,30 @@ class TestErrorBoundaryAndEcho:
                      id="args18-margin >= 0"),
         pytest.param(["guess", "rec", B, "--margin", "-1"], "margin >= 0",
                      id="args19-margin >= 0"),
-        pytest.param(["analyze", "ratios", "upto1.txt"], "at least 2 terms, got 1",
+        # rows args20 to args26 keep their first ids; each estimator's spread
+        # covers two values, which sets its minimum
+        pytest.param(["analyze", "ratios", "upto2.txt"], "at least 3 terms, got 2",
                      id="args20-at least 2 terms, got 1"),
-        pytest.param(["analyze", "square", "upto15.txt"], "indices 1 to 16",
+        pytest.param(["analyze", "square", "upto24.txt"], "indices 1 to 25",
                      id="args21-indices 1 to 16"),
-        pytest.param(["analyze", "powerlaw", "upto2.txt", "--mu", "3"], "at least 3 terms, got 2",
+        pytest.param(["analyze", "powerlaw", "upto3.txt", "--mu", "3"], "at least 4 terms, got 3",
                      id="args22-at least 3 terms, got 2"),
-        pytest.param(["analyze", "powerlaw", "upto8.txt", "--mu", "3", "--square"],
-                     "indices 1 to 9",
+        pytest.param(["analyze", "powerlaw", "upto15.txt", "--mu", "3", "--square"],
+                     "indices 1 to 16",
                      id="args23-indices 1 to 9"),
         pytest.param(["extrapolate", "bst", "upto15.txt", "--square"], "indices 1 to 16",
                      id="args24-indices 1 to 16"),
-        pytest.param(["analyze", "square", "upto16.txt"], None,
+        pytest.param(["analyze", "square", "upto16.txt"], "indices 1 to 25",
                      id="args25-None"),
-        pytest.param(["analyze", "powerlaw", "upto9.txt", "--mu", "3", "--square"], None,
+        pytest.param(["analyze", "powerlaw", "upto9.txt", "--mu", "3", "--square"],
+                     "indices 1 to 16",
                      id="args26-None"),
+        pytest.param(["analyze", "ratios", "upto3.txt"], None, id="ratios-3-terms"),
+        pytest.param(["analyze", "square", "upto25.txt"], None, id="square-5-squares"),
+        pytest.param(["analyze", "powerlaw", "upto4.txt", "--mu", "3"], None,
+                     id="powerlaw-4-terms"),
+        pytest.param(["analyze", "powerlaw", "upto16.txt", "--mu", "3", "--square"], None,
+                     id="powerlaw-4-squares"),
         pytest.param(["--precision", "-5", "analyze", "ratios", B], "need digits >= 1, got -5",
                      id="args27-need digits >= 1, got -5"),
         pytest.param(["--precision", "0", "analyze", "ratios", B], "need digits >= 1, got 0",
@@ -598,6 +626,11 @@ class TestErrorBoundaryAndEcho:
                      id="minpoly-counted-digits-one-short"),
         pytest.param(["identify", "minpoly", "--value", "0." + "1" * 39], None,
                      id="minpoly-counted-digits-enough"),
+        # a coefficient of 10^dps or more is rounding noise, and no relation
+        pytest.param(["identify", "minpoly", "--value", "1e300", "--digits", "40"], None,
+                     id="minpoly-coefficient-past-precision"),
+        pytest.param(["identify", "minpoly", "--value", "1e20", "--digits", "40"], None,
+                     id="minpoly-coefficient-within-precision"),
         # the stretched fit's spreads cover 10 estimates, which need 12 terms
         pytest.param(["analyze", "stretched", "three.txt"],
                      "the stretched fit needs 12 terms at n >= 1, got 3", id="stretched-3-terms"),
@@ -617,7 +650,7 @@ class TestErrorBoundaryAndEcho:
         monkeypatch.setattr(sys, "argv", ["pytest", "-q", "elsewhere"])
         lines = (DATA_DIR / self.B).read_text().splitlines(keepends=True)
         Path(self.B).write_text("".join(lines))
-        for last in (1, 2, 8, 9, 11, 12, 15, 16):  # the terms at indices 0 to last
+        for last in (1, 2, 3, 4, 8, 9, 11, 12, 15, 16, 24, 25):  # the terms at indices 0 to last
             Path(f"upto{last}.txt").write_text("".join(lines[: last + 1]))
         Path("bad.txt").write_text("0 1\n1 x\n")
         Path("three.txt").write_text("1 1\n2 2\n3 6\n")

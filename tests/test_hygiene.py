@@ -187,17 +187,16 @@ def test_all_lists_every_reexport():
 # rendering, the fixed-point kernel of fixed.py, and the raw-mpf steps of
 # asympt.py's estimators and of pipeline.py
 LIBMP_NAMES = [
-    "dps_to_prec", "finf", "fnan", "fninf", "fone", "from_int", "fzero",
-    "mpf_abs", "mpf_add", "mpf_div", "mpf_mul", "mpf_pow", "mpf_sub",
+    "dps_to_prec", "finf", "fnan", "fninf", "fone", "from_float", "from_int", "from_str",
+    "fzero", "mpf_abs", "mpf_add", "mpf_div", "mpf_mul", "mpf_pow", "mpf_sub",
     "normalize", "pi_fixed", "round_nearest", "to_fixed", "to_str",
 ]
 # the further names the tests import from mpmath.libmp as reference oracles:
-# from_rational and mpf_pos for decimal rounding, log_int_fixed for the
-# prime-log table, mpf_log for a value's log, mpf_exp (with from_man_exp
-# for its argument) for the kernel's exp, mpf_sqrt for sqrt_nearest and
-# _inv_sqrt
+# from_rational for decimal rounding, log_int_fixed for the prime-log
+# table, mpf_log for a value's log, mpf_exp (with from_man_exp for its
+# argument) for the kernel's exp, mpf_sqrt for sqrt_nearest and _inv_sqrt
 LIBMP_TEST_NAMES = ["from_man_exp", "from_rational", "log_int_fixed", "mpf_exp", "mpf_log",
-                    "mpf_pos", "mpf_sqrt"]
+                    "mpf_sqrt"]
 
 
 def _libmp_imports(paths):
@@ -233,11 +232,12 @@ def test_exact_toolkit_is_float_free():
 def test_fixed_kernel_layering():
     # the fixed-point kernel stands below the estimators: fixed.py imports
     # only errors of the package and only mpmath from outside the standard
-    # library, and report.py, which renders its quotients, does not import
-    # the estimators of asympt.py
+    # library; report.py, which renders every value from its exact value,
+    # imports no module of the package
     src = ROOT / "src" / "seqlab"
     assert _top_modules(src / "fixed.py") - sys.stdlib_module_names == {"errors", "mpmath"}
-    assert _top_modules(src / "report.py").isdisjoint({"asympt", "seqlab"})
+    package = {path.stem for path in src.glob("*.py")} | {"seqlab"}
+    assert _top_modules(src / "report.py").isdisjoint(package)
 
 
 # cli.py reads every number given as text in one function, and neither it
@@ -297,9 +297,9 @@ def test_exact_polynomial_algorithms_live_in_series():
     assert {name: found for name, found in uses.items() if found} == {}
 
 
-# HpContext owns the working precision: besides fixed.py, which defines it,
-# only report.py's renderer sets mpmath's precision itself
-WORKDPS_HOMES = {"fixed.py", "report.py"}
+# HpContext owns the working precision: only fixed.py, which defines it,
+# sets mpmath's precision
+WORKDPS_HOMES = {"fixed.py"}
 
 
 def test_working_precision_comes_from_hpcontext():
@@ -309,10 +309,10 @@ def test_working_precision_comes_from_hpcontext():
 
 
 # HpContext.raw (or HpContext.mpf) is the one rule by which a number enters
-# the working precision: besides fixed.py, which defines it, only report.py's
-# renderer rounds a value at a precision of its own, and identify.py still
-# rounds its input and builds its tolerances with mpmath's constructor
-ROUNDING_HOMES = {"fixed.py", "report.py", "identify.py"}
+# the working precision: besides fixed.py, which defines it, only
+# identify.py still rounds its input and builds its tolerances with
+# mpmath's constructor
+ROUNDING_HOMES = {"fixed.py", "identify.py"}
 
 
 def _mpmath_names(tree: ast.Module) -> tuple[set[str], set[str]]:

@@ -2,6 +2,7 @@
 
 import decimal
 import json
+import math
 import random
 import sys
 import urllib.error
@@ -31,7 +32,7 @@ from seqlab import (
     text_digest,
 )
 from conftest import ASCENT_INIT
-from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, mpf_pos, to_str
+from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, to_str
 
 from seqlab.oeis import _decimal, _int_token, parse_bfile_decimal
 from seqlab.report import unlimited_int_digits, write_report
@@ -401,61 +402,92 @@ class TestDecimalStr:
         out = decimal_str(x, digits=20)
         assert out.startswith("0.142857142857142857")
 
-    @staticmethod
-    def via_workdps(value, digits):
-        """The rendering through a precision context and mpf(value)."""
-        with mpmath.workdps(max(mpmath.mp.dps, digits or 0) + 5):
-            return mpmath.nstr(mpmath.mpf(value), digits or mpmath.mp.dps)
-
-    def test_matches_workdps_rendering(self):
+    def test_text_ignores_working_precision(self):
+        # with digits given, the text depends on the value alone
         rng = random.Random(12)
-        with mpmath.workprec(800):
-            values = [mpmath.mpf(0), mpmath.mpf(1), -mpmath.mpf(1) / 3]
-            for _ in range(120):
-                # mantissas up to 700 bits: more than any precision below
-                man = rng.getrandbits(rng.randint(1, 700)) * rng.choice((1, -1))
-                values.append(mpmath.mpf((man, rng.randint(-900, 400))))
-        values += [0.1, -2.5e-30, "3.14159265358979323846264338327950288419716939"]
-        for dps in (15, 30, 60, 120):
-            with mpmath.workdps(dps):
-                for v in values:
-                    for digits in (None, 5, 25, 150):
-                        assert decimal_str(v, digits) == self.via_workdps(v, digits)
+        gen = TestRendererMatchesMpmath()
+        checked = 0
+        for _ in range(30):
+            for digits in (5, 12, 15, 25, 100, 250, rng.randint(12, 250)):
+                with mpmath.workdps(rng.choice(gen.WORKING_DPS)):
+                    values = gen.values(rng, digits) + gen.SPECIAL
+                points = list(zip(values, reversed(values)))
+                texts = set()
+                for dps in (12, 15, 60, 250):
+                    with mpmath.workdps(dps):
+                        texts.add((tuple(decimal_str(v, digits) for v in values),
+                                   tuple(sequence_entry(0, values, digits)["values"]),
+                                   emit_csv(points, ("a", "b"), digits)))
+                assert len(texts) == 1, digits
+                checked += len(values)
+        assert checked >= 10 ** 4
+
+    def test_values_just_above_a_tie_round_up(self):
+        # (10 N + 5) / 10^k (1 + 10^-200) lies above the tie between N and
+        # N + 1 in its 12th digit, however far mp.dps exceeds 12
+        rng = random.Random(59)
+        with mpmath.workdps(250):
+            for _ in range(3000):
+                n, k = rng.randint(10 ** 11, 10 ** 12 - 1), rng.randint(0, 40)
+                x = mpmath.mpf(10 * n + 5) / mpmath.mpf(10) ** k * (1 + mpmath.mpf(10) ** -200)
+                assert decimal.Decimal(decimal_str(x, 12)) == decimal.Decimal(n + 1).scaleb(1 - k)
 
     def test_fractions_round_correctly(self):
-        # the printed digits are the exact quotient rounded to nearest
+        # the printed digits are the exact quotient rounded half up
         rng = random.Random(48)
         for _ in range(3000):
             num = rng.getrandbits(200) * rng.choice((1, -1))
             den = rng.getrandbits(60) | 1
             digits = rng.randint(5, 20)
-            want = decimal.Context(prec=digits).divide(num, den)
+            want = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_UP).divide(num, den)
             got = decimal_str(Fraction(num, den), digits)
             assert decimal.Decimal(got) == want, (num, den, digits)
 
 
-def mpmath_decimal_str(value, digits=None):
-    """decimal_str as it was before it rendered from the mpf's integers:
-    from_rational or mpf_pos at dps, then mpmath's to_str."""
+def exact_decimal_str(value, digits=None):
+    """decimal_str by its contract, in integer arithmetic: the exact value
+    rounded half up to D significant digits, laid out by mpmath's to_str of
+    that rounded decimal.  Zero, inf, nan, and mpfs and text whose binary
+    exponent is beyond +-3500, go to to_str as mpmath reads them at D + 5
+    digits."""
+    d = digits or mpmath.mp.dps + 5
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Fraction) and value.denominator == 1:
         return str(value.numerator)
-    dps = max(mpmath.mp.dps, digits or 0) + 5
-    prec = dps_to_prec(dps)
-    if isinstance(value, Fraction):
-        raw = from_rational(value.numerator, value.denominator, prec, "n")
-    else:
-        if not isinstance(value, mpmath.mpf):
-            with mpmath.workdps(dps):
-                value = mpmath.mpf(value)
-        raw = mpf_pos(value._mpf_, prec, "n")
-    return to_str(raw, digits or dps)
+    if isinstance(value, mpmath.mpf):
+        sign, man, exp, bc = raw = value._mpf_
+        if not man or abs(exp + bc) > 3500:
+            return to_str(raw, d)
+        num, den = man << max(exp, 0), 1 << max(-exp, 0)
+    elif isinstance(value, str):
+        with mpmath.workdps(d + 5):
+            sign, man, exp, bc = raw = mpmath.mpf(value)._mpf_
+        if not man or abs(exp + bc) > 3500:
+            return to_str(raw, d)
+    elif not value or isinstance(value, float) and not math.isfinite(value):
+        return to_str(mpmath.mpf(value)._mpf_, d)
+    if not isinstance(value, mpmath.mpf):
+        exact = Fraction(value)
+        sign, num, den = exact < 0, abs(exact.numerator), exact.denominator
+
+    # e <= floor(log10 |value|) = e + k, and floor(|value| 10^(d - 1 - e))
+    # has d + k digits
+    e = math.floor((num.bit_length() - den.bit_length() - 1) * math.log10(2)) - 1
+    j = d - 1 - e
+    t = 2 * num * 10 ** j // den if j >= 0 else 2 * num // (den * 10 ** -j)
+    k = len(str(t // 2)) - d
+    assert k >= 0
+    e += k
+    m = (t // 10 ** k + 1) // 2 * (-1) ** sign  # half up
+    k = e - d + 1  # the rounded value is m 10^k
+    rounded = from_rational(m * 10 ** max(k, 0), 10 ** max(-k, 0), dps_to_prec(d + 10), "n")
+    return to_str(rounded, d)
 
 
 class TestRendererMatchesMpmath:
-    """decimal_str, sequence_entry and emit_csv print every value exactly
-    as mpmath's own path does (mpmath_decimal_str), on seeded values at
+    """decimal_str, sequence_entry and emit_csv print every value as the
+    exact half-up reference does (exact_decimal_str), on seeded values at
     several working precisions and digit counts."""
 
     WORKING_DPS = (12, 15, 30, 60, 100, 200, 250)
@@ -501,7 +533,8 @@ class TestRendererMatchesMpmath:
         odd = 2 * rng.randint(lo // 2, (hi - 1) // 2) + 1  # odd * five = 2 n + 1
         out += self.both_kinds(rng, 5 * odd * five * 10 ** max(-t, 0), 10 ** max(t, 0))
         # the midpoint of the two prec-bit neighbours of a decimal tie that
-        # is not dyadic, so the binary rounding decides how it prints
+        # is not dyadic, so that a rounding to prec bits first would decide
+        # how it prints
         prec = dps_to_prec(max(mpmath.mp.dps, d) + 5)
         tie = Fraction(10 * rng.randint(10 ** (d - 1), 10 ** d - 1) + 5,
                        10 ** rng.randint(1, d + 30))
@@ -535,7 +568,8 @@ class TestRendererMatchesMpmath:
 
     SPECIAL = [0, 7, -12, 10 ** 400, -(10 ** 300) - 1, Fraction(0), Fraction(-9, 1),
                mpmath.mpf(0), mpmath.inf, -mpmath.inf, mpmath.nan, 0.1, -2.5e-30,
-               float("inf"), "3.14159265358979323846264338327950288419716939"]
+               float("inf"), "3.14159265358979323846264338327950288419716939",
+               0.0, -0.0, "-0.0", "nan", "1/3", "1e5000", "-2.5e-4000", "1e10000000"]
 
     def test_seeded_values(self):
         rng = random.Random(2026)
@@ -546,17 +580,17 @@ class TestRendererMatchesMpmath:
                     for digits in self.digit_counts(rng):
                         values = self.values(rng, digits)
                         for v in values:
-                            assert decimal_str(v, digits) == mpmath_decimal_str(v, digits), (
+                            assert decimal_str(v, digits) == exact_decimal_str(v, digits), (
                                 v, digits, dps)
                         checked += len(values)
                 for digits in (None, 1, 5, 12, 250):
                     for v in self.SPECIAL:
-                        assert decimal_str(v, digits) == mpmath_decimal_str(v, digits)
+                        assert decimal_str(v, digits) == exact_decimal_str(v, digits)
         assert checked >= 10 ** 5
 
     @staticmethod
     def finite(v):
-        return isinstance(v, (int, Fraction, str)) or mpmath.isfinite(v)
+        return isinstance(v, (int, Fraction)) or mpmath.isfinite(mpmath.mpf(v))
 
     def test_entries_and_tables(self):
         rng = random.Random(2027)
@@ -564,7 +598,7 @@ class TestRendererMatchesMpmath:
             with mpmath.workdps(dps):
                 for digits in self.digit_counts(rng):
                     values = self.values(rng, digits) + self.SPECIAL
-                    want = [mpmath_decimal_str(v, digits) for v in values]
+                    want = [exact_decimal_str(v, digits) for v in values]
                     assert sequence_entry(3, values, digits)["values"] == want
                     points = list(zip(values, reversed(values)))
                     rows = [f"{a},{b}" for (x, y), a, b in zip(points, want, want[::-1])

@@ -94,9 +94,10 @@ class TestLconvexPipeline:
         assert "(+ 7 CSV files)" in capsys.readouterr().out
 
     def test_too_few_terms_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
-        err = assert_failed_study("lconvex_pipeline", ["--terms", "5"],
+        err = assert_failed_study("lconvex_pipeline", ["--terms", "24"],
                                   tmp_path, monkeypatch, capsys)
-        assert err == "Error: need the terms at indices 1 to 16 (the squares 1, 4, 9, 16)\n"
+        assert err == ("Error: need the terms at indices 1 to 25 "
+                       "(the squares 1, 4, 9, 16, 25)\n")
 
     def test_too_few_squares_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
         err = assert_failed_study("lconvex_pipeline", ["--squares", "3"],
