@@ -2,10 +2,12 @@
 
 Three escalating strategies: continued-fraction rational reconstruction,
 rational multiples of a fixed ordered table of common irrationals, and
-integer minimal polynomials found by exact LLL lattice reduction.  Every
-positive identification is re-verified numerically before being returned;
-the certified-digits field records how many decimal digits the candidate
-and the input actually share.
+integer minimal polynomials found by exact LLL reduction of one lattice
+grown a row per degree.  Each search runs on integers: the continued
+fraction on the value's exact binary fraction, LLL on fraction-free Gram
+data.  Every positive identification is re-verified numerically before being
+returned; the certified-digits field records how many decimal digits the
+candidate and the input actually share.
 """
 
 from __future__ import annotations
@@ -56,45 +58,57 @@ def working_context(digits: int) -> HpContext:
     return HpContext(max(digits, 15))
 
 
-def _work(digits: int):
-    """working_context(digits).work(); ValueError when digits is below 1."""
+def _work(digits: int, maxden: int = 1):
+    """working_context(digits).work(); ValueError when maxden or digits < 1."""
+    if maxden < 1:
+        raise ValueError(f"need maxden >= 1, got {maxden}")
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
     return working_context(digits).work()
 
 
-def _mpf_to_fraction(x) -> Fraction:
+def _rational(x, maxden: int, bound: int, tol) -> Optional[Fraction]:
+    """identify_rational on a finite mpf x under the caller's _work, with
+    bound = 10^dps and tol = 10^(4 - digits).  The candidate is
+    Fraction.limit_denominator's, by its loop on the ints of x = n0/d0 (odd
+    mantissa, so in lowest terms), keeping its floor of the signed numerator
+    and its p1/q1 at a tie: -5/2 at maxden 1 gives -3/1."""
     sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
-
-
-def _rational(x, maxden: int, digits: int) -> Optional[Fraction]:
-    """identify_rational on a finite mpf x, under the caller's _work."""
-    cand = _mpf_to_fraction(x).limit_denominator(maxden)
-    if cand == 0 and x != 0 or abs(cand.numerator) >= 10 ** mpmath.mp.dps:
+    n0, d0 = (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
+    p, q = n0, d0
+    if d0 > maxden:
+        p0, q0, p, q, n, d = 0, 1, 1, 0, n0, d0
+        while True:
+            a = n // d
+            if q0 + a * q > maxden:
+                break
+            p0, q0, p, q = p, q, p0 + a * p, q0 + a * q
+            n, d = d, n - a * d
+        k = (maxden - q0) // q
+        pa, qa = p0 + k * p, q0 + k * q
+        if abs(pa * d0 - n0 * qa) * q < abs(p * d0 - n0 * q) * qa:
+            p, q = pa, qa
+    if p == 0 and x != 0 or abs(p) >= bound:
         return None
-    err = abs(x - mpmath.mpf(cand.numerator) / cand.denominator)
-    if err < mpmath.mpf(10) ** (4 - digits):
-        return cand
-    return None
+    return Fraction(p, q) if abs(x - mpmath.mpf(p) / q) < tol else None
 
 
 def identify_rational(x, maxden: int = 1000, *, digits: int) -> Optional[Fraction]:
     """Best rational p/q with q <= maxden, if it matches x to nearly full digits.
 
-    The candidate is the continued-fraction best approximation; it is
-    accepted only when |x - p/q| < 10^(4 - digits), where `digits` is the
-    number of digits x is certified to.  A nonzero x never identifies as 0:
-    a zero candidate returns None, as does a candidate whose numerator has
-    more digits than the working precision (the rest are rounding noise),
-    and a non-finite x.  ValueError when digits is below 1.
+    The candidate is the continued-fraction best approximation, found with
+    integer arithmetic on x's exact binary value; it is accepted only when
+    |x - p/q| < 10^(4 - digits), where `digits` is the number of digits x
+    is certified to.  A nonzero x never identifies as 0: a zero candidate
+    returns None, as does a candidate whose numerator has more digits than
+    the working precision (the rest are rounding noise), and a non-finite
+    x.  ValueError when maxden or digits is below 1.
     """
-    with _work(digits):
+    with _work(digits, maxden):
         x = mpmath.mpf(x)
-        return _rational(x, maxden, digits) if mpmath.isfinite(x) else None
+        if not mpmath.isfinite(x):
+            return None
+        return _rational(x, maxden, 10 ** mpmath.mp.dps, mpmath.mpf(10) ** (4 - digits))
 
 
 def _certified_digits(err, cap: int) -> int:
@@ -111,15 +125,16 @@ def identify_with_multipliers(
 
     Returns an Identification with payload (tag, p/q) meaning x = (p/q) * m,
     or None when no entry matches within the precision bound; ValueError
-    when `digits` is below 1.
+    when maxden or `digits` is below 1.
     """
-    with _work(digits):
+    with _work(digits, maxden):
         x = mpmath.mpf(x)
         if not mpmath.isfinite(x):
             return None
+        bound, tol = 10 ** mpmath.mp.dps, mpmath.mpf(10) ** (4 - digits)
         for tag, build in _MULTIPLIERS:
             m = build()
-            frac = _rational(x / m, maxden, digits)
+            frac = _rational(x / m, maxden, bound, tol)
             if frac is None:
                 continue
             err = abs(x - m * frac.numerator / frac.denominator)
@@ -133,37 +148,26 @@ def identify_with_multipliers(
 # exact LLL reduction and minimal polynomials
 # ---------------------------------------------------------------------------
 
-def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """LLL-reduce integer basis rows with parameter delta, exactly.
+def _gram_row(b: list, d: list, lam: list) -> None:
+    """Append d[i + 1] and lam[i] of row i = len(lam) of b, by exact division
+    from those of the rows before it; RankDeficient when it depends on them."""
+    i = len(lam)
+    lam.append([])
+    for j in range(i + 1):
+        u = sum(x * y for x, y in zip(b[i], b[j]))
+        for m in range(j):
+            u = (d[m + 1] * u - lam[i][m] * lam[j][m]) // d[m]
+        if j < i:
+            lam[i].append(u)
+        elif u == 0:
+            raise RankDeficient("basis rows are linearly dependent")
+    d.append(u)
 
-    The integral LLL of de Weger (Cohen, A Course in Computational Algebraic
-    Number Theory, Alg. 2.6.7): d[i] is the Gram determinant of the first i
-    rows (the product of their squared Gram-Schmidt norms, d[0] = 1) and
-    lam[i][j] = d[j + 1] * mu[i][j].  Both are integers, computed once by
-    exact division and updated in O(n) per swap, so size-reduction and the
-    Lovasz condition are decided exactly and the output provably satisfies
-    them; raises RankDeficient on linearly dependent input rows.
-    """
-    b = [list(map(int, row)) for row in basis]
-    if not b or len({len(r) for r in b}) != 1:
-        raise ValueError("basis must be a non-empty rectangular integer matrix")
+
+def _reduce(b: list, d: list, lam: list, k: int, num: int, den: int) -> None:
+    """The LLL loop on rows b with Gram data (d, lam) from row k on, in
+    place, with delta = num/den."""
     n = len(b)
-    d = [1] + [0] * n
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
-            for m in range(j):
-                u = (d[m + 1] * u - lam[i][m] * lam[j][m]) // d[m]
-            if j < i:
-                lam[i][j] = u
-            elif u == 0:
-                raise RankDeficient("basis rows are linearly dependent")
-            else:
-                d[i + 1] = u
-    delta = Fraction(delta)
-    num, den = delta.numerator, delta.denominator
-    k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
             if 2 * abs(lam[k][j]) > d[j + 1]:
@@ -189,6 +193,28 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
                 lam[i][k - 1] = (dk * t + lk * lam[i][k]) // d[k + 1]
             d[k] = dk
             k = max(k - 1, 1)
+
+
+def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
+    """LLL-reduce integer basis rows with parameter delta, exactly.
+
+    The integral LLL of de Weger (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7): d[i] is the Gram determinant of the first i
+    rows (the product of their squared Gram-Schmidt norms, d[0] = 1) and
+    lam[i][j] = d[j + 1] * mu[i][j] for j < i.  Both are integers, set up
+    row by row by exact division (_gram_row) and updated in O(n) per swap
+    by the reduction loop (_reduce, run from k = 1), so size-reduction and
+    the Lovasz condition are decided exactly and the output provably
+    satisfies them; raises RankDeficient on linearly dependent input rows.
+    """
+    b = [list(map(int, row)) for row in basis]
+    if not b or len({len(r) for r in b}) != 1:
+        raise ValueError("basis must be a non-empty rectangular integer matrix")
+    d, lam = [1], []
+    for _ in b:
+        _gram_row(b, d, lam)
+    delta = Fraction(delta)
+    _reduce(b, d, lam, 1, delta.numerator, delta.denominator)
     return b
 
 
@@ -203,8 +229,14 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
     Each reduced row is an integer unimodular combination of the degree-d
     rows, and those rows padded with a zero are rows 0..d of the fresh
     degree-(d+1) basis, so the grown basis spans the same lattice.  The
-    identity block keeps the rows independent for every x, so lll_reduce
-    never raises RankDeficient here.
+    identity block keeps the rows independent for every x, so they never
+    raise RankDeficient.  lll_reduce's state (b, d, lam) is carried across
+    degrees: a zero coordinate inserted in every row leaves the old rows'
+    inner products, so their d and lam, unchanged; only the new row is set
+    up, and the loop runs from k = d + 1.  The old rows met size-reduction
+    and the Lovasz condition when the previous loop ended and nothing has
+    touched them since, so a loop from k = 1 would pass over them without
+    one operation: the basis is lll_reduce's of the grown basis.
 
     A candidate p is accepted only if |p(x)| < 10^(5 - digits) *
     ||p||_inf * max(1, |x|)^deg, a threshold a few orders above evaluation
@@ -223,26 +255,28 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
         raise PrecisionTooLow(
             f"need at least {10 * (maxdeg + 1)} digits for degree {maxdeg}"
         )
-    scale_exp = digits - 10
     with _work(digits):  # digits >= 20, so max(digits, 15) = digits
         x = mpmath.mpf(x)
         if not mpmath.isfinite(x):
             return None
-        scale = mpmath.mpf(10) ** scale_exp
         grow = max(mpmath.mpf(1), abs(x))
-        reduced = [[1, int(mpmath.nint(scale))]]
+        tol, bound = mpmath.mpf(10) ** (5 - digits), 10 ** mpmath.mp.dps
+        scale = mpmath.mpf(10) ** (digits - 10)
+        b, d, lam = [[1, int(mpmath.nint(scale))]], [1], []
+        _gram_row(b, d, lam)
         for deg in range(1, maxdeg + 1):
-            column = int(mpmath.nint(scale * x**deg))
-            reduced = lll_reduce(
-                [row[:-1] + [0, row[-1]] for row in reduced] + [[0] * deg + [1, column]]
-            )
-            threshold = mpmath.mpf(10) ** (5 - digits) * grow**deg
-            for vec in sorted(reduced, key=lambda r: sum(c * c for c in r[:-1])):
+            for row in b:
+                row.insert(-1, 0)
+            b.append([0] * deg + [1, int(mpmath.nint(scale * x**deg))])
+            _gram_row(b, d, lam)
+            _reduce(b, d, lam, deg, 3, 4)
+            threshold = tol * grow**deg
+            for vec in sorted(b, key=lambda r: sum(c * c for c in r[:-1])):
                 coeffs = vec[: deg + 1]
                 if not any(coeffs[1:]) or (x and not coeffs[0]):
                     continue
                 p = Poly(coeffs).primitive()
                 norm = max(map(abs, p.coeffs))
-                if norm < 10 ** mpmath.mp.dps and abs(p(x)) < threshold * norm:
+                if norm < bound and abs(p(x)) < threshold * norm:
                     return p
     return None

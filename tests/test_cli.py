@@ -331,6 +331,15 @@ class TestIdentifyCli:
             res = invoke(runner, ["identify", "minpoly", "--value", value, "--digits", "40"])
             assert res.stdout == out + "\n"
 
+    @pytest.mark.parametrize("value, out", [("-2.5", "-3/1"), ("2.5", "2/1")])
+    def test_rational_tie_takes_the_floor(self, runner, value, out):
+        """At maxden 1 a value midway between two integers is read as the
+        lower one, as Fraction.limit_denominator reads it."""
+        with runner.isolated_filesystem():
+            res = invoke(runner, ["identify", "rational", "--value", value,
+                                  "--maxden", "1", "--digits", "1"])
+            assert res.stdout == out + "\n"
+
     def test_minpoly_given_digits_error_has_no_hint(self, runner):
         res = runner.invoke(main, ["identify", "minpoly", "--value", "0.5", "--digits", "30"])
         assert res.exit_code == 1
@@ -569,6 +578,10 @@ class TestErrorBoundaryAndEcho:
         pytest.param(["expand", "algeq", "catalan1.txt", "--n", "5", "--dxmax", "2",
                       "--dymax", "2"], "generating-function guessing needs an offset-0 sequence",
                      id="args44-generating-function guessing needs an offset-0 sequence"),
+        pytest.param(["identify", "rational", "--value", "0.5", "--maxden", "0"],
+                     "need maxden >= 1, got 0", id="maxden-0-identify-rational"),
+        pytest.param(["identify", "mult", "--value", "0.5", "--maxden", "-3"],
+                     "need maxden >= 1, got -3", id="maxden-negative-identify-mult"),
         # --precision is bounded before SOURCE loads or any stage runs
         pytest.param(["--precision", "0", "identify", "mult", "--value", "0.0239372"],
                      "need digits >= 1, got 0", id="precision-0-identify-mult"),

@@ -3,7 +3,7 @@ degenerate and extreme inputs.
 
 Each command starts from a cheap valid invocation (BASE); each case
 changes one input: SOURCE for a command that reads a b-file, --n, the
-global --precision, --value or --K, and for a command that reads SOURCE
+global --precision, --value, --K, --maxden or --maxdeg, and for a command that reads SOURCE
 also --n and --K at and above its term count.  Whatever the input, a run
 ends with exit status 0, or with status 1 and exactly one ``Error:`` line
 on stderr, never with a traceback or an uncaught exception.  Every run is offline,
@@ -45,9 +45,9 @@ BASE = {
     ("gen", "stack"): ["--n", "5"],
     ("guess", "algeq"): [SOURCE, "--dxmax", "2", "--dymax", "2"],
     ("guess", "rec"): [SOURCE],
-    ("identify", "minpoly"): ["--value", "1.5", "--digits", "40"],
-    ("identify", "mult"): ["--value", "0.5"],
-    ("identify", "rational"): ["--value", "0.5"],
+    ("identify", "minpoly"): ["--value", "1.5", "--digits", "40", "--maxdeg", "2"],
+    ("identify", "mult"): ["--value", "0.5", "--maxden", "1000"],
+    ("identify", "rational"): ["--value", "0.5", "--maxden", "1000"],
     ("oracle", "ascent"): ["--pattern", "201", "--n", "5"],
     ("oracle", "lconvex"): ["--n", "4"],
     ("oracle", "stack"): ["--n", "4"],
@@ -65,6 +65,8 @@ OPTION_VALUES = {
     "--n": ["0", "-1"],
     "--value": ["inf", "nan", "1e300", "1e1001", "x"],
     "--K": ["-1"],
+    "--maxden": ["0", "-1"],
+    "--maxdeg": ["0"],
 }
 
 # sizes at and above SOURCE's 14 terms, for the commands that read it: the

@@ -18,7 +18,7 @@ from seqlab import (
     min_poly,
 )
 from seqlab.errors import PrecisionTooLow, RankDeficient
-from seqlab.identify import _MULTIPLIERS
+from seqlab.identify import _MULTIPLIERS, _gram_row, _rational, _reduce
 from seqlab.series import primitive_int
 
 
@@ -83,6 +83,12 @@ class TestIdentifyRational:
         with pytest.raises(ValueError, match="need digits >= 1"):
             identify_with_multipliers(mpmath.mpf("0.5"), digits=digits)
 
+    @pytest.mark.parametrize("maxden", [0, -1])
+    def test_maxden_below_one_rejected(self, maxden):
+        for identify_fn in (identify_rational, identify_with_multipliers):
+            with pytest.raises(ValueError, match=f"need maxden >= 1, got {maxden}"):
+                identify_fn(mpmath.mpf("0.5"), maxden, digits=20)
+
     def test_digits_required(self):
         # the caller states the certified digits; the ambient dps is no default
         for identify in (identify_rational, identify_with_multipliers):
@@ -90,6 +96,73 @@ class TestIdentifyRational:
                 identify(mpmath.mpf("0.5"))
             with pytest.raises(TypeError):
                 identify(mpmath.mpf("0.5"), 1000, 50)
+
+
+def _fraction_rational(x, maxden, bound, tol):
+    """identify._rational as it was, on Fraction arithmetic: the reference."""
+    sign, man, exp, _ = x._mpf_
+    v = Fraction(0) if man == 0 else Fraction(man) * Fraction(2) ** exp
+    cand = (-v if sign else v).limit_denominator(maxden)
+    if cand == 0 and x != 0 or abs(cand.numerator) >= bound:
+        return None
+    err = abs(x - mpmath.mpf(cand.numerator) / cand.denominator)
+    return cand if err < tol else None
+
+
+class TestIntegerReconstruction:
+    """_rational's integer continued fraction makes the decisions of
+    Fraction.limit_denominator on the exact value of x."""
+
+    MAXDENS = (1, 2, 10, 1000, 10**6)
+
+    @staticmethod
+    def values(rng, maxden):
+        """Seeded mpfs at 30 digits of every kind the loop can meet."""
+        out = [mpmath.mpf(0)]
+        for _ in range(300):
+            out.append(mpmath.mpf(rng.randint(-10**6, 10**6)))
+            out.append(mpmath.ldexp(rng.randint(-999, 999), -rng.randint(0, maxden.bit_length())))
+            out.append(mpmath.ldexp(rng.getrandbits(100) | 1, rng.randint(-1100, -900)))
+            out.append(mpmath.ldexp(rng.getrandbits(100) | 1, rng.randint(900, 1000)))
+            out.append(mpmath.ldexp(rng.getrandbits(100) | 1, rng.randint(-200, 0)))
+            out.append(-mpmath.ldexp(rng.getrandbits(100) | 1, rng.randint(-200, 0)))
+        return out
+
+    @staticmethod
+    def near_rationals(rng, maxden):
+        """p/q with q up to 2 maxden, exact and moved by up to 9 * 2^-90."""
+        out = []
+        for _ in range(150):
+            x = mpmath.mpf(rng.randint(-10**4, 10**4)) / rng.randint(1, 2 * maxden)
+            out += [x, x * (1 + mpmath.ldexp(rng.randint(-9, 9), -90))]
+        return out
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(4401)
+        count = 0
+        with mpmath.workdps(30):
+            bound, tol = 10**mpmath.mp.dps, mpmath.mpf(10) ** -20
+            for maxden in self.MAXDENS:
+                near = self.near_rationals(rng, maxden)
+                # an infinite tolerance and no bound expose the candidate
+                for x in self.values(rng, maxden) + near:
+                    assert _rational(x, maxden, 10**400, mpmath.inf) == \
+                        _fraction_rational(x, maxden, 10**400, mpmath.inf), (x, maxden)
+                    count += 1
+                for x in near:
+                    assert _rational(x, maxden, bound, tol) == \
+                        _fraction_rational(x, maxden, bound, tol), (x, maxden)
+            for k in range(-50, 50):  # the floor ties k + 1/2 at maxden 1
+                x = mpmath.mpf(k) + mpmath.mpf(1) / 2
+                assert _rational(x, 1, bound, mpmath.inf) == \
+                    _fraction_rational(x, 1, bound, mpmath.inf) == (Fraction(k) if k else None)
+                count += 1
+        assert count >= 10**4
+
+    def test_negative_tie_takes_the_floor(self):
+        with mpmath.workdps(20):
+            assert identify_rational(mpmath.mpf("-2.5"), 1, digits=1) == -3
+            assert identify_rational(mpmath.mpf("2.5"), 1, digits=1) == 2
 
 
 class TestMultiplierDictionary:
@@ -543,3 +616,40 @@ class TestMinPolyGrowingLattice:
                       mpmath.pi * 37 / 14, mpmath.cbrt(2) + mpmath.sqrt(3) + 3):
                 p = min_poly(x, 6, 100)
                 assert p is not None and p == _per_degree_min_poly(x, 6, 100), x
+
+    def test_carried_state_is_a_fresh_reduction(self, monkeypatch):
+        """At every degree min_poly reaches, the d and lam it carries are a
+        fresh Gram set-up of the grown basis, before and after the loop, and
+        the loop from the new row gives lll_reduce's basis of the grown one."""
+        def fresh(rows):
+            d, lam = [1], []
+            for _ in rows:
+                _gram_row(rows, d, lam)
+            return d, lam
+
+        def copy(rows):
+            return [row[:] for row in rows]
+
+        records = []
+
+        def spy(b, d, lam, k, num, den):
+            before = (copy(b), d[:], copy(lam), k)
+            _reduce(b, d, lam, k, num, den)
+            records.append((*before, copy(b), d[:], copy(lam)))
+
+        with monkeypatch.context() as patch, mpmath.workdps(130):
+            patch.setattr("seqlab.identify._reduce", spy)
+            # the inputs of the two tests above, the false positives last
+            inputs = self.inputs() + [
+                mpmath.exp(mpmath.mpf(9) / 4), mpmath.exp(mpmath.mpf(18) / 11),
+                mpmath.pi * 37 / 14, mpmath.cbrt(2) + mpmath.sqrt(3) + 3]
+            for x in inputs:
+                min_poly(x, 6, 100)
+        for grown, d0, lam0, k, reduced, d1, lam1 in records:
+            assert k == len(grown) - 1
+            assert (d0, lam0) == fresh(grown)
+            assert d0[-1] == _det(_gram(grown))
+            assert reduced == lll_reduce(grown)
+            assert (d1, lam1) == fresh(reduced)
+        degrees = [k for _, _, _, k, *_ in records]
+        assert degrees.count(1) == len(inputs) and set(degrees) == set(range(1, 7))
