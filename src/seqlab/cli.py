@@ -634,10 +634,8 @@ def identify_mult_cmd(state, value, maxden, digits):
     ident = identify_with_multipliers(x, maxden=maxden, digits=d)
     found = None
     if ident is not None:
-        tag, frac = ident.payload
-        found = (identification_entry("dictionary-multiple", f"({frac}) * {tag}",
-                                      ident.certified_digits),
-                 f"({frac}) * {tag}  [certified digits: {ident.certified_digits}]")
+        found = (identification_entry(ident.kind, str(ident), ident.certified_digits),
+                 f"{ident}  [certified digits: {ident.certified_digits}]")
     return _identified(value, {"maxden": maxden, "digits": d}, found,
                        "no dictionary-multiple identification")
 

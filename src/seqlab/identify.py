@@ -5,9 +5,9 @@ rational multiples of a fixed ordered table of common irrationals, and
 integer minimal polynomials found by exact LLL reduction of one lattice
 grown a row per degree.  Each search runs on integers: the continued
 fraction on the value's exact binary fraction, LLL on fraction-free Gram
-data.  Every positive identification is re-verified numerically before being
-returned; the certified-digits field records how many decimal digits the
-candidate and the input actually share.
+data.  The value enters an HpContext through HpContext.mpf, and the
+bound, tolerances and lattice scale come from it.  Every identification is
+re-verified numerically; its certified digits are those it and x share.
 """
 
 from __future__ import annotations
@@ -28,18 +28,22 @@ class Identification:
     """A recognized constant: what it is, and to how many digits it checks out.
 
     kind is "dictionary-multiple" and payload the (multiplier-tag, Fraction)
-    pair (tag, p/q) meaning x = (p/q) * multiplier.
+    pair (tag, p/q) meaning x = (p/q) * multiplier, the text str() gives.
     """
 
     kind: str
     payload: tuple[str, Fraction]
     certified_digits: int
 
+    def __str__(self) -> str:
+        tag, frac = self.payload
+        return f"({frac}) * {tag}"
+
 
 # The multipliers identify_with_multipliers tries, in order: (tag, builder),
 # each value built at the working precision.
 _MULTIPLIERS = (
-    ("1", lambda: mpmath.mpf(1)),
+    ("1", lambda: mpmath.mp.one),
     ("sqrt(2)", lambda: mpmath.sqrt(2)),
     ("sqrt(3)", lambda: mpmath.sqrt(3)),
     ("sqrt(5)", lambda: mpmath.sqrt(5)),
@@ -53,26 +57,17 @@ _MULTIPLIERS = (
 
 
 def working_context(digits: int) -> HpContext:
-    """The working precision of identify_rational and identify_with_multipliers
+    """The working precision of each search here, and of the CLI's --value,
     for a value certified to `digits` digits: max(digits, 15) digits."""
     return HpContext(max(digits, 15))
 
 
-def _work(digits: int, maxden: int = 1):
-    """working_context(digits).work(); ValueError when maxden or digits < 1."""
-    if maxden < 1:
-        raise ValueError(f"need maxden >= 1, got {maxden}")
-    if digits < 1:
-        raise ValueError(f"need digits >= 1, got {digits}")
-    return working_context(digits).work()
-
-
-def _rational(x, maxden: int, bound: int, tol) -> Optional[Fraction]:
-    """identify_rational on a finite mpf x under the caller's _work, with
-    bound = 10^dps and tol = 10^(4 - digits).  The candidate is
+def _rational(x, maxden: int, bound: int, tol, ctx: HpContext) -> Optional[Fraction]:
+    """_search's test of a finite mpf x under ctx.work().  The candidate is
     Fraction.limit_denominator's, by its loop on the ints of x = n0/d0 (odd
     mantissa, so in lowest terms), keeping its floor of the signed numerator
-    and its p1/q1 at a tie: -5/2 at maxden 1 gives -3/1."""
+    and its p1/q1 at a tie: -5/2 at maxden 1 gives -3/1.  p < bound fits in
+    prec bits, so ctx.mpf(p) is exact."""
     sign, man, exp, _ = x._mpf_
     n0, d0 = (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
     p, q = n0, d0
@@ -90,36 +85,55 @@ def _rational(x, maxden: int, bound: int, tol) -> Optional[Fraction]:
             p, q = pa, qa
     if p == 0 and x != 0 or abs(p) >= bound:
         return None
-    return Fraction(p, q) if abs(x - mpmath.mpf(p) / q) < tol else None
+    return Fraction(p, q) if abs(x - ctx.mpf(p) / q) < tol else None
+
+
+def _search(x, maxden: int, digits: int, multipliers) -> Optional[Identification]:
+    """The candidate loop: for each multiplier m in turn, _rational's p/q
+    for y = x/m, kept when |m (y - p/q)| certifies digits - 4 digits; one
+    entry, bound and tolerance per call, from working_context(digits)."""
+    if maxden < 1:
+        raise ValueError(f"need maxden >= 1, got {maxden}")
+    if digits < 1:
+        raise ValueError(f"need digits >= 1, got {digits}")
+    ctx = working_context(digits)
+    with ctx.work():
+        x = ctx.mpf(x)
+        if not mpmath.isfinite(x):
+            return None
+        bound, tol = 10 ** (ctx.digits + ctx.guard), ctx.mpf(10) ** (4 - digits)
+        for tag, build in multipliers:
+            m = build()
+            y = x / m
+            frac = _rational(y, maxden, bound, tol, ctx)
+            if frac is not None:
+                # at m = 1, err is the difference _rational accepted, below
+                # 10^(4 - digits), so int(-log10 err) >= digits - 4: the check
+                # passes, and identify_rational returns what this row finds
+                err = abs(m * (y - ctx.mpf(frac.numerator) / frac.denominator))
+                cert = digits if err == 0 else min(digits, int(-mpmath.log10(err)))
+                if cert >= digits - 4:
+                    return Identification("dictionary-multiple", (tag, frac), cert)
+    return None
 
 
 def identify_rational(x, maxden: int = 1000, *, digits: int) -> Optional[Fraction]:
     """Best rational p/q with q <= maxden, if it matches x to nearly full digits.
 
-    The candidate is the continued-fraction best approximation, found with
-    integer arithmetic on x's exact binary value; it is accepted only when
-    |x - p/q| < 10^(4 - digits), where `digits` is the number of digits x
-    is certified to.  A nonzero x never identifies as 0: a zero candidate
-    returns None, as does a candidate whose numerator has more digits than
-    the working precision (the rest are rounding noise), and a non-finite
-    x.  ValueError when maxden or digits is below 1.
+    The row "1" of identify_with_multipliers's search: x (an mpf, int,
+    Fraction or text) enters working_context(digits) by HpContext.mpf, and
+    the continued-fraction best approximation, found on integers, is
+    accepted only when |x - p/q| < 10^(4 - digits), where `digits` is the
+    number of digits x is certified to.  A nonzero x never identifies as 0:
+    a zero candidate returns None, as does a candidate whose numerator has
+    more digits than the working precision (the rest are rounding noise),
+    and a non-finite x.  ValueError when maxden or digits is below 1.
     """
-    with _work(digits, maxden):
-        x = mpmath.mpf(x)
-        if not mpmath.isfinite(x):
-            return None
-        return _rational(x, maxden, 10 ** mpmath.mp.dps, mpmath.mpf(10) ** (4 - digits))
+    ident = _search(x, maxden, digits, _MULTIPLIERS[:1])
+    return None if ident is None else ident.payload[1]
 
 
-def _certified_digits(err, cap: int) -> int:
-    if err == 0:
-        return cap
-    return min(cap, int(-mpmath.log10(err)))
-
-
-def identify_with_multipliers(
-    x, maxden: int = 1000, *, digits: int
-) -> Optional[Identification]:
+def identify_with_multipliers(x, maxden: int = 1000, *, digits: int) -> Optional[Identification]:
     """First multiplier m of _MULTIPLIERS (in order) with x/m a certified
     rational, by identify_rational's test at `digits` digits.
 
@@ -127,21 +141,7 @@ def identify_with_multipliers(
     or None when no entry matches within the precision bound; ValueError
     when maxden or `digits` is below 1.
     """
-    with _work(digits, maxden):
-        x = mpmath.mpf(x)
-        if not mpmath.isfinite(x):
-            return None
-        bound, tol = 10 ** mpmath.mp.dps, mpmath.mpf(10) ** (4 - digits)
-        for tag, build in _MULTIPLIERS:
-            m = build()
-            frac = _rational(x / m, maxden, bound, tol)
-            if frac is None:
-                continue
-            err = abs(x - m * frac.numerator / frac.denominator)
-            cert = _certified_digits(err, digits)
-            if cert >= digits - 4:
-                return Identification("dictionary-multiple", (tag, frac), cert)
-    return None
+    return _search(x, maxden, digits, _MULTIPLIERS)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +238,17 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
     touched them since, so a loop from k = 1 would pass over them without
     one operation: the basis is lll_reduce's of the grown basis.
 
-    A candidate p is accepted only if |p(x)| < 10^(5 - digits) *
-    ||p||_inf * max(1, |x|)^deg, a threshold a few orders above evaluation
-    roundoff but far below the residual of any accidental lattice relation
-    at this scaling; for x != 0 a candidate with p(0) = 0 is skipped, since
-    p = x q makes q a relation of lower degree, and so is a candidate with
-    a coefficient of 10^dps or more, noise past the working precision.
-    Returns None if no degree yields a verified relation (so also for a
-    non-finite x); raises ValueError when maxdeg < 1 and PrecisionTooLow
-    when digits is too small to separate the two regimes (digits < 10 *
-    (maxdeg + 1)).
+    x enters working_context(digits) by HpContext.mpf, and the scale, the
+    bound 10^(digits + guard) and the tolerance come from that context.  A
+    candidate p is accepted only if |p(x)| < 10^(5 - digits) * ||p||_inf *
+    max(1, |x|)^deg, a threshold a few orders above evaluation roundoff but
+    far below the residual of any accidental lattice relation at this
+    scaling; for x != 0 a candidate with p(0) = 0 is skipped, since p = x q
+    makes q a relation of lower degree, and so is one with a coefficient at
+    the bound or above, noise past the working precision.  Returns None if
+    no degree yields a verified relation (so also for a non-finite x);
+    raises ValueError when maxdeg < 1 and PrecisionTooLow when digits is
+    too small to separate the two regimes (digits < 10 * (maxdeg + 1)).
     """
     if maxdeg < 1:
         raise ValueError(f"need maxdeg >= 1, got {maxdeg}")
@@ -255,13 +256,14 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
         raise PrecisionTooLow(
             f"need at least {10 * (maxdeg + 1)} digits for degree {maxdeg}"
         )
-    with _work(digits):  # digits >= 20, so max(digits, 15) = digits
-        x = mpmath.mpf(x)
+    ctx = working_context(digits)  # digits >= 20, so max(digits, 15) = digits
+    with ctx.work():
+        x = ctx.mpf(x)
         if not mpmath.isfinite(x):
             return None
-        grow = max(mpmath.mpf(1), abs(x))
-        tol, bound = mpmath.mpf(10) ** (5 - digits), 10 ** mpmath.mp.dps
-        scale = mpmath.mpf(10) ** (digits - 10)
+        grow = max(ctx.mpf(1), abs(x))
+        tol, bound = ctx.mpf(10) ** (5 - digits), 10 ** (ctx.digits + ctx.guard)
+        scale = ctx.mpf(10) ** (digits - 10)
         b, d, lam = [[1, int(mpmath.nint(scale))]], [1], []
         _gram_row(b, d, lam)
         for deg in range(1, maxdeg + 1):

@@ -230,10 +230,9 @@ def lconvex_study(terms: int, digits: int, squares: Optional[int] = None) -> dic
             f"(diff {decimal_str(abs(bst.value - exact), 3)})",
         ]
         if identified is not None:
-            tag, frac = identified.payload
             identifications.append(identification_entry(
-                identified.kind, f"({frac}) * {tag}", identified.certified_digits))
-            lines.append(f"  identified: ({frac}) * {tag}  "
+                identified.kind, str(identified), identified.certified_digits))
+            lines.append(f"  identified: {identified}  "
                          f"[{identified.certified_digits} certified digits]")
         lines.append(f"stack counts vs exp(2 pi sqrt(n/3))/(8*3^(3/4) n^(5/4)): "
                      f"ratio {decimal_str(r_quarter, 8)} at n={quarter}, "

@@ -87,6 +87,10 @@ CATALAN = (
     742900, 2674440, 9694845, 35357670, 129644790, 477638700, 1767263190,
 )
 
+# the first 30 primes: no recurrence or algebraic equation of a small grid
+# fits them
+PRIMES_30 = tuple(p for p in range(2, 114) if all(p % q for q in range(2, p)))
+
 
 @pytest.fixture(scope="session")
 def ascent_rec() -> PRecurrence:

@@ -371,6 +371,10 @@ class TestStretchedFit:
         with pytest.raises(InsufficientTerms):
             stretched_triple_fit(frac_seq(1, [1, 2]))
 
+    def test_triple_fit_needs_indices_from_one(self):
+        with pytest.raises(ValueError, match="^triple fit needs indices >= 1$"):
+            stretched_triple_fit(frac_seq(0, [1, 2, 3]))
+
     def test_triple_fit_singular(self):
         # at two digits the rows of a far-out triple round to dependent ones
         lam = HpSeq(10**6, (1, 2, 3), HpContext(2, 0))

@@ -19,7 +19,7 @@ import seqlab
 from seqlab.cli import _read_number, main
 from seqlab.fixed import HpContext
 from seqlab.report import text_digest
-from conftest import CATALAN, DATA_DIR
+from conftest import CATALAN, DATA_DIR, PRIMES_30
 from test_scripts import load_script
 
 
@@ -657,6 +657,17 @@ class TestErrorBoundaryAndEcho:
                      id="amplitude-one-window"),
         pytest.param(["fit", "amplitude", "three.txt", "--mu", "4", "--g", "3/2", "--K", "1"],
                      None, id="amplitude-two-windows"),
+        pytest.param(["analyze", "ratios", "no-such-file.txt"],
+                     "input 'no-such-file.txt' is neither an existing file nor an A-number",
+                     id="source-neither-file-nor-a-number"),
+        pytest.param(["expand", "rational", "--num", "1.5", "--den", "1,-1", "--n", "5"],
+                     "expected a comma-separated integer list, got '1.5'",
+                     id="rational-coefficients-not-integers"),
+        pytest.param(["expand", "rec", "primes.txt", "--n", "40", "--rmax", "1", "--dmax", "0"],
+                     "no recurrence found within the search grid", id="expand-rec-none-found"),
+        pytest.param(["expand", "algeq", "primes.txt", "--n", "40", "--dxmax", "1",
+                      "--dymax", "1"], "no algebraic equation found within the search grid",
+                     id="expand-algeq-none-found"),
     ])
     def test_clean_error_or_true_echo(self, args, error, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -667,6 +678,7 @@ class TestErrorBoundaryAndEcho:
             Path(f"upto{last}.txt").write_text("".join(lines[: last + 1]))
         Path("bad.txt").write_text("0 1\n1 x\n")
         Path("three.txt").write_text("1 1\n2 2\n3 6\n")
+        Path("primes.txt").write_text("".join(f"{n} {p}\n" for n, p in enumerate(PRIMES_30)))
         Path("bad_early.txt").write_text(
             "".join(lines[:2]) + "2 x\n" + "".join(lines[3:]))
         Path("catalan.txt").write_text(CATALAN_14)

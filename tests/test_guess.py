@@ -723,6 +723,33 @@ class TestAlgEq:
         assert str(eq) == "(1) + (-1)*y + (x)*y^2 = 0"
 
 
+class TestModelChecks:
+    """The argument checks of the models and of their residuals."""
+
+    ODE = LinODE((Poly([2]), Poly([-1, 2])))  # (2x - 1) f' + 2 f = 0, f = 1/(1 - 2x)
+
+    def test_ode_residual_needs_order_plus_degree_plus_one_terms(self):
+        with pytest.raises(InsufficientTerms, match=r"order \+ degree \+ 1 = 3 terms"):
+            ode_residual(self.ODE, Sequence(0, (1, 2)))
+        assert ode_residual(self.ODE, Sequence(0, (1, 2, 4))) is None
+
+    def test_offset_zero_required(self):
+        shifted = Sequence(1, (1, 2, 4, 8))
+        with pytest.raises(ValueError, match="^generating-function conversion needs an "
+                                             "offset-0 sequence$"):
+            prec_to_ode(PRecurrence.from_lists([[-2], [1]]), shifted)
+        with pytest.raises(ValueError, match="^ODE residual needs an offset-0 sequence$"):
+            ode_residual(self.ODE, shifted)
+        with pytest.raises(ValueError, match="^algebraic residual needs an offset-0 sequence$"):
+            algeq_residual(AlgEq.from_lists([[-1], [1, -1]]), shifted)
+
+    def test_degenerate_models_rejected(self):
+        with pytest.raises(ValueError, match="^equation must have y-degree >= 1$"):
+            AlgEq.from_lists([[1, 2]])
+        with pytest.raises(ValueError, match="^ODE needs at least one coefficient$"):
+            LinODE(())
+
+
 class TestGuessAlgEq:
     def test_geometric(self):
         s = Sequence(0, (1,) * 16)

@@ -309,10 +309,9 @@ def test_working_precision_comes_from_hpcontext():
 
 
 # HpContext.raw (or HpContext.mpf) is the one rule by which a number enters
-# the working precision: besides fixed.py, which defines it, only
-# identify.py still rounds its input and builds its tolerances with
-# mpmath's constructor
-ROUNDING_HOMES = {"fixed.py", "identify.py"}
+# the working precision: only fixed.py, which defines it, calls mpmath's
+# constructor or rounds an int or a quotient to a precision
+ROUNDING_HOMES = {"fixed.py"}
 
 
 def _mpmath_names(tree: ast.Module) -> tuple[set[str], set[str]]:
@@ -355,6 +354,46 @@ def test_values_enter_through_hpcontext():
     uses = {path.name: _roundings(ast.parse(path.read_text()))
             for path in MODULES if path.name not in ROUNDING_HOMES}
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+# a stage reads its precision from its HpContext, never from mpmath's global
+# state: only report.py, whose default D is mp.dps + 5, reads mp.dps
+GLOBAL_PRECISION_HOMES = {"report.py"}
+
+
+def _global_precision(tree: ast.Module) -> list[str]:
+    """``attr:line`` for each ``dps`` or ``prec`` attribute of mpmath's
+    ``mp`` context, read or set: ``mpmath.mp.dps`` or ``mp.prec`` for an
+    ``mp`` imported from mpmath."""
+    modules, _ = _mpmath_names(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("dps", "prec"):
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id in modules
+                    or isinstance(owner, ast.Attribute) and owner.attr == "mp"
+                    and isinstance(owner.value, ast.Name) and owner.value.id in modules):
+                found.append(f"{node.attr}:{node.lineno}")
+    return found
+
+
+def test_precision_is_read_from_hpcontext():
+    uses = {path.name: _global_precision(ast.parse(path.read_text()))
+            for path in MODULES if path.name not in GLOBAL_PRECISION_HOMES}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_guard_catches_global_precision():
+    tree = ast.parse(
+        "import mpmath\n"
+        "import mpmath as mm\n"
+        "from mpmath import mp\n"
+        "def bound(ctx, x):\n"
+        "    return 10 ** mpmath.mp.dps, mp.prec, mm.mp.dps, ctx.prec, x.context.prec\n"
+        "def widen():\n"
+        "    mp.dps = 50\n"
+    )
+    assert sorted(_global_precision(tree)) == ["dps:5", "dps:5", "dps:7", "prec:5"]
 
 
 def test_guard_catches_private_roundings():

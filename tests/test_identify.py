@@ -18,7 +18,7 @@ from seqlab import (
     min_poly,
 )
 from seqlab.errors import PrecisionTooLow, RankDeficient
-from seqlab.identify import _MULTIPLIERS, _gram_row, _rational, _reduce
+from seqlab.identify import _MULTIPLIERS, _gram_row, _rational, _reduce, working_context
 from seqlab.series import primitive_int
 
 
@@ -140,21 +140,22 @@ class TestIntegerReconstruction:
     def test_matches_fraction_reference(self):
         rng = random.Random(4401)
         count = 0
+        ctx = working_context(20)  # the precision workdps(30) sets
         with mpmath.workdps(30):
             bound, tol = 10**mpmath.mp.dps, mpmath.mpf(10) ** -20
             for maxden in self.MAXDENS:
                 near = self.near_rationals(rng, maxden)
                 # an infinite tolerance and no bound expose the candidate
                 for x in self.values(rng, maxden) + near:
-                    assert _rational(x, maxden, 10**400, mpmath.inf) == \
+                    assert _rational(x, maxden, 10**400, mpmath.inf, ctx) == \
                         _fraction_rational(x, maxden, 10**400, mpmath.inf), (x, maxden)
                     count += 1
                 for x in near:
-                    assert _rational(x, maxden, bound, tol) == \
+                    assert _rational(x, maxden, bound, tol, ctx) == \
                         _fraction_rational(x, maxden, bound, tol), (x, maxden)
             for k in range(-50, 50):  # the floor ties k + 1/2 at maxden 1
                 x = mpmath.mpf(k) + mpmath.mpf(1) / 2
-                assert _rational(x, 1, bound, mpmath.inf) == \
+                assert _rational(x, 1, bound, mpmath.inf, ctx) == \
                     _fraction_rational(x, 1, bound, mpmath.inf) == (Fraction(k) if k else None)
                 count += 1
         assert count >= 10**4
@@ -165,11 +166,115 @@ class TestIntegerReconstruction:
             assert identify_rational(mpmath.mpf("2.5"), 1, digits=1) == 2
 
 
+class TestValueEntry:
+    """Each identify function takes its value through HpContext.mpf: an mpf
+    as it is, an int or a Fraction rounded once, text read at the working
+    precision."""
+
+    def test_fraction_input(self):
+        assert identify_rational(Fraction(1, 3), digits=40) == Fraction(1, 3)
+        ident = identify_with_multipliers(Fraction(13, 768), digits=40)
+        assert ident.payload == ("1", Fraction(13, 768)) and ident.certified_digits == 40
+        assert min_poly(Fraction(7, 5), 2, 40) == Poly([-7, 5])
+
+
+def _rounded(x, digits):
+    """x rounded once to working_context(digits)."""
+    with working_context(digits).work():
+        return mpmath.mpf(x)
+
+
+class TestRoundFirst:
+    """Each public function returns on x what it returns on x rounded to its
+    working precision: a wide mpf, which enters as it is, decides as its
+    rounding does.  The seeded values stay below 10^7 in size.  From about
+    10^14 on, x's own rounding, |x| 10^-(digits + 10), reaches the absolute
+    tolerance 10^(4 - digits), and a decision there is rounding noise either
+    way (ROADMAP item 1, relative tolerances)."""
+
+    MAXDENS = (1, 2, 7, 1000, 10**6)
+
+    @staticmethod
+    def seeded(rng):
+        """(x, digits): a rational, a dictionary multiple, a shifted square
+        root, an exp of a rational, a half-integer tie or a rational moved
+        by about the tolerance, held 0 to 150 digits wider than the working
+        precision."""
+        digits = rng.randint(12, 100)
+        with mpmath.workdps(digits + 10 + rng.randint(0, 150)):
+            r = mpmath.mpf(rng.randint(-10**6, 10**6)) / rng.choice((1, 2, 7, 768, 999, 10**5))
+            kind = rng.randrange(6)
+            if kind == 0:
+                x = r
+            elif kind == 1:
+                x = _MULTIPLIERS[rng.randrange(len(_MULTIPLIERS))][1]() * r
+            elif kind == 2:
+                x = mpmath.sqrt(rng.randint(2, 50)) + rng.randint(-3, 3)
+            elif kind == 3:
+                x = mpmath.exp(r / 10**5)
+            elif kind == 4:
+                x = mpmath.mpf(rng.randint(-50, 50)) + mpmath.mpf(1) / 2
+            else:
+                step = rng.choice((-2, -1.01, -0.99, -0.5, 0.5, 0.99, 1.01, 2))
+                x = r + mpmath.mpf(step) * mpmath.mpf(10) ** (4 - digits)
+        return x, digits
+
+    def test_seeded_values(self):
+        rng = random.Random(4501)
+        calls = found = 0
+        for i in range(1700):
+            x, digits = self.seeded(rng)
+            xr = _rounded(x, digits)
+            for maxden in self.MAXDENS:
+                got = identify_rational(x, maxden, digits=digits)
+                assert got == identify_rational(xr, maxden, digits=digits), (x, digits, maxden)
+                found += got is not None
+            maxden = rng.choice(self.MAXDENS)
+            got = identify_with_multipliers(x, maxden, digits=digits)
+            assert got == identify_with_multipliers(xr, maxden, digits=digits), (x, digits, maxden)
+            calls += len(self.MAXDENS) + 1
+            if digits >= 40 and i % 20 == 0:
+                assert min_poly(x, 3, digits) == min_poly(xr, 3, digits), (x, digits)
+                calls += 1
+        assert calls >= 10**4 and found >= 2000
+
+    def test_minpoly_workload_inputs(self):
+        # planted numbers of degree 2 to 6 and controls, each moved into
+        # [1, 2), at 120 digits and searched at 100
+        rng = random.Random(4502)
+        draws = [n for n in range(2, 100) if _squarefree(n)]
+        with mpmath.workdps(120):
+            values = [mpmath.root(a, d) for d in range(2, 7) for a in rng.sample(draws, 2)]
+            a, b = rng.sample(draws, 2)
+            values += [mpmath.sqrt(a) + mpmath.sqrt(b), mpmath.cbrt(a) + mpmath.sqrt(b)]
+            for _ in range(2):
+                r = mpmath.mpf(rng.randint(2, 30)) / rng.randint(2, 30)
+                values += [mpmath.exp(r), mpmath.log(r + 1), r * mpmath.pi, r / mpmath.pi]
+            values = [v + 1 - mpmath.floor(v) for v in values]
+        polys = 0
+        for x in values:
+            xr = _rounded(x, 100)
+            assert identify_rational(x, digits=100) == identify_rational(xr, digits=100)
+            assert identify_with_multipliers(x, digits=100) == \
+                identify_with_multipliers(xr, digits=100), x
+            p = min_poly(x, 6, 100)
+            assert p == min_poly(xr, 6, 100), x
+            polys += p is not None
+        assert polys >= 12
+
+
 class TestMultiplierDictionary:
     def test_default_tags(self):
         tags = [tag for tag, _ in _MULTIPLIERS]
         assert tags == ["1", "sqrt(2)", "sqrt(3)", "sqrt(5)", "pi", "sqrt(pi)",
                         "1/pi", "pi^2", "2^(1/3)", "3^(1/3)"]
+
+    def test_text(self):
+        ident = identify_with_multipliers(Fraction(-13, 768) * 7, digits=40)
+        assert str(ident) == "(-91/768) * 1"
+        with mpmath.workdps(50):
+            ident = identify_with_multipliers(mpmath.mpf(13) * mpmath.sqrt(2) / 768, digits=50)
+        assert str(ident) == "(13/768) * sqrt(2)"
 
     def test_pinned_constant(self):
         with mpmath.workdps(50):
@@ -233,6 +338,10 @@ class TestLll:
         assert lll_reduce([[2, 0, 0], [1, 2, 0], [3, 5, 2]]) == [
             [2, 0, 0], [1, 2, 0], [1, 1, 2]
         ]
+
+    def test_ragged_basis_rejected(self):
+        with pytest.raises(ValueError, match="non-empty rectangular integer matrix"):
+            lll_reduce([[1, 0], [1]])
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):

@@ -1,6 +1,7 @@
 """Stage chains in seqlab.pipeline, against independent references."""
 
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
@@ -26,7 +27,7 @@ from seqlab.pipeline import (
 from seqlab.report import scalar_entry
 from test_acceptance import _branch_series
 from test_scripts import assert_failed_study
-from conftest import DATA_DIR, GROWTH_POLY
+from conftest import DATA_DIR, GROWTH_POLY, PRIMES_30
 
 BFILE_TEXT = (DATA_DIR / "b202062.txt").read_text(encoding="utf-8")
 
@@ -109,6 +110,34 @@ def test_ascent_rho_is_the_growth_cubic_root(ascent_fields):
         roots = mpmath.polyroots(GROWTH_POLY.coeffs[::-1], maxsteps=200, extraprec=400)
         rho = min(r.real for r in roots if abs(r.imag) < 10 ** -digits and r.real > 0)
         assert fields["scalars"]["rho"] == scalar_entry(rho, digits)
+
+
+def _bfile(terms) -> str:
+    return "".join(f"{n} {t}\n" for n, t in enumerate(terms))
+
+
+def test_ascent_study_fails_without_a_recurrence():
+    with pytest.raises(SeqLabError, match="^no recurrence found from the 23-term prefix$"):
+        ascent_study(_bfile(PRIMES_30), 60, 40, 4)
+
+
+def test_ascent_study_fails_without_an_algebraic_equation():
+    # n! satisfies u(n+1) = (n+1) u(n), but its series is not algebraic
+    factorials = [factorial(n) for n in range(30)]
+    with pytest.raises(SeqLabError, match="^no algebraic equation found from 64 branch "
+                                          "coefficients$"):
+        ascent_study(_bfile(factorials), 60, 40, 4)
+
+
+def test_ascent_study_needs_corrections_at_least_zero():
+    with pytest.raises(ValueError, match="^need corrections >= 0, got -1$"):
+        ascent_study(BFILE_TEXT, 60, 40, -1)
+
+
+def test_ascent_study_fails_when_the_algebraic_equation_fails(monkeypatch):
+    monkeypatch.setattr(seqlab.pipeline, "algeq_residual", lambda eq, branch: 5)
+    with pytest.raises(SeqLabError, match="^the algebraic equation fails at x\\^5 of the branch$"):
+        ascent_study(BFILE_TEXT, 60, 40, 4)
 
 
 def test_ascent_study_reports_the_residual_it_found(monkeypatch):

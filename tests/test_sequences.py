@@ -692,6 +692,11 @@ class TestExpandAlgebraic:
         with pytest.raises(NotARoot):
             expand_algebraic(eq, (2,), 5)
 
+    def test_empty_seed_is_not_a_root(self):
+        eq = AlgEq.from_lists([[1], [-1], [0, 1]])
+        with pytest.raises(NotARoot, match="^empty seed$"):
+            expand_algebraic(eq, (), 5)
+
     def test_branch_ambiguous(self):
         # y^2 - x = 0 has vanishing dP/dy at the seed y(0) = 0.
         eq = AlgEq.from_lists([[0, -1], [], [1]])

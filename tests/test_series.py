@@ -17,6 +17,7 @@ from seqlab.series import (
     int_horner,
     mul_trunc,
     poly_values,
+    primitive_int,
     q_infinity_terms,
 )
 
@@ -184,6 +185,11 @@ class TestPrimitive:
         assert Poly([6, -4, 10]).primitive() == Poly([3, -2, 5])
         assert Poly([-6, 4, -10]).primitive() == Poly([3, -2, 5])
         assert Poly([0, 0, 12]).primitive() == Poly([0, 0, 1])
+
+    def test_primitive_int_removes_content(self):
+        # the integer multiple (2, 4) of (2/3, 4/3) has content 2
+        assert primitive_int([Fraction(2, 3), Fraction(4, 3)]) == [1, 2]
+        assert primitive_int([Fraction(-2, 3), Fraction(4, 3)]) == [1, -2]
 
     def test_already_primitive_unchanged(self):
         assert Poly([1, -8, 5, 1]).primitive() == Poly([1, -8, 5, 1])
