@@ -31,19 +31,21 @@ from .asympt import (
     stretched_triple_fit,
     summarize_stretched,
 )
-from .fixed import HpContext
-from .guess import (
+from .dfinite import (
     AlgEq,
     LinODE,
     PRecurrence,
     algeq_residual,
-    guess_algeq,
-    guess_prec,
-    integer_nullspace,
+    expand_algebraic,
+    expand_algebraic_series,
+    expand_prec,
+    expand_prec_decimal,
     ode_residual,
     prec_residual,
     prec_to_ode,
 )
+from .fixed import HpContext
+from .guess import guess_algeq, guess_prec, integer_nullspace
 from .identify import (
     Identification,
     identify_rational,
@@ -77,10 +79,6 @@ from .sequences import (
     enum_ascent_avoiding,
     enum_lconvex_bruteforce,
     enum_stack_bruteforce,
-    expand_algebraic,
-    expand_algebraic_series,
-    expand_prec,
-    expand_prec_decimal,
     expand_rational,
     gen_lconvex_area,
     gen_lconvex_perimeter,

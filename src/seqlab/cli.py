@@ -28,6 +28,7 @@ from .asympt import (
     bst_extrapolate,
     square_subsample,
 )
+from .dfinite import expand_algebraic, expand_prec_decimal
 from .errors import RUN_ERRORS, PrecisionTooLow
 from .fixed import HpContext
 from .guess import guess_algeq, guess_prec
@@ -53,8 +54,6 @@ from .sequences import (
     enum_ascent_avoiding,
     enum_lconvex_bruteforce,
     enum_stack_bruteforce,
-    expand_algebraic,
-    expand_prec_decimal,
     expand_rational,
     gen_lconvex_area,
     gen_lconvex_perimeter,

@@ -16,141 +16,20 @@ rank-deficient shape is solved by exact integer nullspace computation
 the equations that each shape contributes differ.  Every candidate is
 checked, or solved, exactly over all of its shape's equations, so every
 returned model annihilates every supplied term; `margin` only sets the
-attempt threshold on a shape's number of equations.  ``prec_to_ode``
-converts a recurrence into a homogeneous linear ODE for the generating
-function; the ``*_residual`` functions re-check any structure against
-longer expansions.
+attempt threshold on a shape's number of equations.  The models and
+everything that acts on them live in ``seqlab.dfinite``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import islice
-from math import factorial, gcd, isqrt
-from operator import mul
-from typing import TYPE_CHECKING, Optional, Sequence as SeqABC
+from math import gcd, isqrt
+from typing import Optional, Sequence as SeqABC
 
-from .errors import InconsistentInit, InsufficientTerms
-from .series import Poly, alg_eval, mul_trunc, poly_values, primitive_int
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .sequences import Sequence
-
-
-# ---------------------------------------------------------------------------
-# domain types (auto-normalized: integer coefficients, content 1, fixed sign)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _PolyModel:
-    """A tuple of polynomials in one normal form, applied on construction:
-    integer coefficients of overall content 1, the top polynomial nonzero
-    with a positive leading coefficient.  Subclasses run their own checks
-    first and name the variable and the unknown of each term."""
-
-    coeffs: tuple[Poly, ...]
-
-    _var = "x"
-
-    def __post_init__(self):
-        polys = tuple(self.coeffs)
-        if not polys or not polys[-1]:
-            raise ValueError(f"{type(self).__name__}: leading polynomial must be nonzero")
-        # the flat coefficients end in the top polynomial's leading one
-        ints = iter(Poly([c for p in polys for c in p.coeffs]).primitive().coeffs)
-        object.__setattr__(self, "coeffs", tuple(
-            Poly([next(ints) for _ in p.coeffs]) for p in polys
-        ))
-
-    @property
-    def degree(self) -> int:
-        return max(p.degree for p in self.coeffs)
-
-    def coeff_lists(self) -> list[list[int]]:
-        return [list(p.coeffs) for p in self.coeffs]
-
-    @classmethod
-    def from_lists(cls, lists: SeqABC[SeqABC[int]]):
-        return cls(tuple(Poly(list(cs)) for cs in lists))
-
-    def __str__(self) -> str:
-        parts = [
-            f"({p.format(self._var)}){self._unknown(j)}"
-            for j, p in enumerate(self.coeffs)
-            if p
-        ]
-        return " + ".join(parts) + " = 0"
-
-
-@dataclass(frozen=True)
-class PRecurrence(_PolyModel):
-    """Linear recurrence sum_j coeffs[j](n) * u(n + j) = 0, in the normal
-    form of its base: integer coefficients of overall content 1, leading
-    coefficient of the top polynomial positive."""
-
-    _var = "n"
-
-    def __post_init__(self):
-        if len(self.coeffs) < 2:
-            raise ValueError("recurrence must have order >= 1")
-        super().__post_init__()
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @staticmethod
-    def _unknown(j: int) -> str:
-        return f"*u(n{f'+{j}' if j else ''})"
-
-
-@dataclass(frozen=True)
-class AlgEq(_PolyModel):
-    """Algebraic equation P(x, y) = sum_j coeffs[j](x) * y^j = 0.
-
-    Must actually involve y (degree >= 1) and must not be divisible by y.
-    Same normal form as PRecurrence, sign fixed on the top y-coefficient.
-    """
-
-    def __post_init__(self):
-        if len(self.coeffs) < 2:
-            raise ValueError("equation must have y-degree >= 1")
-        if not self.coeffs[0]:
-            raise ValueError("equation is divisible by y")
-        super().__post_init__()
-
-    @property
-    def degree_y(self) -> int:
-        return len(self.coeffs) - 1
-
-    def grid(self) -> list[list[int]]:
-        """Coefficient grid: grid()[j][i] multiplies x^i y^j."""
-        dx = self.degree
-        return [cs + [0] * (dx + 1 - len(cs)) for cs in self.coeff_lists()]
-
-    @staticmethod
-    def _unknown(j: int) -> str:
-        return "" if j == 0 else f"*y^{j}" if j > 1 else "*y"
-
-
-@dataclass(frozen=True)
-class LinODE(_PolyModel):
-    """Linear ODE sum_i coeffs[i](x) * f^(i)(x) = 0, same normal form."""
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("ODE needs at least one coefficient")
-        super().__post_init__()
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @staticmethod
-    def _unknown(i: int) -> str:
-        return "*f" + ("'" * i if i <= 3 else f"^({i})")
+from .dfinite import AlgEq, PRecurrence
+from .errors import InsufficientTerms
+from .sequences import Sequence
+from .series import Poly, mul_trunc, primitive_int
 
 
 # ---------------------------------------------------------------------------
@@ -408,35 +287,8 @@ def _search(shapes, system, model, too_few: str):
 # P-recurrence guessing
 # ---------------------------------------------------------------------------
 
-def prec_residual(rec: PRecurrence, terms: "Sequence") -> int:
-    """Count of consecutive satisfied windows, from the first applicable index.
-
-    Equals ``len(terms) - rec.order`` exactly when the recurrence
-    annihilates every checkable window.
-    """
-    r = rec.order
-    t = terms.terms
-    values = zip(*(poly_values(cs, terms.offset) for cs in rec.coeff_lists()))
-    windows = zip(*(t[j:] for j in range(r + 1)))
-    sums = (sum(map(mul, cs, win)) for cs, win in zip(values, windows))
-    return next((w for w, acc in enumerate(sums) if acc), max(len(t) - r, 0))
-
-
-def check_init(rec: PRecurrence, init: "Sequence") -> None:
-    """Raise InconsistentInit unless `init` covers the recurrence order and
-    satisfies the recurrence on every window it covers."""
-    r = rec.order
-    if len(init) < r:
-        raise InconsistentInit(f"need at least {r} initial terms, got {len(init)}")
-    good = prec_residual(rec, init)
-    if good < len(init) - r:
-        raise InconsistentInit(
-            f"initial terms violate the recurrence at n={init.offset + good}"
-        )
-
-
 def guess_prec(
-    terms: "Sequence",
+    terms: Sequence,
     rmax: int = 8,
     dmax: int = 4,
     margin: int = 4,
@@ -489,113 +341,11 @@ def guess_prec(
 
 
 # ---------------------------------------------------------------------------
-# recurrence -> ODE for the generating function
-# ---------------------------------------------------------------------------
-
-def prec_to_ode(rec: PRecurrence, init: "Sequence") -> LinODE:
-    """Homogeneous linear ODE annihilating f(x) = sum_n u(n) x^n.
-
-    Writing the recurrence with theta = x d/dx gives an operator identity
-    L f = R where R is a polynomial collecting initial-term corrections
-    (theta acts diagonally on monomials; each shift contributes a division
-    by x, cleared by premultiplying with x^order).  If R is nonzero the
-    identity is differentiated once against R, yielding the homogeneous
-    annihilator R (L f)' - R' (L f) of order at most deg + 1.
-
-    `init` must start at offset 0, cover the recurrence order, and satisfy
-    the recurrence on every window it covers (InconsistentInit otherwise).
-    """
-    if init.offset != 0:
-        raise ValueError("generating-function conversion needs an offset-0 sequence")
-    check_init(rec, init)
-    r = rec.order
-    d = rec.degree
-    # operator part: x^r * sum_j x^-j p_j(theta - j), collected as
-    # sum_i Q_i(x) D^i.  Since x^i D^i = theta (theta - 1) ... (theta - i + 1),
-    # the coefficient of x^i D^i in p_j(theta - j) is Delta^i p_j(-j) / i!, an
-    # integer (Newton's forward-difference series).  Constant part from the
-    # initial terms: sum_j sum_{m<j} p_j(m - j) u(m) x^(r-j+m).
-    q_acc = [[0] * (r + d + 1) for _ in range(d + 1)]
-    r_acc = [0] * r
-    for j, cs in enumerate(rec.coeff_lists()):
-        values = list(islice(poly_values(cs, -j), max(d + 1, j)))  # p_j(-j), p_j(1 - j), ...
-        for m in range(j):
-            r_acc[r - j + m] += values[m] * init.terms[m]
-        diffs = values[: d + 1]
-        for i in range(d + 1):
-            q_acc[i][r - j + i] += diffs[0] // factorial(i)
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    q_ops = [Poly(acc) for acc in q_acc]
-    r_poly = Poly(r_acc)
-    if not r_poly:
-        return LinODE(tuple(q_ops))
-    r_deriv = r_poly.derivative()
-    padded = [Poly([])] + q_ops + [Poly([])]
-    coeffs = [
-        r_poly * (padded[i] + padded[i + 1].derivative()) - r_deriv * padded[i + 1]
-        for i in range(d + 2)
-    ]
-    return LinODE(tuple(coeffs))
-
-
-def ode_residual(ode: LinODE, terms: "Sequence") -> Optional[int]:
-    """Exponent of the first nonzero coefficient of sum_i Q_i f^(i), or None.
-
-    None means all-zero to the checkable truncation.  The series f comes
-    from `terms` (offset 0); with L terms and order m the residual is
-    trustworthy through x^(L - m - 1).
-
-    The ODE is read as its coefficient recurrence: with Q_i = sum_e q_ie x^e
-    the coefficient of x^N is sum_s P_s(N) u(N + s) over the shifts
-    s = i - e, where P_s(N) = sum_i q_i,(i-s) (N + s)(N + s - 1)...(N + s - i + 1).
-    Each shift is one pass over the series, with its P_s values from
-    `poly_values`; indices N + s < 0 drop out, and the falling factorial
-    vanishes where x^e f^(i) has no x^N term.
-    """
-    if terms.offset != 0:
-        raise ValueError("ODE residual needs an offset-0 sequence")
-    m = ode.order
-    big_l = len(terms)
-    if big_l < m + ode.degree + 1:
-        raise InsufficientTerms(
-            f"need at least order + degree + 1 = {m + ode.degree + 1} terms"
-        )
-    out_order = big_l - m
-    shifts: dict[int, Poly] = {}  # s -> P_s
-    for i, q in enumerate(ode.coeff_lists()):
-        for e, c in enumerate(q):
-            if c:
-                s = i - e
-                term = reduce(mul, (Poly([s - k, 1]) for k in range(i)), Poly([c]))
-                shifts[s] = shifts.get(s, Poly([])) + term
-    u = terms.terms
-    acc = [0] * out_order
-    for s, p in shifts.items():
-        n0 = max(0, -s)
-        values = poly_values(p.coeffs, n0)
-        acc[n0:] = [a + v * t for a, v, t in zip(acc[n0:], values, u[n0 + s :])]
-    return next((i for i, c in enumerate(acc) if c), None)
-
-
-# ---------------------------------------------------------------------------
 # algebraic equation guessing
 # ---------------------------------------------------------------------------
 
-def algeq_residual(eq: AlgEq, terms: "Sequence") -> Optional[int]:
-    """Exponent of the first nonzero coefficient of P(x, y(x)), or None.
-
-    y(x) is the series of `terms` (offset 0); every supplied order is
-    checkable since the coefficient of x^m in P(x, y) only involves terms
-    up to m.
-    """
-    if terms.offset != 0:
-        raise ValueError("algebraic residual needs an offset-0 sequence")
-    residual = alg_eval(eq.grid(), terms.terms, len(terms))
-    return next((m for m, c in enumerate(residual) if c), None)
-
-
 def guess_algeq(
-    terms: "Sequence",
+    terms: Sequence,
     dxmax: int = 12,
     dymax: int = 3,
     margin: int = 4,

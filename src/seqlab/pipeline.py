@@ -35,13 +35,14 @@ from .asympt import (
     stretched_triple_fit,
     summarize_stretched,
 )
+from .dfinite import algeq_residual, expand_prec, ode_residual, prec_to_ode
 from .errors import InsufficientTerms, SeqLabError
 from .fixed import HpContext, sqrt_nearest
-from .guess import algeq_residual, guess_algeq, guess_prec, ode_residual, prec_to_ode
+from .guess import guess_algeq, guess_prec
 from .identify import identify_with_multipliers, min_poly
 from .oeis import parse_bfile
 from .report import decimal_str, emit_csv, identification_entry, scalar_entry, text_digest
-from .sequences import Sequence, expand_prec, gen_lconvex_area, gen_stack_area
+from .sequences import Sequence, gen_lconvex_area, gen_stack_area
 from .series import Poly, div_one_minus_qm
 
 # Numerator of the rational shift R(x) = (1+18x-45x^2+26x^3+x^4)/(x-1) that
@@ -268,13 +269,15 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
     coefficient and mu = 1/rho, the amplitude C fitted with `corrections`
     1/n terms on `terms` terms, and the minimal polynomial of
     A^2 = (16 sqrt(pi) C / 105)^2.  Returns the run's fields; raises before
-    any stage runs unless corrections >= 0, terms >= corrections + 2 and
+    any stage runs unless corrections >= 0, terms >= corrections + 3 (the
+    fit reads corrections + 2 terms at n >= 1 of the `terms` from n = 0) and
     digits >= 1, and raises SeqLabError when a guess or a check fails."""
     if corrections < 0:
         raise ValueError(f"need corrections >= 0, got {corrections}")
-    if terms < corrections + 2:
-        raise InsufficientTerms(f"an amplitude fit with {corrections} corrections "
-                                f"needs terms >= {corrections + 2}, got {terms}")
+    if terms < corrections + 3:
+        raise InsufficientTerms(f"an amplitude fit with {corrections} corrections reads "
+                                f"K + 2 = {corrections + 2} terms at n >= 1, so it "
+                                f"needs terms >= {corrections + 3}, got {terms}")
     ctx = HpContext(digits)
     stored = parse_bfile(bfile_text)
     head = stored.head(23)

@@ -1,4 +1,4 @@
-"""Integer counting sequences: exact generators, brute-force oracles, expanders.
+"""Integer counting sequences: generators, brute-force oracles, expand_rational.
 
 Three families are built in:
 
@@ -19,37 +19,26 @@ needs, are short sums of the summands for j at or above a switch index
 near sqrt(5N/6) and follow from a functional equation for U by a backward
 recurrence below it, in O(N^(3/2)) coefficient operations; the stack
 generator divides a sparse numerator once by (q;q)_inf^3, sparse by
-Jacobi's identity, in O(N^(3/2)).
+Jacobi's identity, in O(N^(3/2)).  The models and their expanders live in
+``seqlab.dfinite``, which imports this module.
 """
 
 from __future__ import annotations
 
-import decimal
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, islice
+from itertools import accumulate, islice
 from math import isqrt
-from operator import add, mul, sub
-from typing import Iterable, Iterator
+from operator import add, sub
+from typing import Iterator
 
-from .errors import (
-    BranchAmbiguous,
-    BudgetExceeded,
-    LeadingCoeffVanishes,
-    NonIntegral,
-    NotARoot,
-)
-from .guess import AlgEq, PRecurrence, check_init
-from .report import unlimited_int_digits
+from .errors import BudgetExceeded
 from .series import (
     Poly,
     TruncSeries,
-    alg_eval,
     div_one_minus_qm,
     div_q_infinity_cubed,
     int_tuple,
-    poly_values,
     q_infinity_terms,
 )
 
@@ -527,122 +516,3 @@ def _ascent_201_counts() -> Iterator[int]:
             new_high.append([*map(add, hi, reversed(tails[:-1])), hi[-1], 0])
         new_high.append([0])
         low, high = new_low, new_high
-
-
-# ---------------------------------------------------------------------------
-# expanders driven by recurrences / algebraic equations
-# ---------------------------------------------------------------------------
-
-def _prec_terms(rec: PRecurrence, init: Sequence, number: type) -> Iterator:
-    """Yield the terms after `init` of the sequence it starts, extended by
-    the recurrence in `number`s: int, or decimal.Decimal under an exact
-    context (any type with exact +, * and divmod by an int).  Only the
-    last rec.order terms are kept, and the coefficient values at each
-    step come from `poly_values`, so a step is a few C-level loops.
-
-    Raises LeadingCoeffVanishes(n) if the leading polynomial vanishes at a
-    needed index and NonIntegral if an exact integer step fails.
-    """
-    r = rec.order
-    n0 = init.last_index - r + 1
-    steps = zip(*(poly_values(cs, n0) for cs in rec.coeff_lists()))
-    window = deque(map(number, init.terms[len(init) - r:]), maxlen=r)
-    for n, cs in zip(count(n0), steps):
-        lead = cs[r]
-        if lead == 0:
-            raise LeadingCoeffVanishes(n)
-        # map stops at the window's r terms, leaving out the leading value
-        q, rem = divmod(-sum(map(mul, cs, window)), lead)
-        if rem:
-            raise NonIntegral(f"non-integer term at n={n + r}")
-        window.append(q)
-        yield q
-
-
-def expand_prec(rec: PRecurrence, init: Sequence, n_terms: int) -> Sequence:
-    """Exactly n_terms terms of the sequence that `init` starts, extended
-    by the recurrence (ValueError when n_terms < 1).
-
-    All supplied init terms must already satisfy the recurrence on every
-    window they cover (``guess.check_init``: InconsistentInit otherwise).
-    Raises LeadingCoeffVanishes(n) if the leading polynomial vanishes at a
-    needed index and NonIntegral if an exact integer step fails.
-    """
-    if n_terms < 1:
-        raise ValueError("need n_terms >= 1")
-    check_init(rec, init)
-    if n_terms <= len(init):
-        return init.head(n_terms)
-    new = _prec_terms(rec, init, int)
-    return Sequence(init.offset, init.terms + tuple(islice(new, n_terms - len(init))))
-
-
-# Exact integer arithmetic in decimal: no rounding at any size, and an
-# inexact or invalid step raises rather than rounds.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact, decimal.InvalidOperation, decimal.DivisionByZero],
-)
-
-
-def expand_prec_decimal(rec: PRecurrence, init: Sequence, n_terms: int) -> list[str]:
-    """The decimal strings of expand_prec(rec, init, n_terms).terms, with
-    the same checks and errors.
-
-    The init terms print with str; the recurrence then runs in
-    decimal.Decimal, whose base-10^19 limbs make each step and each
-    rendering linear in the digit count, where str of a Python int is
-    quadratic.  Each new term is rendered as it is produced.  The caller's
-    decimal context is left as it was.
-    """
-    if n_terms < 1:
-        raise ValueError("need n_terms >= 1")
-    check_init(rec, init)
-    with unlimited_int_digits():
-        out = [str(t) for t in init.terms[:n_terms]]
-    if n_terms <= len(init):
-        return out
-    with decimal.localcontext(_EXACT):
-        new = _prec_terms(rec, init, decimal.Decimal)
-        # a zero divided by a negative leading value is Decimal("-0")
-        out.extend(str(q) if q else "0" for q in islice(new, n_terms - len(init)))
-    return out
-
-
-def expand_algebraic_series(eq: AlgEq, seed: Iterable, n_terms: int) -> TruncSeries:
-    """Newton-lift the power series root of P(x, y) = 0 pinned by `seed`.
-
-    The seed must satisfy P(x, seed) = 0 mod x^len(seed) (NotARoot
-    otherwise), and dP/dy evaluated on the seed must be a unit, i.e. have a
-    nonzero constant term (BranchAmbiguous otherwise: the seed sits on a
-    multiple root and does not determine the branch).  Each Newton step
-    doubles the number of correct coefficients.  The result has order
-    exactly n_terms, also below the seed's length (ValueError when
-    n_terms < 1).
-    """
-    if n_terms < 1:
-        raise ValueError("need n_terms >= 1")
-    seed_coeffs = [Fraction(c) for c in seed]
-    if not seed_coeffs:
-        raise NotARoot("empty seed")
-    grid = eq.grid()
-    dgrid = [[j * c for c in cj] for j, cj in enumerate(grid)][1:]
-    y = TruncSeries(seed_coeffs)
-    if any(alg_eval(grid, y.coeffs, y.order)):
-        raise NotARoot("seed does not satisfy the equation to its own order")
-    if alg_eval(dgrid, y.coeffs, 1)[0] == 0:
-        raise BranchAmbiguous("dP/dy vanishes at x=0 on this seed")
-    while y.order < n_terms:
-        new_order = min(2 * y.order, n_terms)
-        y = TruncSeries(y.coeffs + (Fraction(0),) * (new_order - y.order))
-        num = TruncSeries(alg_eval(grid, y.coeffs, new_order))
-        den = TruncSeries(alg_eval(dgrid, y.coeffs, new_order))
-        y = y - num * den.inverse()
-    if any(alg_eval(grid, y.coeffs, y.order)):
-        raise NotARoot("Newton lifting failed to converge")  # pragma: no cover
-    return y.truncate(n_terms)
-
-
-def expand_algebraic(eq: AlgEq, seed: Iterable, n_terms: int) -> Sequence:
-    """Integer-sequence wrapper around expand_algebraic_series (offset 0)."""
-    return Sequence(0, expand_algebraic_series(eq, seed, n_terms).coeffs)

@@ -240,6 +240,81 @@ def test_fixed_kernel_layering():
     assert _top_modules(src / "report.py").isdisjoint(package)
 
 
+# the package's modules import one another without a cycle, so each can be
+# loaded, read and tested above the modules it needs: sequences below the
+# D-finite models of dfinite, and those below the guessers of guess
+PACKAGE = sorted((ROOT / "src" / "seqlab").glob("*.py"))
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The modules of the package that a module imports, by file stem,
+    ``__init__`` for the package itself; an import under ``if
+    TYPE_CHECKING`` counts too."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for parts in (a.name.split(".") for a in node.names):
+                if parts[0] == "seqlab":
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 1:
+                found |= {parts[0]} if node.module else {a.name for a in node.names}
+            elif node.level == 0 and parts[0] == "seqlab":
+                found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of the import graph, as a path that ends where it starts,
+    or None: a depth-first search in sorted order."""
+    done, path = set(), []
+
+    def visit(node):
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return None
+        path.append(node)
+        for module in sorted(graph.get(node, ())):
+            found = visit(module)
+            if found:
+                return found
+        path.pop()
+        done.add(node)
+        return None
+
+    return next((found for found in map(visit, sorted(graph)) if found), None)
+
+
+def test_module_graph():
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE}
+    graph = {name: _package_imports(tree) for name, tree in trees.items()}
+    assert _cycle(graph) is None
+    assert graph["sequences"].isdisjoint({"dfinite", "guess"})
+    assert "guess" not in graph["dfinite"]
+    uses = {name: _mentions(tree, {"TYPE_CHECKING"}) for name, tree in trees.items()}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_guard_catches_import_cycles():
+    sources = {
+        "sequences": "from .dfinite import check_init\n",
+        "dfinite": ("import typing\n"
+                    "if typing.TYPE_CHECKING:\n"
+                    "    from .guess import guess_prec\n"),
+        "guess": "import math\nfrom . import sequences\nfrom seqlab.series import Poly\n",
+        "cli": "import seqlab.pipeline\nfrom seqlab import Poly\n",
+    }
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    graph = {name: _package_imports(tree) for name, tree in trees.items()}
+    assert graph == {"sequences": {"dfinite"}, "dfinite": {"guess"},
+                     "guess": {"sequences", "series"}, "cli": {"pipeline", "__init__"}}
+    assert _cycle(graph) == ["dfinite", "guess", "sequences", "dfinite"]
+    assert _cycle({**graph, "dfinite": set()}) is None
+    assert _mentions(trees["dfinite"], {"TYPE_CHECKING"}) == ["TYPE_CHECKING"]
+
+
 # cli.py reads every number given as text in one function, and neither it
 # nor pipeline.py renders or works at a precision of its own: HpContext
 # sets the precision and report.decimal_str renders

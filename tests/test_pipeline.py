@@ -77,6 +77,19 @@ def test_lconvex_study_checks_sizes_before_any_stage(monkeypatch):
         lconvex_study(400, 40, 44)
 
 
+def test_ascent_study_checks_the_fit_size_before_any_stage(monkeypatch):
+    # the fit reads the terms from n = 0 and needs K + 2 of them at n >= 1
+    def fail(*args):
+        raise AssertionError("the guesser ran")
+
+    monkeypatch.setattr(seqlab.pipeline, "guess_prec", fail)
+    for k in (3, 20):
+        with pytest.raises(InsufficientTerms, match=f"needs terms >= {k + 3}, got {k + 2}$"):
+            ascent_study(BFILE_TEXT, k + 2, 30, k)
+        with pytest.raises(AssertionError, match="^the guesser ran$"):
+            ascent_study(BFILE_TEXT, k + 3, 30, k)
+
+
 def test_lconvex_study_uses_every_square_by_default():
     fields = lconvex_study(200, 30)
     assert fields["parameters"]["squares"] == 14

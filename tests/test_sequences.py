@@ -33,13 +33,9 @@ from seqlab import (
     gen_stack_area,
     guess_prec,
 )
+from seqlab.dfinite import _EXACT, _prec_terms
 from seqlab.report import unlimited_int_digits
-from seqlab.sequences import (
-    _EXACT,
-    _lconvex_area,
-    _prec_terms,
-    _walk_ascent_avoiding,
-)
+from seqlab.sequences import _lconvex_area, _walk_ascent_avoiding
 from seqlab.series import int_horner
 from seqlab.errors import (
     BranchAmbiguous,
