@@ -59,9 +59,9 @@ Real = Union[mpmath.mpf, Fraction, int]
 class HpSeq:
     """Consecutively indexed high-precision values (index = offset + position).
 
-    Values are mpmath floats or exact Fractions; the rational operators
-    below work equally on both.  Any other value, an int or a float, becomes
-    a context float at construction (HpContext.mpf).
+    Values are mpmath floats or exact Fractions, on which the rational
+    operators below work alike; an int, a float or text (as the CLI reads
+    it) becomes a context float at construction (HpContext.mpf).
     """
 
     offset: int

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -30,7 +28,7 @@ from .asympt import (
 )
 from .dfinite import expand_algebraic, expand_prec_decimal
 from .errors import RUN_ERRORS, PrecisionTooLow
-from .fixed import HpContext
+from .fixed import HpContext, _bounded, _read_number
 from .guess import guess_algeq, guess_prec
 from .identify import identify_rational, identify_with_multipliers, min_poly, working_context
 from .oeis import (
@@ -60,14 +58,6 @@ from .sequences import (
     gen_stack_area,
 )
 from .series import Poly
-
-
-MAX_PRECISION = 10_000
-"""The most decimal digits of --precision, --digits and a number's text: it
-bounds the working precision, and so the memory, that any stage asks for."""
-
-MAX_VALUE_EXPONENT = 1000
-"""The largest decimal exponent, either sign, of a number's text."""
 
 
 @dataclass
@@ -174,40 +164,6 @@ def run(body):
         for block in [stdout] if isinstance(stdout, str) else stdout:
             click.echo(block, nl=False)
     return callback
-
-
-def _bounded(digits: int) -> int:
-    """digits, unless above MAX_PRECISION (HpContext rejects it below 1)."""
-    if digits > MAX_PRECISION:
-        raise ValueError(f"need digits <= {MAX_PRECISION}, got {digits}")
-    return digits
-
-
-def _read_number(name: str, text: str, ctx: Optional[HpContext] = None):
-    """The number that option `name` gives as text, read once and exactly:
-    a decimal (2, -.5, 5., 1.5e-3) or a ratio p/q of two.  Given a context,
-    it is rounded once to its precision (HpContext.mpf), and inf and nan
-    read as themselves; without one it is a Fraction.  Before any big
-    integer is built, each decimal must have at most MAX_PRECISION digits
-    and, unless zero, a decimal exponent within +-MAX_VALUE_EXPONENT."""
-    num, slash, den = text.partition("/")
-    try:
-        num, den = Decimal(num), Decimal(den if slash else 1)
-        if ctx and not slash and (num.is_infinite() or num.is_qnan()):
-            return ctx.mpf(float(num))
-        if not (num.is_finite() and den.is_finite() and den):
-            raise InvalidOperation
-    except InvalidOperation:
-        raise ValueError(f"{name} {text!r} is not a number: expected a decimal or a "
-                         f"ratio p/q{', inf or nan' if ctx else ''}") from None
-    for part in (num, den):
-        _bounded(len(part.as_tuple().digits))
-        if part and abs(part.adjusted()) > MAX_VALUE_EXPONENT:
-            raise ValueError(
-                f"{name} {text!r} is out of range: need a decimal exponent between "
-                f"-{MAX_VALUE_EXPONENT} and {MAX_VALUE_EXPONENT}, got {part.adjusted()}")
-    value = Fraction(num) / Fraction(den)
-    return value if ctx is None else ctx.mpf(value)
 
 
 def _int_list(name: str, text: str) -> list[int]:

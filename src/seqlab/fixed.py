@@ -1,13 +1,14 @@
 """The integer fixed-point kernel of the estimators in `asympt`: a working
 precision (HpContext) with the one rule by which a number enters it
-(HpContext.raw, whose finite check names a sequence index or a model
-parameter), exact quotients and square roots rounded once to it, and reals
-held as ints at one binary scale, with their logs and exps (Fixed).
+(HpContext.raw, which reads text as the CLI does), exact quotients and
+square roots rounded once to it, and reals held as ints at one binary
+scale, with their logs and exps (Fixed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
@@ -15,6 +16,7 @@ from math import isqrt
 import mpmath
 from mpmath.libmp import (
     dps_to_prec,
+    from_float,
     from_int,
     fzero,
     normalize,
@@ -24,6 +26,14 @@ from mpmath.libmp import (
 )
 
 from .errors import NonPositiveValue
+
+
+MAX_PRECISION = 10_000
+"""The most decimal digits of --precision, --digits and a number's text: it
+bounds the working precision, and so the memory, that any stage asks for."""
+
+MAX_VALUE_EXPONENT = 1000
+"""The largest decimal exponent, either sign, of a number's text."""
 
 
 @dataclass(frozen=True)
@@ -49,19 +59,24 @@ class HpContext:
 
     def raw(self, x, at: int | str | None = None) -> tuple:
         """The raw mpf of x, the one rule by which a value enters the context:
-        an mpf as it is, an int or a Fraction rounded once to prec, to nearest,
-        anything else (a float, text) read by mpmath at prec.  Given `at`, the
-        index of a sequence value or the name of a model parameter, an inf or
-        a nan raises ValueError naming it."""
+        an mpf as it is; an int, Fraction, float, mpmath constant or text (by
+        the CLI's reader, _read_number) rounded once to prec, to nearest; any
+        other type raises TypeError.  Given `at`, a sequence index or a model
+        parameter's name, an inf or a nan raises ValueError naming it."""
         if isinstance(x, mpmath.mpf):
             raw = x._mpf_
         elif isinstance(x, int):
             raw = from_int(x, self.prec, round_nearest)
         elif isinstance(x, Fraction):
             raw = quotient_nearest(x.numerator, x.denominator, self.prec)
+        elif isinstance(x, float):
+            raw = from_float(x, self.prec, round_nearest)
+        elif isinstance(x, mpmath.mp.constant):
+            raw = x.func(self.prec, round_nearest)
+        elif isinstance(x, str):
+            raw = _read_number(at if isinstance(at, str) else "value", x, self)._mpf_
         else:
-            with self.work():
-                raw = mpmath.mpf(x)._mpf_
+            raise TypeError(f"cannot enter a {type(x).__name__} into the working precision")
         if at is not None and not raw[1] and raw[2]:  # inf or nan
             what = f"parameter {at}" if isinstance(at, str) else f"value at index {at}"
             raise ValueError(f"non-finite {what}")
@@ -70,6 +85,40 @@ class HpContext:
     def mpf(self, x, at: int | str | None = None) -> mpmath.mpf:
         """x as a context float (raw)."""
         return mpmath.mp.make_mpf(self.raw(x, at))
+
+
+def _bounded(digits: int) -> int:
+    """digits, unless above MAX_PRECISION (HpContext rejects it below 1)."""
+    if digits > MAX_PRECISION:
+        raise ValueError(f"need digits <= {MAX_PRECISION}, got {digits}")
+    return digits
+
+
+def _read_number(name: str, text: str, ctx: HpContext | None = None):
+    """The number that option `name` gives as text, read once and exactly:
+    a decimal (2, -.5, 5., 1.5e-3) or a ratio p/q of two.  Given a context,
+    it is rounded once to its precision (HpContext.mpf), and inf and nan
+    read as themselves; without one it is a Fraction.  Before any big
+    integer is built, each decimal must have at most MAX_PRECISION digits
+    and, unless zero, a decimal exponent within +-MAX_VALUE_EXPONENT."""
+    num, slash, den = text.partition("/")
+    try:
+        num, den = Decimal(num), Decimal(den if slash else 1)
+        if ctx and not slash and (num.is_infinite() or num.is_qnan()):
+            return ctx.mpf(float(num))
+        if not (num.is_finite() and den.is_finite() and den):
+            raise InvalidOperation
+    except InvalidOperation:
+        raise ValueError(f"{name} {text!r} is not a number: expected a decimal or a "
+                         f"ratio p/q{', inf or nan' if ctx else ''}") from None
+    for part in (num, den):
+        _bounded(len(part.as_tuple().digits))
+        if part and abs(part.adjusted()) > MAX_VALUE_EXPONENT:
+            raise ValueError(
+                f"{name} {text!r} is out of range: need a decimal exponent between "
+                f"-{MAX_VALUE_EXPONENT} and {MAX_VALUE_EXPONENT}, got {part.adjusted()}")
+    value = Fraction(num) / Fraction(den)
+    return value if ctx is None else ctx.mpf(value)
 
 
 def quotient_nearest(num: int, den: int, prec: int, shift: int = 0) -> tuple:

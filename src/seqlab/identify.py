@@ -120,9 +120,9 @@ def _search(x, maxden: int, digits: int, multipliers) -> Optional[Identification
 def identify_rational(x, maxden: int = 1000, *, digits: int) -> Optional[Fraction]:
     """Best rational p/q with q <= maxden, if it matches x to nearly full digits.
 
-    The row "1" of identify_with_multipliers's search: x (an mpf, int,
-    Fraction or text) enters working_context(digits) by HpContext.mpf, and
-    the continued-fraction best approximation, found on integers, is
+    The row "1" of identify_with_multipliers's search: x (a number, or text
+    as the CLI reads it) enters working_context(digits) by HpContext.mpf,
+    and the continued-fraction best approximation, found on integers, is
     accepted only when |x - p/q| < 10^(4 - digits), where `digits` is the
     number of digits x is certified to.  A nonzero x never identifies as 0:
     a zero candidate returns None, as does a candidate whose numerator has
@@ -134,8 +134,8 @@ def identify_rational(x, maxden: int = 1000, *, digits: int) -> Optional[Fractio
 
 
 def identify_with_multipliers(x, maxden: int = 1000, *, digits: int) -> Optional[Identification]:
-    """First multiplier m of _MULTIPLIERS (in order) with x/m a certified
-    rational, by identify_rational's test at `digits` digits.
+    """First multiplier m of _MULTIPLIERS with x/m a certified rational, by
+    identify_rational's test at `digits` digits (text as the CLI reads it).
 
     Returns an Identification with payload (tag, p/q) meaning x = (p/q) * m,
     or None when no entry matches within the precision bound; ValueError
@@ -238,8 +238,9 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
     touched them since, so a loop from k = 1 would pass over them without
     one operation: the basis is lll_reduce's of the grown basis.
 
-    x enters working_context(digits) by HpContext.mpf, and the scale, the
-    bound 10^(digits + guard) and the tolerance come from that context.  A
+    x (a number, or text as the CLI reads it) enters
+    working_context(digits) by HpContext.mpf, and the scale, the bound
+    10^(digits + guard) and the tolerance come from that context.  A
     candidate p is accepted only if |p(x)| < 10^(5 - digits) * ||p||_inf *
     max(1, |x|)^deg, a threshold a few orders above evaluation roundoff but
     far below the residual of any accidental lattice relation at this
@@ -247,8 +248,8 @@ def min_poly(x, maxdeg: int, digits: int) -> Optional[Poly]:
     makes q a relation of lower degree, and so is one with a coefficient at
     the bound or above, noise past the working precision.  Returns None if
     no degree yields a verified relation (so also for a non-finite x);
-    raises ValueError when maxdeg < 1 and PrecisionTooLow when digits is
-    too small to separate the two regimes (digits < 10 * (maxdeg + 1)).
+    raises ValueError when maxdeg < 1 and PrecisionTooLow when digits is too
+    small to separate the two regimes (digits < 10 * (maxdeg + 1)).
     """
     if maxdeg < 1:
         raise ValueError(f"need maxdeg >= 1, got {maxdeg}")

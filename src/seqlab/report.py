@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import mpmath
-from mpmath.libmp import dps_to_prec, finf, fnan, fninf, from_float, from_str, round_nearest, to_str
+from mpmath.libmp import finf, fnan, fninf, from_float, to_str
 
 
 @contextmanager
@@ -47,17 +47,16 @@ def decimal_str(value, digits: Optional[int] = None) -> str:
     """Full-precision decimal rendering; never a binary float repr.
 
     An int, or a Fraction with denominator 1, prints exactly, as str(int).
-    Any other value prints as its exact value rounded once, half up, to
-    D = `digits` significant digits (default: mp.dps + 5); a float or
-    decimal text counts as the exact value it denotes.  With e the decimal
+    An mpf, a float or another Fraction prints as its exact value rounded
+    once, half up, to D = `digits` significant digits (default: mp.dps + 5);
+    any other value, text included, raises TypeError.  With e the decimal
     exponent of the leading digit, the form is fixed point when
     min(-(D // 3), -5) < e < D, otherwise scientific, d.ddd followed by e+N
     or e-N; trailing zeros after the point are stripped, keeping one digit
     after it (1.0, 1.5e+20); negative values lead with "-".
 
     Zero ("0.0"), +inf, -inf, nan and values whose binary exponent exp + bc
-    is beyond +-3500 are handed to mpmath's to_str(value, D), text as
-    mpmath reads it at D + 5 digits.
+    is beyond +-3500 are handed to mpmath's to_str(value, D).
     """
     return _Decimals(digits)(value)
 
@@ -89,12 +88,7 @@ class _Decimals:
             return str(value.numerator) if value.denominator == 1 else value
         if isinstance(value, float):
             return from_float(value)  # exactly, and so are inf and nan
-        # decimal text: exactly, or as mpmath reads it when to_str takes it
-        text = str(value)
-        _, man, exp, bc = rough = from_str(text, dps_to_prec(self.digits + 5), round_nearest)
-        if not man or not -3500 <= exp + bc <= 3500:
-            return rough
-        return Fraction(text)
+        raise TypeError(f"decimal_str renders numbers only, not a {type(value).__name__}")
 
     def scale(self, low: int) -> tuple:
         """(j, 10^|j|) for j = D + 1 - floor(low log10(2)): when |x| >= 2^low,
@@ -112,11 +106,7 @@ class _Decimals:
         if type(raw) is str:
             return raw
         d = self.digits
-        if type(raw) is Fraction:
-            sign, num, den = raw.numerator < 0, abs(raw.numerator), raw.denominator
-            j, ten = self.scale(num.bit_length() - den.bit_length() - 1)
-            digits = str(num * ten // den if j >= 0 else num // (den * ten))
-        else:
+        if type(raw) is tuple:
             sign, man, exp, bc = raw
             if not man or not -3500 <= exp + bc <= 3500:  # zero, inf, nan or far out
                 return to_str(raw, d)
@@ -125,6 +115,10 @@ class _Decimals:
                 j, ten = 0, 1
             man *= ten
             digits = str(man << exp if exp >= 0 else man >> -exp)
+        else:  # a Fraction
+            sign, num, den = raw.numerator < 0, abs(raw.numerator), raw.denominator
+            j, ten = self.scale(num.bit_length() - den.bit_length() - 1)
+            digits = str(num * ten // den if j >= 0 else num // (den * ten))
         e = len(digits) - j - 1
         # round half up to D digits and strip trailing zeros
         if len(digits) > d and digits[d] >= "5":
@@ -340,6 +334,6 @@ def emit_csv(points: Iterable[tuple], header: tuple[str, str] = ("x", "y"),
     lines = [",".join(header)]
     for x, y in points:
         x, y = raw(x), raw(y)
-        if x not in _NON_FINITE and y not in _NON_FINITE:
+        if not (type(x) is tuple and x in _NON_FINITE or type(y) is tuple and y in _NON_FINITE):
             lines.append(f"{text(x)},{text(y)}")
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """High-precision extrapolation machinery, tested on exactly known plants."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt, log2
 
@@ -56,6 +57,7 @@ from seqlab.errors import (
     TableauBlowup,
 )
 from seqlab.fixed import Fixed, quotient_nearest, sqrt_nearest
+from seqlab.identify import identify_rational
 from test_cli import child_env
 
 CTX50 = HpContext(50)
@@ -92,6 +94,81 @@ class TestHpContext:
             _, man, exp, bc = got._mpf_
             half_ulp = Fraction(2) ** (exp + bc - prec - 1)
             assert abs(Fraction(man) * Fraction(2) ** exp - abs(x)) <= half_ulp, x
+
+
+class TestTextEntry:
+    """Text enters the working precision as the CLI reads it: exactly, within
+    the reader's bounds, and rounded once, as its Fraction is."""
+
+    @staticmethod
+    def exact(text, ctx):
+        value = Fraction(text)
+        return quotient_nearest(value.numerator, value.denominator, ctx.prec)
+
+    # mpmath's own parser rounds these twice, one unit in the last place low
+    @pytest.mark.parametrize("digits, text", [
+        (19, "131345e482"), (32, "242938723816e-824"), (27, "13156789681e-733")])
+    def test_far_exponents_round_once(self, digits, text):
+        ctx = HpContext(digits)
+        assert ctx.raw(text) == self.exact(text, ctx)
+
+    def test_seeded_far_exponents_round_once(self):
+        # at this seed 3 of the texts read one unit low through mpmath's parser
+        rng = random.Random(4904)
+        for _ in range(2000):
+            ctx = HpContext(rng.randint(15, 60))
+            digits = str(rng.randint(1, 9)) + "".join(
+                rng.choice("0123456789") for _ in range(rng.randint(1, 30)))
+            exp = rng.choice((1, -1)) * rng.randint(401, 1000) - (len(digits) - 1)
+            text = f"{rng.choice(['', '-'])}{digits}e{exp}"
+            assert ctx.raw(text) == self.exact(text, ctx), (text, ctx.digits)
+
+    @pytest.mark.parametrize("text, match", [
+        ("1e2000", "^value '1e2000' is out of range: need a decimal exponent between "
+                   "-1000 and 1000, got 2000$"),
+        ("1" * 10_001, "^need digits <= 10000, got 10001$"),
+    ], ids=["exponent", "digits"])
+    def test_beyond_the_bounds(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            HpContext(20).mpf(text)
+        with pytest.raises(ValueError, match=match):
+            identify_rational(text, digits=20)
+
+    def test_names_the_parameter(self):
+        ctx = HpContext(30)
+        with pytest.raises(ValueError, match="^g 'abc' is not a number: expected a decimal "
+                                             "or a ratio p/q, inf or nan$"):
+            ctx.mpf("abc", "g")
+        with pytest.raises(ValueError, match="^value 'abc' is not a number"):
+            ctx.raw("abc", 3)
+        with pytest.raises(ValueError, match="^non-finite parameter g$"):
+            ctx.mpf("nan", "g")
+        assert ctx.raw("-inf") == mpmath.ninf._mpf_
+
+    def test_other_types_raise(self):
+        with pytest.raises(TypeError, match="^cannot enter a Decimal into the working precision$"):
+            HpContext(20).raw(Decimal("0.1"))
+
+    @pytest.mark.parametrize("digits", [1, 6, 15, 100])
+    def test_floats_round_as_mpf(self, digits):
+        # from_float at prec gives the mpf that mpmath.mpf gives under work()
+        ctx = HpContext(digits)
+        rng = random.Random(digits)
+        floats = [0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308, 0.1,
+                  float("inf"), float("-inf"), float("nan")]
+        floats += [rng.uniform(-1, 1) * 2.0 ** rng.randint(-1074, 1000) for _ in range(500)]
+        with ctx.work():
+            want = [mpmath.mpf(x)._mpf_ for x in floats]
+        assert [ctx.raw(x) for x in floats] == want
+
+    @pytest.mark.parametrize("digits", [1, 15, 100])
+    def test_constants_evaluate_at_prec(self, digits):
+        ctx = HpContext(digits)
+        constants = [mpmath.pi, mpmath.e, mpmath.euler, mpmath.ln2]
+        with ctx.work():
+            want = [mpmath.mpf(c)._mpf_ for c in constants]
+        with mpmath.workdps(5):  # not the global precision
+            assert [ctx.raw(c) for c in constants] == want
 
 
 class TestHpSeq:

@@ -16,8 +16,8 @@ import pytest
 from click.testing import CliRunner
 
 import seqlab
-from seqlab.cli import _read_number, main
-from seqlab.fixed import HpContext
+from seqlab.cli import main
+from seqlab.fixed import HpContext, _read_number
 from seqlab.report import text_digest
 from conftest import CATALAN, DATA_DIR, PRIMES_30
 from test_scripts import load_script

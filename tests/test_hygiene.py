@@ -187,7 +187,7 @@ def test_all_lists_every_reexport():
 # rendering, the fixed-point kernel of fixed.py, and the raw-mpf steps of
 # asympt.py's estimators and of pipeline.py
 LIBMP_NAMES = [
-    "dps_to_prec", "finf", "fnan", "fninf", "fone", "from_float", "from_int", "from_str",
+    "dps_to_prec", "finf", "fnan", "fninf", "fone", "from_float", "from_int",
     "fzero", "mpf_abs", "mpf_add", "mpf_div", "mpf_mul", "mpf_pow", "mpf_sub",
     "normalize", "pi_fixed", "round_nearest", "to_fixed", "to_str",
 ]
@@ -315,27 +315,50 @@ def test_guard_catches_import_cycles():
     assert _mentions(trees["dfinite"], {"TYPE_CHECKING"}) == ["TYPE_CHECKING"]
 
 
-# cli.py reads every number given as text in one function, and neither it
-# nor pipeline.py renders or works at a precision of its own: HpContext
-# sets the precision and report.decimal_str renders
-CLI_READER = "_read_number"
+# the package reads number text in one function, fixed._read_number, which
+# the CLI imports and HpContext.raw calls: only it builds a Decimal, no
+# module imports mpmath's own parser from_str, and HpContext.raw hands no
+# value to mpmath's constructor or precision.  cli.py builds no number, and
+# neither it nor pipeline.py renders or works at a precision of its own:
+# HpContext sets the precision and report.decimal_str renders
+TEXT_READER = "_read_number"
 NUMBER_BUILDERS = {"Decimal", "Fraction", "mpf", "make_mpf"}
 
 
-def _builds_outside(tree: ast.Module, reader: str) -> list[str]:
-    """``def:builder`` for each call of a NUMBER_BUILDERS name (bare or an
+def _call_name(node: ast.AST) -> str | None:
+    """The called name of a call, bare or an attribute; None for any other
+    node."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def _builds_outside(tree: ast.Module, reader: str | None,
+                    builders: set[str] = NUMBER_BUILDERS) -> list[str]:
+    """``def:builder`` for each call of a `builders` name (bare or an
     attribute) that lies outside the module-level function `reader`;
     ``def`` is the enclosing module-level function, or <module>."""
     found = []
     for top in tree.body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call) and owner != reader:
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                if name in NUMBER_BUILDERS:
-                    found.append(f"{owner}:{name}")
+        if owner != reader:
+            found += [f"{owner}:{name}" for name in map(_call_name, ast.walk(top))
+                      if name in builders]
     return found
+
+
+def _raw_entry_calls(tree: ast.Module) -> list[str] | None:
+    """The calls of ``mpf``, ``work`` or ``workdps`` (bare or an attribute)
+    inside the method raw of class HpContext; None when there is no such
+    method."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "HpContext":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "raw":
+                    return [name for name in map(_call_name, ast.walk(fn))
+                            if name in {"mpf", "work", "workdps"}]
+    return None
 
 
 def _mentions(tree: ast.Module, names: set[str]) -> list[str]:
@@ -352,8 +375,21 @@ def _mentions(tree: ast.Module, names: set[str]) -> list[str]:
 
 def test_cli_reads_numbers_in_one_place():
     tree = ast.parse((ROOT / "src" / "seqlab" / "cli.py").read_text())
-    assert _builds_outside(tree, CLI_READER) == []
+    assert _builds_outside(tree, None) == []
     assert _mentions(tree, {"workdps"}) == []
+
+
+def test_package_reads_number_text_in_one_place():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    decimals = {name: _builds_outside(tree, TEXT_READER if name == "fixed.py" else None,
+                                      {"Decimal"})
+                for name, tree in trees.items()}
+    assert {name: found for name, found in decimals.items() if found} == {}
+    assert TEXT_READER in {top.name for top in trees["fixed.py"].body
+                           if isinstance(top, ast.FunctionDef)}
+    parsers = {name: _mentions(tree, {"from_str"}) for name, tree in trees.items()}
+    assert {name: found for name, found in parsers.items() if found} == {}
+    assert _raw_entry_calls(trees["fixed.py"]) == []
 
 
 def test_pipeline_renders_through_report():
@@ -533,10 +569,29 @@ def test_guard_catches_number_builders():
         "def show(x):\n"
         "    return nstr(x, 5) + mpmath.nstr(x, 3)\n"
     )
-    assert _builds_outside(tree, CLI_READER) == [
+    assert _builds_outside(tree, TEXT_READER) == [
         "<module>:Decimal", "_fraction:Fraction", "resolve_mu:mpf"]
+    assert _builds_outside(tree, None, {"Decimal"}) == [
+        "<module>:Decimal", "_read_number:Decimal"]
     assert _mentions(tree, {"workdps"}) == ["workdps"]
     assert _mentions(tree, {"nstr"}) == ["nstr", "nstr", "nstr"]
+    # a text entry through mpmath: its parser imported, and raw calling its
+    # constructor under a precision of its own
+    tree = ast.parse(
+        "import mpmath\n"
+        "from mpmath.libmp import from_int, from_str as parse\n"
+        "class HpContext:\n"
+        "    def raw(self, x, at=None):\n"
+        "        if isinstance(x, int):\n"
+        "            return from_int(x, self.prec)\n"
+        "        with self.work(), mpmath.workdps(30):\n"
+        "            return mpmath.mpf(x)._mpf_, self.mpf(x)\n"
+        "    def mpf(self, x):\n"
+        "        return mpmath.mp.make_mpf(self.raw(x))\n"
+    )
+    assert _raw_entry_calls(tree) == ["work", "workdps", "mpf", "mpf"]
+    assert _mentions(tree, {"from_str"}) == ["from_str"]
+    assert _raw_entry_calls(ast.parse("class HpContext:\n    pass\n")) is None
 
 
 def test_guard_catches_dead_names():
