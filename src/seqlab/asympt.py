@@ -49,7 +49,7 @@ from .errors import (
     SingularSystem,
     TableauBlowup,
 )
-from .fixed import Fixed, HpContext, sqrt_nearest
+from .fixed import Fixed, HpContext, _read_number, sqrt_nearest
 from .series import Poly, int_horner
 
 Real = Union[mpmath.mpf, Fraction, int]
@@ -410,14 +410,15 @@ def bst_extrapolate(s: HpSeq, w) -> BstResult:
     already converged there, so the entry propagates unchanged; a vanishing
     Dp likewise kills the correction in the limit.  A vanishing bracket with
     D nonzero is a genuine pole and raises TableauBlowup, and an inf or a
-    nan among the s_n raises ValueError.  Returns the deepest entry and the
-    spread against the previous depth.
+    nan among the s_n raises ValueError.  w, a number or its text, is read
+    as the CLI reads it (fixed._read_number).  Returns the deepest entry and
+    the spread against the previous depth.
     """
     if len(s) < 4:
         raise InsufficientTerms("extrapolation needs at least 4 terms")
     if s.offset < 1:
         raise ValueError("abscissae 1/n need indices >= 1")
-    w = Fraction(w)
+    w = _read_number("w", w)
     if w <= 0:
         raise ValueError("exponent w must be positive")
     n_terms = len(s)

@@ -28,7 +28,7 @@ from .asympt import (
 )
 from .dfinite import expand_algebraic, expand_prec_decimal
 from .errors import RUN_ERRORS, PrecisionTooLow
-from .fixed import HpContext, _bounded, _read_number
+from .fixed import HpContext, _bounded, _parse, _read_number
 from .guess import guess_algeq, guess_prec
 from .identify import identify_rational, identify_with_multipliers, min_poly, working_context
 from .oeis import (
@@ -171,11 +171,6 @@ def _int_list(name: str, text: str) -> list[int]:
     if any(v.denominator != 1 for v in values):
         raise click.ClickException(f"expected a comma-separated integer list, got {text!r}")
     return [int(v) for v in values]
-
-
-def _text_digits(text: str) -> int:
-    mantissa = text.lower().split("e")[0]
-    return sum(ch.isdigit() for ch in mantissa)
 
 
 def _resolve_mu(state: CliState, mu: Optional[str], mu_from_poly: Optional[str]):
@@ -550,9 +545,11 @@ def identify():
 
 
 def _value_and_digits(value: str, digits: Optional[int]) -> tuple:
-    """(value, d): d is --digits or else counted, the value read for d digits.
-    A value read as inf or nan has no digits to count, so it needs --digits."""
-    d = _bounded(digits if digits is not None else _text_digits(value))
+    """(value, d): d is --digits or else the value's significant digits, as
+    the reader's parse counts them (a ratio counts both parts), and the
+    value is read for d digits.  A value read as inf or nan has no digits
+    to count, so it needs --digits."""
+    d = _bounded(digits if digits is not None else _parse("value", value, True)[1])
     x = _read_number("value", value, working_context(d))
     if digits is None and not d:
         raise ValueError(f"value {value!r} has no digits to count: give --digits")

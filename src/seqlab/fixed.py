@@ -94,31 +94,42 @@ def _bounded(digits: int) -> int:
     return digits
 
 
-def _read_number(name: str, text: str, ctx: HpContext | None = None):
-    """The number that option `name` gives as text, read once and exactly:
-    a decimal (2, -.5, 5., 1.5e-3) or a ratio p/q of two.  Given a context,
-    it is rounded once to its precision (HpContext.mpf), and inf and nan
-    read as themselves; without one it is a Fraction.  Before any big
-    integer is built, each decimal must have at most MAX_PRECISION digits
-    and, unless zero, a decimal exponent within +-MAX_VALUE_EXPONENT."""
+def _parse(name: str, text: str, special: bool) -> tuple:
+    """(number, significant digits) of the text that option `name` gives,
+    read once and exactly: a decimal (2, -.5, 5., 1.5e-3) as a Fraction,
+    counted by its coefficient's digits (leading zeros are not digits), or a
+    ratio p/q of two, counted by both; with `special`, inf and nan read as
+    floats with no digits.  Before any big integer is built, each decimal
+    must have at most MAX_PRECISION digits and, unless zero, a decimal
+    exponent within +-MAX_VALUE_EXPONENT."""
     num, slash, den = text.partition("/")
     try:
         num, den = Decimal(num), Decimal(den if slash else 1)
-        if ctx and not slash and (num.is_infinite() or num.is_qnan()):
-            return ctx.mpf(float(num))
+        if special and not slash and (num.is_infinite() or num.is_qnan()):
+            return float(num), 0
         if not (num.is_finite() and den.is_finite() and den):
             raise InvalidOperation
     except InvalidOperation:
         raise ValueError(f"{name} {text!r} is not a number: expected a decimal or a "
-                         f"ratio p/q{', inf or nan' if ctx else ''}") from None
-    for part in (num, den):
-        _bounded(len(part.as_tuple().digits))
+                         f"ratio p/q{', inf or nan' if special else ''}") from None
+    digits = 0
+    for part in (num, den) if slash else (num,):
+        digits += _bounded(len(part.as_tuple().digits))
         if part and abs(part.adjusted()) > MAX_VALUE_EXPONENT:
             raise ValueError(
                 f"{name} {text!r} is out of range: need a decimal exponent between "
                 f"-{MAX_VALUE_EXPONENT} and {MAX_VALUE_EXPONENT}, got {part.adjusted()}")
-    value = Fraction(num) / Fraction(den)
-    return value if ctx is None else ctx.mpf(value)
+    return Fraction(num) / Fraction(den), digits
+
+
+def _read_number(name: str, text: str | int | Fraction | float, ctx: HpContext | None = None):
+    """The number that option `name` gives as text (_parse).  Given a
+    context, it is rounded once to its precision (HpContext.mpf), and inf
+    and nan read as themselves; without one it is a Fraction, and an int, a
+    Fraction or a float is taken as its exact Fraction."""
+    if ctx is None:
+        return _parse(name, text, False)[0] if isinstance(text, str) else Fraction(text)
+    return ctx.mpf(_parse(name, text, True)[0])
 
 
 def quotient_nearest(num: int, den: int, prec: int, shift: int = 0) -> tuple:

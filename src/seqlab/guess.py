@@ -329,8 +329,10 @@ def guess_prec(
         cols = [(j, t) for j in range(r + 1) for t in range(d + 1)]
         return r, d + 1, cols, column
 
+    # no shape of order or degree above the term count is ever attempted
     shapes = sorted(
-        ((r, d) for r in range(1, rmax + 1) for d in range(0, dmax + 1)),
+        ((r, d) for r in range(1, min(rmax, big_l) + 1)
+         for d in range(min(dmax, big_l) + 1)),
         key=lambda rd: (rd[0] + rd[1], rd[0]),
     )
     return _search(
@@ -376,8 +378,9 @@ def guess_algeq(
         raise ValueError("generating-function guessing needs an offset-0 sequence")
     u = terms.terms
     big_l = len(u)
+    # no shape of a degree above the term count is ever attempted
     powers = [[1] + [0] * (big_l - 1)]
-    for _ in range(dymax):
+    for _ in range(min(dymax, big_l)):
         powers.append(mul_trunc(powers[-1], u, big_l))
 
     def system(dx: int, dy: int):
@@ -391,7 +394,8 @@ def guess_algeq(
         return ([0] * i + powers[j])[:big_l]
 
     shapes = sorted(
-        ((dx, dy) for dx in range(0, dxmax + 1) for dy in range(1, dymax + 1)),
+        ((dx, dy) for dx in range(min(dxmax, big_l) + 1)
+         for dy in range(1, min(dymax, big_l) + 1)),
         key=lambda dd: (dd[0] + dd[1], dd[1]),
     )
     return _search(

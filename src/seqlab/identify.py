@@ -19,7 +19,7 @@ from typing import Optional
 import mpmath
 
 from .errors import PrecisionTooLow, RankDeficient
-from .fixed import HpContext
+from .fixed import HpContext, _read_number
 from .series import Poly
 
 
@@ -206,14 +206,19 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
     by the reduction loop (_reduce, run from k = 1), so size-reduction and
     the Lovasz condition are decided exactly and the output provably
     satisfies them; raises RankDeficient on linearly dependent input rows.
+    delta is read as the CLI reads a number (fixed._read_number) and must
+    lie in (1/4, 1], the domain of LLL: above 1 the Lovasz test never
+    passes, and at 1/4 or below it always does.
     """
+    delta = _read_number("delta", delta)
+    if not Fraction(1, 4) < delta <= 1:
+        raise ValueError(f"need 1/4 < delta <= 1, got {delta}")
     b = [list(map(int, row)) for row in basis]
     if not b or len({len(r) for r in b}) != 1:
         raise ValueError("basis must be a non-empty rectangular integer matrix")
     d, lam = [1], []
     for _ in b:
         _gram_row(b, d, lam)
-    delta = Fraction(delta)
     _reduce(b, d, lam, 1, delta.numerator, delta.denominator)
     return b
 

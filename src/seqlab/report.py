@@ -48,12 +48,13 @@ def decimal_str(value, digits: Optional[int] = None) -> str:
 
     An int, or a Fraction with denominator 1, prints exactly, as str(int).
     An mpf, a float or another Fraction prints as its exact value rounded
-    once, half up, to D = `digits` significant digits (default: mp.dps + 5);
-    any other value, text included, raises TypeError.  With e the decimal
-    exponent of the leading digit, the form is fixed point when
-    min(-(D // 3), -5) < e < D, otherwise scientific, d.ddd followed by e+N
-    or e-N; trailing zeros after the point are stripped, keeping one digit
-    after it (1.0, 1.5e+20); negative values lead with "-".
+    once, half up, to D = `digits` significant digits (default: mp.dps + 5;
+    D below 1 raises ValueError); any other value, text included, raises
+    TypeError.  With e the decimal exponent of the leading digit, the form
+    is fixed point when min(-(D // 3), -5) < e < D, otherwise scientific,
+    d.ddd followed by e+N or e-N; trailing zeros after the point are
+    stripped, keeping one digit after it (1.0, 1.5e+20); negative values
+    lead with "-".
 
     Zero ("0.0"), +inf, -inf, nan and values whose binary exponent exp + bc
     is beyond +-3500 are handed to mpmath's to_str(value, D).
@@ -70,6 +71,8 @@ class _Decimals:
     call of decimal_str, sequence_entry or emit_csv."""
 
     def __init__(self, digits: Optional[int]):
+        if digits is not None and digits < 1:
+            raise ValueError(f"need digits >= 1, got {digits}")
         self.digits = digits or mpmath.mp.dps + 5
         self.min_fixed = min(-(self.digits // 3), -5)
         self.scales = {}  # j -> (j, 10**|j|)

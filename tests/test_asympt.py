@@ -57,7 +57,7 @@ from seqlab.errors import (
     TableauBlowup,
 )
 from seqlab.fixed import Fixed, quotient_nearest, sqrt_nearest
-from seqlab.identify import identify_rational
+from seqlab.identify import identify_rational, lll_reduce
 from test_cli import child_env
 
 CTX50 = HpContext(50)
@@ -133,6 +133,20 @@ class TestTextEntry:
             HpContext(20).mpf(text)
         with pytest.raises(ValueError, match=match):
             identify_rational(text, digits=20)
+
+    def test_library_text_goes_through_the_reader(self):
+        """bst_extrapolate's w and lll_reduce's delta, given as text, are read
+        within the reader's bounds and equal their Fractions.  The one-row
+        basis returns at once for any delta, so no LLL loop runs."""
+        s = HpSeq(1, tuple(3 - Fraction(1, n * n) for n in range(1, 12)), HpContext(30))
+        out_of_range = "'1e1500' is out of range: need a decimal exponent between -1000 and 1000"
+        with pytest.raises(ValueError, match=f"^w {out_of_range}, got 1500$"):
+            bst_extrapolate(s, "1e1500")
+        with pytest.raises(ValueError, match=f"^delta {out_of_range}, got 1500$"):
+            lll_reduce([[3, 4]], "1e1500")
+        assert bst_extrapolate(s, "1/2") == bst_extrapolate(s, Fraction(1, 2))
+        basis = [[201, 37], [1648, 297]]
+        assert lll_reduce(basis, "3/4") == lll_reduce(basis, Fraction(3, 4))
 
     def test_names_the_parameter(self):
         ctx = HpContext(30)

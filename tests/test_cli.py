@@ -288,11 +288,23 @@ class TestIdentifyCli:
             ])
             assert res.stdout.splitlines()[0] == "x^2 - 2"
 
+    def test_value_digits_are_significant(self, runner):
+        """--value is certified to its significant digits: leading zeros are
+        not digits, a trailing zero is, and a ratio counts both parts."""
+        table = {"0.5": 1, "-0.5": 1, "00012": 2, "1.5e-3": 2, "123.450": 6,
+                 "1/3": 2, "22/7": 3}
+        counted = {}
+        with runner.isolated_filesystem():
+            for value in table:
+                invoke(runner, ["identify", "rational", "--value", value])
+                counted[value] = read_report()["parameters"]["digits"]
+        assert counted == table
+
     @pytest.mark.parametrize("args", [
         ["rational", "--value", "0.00000001"],
         ["mult", "--value", "0.0000000001"],
         ["minpoly", "--maxdeg", "2",
-         "--value", "0." + "0" * 34 + "1414213562373095048801688724"],
+         "--value", "0." + "0" * 34 + "14142135623730950488016887242097"],
     ])
     def test_nonzero_value_not_named_zero(self, runner, args):
         """A small nonzero value is neither 0/1, (0) * 1, nor a root of
@@ -438,6 +450,34 @@ class TestReportDeterminism:
                     if k not in ("created_at", "report_digest")}
             canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
             assert text_digest(canonical) == doc["report_digest"]
+
+
+class TestHugeGrids:
+    """No shape of order or degree above the term count is ever attempted,
+    so a grid far beyond it gives the default grid's output and builds
+    nothing of its size.  Each command runs in a child whose address space
+    is capped at 1 GiB, so a grid that is built fails there and not here."""
+
+    CAPPED = ("import resource\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from seqlab.cli import main\n"
+              "main()\n")
+
+    def run_capped(self, args, cwd):
+        proc = subprocess.run([sys.executable, "-c", self.CAPPED, "guess", *args],
+                              cwd=cwd, env=child_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return proc.stdout
+
+    @pytest.mark.parametrize("command, huge", [
+        ("rec", ["--rmax", "100000000"]),
+        ("algeq", ["--dxmax", "3", "--dymax", "100000000"]),
+    ])
+    def test_huge_grid_gives_the_default_output(self, command, huge, tmp_path):
+        bfile = str(DATA_DIR / "b202062.txt")
+        assert (self.run_capped([command, bfile, *huge], tmp_path)
+                == self.run_capped([command, bfile], tmp_path))
 
 
 class TestImports:
@@ -616,7 +656,7 @@ class TestErrorBoundaryAndEcho:
                      id="w-zero-denominator"),
         pytest.param(["identify", "rational", "--value", "0.5", "--digits", "10001"],
                      "need digits <= 10000, got 10001", id="digits-above-bound"),
-        pytest.param(["identify", "mult", "--value", "0." + "3" * 10000],
+        pytest.param(["identify", "mult", "--value", "3" * 10001],
                      "need digits <= 10000, got 10001", id="counted-digits-above-bound"),
         pytest.param(["identify", "rational", "--value", "0." + "3" * 4999], None,
                      id="value-past-int-str-limit"),
@@ -630,14 +670,14 @@ class TestErrorBoundaryAndEcho:
           for command in ("rational", "mult", "minpoly") for value in ("inf", "nan", "-inf")),
         # too few counted digits for min_poly: the message names --value's count
         pytest.param(["identify", "minpoly", "--value", "0.5"],
-                     "need at least 40 digits for degree 3; --value '0.5' gives 2: give --digits",
+                     "need at least 40 digits for degree 3; --value '0.5' gives 1: give --digits",
                      id="minpoly-counted-digits-below-degree-3"),
         pytest.param(["identify", "minpoly", "--value", "1.414", "--maxdeg", "1"],
                      "need at least 20 digits for degree 1; --value '1.414' gives 4: "
                      "give --digits", id="minpoly-counted-digits-below-degree-1"),
-        pytest.param(["identify", "minpoly", "--value", "0." + "1" * 38], "gives 39: give",
+        pytest.param(["identify", "minpoly", "--value", "0." + "1" * 39], "gives 39: give",
                      id="minpoly-counted-digits-one-short"),
-        pytest.param(["identify", "minpoly", "--value", "0." + "1" * 39], None,
+        pytest.param(["identify", "minpoly", "--value", "0." + "1" * 40], None,
                      id="minpoly-counted-digits-enough"),
         # a coefficient of 10^dps or more is rounding noise, and no relation
         pytest.param(["identify", "minpoly", "--value", "1e300", "--digits", "40"], None,

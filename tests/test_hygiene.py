@@ -315,13 +315,16 @@ def test_guard_catches_import_cycles():
     assert _mentions(trees["dfinite"], {"TYPE_CHECKING"}) == ["TYPE_CHECKING"]
 
 
-# the package reads number text in one function, fixed._read_number, which
-# the CLI imports and HpContext.raw calls: only it builds a Decimal, no
-# module imports mpmath's own parser from_str, and HpContext.raw hands no
-# value to mpmath's constructor or precision.  cli.py builds no number, and
-# neither it nor pipeline.py renders or works at a precision of its own:
-# HpContext sets the precision and report.decimal_str renders
-TEXT_READER = "_read_number"
+# the package reads number text in one function, fixed._parse, behind
+# fixed._read_number, which the CLI, HpContext.raw, bst_extrapolate and
+# lll_reduce call: only it builds a Decimal, no module imports mpmath's own
+# parser from_str, and HpContext.raw hands no value to mpmath's constructor
+# or precision.  cli.py builds no number and counts no digits, no module
+# that takes numbers as text parses one with Fraction, and neither cli.py
+# nor pipeline.py renders or works at a precision of its own: HpContext sets
+# the precision and report.decimal_str renders
+TEXT_READER = "_parse"
+TEXT_TAKERS = ("asympt.py", "identify.py", "pipeline.py", "cli.py")
 NUMBER_BUILDERS = {"Decimal", "Fraction", "mpf", "make_mpf"}
 
 
@@ -361,6 +364,13 @@ def _raw_entry_calls(tree: ast.Module) -> list[str] | None:
     return None
 
 
+def _one_argument_calls(tree: ast.Module, name: str) -> list[int]:
+    """The line of each call of `name` (bare or an attribute) with exactly
+    one argument, as Fraction(text) parses text."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if _call_name(node) == name and len(node.args) + len(node.keywords) == 1)
+
+
 def _mentions(tree: ast.Module, names: set[str]) -> list[str]:
     """Each use of one of `names`: as a name, an attribute or an import."""
     found = []
@@ -376,7 +386,7 @@ def _mentions(tree: ast.Module, names: set[str]) -> list[str]:
 def test_cli_reads_numbers_in_one_place():
     tree = ast.parse((ROOT / "src" / "seqlab" / "cli.py").read_text())
     assert _builds_outside(tree, None) == []
-    assert _mentions(tree, {"workdps"}) == []
+    assert _mentions(tree, {"workdps", "isdigit", "_text_digits"}) == []
 
 
 def test_package_reads_number_text_in_one_place():
@@ -390,6 +400,12 @@ def test_package_reads_number_text_in_one_place():
     parsers = {name: _mentions(tree, {"from_str"}) for name, tree in trees.items()}
     assert {name: found for name, found in parsers.items() if found} == {}
     assert _raw_entry_calls(trees["fixed.py"]) == []
+
+
+def test_text_takers_parse_no_text_with_fraction():
+    parses = [f"{name}:{line}" for name in TEXT_TAKERS for line in _one_argument_calls(
+        ast.parse((ROOT / "src" / "seqlab" / name).read_text()), "Fraction")]
+    assert parses == []
 
 
 def test_pipeline_renders_through_report():
@@ -568,12 +584,18 @@ def test_guard_catches_number_builders():
         "        return mpmath.mpf(text)\n"
         "def show(x):\n"
         "    return nstr(x, 5) + mpmath.nstr(x, 3)\n"
+        "def _parse(text):\n"
+        "    return Fraction(Decimal(text)), len(Decimal(text).as_tuple().digits)\n"
+        "def digits(text):\n"
+        "    return sum(ch.isdigit() for ch in text), fractions.Fraction(1, 2)\n"
     )
     assert _builds_outside(tree, TEXT_READER) == [
-        "<module>:Decimal", "_fraction:Fraction", "resolve_mu:mpf"]
+        "<module>:Decimal", "_read_number:mpf", "_read_number:Fraction",
+        "_read_number:Decimal", "_fraction:Fraction", "resolve_mu:mpf", "digits:Fraction"]
     assert _builds_outside(tree, None, {"Decimal"}) == [
-        "<module>:Decimal", "_read_number:Decimal"]
-    assert _mentions(tree, {"workdps"}) == ["workdps"]
+        "<module>:Decimal", "_read_number:Decimal", "_parse:Decimal", "_parse:Decimal"]
+    assert _one_argument_calls(tree, "Fraction") == [6, 8, 15]
+    assert _mentions(tree, {"workdps", "isdigit"}) == ["workdps", "isdigit"]
     assert _mentions(tree, {"nstr"}) == ["nstr", "nstr", "nstr"]
     # a text entry through mpmath: its parser imported, and raw calling its
     # constructor under a precision of its own

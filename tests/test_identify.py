@@ -3,6 +3,8 @@
 import hashlib
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -20,6 +22,7 @@ from seqlab import (
 from seqlab.errors import PrecisionTooLow, RankDeficient
 from seqlab.identify import _MULTIPLIERS, _gram_row, _rational, _reduce, working_context
 from seqlab.series import primitive_int
+from test_cli import child_env
 
 
 def mp(value, dps=50):
@@ -342,6 +345,27 @@ class TestLll:
     def test_ragged_basis_rejected(self):
         with pytest.raises(ValueError, match="non-empty rectangular integer matrix"):
             lll_reduce([[1, 0], [1]])
+
+    def test_delta_outside_the_domain_raises(self):
+        """LLL's delta lies in (1/4, 1]: above 1 the Lovasz test never passes,
+        so the loop would never end, and at 1/4 or below it always passes.
+        Run in a child with a timeout, so that a loop that does not end
+        fails the test instead of hanging it."""
+        script = ("from fractions import Fraction\n"
+                  "from seqlab import lll_reduce\n"
+                  "eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+                  "for delta in (1.5, 2, '5/4', Fraction(1, 4), 0, '-1'):\n"
+                  "    try:\n"
+                  "        lll_reduce(eye, delta)\n"
+                  "    except ValueError as exc:\n"
+                  "        print(exc)\n"
+                  "print(lll_reduce(eye, 1) == eye, lll_reduce(eye, '99/100') == eye)\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            *(f"need 1/4 < delta <= 1, got {d}" for d in ("3/2", "2", "5/4", "1/4", "0", "-1")),
+            "True True"]
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):

@@ -430,6 +430,16 @@ class TestDecimalStr:
             with pytest.raises(TypeError, match="^decimal_str renders numbers only, not a str$"):
                 render(text)
 
+    @pytest.mark.parametrize("render", [
+        decimal_str, scalar_entry, lambda v, d: sequence_entry(0, [1, v], d),
+        lambda v, d: emit_csv([(1, v)], digits=d),
+    ], ids=["decimal_str", "scalar_entry", "sequence_entry", "emit_csv"])
+    def test_digit_count_below_one_raises(self, render):
+        # 0 once meant mp.dps + 5 digits, and -2 an IndexError
+        for digits in (0, -2):
+            with pytest.raises(ValueError, match=f"^need digits >= 1, got {digits}$"):
+                render(mpmath.mpf(1) / 3, digits)
+
     def test_values_just_above_a_tie_round_up(self):
         # (10 N + 5) / 10^k (1 + 10^-200) lies above the tie between N and
         # N + 1 in its 12th digit, however far mp.dps exceeds 12
