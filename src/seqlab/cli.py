@@ -545,12 +545,13 @@ def identify():
 
 
 def _value_and_digits(value: str, digits: Optional[int]) -> tuple:
-    """(value, d): d is --digits or else the value's significant digits, as
-    the reader's parse counts them (a ratio counts both parts), and the
-    value is read for d digits.  A value read as inf or nan has no digits
-    to count, so it needs --digits."""
-    d = _bounded(digits if digits is not None else _parse("value", value, True)[1])
-    x = _read_number("value", value, working_context(d))
+    """(value, d): d is --digits or else the value's digits, as the reader's
+    one parse counts them (a ratio counts both parts), and the value is
+    read for d digits.  A value read as inf or nan has no digits to count,
+    so it needs --digits."""
+    x, n = _parse("value", value, True)
+    d = _bounded(digits if digits is not None else n)
+    x = _read_number("value", x, working_context(d))
     if digits is None and not d:
         raise ValueError(f"value {value!r} has no digits to count: give --digits")
     return x, d

@@ -95,13 +95,18 @@ def _bounded(digits: int) -> int:
 
 
 def _parse(name: str, text: str, special: bool) -> tuple:
-    """(number, significant digits) of the text that option `name` gives,
-    read once and exactly: a decimal (2, -.5, 5., 1.5e-3) as a Fraction,
-    counted by its coefficient's digits (leading zeros are not digits), or a
-    ratio p/q of two, counted by both; with `special`, inf and nan read as
-    floats with no digits.  Before any big integer is built, each decimal
-    must have at most MAX_PRECISION digits and, unless zero, a decimal
-    exponent within +-MAX_VALUE_EXPONENT."""
+    """(number, digits) of the text that option `name` gives, read once and
+    exactly: a decimal (2, -.5, 5., 1.5e-3) as a Fraction, or a ratio p/q
+    of two; with `special`, inf and nan read as floats with no digits.  A
+    decimal's digits run from its leading digit, or from the units place
+    when that is higher, down to its last digit: 00012 counts 2, 0.5 and
+    5e-1 count 2, 1.5e-3 counts 5, and a zero counts its coefficient's
+    digits (0e-5000 counts 1).  identify's searches compare an absolute
+    error with 10^(k - digits), so this count holds a value below 1 to its
+    last digit; a count of significant digits needs relative tolerances
+    first.  A ratio counts both parts.  Before any big integer is built,
+    each decimal must have at most MAX_PRECISION digits and, unless zero, a
+    decimal exponent within +-MAX_VALUE_EXPONENT."""
     num, slash, den = text.partition("/")
     try:
         num, den = Decimal(num), Decimal(den if slash else 1)
@@ -114,22 +119,22 @@ def _parse(name: str, text: str, special: bool) -> tuple:
                          f"ratio p/q{', inf or nan' if special else ''}") from None
     digits = 0
     for part in (num, den) if slash else (num,):
-        digits += _bounded(len(part.as_tuple().digits))
-        if part and abs(part.adjusted()) > MAX_VALUE_EXPONENT:
+        lead = part.adjusted() if part else 0
+        digits += _bounded(len(part.as_tuple().digits)) + max(0, -lead)
+        if abs(lead) > MAX_VALUE_EXPONENT:
             raise ValueError(
                 f"{name} {text!r} is out of range: need a decimal exponent between "
-                f"-{MAX_VALUE_EXPONENT} and {MAX_VALUE_EXPONENT}, got {part.adjusted()}")
+                f"-{MAX_VALUE_EXPONENT} and {MAX_VALUE_EXPONENT}, got {lead}")
     return Fraction(num) / Fraction(den), digits
 
 
 def _read_number(name: str, text: str | int | Fraction | float, ctx: HpContext | None = None):
-    """The number that option `name` gives as text (_parse).  Given a
-    context, it is rounded once to its precision (HpContext.mpf), and inf
-    and nan read as themselves; without one it is a Fraction, and an int, a
-    Fraction or a float is taken as its exact Fraction."""
-    if ctx is None:
-        return _parse(name, text, False)[0] if isinstance(text, str) else Fraction(text)
-    return ctx.mpf(_parse(name, text, True)[0])
+    """The number that option `name` gives as text (_parse), or an int, a
+    Fraction or a float taken as it is.  Given a context, it is rounded once
+    to its precision (HpContext.mpf), and inf and nan read as themselves;
+    without one it is its exact Fraction."""
+    x = _parse(name, text, ctx is not None)[0] if isinstance(text, str) else text
+    return Fraction(x) if ctx is None else ctx.mpf(x)
 
 
 def quotient_nearest(num: int, den: int, prec: int, shift: int = 0) -> tuple:

@@ -288,11 +288,13 @@ class TestIdentifyCli:
             ])
             assert res.stdout.splitlines()[0] == "x^2 - 2"
 
-    def test_value_digits_are_significant(self, runner):
-        """--value is certified to its significant digits: leading zeros are
-        not digits, a trailing zero is, and a ratio counts both parts."""
-        table = {"0.5": 1, "-0.5": 1, "00012": 2, "1.5e-3": 2, "123.450": 6,
-                 "1/3": 2, "22/7": 3}
+    def test_value_digits_counted_from_the_units_place(self, runner):
+        """--value's digits run from its leading digit, or from the units
+        place when that is higher, to its last digit: the exponent is read,
+        a leading zero of the integer part is not a digit, a trailing zero
+        is, a zero counts its coefficient, and a ratio counts both parts."""
+        table = {"0.5": 2, "-0.5": 2, ".5": 2, "00012": 2, "1.5e-3": 5, "123.450": 6,
+                 "0e-5000": 1, "1/3": 2, "22/7": 3}
         counted = {}
         with runner.isolated_filesystem():
             for value in table:
@@ -304,13 +306,23 @@ class TestIdentifyCli:
         ["rational", "--value", "0.00000001"],
         ["mult", "--value", "0.0000000001"],
         ["minpoly", "--maxdeg", "2",
-         "--value", "0." + "0" * 34 + "14142135623730950488016887242097"],
+         "--value", "0." + "0" * 34 + "1414213562373095048801688724"],
     ])
     def test_nonzero_value_not_named_zero(self, runner, args):
         """A small nonzero value is neither 0/1, (0) * 1, nor a root of
         x^2."""
         with runner.isolated_filesystem():
             res = invoke(runner, ["identify", *args])
+            assert res.stdout == "not found\n"
+
+    @pytest.mark.parametrize("command", ["rational", "mult"])
+    def test_small_value_held_to_its_digits(self, runner, command):
+        """0.00123456790173457 gives 18 digits, so the tolerance is 1e-14,
+        and it differs from 1/810 by about 5e-13: counted by significant
+        digits alone (15) under the same absolute tolerance, 1/810 would
+        pass."""
+        with runner.isolated_filesystem():
+            res = invoke(runner, ["identify", command, "--value", "0.00123456790173457"])
             assert res.stdout == "not found\n"
 
     def test_not_found(self, runner):
@@ -656,8 +668,10 @@ class TestErrorBoundaryAndEcho:
                      id="w-zero-denominator"),
         pytest.param(["identify", "rational", "--value", "0.5", "--digits", "10001"],
                      "need digits <= 10000, got 10001", id="digits-above-bound"),
-        pytest.param(["identify", "mult", "--value", "3" * 10001],
+        pytest.param(["identify", "mult", "--value", "0." + "3" * 10000],
                      "need digits <= 10000, got 10001", id="counted-digits-above-bound"),
+        pytest.param(["identify", "mult", "--value", "0." + "3" * 5000 + "/0." + "7" * 4999],
+                     "need digits <= 10000, got 10001", id="counted-ratio-digits-above-bound"),
         pytest.param(["identify", "rational", "--value", "0." + "3" * 4999], None,
                      id="value-past-int-str-limit"),
         pytest.param(["expand", "rational", "--num", "1", "--den", "1,-10000", "--n", "1100"],
@@ -670,14 +684,14 @@ class TestErrorBoundaryAndEcho:
           for command in ("rational", "mult", "minpoly") for value in ("inf", "nan", "-inf")),
         # too few counted digits for min_poly: the message names --value's count
         pytest.param(["identify", "minpoly", "--value", "0.5"],
-                     "need at least 40 digits for degree 3; --value '0.5' gives 1: give --digits",
+                     "need at least 40 digits for degree 3; --value '0.5' gives 2: give --digits",
                      id="minpoly-counted-digits-below-degree-3"),
         pytest.param(["identify", "minpoly", "--value", "1.414", "--maxdeg", "1"],
                      "need at least 20 digits for degree 1; --value '1.414' gives 4: "
                      "give --digits", id="minpoly-counted-digits-below-degree-1"),
-        pytest.param(["identify", "minpoly", "--value", "0." + "1" * 39], "gives 39: give",
+        pytest.param(["identify", "minpoly", "--value", "0." + "1" * 38], "gives 39: give",
                      id="minpoly-counted-digits-one-short"),
-        pytest.param(["identify", "minpoly", "--value", "0." + "1" * 40], None,
+        pytest.param(["identify", "minpoly", "--value", "0." + "1" * 39], None,
                      id="minpoly-counted-digits-enough"),
         # a coefficient of 10^dps or more is rounding noise, and no relation
         pytest.param(["identify", "minpoly", "--value", "1e300", "--digits", "40"], None,

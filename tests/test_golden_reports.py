@@ -90,9 +90,9 @@ GOLDEN = {
     "identify minpoly":
         "01173798969b3b445579ee8cd0e51711d4da364ca8476159844c4dda6e87e424",
     "identify mult":
-        "854fee5c28d9005e8ed6b513d7bb5da86663a4366cb77dc148a589007d3e7a97",
+        "93838fbcaf2f0f85375e5ac5a24e499498fdb5df77f738fa131523e697e71141",
     "identify rational":
-        "538826faf6f6f5eab908062ef488e33534f69ef2f4d481bb093bda0c4e6017ff",
+        "12c9c65f3f53d9d31fd207b5279ccc123a376c85663d0795c1c8db1b203cb0f4",
     "oracle ascent":
         "6be77ee8a463cf63bf46946366891056585a53e6fb43e271afda107962eba2e7",
     "oracle lconvex":
