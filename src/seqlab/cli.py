@@ -28,7 +28,7 @@ from .asympt import (
 )
 from .dfinite import expand_algebraic, expand_prec_decimal
 from .errors import RUN_ERRORS, PrecisionTooLow
-from .fixed import HpContext, _bounded, _parse, _read_number
+from .fixed import MAX_TERMS, HpContext, _bounded, _parse, _read_number
 from .guess import guess_algeq, guess_prec
 from .identify import identify_rational, identify_with_multipliers, min_poly, working_context
 from .oeis import (
@@ -138,7 +138,8 @@ def run(body):
     loaded `Source` in place of a SOURCE argument, and its options; a body
     reads its terms before it parses its options, so a malformed b-file is
     reported first, as it was when SOURCE was parsed on loading.  The
-    context of ``--precision`` is built once, before SOURCE loads.  It
+    context of ``--precision`` is built once, and ``--n`` (`_n_option`)
+    is checked against MAX_TERMS, before SOURCE loads.  It
     returns the AnalysisReport fields (`input_digest` defaults to the
     digest of SOURCE), plus its figure `csvs` and its `stdout`: text, or
     text blocks rendered one by one once the report is written.  A
@@ -151,6 +152,8 @@ def run(body):
         state = ctx.obj
         try:
             state.ctx = HpContext(_bounded(state.precision))
+            if "n_terms" in kwargs:
+                _bounded(kwargs["n_terms"], "n", MAX_TERMS)
             if "source" in kwargs:
                 kwargs["source"] = _load(state, kwargs["source"])
             fields = body(state, **kwargs)
@@ -193,6 +196,12 @@ def _sequence_fields(name: str, offset: int, values: list, **fields) -> dict:
                 stdout=bfile_text(offset, values))
 
 
+def _n_option(help: str):
+    """--n, the term count of a gen, oracle or expand command, which `run`
+    bounds by MAX_TERMS."""
+    return click.option("--n", "n_terms", type=int, required=True, help=help)
+
+
 def _generated(name: str, seq: Sequence, params: dict) -> dict:
     return _sequence_fields(name, **sequence_entry(seq.offset, seq.terms),
                             parameters=params,
@@ -211,7 +220,7 @@ def gen():
 def _generator(name: str, key: str, generate, doc: str) -> None:
     """Register `gen <name>`: the first --n terms of `generate`, as `key`."""
     @gen.command(name, help=doc)
-    @click.option("--n", "n_terms", type=int, required=True, help="Number of terms.")
+    @_n_option("Number of terms.")
     @run
     def command(state, n_terms):
         return _generated(key, generate(n_terms), {"generator": name, "n": n_terms})
@@ -234,12 +243,12 @@ def oracle():
 def _bruteforce(name: str, enumerate_counts) -> None:
     """Register `oracle <name>`: brute-force counts by area up to --n."""
     @oracle.command(name)
-    @click.option("--n", "n_max", type=int, required=True, help="Largest area.")
+    @_n_option("Largest area.")
     @click.option("--budget", type=int, default=5_000_000, show_default=True)
     @run
-    def command(state, n_max, budget):
-        return _generated(f"{name}_area_bruteforce", enumerate_counts(n_max, budget),
-                          {"oracle": name, "n": n_max})
+    def command(state, n_terms, budget):
+        return _generated(f"{name}_area_bruteforce", enumerate_counts(n_terms, budget),
+                          {"oracle": name, "n": n_terms})
 
 
 _bruteforce("lconvex", enum_lconvex_bruteforce)
@@ -248,13 +257,13 @@ _bruteforce("stack", enum_stack_bruteforce)
 
 @oracle.command("ascent")
 @click.option("--pattern", required=True, help="Pattern digits, e.g. 201.")
-@click.option("--n", "n_max", type=int, required=True, help="Largest length.")
+@_n_option("Largest length.")
 @click.option("--budget", type=int, default=50_000_000, show_default=True)
 @run
-def oracle_ascent_cmd(state, pattern, n_max, budget):
+def oracle_ascent_cmd(state, pattern, n_terms, budget):
     return _generated(f"ascent_avoiding_{pattern}",
-                      enum_ascent_avoiding(pattern, n_max, budget),
-                      {"oracle": "ascent", "pattern": pattern, "n": n_max})
+                      enum_ascent_avoiding(pattern, n_terms, budget),
+                      {"oracle": "ascent", "pattern": pattern, "n": n_terms})
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +275,21 @@ def _options(*options):
     return lambda f: functools.reduce(lambda g, option: option(g), reversed(options), f)
 
 
+def _margin(default: int):
+    """--margin, with the default of the guesser it is passed to."""
+    return click.option("--margin", default=default, show_default=True,
+                        help="Spare equations a shape needs beyond its unknowns.")
+
+
 # option sets, each defined once and shared by the commands that take it
-_MARGIN = click.option("--margin", default=4, show_default=True,
-                       help="Attempt threshold on the equations of a shape.")
 _REC_GRID = _options(
     click.option("--rmax", default=8, show_default=True, help="Largest recurrence order."),
     click.option("--dmax", default=4, show_default=True, help="Largest coefficient degree."),
-    _MARGIN)
+    _margin(0))
 _ALGEQ_GRID = _options(
     click.option("--dxmax", default=12, show_default=True, help="Largest x-degree."),
     click.option("--dymax", default=3, show_default=True, help="Largest y-degree."),
-    _MARGIN)
+    _margin(3))
 # a growth constant is given by exactly one of these (_resolve_mu)
 _MU = _options(
     click.option("--mu", default=None, help="Growth constant as a decimal string."),
@@ -291,7 +304,8 @@ _MAXDEN = click.option("--maxden", default=1000, show_default=True)
 @main.group()
 def guess():
     """Exact recurrence / algebraic-equation guessing: one exact nullspace
-    over all equations per shape; --margin sets the attempt threshold."""
+    over all equations per shape; --margin counts the spare equations a
+    shape needs beyond its unknowns."""
 
 
 def _guesser(name: str, find, grid_options, noun: str, shape, prefix: str, doc: str) -> None:
@@ -331,7 +345,7 @@ def expand():
 
 @expand.command("rec")
 @click.argument("source")
-@click.option("--n", "n_terms", type=int, required=True, help="Terms to produce.")
+@_n_option("Terms to produce.")
 @_REC_GRID
 @run
 def expand_rec_cmd(state, source, n_terms, **grid):
@@ -348,7 +362,7 @@ def expand_rec_cmd(state, source, n_terms, **grid):
 
 @expand.command("algeq")
 @click.argument("source")
-@click.option("--n", "n_terms", type=int, required=True, help="Terms to produce.")
+@_n_option("Terms to produce.")
 @_ALGEQ_GRID
 @run
 def expand_algeq_cmd(state, source, n_terms, **grid):
@@ -366,7 +380,7 @@ def expand_algeq_cmd(state, source, n_terms, **grid):
 @expand.command("rational")
 @click.option("--num", required=True, help="Numerator coefficients, ascending.")
 @click.option("--den", required=True, help="Denominator coefficients, ascending.")
-@click.option("--n", "n_terms", type=int, required=True, help="Terms to produce.")
+@_n_option("Terms to produce.")
 @run
 def expand_rational_cmd(state, num, den, n_terms):
     """Taylor/Laurent coefficients of a rational function num/den."""

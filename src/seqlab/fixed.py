@@ -32,6 +32,10 @@ MAX_PRECISION = 10_000
 """The most decimal digits of --precision, --digits and a number's text: it
 bounds the working precision, and so the memory, that any stage asks for."""
 
+MAX_TERMS = 100_000
+"""The most terms of --n (gen, oracle, expand): it bounds the lists that
+a stage allocates for its terms, not its run time."""
+
 MAX_VALUE_EXPONENT = 1000
 """The largest decimal exponent, either sign, of a number's text."""
 
@@ -87,11 +91,12 @@ class HpContext:
         return mpmath.mp.make_mpf(self.raw(x, at))
 
 
-def _bounded(digits: int) -> int:
-    """digits, unless above MAX_PRECISION (HpContext rejects it below 1)."""
-    if digits > MAX_PRECISION:
-        raise ValueError(f"need digits <= {MAX_PRECISION}, got {digits}")
-    return digits
+def _bounded(count: int, name: str = "digits", bound: int = MAX_PRECISION) -> int:
+    """count, unless above its bound: MAX_PRECISION digits (HpContext rejects
+    them below 1), or MAX_TERMS terms."""
+    if count > bound:
+        raise ValueError(f"need {name} <= {bound}, got {count}")
+    return count
 
 
 def _parse(name: str, text: str, special: bool) -> tuple:

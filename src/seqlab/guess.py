@@ -12,12 +12,15 @@ is one big-integer multiply-add and the slots are reduced mod p together,
 by 2^61 = 1 mod p (``_ModSpan``).  A shape of nullity 1 mod p has its
 relation lifted to the integers by rational reconstruction, any other
 rank-deficient shape is solved by exact integer nullspace computation
-(fraction-free Gaussian elimination).  Both run one shape search; only
-the equations that each shape contributes differ.  Every candidate is
-checked, or solved, exactly over all of its shape's equations, so every
-returned model annihilates every supplied term; `margin` only sets the
-attempt threshold on a shape's number of equations.  The models and
-everything that acts on them live in ``seqlab.dfinite``.
+(fraction-free Gaussian elimination).  Both run one shape search,
+``_search``, with one attempt rule: a shape with k unknowns is attempted
+only when it has at least k + `margin` equations, so `margin` counts the
+spare equations beyond the unknowns (default 0 for ``guess_prec``, 3 for
+``guess_algeq``).  Only the equations that each shape contributes
+differ.  Every candidate is checked, or solved, exactly over all of its
+shape's equations, so every returned model annihilates every supplied
+term.  The models and everything that acts on them live in
+``seqlab.dfinite``.
 """
 
 from __future__ import annotations
@@ -227,15 +230,26 @@ def _bit_cost(polys: SeqABC[Poly]) -> int:
     return sum(abs(c).bit_length() for p in polys for c in p.coeffs)
 
 
-def _search(shapes, system, model, too_few: str):
-    """The one shape search behind both guessers.
+def _search(n: int, families: range, degrees: range, equations, column, model,
+            margin: int, grid: str):
+    """The one shape search behind both guessers, and its one attempt rule.
 
-    ``system(*shape)`` gives ``(family, width, cols, column)``, or None
-    when the shape is not attempted: `cols` keys the unknowns in row order
-    and ``column(key)`` builds one column of the equations.  Each vector of
-    the exact nullspace of all the rows is split into polynomials of
-    `width` coefficients and becomes ``model(polys)`` (skipped on
-    ValueError).  The first shape with candidates returns the smallest one.
+    A shape (f, e) pairs a family f from `families` (the order r, or the
+    y-degree dy) with a degree e from `degrees` (the coefficient degree d,
+    or the x-degree dx); both ranges are clamped to the term count `n`, so
+    a huge grid costs no more than an n-by-n one.  Shapes are visited in
+    increasing f + e, then increasing f.  The unknowns of (f, e) are keyed
+    (j, t) for j <= f and t <= e, in that order, so there are
+    k = (f + 1)(e + 1) of them; ``column(rows, j, t)`` builds the column
+    of (j, t) over the family's ``rows = equations(f)`` equations.  A
+    shape is attempted only when rows >= k + margin: `margin` counts the
+    spare equations beyond the unknowns, so at margin 0 a fit rests on the
+    one equation beyond the k - 1 that any k unknowns satisfy.  Each
+    vector of the exact nullspace of all the rows is split into the
+    polynomials of (j, 0..e) and becomes ``model(polys)`` (skipped on
+    ValueError).  The first shape with candidates returns the smallest
+    one.  When no shape is attempted at all, InsufficientTerms names `n`,
+    the `grid` and the margin.
 
     The shapes of a family share their rows, and each holds the columns of
     the family's earlier shapes, so one span mod _RANK_PRIME per family
@@ -252,34 +266,38 @@ def _search(shapes, system, model, too_few: str):
     costs the exact solve of that shape, and of its family's later shapes,
     and nothing else.
     """
+    if margin < 0:
+        raise ValueError("need margin >= 0")
+    shapes = sorted(((f, e) for f in range(families.start, min(families.stop, n + 1))
+                     for e in range(degrees.start, min(degrees.stop, n + 1))),
+                    key=lambda fe: (fe[0] + fe[1], fe[0]))
     attempted = False
     spans: dict = {}
-    for shape in shapes:
-        built = system(*shape)
-        if built is None:
+    for f, e in shapes:
+        rows, k = equations(f), (f + 1) * (e + 1)
+        if rows < k + margin:
             continue
         attempted = True
-        family, width, cols, column = built
-        span = spans.setdefault(family, _ModSpan(_RANK_PRIME))
+        cols = [(j, t) for j in range(f + 1) for t in range(e + 1)]
+        span = spans.setdefault(f, _ModSpan(_RANK_PRIME))
         for key in cols:
             if key not in span.seen:
-                span.add(key, column(key))
-        k = len(cols)
+                span.add(key, column(rows, *key))
         if len(span.basis) == k:
             continue
-        columns = [column(key) for key in cols]
+        columns = [column(rows, *key) for key in cols]
         lifted = _lift(span, cols, columns) if len(span.basis) == k - 1 else None
         found = []
         for vec in [lifted] if lifted else integer_nullspace(list(zip(*columns)), k):
             try:
-                found.append(model(tuple(Poly(vec[i : i + width])
-                                         for i in range(0, k, width))))
+                found.append(model(tuple(Poly(vec[i : i + e + 1])
+                                         for i in range(0, k, e + 1))))
             except ValueError:
                 continue
         if found:
             return min(found, key=lambda m: _bit_cost(m.coeffs))
     if not attempted:
-        raise InsufficientTerms(too_few)
+        raise InsufficientTerms(f"{n} terms are too few for every {grid}, margin {margin}")
     return None
 
 
@@ -291,55 +309,34 @@ def guess_prec(
     terms: Sequence,
     rmax: int = 8,
     dmax: int = 4,
-    margin: int = 4,
+    margin: int = 0,
 ) -> Optional[PRecurrence]:
     """Search for a recurrence sum_j p_j(n) u(n+j) = 0 annihilating `terms`.
 
     Shapes (order r, coefficient degree d) are visited in increasing r + d,
-    then increasing r.  Each attempted shape is solved once, exactly, over
-    all of its windows, so a returned recurrence annihilates every window;
-    among several candidates the smallest total coefficient size wins.
-    `margin` sets the attempt threshold: a shape with k unknowns is
-    attempted only when it has more than `margin` windows and at least k:
-    k - 1 homogeneous equations in k unknowns always have a nonzero
-    solution, so a fit rests on at least one spare equation.
+    then increasing r.  A shape has k = (r + 1)(d + 1) unknowns and one
+    equation per window, L - r for L terms; it is attempted only with at
+    least k + `margin` windows (``_search``).  Each attempted shape is
+    solved once, exactly, over all of its windows, so a returned recurrence
+    annihilates every window; among several candidates the smallest total
+    coefficient size wins.
 
     Returns None when the whole grid fails; raises InsufficientTerms when
     no shape in the grid had enough terms to be attempted at all, and
-    ValueError when the grid is empty (rmax < 1 or dmax < 0).
+    ValueError when the grid is empty (rmax < 1 or dmax < 0) or margin < 0.
     """
     if rmax < 1:
         raise ValueError("need rmax >= 1")
     if dmax < 0:
         raise ValueError("need dmax >= 0")
-    if margin < 0:
-        raise ValueError("need margin >= 0")
-    seq_terms = terms.terms
-    big_l = len(seq_terms)
+    u, offset = terms.terms, terms.offset
 
-    def system(r: int, d: int):
-        n_win = big_l - r
-        if n_win < max((r + 1) * (d + 1), margin + 1):
-            return None
+    def column(rows: int, j: int, t: int) -> list[int]:  # u(n + j) * n^t, n = offset + w
+        return [u[w + j] * (offset + w) ** t for w in range(rows)]
 
-        def column(key):  # u(n + j) * n^t on the windows n = offset + w
-            j, t = key
-            return [seq_terms[w + j] * (terms.offset + w) ** t for w in range(n_win)]
-
-        cols = [(j, t) for j in range(r + 1) for t in range(d + 1)]
-        return r, d + 1, cols, column
-
-    # no shape of order or degree above the term count is ever attempted
-    shapes = sorted(
-        ((r, d) for r in range(1, min(rmax, big_l) + 1)
-         for d in range(min(dmax, big_l) + 1)),
-        key=lambda rd: (rd[0] + rd[1], rd[0]),
-    )
-    return _search(
-        shapes, system, PRecurrence,
-        f"{big_l} terms are too few for every recurrence shape with "
-        f"order <= {rmax}, degree <= {dmax}, margin {margin}",
-    )
+    return _search(len(u), range(1, rmax + 1), range(dmax + 1), lambda r: len(u) - r,
+                   column, PRecurrence, margin,
+                   f"recurrence shape with order <= {rmax}, degree <= {dmax}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,56 +347,37 @@ def guess_algeq(
     terms: Sequence,
     dxmax: int = 12,
     dymax: int = 3,
-    margin: int = 4,
+    margin: int = 3,
 ) -> Optional[AlgEq]:
     """Search for P(x, y) = 0 satisfied by the generating function of `terms`.
 
     Degree shapes (dx, dy) are visited in increasing dx + dy, then
     increasing dy, so the returned equation is minimal in that ordering.
-    Each attempted shape is solved once, exactly, over the coefficients of
-    x^0 .. x^(L-1) of P(x, y) for L supplied terms, so a returned equation
-    satisfies every supplied term.  `margin` sets the attempt threshold: a
-    shape with k unknowns is attempted only when L >= k - 1 + max(margin, 1):
-    k - 1 homogeneous equations in k unknowns always have a nonzero
-    solution, so a fit rests on at least one spare equation.  The search is
-    that of ``guess_prec``; only the equations differ.
+    A shape has k = (dx + 1)(dy + 1) unknowns and one equation per
+    coefficient of x^0 .. x^(L-1) of P(x, y), for L supplied terms; it is
+    attempted only when L >= k + `margin` (``_search``).  Each attempted
+    shape is solved once, exactly, over all L equations, so a returned
+    equation satisfies every supplied term.  The search is that of
+    ``guess_prec``; only the equations differ.
 
     Returns None when the grid fails; raises InsufficientTerms when no
     shape could be attempted, and ValueError when the grid is empty
-    (dxmax < 0 or dymax < 1).
+    (dxmax < 0 or dymax < 1), margin < 0 or the offset is not 0.
     """
     if dxmax < 0:
         raise ValueError("need dxmax >= 0")
     if dymax < 1:
         raise ValueError("need dymax >= 1")
-    if margin < 0:
-        raise ValueError("need margin >= 0")
     if terms.offset != 0:
         raise ValueError("generating-function guessing needs an offset-0 sequence")
     u = terms.terms
-    big_l = len(u)
-    # no shape of a degree above the term count is ever attempted
-    powers = [[1] + [0] * (big_l - 1)]
-    for _ in range(min(dymax, big_l)):
-        powers.append(mul_trunc(powers[-1], u, big_l))
+    powers = [[1] + [0] * (len(u) - 1)]  # powers[j] = y^j mod x^L, built on first use
 
-    def system(dx: int, dy: int):
-        if big_l < (dx + 1) * (dy + 1) - 1 + max(margin, 1):
-            return None
-        cols = [(j, i) for j in range(dy + 1) for i in range(dx + 1)]
-        return dy, dx + 1, cols, column
+    def column(rows: int, j: int, i: int) -> list[int]:  # x^i y^j: powers[j] shifted up by i
+        while len(powers) <= j:
+            powers.append(mul_trunc(powers[-1], u, rows))
+        return ([0] * i + powers[j])[:rows]
 
-    def column(key):  # x^i y^j: powers[j] shifted up by i
-        j, i = key
-        return ([0] * i + powers[j])[:big_l]
-
-    shapes = sorted(
-        ((dx, dy) for dx in range(min(dxmax, big_l) + 1)
-         for dy in range(1, min(dymax, big_l) + 1)),
-        key=lambda dd: (dd[0] + dd[1], dd[1]),
-    )
-    return _search(
-        shapes, system, AlgEq,
-        f"{big_l} terms are too few for every equation shape with "
-        f"x-degree <= {dxmax}, y-degree <= {dymax}, margin {margin}",
-    )
+    return _search(len(u), range(1, dymax + 1), range(dxmax + 1), lambda dy: len(u),
+                   column, AlgEq, margin,
+                   f"equation shape with x-degree <= {dxmax}, y-degree <= {dymax}")

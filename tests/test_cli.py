@@ -647,6 +647,17 @@ class TestErrorBoundaryAndEcho:
                      "need digits <= 10000, got 100000000", id="precision-far-above-bound"),
         pytest.param(["--precision", "10000", "identify", "rational", "--value", "0.5"], None,
                      id="precision-at-bound"),
+        # every --n has one bound, checked before any term is allocated
+        pytest.param(["gen", "stack", "--n", "100000000000"],
+                     "need n <= 100000, got 100000000000", id="gen-stack-n-above-bound"),
+        pytest.param(["gen", "lconvex-perimeter", "--n", "100000000000"],
+                     "need n <= 100000, got 100000000000", id="gen-perimeter-n-above-bound"),
+        pytest.param(["oracle", "stack", "--n", "10000000000"],
+                     "need n <= 100000, got 10000000000", id="oracle-stack-n-above-bound"),
+        pytest.param(["expand", "rational", "--num", "1", "--den", "1,-1", "--n", "10000000000"],
+                     "need n <= 100000, got 10000000000", id="expand-rational-n-above-bound"),
+        pytest.param(["expand", "rational", "--num", "1", "--den", "1,-1", "--n", "100000"], None,
+                     id="expand-rational-n-at-bound"),
         pytest.param(["identify", "rational", "--value", "1e400000"],
                      "value '1e400000' is out of range", id="value-exponent-above-bound"),
         pytest.param(["identify", "mult", "--value", "-2.5e-1001"],
@@ -793,7 +804,7 @@ class TestOutputsPinned:
         assert text_digest(res.stdout) == (
             "8ed2e1e6e945a41f73f91771beee5ffd2ea140afe6423ef77f26fe58dc20474a")
         assert text_digest(report) == (
-            "8913832fd7250e40074d1e3674b22c2e5c3fb5ef5aeed4b1a4cb9f5060af2c88")
+            "b6f9a92b763269e82fcffda6d9e8b1b4dd777d003618ed1d65af0e12282bafac")
 
     def test_square_csvs_match_lconvex_script(self, runner, monkeypatch):
         """The CLI writes its figure CSVs at the run's precision, so they
@@ -823,9 +834,9 @@ class TestOutputsPinned:
         "analyze square": "1a0db967b457a446",
         "analyze stretched": "2e77e335a64bb6da",
         "expand": "8c538543128ca244",
-        "expand algeq": "f307b37580f83388",
+        "expand algeq": "ea985a0ee7e89e86",
         "expand rational": "4a2658436564ec6b",
-        "expand rec": "9db382f94fc65084",
+        "expand rec": "ee149b71291a8608",
         "extrapolate": "23bebcfa33cd5eda",
         "extrapolate bst": "dacffdcb0508b69b",
         "fetch": "48f36d53b8a07840",
@@ -835,9 +846,9 @@ class TestOutputsPinned:
         "gen lconvex-area": "0252311f232a4d4e",
         "gen lconvex-perimeter": "de3759422e92dda4",
         "gen stack": "6178b268ab9de4c4",
-        "guess": "972c2501252fe681",
-        "guess algeq": "17c1ee7d15f38565",
-        "guess rec": "75f6578d155bd985",
+        "guess": "ee8558b65bcf7889",
+        "guess algeq": "3b5889673742fd60",
+        "guess rec": "d09e592005a53eb0",
         "identify": "ad8b75ad2b52a8dd",
         "identify minpoly": "974e50f0417bc14a",
         "identify mult": "617e84b38957ac6a",

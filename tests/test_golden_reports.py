@@ -66,11 +66,11 @@ GOLDEN = {
     "analyze stretched":
         "049871d7f1963ed00639caffc592d081759e2e11e27ecec2f3cf821e0a350e5f",
     "expand algeq":
-        "4daf2f070821a4edbdfdacebba5558a3d406a7c8a6ff415170d10b8351c85799",
+        "7f6393cabcba71d3623746651cc3818bc5ba9357808363e028809f45b42920a2",
     "expand rational":
         "50a2b6aca0622d927d284b13e114f2b02816f67d8b682c241d199879d3bf9f57",
     "expand rec":
-        "b368b48bd7e776e6d5f556fd9c3e5a2a4a4487779f0dbb6ab72a973f73433831",
+        "04b9477b5463f9010c3ef47d9d429ca29ac4a20c26bdc41f7e88c171a75d7e37",
     "extrapolate bst":
         "e500d6a244dc8996a56e4d48882aec4a430f9f1bb78a8d8f5f2fc507d21884c3",
     "fetch":
@@ -84,9 +84,9 @@ GOLDEN = {
     "gen stack":
         "4dada3baf7a243216503109bcbafbebf5143ea981088087c18ea005207500a77",
     "guess algeq":
-        "d8656df40e429bf7f7d15904298ba3e454e77b151a262611c04fa7b0ccab591c",
+        "3e968ef8d33d120ca5a9ac133bbcd3226ca283167c374753b8a11dcf5c8c2d5f",
     "guess rec":
-        "cd7bc41ab8ecfaaecd91a5baf0b299012f8c87c772c02b67420379c30b2935a9",
+        "8a5fd2d153fb017c0f67d83311c26d5838384f4f1715b612add76bcec75d4290",
     "identify minpoly":
         "01173798969b3b445579ee8cd0e51711d4da364ca8476159844c4dda6e87e424",
     "identify mult":
@@ -155,7 +155,7 @@ def test_expand_rec_5000_terms_pinned(workdir, monkeypatch):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
         "c759a76d62956b0c0f0be6feb2cee724f438293a931ca37bf53968215c532f24")
     assert report_digest("report.json") == (
-        "d1cef0c70ed387cb1839875cb360e776ccfc634e24504751f6a34a2196dc44e2")
+        "233c3ca9a36f67348eb84a3cbe07cf5e5800b188a7e7308494d11cd93bb4ba90")
 
 
 def test_fit_amplitude_on_3000_term_expansion_pinned(workdir, monkeypatch):

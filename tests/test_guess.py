@@ -131,15 +131,16 @@ class TestModSpan:
         columns = {0: [3, 0], 1: [0, 1]}
         built = []
 
-        def system(_):
-            return "family", 1, [0, 1], lambda key: built.append(key) or columns[key]
+        def column(rows, j, t):
+            return built.append(j) or columns[j]
 
         def model(polys):
             raise AssertionError("a full-rank shape has no candidate")
 
         def search():
-            built.clear()
-            return guess._search([(0,)], system, model, "too few")
+            built.clear()  # the one shape (1, 0): unknowns (0, 0), (1, 0), two rows
+            return guess._search(2, range(1, 2), range(1), lambda f: 2, column, model, 0,
+                                 "shape")
 
         assert search() is None and built == [0, 1]
         monkeypatch.setattr(guess, "_RANK_PRIME", 3)
@@ -253,7 +254,8 @@ class TestLift:
     @staticmethod
     def system(rng, kind):
         """Columns of a seeded integer system and the nested shapes (column
-        counts) to search, one family sharing all the rows."""
+        counts) to search, one family sharing all the rows: family 0, whose
+        shape of degree e holds the first e + 1 columns."""
         k = rng.randint(3, 8)
         nrows = k + rng.randint(1, 4)
         big = 1 << 60
@@ -286,10 +288,10 @@ class TestLift:
             columns, shapes = self.system(rng, kind)
 
             def search():
+                nrows = len(columns[0])
                 return guess._search(
-                    [(n,) for n in shapes],
-                    lambda n: ("family", 1, list(range(n)), columns.__getitem__),
-                    _Vector, "too few")
+                    nrows, range(1), range(shapes[0] - 1, shapes[-1]), lambda f: nrows,
+                    lambda rows, j, t: columns[t], _Vector, 0, "shape")
 
             solves.clear()
             lifted = search()
@@ -414,8 +416,10 @@ class TestGuessPRec:
         assert guess_prec(primes, rmax=2, dmax=1) is None
 
     def test_insufficient_terms(self):
-        with pytest.raises(InsufficientTerms):
-            guess_prec(Sequence(0, (1, 2, 3)), rmax=5, dmax=4)
+        # the k = 2 shape (1, 0) has one window for 2 terms and two for 3
+        with pytest.raises(InsufficientTerms, match="2 terms are too few .* margin 0"):
+            guess_prec(Sequence(0, (1, 2)), rmax=5, dmax=4)
+        assert guess_prec(Sequence(0, (1, 2, 3)), rmax=5, dmax=4) is None
 
     @pytest.mark.parametrize("grid, error", [
         (dict(rmax=0), "need rmax >= 1"),
@@ -858,6 +862,28 @@ def test_random_terms_give_no_model(margin):
             assert model is None, (guesser.__name__, size, str(model))
 
 
+class TestPaperBoundaries:
+    """At margin m a shape with k unknowns needs k + m equations, so the
+    paper's models appear at exactly these sizes: the order-5, degree-2
+    recurrence (18 unknowns, one equation per window) from 23 + m terms,
+    and the (12, 3) cubic (52 unknowns) from 52 + m branch coefficients.
+    One size less gives no model."""
+
+    # margins 0 and 3, and the default: 0 for guess_prec, 3 for guess_algeq
+    @pytest.mark.parametrize("grid, spare", [({"margin": 0}, 0), ({"margin": 3}, 3), ({}, 0)],
+                             ids=["margin0", "margin3", "default"])
+    def test_recurrence_from_23_terms(self, b202062, ascent_rec, grid, spare):
+        assert guess_prec(b202062.head(23 + spare), **grid) == ascent_rec
+        assert guess_prec(b202062.head(22 + spare), **grid) is None
+
+    @pytest.mark.parametrize("grid, spare", [({"margin": 0}, 0), ({"margin": 3}, 3), ({}, 3)],
+                             ids=["margin0", "margin3", "default"])
+    def test_cubic_from_52_coefficients(self, ascent_rec, ascent_cubic, grid, spare):
+        branch = branch_series(expand_prec(ascent_rec, Sequence(0, ASCENT_INIT), 64), 64)
+        assert guess_algeq(branch.head(52 + spare), 12, 3, **grid) == ascent_cubic
+        assert guess_algeq(branch.head(51 + spare), 12, 3, **grid) is None
+
+
 class TestGuessersPinned:
     """Every outcome of both guessers over a fixed grid of inputs, hashed.
 
@@ -865,7 +891,7 @@ class TestGuessersPinned:
     or of an error message changes the digest.
     """
 
-    PINNED_DIGEST = "319f9e56b1516c3b03c46b807f7c455e29a6a9d544285915efe8ad18688127f3"
+    PINNED_DIGEST = "ae0166e71a0d7bfc68186874ee98981df1cb3c5ab06866d29a0dc130b16be0c8"
 
     @staticmethod
     def outcome(guess, terms, **grid) -> str:

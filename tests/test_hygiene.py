@@ -389,6 +389,51 @@ def test_cli_reads_numbers_in_one_place():
     assert _mentions(tree, {"workdps", "isdigit", "_text_digits"}) == []
 
 
+# guess._search owns the attempt rule, rows >= k + margin: no other function
+# of guess.py compares or combines `margin` with anything, and each guesser
+# only passes its margin on to _search
+def _margin_uses(tree: ast.Module) -> dict[str, list[str]]:
+    """For each module-level function, the sorted uses of the loaded name
+    `margin`: ``passed`` as an argument of a call of _search, else the type
+    of the node that holds it (``Compare``, ``BinOp``, ``Call``, ...)."""
+    uses = {}
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        holders = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
+        for name in ast.walk(fn):
+            if (isinstance(name, ast.Name) and name.id == "margin"
+                    and isinstance(name.ctx, ast.Load)):
+                holder = holders[name]
+                if isinstance(holder, ast.keyword):
+                    holder = holders[holder]
+                uses.setdefault(fn.name, []).append(
+                    "passed" if _call_name(holder) == "_search" else type(holder).__name__)
+    return {name: sorted(found) for name, found in uses.items()}
+
+
+def test_guessers_share_one_attempt_rule():
+    uses = _margin_uses(ast.parse((ROOT / "src" / "seqlab" / "guess.py").read_text()))
+    rule = uses.pop("_search")
+    assert uses == {"guess_prec": ["passed"], "guess_algeq": ["passed"]}
+    assert {"Compare", "BinOp"} <= set(rule)
+
+
+def test_guard_catches_a_threshold_of_its_own():
+    tree = ast.parse(
+        "def _search(n, margin):\n"
+        "    return n >= 2 + margin\n"
+        "def guess_prec(terms, margin=4):\n"
+        "    if margin < 0:\n"
+        "        raise ValueError(f'margin {margin}')\n"
+        "    rows = max(len(terms), margin + 1)\n"
+        "    return _search(rows, margin=margin), _search(max(margin, 1), margin)\n"
+    )
+    assert _margin_uses(tree) == {
+        "_search": ["BinOp"],
+        "guess_prec": ["BinOp", "Call", "Compare", "FormattedValue", "passed", "passed"]}
+
+
 def test_package_reads_number_text_in_one_place():
     trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
     decimals = {name: _builds_outside(tree, TEXT_READER if name == "fixed.py" else None,
