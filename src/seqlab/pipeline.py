@@ -35,20 +35,15 @@ from .asympt import (
     stretched_triple_fit,
     summarize_stretched,
 )
-from .dfinite import algeq_residual, expand_prec, ode_residual, prec_to_ode
+from .dfinite import LinODE, algeq_residual, expand_prec, ode_residual, prec_to_ode
 from .errors import InsufficientTerms, SeqLabError
 from .fixed import HpContext, sqrt_nearest
 from .guess import guess_algeq, guess_prec
-from .identify import identify_with_multipliers, min_poly
+from .identify import identify_rational, identify_with_multipliers, min_poly
 from .oeis import parse_bfile
 from .report import decimal_str, emit_csv, identification_entry, scalar_entry, text_digest
-from .sequences import Sequence, gen_lconvex_area, gen_stack_area
-from .series import Poly, div_one_minus_qm
-
-# Numerator of the rational shift R(x) = (1+18x-45x^2+26x^3+x^4)/(x-1) that
-# turns 12 x^3 U(x) - R(x) into a cubic series branch, U being the
-# generating function of the 201-avoiding ascent sequences.
-BRANCH_SHIFT_NUM = Poly([1, 18, -45, 26, 1])
+from .sequences import gen_lconvex_area, gen_stack_area
+from .series import Poly
 
 
 def _inv_index(s: HpSeq):
@@ -158,15 +153,21 @@ def growth_rate(p: Poly, ctx: HpContext) -> tuple[mpmath.mpf, mpmath.mpf]:
         return rho, 1 / rho
 
 
-def branch_series(u: Sequence, order: int) -> Sequence:
-    """Integer coefficients 0..order-1 of w(x) = 12 x^3 U(x) - R(x), the
-    series branch of a cubic equation, from the ascent counts u.  Since
-    -R(x) = num(x)/(1 - x), that term is the prefix sum of num."""
-    w = (list(BRANCH_SHIFT_NUM.coeffs) + [0] * order)[:order]
-    div_one_minus_qm(w, 1)
-    for k in range(3, order):
-        w[k] += 12 * u.terms[k - 3]
-    return Sequence(0, w)
+def singular_exponent(ode: LinODE, rho: mpmath.mpf, ctx: HpContext) -> Fraction:
+    """alpha = (r - 1) - p_(r-1)(rho) / p_r'(rho), the ODE's local exponent at a
+    simple zero rho of its leading coefficient p_r besides 0, ..., r - 2
+    (Flajolet and Sedgewick 2009, VII.9), by `identify_rational` at ctx.digits;
+    SeqLabError when p_r'(rho) = 0 or alpha is not found or an integer."""
+    with ctx.work():
+        slope = ode.coeffs[-1].derivative()(rho)
+        if not slope:
+            raise SeqLabError("the exponent at rho: p_r'(rho) = 0, a multiple root")
+        value = ode.order - 1 - ode.coeffs[-2](rho) / slope
+    alpha = identify_rational(value, digits=ctx.digits)
+    if alpha is None or alpha.denominator == 1:
+        raise SeqLabError(f"the exponent at rho: {decimal_str(value, 20)} is "
+                          + ("not found" if alpha is None else "an integer"))
+    return alpha
 
 
 def lconvex_study(terms: int, digits: int, squares: Optional[int] = None) -> dict:
@@ -264,14 +265,15 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
     """The 201-avoiding ascent sequence study on a b-file's text, in the
     paper's order: the recurrence guessed from the first 23 terms and checked
     on every stored term, its differential equation checked on 2000 terms,
-    the cubic of the shifted branch guessed on 64 coefficients and checked
-    on 200, rho as the smallest positive root of the ODE's leading
-    coefficient and mu = 1/rho, the amplitude C fitted with `corrections`
-    1/n terms on `terms` terms, and the minimal polynomial of
-    A^2 = (16 sqrt(pi) C / 105)^2.  Returns the run's fields; raises before
-    any stage runs unless corrections >= 0, terms >= corrections + 3 (the
-    fit reads corrections + 2 terms at n >= 1 of the `terms` from n = 0) and
-    digits >= 1, and raises SeqLabError when a guess or a check fails."""
+    the cubic of the generating function U guessed on 64 coefficients and
+    checked on 200, rho as the smallest positive root of the ODE's leading
+    coefficient, mu = 1/rho and U's exponent alpha there (`singular_exponent`),
+    C of u_n ~ C mu^n n^-(alpha + 1) fitted with `corrections` 1/n terms on
+    `terms` terms, and the minimal polynomial of A^2 = (Gamma(-alpha) C)^2.
+    Returns the run's fields; raises before any stage runs unless
+    corrections >= 0, terms >= corrections + 3 (the fit reads corrections + 2
+    terms at n >= 1 of the `terms` from n = 0) and digits >= 1, and raises
+    SeqLabError when a guess, a check or the exponent fails."""
     if corrections < 0:
         raise ValueError(f"need corrections >= 0, got {corrections}")
     if terms < corrections + 3:
@@ -291,21 +293,22 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
         raise SeqLabError(f"the recurrence from the 23-term prefix disagrees with the "
                           f"b-file at n = {wrong}")
     ode = prec_to_ode(rec, head)
-    residual = ode_residual(ode, u.head(2000))
-    nonzero = None if residual is None else f"nonzero at x^{residual}"
-    branch = branch_series(u, 200)
-    cubic = guess_algeq(branch.head(64), 12, 3)
-    if cubic is None:
-        raise SeqLabError("no algebraic equation found from 64 branch coefficients")
-    failed_at = algeq_residual(cubic, branch)
+    failed_at = ode_residual(ode, u.head(2000))
     if failed_at is not None:
-        raise SeqLabError(f"the algebraic equation fails at x^{failed_at} of the branch")
+        raise SeqLabError(f"the differential equation fails at x^{failed_at} of the series")
+    cubic = guess_algeq(u.head(64), 12, 3)
+    if cubic is None:
+        raise SeqLabError("no algebraic equation found from 64 coefficients")
+    failed_at = algeq_residual(cubic, u.head(200))
+    if failed_at is not None:
+        raise SeqLabError(f"the algebraic equation fails at x^{failed_at} of the series")
 
     rho, mu = growth_rate(ode.coeffs[-1], ctx)
-    fit = amplitude_fit(u.head(terms), mu, Fraction(9, 2), corrections, ctx)
+    alpha = singular_exponent(ode, rho, ctx)
+    fit = amplitude_fit(u.head(terms), mu, alpha + 1, corrections, ctx)
     c_value = fit.model.C
     with ctx.work():
-        a_sq = (c_value * 16 * mpmath.sqrt(mpmath.pi) / 105) ** 2
+        a_sq = (c_value * mpmath.gamma(ctx.mpf(-alpha))) ** 2
         poly_a_sq = min_poly(a_sq, maxdeg=3, digits=50)
         closed_mu = ctx.mpf(Fraction(8, 3)) + ctx.mpf(Fraction(14, 3)) * mpmath.cos(
             mpmath.acos(ctx.mpf(Fraction(13, 14))) / 3)
@@ -318,29 +321,28 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
             f"recurrence (order {rec.order}, degree {rec.degree}) from 23 terms: {rec}",
             f"  reproduces all {len(stored)} stored terms",
             f"derived ODE: order {ode.order}, degree {ode.degree}; residual on "
-            f"2000 terms: {nonzero or 'all zero'}",
-            f"algebraic equation of the shifted branch: degree {cubic.degree} in x, "
+            "2000 terms: all zero",
+            f"algebraic equation of U: degree {cubic.degree} in x, "
             f"{cubic.degree_y} in y; residual on 200 coefficients: all zero",
             f"singularity rho = {decimal_str(rho, 20)} "
             f"(smallest positive root of the ODE's leading coefficient)",
+            f"exponent of U at rho: alpha = {alpha} (root of the ODE's indicial equation)",
             f"growth constant mu = 1/rho = {decimal_str(mu, 20)}",
             f"  vs (14/3)cos(arccos(13/14)/3) + 8/3: "
             f"diff {decimal_str(abs(mu - closed_mu), 3)}",
             f"amplitude C = {decimal_str(c_value, 20)} "
             f"(window spread {decimal_str(fit.c_spread, 3)})",
         ]
-        if poly_a_sq is not None:
-            lines.append(f"minimal polynomial of A^2 (A = 16 sqrt(pi) C / 105): "
-                         f"{poly_a_sq.format('B')} = 0")
-        else:
-            lines.append("minimal polynomial of A^2: not found")
+        found = "not found" if poly_a_sq is None else poly_a_sq.format("B")
+        lines.append("minimal polynomial of A^2: not found" if poly_a_sq is None else
+                     f"minimal polynomial of A^2 (A = Gamma({-alpha}) C): {found} = 0")
         lines.append(f"closed-form radical for C: diff {decimal_str(d_closed, 3)}")
 
     return dict(
         input_digest=text_digest(bfile_text),
         parameters={"terms": terms, "digits": digits, "corrections": corrections,
                     "recurrence": rec.coeff_lists(),
-                    "algebraic_equation": cubic.coeff_lists()},
+                    "algebraic_equation": cubic.coeff_lists(), "exponent": str(alpha)},
         scalars={
             "rho": scalar_entry(rho, digits),
             "mu": scalar_entry(mu, digits),
@@ -348,10 +350,7 @@ def ascent_study(bfile_text: str, terms: int, digits: int, corrections: int) -> 
             "A_squared": scalar_entry(a_sq, digits),
             "closed_form_C_diff": scalar_entry(d_closed, 5),
         },
-        notes=[
-            f"ODE order {ode.order}, degree {ode.degree}, residual {nonzero or 'all-zero'}",
-            "A^2 minimal polynomial: "
-            + (poly_a_sq.format("B") if poly_a_sq is not None else "not found"),
-        ],
+        notes=[f"ODE order {ode.order}, degree {ode.degree}, residual all-zero",
+               "A^2 minimal polynomial: " + found],
         stdout="".join(line + "\n" for line in lines),
     )

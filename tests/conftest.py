@@ -1,10 +1,12 @@
 """Shared fixtures: pinned exact objects and cached expensive sequences.
 
 Expensive generators run once per session; the pinned recurrence, ODE and
-algebraic equation below were found by the package's own guessers and then
-frozen.  `seqlab.pipeline.ascent_study` re-derives them from the b-file and
-checks them against every stored term; the b-file's head is checked against
-the brute-force enumerator in test_sequences.py.
+algebraic equations below were found by the package's own guessers and then
+frozen.  `seqlab.pipeline.ascent_study` re-derives the recurrence, the ODE
+and the cubic of U from the b-file and checks them against every stored
+term, and the acceptance suite re-derives the cubic of the shifted branch;
+the b-file's head is checked against the brute-force enumerator in
+test_sequences.py.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ ODE_Q1 = Poly(
 )
 ODE_Q0 = Poly([30]) * Poly([-2, 3]) * Poly([-7, 24, -28, 19, -10, 3])
 
-# Cubic satisfied by the branch series y(x) = 12 x^3 U(x) + R(x) where
+# Cubic satisfied by the branch series y(x) = 12 x^3 U(x) - R(x) where
 # R = (1 + 18x - 45x^2 + 26x^3 + x^4) / (x - 1):
 # c3 y^3 + c1 y + c0 = 0 (the y^2 coefficient vanishes).
 CUBIC_C3 = Poly([-4, 4]) * Poly([-1, 1]) * Poly([-1, 1])
@@ -77,6 +79,16 @@ CUBIC_C0 = Poly(
 
 # Numerator of the rational branch shift R(x) (denominator is x - 1).
 BRANCH_SHIFT_NUM = Poly([1, 18, -45, 26, 1])
+
+# Cubic satisfied by U(x) itself, ascending coefficient lists of U^0..U^3;
+# its U^2 coefficient does not vanish, and the shift -c2/(3 c3) that removes
+# it is R(x)/(12 x^3), which turns it into the branch cubic above.
+U_CUBIC_LISTS = [
+    [-1, 27, -272, 1249, -2082, 1419, -335, -4],
+    [1, -28, 298, -1512, 2819, -1952, 226, 148, 1],
+    [0, 0, 0, 16, 272, -1008, 1136, -400, -16],
+    [0, 0, 0, 0, 0, 0, 64, -128, 64],
+]
 
 # Ascending coefficients of the cubic whose smallest positive root is the
 # reciprocal growth rate of u(n).
@@ -105,6 +117,11 @@ def ascent_ode() -> LinODE:
 @pytest.fixture(scope="session")
 def ascent_cubic() -> AlgEq:
     return AlgEq((CUBIC_C0, CUBIC_C1, CUBIC_C2, CUBIC_C3))
+
+
+@pytest.fixture(scope="session")
+def ascent_u_cubic() -> AlgEq:
+    return AlgEq.from_lists(U_CUBIC_LISTS)
 
 
 @pytest.fixture(scope="session")

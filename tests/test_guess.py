@@ -29,9 +29,9 @@ from seqlab import (
 )
 from seqlab import guess
 from seqlab.errors import InconsistentInit, InsufficientTerms
-from seqlab.pipeline import branch_series
 from seqlab.series import int_horner
-from conftest import ASCENT_INIT, ASCENT_REC_LISTS, CATALAN
+from conftest import ASCENT_INIT, ASCENT_REC_LISTS, BRANCH_SHIFT_NUM, CATALAN
+from test_acceptance import _branch_series
 
 from math import gcd
 
@@ -304,7 +304,7 @@ class TestLift:
 
     def test_paper_guesses_need_no_exact_solve(self, monkeypatch, b202062,
                                                ascent_rec, ascent_cubic):
-        branch = branch_series(expand_prec(ascent_rec, Sequence(0, ASCENT_INIT), 64), 64)
+        branch = _branch_series(expand_prec(ascent_rec, Sequence(0, ASCENT_INIT), 64), 64)
 
         def refuse(rows, ncols):
             raise AssertionError("integer_nullspace reached")
@@ -866,8 +866,9 @@ class TestPaperBoundaries:
     """At margin m a shape with k unknowns needs k + m equations, so the
     paper's models appear at exactly these sizes: the order-5, degree-2
     recurrence (18 unknowns, one equation per window) from 23 + m terms,
-    and the (12, 3) cubic (52 unknowns) from 52 + m branch coefficients.
-    One size less gives no model."""
+    the (12, 3) cubic (52 unknowns) from 52 + m branch coefficients, and
+    the (8, 3) cubic of U itself (36 unknowns) from 36 + m coefficients of
+    U.  One size less gives no model."""
 
     # margins 0 and 3, and the default: 0 for guess_prec, 3 for guess_algeq
     @pytest.mark.parametrize("grid, spare", [({"margin": 0}, 0), ({"margin": 3}, 3), ({}, 0)],
@@ -879,9 +880,23 @@ class TestPaperBoundaries:
     @pytest.mark.parametrize("grid, spare", [({"margin": 0}, 0), ({"margin": 3}, 3), ({}, 3)],
                              ids=["margin0", "margin3", "default"])
     def test_cubic_from_52_coefficients(self, ascent_rec, ascent_cubic, grid, spare):
-        branch = branch_series(expand_prec(ascent_rec, Sequence(0, ASCENT_INIT), 64), 64)
+        branch = _branch_series(expand_prec(ascent_rec, Sequence(0, ASCENT_INIT), 64), 64)
         assert guess_algeq(branch.head(52 + spare), 12, 3, **grid) == ascent_cubic
         assert guess_algeq(branch.head(51 + spare), 12, 3, **grid) is None
+
+    @pytest.mark.parametrize("grid, spare", [({"margin": 0}, 0), ({"margin": 3}, 3), ({}, 3)],
+                             ids=["margin0", "margin3", "default"])
+    def test_cubic_of_u_from_36_coefficients(self, ascent_rec, ascent_u_cubic, grid, spare):
+        u = expand_prec(ascent_rec, Sequence(0, ASCENT_INIT), 64)
+        assert guess_algeq(u.head(36 + spare), 12, 3, **grid) == ascent_u_cubic
+        assert guess_algeq(u.head(35 + spare), 12, 3, **grid) is None
+
+    def test_cubic_of_u_depresses_to_the_branch(self, ascent_u_cubic):
+        # -c2/(3 c3) = R(x)/(12 x^3) with R = BRANCH_SHIFT_NUM/(x - 1), cleared
+        # of denominators: -c2 * 12 x^3 (x - 1) = 3 c3 * BRANCH_SHIFT_NUM
+        _, _, c2, c3 = ascent_u_cubic.coeffs
+        assert -c2 * Poly([0, 0, 0, -12, 12]) == Poly([3]) * c3 * BRANCH_SHIFT_NUM
+        assert c2
 
 
 class TestGuessersPinned:
@@ -907,7 +922,7 @@ class TestGuessersPinned:
     @staticmethod
     def cases(b202062, ascent_rec):
         u = expand_prec(ascent_rec, Sequence(0, ASCENT_INIT), 64)
-        branch = branch_series(u, 64)
+        branch = _branch_series(u, 64)
         fib = expand_rational(Poly([1]), Poly([1, -1, -1]), 30).to_sequence()
         motzkin = expand_algebraic(AlgEq.from_lists([[1], [-1, 1], [0, 0, 1]]),
                                    (1,), 30)

@@ -458,6 +458,56 @@ def test_pipeline_renders_through_report():
     assert _mentions(tree, {"nstr"}) == []
 
 
+# the ascent chain derives its answers: it guesses the cubic of U itself, so
+# it needs no shift numerator of 12 x^3 U - R(x), and reads the exponent from
+# the ODE, so it needs neither Fraction(9, 2) nor Gamma(-7/2) = 16 sqrt(pi)/105
+ASCENT_SHIFT_NUM = (1, 18, -45, 26, 1)
+
+
+def _ascent_answers(tree: ast.Module) -> list[str]:
+    """``kind:line`` for each typed-in ascent answer: ``shift`` for a list or
+    tuple literal equal to ASCENT_SHIFT_NUM, ``exponent`` for a call of
+    Fraction with the literal arguments 9 and 2, and ``rescaling`` for the
+    number 105."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.List, ast.Tuple)):
+            try:
+                if tuple(ast.literal_eval(node)) == ASCENT_SHIFT_NUM:
+                    found.append(f"shift:{node.lineno}")
+            except ValueError:
+                continue
+        elif _call_name(node) == "Fraction":
+            try:
+                if [ast.literal_eval(arg) for arg in node.args] == [9, 2]:
+                    found.append(f"exponent:{node.lineno}")
+            except ValueError:
+                continue
+        elif (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                and node.value == 105):
+            found.append(f"rescaling:{node.lineno}")
+    return found
+
+
+def test_pipeline_types_in_no_ascent_answer():
+    tree = ast.parse((ROOT / "src" / "seqlab" / "pipeline.py").read_text())
+    assert _ascent_answers(tree) == []
+
+
+def test_guard_catches_typed_in_ascent_answers():
+    tree = ast.parse(
+        "from fractions import Fraction\n"
+        "BRANCH_SHIFT_NUM = Poly([1, 18, -45, 26, 1])\n"
+        "def study(c, alpha, x):\n"
+        "    g = Fraction(9, 2) if alpha else fractions.Fraction(9, 4)\n"
+        "    a = c * 16 * mpmath.sqrt(mpmath.pi) / 105, c / 105.0, c * 106\n"
+        "    w = (1, 18, -45, 26, 1), [1, 18, -45, 26], [x, 18], Fraction(alpha + 1)\n"
+        "    return g, a, w\n"
+    )
+    assert sorted(_ascent_answers(tree)) == [
+        "exponent:4", "rescaling:5", "rescaling:5", "shift:2", "shift:6"]
+
+
 # series.py is the one home of the exact polynomial algorithms: no other
 # module uses the pseudo-division, the exact sign or the Sturm chain
 EXACT_POLY_NAMES = {"pseudo_divmod", "sign_at", "sturm_chain"}

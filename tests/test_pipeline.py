@@ -1,7 +1,7 @@
 """Stage chains in seqlab.pipeline, against independent references."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import mpmath
 import pytest
@@ -11,21 +11,20 @@ import seqlab.pipeline
 from seqlab import (
     HpContext,
     HpSeq,
+    LinODE,
+    Poly,
     bst_extrapolate,
-    expand_prec,
-    guess_prec,
     square_subsample,
 )
 from seqlab.errors import InsufficientTerms, SeqLabError
 from seqlab.pipeline import (
     _inv_sqrt,
     ascent_study,
-    branch_series,
     growth_rate,
     lconvex_study,
+    singular_exponent,
 )
 from seqlab.report import scalar_entry
-from test_acceptance import _branch_series
 from test_scripts import assert_failed_study
 from conftest import DATA_DIR, GROWTH_POLY, PRIMES_30
 
@@ -54,14 +53,6 @@ def test_inv_sqrt_matches_mpf_sqrt(digits):
     for n in range(1, 10 ** 4 + 1):
         root = mpf_sqrt(from_int(n), prec, round_nearest)
         assert _inv_sqrt(n, prec)._mpf_ == mpf_div(fone, root, prec, round_nearest), n
-
-
-def test_branch_series_matches_acceptance_reference(b202062):
-    head = b202062.head(24)
-    u = expand_prec(guess_prec(head), head, 200)
-    # orders below 5 truncate the shift numerator
-    for order in (1, 2, 3, 4, 5, 6, 64, 200):
-        assert branch_series(u, order) == _branch_series(u, order), order
 
 
 def test_lconvex_study_checks_sizes_before_any_stage(monkeypatch):
@@ -111,9 +102,15 @@ def test_ascent_script_on_a_wrong_bfile_fails_cleanly(tmp_path, monkeypatch, cap
     assert "at n = 25" in err
 
 
-def test_ascent_study_recovers_the_cubic(ascent_fields, ascent_cubic):
+def test_ascent_study_recovers_the_cubic(ascent_fields, ascent_u_cubic):
     _, fields = ascent_fields
-    assert fields["parameters"]["algebraic_equation"] == ascent_cubic.coeff_lists()
+    assert fields["parameters"]["algebraic_equation"] == ascent_u_cubic.coeff_lists()
+
+
+def test_ascent_study_reads_the_exponent_from_the_ode(ascent_fields):
+    _, fields = ascent_fields
+    assert fields["parameters"]["exponent"] == "7/2"
+    assert "exponent of U at rho: alpha = 7/2 (" in fields["stdout"]
 
 
 def test_ascent_rho_is_the_growth_cubic_root(ascent_fields):
@@ -137,7 +134,7 @@ def test_ascent_study_fails_without_a_recurrence():
 def test_ascent_study_fails_without_an_algebraic_equation():
     # n! satisfies u(n+1) = (n+1) u(n), but its series is not algebraic
     factorials = [factorial(n) for n in range(30)]
-    with pytest.raises(SeqLabError, match="^no algebraic equation found from 64 branch "
+    with pytest.raises(SeqLabError, match="^no algebraic equation found from 64 "
                                           "coefficients$"):
         ascent_study(_bfile(factorials), 60, 40, 4)
 
@@ -149,15 +146,17 @@ def test_ascent_study_needs_corrections_at_least_zero():
 
 def test_ascent_study_fails_when_the_algebraic_equation_fails(monkeypatch):
     monkeypatch.setattr(seqlab.pipeline, "algeq_residual", lambda eq, branch: 5)
-    with pytest.raises(SeqLabError, match="^the algebraic equation fails at x\\^5 of the branch$"):
+    with pytest.raises(SeqLabError, match="^the algebraic equation fails at x\\^5 of the series$"):
         ascent_study(BFILE_TEXT, 60, 40, 4)
 
 
-def test_ascent_study_reports_the_residual_it_found(monkeypatch):
+def test_ascent_study_fails_when_the_differential_equation_fails(monkeypatch):
+    # rho and the exponent come from the ODE, so the study stops there
     monkeypatch.setattr(seqlab.pipeline, "ode_residual", lambda ode, terms: 7)
-    fields = ascent_study(BFILE_TEXT, 60, 40, 4)
-    assert fields["notes"][0] == "ODE order 3, degree 11, residual nonzero at x^7"
-    assert "; residual on 2000 terms: nonzero at x^7\n" in fields["stdout"]
+    monkeypatch.setattr(seqlab.pipeline, "guess_algeq", lambda *args: pytest.fail("guessed"))
+    with pytest.raises(SeqLabError, match="^the differential equation fails at x\\^7 of "
+                                          "the series$"):
+        ascent_study(BFILE_TEXT, 60, 40, 4)
 
 
 def test_growth_rate_is_reciprocal_root():
@@ -166,6 +165,53 @@ def test_growth_rate_is_reciprocal_root():
     with ctx.work():
         assert abs(GROWTH_POLY(rho)) < 10 ** -45
         assert abs(mu * rho - 1) < 10 ** -45
+
+
+def _motzkin(count: int) -> list[int]:
+    # (n + 2) M(n) = (2n + 1) M(n - 1) + (3n - 3) M(n - 2)
+    terms = [1, 1]
+    for n in range(2, count):
+        terms.append(((2 * n + 1) * terms[-1] + (3 * n - 3) * terms[-2]) // (n + 2))
+    return terms
+
+
+# nothing in the chain names the 201 sequence: on Catalan and Motzkin b-files
+# it finds their square-root singularity and its amplitude; 35 digits of C,
+# since the fit's window spread is 5e-45 (Catalan) and 1.3e-40 (Motzkin)
+@pytest.mark.parametrize("terms, mu, closed_c", [
+    ([comb(2 * n, n) // (n + 1) for n in range(40)], 4, lambda: 1 / mpmath.sqrt(mpmath.pi)),
+    (_motzkin(40), 3, lambda: mpmath.sqrt(27 / (4 * mpmath.pi))),
+], ids=["catalan", "motzkin"])
+def test_ascent_study_runs_on_other_algebraic_counts(terms, mu, closed_c):
+    fields = ascent_study(_bfile(terms), 2000, 100, 12)
+    assert fields["parameters"]["exponent"] == "1/2"
+    scalars = fields["scalars"]
+    with mpmath.workdps(110):
+        assert abs(mpmath.mpf(scalars["rho"]["value"]) * mu - 1) < 10 ** -99
+        assert abs(mpmath.mpf(scalars["amplitude_C"]["value"]) - closed_c()) < 10 ** -35
+
+
+@pytest.mark.parametrize("lead, next_coeff, message", [
+    # (1 - 2x)^2 has the exact double root 1/2
+    (Poly([1, -4, 4]), Poly([1]), "^the exponent at rho: p_r'\\(rho\\) = 0, a multiple root$"),
+    # alpha = -1/(2 sqrt 2) at rho = sqrt 2
+    (Poly([-2, 0, 1]), Poly([1]), "^the exponent at rho: -0.3535533905932737622 is not found$"),
+    # alpha = 0 - 8/(-4) = 2
+    (Poly([1, -4]), Poly([8]), "^the exponent at rho: 2.0 is an integer$"),
+], ids=["double-root", "irrational", "integer"])
+def test_singular_exponent_raises(lead, next_coeff, message):
+    ctx = HpContext(40)
+    ode = LinODE((next_coeff, lead))
+    with pytest.raises(SeqLabError, match=message):
+        singular_exponent(ode, growth_rate(lead, ctx)[0], ctx)
+
+
+def test_singular_exponent_is_the_indicial_root():
+    # order 1: U' (1 - 4x) + U = 0 gives U = (1 - 4x)^(1/4)
+    ctx = HpContext(40)
+    lead = Poly([1, -4])
+    rho = growth_rate(lead, ctx)[0]
+    assert singular_exponent(LinODE((Poly([1]), lead)), rho, ctx) == Fraction(1, 4)
 
 
 def test_square_bst_limits_to_first_squares():
