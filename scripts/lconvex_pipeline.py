@@ -27,13 +27,10 @@ def main() -> int:
                         help="number of area counts to analyze")
     parser.add_argument("--digits", type=int, default=100,
                         help="working precision in decimal digits")
-    parser.add_argument("--squares", type=int,
-                        help="square-subsampled values fed to the extrapolator "
-                             "(default: every square up to --terms)")
     parser.add_argument("--report", type=Path, default=Path("lconvex_report.json"))
     args = parser.parse_args()
     try:
-        fields = lconvex_study(args.terms, args.digits, args.squares)
+        fields = lconvex_study(args.terms, args.digits)
         stdout = write_run(args.report,
                            "scripts/lconvex_pipeline.py " + " ".join(sys.argv[1:]), fields)
     except RUN_ERRORS as exc:

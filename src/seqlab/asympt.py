@@ -41,6 +41,7 @@ from mpmath.libmp import (
     mpf_sub,
     round_nearest,
     to_fixed,
+    to_str,
 )
 
 from .errors import (
@@ -410,9 +411,12 @@ def bst_extrapolate(s: HpSeq, w) -> BstResult:
     already converged there, so the entry propagates unchanged; a vanishing
     Dp likewise kills the correction in the limit.  A vanishing bracket with
     D nonzero is a genuine pole and raises TableauBlowup, and an inf or a
-    nan among the s_n raises ValueError.  w, a number or its text, is read
-    as the CLI reads it (fixed._read_number).  Returns the deepest entry and
-    the spread against the previous depth.
+    nan among the s_n raises ValueError.  So does a w so small that
+    (x_n / x_(n+m))^w rounds to 1 at the working precision: the entry would
+    be T(m-2, n+1), and the tableau would only copy its seed row T(-1) = 0.
+    w, a number or its text, is read as the CLI reads it
+    (fixed._read_number).  Returns the deepest entry and the spread against
+    the previous depth.
     """
     if len(s) < 4:
         raise InsufficientTerms("extrapolation needs at least 4 terms")
@@ -446,6 +450,9 @@ def bst_extrapolate(s: HpSeq, w) -> BstResult:
             n = s.offset + i
             quotient = mpf_div(from_int(n + m), from_int(n), prec, rnd)
             ratio = sqrt_nearest(quotient, prec) if half else mpf_pow(quotient, w_, prec, rnd)
+            if ratio == fone:
+                raise ValueError(f"w = {to_str(w_, 5)} is too small for {s.ctx.digits} "
+                                 f"digits: ({n + m}/{n})^w rounds to 1")
             bracket = mpf_sub(
                 mpf_mul(ratio, mpf_sub(fone, mpf_div(delta, dprev, prec, rnd), prec, rnd),
                         prec, rnd),

@@ -141,8 +141,9 @@ def run(body):
     context of ``--precision`` is built once, and ``--n`` (`_n_option`)
     is checked against MAX_TERMS, before SOURCE loads.  It
     returns the AnalysisReport fields (`input_digest` defaults to the
-    digest of SOURCE), plus its figure `csvs` and its `stdout`: text, or
-    text blocks rendered one by one once the report is written.  A
+    digest of SOURCE, and `parameters` gain SOURCE's name as "source"),
+    plus its figure `csvs` and its `stdout`: text, or text blocks rendered
+    one by one once the report is written.  A
     library error, bad input or failed file access while loading, computing
     or writing ends as ``Error: <message>`` with exit status 1.
     """
@@ -158,7 +159,9 @@ def run(body):
                 kwargs["source"] = _load(state, kwargs["source"])
             fields = body(state, **kwargs)
             if "source" in kwargs:
-                fields.setdefault("input_digest", kwargs["source"].digest)
+                source = kwargs["source"]
+                fields.setdefault("input_digest", source.digest)
+                fields["parameters"] = {"source": source.label, **fields["parameters"]}
             stdout = write_run(state.report_path,
                                "seqlab " + " ".join(ctx.meta["seqlab.argv"]), fields)
         except RUN_ERRORS as exc:
@@ -318,12 +321,11 @@ def _guesser(name: str, find, grid_options, noun: str, shape, prefix: str, doc: 
     @run
     def command(state, source, **grid):
         model = find(source.seq, **grid)
-        params = {"source": source.label, **grid}
         if model is None:
-            return dict(parameters=params, stdout=f"no {noun} found\n",
+            return dict(parameters=grid, stdout=f"no {noun} found\n",
                         notes=[f"no {noun} found within the search grid"])
         return dict(
-            parameters={**params, **shape(model)},
+            parameters={**grid, **shape(model)},
             sequences={f"{prefix}{j}": sequence_entry(0, cs)
                        for j, cs in enumerate(model.coeff_lists())},
             notes=[str(model)], stdout=f"{model}\n",
@@ -343,38 +345,29 @@ def expand():
     """Extend a sequence exactly from a guessed or explicit model."""
 
 
-@expand.command("rec")
-@click.argument("source")
-@_n_option("Terms to produce.")
-@_REC_GRID
-@run
-def expand_rec_cmd(state, source, n_terms, **grid):
-    """Guess a recurrence from SOURCE, then extend it to --n terms."""
-    rec = guess_prec(source.seq, **grid)
-    if rec is None:
-        raise click.ClickException("no recurrence found within the search grid")
-    return _sequence_fields(
-        "extended", source.seq.offset, expand_prec_decimal(rec, source.seq, n_terms),
-        notes=[str(rec)],
-        parameters={"source": source.label, "n": n_terms, **grid},
-    )
+def _expander(name: str, find, grid_options, noun: str, extend, doc: str) -> None:
+    """Register `expand <name>`: `find` on SOURCE over the grid that
+    `grid_options` take, then the model's first --n terms, as `extend`
+    gives them: the offset and decimal strings of a `sequence_entry`."""
+    @expand.command(name, help=doc)
+    @click.argument("source")
+    @_n_option("Terms to produce.")
+    @grid_options
+    @run
+    def command(state, source, n_terms, **grid):
+        model = find(source.seq, **grid)
+        if model is None:
+            raise click.ClickException(f"no {noun} found within the search grid")
+        return _sequence_fields("extended", **extend(model, source.seq, n_terms),
+                                notes=[str(model)], parameters={"n": n_terms, **grid})
 
 
-@expand.command("algeq")
-@click.argument("source")
-@_n_option("Terms to produce.")
-@_ALGEQ_GRID
-@run
-def expand_algeq_cmd(state, source, n_terms, **grid):
-    """Guess an algebraic equation from SOURCE, then expand its branch."""
-    eq = guess_algeq(source.seq, **grid)
-    if eq is None:
-        raise click.ClickException("no algebraic equation found within the search grid")
-    seq = expand_algebraic(eq, source.seq.terms, n_terms)
-    return _sequence_fields(
-        "extended", **sequence_entry(seq.offset, seq.terms), notes=[str(eq)],
-        parameters={"source": source.label, "n": n_terms, **grid},
-    )
+_expander("rec", guess_prec, _REC_GRID, "recurrence",
+          lambda rec, seq, n: {"offset": seq.offset, "values": expand_prec_decimal(rec, seq, n)},
+          "Guess a recurrence from SOURCE, then extend it to --n terms.")
+_expander("algeq", guess_algeq, _ALGEQ_GRID, "algebraic equation",
+          lambda eq, seq, n: sequence_entry(0, expand_algebraic(eq, seq.terms, n).terms),
+          "Guess an algebraic equation from SOURCE, then expand its branch.")
 
 
 @expand.command("rational")
@@ -414,7 +407,7 @@ def analyze_ratios_cmd(state, source):
     table = pipeline.ratio_table(_hpseq(state, source.seq))
     last = table.ratios.values[-1]
     return dict(
-        parameters={"source": source.label, "precision": state.precision},
+        parameters={"precision": state.precision},
         scalars={"last_ratio": scalar_entry(last, state.precision, table.spread)},
         csvs=table.csvs, stdout=f"last ratio: {decimal_str(last, 20)}\n",
     )
@@ -431,7 +424,7 @@ def analyze_stretched_cmd(state, source):
     with state.ctx.work():
         amplitude = 1 / model.c
     return dict(
-        parameters={"source": source.label, "precision": state.precision, "beta": "1/2"},
+        parameters={"precision": state.precision, "beta": "1/2"},
         scalars={
             "a": scalar_entry(model.a, state.precision, spreads["a"]),
             "a_squared": scalar_entry(fit.a_squared, state.precision),
@@ -457,7 +450,7 @@ def analyze_square_cmd(state, source):
     """Square-subsampled ratios and their inverse-power eliminations."""
     sq = pipeline.square_ratios(_hpseq(state, source.seq))
     return dict(
-        parameters={"source": source.label, "precision": state.precision},
+        parameters={"precision": state.precision},
         scalars={"intercept": scalar_entry(sq.intercept, state.precision, sq.spread)},
         csvs=sq.csvs, stdout=f"intercept: {decimal_str(sq.intercept, 15)}\n",
     )
@@ -475,8 +468,7 @@ def analyze_powerlaw_cmd(state, source, mu, mu_from_poly, square):
     # the power-law fit needs 4 terms, so 4 squares
     diag, csvs = pipeline.power_law(square_subsample(s, 4) if square else s, mu_val)
     return dict(
-        parameters={"source": source.label, "precision": state.precision,
-                    "square": square, **mu_params},
+        parameters={"precision": state.precision, "square": square, **mu_params},
         scalars={
             "mu": scalar_entry(mu_val, state.precision),
             "g": scalar_entry(diag.g_estimate, state.precision, diag.g_spread),
@@ -505,12 +497,15 @@ def extrapolate_bst_cmd(state, source, w, square):
     s = _hpseq(state, source.seq)
     w_frac = _read_number("w", w)
     res = bst_extrapolate(square_subsample(s, 4) if square else s, w_frac)
+    notes = []
     if res.spread >= abs(res.value):
-        click.echo("note: spread >= |limit|, so the terms do not fix the limit", err=True)
+        notes.append("spread >= |limit|, so the terms do not fix the limit")
+        click.echo(f"note: {notes[0]}", err=True)
     return dict(
-        parameters={"source": source.label, "precision": state.precision,
-                    "w": str(w_frac), "square": square, "depth": res.depth},
+        parameters={"precision": state.precision, "w": str(w_frac), "square": square,
+                    "depth": res.depth},
         scalars={"limit": scalar_entry(res.value, state.precision, res.spread)},
+        notes=notes,
         stdout=f"limit: {decimal_str(res.value, 20)}  spread: {decimal_str(res.spread, 5)}\n",
     )
 
@@ -536,8 +531,7 @@ def fit_amplitude_cmd(state, source, mu, mu_from_poly, g_str, k_corr):
     g_frac = _read_number("g", g_str)
     res = amplitude_fit(seq, mu_val, g_frac, k_corr, state.ctx)
     return dict(
-        parameters={"source": source.label, "precision": state.precision,
-                    "g": str(g_frac), "K": k_corr,
+        parameters={"precision": state.precision, "g": str(g_frac), "K": k_corr,
                     "cond_estimate": decimal_str(res.cond_estimate, 5),
                     "window_end": res.window_end, **mu_params},
         scalars={

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import mpmath
 from mpmath.libmp import fone, from_int, mpf_div, round_nearest
@@ -170,22 +170,17 @@ def singular_exponent(ode: LinODE, rho: mpmath.mpf, ctx: HpContext) -> Fraction:
     return alpha
 
 
-def lconvex_study(terms: int, digits: int, squares: Optional[int] = None) -> dict:
+def lconvex_study(terms: int, digits: int) -> dict:
     """The L-convex polyomino study: stretched-exponential triple fit,
     square-subsequence ratio intercept and power law, Bulirsch-Stoer
-    amplitude constant on the first `squares` squares (by default every
-    square up to `terms`) and its identification, and the stack counts
-    against their asymptotic form.  Returns the run's fields, which record
-    the squares used; raises before any stage runs unless terms >= 25,
-    4 <= squares <= isqrt(terms) and digits >= 1."""
+    amplitude constant on every square up to `terms` and its
+    identification, and the stack counts against their asymptotic form.
+    Returns the run's fields, which record the squares used; raises before
+    any stage runs unless terms >= 25 (so at least 5 squares) and
+    digits >= 1."""
     if terms < 25:
         raise InsufficientTerms("need the terms at indices 1 to 25 (the squares 1, 4, 9, 16, 25)")
-    held = isqrt(terms)
-    squares = held if squares is None else squares
-    if squares < 4:
-        raise InsufficientTerms(f"extrapolation needs at least 4 squares, got {squares}")
-    if squares > held:
-        raise InsufficientTerms(f"{terms} terms hold {held} squares, not {squares}")
+    squares = isqrt(terms)
     ctx = HpContext(digits)
     counts = gen_lconvex_area(terms + 1)
     hs = HpSeq.from_sequence(counts, ctx).slice_from(1)

@@ -930,6 +930,13 @@ class TestBst:
         with pytest.raises(ValueError):
             bst_extrapolate(frac_seq(1, [1, 2, 3, 4]), Fraction(0))
 
+    def test_w_whose_ratios_round_to_one(self):
+        # (2/1)^w rounds to 1 at 50 digits, so every entry would be T(m-2, n+1)
+        # and the tableau would return its seed row T(-1) = 0 with spread 0
+        with pytest.raises(ValueError, match=r"^w = 1\.0e-900 is too small for 50 digits: "
+                                             r"\(2/1\)\^w rounds to 1$"):
+            bst_extrapolate(frac_seq(1, [1, 2, 5, 9]), "1e-900")
+
     def test_tableau_blowup(self):
         # with w = 1 the first update hits (x_1/x_2)(1 - D/Dp) - 1 = 0
         # exactly when s = (1, 2, ...): all quantities are dyadic

@@ -237,11 +237,11 @@ class TestExtrapolateAndFit:
             assert "limit: 7.0" in res.stdout
             rep = read_report()
             assert rep["scalars"]["limit"]["spread"] == "0.0"
-            assert "note:" not in res.stderr
+            assert "note:" not in res.stderr and rep["notes"] == []
 
     def test_bst_notes_spread_beyond_limit(self, runner):
         """Growing terms have no limit: the spread exceeds |limit| and a
-        note on stderr says so; stdout keeps its one line."""
+        note on stderr and in the report says so; stdout keeps its one line."""
         with runner.isolated_filesystem():
             Path("l.txt").write_text(seqlab.render_bfile(seqlab.gen_lconvex_area(121)))
             res = invoke(runner, ["--precision", "40", "extrapolate", "bst",
@@ -250,6 +250,8 @@ class TestExtrapolateAndFit:
             assert res.stdout.count("\n") == 1 and "spread: 3.9495e+7" in res.stdout
             assert res.stderr.count("\n") == 2
             assert "note: spread >= |limit|" in res.stderr
+            assert read_report()["notes"] == [
+                "spread >= |limit|, so the terms do not fix the limit"]
 
     def test_fit_amplitude_planted(self, runner):
         with runner.isolated_filesystem():
@@ -677,6 +679,10 @@ class TestErrorBoundaryAndEcho:
         pytest.param(["extrapolate", "bst", B, "--w", "nan"], "'nan'", id="w-nan"),
         pytest.param(["extrapolate", "bst", B, "--w", "1/0"], "'1/0' is not a number",
                      id="w-zero-denominator"),
+        # a w whose ratios ((n+m)/n)^w round to 1 would give the zero seed row
+        pytest.param(["--precision", "30", "extrapolate", "bst", B, "--w", "1e-900"],
+                     "w = 1.0e-900 is too small for 30 digits: (2/1)^w rounds to 1",
+                     id="w-ratios-round-to-one"),
         pytest.param(["identify", "rational", "--value", "0.5", "--digits", "10001"],
                      "need digits <= 10000, got 10001", id="digits-above-bound"),
         pytest.param(["identify", "mult", "--value", "0." + "3" * 10000],

@@ -5,10 +5,14 @@ paths only and `sys.argv` set to the same arguments, so the command echo
 inside the digest carries no temporary path.  The pinned values were
 recorded from the code as it stood before the stage layer moved into
 `seqlab.pipeline`; a change of any digest is a change of behaviour.  The
-re-pins since are both of ASCENT_DIGEST: once when the ascent study began to
+re-pins since: ASCENT_DIGEST twice, once when the ascent study began to
 check the b-file and the cubic itself and to take rho from its derived ODE,
 and once when it began to guess the cubic of U itself, in place of a shifted
-branch, and to read its exponent from the ODE.
+branch, and to read its exponent from the ODE; LCONVEX_DIGEST once, when the
+L-convex study lost `--squares` and LCONVEX_ARGS with it, so that it
+extrapolates on all 20 squares of its 400 terms, not the first 15; and
+`extrapolate bst` once, when its report began to carry the note that the
+spread is at least |limit|, which this case prints.
 """
 
 import hashlib
@@ -74,7 +78,7 @@ GOLDEN = {
     "expand rec":
         "04b9477b5463f9010c3ef47d9d429ca29ac4a20c26bdc41f7e88c171a75d7e37",
     "extrapolate bst":
-        "e500d6a244dc8996a56e4d48882aec4a430f9f1bb78a8d8f5f2fc507d21884c3",
+        "bae46e2a296c5301e1d3b8168f62f0a1582f10637baffa7c1b84a786916867b6",
     "fetch":
         "b3685343134d6e47f1d33eef74556b69c9a0543b8fdeff5d4e16f3fbcd1f280e",
     "fit amplitude":
@@ -103,11 +107,10 @@ GOLDEN = {
         "301c67f7742ec79ac5b26447f4d9db8c97cc165df6f2fe1a53ed028619ee9ad3",
 }
 
-LCONVEX_ARGS = ["--terms", "400", "--digits", "60", "--squares", "15",
-                "--report", "out/lconvex.json"]
+LCONVEX_ARGS = ["--terms", "400", "--digits", "60", "--report", "out/lconvex.json"]
 ASCENT_ARGS = ["--terms", "600", "--digits", "60", "--corrections", "6",
                "--report", "out/ascent.json"]
-LCONVEX_DIGEST = "ee83fbc1697c0413487b45a5f6c4d4fc11e906fb7cf1c36252707216de87fc5a"
+LCONVEX_DIGEST = "955c05741ad4607b131d607f9acc5cc2c46d577bb789c3a8e04997600e8bcc9b"
 ASCENT_DIGEST = "349e965d6832a3d58d2e5e831cdf67ce8dc40fa84e5f0aadc241eab19a9ef378"
 LCONVEX_CSV_SHA256 = {
     "e1": "029f41023688775aa90ee310ddf432315447dd1076efcea86139489ad7a31927",

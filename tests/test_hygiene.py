@@ -389,6 +389,55 @@ def test_cli_reads_numbers_in_one_place():
     assert _mentions(tree, {"workdps", "isdigit", "_text_digits"}) == []
 
 
+# cli.run is the one place that names SOURCE in a report: no other code of
+# cli.py reads a loaded Source's label or writes a "source" key
+def _source_namers(tree: ast.Module) -> list[str]:
+    """``def:kind`` for each read of an attribute ``label`` (``label``) and
+    each "source" key written in a dict display, as a keyword argument or
+    by a subscript assignment (``key``); ``def`` is the enclosing
+    module-level function, or <module>."""
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "label"
+                    and isinstance(node.ctx, ast.Load)):
+                found.append(f"{owner}:label")
+            keys = (node.keys if isinstance(node, ast.Dict)
+                    else [node.slice] if isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store) else [])
+            if (isinstance(node, ast.keyword) and node.arg == "source"
+                    or any(isinstance(k, ast.Constant) and k.value == "source" for k in keys)):
+                found.append(f"{owner}:key")
+    return sorted(found)
+
+
+def test_run_alone_names_source_in_a_report():
+    tree = ast.parse((ROOT / "src" / "seqlab" / "cli.py").read_text())
+    # run's "source" keys: the loaded Source replacing the argument, and
+    # the report's parameter that holds its label
+    assert _source_namers(tree) == ["run:key", "run:key", "run:label"]
+
+
+def test_guard_catches_a_source_named_twice():
+    tree = ast.parse(
+        "def run(body):\n"
+        "    def callback(**kwargs):\n"
+        "        fields = body(**kwargs)\n"
+        "        fields['parameters'] = {'source': kwargs['source'].label}\n"
+        "def _guesser(name):\n"
+        "    def command(state, source):\n"
+        "        return dict(parameters=dict(source=source.label))\n"
+        "def analyze_cmd(state, src):\n"
+        "    params = {'precision': 1, **{}}\n"
+        "    params['source'] = str(src)\n"
+        "    return params\n"
+        "_expander('rec', lambda seq, source: {'name': source.label})\n"
+    )
+    assert _source_namers(tree) == ["<module>:label", "_guesser:key", "_guesser:label",
+                                    "analyze_cmd:key", "run:key", "run:label"]
+
+
 # guess._search owns the attempt rule, rows >= k + margin: no other function
 # of guess.py compares or combines `margin` with anything, and each guesser
 # only passes its margin on to _search

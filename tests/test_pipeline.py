@@ -60,12 +60,10 @@ def test_lconvex_study_checks_sizes_before_any_stage(monkeypatch):
         raise AssertionError("the generator ran before the size checks")
 
     monkeypatch.setattr(seqlab.pipeline, "gen_lconvex_area", fail)
-    with pytest.raises(InsufficientTerms, match="at least 4 squares"):
-        lconvex_study(5000, 100, 3)
+    with pytest.raises(InsufficientTerms, match=r"^need the terms at indices 1 to 25 \("):
+        lconvex_study(24, 30)
     with pytest.raises(ValueError, match="digits >= 1"):
-        lconvex_study(5000, 0, 44)
-    with pytest.raises(InsufficientTerms, match="^400 terms hold 20 squares, not 44$"):
-        lconvex_study(400, 40, 44)
+        lconvex_study(5000, 0)
 
 
 def test_ascent_study_checks_the_fit_size_before_any_stage(monkeypatch):
@@ -82,9 +80,11 @@ def test_ascent_study_checks_the_fit_size_before_any_stage(monkeypatch):
 
 
 def test_lconvex_study_uses_every_square_by_default():
-    fields = lconvex_study(200, 30)
-    assert fields["parameters"]["squares"] == 14
-    assert "depth 13)" in fields["stdout"]
+    # 25 terms, the fewest the study takes, hold the squares 1, 4, 9, 16, 25
+    for terms, squares in ((200, 14), (25, 5)):
+        fields = lconvex_study(terms, 30)
+        assert fields["parameters"] == {"terms": terms, "digits": 30, "squares": squares}
+        assert f"depth {squares - 1})" in fields["stdout"]
 
 
 @pytest.mark.parametrize("n", range(23, 28))

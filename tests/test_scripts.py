@@ -84,11 +84,11 @@ class TestLconvexPipeline:
         report = tmp_path / "out" / "lconvex.json"
         monkeypatch.setattr(sys, "argv", [
             "lconvex_pipeline.py", "--terms", "200", "--digits", "40",
-            "--squares", "10", "--report", str(report),
+            "--report", str(report),
         ])
         assert load_script("lconvex_pipeline").main() == 0
         doc = json.loads(report.read_text(encoding="utf-8"))
-        assert doc["parameters"] == {"terms": 200, "digits": 40, "squares": 10}
+        assert doc["parameters"] == {"terms": 200, "digits": 40, "squares": 14}
         assert sorted(p.stem for p in report.parent.glob("*.csv")) == [
             "e1", "e2", "g2_n", "g_n", "intercepts", "r_sq", "t_n"]
         assert "(+ 7 CSV files)" in capsys.readouterr().out
@@ -98,16 +98,6 @@ class TestLconvexPipeline:
                                   tmp_path, monkeypatch, capsys)
         assert err == ("Error: need the terms at indices 1 to 25 "
                        "(the squares 1, 4, 9, 16, 25)\n")
-
-    def test_too_few_squares_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
-        err = assert_failed_study("lconvex_pipeline", ["--squares", "3"],
-                                  tmp_path, monkeypatch, capsys)
-        assert err == "Error: extrapolation needs at least 4 squares, got 3\n"
-
-    def test_too_many_squares_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
-        err = assert_failed_study("lconvex_pipeline", ["--terms", "400", "--squares", "44"],
-                                  tmp_path, monkeypatch, capsys)
-        assert err == "Error: 400 terms hold 20 squares, not 44\n"
 
     @pytest.mark.parametrize("digits", ["-5", "0"])
     def test_bad_digits_is_a_clean_error(self, digits, tmp_path, monkeypatch, capsys):
